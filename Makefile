@@ -1,13 +1,16 @@
 PYTHON ?= python3
 OUT := out/toy-2d
 
-.PHONY: test acceptance toy-2d clean
+.PHONY: test acceptance bench-smoke toy-2d clean
 
 test:
-	$(PYTHON) -m pytest -q
+	PYTHONPATH=src $(PYTHON) -m pytest -q
 
 acceptance:
-	$(PYTHON) -m pytest -v -s tests/test_acceptance.py
+	PYTHONPATH=src $(PYTHON) -m pytest -v -s tests/test_acceptance.py
+
+bench-smoke:
+	$(PYTHON) -m pytest -q perfbench/smoke_test.py
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics.

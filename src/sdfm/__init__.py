@@ -7,12 +7,10 @@ exact small-instance oracles, and a toy flow-matching laboratory with
 score recovery and guidance resampling.
 """
 
-from .numerics import Rng, logsumexp_weighted, sample_gaussian, softmax_b_eps
+from .numerics import Rng
 from .costs import (
-    AugmentedPoint,
     CostConfig,
     ProjectionMatrix,
-    cost,
     cost_matrix,
     estimate_cost_std,
     fit_pca,
@@ -26,9 +24,7 @@ from .semidual import (
     chi2_estimator,
     chi2_exact,
     marginal_estimate,
-    responsibilities,
     semidual_value,
-    soft_c_transform,
     stochastic_gradient,
     transport_cost_estimate,
 )
@@ -36,7 +32,6 @@ from .solver import SolverConfig, lr_schedule, smoothness_bound, solve_sdot
 from .coupling import (
     CachedMinibatchCoupling,
     PairBatch,
-    assign,
     assign_batch,
     couple_independent,
     couple_minibatch_ot,

@@ -27,12 +27,7 @@ from .costs import (
     estimate_cost_std,
     fit_pca,
 )
-from .coupling import (
-    SinkhornError,
-    assign_batch,
-    hungarian,
-    oracle_discrete_ot,
-)
+from .coupling import SinkhornError, assign_batch, hungarian
 from .flow import (
     FlowModel,
     GuidanceConfig,
@@ -46,12 +41,7 @@ from .flow import (
     train_flow,
 )
 from .numerics import Rng
-from .semidual import (
-    GaussianNoise,
-    Potential,
-    TargetMeasure,
-    chi2_estimator,
-)
+from .semidual import Potential, TargetMeasure, chi2_batches
 from .solver import SolverConfig, SolverDivergence, solve_sdot
 
 EXIT_OK = 0
@@ -77,18 +67,13 @@ def _fail(message: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 # Shared loading helpers
 
-def _load_target_raw(path: str):
-    points, weights, conditions, meta = artifacts.load_dataset(path)
-    return points, weights, conditions, meta
-
-
 def _build_target(points, weights, conditions, projection):
     coupled = projection.apply(points) if projection is not None else points
     return TargetMeasure.from_points(coupled, weights, conditions)
 
 
 def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
-    points, weights, conditions, _ = _load_target_raw(data_path)
+    points, weights, conditions, _ = artifacts.load_dataset(data_path)
     meta, arrays = artifacts.potential_metadata(pot_path)
     projection = artifacts.projection_from_arrays(arrays, meta)
     target = _build_target(points, weights, conditions, projection)
@@ -131,7 +116,7 @@ def _resolve_cost(args, points, weights, conditions, rng: Rng):
 
 def cmd_solve(args) -> int:
     rng = Rng(args.seed)
-    points, weights, conditions, _ = _load_target_raw(args.data)
+    points, weights, conditions, _ = artifacts.load_dataset(args.data)
     cost, projection = _resolve_cost(args, points, weights, conditions, rng)
     target = _build_target(points, weights, conditions, projection)
 
@@ -194,7 +179,7 @@ def cmd_assign(args) -> int:
 
 def cmd_train(args) -> int:
     rng = Rng(args.seed)
-    points, weights, conditions, _ = _load_target_raw(args.data)
+    points, weights, conditions, _ = artifacts.load_dataset(args.data)
     if args.coupling == "sd":
         if not args.potential:
             raise UsageError("--coupling sd requires --potential")
@@ -275,19 +260,7 @@ def cmd_guide(args) -> int:
 
 def cmd_chisq(args) -> int:
     pot = _load_potential_with_target(args.potential, args.data)
-    rng = Rng(args.seed)
-    noise = GaussianNoise(pot.target, pot.cost)
-    vals = []
-    done = 0
-    chunk = 0
-    while done < args.samples:
-        m = min(args.batch, args.samples - done)
-        if m < 2:
-            break
-        x, z = noise.sample(rng.child(chunk), m)
-        vals.append(chi2_estimator(pot, x, z))
-        done += m
-        chunk += 1
+    vals, done = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     print(f"chisq: estimate={est:.6f} stderr={se:.6f} samples={done}")
@@ -310,13 +283,7 @@ def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("clouds must have identical shapes")
     # cdist takes differences directly: identical clouds give exact zeros.
-    sq = cdist(a, b, "sqeuclidean")
-    if len(a) <= 512:
-        _, _, _, value = oracle_discrete_ot(
-            sq, np.full(len(a), 1.0 / len(a)), np.full(len(b), 1.0 / len(b)), 0.0
-        )
-        return float(np.sqrt(max(value, 0.0)))
-    assignment, _, _, total = hungarian(sq)
+    _, total = hungarian(cdist(a, b, "sqeuclidean"))
     return float(np.sqrt(max(total / len(a), 0.0)))
 
 

@@ -23,9 +23,7 @@ from .numerics import Rng
 __all__ = [
     "CostConfig",
     "ProjectionMatrix",
-    "AugmentedPoint",
     "ConfigurationError",
-    "cost",
     "cost_matrix",
     "estimate_cost_std",
     "fit_pca",
@@ -84,19 +82,6 @@ class ProjectionMatrix:
                 f"projection expects dimension {self.d_in}, got {x.shape[-1]}"
             )
         return (x - self.mean) @ self.basis.T
-
-
-@dataclass(frozen=True)
-class AugmentedPoint:
-    """A point ``x`` with an optional condition vector ``z``."""
-
-    x: np.ndarray
-    z: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        if self.z is not None:
-            object.__setattr__(self, "z", np.asarray(self.z, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -190,13 +175,6 @@ def cost_matrix(
         zy = np.atleast_2d(np.asarray(zy, dtype=np.float64))
         out = out + cfg.beta * _base_cost_matrix(SQ_EUCLIDEAN, zx, zy)
     return out
-
-
-def cost(cfg: CostConfig, a: AugmentedPoint, b: AugmentedPoint) -> float:
-    """Cost between two augmented points under ``cfg``."""
-    za = a.z[None, :] if a.z is not None else None
-    zb = b.z[None, :] if b.z is not None else None
-    return float(cost_matrix(cfg, a.x[None, :], b.x[None, :], za, zb)[0, 0])
 
 
 def estimate_cost_std(

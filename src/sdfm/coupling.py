@@ -1,15 +1,15 @@
 """Pairing engines: semidiscrete assignment, baselines, and exact oracles.
 
-The production path is :func:`assign` / :func:`assign_batch`: an O(N d)
-scan over the target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a
-maximum inner product search with uniform tie-breaking; for ``eps > 0``
-it is a categorical draw from the responsibilities. Baselines cover the
+The production path is :func:`assign_batch`: an O(N d) scan over the
+target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a maximum inner
+product search with a ``b``-weighted draw over ties; for ``eps > 0`` it
+is a categorical draw from the responsibilities. Baselines cover the
 independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian),
 including the cached variant that precomputes pairings for many batches
 while storing only RNG streams and index arrays.
 
 :func:`oracle_discrete_ot` is the test oracle: dense log-domain Sinkhorn
-for ``eps > 0``, exact linear assignment / LP for ``eps = 0``.
+for ``eps > 0``, the exact transport LP for ``eps = 0``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,19 @@ import numpy as np
 from scipy import optimize
 
 from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
-from .numerics import ARGMAX_TIE_TOL, Rng, softmax_b_eps_rows
-from .semidual import Potential, TargetMeasure, coupling_scores
+from .numerics import (
+    ARGMAX_TIE_TOL,
+    Rng,
+    argmax_with_ties,
+    inverse_cdf,
+    softmax_b_eps_rows,
+)
+from .semidual import Potential, TargetMeasure, coupling_scores, score_chunks
 
 __all__ = [
     "PairBatch",
     "SinkhornError",
     "UnsupportedOperationError",
-    "assign",
     "assign_batch",
     "laguerre_contains",
     "couple_independent",
@@ -92,66 +97,31 @@ def _to_coupling_space(pot: Potential, noise: np.ndarray) -> np.ndarray:
     return noise
 
 
-def assign(pot: Potential, x: np.ndarray, rng: Rng,
-           z: Optional[np.ndarray] = None) -> int:
-    """Pair one raw noise point with a target index.
-
-    ``eps = 0``: argmax of ``g_k - c(x, y_k)`` with a uniform draw over
-    exact ties; ``eps > 0``: categorical draw from the responsibilities.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    xc = _to_coupling_space(pot, x)
-    scores = coupling_scores(pot, xc, None if z is None else np.atleast_2d(z))[0]
-    if pot.eps == 0.0:
-        ties = np.flatnonzero(scores >= scores.max() - ARGMAX_TIE_TOL)
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[rng.generator().integers(ties.size)])
-    s = softmax_b_eps_rows(scores[None, :], pot.target.weights, pot.eps)[0]
-    return int(rng.generator().choice(s.size, p=s))
-
-
-# Row chunks keep the (rows, N) score block under ~64 MB of float64.
-_SCORE_CHUNK_ENTRIES = 2**23
-
-
-def _row_chunks(n_rows: int, n_cols: int):
-    step = max(1, _SCORE_CHUNK_ENTRIES // max(n_cols, 1))
-    for lo in range(0, n_rows, step):
-        yield lo, min(lo + step, n_rows)
-
-
 def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
                  z: Optional[np.ndarray] = None) -> PairBatch:
-    """Vectorized :func:`assign`; row ``i`` draws from ``rng.child(i)``.
+    """Pair each raw noise row with a target index by the O(N) scan.
 
-    Streams the O(N) scan in bounded-memory row chunks and records the
-    mean wall-clock time per pair so pairing overhead can be compared
-    across coupling methods on the same harness.
+    ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
+    over exact ties; ``eps > 0``: categorical draw from the
+    responsibilities. Row ``i`` draws with the ``i``-th uniform of
+    ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
+    its noise row, never on the batch size. Streams the scan in
+    bounded-memory row chunks and records the mean wall-clock time per
+    pair so pairing overhead can be compared across coupling methods on
+    the same harness.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     t0 = time.perf_counter()
     xc = _to_coupling_space(pot, noise)
+    b = pot.target.weights
+    u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
-    for lo, hi in _row_chunks(len(noise), pot.target.n):
-        zc = None if z is None else z[lo:hi]
-        scores = coupling_scores(pot, xc[lo:hi], zc)
+    for lo, hi, scores in score_chunks(pot, xc, z):
         if pot.eps == 0.0:
-            part = np.argmax(scores, axis=1)
-            best = scores[np.arange(len(part)), part]
-            tie_rows = np.flatnonzero(
-                (scores >= best[:, None] - ARGMAX_TIE_TOL).sum(axis=1) > 1
-            )
-            for i in tie_rows:
-                ties = np.flatnonzero(scores[i] >= best[i] - ARGMAX_TIE_TOL)
-                part[i] = ties[rng.child(lo + i).generator().integers(ties.size)]
+            part, tie_rows, tie_weights = argmax_with_ties(scores, b)
+            part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
         else:
-            s = softmax_b_eps_rows(scores, pot.target.weights, pot.eps)
-            np.cumsum(s, axis=1, out=s)
-            part = np.empty(hi - lo, dtype=np.int64)
-            for i in range(hi - lo):
-                u = rng.child(lo + i).generator().random()
-                part[i] = np.searchsorted(s[i], u * s[i, -1])
+            part = inverse_cdf(softmax_b_eps_rows(scores, b, pot.eps), u[lo:hi])
         idx[lo:hi] = part
     tpp = (time.perf_counter() - t0) / max(len(noise), 1)
     return _resolve(pot.target, noise, idx, SD, tpp)
@@ -279,57 +249,17 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
     )
 
 
-# ---------------------------------------------------------------------------
-# Hungarian algorithm (classic O(n^3) augmenting-path, square matrices)
-
 def hungarian(costs: np.ndarray):
     """Minimum-cost perfect matching on a square cost matrix.
 
-    Returns ``(assignment, u, v, total)`` where ``assignment[i]`` is the
-    column matched to row ``i`` and ``(u, v)`` are the optimal dual
-    potentials with ``u_i + v_j <= C_ij``.
+    Returns ``(assignment, total)`` where ``assignment[i]`` is the column
+    matched to row ``i``.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError("hungarian expects a square cost matrix")
-    n = costs.shape[0]
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j] = row assigned to column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    # 1-indexed columns, column 0 is the virtual root.
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used
-            cur = costs[i0 - 1, :] - u[i0] - v[1:]
-            better = np.flatnonzero(free[1:] & (cur < minv[1:]))
-            minv[better + 1] = cur[better]
-            way[better + 1] = j0
-            masked = np.where(free[1:], minv[1:], inf)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        assignment[p[j] - 1] = j - 1
-    total = float(costs[np.arange(n), assignment].sum())
-    return assignment, u[1:], v[1:], total
+    rows, assignment = optimize.linear_sum_assignment(costs)
+    return assignment, float(costs[rows, assignment].sum())
 
 
 def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
@@ -357,19 +287,14 @@ def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
     if n == 1:
         local = np.zeros(1, dtype=np.int64)
     elif method == "hungarian":
-        local, _, _, _ = hungarian(c)
+        local, _ = hungarian(c)
     elif method == "sinkhorn":
         if eps <= 0.0:
             raise ConfigurationError("sinkhorn minibatch coupling needs eps > 0")
         marg = np.full(n, 1.0 / n)
         plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
-        rows = plan / plan.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(rows, axis=1)
-        u = gen.random(n)
-        local = np.array(
-            [np.searchsorted(cdf[i], u[i] * cdf[i, -1]) for i in range(n)],
-            dtype=np.int64,
-        )
+        local = inverse_cdf(plan / plan.sum(axis=1, keepdims=True),
+                            gen.random(n))
     else:
         raise ConfigurationError(f"unknown minibatch method {method!r}")
     idx = data_idx[local]
@@ -424,8 +349,7 @@ def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Exact discrete OT on a dense cost matrix, with dual potentials.
 
     ``eps > 0``: log-domain Sinkhorn to marginal tolerance 1e-9.
-    ``eps = 0``: Hungarian on the uniform square case, otherwise the
-    transport LP via HiGHS. Returns ``(plan, f, g, value)`` with ``g``
+    ``eps = 0``: the transport LP via HiGHS. Returns ``(plan, f, g, value)`` with ``g``
     gauge-fixed to ``<b, g> = 0`` and ``value`` the primal objective
     (including the entropic term for ``eps > 0``).
     """
@@ -441,12 +365,6 @@ def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
             kl_terms = plan * np.log(plan / (a[:, None] * b[None, :]))
         kl_terms[~np.isfinite(kl_terms)] = 0.0
         value = float((plan * costs).sum() + eps * kl_terms.sum())
-    elif m == n and np.allclose(a, 1.0 / m) and np.allclose(b, 1.0 / n):
-        assignment, u, v, total = hungarian(costs)
-        plan = np.zeros_like(costs)
-        plan[np.arange(m), assignment] = 1.0 / m
-        f, g = u, v
-        value = total / m
     else:
         plan, f, g = _transport_lp(costs, a, b)
         value = float((plan * costs).sum())

@@ -27,7 +27,7 @@ from .coupling import (
     couple_minibatch_ot,
 )
 from .costs import NEG_DOT, CostConfig
-from .numerics import Rng
+from .numerics import Rng, inverse_cdf
 from .semidual import Potential, TargetMeasure, responsibilities_rows
 
 __all__ = [
@@ -431,14 +431,11 @@ def delta_eps_toy(pot: Potential, x: np.ndarray, t: float, samples: int,
     gen = rng.generator()
     x0 = gen.standard_normal((samples, d))
     s = responsibilities_rows(pot, x0)
-    cdf = np.cumsum(s, axis=1)
-    u = gen.random(samples)
-    j = np.array([np.searchsorted(cdf[i], u[i] * cdf[i, -1])
-                  for i in range(samples)])
     y = pot.target.points
-    x1 = y[j]
+    mean_x1 = s @ y  # E[X1 | X0], taken before the draw overwrites s
+    x1 = y[inverse_cdf(s, gen.random(samples))]
     xt = (1.0 - t) * x0 + t * x1
-    inner = x1 - s @ y  # X1 - E[X1 | X0]
+    inner = x1 - mean_x1
 
     if bandwidth is None:
         sub = xt[: min(512, samples)]

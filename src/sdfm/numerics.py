@@ -1,10 +1,12 @@
-"""Deterministic numerical substrate: splittable RNG and stable reductions.
+"""Deterministic numerical substrate: splittable RNG and the row reductions.
 
 All solver math runs in float64. Randomness flows through :class:`Rng`
 values, which wrap a counter-based (Philox) bit generator keyed on
 ``(seed, stream)``: the same value always reproduces the same draws, and
 child streams derived with :meth:`Rng.child` are independent of thread
-scheduling, so parallel batches stay reproducible.
+scheduling, so parallel batches stay reproducible. Per-row randomness is
+one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
+gets the ``i``-th uniform of the stream, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "sample_gaussian",
-    "logsumexp_weighted",
-    "softmax_b_eps",
-    "DegenerateInputError",
     "ARGMAX_TIE_TOL",
 ]
 
@@ -27,10 +25,6 @@ _MASK64 = (1 << 64) - 1
 # Absolute tolerance for detecting score ties in the eps=0 argmax. Only
 # exact float ties matter for correctness, so this is deliberately tight.
 ARGMAX_TIE_TOL = 1e-12
-
-
-class DegenerateInputError(ValueError):
-    """Raised when a reduction is asked to operate on an empty support."""
 
 
 def _mix64(a: int, b: int) -> int:
@@ -67,108 +61,47 @@ class Rng:
         """Derive the ``index``-th child stream of this one."""
         return Rng(self.seed, _mix64(self.stream & _MASK64, index & _MASK64))
 
-    def split(self, n: int) -> list["Rng"]:
-        return [self.child(i) for i in range(n)]
 
+def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
+                     tol: float = ARGMAX_TIE_TOL):
+    """Row argmax plus the ``b``-weighted split of the (rare) tie rows.
 
-def sample_gaussian(rng: Rng, n: int, d: int) -> np.ndarray:
-    """Draw an ``n x d`` matrix of i.i.d. standard normal variates.
-
-    Reproducible: the output is a pure function of ``(rng, n, d)``.
+    Returns ``(idx, tie_rows, tie_weights)``: ``tie_weights[k]`` is the
+    distribution of row ``tie_rows[k]`` over its argmax set (entries within
+    ``tol`` of the row max), proportional to ``b``. This is the one tie
+    rule of the package. Tie rows are found by a second-max pass, which
+    overwrites each row's maximum with ``-inf`` and restores it, so
+    ``scores`` must be writable.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    return rng.generator().standard_normal((n, d), dtype=np.float64)
-
-
-def logsumexp_weighted(z: np.ndarray, logw: np.ndarray) -> float:
-    """Stable ``log sum_j exp(z_j + logw_j)`` with max-subtraction.
-
-    ``logw`` entries may be ``-inf`` (zero weight). If every weight
-    vanishes the support is empty and a :class:`DegenerateInputError` is
-    raised; if the weighted terms all vanish through ``z`` while some
-    weight is positive, ``-inf`` is returned.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    logw = np.asarray(logw, dtype=np.float64)
-    if z.shape != logw.shape or z.ndim != 1 or z.size == 0:
-        raise ValueError("z and logw must be equal-length non-empty vectors")
-    if np.all(np.isneginf(logw)):
-        raise DegenerateInputError("all weights vanish: empty support")
-    with np.errstate(invalid="ignore"):
-        t = z + logw
-    m = np.max(t)
-    if np.isneginf(m):
-        return float("-inf")
-    return float(m + np.log(np.sum(np.exp(t - m))))
-
-
-def softmax_b_eps(z: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """Weighted softmax over data indices; hard argmax split at ``eps=0``.
-
-    For ``eps > 0`` returns ``b_j exp(z_j/eps)`` normalized (computed in
-    the log domain). For ``eps = 0`` returns the ``b``-weighted uniform
-    distribution over the argmax set of ``z``, with ties detected at
-    absolute tolerance :data:`ARGMAX_TIE_TOL`.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if eps == 0.0:
-        mask = z >= np.max(z) - ARGMAX_TIE_TOL
-        w = b * mask
-        total = w.sum()
-        if total <= 0.0:
-            # Every argmax index carries zero target mass: degenerate by the
-            # TargetMeasure contract (b > 0); split uniformly on the tie set.
-            return mask / mask.sum()
-        return w / total
-    with np.errstate(divide="ignore"):
-        t = z / eps + np.log(b)
-    t -= np.max(t)
-    out = np.exp(t)
-    return out / out.sum()
-
-
-def argmax_with_ties(scores: np.ndarray, tol: float = ARGMAX_TIE_TOL):
-    """Row argmax plus the (usually empty) list of rows with score ties.
-
-    Returns ``(idx, tie_rows, close)`` where ``close`` is the boolean
-    within-``tol``-of-max mask (needed only for the tie rows).
-    """
+    rows = np.arange(scores.shape[0])
     idx = scores.argmax(axis=1)
-    row_max = scores[np.arange(scores.shape[0]), idx]
-    close = scores >= (row_max - tol)[:, None]
-    tie_rows = np.flatnonzero(close.sum(axis=1) > 1)
-    return idx, tie_rows, close
-
-
-def _tie_row_weights(close_row: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w = b * close_row
-    total = w.sum()
-    if total <= 0.0:
-        w = close_row.astype(np.float64)
-        total = w.sum()
-    return w / total
+    best = scores[rows, idx]
+    scores[rows, idx] = -np.inf
+    second = scores.max(axis=1)
+    scores[rows, idx] = best
+    tie_rows = np.flatnonzero(second >= best - tol)
+    close = scores[tie_rows] >= (best[tie_rows] - tol)[:, None]
+    tie_weights = b * close
+    tie_weights /= tie_weights.sum(axis=1, keepdims=True)
+    return idx, tie_rows, tie_weights
 
 
 def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise :func:`softmax_b_eps` for a ``(B, N)`` score matrix.
+    """Weighted softmax over data indices, row by row, for ``(B, N)`` scores.
 
-    The ``eps = 0`` branch fills one-hot rows sparsely and only densifies
-    the rare tie rows, which keeps large solver batches cheap.
+    For ``eps > 0`` row ``i`` is ``b_j exp(z_ij/eps)`` normalized (computed
+    in the log domain). For ``eps = 0`` it is one-hot on the row argmax,
+    with the ``b``-weighted split of :func:`argmax_with_ties` on tie rows.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
-        idx, tie_rows, close = argmax_with_ties(scores)
+        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
         out = np.zeros_like(scores)
         out[np.arange(scores.shape[0]), idx] = 1.0
-        for i in tie_rows:
-            out[i] = _tie_row_weights(close[i], b)
+        out[tie_rows] = tie_weights
         return out
     with np.errstate(divide="ignore"):
         t = scores / eps + np.log(b)[None, :]
@@ -187,24 +120,31 @@ def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
     dense matrix.
     """
     n = scores.shape[1]
-    idx, tie_rows, close = argmax_with_ties(scores)
-    if row_weights is None:
-        keep = np.ones(scores.shape[0], dtype=bool)
-        keep[tie_rows] = False
-        col_sum = np.bincount(idx[keep], minlength=n).astype(np.float64)
-        col_sq = col_sum.copy()
-        for i in tie_rows:
-            w = _tie_row_weights(close[i], b)
-            col_sum += w
-            col_sq += w * w
-        return col_sum, col_sq
-    rw = np.asarray(row_weights, dtype=np.float64)
+    idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[tie_rows] = False
-    col_sum = np.bincount(idx[keep], weights=rw[keep], minlength=n)
-    col_sq = np.bincount(idx[keep], weights=rw[keep] ** 2, minlength=n)
-    for i in tie_rows:
-        w = _tie_row_weights(close[i], b)
-        col_sum += rw[i] * w
-        col_sq += (rw[i] * w) ** 2
+    if row_weights is None:
+        col_sum = np.bincount(idx[keep], minlength=n).astype(np.float64)
+        col_sq = col_sum.copy()
+    else:
+        rw = np.asarray(row_weights, dtype=np.float64)
+        col_sum = np.bincount(idx[keep], weights=rw[keep], minlength=n)
+        col_sq = np.bincount(idx[keep], weights=rw[keep] ** 2, minlength=n)
+        tie_weights = rw[tie_rows, None] * tie_weights
+    if tie_rows.size:
+        col_sum += tie_weights.sum(axis=0)
+        col_sq += (tie_weights * tie_weights).sum(axis=0)
     return col_sum, col_sq
+
+
+def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of nonnegative float ``weights``.
+
+    Row ``i`` returns the first index whose cumulative weight reaches
+    ``u[i]`` times the row total; rows need not be normalized. The
+    running sums are formed in place, so ``weights`` is overwritten.
+    """
+    cdf = np.cumsum(weights, axis=1, out=weights)
+    target = u * cdf[:, -1]
+    return np.array([np.searchsorted(c, t) for c, t in zip(cdf, target)],
+                    dtype=np.int64)

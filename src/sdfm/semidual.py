@@ -30,13 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import ConfigurationError, CostConfig, cost_matrix
-from .numerics import (
-    Rng,
-    eps0_column_stats,
-    logsumexp_weighted,
-    softmax_b_eps,
-    softmax_b_eps_rows,
-)
+from .numerics import Rng, eps0_column_stats, softmax_b_eps_rows
 
 __all__ = [
     "TargetMeasure",
@@ -46,8 +40,7 @@ __all__ = [
     "DiscreteNoise",
     "gauge_fix",
     "coupling_scores",
-    "soft_c_transform",
-    "responsibilities",
+    "soft_c_transform_rows",
     "responsibilities_rows",
     "semidual_value",
     "stochastic_gradient",
@@ -55,6 +48,7 @@ __all__ = [
     "marginal_exact",
     "chi2_exact",
     "chi2_estimator",
+    "chi2_batches",
     "transport_cost",
     "transport_cost_estimate",
     "PRODUCTION_CHI2_BATCH",
@@ -254,6 +248,10 @@ class DiscreteNoise:
 # ---------------------------------------------------------------------------
 # Kernel evaluations (inputs live in coupling space)
 
+# Row chunks keep a (rows, N) score block under 2^23 float64 entries (64 MB).
+SCORE_CHUNK_ENTRIES = 2**23
+
+
 def coupling_scores(pot: Potential, x: np.ndarray,
                     z: Optional[np.ndarray] = None) -> np.ndarray:
     """Score matrix ``g_j - c(x_i, y_j)`` for coupling-space noise rows."""
@@ -270,43 +268,84 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     return pot.g[None, :] - c
 
 
-def soft_c_transform(pot: Potential, x: np.ndarray,
-                     z: Optional[np.ndarray] = None) -> float:
-    """Soft-c transform ``f_{g,eps}(x)`` of a single coupling-space point.
+def score_chunks(pot: Potential, x: np.ndarray, z: Optional[np.ndarray] = None):
+    """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
-    ``eps > 0``: ``-eps log sum_j b_j exp((g_j - c(x, y_j))/eps)``;
-    ``eps = 0``: ``-max_j (g_j - c(x, y_j))``.
+    Every reducer of the score block streams through here, so none holds
+    more than one chunk of about :data:`SCORE_CHUNK_ENTRIES` entries.
     """
-    scores = coupling_scores(pot, x, None if z is None else np.atleast_2d(z))[0]
-    eps = pot.eps
-    if eps == 0.0:
-        return float(-np.max(scores))
-    return -eps * logsumexp_weighted(scores / eps, pot.target.log_weights)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    step = max(1, SCORE_CHUNK_ENTRIES // pot.target.n)
+    for lo in range(0, x.shape[0], step):
+        hi = min(lo + step, x.shape[0])
+        yield lo, hi, coupling_scores(pot, x[lo:hi],
+                                      None if z is None else z[lo:hi])
+
+
+def _column_sums(pot: Potential, x: np.ndarray,
+                 weights: Optional[np.ndarray] = None,
+                 z: Optional[np.ndarray] = None, squares: bool = False):
+    """Column sums of the responsibilities of rows ``x`` (row-weighted by
+    ``weights`` if given) and, with ``squares``, the column sums of their
+    squares (unweighted rows only), else ``None``."""
+    b = pot.target.weights
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    col_sum = np.zeros(pot.target.n)
+    col_sq = np.zeros(pot.target.n) if squares else None
+    for lo, hi, scores in score_chunks(pot, x, z):
+        w = None if weights is None else weights[lo:hi]
+        if pot.eps == 0.0:
+            cs, cq = eps0_column_stats(scores, b, w)
+        else:
+            s = softmax_b_eps_rows(scores, b, pot.eps)
+            cs = s.sum(axis=0) if w is None else w @ s
+            cq = (s * s).sum(axis=0) if squares else None
+        col_sum += cs
+        if squares:
+            col_sq += cq
+    return col_sum, col_sq
+
+
+def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
+                   noise=None):
+    """Yield ``(x, z)`` for ``total`` noise draws in batches of ``batch``.
+
+    Batch ``k`` draws from ``rng.child(k)``, so every estimate is a pure
+    function of ``(rng, total, batch)``. ``noise`` defaults to Gaussian.
+    """
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if noise is None:
+        noise = GaussianNoise(pot.target, pot.cost)
+    for k, lo in enumerate(range(0, total, batch)):
+        yield noise.sample(rng.child(k), min(batch, total - lo))
 
 
 def soft_c_transform_rows(pot: Potential, x: np.ndarray,
                           z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized :func:`soft_c_transform` over rows of ``x``."""
-    scores = coupling_scores(pot, x, z)
+    """Soft-c transform ``f_{g,eps}(x_i)`` of each coupling-space row.
+
+    ``eps > 0``: ``-eps log sum_j b_j exp((g_j - c(x, y_j))/eps)``;
+    ``eps = 0``: ``-max_j (g_j - c(x, y_j))``.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     eps = pot.eps
-    if eps == 0.0:
-        return -scores.max(axis=1)
     logw = pot.target.log_weights[None, :]
-    t = scores / eps + logw
-    m = t.max(axis=1, keepdims=True)
-    return (-eps * (m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1))))
-
-
-def responsibilities(pot: Potential, x: np.ndarray,
-                     z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Conditional distribution over target indices for one noise point."""
-    scores = coupling_scores(pot, x, None if z is None else np.atleast_2d(z))[0]
-    return softmax_b_eps(scores, pot.target.weights, pot.eps)
+    out = np.empty(x.shape[0])
+    for lo, hi, scores in score_chunks(pot, x, z):
+        if eps == 0.0:
+            out[lo:hi] = -scores.max(axis=1)
+            continue
+        t = scores / eps + logw
+        m = t.max(axis=1, keepdims=True)
+        out[lo:hi] = -eps * (m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1)))
+    return out
 
 
 def responsibilities_rows(pot: Potential, x: np.ndarray,
                           z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise responsibilities, ``(B, N)``; each row sums to 1."""
+    """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
     scores = coupling_scores(pot, x, z)
     return softmax_b_eps_rows(scores, pot.target.weights, pot.eps)
 
@@ -330,20 +369,20 @@ def semidual_value(pot: Potential, noise_batch: np.ndarray,
 def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
                         weights: Optional[np.ndarray] = None,
                         z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient estimate ``b - mean_i s_{eps,g}(x_i)``; entries sum to 0."""
-    s = responsibilities_rows(pot, noise_batch, z)
+    """Gradient estimate ``b - mean_i s_{eps,g}(x_i)``; entries sum to 0.
+
+    With ``weights`` the mean is the exact weighted sum over the rows.
+    """
+    m, _ = _column_sums(pot, noise_batch, weights, z)
     if weights is None:
-        mean_s = s.mean(axis=0)
-    else:
-        mean_s = np.asarray(weights, dtype=np.float64) @ s
-    return pot.target.weights - mean_s
+        m /= np.atleast_2d(noise_batch).shape[0]
+    return pot.target.weights - m
 
 
 def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
     """Second marginal ``m(g)`` by exact summation over noise atoms."""
     atoms, w, z = noise.enumerate()
-    s = responsibilities_rows(pot, atoms, z)
-    return w @ s
+    return _column_sums(pot, atoms, w, z)[0]
 
 
 def marginal_estimate(pot: Potential, rng: Rng, total_samples: int,
@@ -351,21 +390,12 @@ def marginal_estimate(pot: Potential, rng: Rng, total_samples: int,
     """Streamed Monte-Carlo estimate of ``m(g)``, deterministic given rng."""
     if not (1 <= batch <= total_samples):
         raise ValueError("need total_samples >= batch >= 1")
-    if noise is None:
-        noise = GaussianNoise(pot.target, pot.cost)
     acc = np.zeros(pot.target.n)
-    done = 0
-    chunk = 0
-    while done < total_samples:
-        m = min(batch, total_samples - done)
-        x, z = noise.sample(rng.child(chunk), m)
-        s = responsibilities_rows(pot, x, z)
-        acc += s.sum(axis=0)
-        done += m
-        chunk += 1
-    m_hat = acc / done
-    se = float(np.sqrt(np.max(m_hat * (1.0 - m_hat)) / done))
-    return MarginalEstimate(m=m_hat, samples=done, std_error=se)
+    for x, z in _noise_batches(pot, rng, total_samples, batch, noise):
+        acc += _column_sums(pot, x, None, z)[0]
+    m_hat = acc / total_samples
+    se = float(np.sqrt(np.max(m_hat * (1.0 - m_hat)) / total_samples))
+    return MarginalEstimate(m=m_hat, samples=total_samples, std_error=se)
 
 
 def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
@@ -391,26 +421,27 @@ def chi2_estimator(pot: Potential, noise_batch: np.ndarray,
     b_rows = noise_batch.shape[0]
     if b_rows < 2:
         raise ValueError("chi2_estimator needs a batch of at least 2")
-    n = pot.target.n
-    col_sum = np.zeros(n)
-    col_sq = np.zeros(n)
-    # Stream in row chunks: only column sums are needed.
-    step = max(1, 2**23 // n)
-    for lo in range(0, b_rows, step):
-        chunk = noise_batch[lo: lo + step]
-        zc = None if z is None else z[lo: lo + step]
-        if pot.eps == 0.0:
-            scores = coupling_scores(pot, chunk, zc)
-            cs, cq = eps0_column_stats(scores, pot.target.weights)
-        else:
-            s = responsibilities_rows(pot, chunk, zc)
-            cs = s.sum(axis=0)
-            cq = (s * s).sum(axis=0)
-        col_sum += cs
-        col_sq += cq
+    col_sum, col_sq = _column_sums(pot, noise_batch, None, z, squares=True)
     inv_b = 1.0 / pot.target.weights
     val = np.sum(inv_b * (col_sum**2 - col_sq)) / (b_rows * (b_rows - 1))
     return float(val - 1.0)
+
+
+def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
+                 noise=None):
+    """:func:`chi2_estimator` of each noise batch over ``total`` draws.
+
+    Returns ``(values, samples)``. A batch of fewer than 2 rows has no
+    estimate and ends the stream, so ``samples`` can fall short of
+    ``total``.
+    """
+    values, samples = [], 0
+    for x, z in _noise_batches(pot, rng, total, batch, noise):
+        if len(x) < 2:
+            break
+        values.append(chi2_estimator(pot, x, z))
+        samples += len(x)
+    return values, samples
 
 
 def _kl_rows(s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,13 +462,14 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     ``eps = 0`` the KL term is reported as 0.
     """
     noise_batch = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
-    zt = pot.target.conditions if pot.cost.beta > 0.0 else None
-    c = cost_matrix(pot.cost, noise_batch, pot.target.points, z, zt, project=False)
-    s = responsibilities_rows(pot, noise_batch, z)
-    per_row = np.sum(s * c, axis=1)
+    b = pot.target.weights
     eps = pot.eps
-    if eps > 0.0:
-        per_row = per_row + eps * _kl_rows(s, pot.target.weights)
+    per_row = np.empty(noise_batch.shape[0])
+    for lo, hi, scores in score_chunks(pot, noise_batch, z):
+        s = softmax_b_eps_rows(scores, b, eps)
+        per_row[lo:hi] = np.sum(s * (pot.g - scores), axis=1)
+        if eps > 0.0:
+            per_row[lo:hi] += eps * _kl_rows(s, b)
     if weights is None:
         return float(np.mean(per_row))
     return float(np.dot(np.asarray(weights, dtype=np.float64), per_row))
@@ -448,15 +480,7 @@ def transport_cost_estimate(pot: Potential, rng: Rng, samples: int,
     """Monte-Carlo :func:`transport_cost` over fresh noise samples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if noise is None:
-        noise = GaussianNoise(pot.target, pot.cost)
     total = 0.0
-    done = 0
-    chunk = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        x, z = noise.sample(rng.child(chunk), m)
-        total += transport_cost(pot, x, None, z) * m
-        done += m
-        chunk += 1
-    return total / done
+    for x, z in _noise_batches(pot, rng, samples, batch, noise):
+        total += transport_cost(pot, x, None, z) * len(x)
+    return total / samples

@@ -18,17 +18,18 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
-from .numerics import Rng, softmax_b_eps_rows
+from .costs import NEG_DOT, ConfigurationError, CostConfig
+from .numerics import Rng
 from .semidual import (
     GaussianNoise,
     Potential,
     TargetMeasure,
+    chi2_batches,
     chi2_exact,
-    chi2_estimator,
     gauge_fix,
     marginal_exact,
     semidual_value,
+    stochastic_gradient,
 )
 
 __all__ = [
@@ -189,31 +190,34 @@ def estimate_delta(target: TargetMeasure, cost: CostConfig, rng: Rng,
     pot = Potential(g=np.zeros(target.n), target=target, cost=cost)
     if noise is None:
         noise = GaussianNoise(target, cost)
-    enum = noise.enumerate()
-    if enum is not None and getattr(noise, "exact", False):
-        atoms, w, z = enum
-        return abs(semidual_value(pot, atoms, w, z))
+    return abs(_semidual_probe(pot, rng, noise, samples))
+
+
+def _is_exact(noise) -> bool:
+    return getattr(noise, "exact", False) and noise.enumerate() is not None
+
+
+def _noise_batch(noise, rng: Rng, samples: int):
+    """``(x, weights, z)``: the whole weighted atom list of exact noise,
+    otherwise ``samples`` unweighted draws from ``rng``."""
+    if _is_exact(noise):
+        return noise.enumerate()
     x, z = noise.sample(rng, samples)
-    return abs(semidual_value(pot, x, None, z))
+    return x, None, z
 
 
 def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise) -> float:
     """Stopping statistic: exact on enumerable noise, batched otherwise."""
-    enum = noise.enumerate() if hasattr(noise, "enumerate") else None
-    if enum is not None and getattr(noise, "exact", False):
+    if _is_exact(noise):
         return chi2_exact(marginal_exact(pot, noise), pot.target.weights)
-    vals = []
-    done = 0
-    chunk = 0
-    while done < cfg.chi2_total:
-        m = min(cfg.chi2_batch, cfg.chi2_total - done)
-        if m < 2:
-            break
-        x, z = noise.sample(rng.child(chunk), m)
-        vals.append(chi2_estimator(pot, x, z))
-        done += m
-        chunk += 1
-    return float(np.mean(vals))
+    values, _ = chi2_batches(pot, rng, cfg.chi2_total, cfg.chi2_batch, noise)
+    return float(np.mean(values))
+
+
+def _require_finite(v: np.ndarray, what: str, k: int) -> None:
+    if not np.all(np.isfinite(v)):
+        raise SolverDivergence(f"non-finite {what} at iteration {k}",
+                               {"iteration": k, "what": what})
 
 
 def solve_sdot(
@@ -272,21 +276,11 @@ def solve_sdot(
     )
     t0 = time.perf_counter()
 
-    zt = target.conditions if cost.beta > 0.0 else None
-    exact_mode = getattr(noise, "exact", False) and noise.enumerate() is not None
-    if exact_mode:
-        atoms, atom_w, atom_z = noise.enumerate()
-        # The enumerated score matrix only shifts with g; fix the cost part.
-        enum_cost = cost_matrix(cost, atoms, target.points, atom_z, zt,
-                                project=False)
-    fused_negdot = cost.kind == NEG_DOT and cost.beta == 0.0
-    points_t = np.ascontiguousarray(target.points.T) if fused_negdot else None
-
     def candidate() -> Potential:
-        return Potential(
-            g=gauge_fix(state.averaged(), b), target=target, cost=cost,
-            provenance={"iterations": state.iteration},
-        )
+        g = gauge_fix(state.averaged(), b)
+        _require_finite(g, "averaged potential", state.iteration)
+        return Potential(g=g, target=target, cost=cost,
+                         provenance={"iterations": state.iteration})
 
     stop_reason = "max_iterations"
     final_chi2 = np.inf
@@ -322,25 +316,10 @@ def solve_sdot(
                 stop_reason = "max_iterations"
                 break
         # One stochastic ascent step.
-        if exact_mode:
-            s = softmax_b_eps_rows(state.g[None, :] - enum_cost, b, cost.eps)
-            grad = b - atom_w @ s
-        else:
-            x, z = noise.sample(train.child(k), cfg.batch)
-            if fused_negdot:
-                scores = x @ points_t
-                scores += state.g
-            else:
-                scores = state.g[None, :] - cost_matrix(
-                    cost, x, target.points, z, zt, project=False)
-            if cost.eps == 0.0:
-                # Exact score ties have probability zero under continuous
-                # noise; the plain argmax keeps the estimator unbiased a.s.
-                counts = np.bincount(scores.argmax(axis=1), minlength=n)
-                grad = b - counts / cfg.batch
-            else:
-                s = softmax_b_eps_rows(scores, b, cost.eps)
-                grad = b - s.mean(axis=0)
+        pot_step = Potential(g=state.g, target=target, cost=cost)
+        grad = stochastic_gradient(pot_step,
+                                   *_noise_batch(noise, train.child(k), cfg.batch))
+        _require_finite(grad, "gradient", k)
         lr = lr_schedule(cfg, k)
         if cfg.optimizer == ADAGRAD:
             state.accumulator += grad * grad
@@ -348,6 +327,7 @@ def solve_sdot(
             state.g += lr * grad / denom
         else:
             state.g += lr * grad
+        _require_finite(state.g, "potential", k)
         state.push(state.g)
         k += 1
         state.iteration = k
@@ -369,9 +349,4 @@ def solve_sdot(
 
 
 def _semidual_probe(pot: Potential, rng: Rng, noise, samples: int = 4096) -> float:
-    enum = noise.enumerate() if hasattr(noise, "enumerate") else None
-    if enum is not None and getattr(noise, "exact", False):
-        atoms, w, z = enum
-        return semidual_value(pot, atoms, w, z)
-    x, z = noise.sample(rng, samples)
-    return semidual_value(pot, x, None, z)
+    return semidual_value(pot, *_noise_batch(noise, rng, samples))

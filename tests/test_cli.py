@@ -64,6 +64,17 @@ class TestSolveCommand:
         assert code == 3
         read_container(out, expect_kind="potential")  # artifact still written
 
+    def test_non_finite_solver_state_is_numeric_failure(self, tmp_path, blob,
+                                                        capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--data", blob, "--eps", "0", "--lr", "1e308",
+                         "--iters", "50", "--batch", "16",
+                         "--chi2-samples", "256",
+                         "--out", str(tmp_path / "x.sdfm")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and "\n" not in err.strip()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--data", str(tmp_path / "nope.sdfm"),
                      "--eps", "0", "--out", str(tmp_path / "x.sdfm")])

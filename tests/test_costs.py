@@ -4,11 +4,9 @@ import pytest
 from sdfm.costs import (
     NEG_DOT,
     SQ_EUCLIDEAN,
-    AugmentedPoint,
     ConfigurationError,
     CostConfig,
     ProjectionMatrix,
-    cost,
     cost_matrix,
     estimate_cost_std,
     fit_pca,
@@ -16,37 +14,43 @@ from sdfm.costs import (
 from sdfm.numerics import Rng
 
 
+def _cost(cfg, x, y, zx=None, zy=None):
+    """One-row form: the single entry of a 1 x 1 cost matrix."""
+    zx = None if zx is None else [zx]
+    zy = None if zy is None else [zy]
+    return float(cost_matrix(cfg, [x], [y], zx, zy)[0, 0])
+
+
 class TestCost:
     def test_negdot_orthogonal(self):
         cfg = CostConfig(kind=NEG_DOT)
-        assert cost(cfg, AugmentedPoint([1.0, 0.0]), AugmentedPoint([0.0, 1.0])) == 0.0
+        assert _cost(cfg, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_negdot_value(self):
         cfg = CostConfig(kind=NEG_DOT)
-        assert cost(cfg, AugmentedPoint([1.0, 2.0]), AugmentedPoint([3.0, 4.0])) == -11.0
+        assert _cost(cfg, [1.0, 2.0], [3.0, 4.0]) == -11.0
 
     def test_conditional_augmentation(self):
         cfg = CostConfig(kind=NEG_DOT, beta=2.0)
-        a = AugmentedPoint([1.0, 0.0], z=[1.0])
-        b = AugmentedPoint([1.0, 0.0], z=[0.0])
-        assert cost(cfg, a, b) == pytest.approx(-1.0 + 2.0 * 1.0)
+        out = _cost(cfg, [1.0, 0.0], [1.0, 0.0], zx=[1.0], zy=[0.0])
+        assert out == pytest.approx(-1.0 + 2.0 * 1.0)
 
     def test_sq_euclidean_symmetry(self):
         cfg = CostConfig(kind=SQ_EUCLIDEAN)
         gen = Rng(0).generator()
-        a = AugmentedPoint(gen.standard_normal(4))
-        b = AugmentedPoint(gen.standard_normal(4))
-        assert cost(cfg, a, b) == pytest.approx(cost(cfg, b, a), abs=1e-12)
+        a = gen.standard_normal(4)
+        b = gen.standard_normal(4)
+        assert _cost(cfg, a, b) == pytest.approx(_cost(cfg, b, a), abs=1e-12)
 
     def test_dimension_mismatch(self):
         cfg = CostConfig(kind=NEG_DOT)
         with pytest.raises(ConfigurationError):
-            cost(cfg, AugmentedPoint([1.0]), AugmentedPoint([1.0, 2.0]))
+            _cost(cfg, [1.0], [1.0, 2.0])
 
     def test_missing_conditions_rejected(self):
         cfg = CostConfig(kind=NEG_DOT, beta=1.0)
         with pytest.raises(ConfigurationError):
-            cost(cfg, AugmentedPoint([1.0]), AugmentedPoint([1.0]))
+            _cost(cfg, [1.0], [1.0])
 
 
 class TestEstimateCostStd:

@@ -1,6 +1,7 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 from scipy.stats import chisquare
 
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
@@ -8,7 +9,6 @@ from sdfm.coupling import (
     CachedMinibatchCoupling,
     SinkhornError,
     UnsupportedOperationError,
-    assign,
     assign_batch,
     couple_independent,
     couple_minibatch_ot,
@@ -29,6 +29,11 @@ def _pot(g, ys, b=None, eps=0.0):
                      cost=CostConfig(kind=NEG_DOT, eps_raw=eps))
 
 
+def assign(pot, x, rng):
+    """One-row form of :func:`assign_batch`."""
+    return int(assign_batch(pot, np.atleast_2d(x), rng).indices[0])
+
+
 class TestAssign:
     def test_nearest_inner_product(self):
         pot = _pot([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
@@ -42,22 +47,28 @@ class TestAssign:
     def test_tie_break_uniform(self):
         pot = _pot([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
         x = np.array([0.0, 1.0])  # orthogonal to y1 - y2: exact tie
-        draws = np.array([assign(pot, x, Rng(1).child(i)) for i in range(10_000)])
+        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(1)).indices
         freq = draws.mean()
         sigma = np.sqrt(0.25 / 10_000)
         assert abs(freq - 0.5) <= 3 * sigma
+
+    def test_tie_break_follows_b(self):
+        pot = _pot([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], b=[0.25, 0.75])
+        x = np.array([0.0, 1.0])
+        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(2)).indices
+        freq = draws.mean()
+        sigma = np.sqrt(0.25 * 0.75 / 10_000)
+        assert abs(freq - 0.75) <= 3 * sigma
 
     def test_categorical_matches_responsibilities(self):
         gen = Rng(2).generator()
         ys = gen.standard_normal((4, 2))
         pot = _pot(gen.standard_normal(4), ys, eps=0.5)
-        draws = np.array([
-            assign(pot, np.array([0.3, -0.2]), Rng(3).child(i))
-            for i in range(20_000)
-        ])
-        from sdfm.semidual import responsibilities
+        x = np.array([[0.3, -0.2]])
+        draws = assign_batch(pot, np.repeat(x, 20_000, axis=0), Rng(3)).indices
+        from sdfm.semidual import responsibilities_rows
 
-        probs = responsibilities(pot, np.array([0.3, -0.2]))
+        probs = responsibilities_rows(pot, x)[0]
         counts = np.bincount(draws, minlength=4) / len(draws)
         assert np.max(np.abs(counts - probs)) < 0.02
 
@@ -68,34 +79,31 @@ class TestAssign:
         g = gen.standard_normal(n) * 0.3
         pot = _pot(g, ys)
         xs = gen.standard_normal((500, 8))
-        for x in xs:
-            picked = assign(pot, x, Rng(5))
+        picked = assign_batch(pot, xs, Rng(5)).indices
+        for x, got in zip(xs, picked):
             # Independent scan: per-index python arithmetic on raw points.
             best, best_score = None, -np.inf
             for k in range(n):
                 score = g[k] + float(np.dot(x, ys[k]))
                 if score > best_score:
                     best, best_score = k, score
-            assert picked == best
+            assert got == best
 
 
 class TestAssignBatch:
-    def test_singleton_reduces_to_assign(self):
-        gen = Rng(6).generator()
-        ys = gen.standard_normal((5, 3))
-        pot = _pot(gen.standard_normal(5), ys, eps=0.3)
-        noise = gen.standard_normal((1, 3))
-        batch = assign_batch(pot, noise, Rng(7))
-        assert batch.indices[0] == assign(pot, noise[0], Rng(7).child(0))
-
-    def test_rows_match_per_row_streams(self):
+    @pytest.mark.parametrize("eps", [0.0, 0.4])
+    def test_prefix_stable(self, eps):
+        # Row i depends only on (rng, i) and its noise row: every prefix of
+        # a batch pairs exactly as the full batch does, tie rows included.
         gen = Rng(8).generator()
-        ys = gen.standard_normal((6, 2))
-        pot = _pot(gen.standard_normal(6), ys, eps=0.4)
+        ys = np.vstack([[[1.0, 0.0], [-1.0, 0.0]], gen.standard_normal((4, 2))])
+        pot = _pot(np.r_[0.0, 0.0, gen.standard_normal(4) - 5.0], ys, eps=eps)
         noise = gen.standard_normal((16, 2))
-        batch = assign_batch(pot, noise, Rng(9))
-        for i in range(16):
-            assert batch.indices[i] == assign(pot, noise[i], Rng(9).child(i))
+        noise[3::4] = [0.0, 1.0]  # exact ties at eps=0
+        full = assign_batch(pot, noise, Rng(9)).indices
+        for k in (1, 5, 16):
+            np.testing.assert_array_equal(
+                assign_batch(pot, noise[:k], Rng(9)).indices, full[:k])
 
     def test_permutation_equivariance_no_ties(self):
         gen = Rng(10).generator()
@@ -122,9 +130,8 @@ class TestLaguerre:
         gen = Rng(14).generator()
         ys = gen.standard_normal((12, 3))
         pot = _pot(gen.standard_normal(12) * 0.2, ys)
-        for i in range(1000):
-            x = gen.standard_normal(3)
-            j = assign(pot, x, Rng(15).child(i))
+        xs = gen.standard_normal((1000, 3))
+        for x, j in zip(xs, assign_batch(pot, xs, Rng(15)).indices):
             assert laguerre_contains(pot, j, x)
 
     def test_antipodal_half_spaces(self):
@@ -181,21 +188,21 @@ class TestCoupleIndependent:
 
 class TestHungarian:
     def test_diagonal_optimum(self):
-        assignment, _, _, total = hungarian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assignment, total = hungarian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(assignment, [0, 1])
         assert total == 0.0
 
     def test_matches_scipy_on_random(self):
+        # Brute force over all permutations certifies the optimum.
         gen = Rng(24).generator()
-        for n in (3, 8, 17, 40):
+        for n in (3, 5, 7):
             c = gen.standard_normal((n, n))
-            ours, u, v, total = hungarian(c)
-            rows, cols = linear_sum_assignment(c)
-            scipy_total = c[rows, cols].sum()
-            assert total == pytest.approx(scipy_total, abs=1e-9)
-            # Dual feasibility and strong duality certify optimality.
-            assert np.all(u[:, None] + v[None, :] <= c + 1e-9)
-            assert u.sum() + v.sum() == pytest.approx(total, abs=1e-9)
+            assignment, total = hungarian(c)
+            assert total == pytest.approx(c[np.arange(n), assignment].sum(),
+                                          abs=1e-12)
+            best = min(c[np.arange(n), list(p)].sum()
+                       for p in itertools.permutations(range(n)))
+            assert total == pytest.approx(best, abs=1e-9)
 
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
@@ -239,7 +246,7 @@ class TestCoupleMinibatch:
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
         marg = np.full(2, 0.5)
         plan, _, _, _ = sinkhorn_log(c, marg, marg, 0.01, tol=1e-10)
-        perm, _, _, _ = hungarian(c)
+        perm, _ = hungarian(c)
         perm_plan = np.zeros_like(c)
         perm_plan[np.arange(2), perm] = 0.5
         assert 0.5 * np.abs(plan - perm_plan).sum() <= 1e-3
@@ -348,6 +355,18 @@ class TestOracle:
         np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-9)
         np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-9)
         assert np.dot(a, f) + np.dot(b, g) == pytest.approx(value, abs=1e-8)
+        assert np.all(f[:, None] + g[None, :] <= costs + 1e-8)
+
+    def test_lp_duals_uniform_square(self):
+        # The uniform square case is the assignment problem.
+        gen = Rng(43).generator()
+        n = 17
+        costs = gen.random((n, n))
+        a = np.full(n, 1.0 / n)
+        plan, f, g, value = oracle_discrete_ot(costs, a, a, 0.0)
+        assert value == pytest.approx(hungarian(costs)[1] / n, abs=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), a, atol=1e-9)
+        assert np.dot(a, f) + np.dot(a, g) == pytest.approx(value, abs=1e-8)
         assert np.all(f[:, None] + g[None, :] <= costs + 1e-8)
 
     def test_eps_to_zero_cost_ordering(self):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdfm import semidual
 from sdfm.costs import NEG_DOT, CostConfig, cost_matrix
 from sdfm.coupling import oracle_discrete_ot
 from sdfm.numerics import Rng
@@ -16,10 +19,9 @@ from sdfm.semidual import (
     gauge_fix,
     marginal_estimate,
     marginal_exact,
-    responsibilities,
     responsibilities_rows,
     semidual_value,
-    soft_c_transform,
+    soft_c_transform_rows,
     stochastic_gradient,
     transport_cost,
     transport_cost_estimate,
@@ -32,6 +34,16 @@ def _simple_potential(g, ys, b=None, eps=0.0):
     target = TargetMeasure.from_points(ys, b)
     cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
     return Potential(g=np.asarray(g, dtype=np.float64), target=target, cost=cost)
+
+
+def soft_c_transform(pot, x):
+    """One-row form of :func:`soft_c_transform_rows`."""
+    return soft_c_transform_rows(pot, np.atleast_2d(x))[0]
+
+
+def responsibilities(pot, x):
+    """One-row form of :func:`responsibilities_rows`."""
+    return responsibilities_rows(pot, np.atleast_2d(x))[0]
 
 
 class TestTargetMeasure:
@@ -192,6 +204,19 @@ class TestStochasticGradient:
         m = marginal_exact(pot, noise)
         np.testing.assert_allclose(grad, target.weights - m, atol=1e-14)
 
+    def test_eps_zero_tie_atom_weighted_split(self):
+        # The first atom is orthogonal to y_0 - y_1: an exact tie, whose
+        # mass splits in proportion to b, not uniformly.
+        b = np.array([0.25, 0.75])
+        pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], b)
+        noise = DiscreteNoise([[0.0, 1.0], [2.0, 0.0], [-1.0, 3.0]],
+                              [0.5, 0.3, 0.2], exact=True)
+        atoms, w, _ = noise.enumerate()
+        grad = stochastic_gradient(pot, atoms, w)
+        m = 0.5 * b + np.array([0.3, 0.2])
+        np.testing.assert_allclose(grad, b - m, atol=1e-15)
+        np.testing.assert_allclose(marginal_exact(pot, noise), m, atol=1e-15)
+
 
 class TestMarginal:
     def test_symmetric_two_point(self):
@@ -346,3 +371,28 @@ class TestGaugeFix:
         b /= b.sum()
         g = gen.standard_normal(5)
         assert abs(np.dot(b, gauge_fix(g, b))) < 1e-12
+
+
+class TestStreamingMemory:
+    def test_peak_does_not_grow_with_batch(self, monkeypatch):
+        # Reducers hold one score chunk at a time: four chunks of rows
+        # must not need four times the memory of one.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 2**16)
+        gen = Rng(30).generator()
+        n = 1024
+        pot = _simple_potential(gen.standard_normal(n) * 0.1,
+                                gen.standard_normal((n, 2)), eps=0.5)
+        rows = 2**16 // n
+
+        def peak(fn, b_rows):
+            x = gen.standard_normal((b_rows, 2))
+            tracemalloc.start()
+            try:
+                fn(pot, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for fn in (semidual_value, chi2_estimator):
+            one, four = peak(fn, rows), peak(fn, 4 * rows)
+            assert four < 1.5 * one, (fn.__name__, one, four)

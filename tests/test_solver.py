@@ -178,6 +178,18 @@ class TestSolveSdot:
                 *noise.enumerate()[:2], exact=False))
         assert "iteration" in err.value.info
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_non_finite_state_fails_closed(self, eps):
+        target, cost, _ = make_enumerated_instance(49, eps=eps)
+        cfg = SolverConfig(base_lr=1e308, constant_phase=50, decay_phase=0,
+                           averaging_window=10, batch=16, tau=1e-12,
+                           check_interval=10, chi2_batch=64, chi2_total=128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergence) as err:
+                solve_sdot(target, cost, cfg, Rng(9))
+        assert err.value.info["iteration"] < 50
+        assert "non-finite" in str(err.value)
+
     def test_metrics_rows_emitted(self, tmp_path):
         from sdfm.container import MetricsWriter
 
