@@ -1,13 +1,20 @@
 PYTHON ?= python3
 OUT := out/toy-2d
 
-.PHONY: test acceptance bench-smoke toy-2d clean
+.PHONY: test acceptance bench bench-smoke toy-2d clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
 
 acceptance:
 	PYTHONPATH=src $(PYTHON) -m pytest -v -s tests/test_acceptance.py
+
+# Both benchmark workloads at the held-out seed (about 2 minutes each).
+bench:
+	for w in desk-2d highdim-eps; do \
+	    $(PYTHON) perfbench/run.py --workload $$w --seed 9001 --seconds 50 \
+	        --trace 0 || exit 1; \
+	done
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py

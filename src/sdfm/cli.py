@@ -131,7 +131,6 @@ def cmd_solve(args) -> int:
         cfg = replace(cfg, chi2_total=args.chi2_samples,
                       chi2_batch=min(args.chi2_samples, 2**12))
 
-    metrics = MetricsWriter(args.out + ".metrics.csv", args.out + ".metrics.json")
     checkpoint_paths = []
 
     def checkpoint(k, pot, chi2):
@@ -140,16 +139,18 @@ def cmd_solve(args) -> int:
             artifacts.save_potential(path, pot)
             checkpoint_paths.append(path)
 
-    pot = solve_sdot(target, cost, cfg, rng, metrics=metrics,
-                     checkpoint_cb=checkpoint)
-    artifacts.save_potential(args.out, pot)
-    metrics.finalize({
-        "command": "solve", "seed": args.seed, "eps": args.eps,
-        "tau": args.tau, "iters": args.iters,
-        "stop_reason": pot.provenance["stop_reason"],
-        "final_chi2": pot.provenance["final_chi2"],
-        "cost": cost.metadata(), "checkpoints": checkpoint_paths,
-    })
+    with MetricsWriter(args.out + ".metrics.csv",
+                       args.out + ".metrics.json") as metrics:
+        pot = solve_sdot(target, cost, cfg, rng, metrics=metrics,
+                         checkpoint_cb=checkpoint)
+        artifacts.save_potential(args.out, pot)
+        metrics.finalize({
+            "command": "solve", "seed": args.seed, "eps": args.eps,
+            "tau": args.tau, "iters": args.iters,
+            "stop_reason": pot.provenance["stop_reason"],
+            "final_chi2": pot.provenance["final_chi2"],
+            "cost": cost.metadata(), "checkpoints": checkpoint_paths,
+        })
     print(f"solve: chi2={pot.provenance['final_chi2']:.6f} "
           f"iterations={pot.provenance['iterations']} "
           f"stop={pot.provenance['stop_reason']} out={args.out}")
@@ -200,16 +201,17 @@ def cmd_train(args) -> int:
     cond_dim = 0 if conditions is None else conditions.shape[1]
     model = FlowModel(dim=points.shape[1], hidden=tuple(args.hidden),
                       cond_dim=cond_dim, rng=rng.child(100))
-    metrics = MetricsWriter(args.out + ".metrics.csv", args.out + ".metrics.json")
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
-    model = train_flow(model, target, coupling, cfg, rng.child(101),
-                       metrics=metrics)
-    artifacts.save_model(args.out, model, {
-        "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
-        "batch": args.batch, "data": args.data,
-    })
-    metrics.finalize({"command": "train", "coupling": args.coupling,
-                      "seed": args.seed})
+    with MetricsWriter(args.out + ".metrics.csv",
+                       args.out + ".metrics.json") as metrics:
+        model = train_flow(model, target, coupling, cfg, rng.child(101),
+                           metrics=metrics)
+        artifacts.save_model(args.out, model, {
+            "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
+            "batch": args.batch, "data": args.data,
+        })
+        metrics.finalize({"command": "train", "coupling": args.coupling,
+                          "seed": args.seed})
     print(f"train: coupling={args.coupling} steps={args.steps} out={args.out}")
     return EXIT_OK
 

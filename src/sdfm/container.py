@@ -159,17 +159,26 @@ class MetricsWriter:
     """Appends ``step, wall_ms, metric, value`` rows; JSON summary at close.
 
     Steps must be monotone per metric name; violations raise, keeping
-    emitted series plot-ready without sorting.
+    emitted series plot-ready without sorting. The CSV stays open between
+    rows: :meth:`finalize`, :meth:`close` or leaving a ``with`` block
+    flushes every logged row to disk and closes it.
     """
 
     csv_path: str
     json_path: Optional[str] = None
     _last_step: Dict[str, int] = field(default_factory=dict)
-    _rows: list = field(default_factory=list)
+    _n_rows: int = 0
 
     def __post_init__(self):
-        with open(self.csv_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(["step", "wall_ms", "metric", "value"])
+        self._fh = open(self.csv_path, "w", newline="")
+        self._csv = csv.writer(self._fh)
+        self._csv.writerow(["step", "wall_ms", "metric", "value"])
+
+    def __enter__(self) -> "MetricsWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def log(self, step: int, metric: str, value: float,
             wall_ms: float = 0.0) -> None:
@@ -179,14 +188,16 @@ class MetricsWriter:
                 f"non-monotone step for metric {metric!r}: {step} < {last}"
             )
         self._last_step[metric] = step
-        self._rows.append((step, wall_ms, metric, value))
-        with open(self.csv_path, "a", newline="") as fh:
-            csv.writer(fh).writerow([step, f"{wall_ms:.3f}", metric,
-                                     repr(float(value))])
+        self._n_rows += 1
+        self._csv.writerow([step, f"{wall_ms:.3f}", metric, repr(float(value))])
+
+    def close(self) -> None:
+        self._fh.close()
 
     def finalize(self, summary: Optional[dict] = None) -> None:
+        self.close()
         if self.json_path is None:
             return
-        payload = {"summary": summary or {}, "n_rows": len(self._rows)}
+        payload = {"summary": summary or {}, "n_rows": self._n_rows}
         with open(self.json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)

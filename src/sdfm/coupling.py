@@ -105,15 +105,16 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
     over exact ties; ``eps > 0``: categorical draw from the
     responsibilities. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
-    its noise row, never on the batch size. Streams the scan in
-    bounded-memory row chunks and records the mean wall-clock time per
-    pair so pairing overhead can be compared across coupling methods on
-    the same harness.
+    its noise row, never on the batch size. Streams the scan through the
+    cache-sized score tiles of :func:`~sdfm.semidual.score_chunks` and
+    records the mean wall-clock time per pair so pairing overhead can be
+    compared across coupling methods on the same harness.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     t0 = time.perf_counter()
     xc = _to_coupling_space(pot, noise)
     b = pot.target.weights
+    log_b = pot.target.log_weights
     u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
     for lo, hi, scores in score_chunks(pot, xc, z):
@@ -121,7 +122,8 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
             part, tie_rows, tie_weights = argmax_with_ties(scores, b)
             part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
         else:
-            part = inverse_cdf(softmax_b_eps_rows(scores, b, pot.eps), u[lo:hi])
+            s = softmax_b_eps_rows(scores, b, pot.eps, out=scores, log_b=log_b)
+            part = inverse_cdf(s, u[lo:hi])
         idx[lo:hi] = part
     tpp = (time.perf_counter() - t0) / max(len(noise), 1)
     return _resolve(pot.target, noise, idx, SD, tpp)

@@ -148,9 +148,12 @@ class FlowModel:
 
     __call__ = velocity
 
-    def backprop(self, inp: np.ndarray, dout: np.ndarray) -> np.ndarray:
-        """Flat gradient of ``sum(dout * forward(inp))`` in theta order."""
-        out, acts = self._forward(inp)
+    def backprop(self, acts: list, dout: np.ndarray) -> np.ndarray:
+        """Flat gradient of ``sum(dout * forward(inp))`` in theta order.
+
+        ``acts`` are the activations that ``_forward(inp)`` returned, so
+        the forward pass is not run again.
+        """
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = dout
@@ -184,11 +187,11 @@ def fm_loss_and_grad(model: FlowModel, pairs: PairBatch, t=None,
         raise ValueError("training times must lie in [0, 1)")
     xt = interpolate(x0, x1, t)
     inp = model._inputs(t, xt, pairs.conditions)
-    out, _ = model._forward(inp)
+    out, acts = model._forward(inp)
     residual = (x1 - x0) - out
     loss = float(np.mean(np.sum(residual**2, axis=1)))
     # d loss / d out = -2 residual / B
-    grad = model.backprop(inp, -2.0 * residual / bsz)
+    grad = model.backprop(acts, -2.0 * residual / bsz)
     return loss, grad
 
 
@@ -280,6 +283,7 @@ def train_flow(model: FlowModel, target: TargetMeasure, coupling,
     theta = model.get_theta()
     opt = _Adam(theta.size, cfg.adam)
     noise_dim = model.dim
+    start = time.perf_counter()
     for step in range(cfg.steps):
         step_rng = rng.child(step)
         noise = step_rng.child(0).generator().standard_normal(
@@ -296,11 +300,12 @@ def train_flow(model: FlowModel, target: TargetMeasure, coupling,
         theta = opt.step(theta, grad)
         model.set_theta(theta)
         if metrics is not None:
-            wall = pair_seconds * 1e3
-            metrics.log(step, "fm_loss", loss)
+            wall = (time.perf_counter() - start) * 1e3
+            metrics.log(step, "fm_loss", loss, wall_ms=wall)
             metrics.log(step, "time_per_pair_ms",
-                        (batch.time_per_pair or pair_seconds / cfg.batch) * 1e3)
-            metrics.log(step, "pair_batch_ms", wall)
+                        (batch.time_per_pair or pair_seconds / cfg.batch) * 1e3,
+                        wall_ms=wall)
+            metrics.log(step, "pair_batch_ms", pair_seconds * 1e3, wall_ms=wall)
     return model
 
 

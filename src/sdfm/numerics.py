@@ -86,12 +86,34 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
     return idx, tie_rows, tie_weights
 
 
-def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+def shifted_exp_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
+                     out: np.ndarray | None = None):
+    """``exp(t - max_j t)`` row by row for ``t = scores / eps + log_b``.
+
+    Returns ``(e, m)``: ``e`` is written to ``out`` (which may be
+    ``scores`` itself, so no ``(B, N)`` temporary is made) or to a fresh
+    array, and ``m`` holds the row maxima of ``t``. The shared first half
+    of the weighted softmax and the soft-c log-sum-exp.
+    """
+    e = np.divide(scores, eps, out=out)
+    e += log_b
+    m = e.max(axis=1)
+    e -= m[:, None]
+    np.exp(e, out=e)
+    return e, m
+
+
+def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
+                       out: np.ndarray | None = None,
+                       log_b: np.ndarray | None = None) -> np.ndarray:
     """Weighted softmax over data indices, row by row, for ``(B, N)`` scores.
 
     For ``eps > 0`` row ``i`` is ``b_j exp(z_ij/eps)`` normalized (computed
     in the log domain). For ``eps = 0`` it is one-hot on the row argmax,
     with the ``b``-weighted split of :func:`argmax_with_ties` on tie rows.
+    The rows go to ``out`` when given (``out=scores`` works in place),
+    else to a fresh array; ``log_b`` spares the ``log(b)`` of a caller
+    that streams many blocks against the same ``b``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -99,37 +121,44 @@ def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndar
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
-        out = np.zeros_like(scores)
+        if out is None:
+            out = np.zeros_like(scores)
+        else:
+            out.fill(0.0)
         out[np.arange(scores.shape[0]), idx] = 1.0
         out[tie_rows] = tie_weights
         return out
-    with np.errstate(divide="ignore"):
-        t = scores / eps + np.log(b)[None, :]
-    t -= t.max(axis=1, keepdims=True)
-    out = np.exp(t)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+    if log_b is None:
+        with np.errstate(divide="ignore"):
+            log_b = np.log(b)
+    e, _ = shifted_exp_rows(scores, log_b, eps, out)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
-                      row_weights: np.ndarray | None = None):
+                      row_weights: np.ndarray | None = None,
+                      out: tuple | None = None):
     """Column sums and squared sums of eps=0 responsibility rows.
 
     Equivalent to summing ``softmax_b_eps_rows(scores, b, 0)`` and its
     square over rows (optionally row-weighted) without materializing the
-    dense matrix.
+    dense matrix. With ``out=(col_sum, col_sq)`` the sums are added to
+    those arrays, row by row in O(rows) work, so a stream of row tiles
+    pays no O(N) step per tile and sums in the same order as one block.
     """
     n = scores.shape[1]
+    col_sum, col_sq = (np.zeros(n), np.zeros(n)) if out is None else out
     idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[tie_rows] = False
     if row_weights is None:
-        col_sum = np.bincount(idx[keep], minlength=n).astype(np.float64)
-        col_sq = col_sum.copy()
+        np.add.at(col_sum, idx[keep], 1.0)
+        np.add.at(col_sq, idx[keep], 1.0)
     else:
         rw = np.asarray(row_weights, dtype=np.float64)
-        col_sum = np.bincount(idx[keep], weights=rw[keep], minlength=n)
-        col_sq = np.bincount(idx[keep], weights=rw[keep] ** 2, minlength=n)
+        np.add.at(col_sum, idx[keep], rw[keep])
+        np.add.at(col_sq, idx[keep], rw[keep] ** 2)
         tie_weights = rw[tie_rows, None] * tie_weights
     if tie_rows.size:
         col_sum += tie_weights.sum(axis=0)
@@ -142,9 +171,10 @@ def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Row ``i`` returns the first index whose cumulative weight reaches
     ``u[i]`` times the row total; rows need not be normalized. The
-    running sums are formed in place, so ``weights`` is overwritten.
+    running sums are formed in place, so ``weights`` is overwritten. A
+    cumulative sum of nonnegative terms never decreases, so that first
+    index is the count of running sums below the threshold.
     """
     cdf = np.cumsum(weights, axis=1, out=weights)
     target = u * cdf[:, -1]
-    return np.array([np.searchsorted(c, t) for c, t in zip(cdf, target)],
-                    dtype=np.int64)
+    return (cdf < target[:, None]).sum(axis=1, dtype=np.int64)

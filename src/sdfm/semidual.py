@@ -19,18 +19,31 @@ O(NB) batch estimator; all of that machinery lives here.
 Every expectation over the noise law has two routes: Monte-Carlo batches
 (production) and exact summation over a finite weighted atom list
 (:class:`DiscreteNoise`), the backbone of the oracle test suite.
+
+The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
+:func:`score_chunks` streams it as cache-sized row tiles through one
+reused buffer, and every reducer (column sums, soft-c transform,
+transport cost, pairing) overwrites each tile in place before taking the
+next, so a scan costs one tile of memory whatever the batch size.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .costs import ConfigurationError, CostConfig, cost_matrix
-from .numerics import Rng, eps0_column_stats, softmax_b_eps_rows
+from .numerics import (
+    Rng,
+    argmax_with_ties,
+    eps0_column_stats,
+    shifted_exp_rows,
+    softmax_b_eps_rows,
+)
 
 __all__ = [
     "TargetMeasure",
@@ -125,9 +138,12 @@ class TargetMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
+    @cached_property
     def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
+        """``log(weights)``, computed once: every score tile reads it."""
+        log_w = np.log(self.weights)
+        log_w.setflags(write=False)
+        return log_w
 
 
 @dataclass
@@ -248,38 +264,60 @@ class DiscreteNoise:
 # ---------------------------------------------------------------------------
 # Kernel evaluations (inputs live in coupling space)
 
-# Row chunks keep a (rows, N) score block under 2^23 float64 entries (64 MB).
-SCORE_CHUNK_ENTRIES = 2**23
+# Score tiles hold SCORE_CHUNK_ENTRIES // N whole rows (at least one).
+# 2^17 float64 entries (1 MiB) stay resident in a 2 MiB per-core L2 cache
+# while a reducer makes its passes over the tile; a row is never split
+# (N=65536 is a 512 KiB row), so row reductions need no online merging.
+SCORE_CHUNK_ENTRIES = 2**17
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
-                    z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Score matrix ``g_j - c(x_i, y_j)`` for coupling-space noise rows."""
+                    z: Optional[np.ndarray] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Score matrix ``g_j - c(x_i, y_j)`` for coupling-space noise rows.
+
+    Written to ``out`` (shape ``(len(x), N)``) when given, else to a fresh
+    array.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     zt = pot.target.conditions if pot.cost.beta > 0.0 else None
     if pot.cost.beta > 0.0 and z is None:
         raise ConfigurationError("conditional cost requires noise conditions")
     if pot.cost.kind == "neg-dot" and pot.cost.beta == 0.0:
         # Fused hot path: one matmul plus an in-place shift.
-        scores = x @ pot.target.points.T
+        scores = np.matmul(x, pot.target.points.T, out=out)
         scores += pot.g
         return scores
     c = cost_matrix(pot.cost, x, pot.target.points, z, zt, project=False)
-    return pot.g[None, :] - c
+    return np.subtract(pot.g, c, out=c if out is None else out)
 
 
 def score_chunks(pot: Potential, x: np.ndarray, z: Optional[np.ndarray] = None):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
-    Every reducer of the score block streams through here, so none holds
-    more than one chunk of about :data:`SCORE_CHUNK_ENTRIES` entries.
+    Every reducer of the score block streams through here. All tiles share
+    one buffer of about :data:`SCORE_CHUNK_ENTRIES` entries, allocated once
+    per stream, so a reducer may overwrite a tile in place but must be done
+    with it before asking for the next one.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     step = max(1, SCORE_CHUNK_ENTRIES // pot.target.n)
+    buf = np.empty((min(step, x.shape[0]), pot.target.n))
     for lo in range(0, x.shape[0], step):
         hi = min(lo + step, x.shape[0])
         yield lo, hi, coupling_scores(pot, x[lo:hi],
-                                      None if z is None else z[lo:hi])
+                                      None if z is None else z[lo:hi],
+                                      out=buf[:hi - lo])
+
+
+def _add_rows(acc: np.ndarray, tile: np.ndarray) -> None:
+    """``acc += tile.sum(axis=0)``, summed in row order (``acc`` first).
+
+    The totals therefore do not depend on how the rows were cut into
+    tiles. Overwrites ``tile[0]``.
+    """
+    tile[0] += acc
+    np.sum(tile, axis=0, out=acc)
 
 
 def _column_sums(pot: Potential, x: np.ndarray,
@@ -289,22 +327,28 @@ def _column_sums(pot: Potential, x: np.ndarray,
     ``weights`` if given) and, with ``squares``, the column sums of their
     squares (unweighted rows only), else ``None``."""
     b = pot.target.weights
+    n = pot.target.n
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-    col_sum = np.zeros(pot.target.n)
-    col_sq = np.zeros(pot.target.n) if squares else None
+    col_sum, col_sq = np.zeros(n), np.zeros(n)
+    first = np.empty(n) if squares else None
     for lo, hi, scores in score_chunks(pot, x, z):
         w = None if weights is None else weights[lo:hi]
         if pot.eps == 0.0:
-            cs, cq = eps0_column_stats(scores, b, w)
-        else:
-            s = softmax_b_eps_rows(scores, b, pot.eps)
-            cs = s.sum(axis=0) if w is None else w @ s
-            cq = (s * s).sum(axis=0) if squares else None
-        col_sum += cs
+            eps0_column_stats(scores, b, w, out=(col_sum, col_sq))
+            continue
+        s = softmax_b_eps_rows(scores, b, pot.eps, out=scores,
+                               log_b=pot.target.log_weights)
+        if w is not None:
+            s *= w[:, None]
         if squares:
-            col_sq += cq
-    return col_sum, col_sq
+            np.copyto(first, s[0])
+        _add_rows(col_sum, s)
+        if squares:
+            s[0] = first
+            np.square(s, out=s)
+            _add_rows(col_sq, s)
+    return col_sum, col_sq if squares else None
 
 
 def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
@@ -331,15 +375,14 @@ def soft_c_transform_rows(pot: Potential, x: np.ndarray,
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     eps = pot.eps
-    logw = pot.target.log_weights[None, :]
+    log_b = pot.target.log_weights
     out = np.empty(x.shape[0])
     for lo, hi, scores in score_chunks(pot, x, z):
         if eps == 0.0:
             out[lo:hi] = -scores.max(axis=1)
             continue
-        t = scores / eps + logw
-        m = t.max(axis=1, keepdims=True)
-        out[lo:hi] = -eps * (m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1)))
+        e, m = shifted_exp_rows(scores, log_b, eps, out=scores)
+        out[lo:hi] = -eps * (m + np.log(e.sum(axis=1)))
     return out
 
 
@@ -347,7 +390,7 @@ def responsibilities_rows(pot: Potential, x: np.ndarray,
                           z: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
     scores = coupling_scores(pot, x, z)
-    return softmax_b_eps_rows(scores, pot.target.weights, pot.eps)
+    return softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
 
 
 def semidual_value(pot: Potential, noise_batch: np.ndarray,
@@ -444,32 +487,34 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
     return values, samples
 
 
-def _kl_rows(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise KL(s_i || b) with the 0 log 0 = 0 convention."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = s * (np.log(s) - np.log(b)[None, :])
-    terms[~np.isfinite(terms)] = 0.0
-    return terms.sum(axis=1)
-
-
 def transport_cost(pot: Potential, noise_batch: np.ndarray,
                    weights: Optional[np.ndarray] = None,
                    z: Optional[np.ndarray] = None) -> float:
     """Primal objective of the induced coupling on a (weighted) batch.
 
     Returns ``E[c(X, Y)]`` under ``pi_{eps,g}`` plus, for ``eps > 0``, the
-    ``eps * KL`` regularization term computed from responsibilities. At
-    ``eps = 0`` the KL term is reported as 0.
+    ``eps * KL(s_i || b)`` regularization term of the responsibilities. At
+    ``eps = 0`` the KL term is reported as 0. Row ``i`` contributes
+    ``sum_j s_ij (g_j - scores_ij) + eps KL(s_i || b) = f_{g,eps}(x_i) +
+    <s_i, g>``, which needs the responsibilities only through ``<s_i, g>``.
     """
     noise_batch = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
     b = pot.target.weights
+    log_b = pot.target.log_weights
     eps = pot.eps
     per_row = np.empty(noise_batch.shape[0])
     for lo, hi, scores in score_chunks(pot, noise_batch, z):
-        s = softmax_b_eps_rows(scores, b, eps)
-        per_row[lo:hi] = np.sum(s * (pot.g - scores), axis=1)
-        if eps > 0.0:
-            per_row[lo:hi] += eps * _kl_rows(s, b)
+        if eps == 0.0:
+            idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+            s_dot_g = pot.g[idx]
+            s_dot_g[tie_rows] = tie_weights @ pot.g
+            f = -scores[np.arange(hi - lo), idx]
+        else:
+            e, m = shifted_exp_rows(scores, log_b, eps, out=scores)
+            total = e.sum(axis=1)
+            s_dot_g = (e @ pot.g) / total
+            f = -eps * (m + np.log(total))
+        per_row[lo:hi] = f + s_dot_g
     if weights is None:
         return float(np.mean(per_row))
     return float(np.dot(np.asarray(weights, dtype=np.float64), per_row))

@@ -75,6 +75,24 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite") and "\n" not in err.strip()
 
+    def test_metrics_rows_reach_disk_on_budget_and_numeric_exits(
+            self, tmp_path, blob):
+        # Exit 3 (budget) finalizes the writer; exit 4 (numeric) leaves
+        # through an exception after the step-0 check rows were logged.
+        code, _ = _solve(tmp_path, blob, extra=["--iters", "2",
+                                                  "--tau", "1e-12"])
+        assert code == 3
+        rows = (tmp_path / "pot.sdfm.metrics.csv").read_text().splitlines()
+        assert {r.split(",")[2] for r in rows[1:]} == {"chi2", "semidual", "lr"}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--data", blob, "--eps", "0", "--lr", "1e308",
+                         "--iters", "50", "--batch", "16",
+                         "--chi2-samples", "256",
+                         "--out", str(tmp_path / "x.sdfm")])
+        assert code == 4
+        rows = (tmp_path / "x.sdfm.metrics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "0", "0"]
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--data", str(tmp_path / "nope.sdfm"),
                      "--eps", "0", "--out", str(tmp_path / "x.sdfm")])

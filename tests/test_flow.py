@@ -139,6 +139,20 @@ class TestTrainFlow:
         np.testing.assert_array_equal(thetas[0], thetas[1])
         np.testing.assert_array_equal(thetas[0], thetas[2])
 
+    def test_metrics_rows_carry_wall_time(self, tmp_path):
+        from sdfm.container import MetricsWriter
+
+        target = TargetMeasure.from_points(Rng(6).generator().standard_normal((8, 2)))
+        model = FlowModel(dim=2, hidden=(8,), rng=Rng(6))
+        path = tmp_path / "m.csv"
+        with MetricsWriter(str(path)) as metrics:
+            train_flow(model, target, IndependentCoupling(target),
+                       TrainConfig(steps=5, batch=8), Rng(7), metrics=metrics)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 15
+        wall = [float(r[1]) for r in rows]
+        assert wall == sorted(wall) and wall[-1] > 0.0
+
     def test_nan_loss_aborts(self):
         target = TargetMeasure.from_points(Rng(10).generator().standard_normal((4, 2)))
         bad = _make_batch(Rng(10).generator(), b=4)
