@@ -1,13 +1,20 @@
 PYTHON ?= python3
 OUT := out/toy-2d
 
-.PHONY: test acceptance bench bench-smoke toy-2d clean
+.PHONY: test acceptance demos bench bench-smoke toy-2d clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
 
 acceptance:
 	PYTHONPATH=src $(PYTHON) -m pytest -v -s tests/test_acceptance.py
+
+# The four narrative demos (about a minute on two cores); fails on the
+# first demo that exits non-zero.
+demos:
+	for f in demos/*.py; do \
+	    echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; \
+	done
 
 # Both benchmark workloads at the held-out seed (about 2 minutes each).
 bench:

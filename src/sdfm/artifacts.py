@@ -21,7 +21,6 @@ __all__ = [
     "save_model",
     "load_model",
     "save_pairs",
-    "projection_from_arrays",
     "save_sample_dump",
     "load_sample_dump",
 ]
@@ -60,7 +59,7 @@ def _projection_arrays(proj: Optional[ProjectionMatrix]) -> dict:
     }
 
 
-def projection_from_arrays(arrays: dict, meta: dict) -> Optional[ProjectionMatrix]:
+def _projection_from_arrays(arrays: dict, meta: dict) -> Optional[ProjectionMatrix]:
     if "projection_basis" not in arrays:
         return None
     return ProjectionMatrix(
@@ -87,7 +86,7 @@ def save_potential(path: str, pot: Potential) -> None:
 
 
 def load_potential(path: str, target: TargetMeasure) -> Potential:
-    """Rebind a stored potential to its target (fingerprints must match)."""
+    """Rebind a stored potential to its raw target (fingerprints must match)."""
     _, meta, arrays = read_container(path, expect_kind="potential")
     if meta.get("target_fingerprint") != target.fingerprint:
         raise ContainerError(
@@ -100,17 +99,11 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
         beta=float(cmeta["beta"]),
         eps_raw=float(cmeta["eps_raw"]),
         eps_effective=float(cmeta["eps_effective"]),
-        projection=projection_from_arrays(arrays, meta),
+        projection=_projection_from_arrays(arrays, meta),
         cost_std=cmeta.get("cost_std"),
     )
     return Potential(g=arrays["g"], target=target, cost=cost,
                      provenance=meta.get("provenance", {}))
-
-
-def potential_metadata(path: str) -> Tuple[dict, dict]:
-    """Metadata and arrays of a potential container without a target."""
-    _, meta, arrays = read_container(path, expect_kind="potential")
-    return meta, arrays
 
 
 def save_model(path: str, model: FlowModel, metadata: Optional[dict] = None) -> None:

@@ -2,9 +2,12 @@
 
 Exit-code contract: 0 success, 2 malformed usage or inputs (single-line
 machine-parsable error on stderr), 3 budget stop (artifact still
-written), 4 numeric failure. All commands are pure functions of (flags,
-input files, seed): reruns produce byte-identical artifact payloads;
-only recorded wall times differ.
+written), 4 numeric failure. Exit 2 covers only the validation errors
+(:class:`UsageError`, :class:`~sdfm.costs.ConfigurationError`,
+:class:`~sdfm.container.ContainerError` and a missing file); any other
+exception is a defect and propagates as a traceback. All commands are
+pure functions of (flags, input files, seed): reruns produce
+byte-identical artifact payloads; only recorded wall times differ.
 """
 
 from __future__ import annotations
@@ -67,20 +70,21 @@ def _fail(message: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 # Shared loading helpers
 
-def _build_target(points, weights, conditions, projection):
-    coupled = projection.apply(points) if projection is not None else points
-    return TargetMeasure.from_points(coupled, weights, conditions)
-
-
 def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
     points, weights, conditions, _ = artifacts.load_dataset(data_path)
-    meta, arrays = artifacts.potential_metadata(pot_path)
-    projection = artifacts.projection_from_arrays(arrays, meta)
-    target = _build_target(points, weights, conditions, projection)
+    target = TargetMeasure.from_points(points, weights, conditions)
     return artifacts.load_potential(pot_path, target)
 
 
-def _resolve_cost(args, points, weights, conditions, rng: Rng):
+def _load_unconditional_model(path: str) -> FlowModel:
+    model = artifacts.load_model(path)
+    if model.cond_dim:
+        raise UsageError(f"{path}: conditional models need --condition "
+                         "support, which no command has yet")
+    return model
+
+
+def _resolve_cost(args, points, conditions, rng: Rng):
     kind = NEG_DOT if args.cost == "negdot" else SQ_EUCLIDEAN
     if args.eps == 0.0 and kind != NEG_DOT:
         raise ConfigurationError(
@@ -95,8 +99,7 @@ def _resolve_cost(args, points, weights, conditions, rng: Rng):
     cfg = CostConfig(kind=kind, beta=beta, eps_raw=float(args.eps),
                      projection=projection)
     if args.eps > 0.0 and not getattr(args, "no_eps_rescale", False):
-        ref_rng = rng.child(12)
-        gen = ref_rng.generator()
+        gen = rng.child(12).generator()
         n_ref = min(REFERENCE_BATCH_SIZE, len(points))
         noise_ref = gen.standard_normal((n_ref, points.shape[1]))
         data_idx = gen.choice(len(points), size=n_ref, replace=False) \
@@ -105,10 +108,9 @@ def _resolve_cost(args, points, weights, conditions, rng: Rng):
         if beta > 0.0:
             zy = conditions[data_idx]
             zx = conditions[gen.integers(0, len(points), n_ref)]
-        std = estimate_cost_std(cfg, noise_ref, points[data_idx], ref_rng,
-                                zx, zy)
+        std = estimate_cost_std(cfg, noise_ref, points[data_idx], zx, zy)
         cfg = cfg.with_rescaled_eps(std)
-    return cfg, projection
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,8 @@ def _resolve_cost(args, points, weights, conditions, rng: Rng):
 def cmd_solve(args) -> int:
     rng = Rng(args.seed)
     points, weights, conditions, _ = artifacts.load_dataset(args.data)
-    cost, projection = _resolve_cost(args, points, weights, conditions, rng)
-    target = _build_target(points, weights, conditions, projection)
+    cost = _resolve_cost(args, points, conditions, rng)
+    target = TargetMeasure.from_points(points, weights, conditions)
 
     cfg = SolverConfig(tau=args.tau).scaled(args.iters)
     if args.optimizer:
@@ -162,12 +164,14 @@ def cmd_assign(args) -> int:
     rng = Rng(args.seed)
     if args.noise:
         noise = artifacts.load_dataset(args.noise)[0]
+        if noise.shape[1] != pot.target.dim:
+            raise UsageError(f"noise rows have dimension {noise.shape[1]}, "
+                             f"the dataset {pot.target.dim}")
     else:
         if not args.sample:
             raise UsageError("pass --noise FILE or --sample COUNT")
-        d_raw = (pot.cost.projection.d_in if pot.cost.projection is not None
-                 else pot.target.dim)
-        noise = rng.child(0).generator().standard_normal((args.sample, d_raw))
+        noise = rng.child(0).generator().standard_normal(
+            (args.sample, pot.target.dim))
     batch = assign_batch(pot, noise, rng.child(1))
     artifacts.save_pairs(args.out, batch, {
         "seed": args.seed, "potential": args.potential,
@@ -217,6 +221,8 @@ def cmd_train(args) -> int:
 
 
 def _draw_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
+    if count < 1:
+        raise UsageError("count must be >= 1")
     # Per-sample child streams keep sample i independent of count.
     return np.stack([
         rng.child(i).generator().standard_normal(dim) for i in range(count)
@@ -224,9 +230,7 @@ def _draw_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    model = artifacts.load_model(args.model)
-    if model.cond_dim:
-        raise UsageError("sampling a conditional model needs --condition support")
+    model = _load_unconditional_model(args.model)
     rng = Rng(args.seed)
     x0 = _draw_starts(rng, args.count, model.dim)
     traj = integrate(model, x0, method=args.solver, steps=args.steps)
@@ -241,8 +245,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_guide(args) -> int:
-    model1 = artifacts.load_model(args.model1)
-    model2 = artifacts.load_model(args.model2)
+    model1 = _load_unconditional_model(args.model1)
+    model2 = _load_unconditional_model(args.model2)
     if model1.dim != model2.dim:
         raise UsageError("guidance models must share the data dimension")
     rng = Rng(args.seed)
@@ -283,7 +287,7 @@ def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
     from scipy.spatial.distance import cdist
 
     if a.shape != b.shape:
-        raise ValueError("clouds must have identical shapes")
+        raise ConfigurationError("clouds must have identical shapes")
     # cdist takes differences directly: identical clouds give exact zeros.
     _, total = hungarian(cdist(a, b, "sqeuclidean"))
     return float(np.sqrt(max(total / len(a), 0.0)))
@@ -300,7 +304,7 @@ def cmd_eval(args) -> int:
             )
         report["w2"] = empirical_w2(a, b)
     if args.model:
-        model = artifacts.load_model(args.model)
+        model = _load_unconditional_model(args.model)
         rng = Rng(args.seed)
         x0 = _draw_starts(rng, args.count, model.dim)
         traj = integrate(model, x0, method=args.solver, steps=args.steps)
@@ -466,12 +470,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ContainerError, ConfigurationError, ValueError) as exc:
+    except (UsageError, ContainerError, ConfigurationError,
+            FileNotFoundError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (SolverDivergence, SinkhornError, FloatingPointError) as exc:
         return _fail(str(exc), EXIT_NUMERIC)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

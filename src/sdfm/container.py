@@ -6,7 +6,7 @@ Byte layout (all integers little-endian):
     magic      4 bytes  b"SDFM"
     version    u32      format version (currently 1)
     kind_len   u32      length of the kind tag
-    kind       UTF-8    one of dataset | potential | model | projection | pairs
+    kind       UTF-8    one of dataset | potential | model | pairs
     meta_len   u32      length of the JSON metadata block
     metadata   UTF-8    JSON object; carries the payload fingerprint
     n_arrays   u32
@@ -48,7 +48,7 @@ __all__ = [
 
 MAGIC = b"SDFM"
 CONTAINER_VERSION = 1
-KINDS = ("dataset", "potential", "model", "projection", "pairs")
+KINDS = ("dataset", "potential", "model", "pairs")
 
 _DTYPE_CODES = {
     np.dtype(np.float32): 4,

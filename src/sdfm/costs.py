@@ -5,8 +5,10 @@ The ground cost between augmented points ``(x, z)`` and ``(x', z')`` is
     c((x, z), (x', z')) = c_X(x, x') + beta * ||z - z'||^2
 
 with ``c_X`` either the negative dot product or the squared Euclidean
-distance, evaluated after an optional PCA projection of the ``x`` parts.
-Conditions are never projected. The effective entropic regularization is
+distance, evaluated in the coupling space: the raw ``x`` rows, or their
+PCA projection when the cost carries one. :meth:`CostConfig.embed` is the
+one place that maps raw rows into that space; conditions are never
+projected. The effective entropic regularization is
 the raw value rescaled by the standard deviation of a reference cost
 matrix, so that one ``eps`` knob means the same thing across datasets.
 """
@@ -39,8 +41,9 @@ SQ_EUCLIDEAN = "sq-euclidean"
 # drawn once per run from a dedicated RNG stream.
 REFERENCE_BATCH_SIZE = 1024
 
-# Above this many cost-matrix entries, estimate_cost_std subsamples pairs.
-_STD_EXACT_MAX_ENTRIES = 4_000_000
+# Randomized PCA: subspace-iteration passes and extra probe vectors.
+_PCA_POWER_ITERS = 8
+_PCA_OVERSAMPLE = 8
 
 
 class ConfigurationError(ValueError):
@@ -112,6 +115,10 @@ class CostConfig:
     def eps(self) -> float:
         return float(self.eps_effective)
 
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """Raw rows ``x`` in coupling space: projected if a projection is set."""
+        return x if self.projection is None else self.projection.apply(x)
+
     def with_rescaled_eps(self, cost_std: float) -> "CostConfig":
         """Bind ``eps_effective = eps_raw * cost_std`` (no-op for std 0)."""
         if cost_std <= 0.0:
@@ -153,20 +160,14 @@ def cost_matrix(
     y: np.ndarray,
     zx: Optional[np.ndarray] = None,
     zy: Optional[np.ndarray] = None,
-    *,
-    project: bool = True,
 ) -> np.ndarray:
     """Full ``(n, m)`` cost matrix between two batches of augmented points.
 
-    The projection (when present and ``project=True``) is applied to both
-    ``x`` batches before the base cost; conditions enter unprojected with
-    weight ``beta``.
+    ``x`` and ``y`` are coupling-space rows (see :meth:`CostConfig.embed`);
+    conditions enter unprojected with weight ``beta``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if project and cfg.projection is not None:
-        x = cfg.projection.apply(x)
-        y = cfg.projection.apply(y)
     out = _base_cost_matrix(cfg.kind, x, y)
     if cfg.beta > 0.0:
         if zx is None or zy is None:
@@ -181,42 +182,22 @@ def estimate_cost_std(
     cfg: CostConfig,
     noise_batch: np.ndarray,
     data_batch: np.ndarray,
-    rng: Rng,
     noise_conditions: Optional[np.ndarray] = None,
     data_conditions: Optional[np.ndarray] = None,
 ) -> float:
-    """Sample std (ddof=1) of the reference cost matrix entries.
+    """Sample std (ddof=1) of the cost matrix entries between raw batches.
 
-    Exact over all ``n*m`` entries for small batches; for batches beyond
-    4M entries a fixed-size pair subsample drawn from ``rng`` is used,
-    so the result stays deterministic given the inputs. Returns 0 for a
-    constant cost matrix, in which case the caller must disable rescaling.
+    Exact over all ``n*m`` entries, evaluated in coupling space. Returns 0
+    for a constant cost matrix, in which case the caller must disable
+    rescaling.
     """
     noise_batch = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
     data_batch = np.atleast_2d(np.asarray(data_batch, dtype=np.float64))
-    n, m = noise_batch.shape[0], data_batch.shape[0]
-    if n < 1 or m < 1 or n * m < 2:
-        raise ValueError("need at least 2 cost entries to estimate a std")
-    if n * m <= _STD_EXACT_MAX_ENTRIES:
-        c = cost_matrix(cfg, noise_batch, data_batch, noise_conditions, data_conditions)
-        return float(np.std(c, ddof=1))
-    gen = rng.generator()
-    rows = gen.integers(0, n, size=_STD_EXACT_MAX_ENTRIES)
-    cols = gen.integers(0, m, size=_STD_EXACT_MAX_ENTRIES)
-    zx = None if noise_conditions is None else noise_conditions[rows]
-    zy = None if data_conditions is None else data_conditions[cols]
-    x = noise_batch[rows]
-    y = data_batch[cols]
-    if cfg.projection is not None:
-        x = cfg.projection.apply(x)
-        y = cfg.projection.apply(y)
-    if cfg.kind == NEG_DOT:
-        vals = -np.sum(x * y, axis=1)
-    else:
-        vals = np.sum((x - y) ** 2, axis=1)
-    if cfg.beta > 0.0 and zx is not None and zy is not None:
-        vals = vals + cfg.beta * np.sum((zx - zy) ** 2, axis=1)
-    return float(np.std(vals, ddof=1))
+    if noise_batch.shape[0] * data_batch.shape[0] < 2:
+        raise ConfigurationError("need at least 2 cost entries to estimate a std")
+    c = cost_matrix(cfg, cfg.embed(noise_batch), cfg.embed(data_batch),
+                    noise_conditions, data_conditions)
+    return float(np.std(c, ddof=1))
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -224,27 +205,27 @@ def _orth(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def fit_pca(data: np.ndarray, k: int, rng: Rng, *, power_iters: int = 8,
-            oversample: int = 8) -> ProjectionMatrix:
+def fit_pca(data: np.ndarray, k: int, rng: Rng) -> ProjectionMatrix:
     """Top-``k`` principal basis by randomized subspace (power) iteration.
 
-    Runs ``power_iters`` passes with ``oversample`` extra probe vectors.
+    Runs :data:`_PCA_POWER_ITERS` passes with :data:`_PCA_OVERSAMPLE`
+    extra probe vectors.
     If ``k`` exceeds the numerical rank of the centered data, the basis is
     completed with deterministic orthonormal directions and the result is
     flagged ``padded=True``.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
-        raise ValueError("data must be (N, d)")
+        raise ConfigurationError("data must be (N, d)")
     n, d = data.shape
     if not (1 <= k <= min(n, d)):
-        raise ValueError(f"need 1 <= k <= min(N, d) = {min(n, d)}, got {k}")
+        raise ConfigurationError(f"need 1 <= k <= min(N, d) = {min(n, d)}, got {k}")
     mean = data.mean(axis=0)
     centered = data - mean
 
-    width = min(d, k + oversample)
+    width = min(d, k + _PCA_OVERSAMPLE)
     q = _orth(rng.generator().standard_normal((d, width)))
-    for _ in range(max(power_iters, 8)):
+    for _ in range(_PCA_POWER_ITERS):
         q = _orth(centered.T @ (centered @ q))
     b = centered @ q
     _, s, vt = np.linalg.svd(b, full_matrices=False)

@@ -69,7 +69,7 @@ class PairBatch:
 
     noise: np.ndarray  # (B, d) raw noise
     indices: np.ndarray  # (B,) into the target support
-    points: np.ndarray  # (B, d) resolved target points
+    points: np.ndarray  # (B, d) raw dataset rows of the indices
     conditions: Optional[np.ndarray] = None  # (B, p)
     provenance: str = INDEPENDENT
     time_per_pair: Optional[float] = None  # seconds
@@ -90,13 +90,6 @@ def _resolve(target: TargetMeasure, noise: np.ndarray, idx: np.ndarray,
                      conditions=cond, provenance=provenance, time_per_pair=tpp)
 
 
-def _to_coupling_space(pot: Potential, noise: np.ndarray) -> np.ndarray:
-    noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    if pot.cost.projection is not None:
-        return pot.cost.projection.apply(noise)
-    return noise
-
-
 def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
                  z: Optional[np.ndarray] = None) -> PairBatch:
     """Pair each raw noise row with a target index by the O(N) scan.
@@ -112,12 +105,11 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     t0 = time.perf_counter()
-    xc = _to_coupling_space(pot, noise)
     b = pot.target.weights
     log_b = pot.target.log_weights
     u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
-    for lo, hi, scores in score_chunks(pot, xc, z):
+    for lo, hi, scores in score_chunks(pot, noise, z):
         if pot.eps == 0.0:
             part, tie_rows, tie_weights = argmax_with_ties(scores, b)
             part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
@@ -142,8 +134,7 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
         )
     if not 0 <= j < pot.target.n:
         raise ValueError(f"cell index {j} out of range")
-    xc = _to_coupling_space(pot, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    scores = coupling_scores(pot, xc)[0]
+    scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
     return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
 
 
@@ -161,8 +152,7 @@ def couple_independent(target: TargetMeasure, noise: np.ndarray,
 # Log-domain Sinkhorn
 
 def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
-                 tol: float = 1e-6, max_sweeps: int = 10_000,
-                 eps_scaling: bool = True):
+                 tol: float = 1e-6, max_sweeps: int = 10_000):
     """Dense log-domain Sinkhorn with an eps-scaling warm start.
 
     Alternates the dual updates
@@ -189,7 +179,7 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
     g = np.zeros(n)
 
     spread = float(costs.max() - costs.min())
-    if eps_scaling and spread > 0 and eps < spread:
+    if spread > 0 and eps < spread:
         # Geometric ladder from an easy scale down to the requested eps.
         levels = []
         cur = spread
@@ -284,8 +274,8 @@ def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
         zt = target.conditions[data_idx]
         # Noise conditions are an independent draw from the condition marginal.
         zn = target.conditions[gen.choice(target.n, size=n, p=target.weights)]
-    xs = cost.projection.apply(noise) if cost.projection is not None else noise
-    c = cost_matrix(cost, xs, target.points[data_idx], zn, zt, project=False)
+    c = cost_matrix(cost, cost.embed(noise), cost.embed(target.points[data_idx]),
+                    zn, zt)
     if n == 1:
         local = np.zeros(1, dtype=np.int64)
     elif method == "hungarian":
@@ -317,8 +307,6 @@ class CachedMinibatchCoupling:
         self.target = target
         self.cost = cost
         self.n = n
-        self._noise_dim = (cost.projection.d_in if cost.projection is not None
-                           else target.dim)
         self._streams = []
         self._indices = []
         self.precompute_seconds = 0.0
@@ -326,7 +314,7 @@ class CachedMinibatchCoupling:
         for ell in range(num_batches):
             noise_rng = rng.child(2 * ell)
             pair_rng = rng.child(2 * ell + 1)
-            noise = noise_rng.generator().standard_normal((n, self._noise_dim))
+            noise = noise_rng.generator().standard_normal((n, target.dim))
             batch = couple_minibatch_ot(target, noise, cost, eps, pair_rng,
                                         method)
             self._streams.append(noise_rng)
@@ -338,7 +326,7 @@ class CachedMinibatchCoupling:
 
     def batch(self, ell: int) -> PairBatch:
         noise_rng = self._streams[ell]
-        noise = noise_rng.generator().standard_normal((self.n, self._noise_dim))
+        noise = noise_rng.generator().standard_normal((self.n, self.target.dim))
         return _resolve(self.target, noise, self._indices[ell], "minibatch-cached",
                         self.precompute_seconds / max(len(self) * self.n, 1))
 

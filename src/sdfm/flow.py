@@ -15,7 +15,7 @@ identical code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .coupling import (
     couple_independent,
     couple_minibatch_ot,
 )
-from .costs import NEG_DOT, CostConfig
+from .costs import NEG_DOT, ConfigurationError, CostConfig
 from .numerics import Rng, inverse_cdf
 from .semidual import Potential, TargetMeasure, responsibilities_rows
 
@@ -34,7 +34,6 @@ __all__ = [
     "FlowModel",
     "Trajectory",
     "GuidanceConfig",
-    "AdamConfig",
     "TrainConfig",
     "IndependentCoupling",
     "SDCoupling",
@@ -107,7 +106,7 @@ class FlowModel:
             self.biases[i] = theta[pos: pos + b.size].copy()
             pos += b.size
         if pos != theta.size:
-            raise ValueError("parameter vector has the wrong length")
+            raise ConfigurationError("parameter vector has the wrong length")
 
     def copy(self) -> "FlowModel":
         out = FlowModel.__new__(FlowModel)
@@ -198,29 +197,23 @@ def fm_loss_and_grad(model: FlowModel, pairs: PairBatch, t=None,
 # ---------------------------------------------------------------------------
 # Optimizer and coupling sources
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class _Adam:
-    def __init__(self, n: int, cfg: AdamConfig):
-        self.cfg = cfg
+    """Adam with the standard constants."""
+
+    LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8
+
+    def __init__(self, n: int):
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.k = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        c = self.cfg
         self.k += 1
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
-        m_hat = self.m / (1 - c.beta1**self.k)
-        v_hat = self.v / (1 - c.beta2**self.k)
-        return theta - c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        m_hat = self.m / (1 - self.BETA1**self.k)
+        v_hat = self.v / (1 - self.BETA2**self.k)
+        return theta - self.LR * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class IndependentCoupling:
@@ -268,7 +261,6 @@ class MinibatchOTCoupling:
 class TrainConfig:
     steps: int = 2000
     batch: int = 256
-    adam: AdamConfig = field(default_factory=AdamConfig)
 
 
 def train_flow(model: FlowModel, target: TargetMeasure, coupling,
@@ -281,7 +273,7 @@ def train_flow(model: FlowModel, target: TargetMeasure, coupling,
     """
     model = model.copy()
     theta = model.get_theta()
-    opt = _Adam(theta.size, cfg.adam)
+    opt = _Adam(theta.size)
     noise_dim = model.dim
     start = time.perf_counter()
     for step in range(cfg.steps):
@@ -338,7 +330,7 @@ def integrate(model, x0: np.ndarray, cond=None, method: str = "euler",
     rk4 uses four. ``t_max < 1`` supports score-time evaluation.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ConfigurationError("steps must be >= 1")
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     times = np.linspace(0.0, t_max, steps + 1)
     dt = t_max / steps
@@ -363,7 +355,7 @@ def integrate(model, x0: np.ndarray, cond=None, method: str = "euler",
             k4 = f(t + dt, x + dt * k3)
             x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         else:
-            raise ValueError(f"unknown solver {method!r}")
+            raise ConfigurationError(f"unknown solver {method!r}")
         states[i + 1] = x
     return Trajectory(times=times, states=states, velocities=vels)
 
@@ -375,7 +367,7 @@ def curvature(traj: Trajectory) -> float:
     zero exactly for straight constant-speed paths.
     """
     if traj.velocities.shape[0] < 2:
-        raise ValueError("curvature needs at least 2 grid velocities")
+        raise ConfigurationError("curvature needs at least 2 grid velocities")
     t_final = traj.times[-1]
     chord = (traj.states[-1] - traj.states[0]) / t_final
     dev = traj.velocities - chord[None, :, :]
@@ -476,11 +468,11 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if self.replicas < 1:
-            raise ValueError("need at least one replica")
+            raise ConfigurationError("need at least one replica")
         if not (0.0 < self.t_clip < 1.0):
-            raise ValueError("t_clip must lie in (0, 1)")
+            raise ConfigurationError("t_clip must lie in (0, 1)")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigurationError("steps must be >= 1")
 
 
 def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng,

@@ -20,6 +20,12 @@ Every expectation over the noise law has two routes: Monte-Carlo batches
 (production) and exact summation over a finite weighted atom list
 (:class:`DiscreteNoise`), the backbone of the oracle test suite.
 
+Targets, noise and every function here take raw rows. Only the scores
+live in the coupling space (the raw rows, or their PCA projection):
+:func:`coupling_scores` embeds its noise rows through
+:meth:`~sdfm.costs.CostConfig.embed` and scores them against
+:attr:`Potential.support`, the target embedded once per potential.
+
 The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
 :func:`score_chunks` streams it as cache-sized row tiles through one
 reused buffer, and every reducer (column sums, soft-c transform,
@@ -87,10 +93,10 @@ def _fingerprint(*arrays: Optional[np.ndarray]) -> str:
 
 @dataclass(frozen=True)
 class TargetMeasure:
-    """Discrete target: support points (in coupling space) plus weights.
+    """Discrete target: raw dataset points, weights and optional conditions.
 
-    ``points`` are stored after any PCA projection, so kernel evaluations
-    never re-project them; ``conditions`` ride along unprojected.
+    Pairing resolves indices to these rows; the scores see them through
+    :attr:`Potential.support`.
     """
 
     points: np.ndarray  # (N, d)
@@ -107,13 +113,13 @@ class TargetMeasure:
             cond = np.atleast_2d(np.asarray(self.conditions, dtype=np.float64))
             object.__setattr__(self, "conditions", cond)
             if cond.shape[0] != points.shape[0]:
-                raise ValueError("conditions must have one row per point")
+                raise ConfigurationError("conditions must have one row per point")
         if weights.shape != (points.shape[0],):
-            raise ValueError("weights must have one entry per point")
+            raise ConfigurationError("weights must have one entry per point")
         if np.any(weights <= 0.0):
-            raise ValueError("all target weights must be strictly positive")
+            raise ConfigurationError("all target weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("target weights must sum to 1")
+            raise ConfigurationError("target weights must sum to 1")
         if not self.fingerprint:
             object.__setattr__(
                 self, "fingerprint", _fingerprint(points, weights, self.conditions)
@@ -162,13 +168,18 @@ class Potential:
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=np.float64)
         if self.g.shape != (self.target.n,):
-            raise ValueError("potential length must match the target size")
+            raise ConfigurationError("potential length must match the target size")
         if not np.all(np.isfinite(self.g)):
-            raise ValueError("potential entries must be finite")
+            raise ConfigurationError("potential entries must be finite")
 
     @property
     def eps(self) -> float:
         return self.cost.eps
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Target points in coupling space, embedded once per potential."""
+        return self.cost.embed(self.target.points)
 
     @property
     def target_fingerprint(self) -> str:
@@ -198,12 +209,10 @@ class MarginalEstimate:
 # Noise sources
 
 class GaussianNoise:
-    """Standard normal noise in raw space, mapped into coupling space.
+    """Standard normal noise in the target's raw space.
 
-    When the cost carries a projection, samples are drawn in the raw
-    ``d_in``-dimensional space and projected, matching how fresh noise is
-    treated at pairing time. With ``beta > 0`` each sample also carries a
-    condition drawn from the target's condition marginal.
+    With ``beta > 0`` each sample also carries a condition drawn from the
+    target's condition marginal.
     """
 
     exact = False
@@ -211,16 +220,12 @@ class GaussianNoise:
     def __init__(self, target: TargetMeasure, cost: CostConfig):
         self.target = target
         self.cost = cost
-        proj = cost.projection
-        self.raw_dim = proj.d_in if proj is not None else target.dim
         if cost.beta > 0.0 and target.conditions is None:
             raise ConfigurationError("beta > 0 requires a conditional target")
 
     def sample(self, rng: Rng, n: int):
         gen = rng.generator()
-        x = gen.standard_normal((n, self.raw_dim))
-        if self.cost.projection is not None:
-            x = self.cost.projection.apply(x)
+        x = gen.standard_normal((n, self.target.dim))
         z = None
         if self.cost.beta > 0.0:
             idx = gen.choice(self.target.n, size=n, p=self.target.weights)
@@ -232,7 +237,7 @@ class GaussianNoise:
 
 
 class DiscreteNoise:
-    """Finite weighted atom list in coupling space: exact expectations.
+    """Finite weighted list of raw noise atoms: exact expectations.
 
     ``exact=True`` makes solver batches the full weighted list (every
     gradient is the exact one); ``exact=False`` samples atoms i.i.d. by
@@ -262,7 +267,7 @@ class DiscreteNoise:
 
 
 # ---------------------------------------------------------------------------
-# Kernel evaluations (inputs live in coupling space)
+# Kernel evaluations (inputs are raw rows)
 
 # Score tiles hold SCORE_CHUNK_ENTRIES // N whole rows (at least one).
 # 2^17 float64 entries (1 MiB) stay resident in a 2 MiB per-core L2 cache
@@ -274,21 +279,22 @@ SCORE_CHUNK_ENTRIES = 2**17
 def coupling_scores(pot: Potential, x: np.ndarray,
                     z: Optional[np.ndarray] = None,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Score matrix ``g_j - c(x_i, y_j)`` for coupling-space noise rows.
+    """Score matrix ``g_j - c(x_i, y_j)`` for raw noise rows ``x``.
 
-    Written to ``out`` (shape ``(len(x), N)``) when given, else to a fresh
-    array.
+    The rows are embedded into coupling space and scored against
+    :attr:`Potential.support`. Written to ``out`` (shape ``(len(x), N)``)
+    when given, else to a fresh array.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     zt = pot.target.conditions if pot.cost.beta > 0.0 else None
     if pot.cost.beta > 0.0 and z is None:
         raise ConfigurationError("conditional cost requires noise conditions")
     if pot.cost.kind == "neg-dot" and pot.cost.beta == 0.0:
         # Fused hot path: one matmul plus an in-place shift.
-        scores = np.matmul(x, pot.target.points.T, out=out)
+        scores = np.matmul(x, pot.support.T, out=out)
         scores += pot.g
         return scores
-    c = cost_matrix(pot.cost, x, pot.target.points, z, zt, project=False)
+    c = cost_matrix(pot.cost, x, pot.support, z, zt)
     return np.subtract(pot.g, c, out=c if out is None else out)
 
 
@@ -359,7 +365,7 @@ def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
     function of ``(rng, total, batch)``. ``noise`` defaults to Gaussian.
     """
     if batch < 1:
-        raise ValueError("batch must be >= 1")
+        raise ConfigurationError("batch must be >= 1")
     if noise is None:
         noise = GaussianNoise(pot.target, pot.cost)
     for k, lo in enumerate(range(0, total, batch)):
@@ -368,7 +374,7 @@ def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
 
 def soft_c_transform_rows(pot: Potential, x: np.ndarray,
                           z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Soft-c transform ``f_{g,eps}(x_i)`` of each coupling-space row.
+    """Soft-c transform ``f_{g,eps}(x_i)`` of each raw noise row.
 
     ``eps > 0``: ``-eps log sum_j b_j exp((g_j - c(x, y_j))/eps)``;
     ``eps = 0``: ``-max_j (g_j - c(x, y_j))``.

@@ -163,25 +163,27 @@ def lr_schedule(cfg: SolverConfig, k: int) -> float:
     return float(base * np.sqrt(cfg.constant_phase / k))
 
 
-def smoothness_bound(target: TargetMeasure, eps: float, d: int) -> float:
+def smoothness_bound(support: np.ndarray, eps: float,
+                     conditions: Optional[np.ndarray] = None) -> float:
     """Gradient-smoothness constant of the semidual.
 
     ``eps > 0`` gives ``1/eps`` for any cost. ``eps = 0`` (negative dot
-    product cost, standard normal noise) gives ``4 d^{1/4} / delta`` with
-    ``delta`` the minimum pairwise distance among target points; duplicate
-    points make the bound infinite and raise.
+    product cost, standard normal noise) gives ``4 d^{1/4} / delta`` for
+    the ``(N, d)`` coupling-space ``support`` (:attr:`Potential.support`),
+    with ``delta`` the minimum pairwise distance among its points
+    (conditions appended); duplicate points make the bound infinite and
+    raise.
     """
     if eps > 0.0:
         return 1.0 / eps
-    if target.n == 1:
-        raise ValueError("eps=0 smoothness bound needs at least 2 distinct points")
-    pts = target.points
-    if target.conditions is not None:
-        pts = np.hstack([pts, target.conditions])
+    if support.shape[0] == 1:
+        raise ConfigurationError(
+            "eps=0 smoothness bound needs at least 2 distinct points")
+    pts = support if conditions is None else np.hstack([support, conditions])
     delta = float(pdist(pts).min())  # O(N^2) scan, desk scale only
     if delta <= 0.0:
-        raise ValueError("duplicate target points: eps=0 bound undefined")
-    return float(4.0 * d**0.25 / delta)
+        raise ConfigurationError("duplicate target points: eps=0 bound undefined")
+    return float(4.0 * support.shape[1]**0.25 / delta)
 
 
 def estimate_delta(target: TargetMeasure, cost: CostConfig, rng: Rng,
@@ -238,7 +240,7 @@ def solve_sdot(
     provenance (iterations, final chi-square, averaging window, stop
     reason, wall time). Deterministic given ``(target, cost, cfg, rng)``.
 
-    ``noise`` defaults to standard Gaussian noise in the cost's raw
+    ``noise`` defaults to standard Gaussian noise in the target's raw
     space; pass a :class:`DiscreteNoise` for enumerated instances.
     ``checkpoint_cb(iteration, potential, chi2)`` fires at every check.
     ``g0`` warm-starts the iteration (checkpoint resume, phased batch
@@ -248,22 +250,6 @@ def solve_sdot(
         noise = GaussianNoise(target, cost)
     if cost.eps_raw == 0.0 and cost.kind != NEG_DOT:
         raise ConfigurationError("eps=0 requires the negative dot-product cost")
-    if cfg.optimizer in (SGD_CONSTANT, SGD_DECAY) and (
-        cfg.theory_delta is None or cfg.theory_smoothness is None
-    ):
-        # Bind the theory constants once so the schedule is well defined.
-        delta = cfg.theory_delta
-        if delta is None:
-            delta = estimate_delta(target, cost, rng.child(2), noise=noise)
-        smooth = cfg.theory_smoothness
-        if smooth is None:
-            smooth = smoothness_bound(target, cost.eps, target.dim)
-        cfg = replace(cfg, theory_delta=delta, theory_smoothness=smooth)
-    if cfg.base_lr is None and cfg.optimizer == ADAGRAD:
-        cfg = replace(cfg, base_lr=float(np.sqrt(target.n)))
-
-    train = rng.child(0)
-    evaluate = rng.child(1)
     b = target.weights
     n = target.n
     start = np.zeros(n) if g0 is None else np.asarray(g0, dtype=np.float64).copy()
@@ -274,6 +260,26 @@ def solve_sdot(
         accumulator=np.zeros(n),
         window=np.zeros((cfg.averaging_window, n)),
     )
+    # The step potential aliases state.g, which every step updates in
+    # place, so its support is embedded once for the whole run.
+    pot_step = Potential(g=state.g, target=target, cost=cost)
+    if cfg.optimizer in (SGD_CONSTANT, SGD_DECAY) and (
+        cfg.theory_delta is None or cfg.theory_smoothness is None
+    ):
+        # Bind the theory constants once so the schedule is well defined.
+        delta = cfg.theory_delta
+        if delta is None:
+            delta = estimate_delta(target, cost, rng.child(2), noise=noise)
+        smooth = cfg.theory_smoothness
+        if smooth is None:
+            smooth = smoothness_bound(pot_step.support, cost.eps,
+                                      target.conditions)
+        cfg = replace(cfg, theory_delta=delta, theory_smoothness=smooth)
+    if cfg.base_lr is None and cfg.optimizer == ADAGRAD:
+        cfg = replace(cfg, base_lr=float(np.sqrt(target.n)))
+
+    train = rng.child(0)
+    evaluate = rng.child(1)
     t0 = time.perf_counter()
 
     def candidate() -> Potential:
@@ -316,7 +322,6 @@ def solve_sdot(
                 stop_reason = "max_iterations"
                 break
         # One stochastic ascent step.
-        pot_step = Potential(g=state.g, target=target, cost=cost)
         grad = stochastic_gradient(pot_step,
                                    *_noise_batch(noise, train.child(k), cfg.batch))
         _require_finite(grad, "gradient", k)

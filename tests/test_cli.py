@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sdfm import artifacts
+from sdfm import artifacts, cli
 from sdfm.cli import main
-from sdfm.container import read_container
+from sdfm.container import read_container, write_container
 from sdfm.numerics import Rng
 
 
@@ -245,3 +245,136 @@ class TestUsageErrors:
     def test_dataset_unknown_name(self, tmp_path):
         assert main(["dataset", "--name", "nope",
                      "--out", str(tmp_path / "x.sdfm")]) == 2
+
+
+class TestPcaEndToEnd:
+    """``--pca K`` scores in the projection; pairs and training use raw rows."""
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("eps", ["0", "0.1"])
+    def test_solve_train_assign_chisq(self, tmp_path, k, eps):
+        data = str(tmp_path / "blob6.sdfm")
+        assert main(["dataset", "--name", "gaussian-blob", "--n", "64",
+                     "--d", "6", "--seed", "5", "--out", data]) == 0
+        pot = str(tmp_path / "p.sdfm")
+        assert main(["solve", "--data", data, "--eps", eps, "--pca", str(k),
+                     "--iters", "200", "--batch", "32",
+                     "--chi2-samples", "1024", "--tau", "0.05",
+                     "--out", pot]) in (0, 3)
+        assert main(["train", "--data", data, "--coupling", "sd",
+                     "--potential", pot, "--steps", "5", "--batch", "32",
+                     "--hidden", "8", "--out", str(tmp_path / "m.sdfm")]) == 0
+        pairs = str(tmp_path / "pairs.sdfm")
+        assert main(["assign", "--potential", pot, "--data", data,
+                     "--sample", "200", "--seed", "2", "--out", pairs]) == 0
+        assert main(["chisq", "--potential", pot, "--data", data,
+                     "--samples", "2048", "--batch", "512"]) == 0
+        points = artifacts.load_dataset(data)[0]
+        arrays = read_container(pairs, expect_kind="pairs")[2]
+        assert arrays["points"].shape == (200, 6)
+        np.testing.assert_array_equal(arrays["points"],
+                                      points[arrays["indices"]])
+
+
+def _quick_potential(tmp_path, data):
+    out = str(tmp_path / "quick.sdfm")
+    assert main(["solve", "--data", data, "--eps", "0", "--iters", "20",
+                 "--batch", "16", "--chi2-samples", "256", "--tau", "100",
+                 "--out", out]) == 0
+    return out
+
+
+def _quick_model(tmp_path, data, name="m.sdfm"):
+    out = str(tmp_path / name)
+    assert main(["train", "--data", data, "--coupling", "independent",
+                 "--steps", "2", "--batch", "8", "--hidden", "4",
+                 "--out", out]) == 0
+    return out
+
+
+def _saved(tmp_path, name, points, weights=None):
+    path = str(tmp_path / name)
+    artifacts.save_dataset(path, np.asarray(points, dtype=np.float64), weights)
+    return path
+
+
+def _non_finite_potential(tmp_path, data):
+    pot = _quick_potential(tmp_path, data)
+    _, meta, arrays = read_container(pot)
+    arrays["g"][0] = np.nan
+    write_container(pot, "potential", arrays, meta)
+    return pot
+
+
+def _dump(tmp_path, name, shape):
+    path = str(tmp_path / name)
+    artifacts.save_sample_dump(path, np.zeros(shape))
+    return path + ".bin"
+
+
+# Each case builds its inputs and returns the argv of one command.
+_USAGE_CASES = {
+    "chisq-batch-0": lambda tmp, blob: [
+        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--batch", "0"],
+    "pca-k-above-dim": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--pca", "3",
+        "--out", str(tmp / "x.sdfm")],
+    "target-weight-zero": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "w.sdfm", [[0.0, 1.0], [1.0, 0.0]],
+                                  np.array([1.0, 0.0])),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "potential-non-finite": lambda tmp, blob: [
+        "chisq", "--potential", _non_finite_potential(tmp, blob),
+        "--data", blob],
+    "cost-std-one-entry": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "one.sdfm", [[1.0, 2.0]]),
+        "--eps", "0.1", "--out", str(tmp / "x.sdfm")],
+    "w2-shape-mismatch": lambda tmp, blob: [
+        "eval", "--samples", _dump(tmp, "a", (8, 2)),
+        "--reference", _dump(tmp, "b", (8, 3))],
+    "sample-steps-0": lambda tmp, blob: [
+        "sample", "--model", _quick_model(tmp, blob), "--steps", "0",
+        "--out", str(tmp / "s")],
+    "sample-count-0": lambda tmp, blob: [
+        "sample", "--model", _quick_model(tmp, blob), "--count", "0",
+        "--out", str(tmp / "s")],
+    "eval-curvature-one-step": lambda tmp, blob: [
+        "eval", "--model", _quick_model(tmp, blob), "--steps", "1"],
+    "guide-replicas-0": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--replicas", "0",
+        "--out", str(tmp / "g")],
+    "smoothness-duplicate-points": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "dup.sdfm",
+                                  [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        "--eps", "0", "--optimizer", "sgd-constant", "--iters", "10",
+        "--out", str(tmp / "x.sdfm")],
+    "assign-noise-dimension": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--noise", _saved(tmp, "n3.sdfm", np.zeros((4, 3))),
+        "--out", str(tmp / "x.sdfm")],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", [*_USAGE_CASES, "internal-value-error"])
+    def test_only_validation_errors_exit_2(self, tmp_path, blob, capsys,
+                                           monkeypatch, case):
+        if case == "internal-value-error":
+            # A defect inside a command is not a usage error: it propagates.
+            def broken(*args, **kwargs):
+                raise ValueError("operands could not be broadcast together")
+
+            monkeypatch.setattr(cli, "assign_batch", broken)
+            argv = ["assign", "--potential", _quick_potential(tmp_path, blob),
+                    "--data", blob, "--sample", "4",
+                    "--out", str(tmp_path / "x.sdfm")]
+            with pytest.raises(ValueError, match="broadcast"):
+                main(argv)
+            return
+        argv = _USAGE_CASES[case](tmp_path, blob)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()

@@ -81,7 +81,7 @@ class TestArtifacts:
         gen = Rng(1).generator()
         raw = gen.standard_normal((32, 6))
         proj = fit_pca(raw, 3, Rng(2))
-        target = TargetMeasure.from_points(proj.apply(raw))
+        target = TargetMeasure.from_points(raw)
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.1,
                           projection=proj).with_rescaled_eps(2.0)
         pot = Potential(g=gen.standard_normal(32), target=target, cost=cost,

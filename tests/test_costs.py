@@ -57,13 +57,13 @@ class TestEstimateCostStd:
     def test_constant_matrix(self):
         cfg = CostConfig(kind=NEG_DOT)
         pts = np.ones((4, 2))
-        assert estimate_cost_std(cfg, pts, pts, Rng(0)) == 0.0
+        assert estimate_cost_std(cfg, pts, pts) == 0.0
 
     def test_two_point_value(self):
         # Costs {-1, 1, 1, -1}: population std 1, sample (ddof=1) 2/sqrt(3).
         cfg = CostConfig(kind=NEG_DOT)
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out = estimate_cost_std(cfg, pts, pts, Rng(0))
+        out = estimate_cost_std(cfg, pts, pts)
         assert out == pytest.approx(np.sqrt(4.0 / 3.0), abs=1e-12)
         assert out == pytest.approx(1.1547, abs=1e-4)
 
@@ -72,8 +72,8 @@ class TestEstimateCostStd:
         gen = Rng(1).generator()
         noise = gen.standard_normal((16, 3))
         data = gen.standard_normal((16, 3))
-        base = estimate_cost_std(cfg, noise, data, Rng(0))
-        scaled = estimate_cost_std(cfg, noise, 3.0 * data, Rng(0))
+        base = estimate_cost_std(cfg, noise, data)
+        scaled = estimate_cost_std(cfg, noise, 3.0 * data)
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_order_invariance(self):
@@ -81,9 +81,9 @@ class TestEstimateCostStd:
         gen = Rng(2).generator()
         noise = gen.standard_normal((12, 3))
         data = gen.standard_normal((10, 3))
-        base = estimate_cost_std(cfg, noise, data, Rng(0))
+        base = estimate_cost_std(cfg, noise, data)
         perm = gen.permutation(12)
-        assert estimate_cost_std(cfg, noise[perm], data, Rng(0)) == pytest.approx(
+        assert estimate_cost_std(cfg, noise[perm], data) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -158,5 +158,5 @@ class TestCostMatrixProjection:
         zx = np.array([[1.0]])
         zy = np.array([[0.0]])
         # Projected x-parts are (2) and (3): neg-dot -6, plus beta * 1.
-        out = cost_matrix(cfg, x, y, zx, zy)
+        out = cost_matrix(cfg, cfg.embed(x), cfg.embed(y), zx, zy)
         assert out[0, 0] == pytest.approx(-6.0 + 1.0)

@@ -228,8 +228,7 @@ class TestSinkhorn:
         b = gen.random(16) + 0.1
         b /= b.sum()
         with pytest.raises(SinkhornError) as err:
-            sinkhorn_log(c, a, b, 1e-4, tol=1e-12, max_sweeps=2,
-                         eps_scaling=False)
+            sinkhorn_log(c, a, b, 1e-4, tol=1e-12, max_sweeps=2)
         assert err.value.residual > 0
 
 

@@ -62,18 +62,17 @@ class TestLrSchedule:
 
 class TestSmoothnessBound:
     def test_reciprocal_eps(self):
-        target = TargetMeasure.from_points([[0.0], [1.0]])
-        assert smoothness_bound(target, 0.5, 1) == pytest.approx(2.0)
+        assert smoothness_bound(np.array([[0.0], [1.0]]), 0.5) == pytest.approx(2.0)
 
     def test_eps_zero_formula(self):
         # Two points at distance 2 in d=16: 4 * 16^(1/4) / 2 = 4.
-        target = TargetMeasure.from_points([[1.0, 0.0], [-1.0, 0.0]])
-        assert smoothness_bound(target, 0.0, 16) == pytest.approx(4.0)
+        support = np.zeros((2, 16))
+        support[:, 0] = [1.0, -1.0]
+        assert smoothness_bound(support, 0.0) == pytest.approx(4.0)
 
     def test_duplicate_points_rejected(self):
-        target = TargetMeasure.from_points([[1.0], [1.0]])
-        with pytest.raises(ValueError):
-            smoothness_bound(target, 0.0, 4)
+        with pytest.raises(ConfigurationError):
+            smoothness_bound(np.array([[1.0], [1.0]]), 0.0)
 
 
 class TestSolveSdot:
