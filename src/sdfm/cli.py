@@ -39,6 +39,7 @@ from .flow import (
     SDCoupling,
     TrainConfig,
     curvature,
+    gaussian_starts,
     guided_sample,
     integrate,
     train_flow,
@@ -90,15 +91,15 @@ def _resolve_cost(args, points, conditions, rng: Rng):
         raise ConfigurationError(
             "eps=0 requires the neg-dot cost (distinct-point geometry)"
         )
-    beta = float(getattr(args, "beta", 0.0) or 0.0)
+    beta = args.beta
     if beta > 0.0 and conditions is None:
         raise ConfigurationError("--beta > 0 requires a conditional dataset")
     projection = None
-    if getattr(args, "pca", None):
+    if args.pca:
         projection = fit_pca(points, int(args.pca), rng.child(11))
     cfg = CostConfig(kind=kind, beta=beta, eps_raw=float(args.eps),
                      projection=projection)
-    if args.eps > 0.0 and not getattr(args, "no_eps_rescale", False):
+    if args.eps > 0.0 and not args.no_eps_rescale:
         gen = rng.child(12).generator()
         n_ref = min(REFERENCE_BATCH_SIZE, len(points))
         noise_ref = gen.standard_normal((n_ref, points.shape[1]))
@@ -168,8 +169,8 @@ def cmd_assign(args) -> int:
             raise UsageError(f"noise rows have dimension {noise.shape[1]}, "
                              f"the dataset {pot.target.dim}")
     else:
-        if not args.sample:
-            raise UsageError("pass --noise FILE or --sample COUNT")
+        if args.sample is None or args.sample < 1:
+            raise UsageError("pass --noise FILE or --sample COUNT >= 1")
         noise = rng.child(0).generator().standard_normal(
             (args.sample, pot.target.dim))
     batch = assign_batch(pot, noise, rng.child(1))
@@ -220,19 +221,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _draw_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
-    if count < 1:
-        raise UsageError("count must be >= 1")
-    # Per-sample child streams keep sample i independent of count.
-    return np.stack([
-        rng.child(i).generator().standard_normal(dim) for i in range(count)
-    ])
-
-
 def cmd_sample(args) -> int:
     model = _load_unconditional_model(args.model)
-    rng = Rng(args.seed)
-    x0 = _draw_starts(rng, args.count, model.dim)
+    x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
     traj = integrate(model, x0, method=args.solver, steps=args.steps)
     curv = curvature(traj) if args.steps >= 2 else float("nan")
     bin_path, _ = artifacts.save_sample_dump(args.out, traj.endpoints, {
@@ -249,12 +240,9 @@ def cmd_guide(args) -> int:
     model2 = _load_unconditional_model(args.model2)
     if model1.dim != model2.dim:
         raise UsageError("guidance models must share the data dimension")
-    rng = Rng(args.seed)
     cfg = GuidanceConfig(gamma=args.gamma, replicas=args.replicas,
                          steps=args.steps, t_clip=args.t_clip)
-    out = np.empty((args.count, model1.dim))
-    for i in range(args.count):
-        out[i], _ = guided_sample(model1, model2, cfg, rng.child(i))
+    out, _ = guided_sample(model1, model2, cfg, Rng(args.seed), args.count)
     bin_path, _ = artifacts.save_sample_dump(args.out, out, {
         "seed": args.seed, "gamma": args.gamma, "replicas": args.replicas,
         "steps": args.steps, "t_clip": args.t_clip,
@@ -267,6 +255,8 @@ def cmd_guide(args) -> int:
 def cmd_chisq(args) -> int:
     pot = _load_potential_with_target(args.potential, args.data)
     vals, done = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
+    if not vals:
+        raise UsageError("chisq needs a first batch of at least 2 samples")
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     print(f"chisq: estimate={est:.6f} stderr={se:.6f} samples={done}")
@@ -305,8 +295,7 @@ def cmd_eval(args) -> int:
         report["w2"] = empirical_w2(a, b)
     if args.model:
         model = _load_unconditional_model(args.model)
-        rng = Rng(args.seed)
-        x0 = _draw_starts(rng, args.count, model.dim)
+        x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
         traj = integrate(model, x0, method=args.solver, steps=args.steps)
         report["curvature"] = curvature(traj)
     if not report:

@@ -41,6 +41,7 @@ __all__ = [
     "interpolate",
     "fm_loss_and_grad",
     "train_flow",
+    "gaussian_starts",
     "integrate",
     "curvature",
     "score_from_velocity",
@@ -262,6 +263,10 @@ class TrainConfig:
     steps: int = 2000
     batch: int = 256
 
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ConfigurationError("batch must be >= 1")
+
 
 def train_flow(model: FlowModel, target: TargetMeasure, coupling,
                cfg: TrainConfig, rng: Rng, metrics=None) -> FlowModel:
@@ -319,6 +324,13 @@ class Trajectory:
     @property
     def endpoints(self) -> np.ndarray:
         return self.states[-1]
+
+
+def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
+    """``count`` N(0, I) rows; row ``i`` is the ``i``-th of ``rng``'s stream."""
+    if count < 1:
+        raise ConfigurationError("count must be >= 1")
+    return rng.generator().standard_normal((count, dim))
 
 
 def integrate(model, x0: np.ndarray, cond=None, method: str = "euler",
@@ -475,29 +487,27 @@ class GuidanceConfig:
             raise ConfigurationError("steps must be >= 1")
 
 
-def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng,
+def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
                   dim: Optional[int] = None):
-    """One draw from the geometric mixture of two flows via resampling.
+    """``count`` draws from the geometric mixture of two flows via resampling.
 
-    Integrates ``cfg.replicas`` trajectories under the combined field
-    ``gamma v1 + (1 - gamma) v2`` from fresh Gaussian starts, accumulates
-    the weight functional
+    Draw ``i`` integrates ``R = cfg.replicas`` trajectories under the field
+    ``gamma v1 + (1 - gamma) v2`` from rows ``i*R:(i+1)*R`` of
+    :func:`gaussian_starts`, accumulates the weight functional
 
         w = gamma (gamma - 1) * integral_0^{t_clip} t/(1-t) ||v1 - v2||^2 dt
 
-    by a left Riemann sum on the grid, draws a replica index from
-    ``softmax(w)``, and returns ``(endpoint, weights)``.
+    by a left Riemann sum on the grid, and picks a replica index from
+    ``softmax(w)`` with the ``i``-th uniform of ``rng.child(0)``. All
+    ``count * R`` rows share one Euler loop, so a larger ``count`` extends
+    a smaller one. Returns ``(endpoints (count, dim), weights (count, R))``.
     """
-    if dim is None:
-        dim = getattr(model1, "dim", None)
-        if dim is None:
-            raise ValueError("pass dim when models do not expose one")
-    gamma = cfg.gamma
-    gen = rng.generator()
-    x = gen.standard_normal((cfg.replicas, dim))
+    dim = model1.dim if dim is None else dim
+    gamma, reps = cfg.gamma, cfg.replicas
+    x = gaussian_starts(rng, count * reps, dim)
     times = np.linspace(0.0, 1.0, cfg.steps + 1)
     dt = 1.0 / cfg.steps
-    w = np.zeros(cfg.replicas)
+    w = np.zeros(count * reps)
     for i in range(cfg.steps):
         t = times[i]
         v1 = np.atleast_2d(model1(t, x))
@@ -506,8 +516,7 @@ def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng,
             diff = np.sum((v1 - v2) ** 2, axis=1)
             w += gamma * (gamma - 1.0) * (t / (1.0 - t)) * diff * dt
         x = x + dt * (gamma * v1 + (1.0 - gamma) * v2)
-    shifted = w - w.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    pick = int(gen.choice(cfg.replicas, p=probs))
-    return x[pick], w
+    w = w.reshape(count, reps)
+    pick = inverse_cdf(np.exp(w - w.max(axis=1, keepdims=True)),
+                       rng.child(0).generator().random(count))
+    return x.reshape(count, reps, dim)[np.arange(count), pick], w

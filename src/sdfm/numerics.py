@@ -7,6 +7,8 @@ child streams derived with :meth:`Rng.child` are independent of thread
 scheduling, so parallel batches stay reproducible. Per-row randomness is
 one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
 gets the ``i``-th uniform of the stream, whatever the batch size.
+Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
+``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
 """
 
 from __future__ import annotations

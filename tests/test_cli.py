@@ -227,6 +227,44 @@ class TestGuideCommand:
         )
 
 
+class TestPrefixStableStarts:
+    """A larger --count extends a smaller one, row for row."""
+
+    @pytest.mark.parametrize("command, small, large",
+                             [("sample", 8, 16), ("eval", 8, 16),
+                              ("guide", 3, 5)])
+    def test_larger_count_extends_smaller(self, tmp_path, blob, monkeypatch,
+                                          command, small, large):
+        models = [str(tmp_path / f"m{seed}.sdfm") for seed in (1, 2)]
+        for seed, path in enumerate(models, start=1):
+            assert main(["train", "--data", blob, "--coupling", "independent",
+                         "--steps", "5", "--batch", "16", "--hidden", "8",
+                         "--seed", str(seed), "--out", path]) == 0
+        starts = []
+        integrate = cli.integrate
+
+        def recording_integrate(model, x0, **kwargs):
+            starts.append(x0)
+            return integrate(model, x0, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        rows = []
+        for count in (small, large):
+            out = str(tmp_path / f"{command}{count}")
+            argv = {
+                "sample": ["sample", "--model", models[0], "--out", out],
+                "eval": ["eval", "--model", models[0]],
+                "guide": ["guide", "--model1", models[0], "--model2",
+                          models[1], "--replicas", "4", "--gamma", "2",
+                          "--out", out],
+            }[command]
+            assert main([*argv, "--count", str(count), "--seed", "5"]) == 0
+            rows.append(starts[-1] if command == "eval"
+                        else artifacts.load_sample_dump(out + ".bin"))
+        assert rows[1].shape[0] == large
+        np.testing.assert_allclose(rows[1][:small], rows[0], atol=1e-12)
+
+
 class TestChisqCommand:
     def test_reports_estimate(self, tmp_path, two_atoms, capsys):
         _, pot = _solve(tmp_path, two_atoms)
@@ -317,6 +355,18 @@ _USAGE_CASES = {
     "chisq-batch-0": lambda tmp, blob: [
         "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--batch", "0"],
+    "chisq-samples-1": lambda tmp, blob: [
+        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--samples", "1"],
+    "chisq-batch-1": lambda tmp, blob: [
+        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--batch", "1"],
+    "train-batch-0": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "independent", "--steps", "2",
+        "--batch", "0", "--hidden", "4", "--out", str(tmp / "m.sdfm")],
+    "assign-sample-negative": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--sample", "-2", "--out", str(tmp / "x.sdfm")],
     "pca-k-above-dim": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--pca", "3",
         "--out", str(tmp / "x.sdfm")],
@@ -344,6 +394,14 @@ _USAGE_CASES = {
     "guide-replicas-0": lambda tmp, blob: [
         "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
         "--model2", _quick_model(tmp, blob, "b.sdfm"), "--replicas", "0",
+        "--out", str(tmp / "g")],
+    "guide-count-0": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--count", "0",
+        "--out", str(tmp / "g")],
+    "guide-count-negative": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--count", "-1",
         "--out", str(tmp / "g")],
     "smoothness-duplicate-points": lambda tmp, blob: [
         "solve", "--data", _saved(tmp, "dup.sdfm",
