@@ -152,6 +152,8 @@ def cmd_solve(args) -> int:
             "tau": args.tau, "iters": args.iters,
             "stop_reason": pot.provenance["stop_reason"],
             "final_chi2": pot.provenance["final_chi2"],
+            "final_marginal_linf": pot.provenance["final_marginal_linf"],
+            "empty_cell_fraction": pot.provenance["empty_cell_fraction"],
             "cost": cost.metadata(), "checkpoints": checkpoint_paths,
         })
     print(f"solve: chi2={pot.provenance['final_chi2']:.6f} "
@@ -225,13 +227,15 @@ def cmd_sample(args) -> int:
     model = _load_unconditional_model(args.model)
     x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
     traj = integrate(model, x0, method=args.solver, steps=args.steps)
-    curv = curvature(traj) if args.steps >= 2 else float("nan")
+    # One step has no curvature; JSON null keeps the sidecar strict JSON.
+    curv = curvature(traj) if args.steps >= 2 else None
     bin_path, _ = artifacts.save_sample_dump(args.out, traj.endpoints, {
         "seed": args.seed, "solver": args.solver, "steps": args.steps,
         "model": args.model, "curvature": curv,
     })
+    shown = "n/a" if curv is None else f"{curv:.6f}"
     print(f"sample: count={args.count} solver={args.solver}-{args.steps} "
-          f"curvature={curv:.6f} out={bin_path}")
+          f"curvature={shown} out={bin_path}")
     return EXIT_OK
 
 
@@ -254,12 +258,17 @@ def cmd_guide(args) -> int:
 
 def cmd_chisq(args) -> int:
     pot = _load_potential_with_target(args.potential, args.data)
-    vals, done = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
+    scan = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
+    vals = scan.values
     if not vals:
         raise UsageError("chisq needs a first batch of at least 2 samples")
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    print(f"chisq: estimate={est:.6f} stderr={se:.6f} samples={done}")
+    # The standard error is the spread of the batch estimates: one batch has none.
+    se = (f"{np.std(vals, ddof=1) / np.sqrt(len(vals)):.6f}"
+          if len(vals) > 1 else "n/a")
+    dropped = args.samples - scan.samples
+    print(f"chisq: estimate={est:.6f} stderr={se} samples={scan.samples}"
+          + (f" dropped={dropped}" if dropped else ""))
     return EXIT_OK
 
 

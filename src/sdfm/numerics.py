@@ -107,7 +107,8 @@ def shifted_exp_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
 
 def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
                        out: np.ndarray | None = None,
-                       log_b: np.ndarray | None = None) -> np.ndarray:
+                       log_b: np.ndarray | None = None,
+                       smooth_max: np.ndarray | None = None) -> np.ndarray:
     """Weighted softmax over data indices, row by row, for ``(B, N)`` scores.
 
     For ``eps > 0`` row ``i`` is ``b_j exp(z_ij/eps)`` normalized (computed
@@ -115,7 +116,10 @@ def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
     with the ``b``-weighted split of :func:`argmax_with_ties` on tie rows.
     The rows go to ``out`` when given (``out=scores`` works in place),
     else to a fresh array; ``log_b`` spares the ``log(b)`` of a caller
-    that streams many blocks against the same ``b``.
+    that streams many blocks against the same ``b``. With ``smooth_max``
+    (one entry per row) each row's normaliser ``eps log sum_j b_j
+    exp(z_ij/eps)`` is written there, taken from the row max and the row
+    sum the softmax divides by; at ``eps = 0`` it is the row max.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -123,6 +127,8 @@ def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        if smooth_max is not None:
+            smooth_max[:] = scores[np.arange(scores.shape[0]), idx]
         if out is None:
             out = np.zeros_like(scores)
         else:
@@ -133,14 +139,18 @@ def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
     if log_b is None:
         with np.errstate(divide="ignore"):
             log_b = np.log(b)
-    e, _ = shifted_exp_rows(scores, log_b, eps, out)
-    e /= e.sum(axis=1, keepdims=True)
+    e, m = shifted_exp_rows(scores, log_b, eps, out)
+    total = e.sum(axis=1, keepdims=True)
+    if smooth_max is not None:
+        smooth_max[:] = eps * (m + np.log(total[:, 0]))
+    e /= total
     return e
 
 
 def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
                       row_weights: np.ndarray | None = None,
-                      out: tuple | None = None):
+                      out: tuple | None = None,
+                      row_max: np.ndarray | None = None):
     """Column sums and squared sums of eps=0 responsibility rows.
 
     Equivalent to summing ``softmax_b_eps_rows(scores, b, 0)`` and its
@@ -148,10 +158,14 @@ def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
     dense matrix. With ``out=(col_sum, col_sq)`` the sums are added to
     those arrays, row by row in O(rows) work, so a stream of row tiles
     pays no O(N) step per tile and sums in the same order as one block.
+    With ``row_max`` (one entry per row) each row's maximum score is
+    written there, gathered at the argmax the sums already need.
     """
     n = scores.shape[1]
     col_sum, col_sq = (np.zeros(n), np.zeros(n)) if out is None else out
     idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+    if row_max is not None:
+        row_max[:] = scores[np.arange(scores.shape[0]), idx]
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[tie_rows] = False
     if row_weights is None:

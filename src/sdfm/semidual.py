@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -70,13 +70,7 @@ __all__ = [
     "chi2_batches",
     "transport_cost",
     "transport_cost_estimate",
-    "PRODUCTION_CHI2_BATCH",
-    "PRODUCTION_CHI2_TOTAL",
 ]
-
-# Production convergence checks use 2^20 noise samples in batches of 2^13.
-PRODUCTION_CHI2_BATCH = 2**13
-PRODUCTION_CHI2_TOTAL = 2**20
 
 
 def _fingerprint(*arrays: Optional[np.ndarray]) -> str:
@@ -328,10 +322,17 @@ def _add_rows(acc: np.ndarray, tile: np.ndarray) -> None:
 
 def _column_sums(pot: Potential, x: np.ndarray,
                  weights: Optional[np.ndarray] = None,
-                 z: Optional[np.ndarray] = None, squares: bool = False):
+                 z: Optional[np.ndarray] = None, squares: bool = False,
+                 soft_c: Optional[np.ndarray] = None):
     """Column sums of the responsibilities of rows ``x`` (row-weighted by
     ``weights`` if given) and, with ``squares``, the column sums of their
-    squares (unweighted rows only), else ``None``."""
+    squares (unweighted rows only), else ``None``.
+
+    With ``soft_c`` (one entry per row) each row's soft-c transform
+    ``f_{g,eps}(x_i)`` is written there from the same tiles: minus the row
+    max at eps=0, minus the softmax's log-domain normaliser at eps>0. It
+    equals :func:`soft_c_transform_rows` exactly.
+    """
     b = pot.target.weights
     n = pot.target.n
     if weights is not None:
@@ -340,11 +341,12 @@ def _column_sums(pot: Potential, x: np.ndarray,
     first = np.empty(n) if squares else None
     for lo, hi, scores in score_chunks(pot, x, z):
         w = None if weights is None else weights[lo:hi]
+        f = None if soft_c is None else soft_c[lo:hi]
         if pot.eps == 0.0:
-            eps0_column_stats(scores, b, w, out=(col_sum, col_sq))
+            eps0_column_stats(scores, b, w, out=(col_sum, col_sq), row_max=f)
             continue
         s = softmax_b_eps_rows(scores, b, pot.eps, out=scores,
-                               log_b=pot.target.log_weights)
+                               log_b=pot.target.log_weights, smooth_max=f)
         if w is not None:
             s *= w[:, None]
         if squares:
@@ -354,6 +356,8 @@ def _column_sums(pot: Potential, x: np.ndarray,
             s[0] = first
             np.square(s, out=s)
             _add_rows(col_sq, s)
+    if soft_c is not None:
+        np.negative(soft_c, out=soft_c)
     return col_sum, col_sq if squares else None
 
 
@@ -428,10 +432,15 @@ def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
     return pot.target.weights - m
 
 
-def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
-    """Second marginal ``m(g)`` by exact summation over noise atoms."""
+def marginal_exact(pot: Potential, noise: DiscreteNoise,
+                   soft_c: Optional[np.ndarray] = None) -> np.ndarray:
+    """Second marginal ``m(g)`` by exact summation over noise atoms.
+
+    With ``soft_c`` (one entry per atom) the soft-c transform of each atom
+    is written there from the same scan (see :func:`_column_sums`).
+    """
     atoms, w, z = noise.enumerate()
-    return _column_sums(pot, atoms, w, z)[0]
+    return _column_sums(pot, atoms, w, z, soft_c=soft_c)[0]
 
 
 def marginal_estimate(pot: Potential, rng: Rng, total_samples: int,
@@ -457,40 +466,62 @@ def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
 
 
 def chi2_estimator(pot: Potential, noise_batch: np.ndarray,
-                   z: Optional[np.ndarray] = None) -> float:
+                   z: Optional[np.ndarray] = None,
+                   soft_c: Optional[np.ndarray] = None,
+                   mass: Optional[np.ndarray] = None) -> float:
     """Unbiased batch estimator of ``chi2(m(g) || b)`` in O(NB) time.
 
     For B batch rows with responsibilities ``s_ij``:
 
         (1 / (B(B-1))) sum_j (1/b_j) [ (sum_i s_ij)^2 - sum_i s_ij^2 ] - 1
 
-    The estimator may be negative for finite B.
+    The estimator may be negative for finite B. The same scan also fills
+    two optional outputs: ``soft_c`` (length B) receives each row's soft-c
+    transform ``f_{g,eps}(x_i)``, and the column sums ``sum_i s_ij`` are
+    added to ``mass`` (length N).
     """
     noise_batch = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
     b_rows = noise_batch.shape[0]
     if b_rows < 2:
         raise ValueError("chi2_estimator needs a batch of at least 2")
-    col_sum, col_sq = _column_sums(pot, noise_batch, None, z, squares=True)
+    col_sum, col_sq = _column_sums(pot, noise_batch, None, z, squares=True,
+                                   soft_c=soft_c)
+    if mass is not None:
+        mass += col_sum
     inv_b = 1.0 / pot.target.weights
     val = np.sum(inv_b * (col_sum**2 - col_sq)) / (b_rows * (b_rows - 1))
     return float(val - 1.0)
 
 
+class Chi2Scan(NamedTuple):
+    """What one streamed chi-square pass (:func:`chi2_batches`) yields."""
+
+    values: list  # chi2_estimator of each batch
+    samples: int  # rows those batches hold
+    soft_c_mean: float  # mean soft-c transform f_{g,eps} over those rows
+    marginal: np.ndarray  # their mean responsibilities: an estimate of m(g)
+
+
 def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
-                 noise=None):
+                 noise=None) -> Chi2Scan:
     """:func:`chi2_estimator` of each noise batch over ``total`` draws.
 
-    Returns ``(values, samples)``. A batch of fewer than 2 rows has no
-    estimate and ends the stream, so ``samples`` can fall short of
-    ``total``.
+    A batch of fewer than 2 rows has no estimate and ends the stream, so
+    ``samples`` can fall short of ``total``. The soft-c mean and the
+    marginal come from the same tiles as the estimates, so
+    ``soft_c_mean + <b, g>`` estimates ``F_eps(g)`` at no extra scan.
     """
-    values, samples = [], 0
+    values, samples, f_sum = [], 0, 0.0
+    mass = np.zeros(pot.target.n)
     for x, z in _noise_batches(pot, rng, total, batch, noise):
         if len(x) < 2:
             break
-        values.append(chi2_estimator(pot, x, z))
+        f = np.empty(len(x))
+        values.append(chi2_estimator(pot, x, z, f, mass))
+        f_sum += float(np.sum(f))
         samples += len(x)
-    return values, samples
+    scale = 1.0 / max(samples, 1)
+    return Chi2Scan(values, samples, f_sum * scale, mass * scale)
 
 
 def transport_cost(pot: Potential, noise_batch: np.ndarray,

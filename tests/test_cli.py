@@ -93,6 +93,17 @@ class TestSolveCommand:
         rows = (tmp_path / "x.sdfm.metrics.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["0", "0", "0"]
 
+    def test_summary_reports_final_diagnostics(self, tmp_path, blob):
+        code, out = _solve(tmp_path, blob, extra=["--iters", "4"])
+        assert code == 3
+        prov = read_container(out)[1]["provenance"]
+        with open(out + ".metrics.json") as fh:
+            summary = json.load(fh)["summary"]
+        for key in ("final_marginal_linf", "empty_cell_fraction"):
+            assert summary[key] == prov[key]
+        assert summary["final_marginal_linf"] > 0.0
+        assert 0.0 <= summary["empty_cell_fraction"] <= 1.0
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--data", str(tmp_path / "nope.sdfm"),
                      "--eps", "0", "--out", str(tmp_path / "x.sdfm")])
@@ -160,6 +171,22 @@ class TestTrainSampleEval:
         assert main(["eval", "--samples", dump + ".bin",
                      "--reference", dump + ".bin", "--out", report]) == 0
         assert json.loads(open(report).read())["w2"] <= 1e-9
+
+    def test_one_step_sample_sidecar_is_strict_json(self, tmp_path, blob):
+        model_path = str(tmp_path / "model.sdfm")
+        assert main(["train", "--data", blob, "--coupling", "independent",
+                     "--steps", "5", "--batch", "16", "--hidden", "8",
+                     "--out", model_path]) == 0
+        dump = str(tmp_path / "one")
+        assert main(["sample", "--model", model_path, "--count", "4",
+                     "--steps", "1", "--out", dump]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with open(dump + ".json") as fh:
+            sidecar = json.load(fh, parse_constant=reject)
+        assert sidecar["curvature"] is None
 
     def test_train_sd_requires_potential(self, tmp_path, blob):
         assert main(["train", "--data", blob, "--coupling", "sd",
@@ -275,6 +302,18 @@ class TestChisqCommand:
         out = capsys.readouterr().out
         assert "estimate=" in out
 
+    def test_single_batch_and_dropped_tail(self, tmp_path, two_atoms, capsys):
+        _, pot = _solve(tmp_path, two_atoms)
+        base = ["chisq", "--potential", pot, "--data", two_atoms,
+                "--batch", "4096", "--seed", "4"]
+        capsys.readouterr()
+        assert main(base + ["--samples", "4096"]) == 0
+        out = capsys.readouterr().out
+        assert "stderr=n/a samples=4096\n" in out
+        # The 1-row tail has no estimate: it is reported, not hidden.
+        assert main(base + ["--samples", "4097"]) == 0
+        assert "stderr=n/a samples=4096 dropped=1\n" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -355,6 +394,9 @@ _USAGE_CASES = {
     "chisq-batch-0": lambda tmp, blob: [
         "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--batch", "0"],
+    "chisq-batch-negative": lambda tmp, blob: [
+        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--batch", "-5"],
     "chisq-samples-1": lambda tmp, blob: [
         "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--samples", "1"],

@@ -154,6 +154,29 @@ class TestSoftmaxBEps:
                                            atol=1e-14)
 
 
+    def test_smooth_max_is_the_log_normaliser(self):
+        from scipy.special import logsumexp
+
+        gen = Rng(10).generator()
+        scores = gen.standard_normal((6, 5))
+        scores[3, 0] = scores[3, 4] = scores[3].max() + 1.0  # an exact tie
+        b = gen.random(5) + 0.1
+        b /= b.sum()
+        for eps in (0.0, 0.3, 10.0):
+            smooth = np.empty(6)
+            rows = softmax_b_eps_rows(scores, b, eps, smooth_max=smooth)
+            np.testing.assert_array_equal(rows, softmax_b_eps_rows(scores, b, eps))
+            if eps == 0.0:
+                np.testing.assert_array_equal(smooth, scores.max(axis=1))
+                row_max = np.empty(6)
+                eps0_column_stats(scores, b, row_max=row_max)
+                np.testing.assert_array_equal(row_max, scores.max(axis=1))
+            else:
+                np.testing.assert_allclose(
+                    smooth, eps * logsumexp(scores / eps, b=b, axis=1),
+                    rtol=1e-12)
+
+
 class TestArgmaxWithTies:
     def test_second_max_pass_matches_mask(self):
         gen = Rng(40).generator()

@@ -285,6 +285,38 @@ class TestChi2:
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(mean) <= 3 * se + 1e-9
 
+    @pytest.mark.parametrize("eps", [0.0, 0.4])
+    def test_scan_outputs_match_separate_reducers(self, eps, monkeypatch):
+        gen = Rng(33).generator()
+        pot = _simple_potential(gen.standard_normal(40) * 0.3,
+                                gen.standard_normal((40, 3)),
+                                gen.random(40) + 0.1, eps=eps)
+        # 7-row tiles: the outputs are filled tile by tile.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 7 * 40)
+        x = gen.standard_normal((50, 3))
+        f, mass = np.empty(50), np.ones(40)
+        assert chi2_estimator(pot, x, soft_c=f, mass=mass) == \
+            chi2_estimator(pot, x)
+        np.testing.assert_array_equal(f, soft_c_transform_rows(pot, x))
+        np.testing.assert_array_equal(mass,
+                                      1.0 + semidual._column_sums(pot, x)[0])
+        # The weighted rows of exact noise give the same transform.
+        noise = DiscreteNoise(x, gen.random(50) + 0.1)
+        f_w = np.empty(50)
+        np.testing.assert_array_equal(marginal_exact(pot, noise, soft_c=f_w),
+                                      marginal_exact(pot, noise))
+        np.testing.assert_array_equal(f_w, f)
+        # A streamed scan: four batches of 25, the 1-row tail dropped.
+        scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
+        assert scan.samples == 100 and len(scan.values) == 4
+        xs = np.vstack([GaussianNoise(pot.target, pot.cost)
+                        .sample(Rng(34).child(i), 25)[0] for i in range(4)])
+        assert scan.soft_c_mean == pytest.approx(
+            np.mean(soft_c_transform_rows(pot, xs)), abs=1e-12)
+        np.testing.assert_allclose(scan.marginal,
+                                   semidual._column_sums(pot, xs)[0] / 100,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_batch_too_small(self):
         pot = _simple_potential([0.0], [[1.0]])
         with pytest.raises(ValueError):

@@ -4,12 +4,15 @@ import pytest
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
 from sdfm.coupling import oracle_discrete_ot
 from sdfm.numerics import Rng
+from sdfm import semidual, solver
 from sdfm.semidual import (
     DiscreteNoise,
+    GaussianNoise,
     Potential,
     TargetMeasure,
     chi2_exact,
     marginal_exact,
+    semidual_value,
 )
 from sdfm.solver import (
     SolverConfig,
@@ -229,3 +232,85 @@ class TestSolveSdot:
             iterates.append(g.copy())
         expected = gauge_fix(np.mean(iterates[-window:], axis=0), target.weights)
         np.testing.assert_allclose(pot.g, expected, atol=1e-12)
+
+
+class _Rows:
+    """Metrics sink that keeps every logged value by (step, metric)."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def log(self, step, metric, value, wall_ms=0.0):
+        self.rows[(step, metric)] = value
+
+
+class TestOneScanPerCheck:
+    """A check scans the evaluation stream once: the chi-square pass also
+    yields the semidual value and the final marginal diagnostics."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_exact_noise_logs_exact_semidual(self, eps):
+        target, cost, noise = make_enumerated_instance(50, eps=eps)
+        cfg = SolverConfig(base_lr=0.5, constant_phase=30, decay_phase=0,
+                           averaging_window=5, batch=8, tau=1e-12,
+                           check_interval=10)
+        sink = _Rows()
+        pot = solve_sdot(target, cost, cfg, Rng(10), noise=noise, metrics=sink)
+        atoms, w, _ = noise.enumerate()
+        zero = Potential(g=np.zeros(target.n), target=target, cost=cost)
+        assert sink.rows[(0, "semidual")] == semidual_value(zero, atoms, w)
+        assert sink.rows[(30, "semidual")] == semidual_value(pot, atoms, w)
+        m = marginal_exact(pot, noise)
+        assert pot.provenance["final_marginal_linf"] == \
+            target.n * np.max(np.abs(m - target.weights))
+        assert pot.provenance["empty_cell_fraction"] == np.mean(m == 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_gaussian_semidual_is_mean_over_chi2_rows(self, eps):
+        gen = Rng(51).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((12, 2)))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
+        # 200 rows in batches of 64 end on a ragged batch of 8.
+        cfg = SolverConfig(base_lr=0.5, constant_phase=20, decay_phase=0,
+                           averaging_window=5, batch=16, tau=1e-12,
+                           check_interval=20, chi2_batch=64, chi2_total=200)
+        sink = _Rows()
+        rng = Rng(11)
+        pot = solve_sdot(target, cost, cfg, rng, metrics=sink)
+        noise = GaussianNoise(target, cost)
+        zero = Potential(g=np.zeros(target.n), target=target, cost=cost)
+        for k, p in ((0, zero), (20, pot)):
+            # The evaluation stream is rng.child(1); check k draws batch i
+            # from its child(k).child(i).
+            stream = rng.child(1).child(k)
+            x = np.vstack([noise.sample(stream.child(i), min(64, 200 - lo))[0]
+                           for i, lo in enumerate(range(0, 200, 64))])
+            assert sink.rows[(k, "semidual")] == \
+                pytest.approx(semidual_value(p, x), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_one_check_scores_chi2_total_rows(self, eps, monkeypatch):
+        gen = Rng(52).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((10, 2)))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
+        scored, per_check = [], []
+        scores, check = semidual.coupling_scores, solver._chi2_check
+
+        def counting_scores(pot, x, *args, **kwargs):
+            scored.append(np.atleast_2d(x).shape[0])
+            return scores(pot, x, *args, **kwargs)
+
+        def counting_check(*args):
+            before = sum(scored)
+            result = check(*args)
+            per_check.append(sum(scored) - before)
+            return result
+
+        monkeypatch.setattr(semidual, "coupling_scores", counting_scores)
+        monkeypatch.setattr(solver, "_chi2_check", counting_check)
+        cfg = SolverConfig(base_lr=0.5, constant_phase=6, decay_phase=0,
+                           averaging_window=2, batch=16, tau=1e-12,
+                           check_interval=3, chi2_batch=64, chi2_total=256)
+        solve_sdot(target, cost, cfg, Rng(12))
+        assert per_check == [256, 256, 256]  # checks at k = 0, 3, 6
+        assert sum(scored) == 3 * 256 + 6 * 16
