@@ -1,7 +1,7 @@
 PYTHON ?= python3
 OUT := out/toy-2d
 
-.PHONY: test acceptance demos bench bench-smoke toy-2d clean
+.PHONY: test acceptance demos bench bench-trace bench-smoke toy-2d clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -21,6 +21,14 @@ bench:
 	for w in desk-2d highdim-eps; do \
 	    $(PYTHON) perfbench/run.py --workload $$w --seed 9001 --seconds 50 \
 	        --trace 0 || exit 1; \
+	done
+
+# The same runs traced (--trace 1): per-layer call counts, entries and
+# self times, written to .perfbench_out/<workload>-seed9001-trace1.json.
+bench-trace:
+	for w in desk-2d highdim-eps; do \
+	    $(PYTHON) perfbench/run.py --workload $$w --seed 9001 --seconds 50 \
+	        --trace 1 || exit 1; \
 	done
 
 bench-smoke:

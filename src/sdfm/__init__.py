@@ -26,7 +26,6 @@ from .semidual import (
     marginal_estimate,
     semidual_value,
     stochastic_gradient,
-    transport_cost_estimate,
 )
 from .solver import SolverConfig, lr_schedule, smoothness_bound, solve_sdot
 from .coupling import (

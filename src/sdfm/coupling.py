@@ -34,7 +34,6 @@ from .semidual import Potential, TargetMeasure, coupling_scores, score_chunks
 __all__ = [
     "PairBatch",
     "SinkhornError",
-    "UnsupportedOperationError",
     "assign_batch",
     "laguerre_contains",
     "couple_independent",
@@ -57,10 +56,6 @@ class SinkhornError(RuntimeError):
     def __init__(self, msg: str, residual: float):
         super().__init__(msg)
         self.residual = residual
-
-
-class UnsupportedOperationError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -98,8 +93,10 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
     over exact ties; ``eps > 0``: categorical draw from the
     responsibilities. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
-    its noise row, never on the batch size. Streams the scan through the
-    cache-sized score tiles of :func:`~sdfm.semidual.score_chunks` and
+    its noise row, never on the batch size. Streams the scan through
+    :func:`~sdfm.semidual.score_chunks`: one matmul block per read of the
+    support, reduced in L2-sized slabs, so the scan holds at most the
+    larger of 1 MiB and 4 x the support's bytes whatever the batch size. It
     records the mean wall-clock time per pair so pairing overhead can be
     compared across coupling methods on the same harness.
     """
@@ -129,7 +126,7 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
     ``{x : x^T (y_j - y_k) + g_j - g_k >= 0 for all k}``.
     """
     if pot.eps != 0.0 or pot.cost.kind != NEG_DOT:
-        raise UnsupportedOperationError(
+        raise ConfigurationError(
             "Laguerre cells require eps=0 and the neg-dot cost"
         )
     if not 0 <= j < pot.target.n:

@@ -27,10 +27,11 @@ live in the coupling space (the raw rows, or their PCA projection):
 :attr:`Potential.support`, the target embedded once per potential.
 
 The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
-:func:`score_chunks` streams it as cache-sized row tiles through one
-reused buffer, and every reducer (column sums, soft-c transform,
-transport cost, pairing) overwrites each tile in place before taking the
-next, so a scan costs one tile of memory whatever the batch size.
+:func:`score_chunks` fills it one matmul block of rows at a time through
+one reused buffer and yields each block as cache-sized row slabs. Every
+reducer (column sums, soft-c transform, transport cost, pairing)
+overwrites each slab in place before taking the next, so a scan costs
+one block of memory whatever the batch size.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "chi2_estimator",
     "chi2_batches",
     "transport_cost",
-    "transport_cost_estimate",
 ]
 
 
@@ -263,11 +263,21 @@ class DiscreteNoise:
 # ---------------------------------------------------------------------------
 # Kernel evaluations (inputs are raw rows)
 
-# Score tiles hold SCORE_CHUNK_ENTRIES // N whole rows (at least one).
-# 2^17 float64 entries (1 MiB) stay resident in a 2 MiB per-core L2 cache
-# while a reducer makes its passes over the tile; a row is never split
-# (N=65536 is a 512 KiB row), so row reductions need no online merging.
+# Score tiles come in two levels, both of whole rows, so row reductions
+# need no online merging. A reducer sees slabs of SCORE_CHUNK_ENTRIES // N
+# rows (at least one): 2^17 float64 entries (1 MiB) stay resident in a
+# 2 MiB per-core L2 cache while it makes its passes over the slab. One
+# coupling_scores call fills a block of max(slab, 4 d) rows for a
+# d-column support, so each read of the N x d support serves at least 4 d
+# rows. The block buffer holds max(1 MiB, 4 x the support's bytes),
+# whatever the batch size.
 SCORE_CHUNK_ENTRIES = 2**17
+
+
+def _tile_rows(n: int, d: int) -> tuple[int, int]:
+    """``(block, slab)``: rows per matmul block and per reducer slab."""
+    slab = max(1, SCORE_CHUNK_ENTRIES // n)
+    return max(slab, 4 * d), slab
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
@@ -295,19 +305,23 @@ def coupling_scores(pot: Potential, x: np.ndarray,
 def score_chunks(pot: Potential, x: np.ndarray, z: Optional[np.ndarray] = None):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
-    Every reducer of the score block streams through here. All tiles share
-    one buffer of about :data:`SCORE_CHUNK_ENTRIES` entries, allocated once
-    per stream, so a reducer may overwrite a tile in place but must be done
-    with it before asking for the next one.
+    Every reducer of the score block streams through here. One
+    :func:`coupling_scores` call fills a block of rows, which is yielded
+    as L2-sized slabs (see :data:`SCORE_CHUNK_ENTRIES`). All blocks share
+    one buffer, allocated once per stream, of at most the larger of 1 MiB
+    and 4 x the support's bytes, whatever ``len(x)``. A reducer may
+    overwrite a slab in place but must be done with it before asking for
+    the next one.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    step = max(1, SCORE_CHUNK_ENTRIES // pot.target.n)
-    buf = np.empty((min(step, x.shape[0]), pot.target.n))
-    for lo in range(0, x.shape[0], step):
-        hi = min(lo + step, x.shape[0])
-        yield lo, hi, coupling_scores(pot, x[lo:hi],
-                                      None if z is None else z[lo:hi],
-                                      out=buf[:hi - lo])
+    block, slab = _tile_rows(pot.target.n, pot.support.shape[1])
+    buf = np.empty((min(block, x.shape[0]), pot.target.n))
+    for lo in range(0, x.shape[0], block):
+        hi = min(lo + block, x.shape[0])
+        scores = coupling_scores(pot, x[lo:hi], None if z is None else z[lo:hi],
+                                 out=buf[:hi - lo])
+        for s in range(0, hi - lo, slab):
+            yield lo + s, min(lo + s + slab, hi), scores[s:s + slab]
 
 
 def _add_rows(acc: np.ndarray, tile: np.ndarray) -> None:
@@ -555,14 +569,3 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     if weights is None:
         return float(np.mean(per_row))
     return float(np.dot(np.asarray(weights, dtype=np.float64), per_row))
-
-
-def transport_cost_estimate(pot: Potential, rng: Rng, samples: int,
-                            batch: int = 8192, noise=None) -> float:
-    """Monte-Carlo :func:`transport_cost` over fresh noise samples."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    total = 0.0
-    for x, z in _noise_batches(pot, rng, samples, batch, noise):
-        total += transport_cost(pot, x, None, z) * len(x)
-    return total / samples

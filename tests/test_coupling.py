@@ -8,7 +8,6 @@ from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, co
 from sdfm.coupling import (
     CachedMinibatchCoupling,
     SinkhornError,
-    UnsupportedOperationError,
     assign_batch,
     couple_independent,
     couple_minibatch_ot,
@@ -158,7 +157,7 @@ class TestLaguerre:
 
     def test_eps_positive_unsupported(self):
         pot = _pot([0.0], [[1.0]], eps=0.5)
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(ConfigurationError):
             laguerre_contains(pot, 0, np.array([1.0]))
 
 

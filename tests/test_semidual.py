@@ -24,7 +24,6 @@ from sdfm.semidual import (
     soft_c_transform_rows,
     stochastic_gradient,
     transport_cost,
-    transport_cost_estimate,
 )
 
 from conftest import make_enumerated_instance
@@ -390,11 +389,6 @@ class TestTransportCost:
         # Responsibilities approach b, leaving an O(1/eps) KL contribution.
         assert with_kl == pytest.approx(plain, abs=1e-5)
 
-    def test_estimate_runs(self):
-        pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
-        val = transport_cost_estimate(pot, Rng(18), samples=2000, batch=500)
-        assert np.isfinite(val)
-
 
 class TestGaugeFix:
     def test_weighted_mean_removed(self):
@@ -403,6 +397,16 @@ class TestGaugeFix:
         b /= b.sum()
         g = gen.standard_normal(5)
         assert abs(np.dot(b, gauge_fix(g, b))) < 1e-12
+
+
+def _traced_peak(fn, pot, x):
+    """Peak bytes that ``fn(pot, x)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(pot, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestStreamingMemory:
@@ -415,41 +419,74 @@ class TestStreamingMemory:
         tile_bytes = semidual.SCORE_CHUNK_ENTRIES * 8
         rows = semidual.SCORE_CHUNK_ENTRIES // n
 
-        def peak(fn, pot, b_rows):
-            x = gen.standard_normal((b_rows, 2))
-            tracemalloc.start()
-            try:
-                fn(pot, x)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         for eps in (0.0, 0.5):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
                                     gen.standard_normal((n, 2)), eps=eps)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (rows, 16 * rows + 3):
                     bound = 1.5 * tile_bytes + 16 * 8 * (n + b_rows)
-                    got = peak(fn, pot, b_rows)
+                    got = _traced_peak(fn, pot, gen.standard_normal((b_rows, 2)))
                     assert got < bound, (fn.__name__, eps, b_rows, got, bound)
+
+    def test_one_score_call_per_block(self, monkeypatch):
+        # At N=4096, d=32 the block rule binds: 128-row matmul blocks cut
+        # into 32-row slabs. A scan makes one coupling_scores call per
+        # block, and its peak is about one block plus O(N + B) vectors.
+        gen = Rng(34).generator()
+        n, d = 4096, 32
+        block, slab = semidual._tile_rows(n, d)
+        assert (block, slab) == (128, 32)
+        block_bytes = block * n * 8
+        calls = []
+        scores = semidual.coupling_scores
+
+        def counted(pot, x, *args, **kwargs):
+            calls.append(len(x))
+            return scores(pot, x, *args, **kwargs)
+
+        monkeypatch.setattr(semidual, "coupling_scores", counted)
+        for eps in (0.0, 0.5):
+            pot = _simple_potential(gen.standard_normal(n) * 0.1,
+                                    gen.standard_normal((n, d)), eps=eps)
+            for fn in (semidual_value, chi2_estimator):
+                for b_rows in (block, 16 * block + 3):
+                    x = gen.standard_normal((b_rows, d))
+                    calls.clear()
+                    bound = 1.5 * block_bytes + 16 * 8 * (n + b_rows)
+                    got = _traced_peak(fn, pot, x)
+                    assert got < bound, (fn.__name__, eps, b_rows, got, bound)
+                    assert len(calls) == -(-b_rows // block), (fn.__name__, calls)
+                    assert sum(calls) == b_rows
 
 
 class TestScoreTiles:
-    """Reducers give the same results whatever the tile height.
+    """Reducers give the same results whatever the tile heights.
 
-    1-row and ragged tiles take BLAS's matrix-vector or edge kernels,
-    which may round the last bit of a score differently from the
-    matrix-matrix kernel, so float results agree to 1e-12 relative;
-    integer results (eps=0 counts, drawn indices) agree exactly.
+    Tiles come in two levels: matmul blocks, cut into reducer slabs. 1-row
+    and ragged blocks take BLAS's matrix-vector or edge kernels, which may
+    round the last bit of a score differently from the matrix-matrix
+    kernel, so float results agree to 1e-12 relative; integer results
+    (eps=0 counts, drawn indices) agree exactly.
     """
 
     N, B = 500, 300
 
     @pytest.fixture(params=[1, 8, "default", "batch"])
     def tile_rows(self, request, monkeypatch):
+        # Slab heights, with the block rule left as it is.
         if request.param != "default":
             rows = self.B if request.param == "batch" else request.param
             monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", rows * self.N)
+        return request.param
+
+    @pytest.fixture(params=["1", "ragged", "batch"])
+    def block_rows(self, request, monkeypatch):
+        # Block heights set apart from the slab: 1-row blocks; four
+        # 70-row blocks and a ragged 20-row one, in 16-row slabs with a
+        # ragged last slab each; one whole-batch block in 8-row slabs.
+        shape = {"1": (1, 1), "ragged": (70, 16), "batch": (self.B, 8)}
+        block, slab = shape[request.param]
+        monkeypatch.setattr(semidual, "_tile_rows", lambda n, d: (block, slab))
         return request.param
 
     @staticmethod
@@ -472,11 +509,10 @@ class TestScoreTiles:
             "assign": assign_batch(pot, x, Rng(32)).indices,
         }
 
-    @pytest.mark.parametrize("eps", [0.0, 0.4])
-    def test_results_do_not_depend_on_tile_height(self, eps, tile_rows,
-                                                  monkeypatch):
+    def _check_against_one_tile(self, eps, monkeypatch):
         got = self._results(eps)
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", self.B * self.N)
+        monkeypatch.setattr(semidual, "_tile_rows",
+                            lambda n, d: (self.B, self.B))
         ref = self._results(eps)
         np.testing.assert_array_equal(got["assign"], ref["assign"])
         if eps == 0.0:
@@ -487,3 +523,13 @@ class TestScoreTiles:
             np.testing.assert_allclose(got[key], ref[key], rtol=1e-12, atol=0)
         for key in ("chi2", "cost"):
             assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.4])
+    def test_results_do_not_depend_on_tile_height(self, eps, tile_rows,
+                                                  monkeypatch):
+        self._check_against_one_tile(eps, monkeypatch)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.4])
+    def test_results_do_not_depend_on_block_height(self, eps, block_rows,
+                                                   monkeypatch):
+        self._check_against_one_tile(eps, monkeypatch)
