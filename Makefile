@@ -1,7 +1,7 @@
 PYTHON ?= python3
 OUT := out/toy-2d
 
-.PHONY: test acceptance demos bench bench-trace bench-smoke toy-2d clean
+.PHONY: test acceptance demos bench bench-trace bench-smoke check toy-2d clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -33,6 +33,11 @@ bench-trace:
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py
+
+# Tier-1 tests, then the harness smoke test, which also runs the tracer:
+# it looks up package callables and every __all__ entry by name, and
+# tier-1 does not cover that lookup.
+check: test bench-smoke
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics.

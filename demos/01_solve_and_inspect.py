@@ -51,8 +51,8 @@ for k, value in pot.provenance["chi2_history"]:
     print(f"  step {k:>6d}   {value:.5f}")
 
 # The fitted marginal should match the target weights (uniform here).
-est = marginal_estimate(pot, rng.child(2), total_samples=2**16, batch=2**13)
+m = marginal_estimate(pot, rng.child(2), total_samples=2**16, batch=2**13)
 print("\nmarginal check:")
-print("  TV(m, b)       =", f"{0.5 * np.abs(est.m - target.weights).sum():.5f}")
-print("  chi2(m, b)     =", f"{chi2_exact(est.m, target.weights):.5f}")
+print("  TV(m, b)       =", f"{0.5 * np.abs(m - target.weights).sum():.5f}")
+print("  chi2(m, b)     =", f"{chi2_exact(m, target.weights):.5f}")
 print("  potential range=", f"[{pot.g.min():.3f}, {pot.g.max():.3f}]")

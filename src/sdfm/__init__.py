@@ -18,7 +18,6 @@ from .costs import (
 from .semidual import (
     DiscreteNoise,
     GaussianNoise,
-    MarginalEstimate,
     Potential,
     TargetMeasure,
     chi2_estimator,
@@ -29,7 +28,6 @@ from .semidual import (
 )
 from .solver import SolverConfig, lr_schedule, smoothness_bound, solve_sdot
 from .coupling import (
-    CachedMinibatchCoupling,
     PairBatch,
     assign_batch,
     couple_independent,

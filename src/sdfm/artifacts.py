@@ -1,4 +1,10 @@
-"""Typed save/load of package objects on top of the container format."""
+"""Typed save/load of package objects on top of the container format.
+
+Containers written by earlier versions for conditional generation (a
+dataset with a condition per point, a potential of a condition-augmented
+cost, a model with condition inputs) are refused with a
+:class:`~sdfm.container.ContainerError`, never read as unconditional.
+"""
 
 from __future__ import annotations
 
@@ -26,25 +32,28 @@ __all__ = [
 ]
 
 
+def _unsupported(path: str, what: str) -> ContainerError:
+    return ContainerError(f"{path}: {what}; conditional generation is not supported")
+
+
 def save_dataset(path: str, points: np.ndarray, weights=None,
-                 conditions=None, metadata: Optional[dict] = None) -> None:
+                 metadata: Optional[dict] = None) -> None:
     arrays = {"points": np.asarray(points)}
     if weights is not None:
         arrays["weights"] = np.asarray(weights)
-    if conditions is not None:
-        arrays["conditions"] = np.asarray(conditions)
     write_container(path, "dataset", arrays, metadata)
 
 
 def load_dataset(path: str):
-    """Returns ``(points, weights or None, conditions or None, metadata)``."""
+    """Returns ``(points, weights or None, metadata)``."""
     _, meta, arrays = read_container(path, expect_kind="dataset")
     if "points" not in arrays:
         raise ContainerError(f"{path}: dataset container lacks 'points'")
+    if "conditions" in arrays:
+        raise _unsupported(path, "dataset has a condition per point")
     return (
         np.asarray(arrays["points"], dtype=np.float64),
         arrays.get("weights"),
-        arrays.get("conditions"),
         meta,
     )
 
@@ -94,9 +103,10 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
             f"(fingerprint mismatch)"
         )
     cmeta = meta["cost"]
+    if cmeta.get("beta", 0.0) > 0.0:
+        raise _unsupported(path, "potential has a condition-augmented cost")
     cost = CostConfig(
         kind=cmeta["kind"],
-        beta=float(cmeta["beta"]),
         eps_raw=float(cmeta["eps_raw"]),
         eps_effective=float(cmeta["eps_effective"]),
         projection=_projection_from_arrays(arrays, meta),
@@ -108,16 +118,17 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
 
 def save_model(path: str, model: FlowModel, metadata: Optional[dict] = None) -> None:
     meta = dict(metadata or {})
-    meta.update(dim=model.dim, cond_dim=model.cond_dim, sizes=model.sizes)
+    meta.update(dim=model.dim, sizes=model.sizes)
     write_container(path, "model", {"theta": model.get_theta()}, meta)
 
 
 def load_model(path: str) -> FlowModel:
     _, meta, arrays = read_container(path, expect_kind="model")
+    if meta.get("cond_dim", 0):
+        raise _unsupported(path, "model takes condition inputs")
     sizes = [int(s) for s in meta["sizes"]]
     hidden = tuple(sizes[1:-1])
-    model = FlowModel(dim=int(meta["dim"]), hidden=hidden,
-                      cond_dim=int(meta["cond_dim"]))
+    model = FlowModel(dim=int(meta["dim"]), hidden=hidden)
     model.set_theta(arrays["theta"])
     return model
 
@@ -128,8 +139,6 @@ def save_pairs(path: str, batch: PairBatch, metadata: Optional[dict] = None) -> 
         "noise": batch.noise,
         "points": batch.points,
     }
-    if batch.conditions is not None:
-        arrays["conditions"] = batch.conditions
     meta = dict(metadata or {})
     meta.update(provenance=batch.provenance, time_per_pair=batch.time_per_pair)
     write_container(path, "pairs", arrays, meta)

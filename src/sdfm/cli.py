@@ -72,44 +72,28 @@ def _fail(message: str, code: int) -> int:
 # Shared loading helpers
 
 def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
-    points, weights, conditions, _ = artifacts.load_dataset(data_path)
-    target = TargetMeasure.from_points(points, weights, conditions)
+    points, weights, _ = artifacts.load_dataset(data_path)
+    target = TargetMeasure.from_points(points, weights)
     return artifacts.load_potential(pot_path, target)
 
 
-def _load_unconditional_model(path: str) -> FlowModel:
-    model = artifacts.load_model(path)
-    if model.cond_dim:
-        raise UsageError(f"{path}: conditional models need --condition "
-                         "support, which no command has yet")
-    return model
-
-
-def _resolve_cost(args, points, conditions, rng: Rng):
+def _resolve_cost(args, points, rng: Rng):
     kind = NEG_DOT if args.cost == "negdot" else SQ_EUCLIDEAN
     if args.eps == 0.0 and kind != NEG_DOT:
         raise ConfigurationError(
             "eps=0 requires the neg-dot cost (distinct-point geometry)"
         )
-    beta = args.beta
-    if beta > 0.0 and conditions is None:
-        raise ConfigurationError("--beta > 0 requires a conditional dataset")
     projection = None
     if args.pca:
         projection = fit_pca(points, int(args.pca), rng.child(11))
-    cfg = CostConfig(kind=kind, beta=beta, eps_raw=float(args.eps),
-                     projection=projection)
+    cfg = CostConfig(kind=kind, eps_raw=float(args.eps), projection=projection)
     if args.eps > 0.0 and not args.no_eps_rescale:
         gen = rng.child(12).generator()
         n_ref = min(REFERENCE_BATCH_SIZE, len(points))
         noise_ref = gen.standard_normal((n_ref, points.shape[1]))
         data_idx = gen.choice(len(points), size=n_ref, replace=False) \
             if len(points) >= n_ref else gen.integers(0, len(points), n_ref)
-        zx = zy = None
-        if beta > 0.0:
-            zy = conditions[data_idx]
-            zx = conditions[gen.integers(0, len(points), n_ref)]
-        std = estimate_cost_std(cfg, noise_ref, points[data_idx], zx, zy)
+        std = estimate_cost_std(cfg, noise_ref, points[data_idx])
         cfg = cfg.with_rescaled_eps(std)
     return cfg
 
@@ -119,9 +103,9 @@ def _resolve_cost(args, points, conditions, rng: Rng):
 
 def cmd_solve(args) -> int:
     rng = Rng(args.seed)
-    points, weights, conditions, _ = artifacts.load_dataset(args.data)
-    cost = _resolve_cost(args, points, conditions, rng)
-    target = TargetMeasure.from_points(points, weights, conditions)
+    points, weights, _ = artifacts.load_dataset(args.data)
+    cost = _resolve_cost(args, points, rng)
+    target = TargetMeasure.from_points(points, weights)
 
     cfg = SolverConfig(tau=args.tau).scaled(args.iters)
     if args.optimizer:
@@ -187,7 +171,7 @@ def cmd_assign(args) -> int:
 
 def cmd_train(args) -> int:
     rng = Rng(args.seed)
-    points, weights, conditions, _ = artifacts.load_dataset(args.data)
+    points, weights, _ = artifacts.load_dataset(args.data)
     if args.coupling == "sd":
         if not args.potential:
             raise UsageError("--coupling sd requires --potential")
@@ -195,7 +179,7 @@ def cmd_train(args) -> int:
         target = pot.target
         coupling = SDCoupling(pot)
     else:
-        target = TargetMeasure.from_points(points, weights, conditions)
+        target = TargetMeasure.from_points(points, weights)
         if args.coupling == "independent":
             coupling = IndependentCoupling(target)
         elif args.coupling in ("minibatch-sinkhorn", "minibatch-hungarian"):
@@ -205,9 +189,8 @@ def cmd_train(args) -> int:
             coupling = MinibatchOTCoupling(target, cost, eps, method)
         else:
             raise UsageError(f"unknown coupling {args.coupling!r}")
-    cond_dim = 0 if conditions is None else conditions.shape[1]
     model = FlowModel(dim=points.shape[1], hidden=tuple(args.hidden),
-                      cond_dim=cond_dim, rng=rng.child(100))
+                      rng=rng.child(100))
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
     with MetricsWriter(args.out + ".metrics.csv",
                        args.out + ".metrics.json") as metrics:
@@ -224,7 +207,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model = _load_unconditional_model(args.model)
+    model = artifacts.load_model(args.model)
     x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
     traj = integrate(model, x0, method=args.solver, steps=args.steps)
     # One step has no curvature; JSON null keeps the sidecar strict JSON.
@@ -240,8 +223,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_guide(args) -> int:
-    model1 = _load_unconditional_model(args.model1)
-    model2 = _load_unconditional_model(args.model2)
+    model1 = artifacts.load_model(args.model1)
+    model2 = artifacts.load_model(args.model2)
     if model1.dim != model2.dim:
         raise UsageError("guidance models must share the data dimension")
     cfg = GuidanceConfig(gamma=args.gamma, replicas=args.replicas,
@@ -303,7 +286,7 @@ def cmd_eval(args) -> int:
             )
         report["w2"] = empirical_w2(a, b)
     if args.model:
-        model = _load_unconditional_model(args.model)
+        model = artifacts.load_model(args.model)
         x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
         traj = integrate(model, x0, method=args.solver, steps=args.steps)
         report["curvature"] = curvature(traj)
@@ -332,7 +315,7 @@ def _toy_two_atoms(n, d, rng):
     pts = np.zeros((2, max(d, 1)))
     pts[0, 0] = 1.0
     pts[1, 0] = -1.0
-    return pts, None, None
+    return pts, None
 
 
 @_toy("eight-gaussians")
@@ -344,12 +327,12 @@ def _toy_eight_gaussians(n, d, rng):
     centers = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     which = gen.integers(0, 8, size=n)
     pts = centers[which] + 0.3 * gen.standard_normal((n, 2))
-    return pts, None, None
+    return pts, None
 
 
 @_toy("gaussian-blob")
 def _toy_gaussian_blob(n, d, rng):
-    return rng.generator().standard_normal((n, d)), None, None
+    return rng.generator().standard_normal((n, d)), None
 
 
 def cmd_dataset(args) -> int:
@@ -358,8 +341,8 @@ def cmd_dataset(args) -> int:
             f"unknown dataset {args.name!r}; choose from {sorted(_TOY_BUILDERS)}"
         )
     rng = Rng(args.seed)
-    points, weights, conditions = _TOY_BUILDERS[args.name](args.n, args.d, rng)
-    artifacts.save_dataset(args.out, points, weights, conditions,
+    points, weights = _TOY_BUILDERS[args.name](args.n, args.d, rng)
+    artifacts.save_dataset(args.out, points, weights,
                            {"name": args.name, "seed": args.seed})
     print(f"dataset: name={args.name} n={len(points)} d={points.shape[1]} "
           f"out={args.out}")
@@ -383,7 +366,6 @@ def build_parser() -> _Parser:
     s.add_argument("--batch", type=int, default=256)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--pca", type=int)
-    s.add_argument("--beta", type=float, default=0.0)
     s.add_argument("--cost", choices=["negdot", "sqeuclid"], default="negdot")
     s.add_argument("--no-eps-rescale", action="store_true")
     s.add_argument("--chi2-samples", type=int)

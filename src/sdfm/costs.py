@@ -1,16 +1,12 @@
-"""Cost functions between noise and data, conditional augmentation, and PCA.
+"""Cost functions between noise and data, and PCA.
 
-The ground cost between augmented points ``(x, z)`` and ``(x', z')`` is
-
-    c((x, z), (x', z')) = c_X(x, x') + beta * ||z - z'||^2
-
-with ``c_X`` either the negative dot product or the squared Euclidean
-distance, evaluated in the coupling space: the raw ``x`` rows, or their
-PCA projection when the cost carries one. :meth:`CostConfig.embed` is the
-one place that maps raw rows into that space; conditions are never
-projected. The effective entropic regularization is
-the raw value rescaled by the standard deviation of a reference cost
-matrix, so that one ``eps`` knob means the same thing across datasets.
+The ground cost ``c(x, y)`` is either the negative dot product or the
+squared Euclidean distance, evaluated in the coupling space: the raw
+rows, or their PCA projection when the cost carries one.
+:meth:`CostConfig.embed` is the one place that maps raw rows into that
+space. The effective entropic regularization is the raw value rescaled
+by the standard deviation of a reference cost matrix, so that one
+``eps`` knob means the same thing across datasets.
 """
 
 from __future__ import annotations
@@ -40,6 +36,11 @@ SQ_EUCLIDEAN = "sq-euclidean"
 # Size of the fixed reference batch used to rescale eps by the cost std,
 # drawn once per run from a dedicated RNG stream.
 REFERENCE_BATCH_SIZE = 1024
+
+# cost_matrix adds the squared norms to at most this many entries of its
+# output at a time (256 KiB of float64), so its one temporary stays small
+# next to a caller's score block.
+_NORM_CHUNK_ENTRIES = 2**15
 
 # Randomized PCA: subspace-iteration passes and extra probe vectors.
 _PCA_POWER_ITERS = 8
@@ -89,7 +90,7 @@ class ProjectionMatrix:
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Cost kind, conditional temperature, and effective regularization.
+    """Cost kind, projection, and effective regularization.
 
     ``eps_effective`` is ``eps_raw`` times the reference cost std (see
     :func:`estimate_cost_std`); construction leaves it equal to
@@ -97,7 +98,6 @@ class CostConfig:
     """
 
     kind: str = NEG_DOT
-    beta: float = 0.0
     eps_raw: float = 0.0
     eps_effective: float | None = None
     projection: Optional[ProjectionMatrix] = None
@@ -106,8 +106,8 @@ class CostConfig:
     def __post_init__(self):
         if self.kind not in (NEG_DOT, SQ_EUCLIDEAN):
             raise ConfigurationError(f"unknown cost kind {self.kind!r}")
-        if self.beta < 0 or self.eps_raw < 0:
-            raise ConfigurationError("beta and eps_raw must be >= 0")
+        if self.eps_raw < 0:
+            raise ConfigurationError("eps_raw must be >= 0")
         if self.eps_effective is None:
             object.__setattr__(self, "eps_effective", float(self.eps_raw))
 
@@ -132,7 +132,6 @@ class CostConfig:
     def metadata(self) -> dict:
         return {
             "kind": self.kind,
-            "beta": self.beta,
             "eps_raw": self.eps_raw,
             "eps_effective": self.eps_effective,
             "cost_std": self.cost_std,
@@ -140,51 +139,38 @@ class CostConfig:
         }
 
 
-def _base_cost_matrix(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def cost_matrix(cfg: CostConfig, x: np.ndarray, y: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Full ``(n, m)`` cost matrix between coupling-space rows ``x`` and ``y``.
+
+    The rows are already embedded (see :meth:`CostConfig.embed`). Written
+    to ``out`` (shape ``(n, m)``) when given, else to a fresh array; no
+    other temporary is larger than the squares of ``x`` and ``y`` and
+    :data:`_NORM_CHUNK_ENTRIES` entries.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise ConfigurationError(
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
         )
-    if kind == NEG_DOT:
-        return -(x @ y.T)
+    out = np.matmul(x, y.T, out=out)
+    if cfg.kind == NEG_DOT:
+        return np.negative(out, out=out)
+    # -2 x.y + (|x_i|^2 + |y_j|^2) in row groups: the same bits as
+    # (|x|^2 + |y|^2) - 2 x.y, without a second (n, m) array.
+    out *= -2.0
     sq_x = np.sum(x * x, axis=1)[:, None]
-    sq_y = np.sum(y * y, axis=1)[None, :]
-    out = sq_x + sq_y - 2.0 * (x @ y.T)
+    sq_y = np.sum(y * y, axis=1)
+    step = max(1, _NORM_CHUNK_ENTRIES // len(sq_y))
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] += sq_x[lo:lo + step] + sq_y
     np.maximum(out, 0.0, out=out)
     return out
 
 
-def cost_matrix(
-    cfg: CostConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    zx: Optional[np.ndarray] = None,
-    zy: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Full ``(n, m)`` cost matrix between two batches of augmented points.
-
-    ``x`` and ``y`` are coupling-space rows (see :meth:`CostConfig.embed`);
-    conditions enter unprojected with weight ``beta``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    out = _base_cost_matrix(cfg.kind, x, y)
-    if cfg.beta > 0.0:
-        if zx is None or zy is None:
-            raise ConfigurationError("beta > 0 requires conditions on both sides")
-        zx = np.atleast_2d(np.asarray(zx, dtype=np.float64))
-        zy = np.atleast_2d(np.asarray(zy, dtype=np.float64))
-        out = out + cfg.beta * _base_cost_matrix(SQ_EUCLIDEAN, zx, zy)
-    return out
-
-
-def estimate_cost_std(
-    cfg: CostConfig,
-    noise_batch: np.ndarray,
-    data_batch: np.ndarray,
-    noise_conditions: Optional[np.ndarray] = None,
-    data_conditions: Optional[np.ndarray] = None,
-) -> float:
+def estimate_cost_std(cfg: CostConfig, noise_batch: np.ndarray,
+                      data_batch: np.ndarray) -> float:
     """Sample std (ddof=1) of the cost matrix entries between raw batches.
 
     Exact over all ``n*m`` entries, evaluated in coupling space. Returns 0
@@ -195,8 +181,7 @@ def estimate_cost_std(
     data_batch = np.atleast_2d(np.asarray(data_batch, dtype=np.float64))
     if noise_batch.shape[0] * data_batch.shape[0] < 2:
         raise ConfigurationError("need at least 2 cost entries to estimate a std")
-    c = cost_matrix(cfg, cfg.embed(noise_batch), cfg.embed(data_batch),
-                    noise_conditions, data_conditions)
+    c = cost_matrix(cfg, cfg.embed(noise_batch), cfg.embed(data_batch))
     return float(np.std(c, ddof=1))
 
 

@@ -4,9 +4,7 @@ The production path is :func:`assign_batch`: an O(N d) scan over the
 target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a maximum inner
 product search with a ``b``-weighted draw over ties; for ``eps > 0`` it
 is a categorical draw from the responsibilities. Baselines cover the
-independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian),
-including the cached variant that precomputes pairings for many batches
-while storing only RNG streams and index arrays.
+independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian).
 
 :func:`oracle_discrete_ot` is the test oracle: dense log-domain Sinkhorn
 for ``eps > 0``, the exact transport LP for ``eps = 0``.
@@ -38,7 +36,6 @@ __all__ = [
     "laguerre_contains",
     "couple_independent",
     "couple_minibatch_ot",
-    "CachedMinibatchCoupling",
     "sinkhorn_log",
     "hungarian",
     "oracle_discrete_ot",
@@ -65,7 +62,6 @@ class PairBatch:
     noise: np.ndarray  # (B, d) raw noise
     indices: np.ndarray  # (B,) into the target support
     points: np.ndarray  # (B, d) raw dataset rows of the indices
-    conditions: Optional[np.ndarray] = None  # (B, p)
     provenance: str = INDEPENDENT
     time_per_pair: Optional[float] = None  # seconds
 
@@ -80,13 +76,11 @@ class PairBatch:
 
 def _resolve(target: TargetMeasure, noise: np.ndarray, idx: np.ndarray,
              provenance: str, tpp: float | None = None) -> PairBatch:
-    cond = target.conditions[idx] if target.conditions is not None else None
     return PairBatch(noise=noise, indices=idx, points=target.points[idx],
-                     conditions=cond, provenance=provenance, time_per_pair=tpp)
+                     provenance=provenance, time_per_pair=tpp)
 
 
-def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
-                 z: Optional[np.ndarray] = None) -> PairBatch:
+def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> PairBatch:
     """Pair each raw noise row with a target index by the O(N) scan.
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
@@ -106,7 +100,7 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng,
     log_b = pot.target.log_weights
     u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
-    for lo, hi, scores in score_chunks(pot, noise, z):
+    for lo, hi, scores in score_chunks(pot, noise):
         if pot.eps == 0.0:
             part, tie_rows, tie_weights = argmax_with_ties(scores, b)
             part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
@@ -266,13 +260,7 @@ def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
     t0 = time.perf_counter()
     gen = rng.generator()
     data_idx = gen.choice(target.n, size=n, p=target.weights)
-    zt = zn = None
-    if cost.beta > 0.0:
-        zt = target.conditions[data_idx]
-        # Noise conditions are an independent draw from the condition marginal.
-        zn = target.conditions[gen.choice(target.n, size=n, p=target.weights)]
-    c = cost_matrix(cost, cost.embed(noise), cost.embed(target.points[data_idx]),
-                    zn, zt)
+    c = cost_matrix(cost, cost.embed(noise), cost.embed(target.points[data_idx]))
     if n == 1:
         local = np.zeros(1, dtype=np.int64)
     elif method == "hungarian":
@@ -290,42 +278,6 @@ def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
     tpp = (time.perf_counter() - t0) / max(n, 1)
     prov = MINIBATCH_HUNGARIAN if method == "hungarian" else MINIBATCH_SINKHORN
     return _resolve(target, noise, idx, prov, tpp)
-
-
-class CachedMinibatchCoupling:
-    """Precomputed minibatch OT pairings (the cached baseline).
-
-    Stores one RNG stream id plus one index array per batch, never the
-    raw noise: replaying the stream regenerates the noise bit-exactly.
-    """
-
-    def __init__(self, target: TargetMeasure, cost: CostConfig, eps: float,
-                 rng: Rng, n: int, num_batches: int, method: str = "sinkhorn"):
-        self.target = target
-        self.cost = cost
-        self.n = n
-        self._streams = []
-        self._indices = []
-        self.precompute_seconds = 0.0
-        t0 = time.perf_counter()
-        for ell in range(num_batches):
-            noise_rng = rng.child(2 * ell)
-            pair_rng = rng.child(2 * ell + 1)
-            noise = noise_rng.generator().standard_normal((n, target.dim))
-            batch = couple_minibatch_ot(target, noise, cost, eps, pair_rng,
-                                        method)
-            self._streams.append(noise_rng)
-            self._indices.append(batch.indices)
-        self.precompute_seconds = time.perf_counter() - t0
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def batch(self, ell: int) -> PairBatch:
-        noise_rng = self._streams[ell]
-        noise = noise_rng.generator().standard_normal((self.n, self.target.dim))
-        return _resolve(self.target, noise, self._indices[ell], "minibatch-cached",
-                        self.precompute_seconds / max(len(self) * self.n, 1))
 
 
 # ---------------------------------------------------------------------------

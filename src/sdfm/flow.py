@@ -1,6 +1,6 @@
 """Toy flow-matching laboratory.
 
-A small fully-connected velocity field ``v(t, x[, z])`` with exact
+A small fully-connected velocity field ``v(t, x)`` with exact
 reverse-mode gradients, the regression loss on pair displacements along
 the linear interpolant, a coupling-parameterized training loop, fixed
 step ODE samplers, the chord-deviation curvature metric, score recovery
@@ -69,16 +69,15 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
 class FlowModel:
     """MLP velocity field with explicit parameters and exact backprop.
 
-    Input is ``concat(x, t[, z])``; hidden layers use tanh; the output
+    Input is ``concat(x, t)``; hidden layers use tanh; the output
     layer is linear with dimension ``dim``. Parameters are exposed as one
     flat float64 vector (``theta``) to keep optimizers and tests simple.
     """
 
-    def __init__(self, dim: int, hidden=(128, 128, 128), cond_dim: int = 0,
+    def __init__(self, dim: int, hidden=(128, 128, 128),
                  rng: Optional[Rng] = None):
         self.dim = int(dim)
-        self.cond_dim = int(cond_dim)
-        self.sizes = [self.dim + 1 + self.cond_dim, *hidden, self.dim]
+        self.sizes = [self.dim + 1, *hidden, self.dim]
         gen = (rng or Rng(0)).generator()
         self.weights = []
         self.biases = []
@@ -112,7 +111,6 @@ class FlowModel:
     def copy(self) -> "FlowModel":
         out = FlowModel.__new__(FlowModel)
         out.dim = self.dim
-        out.cond_dim = self.cond_dim
         out.sizes = list(self.sizes)
         out.weights = [w.copy() for w in self.weights]
         out.biases = [b.copy() for b in self.biases]
@@ -120,16 +118,11 @@ class FlowModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def _inputs(self, t, x, z=None) -> np.ndarray:
+    def _inputs(self, t, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
                                 (x.shape[0], 1))
-        parts = [x, t_col]
-        if self.cond_dim:
-            if z is None:
-                raise ValueError("conditional model requires z")
-            parts.append(np.atleast_2d(np.asarray(z, dtype=np.float64)))
-        return np.concatenate(parts, axis=1)
+        return np.concatenate([x, t_col], axis=1)
 
     def _forward(self, inp: np.ndarray):
         acts = [inp]
@@ -140,10 +133,10 @@ class FlowModel:
         out = h @ self.weights[-1] + self.biases[-1]
         return out, acts
 
-    def velocity(self, t, x, z=None) -> np.ndarray:
-        """Evaluate ``v(t, x[, z])`` for a batch (or single point)."""
+    def velocity(self, t, x) -> np.ndarray:
+        """Evaluate ``v(t, x)`` for a batch (or single point)."""
         single = np.asarray(x).ndim == 1
-        out, _ = self._forward(self._inputs(t, x, z))
+        out, _ = self._forward(self._inputs(t, x))
         return out[0] if single else out
 
     __call__ = velocity
@@ -186,7 +179,7 @@ def fm_loss_and_grad(model: FlowModel, pairs: PairBatch, t=None,
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
     xt = interpolate(x0, x1, t)
-    inp = model._inputs(t, xt, pairs.conditions)
+    inp = model._inputs(t, xt)
     out, acts = model._forward(inp)
     residual = (x1 - x0) - out
     loss = float(np.mean(np.sum(residual**2, axis=1)))
@@ -333,13 +326,13 @@ def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
     return rng.generator().standard_normal((count, dim))
 
 
-def integrate(model, x0: np.ndarray, cond=None, method: str = "euler",
+def integrate(model, x0: np.ndarray, method: str = "euler",
               steps: int = 8, t_max: float = 1.0) -> Trajectory:
     """Integrate the flow ODE on a uniform grid with ``steps`` steps.
 
-    ``model`` is any callable ``v(t, X) -> (B, d)`` (conditional models
-    receive ``cond`` as a keyword). Euler uses one evaluation per step;
-    rk4 uses four. ``t_max < 1`` supports score-time evaluation.
+    ``model`` is any callable ``v(t, X) -> (B, d)``. Euler uses one
+    evaluation per step; rk4 uses four. ``t_max < 1`` supports score-time
+    evaluation.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
@@ -349,22 +342,16 @@ def integrate(model, x0: np.ndarray, cond=None, method: str = "euler",
     states = np.empty((steps + 1, *x.shape))
     vels = np.empty((steps, *x.shape))
     states[0] = x
-
-    def f(t, state):
-        if cond is not None:
-            return model(t, state, cond)
-        return model(t, state)
-
     for i in range(steps):
         t = times[i]
-        k1 = f(t, x)
+        k1 = model(t, x)
         vels[i] = k1
         if method == "euler":
             x = x + dt * k1
         elif method == "rk4":
-            k2 = f(t + dt / 2, x + dt / 2 * k1)
-            k3 = f(t + dt / 2, x + dt / 2 * k2)
-            k4 = f(t + dt, x + dt * k3)
+            k2 = model(t + dt / 2, x + dt / 2 * k1)
+            k3 = model(t + dt / 2, x + dt / 2 * k2)
+            k4 = model(t + dt, x + dt * k3)
             x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         else:
             raise ConfigurationError(f"unknown solver {method!r}")

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costs import ConfigurationError, CostConfig, cost_matrix
+from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
 from .numerics import (
     Rng,
     argmax_with_ties,
@@ -55,7 +55,6 @@ from .numerics import (
 __all__ = [
     "TargetMeasure",
     "Potential",
-    "MarginalEstimate",
     "GaussianNoise",
     "DiscreteNoise",
     "gauge_fix",
@@ -73,29 +72,29 @@ __all__ = [
 ]
 
 
-def _fingerprint(*arrays: Optional[np.ndarray]) -> str:
+def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     h = hashlib.sha256()
-    for a in arrays:
-        if a is None:
-            h.update(b"\x00none")
-        else:
-            a = np.ascontiguousarray(a)
-            h.update(str(a.shape).encode())
-            h.update(a.tobytes())
+    for a in (points, weights):
+        a = np.ascontiguousarray(a)
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    # Trailing marker of the empty per-point-condition slot that earlier
+    # versions hashed: every stored potential still binds to its dataset.
+    h.update(b"\x00none")
     return h.hexdigest()
 
 
 @dataclass(frozen=True)
 class TargetMeasure:
-    """Discrete target: raw dataset points, weights and optional conditions.
+    """Discrete target: raw dataset points and their weights.
 
     Pairing resolves indices to these rows; the scores see them through
-    :attr:`Potential.support`.
+    :attr:`Potential.support`. The fingerprint hashes both arrays and
+    binds stored potentials to their dataset.
     """
 
     points: np.ndarray  # (N, d)
     weights: np.ndarray  # (N,), strictly positive, sums to 1
-    conditions: Optional[np.ndarray] = None  # (N, p)
     fingerprint: str = ""
 
     def __post_init__(self):
@@ -103,11 +102,6 @@ class TargetMeasure:
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
-        if self.conditions is not None:
-            cond = np.atleast_2d(np.asarray(self.conditions, dtype=np.float64))
-            object.__setattr__(self, "conditions", cond)
-            if cond.shape[0] != points.shape[0]:
-                raise ConfigurationError("conditions must have one row per point")
         if weights.shape != (points.shape[0],):
             raise ConfigurationError("weights must have one entry per point")
         if np.any(weights <= 0.0):
@@ -115,12 +109,10 @@ class TargetMeasure:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
         if not self.fingerprint:
-            object.__setattr__(
-                self, "fingerprint", _fingerprint(points, weights, self.conditions)
-            )
+            object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
 
     @classmethod
-    def from_points(cls, points, weights=None, conditions=None) -> "TargetMeasure":
+    def from_points(cls, points, weights=None) -> "TargetMeasure":
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = points.shape[0]
         if weights is None:
@@ -128,7 +120,7 @@ class TargetMeasure:
         else:
             weights = np.asarray(weights, dtype=np.float64)
             weights = weights / weights.sum()
-        return cls(points=points, weights=weights, conditions=conditions)
+        return cls(points=points, weights=weights)
 
     @property
     def n(self) -> int:
@@ -186,45 +178,19 @@ def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g - float(np.dot(b, g))
 
 
-@dataclass(frozen=True)
-class MarginalEstimate:
-    """Monte-Carlo estimate of the second marginal ``m(g)``."""
-
-    m: np.ndarray
-    samples: int
-    std_error: float  # proxy: max_j sqrt(m_j (1 - m_j) / samples)
-
-    def __post_init__(self):
-        if abs(self.m.sum() - 1.0) > 1e-10:
-            raise ValueError("marginal estimate must sum to 1")
-
-
 # ---------------------------------------------------------------------------
 # Noise sources
 
 class GaussianNoise:
-    """Standard normal noise in the target's raw space.
-
-    With ``beta > 0`` each sample also carries a condition drawn from the
-    target's condition marginal.
-    """
+    """Standard normal noise in the target's raw space."""
 
     exact = False
 
-    def __init__(self, target: TargetMeasure, cost: CostConfig):
+    def __init__(self, target: TargetMeasure):
         self.target = target
-        self.cost = cost
-        if cost.beta > 0.0 and target.conditions is None:
-            raise ConfigurationError("beta > 0 requires a conditional target")
 
-    def sample(self, rng: Rng, n: int):
-        gen = rng.generator()
-        x = gen.standard_normal((n, self.target.dim))
-        z = None
-        if self.cost.beta > 0.0:
-            idx = gen.choice(self.target.n, size=n, p=self.target.weights)
-            z = self.target.conditions[idx]
-        return x, z
+    def sample(self, rng: Rng, n: int) -> np.ndarray:
+        return rng.generator().standard_normal((n, self.target.dim))
 
     def enumerate(self):
         return None
@@ -238,7 +204,7 @@ class DiscreteNoise:
     weight, preserving the stochastic behaviour on a finite instance.
     """
 
-    def __init__(self, atoms, weights=None, conditions=None, exact: bool = False):
+    def __init__(self, atoms, weights=None, exact: bool = False):
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
         m = self.atoms.shape[0]
         if weights is None:
@@ -246,18 +212,14 @@ class DiscreteNoise:
         else:
             self.weights = np.asarray(weights, dtype=np.float64)
             self.weights = self.weights / self.weights.sum()
-        self.conditions = None
-        if conditions is not None:
-            self.conditions = np.atleast_2d(np.asarray(conditions, dtype=np.float64))
         self.exact = bool(exact)
 
-    def sample(self, rng: Rng, n: int):
+    def sample(self, rng: Rng, n: int) -> np.ndarray:
         idx = rng.generator().choice(self.atoms.shape[0], size=n, p=self.weights)
-        z = self.conditions[idx] if self.conditions is not None else None
-        return self.atoms[idx], z
+        return self.atoms[idx]
 
     def enumerate(self):
-        return self.atoms, self.weights, self.conditions
+        return self.atoms, self.weights
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +243,6 @@ def _tile_rows(n: int, d: int) -> tuple[int, int]:
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
-                    z: Optional[np.ndarray] = None,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Score matrix ``g_j - c(x_i, y_j)`` for raw noise rows ``x``.
 
@@ -290,19 +251,16 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     when given, else to a fresh array.
     """
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    zt = pot.target.conditions if pot.cost.beta > 0.0 else None
-    if pot.cost.beta > 0.0 and z is None:
-        raise ConfigurationError("conditional cost requires noise conditions")
-    if pot.cost.kind == "neg-dot" and pot.cost.beta == 0.0:
+    if pot.cost.kind == NEG_DOT:
         # Fused hot path: one matmul plus an in-place shift.
         scores = np.matmul(x, pot.support.T, out=out)
         scores += pot.g
         return scores
-    c = cost_matrix(pot.cost, x, pot.support, z, zt)
-    return np.subtract(pot.g, c, out=c if out is None else out)
+    c = cost_matrix(pot.cost, x, pot.support, out=out)
+    return np.subtract(pot.g, c, out=c)
 
 
-def score_chunks(pot: Potential, x: np.ndarray, z: Optional[np.ndarray] = None):
+def score_chunks(pot: Potential, x: np.ndarray):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
     Every reducer of the score block streams through here. One
@@ -318,8 +276,7 @@ def score_chunks(pot: Potential, x: np.ndarray, z: Optional[np.ndarray] = None):
     buf = np.empty((min(block, x.shape[0]), pot.target.n))
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
-        scores = coupling_scores(pot, x[lo:hi], None if z is None else z[lo:hi],
-                                 out=buf[:hi - lo])
+        scores = coupling_scores(pot, x[lo:hi], out=buf[:hi - lo])
         for s in range(0, hi - lo, slab):
             yield lo + s, min(lo + s + slab, hi), scores[s:s + slab]
 
@@ -335,8 +292,7 @@ def _add_rows(acc: np.ndarray, tile: np.ndarray) -> None:
 
 
 def _column_sums(pot: Potential, x: np.ndarray,
-                 weights: Optional[np.ndarray] = None,
-                 z: Optional[np.ndarray] = None, squares: bool = False,
+                 weights: Optional[np.ndarray] = None, squares: bool = False,
                  soft_c: Optional[np.ndarray] = None):
     """Column sums of the responsibilities of rows ``x`` (row-weighted by
     ``weights`` if given) and, with ``squares``, the column sums of their
@@ -353,7 +309,7 @@ def _column_sums(pot: Potential, x: np.ndarray,
         weights = np.asarray(weights, dtype=np.float64)
     col_sum, col_sq = np.zeros(n), np.zeros(n)
     first = np.empty(n) if squares else None
-    for lo, hi, scores in score_chunks(pot, x, z):
+    for lo, hi, scores in score_chunks(pot, x):
         w = None if weights is None else weights[lo:hi]
         f = None if soft_c is None else soft_c[lo:hi]
         if pot.eps == 0.0:
@@ -377,7 +333,7 @@ def _column_sums(pot: Potential, x: np.ndarray,
 
 def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
                    noise=None):
-    """Yield ``(x, z)`` for ``total`` noise draws in batches of ``batch``.
+    """Yield ``total`` noise rows in batches of ``batch``.
 
     Batch ``k`` draws from ``rng.child(k)``, so every estimate is a pure
     function of ``(rng, total, batch)``. ``noise`` defaults to Gaussian.
@@ -385,13 +341,12 @@ def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
     if batch < 1:
         raise ConfigurationError("batch must be >= 1")
     if noise is None:
-        noise = GaussianNoise(pot.target, pot.cost)
+        noise = GaussianNoise(pot.target)
     for k, lo in enumerate(range(0, total, batch)):
         yield noise.sample(rng.child(k), min(batch, total - lo))
 
 
-def soft_c_transform_rows(pot: Potential, x: np.ndarray,
-                          z: Optional[np.ndarray] = None) -> np.ndarray:
+def soft_c_transform_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Soft-c transform ``f_{g,eps}(x_i)`` of each raw noise row.
 
     ``eps > 0``: ``-eps log sum_j b_j exp((g_j - c(x, y_j))/eps)``;
@@ -401,7 +356,7 @@ def soft_c_transform_rows(pot: Potential, x: np.ndarray,
     eps = pot.eps
     log_b = pot.target.log_weights
     out = np.empty(x.shape[0])
-    for lo, hi, scores in score_chunks(pot, x, z):
+    for lo, hi, scores in score_chunks(pot, x):
         if eps == 0.0:
             out[lo:hi] = -scores.max(axis=1)
             continue
@@ -410,22 +365,20 @@ def soft_c_transform_rows(pot: Potential, x: np.ndarray,
     return out
 
 
-def responsibilities_rows(pot: Potential, x: np.ndarray,
-                          z: Optional[np.ndarray] = None) -> np.ndarray:
+def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
-    scores = coupling_scores(pot, x, z)
+    scores = coupling_scores(pot, x)
     return softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
 
 
 def semidual_value(pot: Potential, noise_batch: np.ndarray,
-                   weights: Optional[np.ndarray] = None,
-                   z: Optional[np.ndarray] = None) -> float:
+                   weights: Optional[np.ndarray] = None) -> float:
     """Estimate of ``F_eps(g) = E[f_{g,eps}(X)] + <b, g>``.
 
     With ``weights`` (a finite noise law) the expectation is an exact sum,
     otherwise the batch mean is a Monte-Carlo estimate.
     """
-    f = soft_c_transform_rows(pot, noise_batch, z)
+    f = soft_c_transform_rows(pot, noise_batch)
     if weights is None:
         ef = float(np.mean(f))
     else:
@@ -434,13 +387,12 @@ def semidual_value(pot: Potential, noise_batch: np.ndarray,
 
 
 def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
-                        weights: Optional[np.ndarray] = None,
-                        z: Optional[np.ndarray] = None) -> np.ndarray:
+                        weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient estimate ``b - mean_i s_{eps,g}(x_i)``; entries sum to 0.
 
     With ``weights`` the mean is the exact weighted sum over the rows.
     """
-    m, _ = _column_sums(pot, noise_batch, weights, z)
+    m, _ = _column_sums(pot, noise_batch, weights)
     if weights is None:
         m /= np.atleast_2d(noise_batch).shape[0]
     return pot.target.weights - m
@@ -453,21 +405,23 @@ def marginal_exact(pot: Potential, noise: DiscreteNoise,
     With ``soft_c`` (one entry per atom) the soft-c transform of each atom
     is written there from the same scan (see :func:`_column_sums`).
     """
-    atoms, w, z = noise.enumerate()
-    return _column_sums(pot, atoms, w, z, soft_c=soft_c)[0]
+    atoms, w = noise.enumerate()
+    return _column_sums(pot, atoms, w, soft_c=soft_c)[0]
 
 
 def marginal_estimate(pot: Potential, rng: Rng, total_samples: int,
-                      batch: int, noise=None) -> MarginalEstimate:
-    """Streamed Monte-Carlo estimate of ``m(g)``, deterministic given rng."""
+                      batch: int, noise=None) -> np.ndarray:
+    """Streamed Monte-Carlo estimate of ``m(g)``, deterministic given rng.
+
+    Each entry's standard error is about ``sqrt(m_j (1 - m_j) /
+    total_samples)``.
+    """
     if not (1 <= batch <= total_samples):
         raise ValueError("need total_samples >= batch >= 1")
     acc = np.zeros(pot.target.n)
-    for x, z in _noise_batches(pot, rng, total_samples, batch, noise):
-        acc += _column_sums(pot, x, None, z)[0]
-    m_hat = acc / total_samples
-    se = float(np.sqrt(np.max(m_hat * (1.0 - m_hat)) / total_samples))
-    return MarginalEstimate(m=m_hat, samples=total_samples, std_error=se)
+    for x in _noise_batches(pot, rng, total_samples, batch, noise):
+        acc += _column_sums(pot, x)[0]
+    return acc / total_samples
 
 
 def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
@@ -480,7 +434,6 @@ def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
 
 
 def chi2_estimator(pot: Potential, noise_batch: np.ndarray,
-                   z: Optional[np.ndarray] = None,
                    soft_c: Optional[np.ndarray] = None,
                    mass: Optional[np.ndarray] = None) -> float:
     """Unbiased batch estimator of ``chi2(m(g) || b)`` in O(NB) time.
@@ -498,7 +451,7 @@ def chi2_estimator(pot: Potential, noise_batch: np.ndarray,
     b_rows = noise_batch.shape[0]
     if b_rows < 2:
         raise ValueError("chi2_estimator needs a batch of at least 2")
-    col_sum, col_sq = _column_sums(pot, noise_batch, None, z, squares=True,
+    col_sum, col_sq = _column_sums(pot, noise_batch, squares=True,
                                    soft_c=soft_c)
     if mass is not None:
         mass += col_sum
@@ -527,11 +480,11 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
     """
     values, samples, f_sum = [], 0, 0.0
     mass = np.zeros(pot.target.n)
-    for x, z in _noise_batches(pot, rng, total, batch, noise):
+    for x in _noise_batches(pot, rng, total, batch, noise):
         if len(x) < 2:
             break
         f = np.empty(len(x))
-        values.append(chi2_estimator(pot, x, z, f, mass))
+        values.append(chi2_estimator(pot, x, f, mass))
         f_sum += float(np.sum(f))
         samples += len(x)
     scale = 1.0 / max(samples, 1)
@@ -539,8 +492,7 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
 
 
 def transport_cost(pot: Potential, noise_batch: np.ndarray,
-                   weights: Optional[np.ndarray] = None,
-                   z: Optional[np.ndarray] = None) -> float:
+                   weights: Optional[np.ndarray] = None) -> float:
     """Primal objective of the induced coupling on a (weighted) batch.
 
     Returns ``E[c(X, Y)]`` under ``pi_{eps,g}`` plus, for ``eps > 0``, the
@@ -554,7 +506,7 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     log_b = pot.target.log_weights
     eps = pot.eps
     per_row = np.empty(noise_batch.shape[0])
-    for lo, hi, scores in score_chunks(pot, noise_batch, z):
+    for lo, hi, scores in score_chunks(pot, noise_batch):
         if eps == 0.0:
             idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
             s_dot_g = pot.g[idx]

@@ -168,24 +168,21 @@ def lr_schedule(cfg: SolverConfig, k: int) -> float:
     return float(base * np.sqrt(cfg.constant_phase / k))
 
 
-def smoothness_bound(support: np.ndarray, eps: float,
-                     conditions: Optional[np.ndarray] = None) -> float:
+def smoothness_bound(support: np.ndarray, eps: float) -> float:
     """Gradient-smoothness constant of the semidual.
 
     ``eps > 0`` gives ``1/eps`` for any cost. ``eps = 0`` (negative dot
     product cost, standard normal noise) gives ``4 d^{1/4} / delta`` for
     the ``(N, d)`` coupling-space ``support`` (:attr:`Potential.support`),
-    with ``delta`` the minimum pairwise distance among its points
-    (conditions appended); duplicate points make the bound infinite and
-    raise.
+    with ``delta`` the minimum pairwise distance among its points;
+    duplicate points make the bound infinite and raise.
     """
     if eps > 0.0:
         return 1.0 / eps
     if support.shape[0] == 1:
         raise ConfigurationError(
             "eps=0 smoothness bound needs at least 2 distinct points")
-    pts = support if conditions is None else np.hstack([support, conditions])
-    delta = float(pdist(pts).min())  # O(N^2) scan, desk scale only
+    delta = float(pdist(support).min())  # O(N^2) scan, desk scale only
     if delta <= 0.0:
         raise ConfigurationError("duplicate target points: eps=0 bound undefined")
     return float(4.0 * support.shape[1]**0.25 / delta)
@@ -196,7 +193,7 @@ def estimate_delta(target: TargetMeasure, cost: CostConfig, rng: Rng,
     """Probe |F(0)| as a stand-in for the unknowable optimality gap."""
     pot = Potential(g=np.zeros(target.n), target=target, cost=cost)
     if noise is None:
-        noise = GaussianNoise(target, cost)
+        noise = GaussianNoise(target)
     return abs(_semidual_probe(pot, rng, noise, samples))
 
 
@@ -205,12 +202,11 @@ def _is_exact(noise) -> bool:
 
 
 def _noise_batch(noise, rng: Rng, samples: int):
-    """``(x, weights, z)``: the whole weighted atom list of exact noise,
+    """``(x, weights)``: the whole weighted atom list of exact noise,
     otherwise ``samples`` unweighted draws from ``rng``."""
     if _is_exact(noise):
         return noise.enumerate()
-    x, z = noise.sample(rng, samples)
-    return x, None, z
+    return noise.sample(rng, samples), None
 
 
 def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
@@ -222,7 +218,7 @@ def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
     """
     b = pot.target.weights
     if _is_exact(noise):
-        _, w, _ = noise.enumerate()
+        _, w = noise.enumerate()
         f = np.empty(len(w))
         m = marginal_exact(pot, noise, soft_c=f)
         value = float(np.dot(w, f)) + float(np.dot(b, pot.g))
@@ -246,7 +242,6 @@ def solve_sdot(
     noise=None,
     metrics=None,
     checkpoint_cb: Optional[Callable[[int, Potential, float], None]] = None,
-    g0: Optional[np.ndarray] = None,
 ) -> Potential:
     """Fit the semidiscrete dual potential by stochastic ascent.
 
@@ -262,20 +257,16 @@ def solve_sdot(
     ``noise`` defaults to standard Gaussian noise in the target's raw
     space; pass a :class:`DiscreteNoise` for enumerated instances.
     ``checkpoint_cb(iteration, potential, chi2)`` fires at every check.
-    ``g0`` warm-starts the iteration (checkpoint resume, phased batch
-    schedules); the default start is the zero vector.
+    The iteration starts from the zero vector.
     """
     if noise is None:
-        noise = GaussianNoise(target, cost)
+        noise = GaussianNoise(target)
     if cost.eps_raw == 0.0 and cost.kind != NEG_DOT:
         raise ConfigurationError("eps=0 requires the negative dot-product cost")
     b = target.weights
     n = target.n
-    start = np.zeros(n) if g0 is None else np.asarray(g0, dtype=np.float64).copy()
-    if start.shape != (n,):
-        raise ValueError("g0 must have one entry per target point")
     state = SolverState(
-        g=start,
+        g=np.zeros(n),
         accumulator=np.zeros(n),
         window=np.zeros((cfg.averaging_window, n)),
     )
@@ -291,8 +282,7 @@ def solve_sdot(
             delta = estimate_delta(target, cost, rng.child(2), noise=noise)
         smooth = cfg.theory_smoothness
         if smooth is None:
-            smooth = smoothness_bound(pot_step.support, cost.eps,
-                                      target.conditions)
+            smooth = smoothness_bound(pot_step.support, cost.eps)
         cfg = replace(cfg, theory_delta=delta, theory_smoothness=smooth)
     if cfg.base_lr is None and cfg.optimizer == ADAGRAD:
         cfg = replace(cfg, base_lr=float(np.sqrt(target.n)))

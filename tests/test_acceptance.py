@@ -74,7 +74,7 @@ def test_criterion_1_gradient_identity():
     for trial in range(20):
         eps = 0.05 if trial % 2 == 0 else 0.5
         target, cost, noise = _random_instance(gen, eps)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         g0 = gen.standard_normal(target.n) * 0.5
         pot = Potential(g=g0, target=target, cost=cost)
         grad = stochastic_gradient(pot, atoms, w)
@@ -104,7 +104,7 @@ def test_criterion_2_chi2_unbiasedness():
     for inst in range(5):
         gen = Rng(2000 + inst).generator()
         target, cost, noise = _random_instance(gen, eps=0.3 if inst % 2 else 0.0)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         g = gen.standard_normal(target.n) * 0.4
         pot = Potential(g=g, target=target, cost=cost)
         exact = chi2_exact(marginal_exact(pot, noise), target.weights)
@@ -170,7 +170,7 @@ def test_criterion_4_theorem_decay():
     target, cost, noise_exact = make_enumerated_instance(
         4000, n_target=8, n_atoms=48, d=2, eps=0.1, uniform=True
     )
-    atoms, w, _ = noise_exact.enumerate()
+    atoms, w = noise_exact.enumerate()
     sampler = DiscreteNoise(atoms, w, exact=False)
 
     def run(iters, seed, track=False):
@@ -219,7 +219,7 @@ def test_criterion_5_cost_bound():
         gen = Rng(5000 + inst).generator()
         eps = [0.05, 0.5, 0.2][inst % 3]
         target, cost, noise = _random_instance(gen, eps)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         costs = cost_matrix(cost, atoms, target.points)
         _, _, _, c_star = oracle_discrete_ot(costs, w, target.weights, eps)
         # Probe both random potentials and a lightly trained one.

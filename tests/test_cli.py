@@ -383,6 +383,20 @@ def _non_finite_potential(tmp_path, data):
     return pot
 
 
+def _rewritten(path, arrays=None, **meta):
+    """Rewrite a container with extra arrays and metadata keys."""
+    kind, old_meta, old_arrays = read_container(path)
+    write_container(path, kind, {**old_arrays, **(arrays or {})},
+                    {**old_meta, **meta})
+    return path
+
+
+def _beta_potential(tmp_path, data):
+    pot = _quick_potential(tmp_path, data)
+    cost = read_container(pot)[1]["cost"]
+    return _rewritten(pot, cost={**cost, "beta": 1.0})
+
+
 def _dump(tmp_path, name, shape):
     path = str(tmp_path / name)
     artifacts.save_sample_dump(path, np.zeros(shape))
@@ -454,6 +468,21 @@ _USAGE_CASES = {
         "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--noise", _saved(tmp, "n3.sdfm", np.zeros((4, 3))),
         "--out", str(tmp / "x.sdfm")],
+    # Conditional generation is gone: its flag and the containers that
+    # earlier versions wrote for it are refused, never reinterpreted.
+    "solve-beta-flag": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--beta", "1",
+        "--out", str(tmp / "x.sdfm")],
+    "dataset-with-conditions": lambda tmp, blob: [
+        "solve", "--data", _rewritten(
+            _saved(tmp, "c.sdfm", np.zeros((4, 2)) + np.arange(4)[:, None]),
+            {"conditions": np.eye(4)[:, :2]}),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "potential-beta-1": lambda tmp, blob: [
+        "chisq", "--potential", _beta_potential(tmp, blob), "--data", blob],
+    "model-cond-dim-2": lambda tmp, blob: [
+        "sample", "--model", _rewritten(_quick_model(tmp, blob), cond_dim=2),
+        "--out", str(tmp / "s")],
 }
 
 

@@ -94,6 +94,24 @@ class TestArtifacts:
         np.testing.assert_array_equal(loaded.cost.projection.basis, proj.basis)
         assert loaded.provenance["iterations"] == 5
 
+    def test_unconditional_containers_of_earlier_versions_load(self, tmp_path):
+        # Earlier versions wrote "beta": 0.0 and "cond_dim": 0 metadata.
+        target = TargetMeasure.from_points([[0.0, 1.0], [2.0, 3.0]])
+        pot_path = str(tmp_path / "pot.sdfm")
+        cost = {"kind": NEG_DOT, "beta": 0.0, "eps_raw": 0.0,
+                "eps_effective": 0.0, "cost_std": None, "projection_k": None}
+        write_container(pot_path, "potential", {"g": np.array([0.5, -0.5])},
+                        {"target_fingerprint": target.fingerprint,
+                         "cost": cost})
+        pot = artifacts.load_potential(pot_path, target)
+        np.testing.assert_array_equal(pot.g, [0.5, -0.5])
+        model = FlowModel(dim=2, hidden=(3,), rng=Rng(6))
+        model_path = str(tmp_path / "m.sdfm")
+        write_container(model_path, "model", {"theta": model.get_theta()},
+                        {"dim": 2, "cond_dim": 0, "sizes": model.sizes})
+        np.testing.assert_array_equal(
+            artifacts.load_model(model_path).get_theta(), model.get_theta())
+
     def test_potential_fingerprint_guard(self, tmp_path):
         target = TargetMeasure.from_points([[0.0], [1.0]])
         other = TargetMeasure.from_points([[0.0], [2.0]])
@@ -105,7 +123,7 @@ class TestArtifacts:
             artifacts.load_potential(path, other)
 
     def test_model_round_trip(self, tmp_path):
-        model = FlowModel(dim=3, hidden=(8, 4), cond_dim=2, rng=Rng(3))
+        model = FlowModel(dim=3, hidden=(8, 4), rng=Rng(3))
         path = str(tmp_path / "m.sdfm")
         artifacts.save_model(path, model)
         loaded = artifacts.load_model(path)
@@ -123,13 +141,11 @@ class TestArtifacts:
     def test_dataset_round_trip(self, tmp_path):
         gen = Rng(5).generator()
         pts = gen.standard_normal((6, 2))
-        cond = gen.standard_normal((6, 1))
         path = str(tmp_path / "d.sdfm")
-        artifacts.save_dataset(path, pts, conditions=cond)
-        out_pts, out_w, out_cond, _ = artifacts.load_dataset(path)
+        artifacts.save_dataset(path, pts)
+        out_pts, out_w, _ = artifacts.load_dataset(path)
         np.testing.assert_array_equal(out_pts, pts)
         assert out_w is None
-        np.testing.assert_array_equal(out_cond, cond)
 
 
 class TestMetricsWriter:

@@ -14,11 +14,9 @@ from sdfm.costs import (
 from sdfm.numerics import Rng
 
 
-def _cost(cfg, x, y, zx=None, zy=None):
+def _cost(cfg, x, y):
     """One-row form: the single entry of a 1 x 1 cost matrix."""
-    zx = None if zx is None else [zx]
-    zy = None if zy is None else [zy]
-    return float(cost_matrix(cfg, [x], [y], zx, zy)[0, 0])
+    return float(cost_matrix(cfg, [x], [y])[0, 0])
 
 
 class TestCost:
@@ -29,11 +27,6 @@ class TestCost:
     def test_negdot_value(self):
         cfg = CostConfig(kind=NEG_DOT)
         assert _cost(cfg, [1.0, 2.0], [3.0, 4.0]) == -11.0
-
-    def test_conditional_augmentation(self):
-        cfg = CostConfig(kind=NEG_DOT, beta=2.0)
-        out = _cost(cfg, [1.0, 0.0], [1.0, 0.0], zx=[1.0], zy=[0.0])
-        assert out == pytest.approx(-1.0 + 2.0 * 1.0)
 
     def test_sq_euclidean_symmetry(self):
         cfg = CostConfig(kind=SQ_EUCLIDEAN)
@@ -47,10 +40,20 @@ class TestCost:
         with pytest.raises(ConfigurationError):
             _cost(cfg, [1.0], [1.0, 2.0])
 
-    def test_missing_conditions_rejected(self):
-        cfg = CostConfig(kind=NEG_DOT, beta=1.0)
-        with pytest.raises(ConfigurationError):
-            _cost(cfg, [1.0], [1.0])
+    def test_sq_euclidean_fills_buffer_bit_for_bit(self):
+        # Filling a caller's buffer row by row gives exactly the bits of
+        # max(|x|^2 + |y|^2 - 2 x.y, 0), so stored artifacts do not move.
+        cfg = CostConfig(kind=SQ_EUCLIDEAN)
+        gen = Rng(8).generator()
+        x = gen.standard_normal((37, 5))
+        y = gen.standard_normal((300, 5))
+        buf = np.empty((37, 300))
+        out = cost_matrix(cfg, x, y, out=buf)
+        ref = (np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
+               - 2.0 * (x @ y.T))
+        assert out is buf
+        np.testing.assert_array_equal(out, np.maximum(ref, 0.0))
+        np.testing.assert_array_equal(cost_matrix(cfg, x, y), out)
 
 
 class TestEstimateCostStd:
@@ -152,11 +155,9 @@ class TestFitPca:
 class TestCostMatrixProjection:
     def test_projection_applied_to_x_parts_only(self):
         proj = ProjectionMatrix(basis=np.array([[1.0, 0.0]]), mean=np.zeros(2))
-        cfg = CostConfig(kind=NEG_DOT, beta=1.0, projection=proj)
+        cfg = CostConfig(kind=NEG_DOT, projection=proj)
         x = np.array([[2.0, 5.0]])
         y = np.array([[3.0, -7.0]])
-        zx = np.array([[1.0]])
-        zy = np.array([[0.0]])
-        # Projected x-parts are (2) and (3): neg-dot -6, plus beta * 1.
-        out = cost_matrix(cfg, cfg.embed(x), cfg.embed(y), zx, zy)
-        assert out[0, 0] == pytest.approx(-6.0 + 1.0)
+        # Projected rows are (2) and (3): neg-dot -6.
+        out = cost_matrix(cfg, cfg.embed(x), cfg.embed(y))
+        assert out[0, 0] == pytest.approx(-6.0)

@@ -6,7 +6,6 @@ from scipy.stats import chisquare
 
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
 from sdfm.coupling import (
-    CachedMinibatchCoupling,
     SinkhornError,
     assign_batch,
     couple_independent,
@@ -291,19 +290,6 @@ class TestCoupleMinibatch:
         # The eps=0 assignment is a fixed map: zero variance across reps.
         assert np.all(sd_indices == sd_indices[0])
         assert minibatch_var > 0.0
-
-
-class TestCachedCoupling:
-    def test_replay_is_deterministic(self):
-        gen = Rng(36).generator()
-        target = TargetMeasure.from_points(gen.standard_normal((32, 2)))
-        cache = CachedMinibatchCoupling(target, CostConfig(kind=SQ_EUCLIDEAN),
-                                        0.5, Rng(37), n=8, num_batches=3)
-        a = cache.batch(1)
-        b = cache.batch(1)
-        np.testing.assert_array_equal(a.noise, b.noise)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        assert len(cache) == 3
 
 
 class TestOracle:

@@ -57,14 +57,13 @@ class TestRng:
 class TestSampleGaussian:
     def test_law_of_large_numbers(self):
         target = TargetMeasure.from_points(np.zeros((1, 1)))
-        x, z = GaussianNoise(target, CostConfig()).sample(Rng(1), 10**6)
-        assert z is None
+        x = GaussianNoise(target).sample(Rng(1), 10**6)
         assert abs(x.mean()) < 4.0 / np.sqrt(10**6)
         assert abs(x.var() - 1.0) < 0.01
 
     def test_shape_and_dtype(self):
         target = TargetMeasure.from_points(np.zeros((2, 5)))
-        x, _ = GaussianNoise(target, CostConfig()).sample(Rng(0), 3)
+        x = GaussianNoise(target).sample(Rng(0), 3)
         assert x.shape == (3, 5) and x.dtype == np.float64
 
 

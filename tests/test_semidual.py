@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdfm import semidual
-from sdfm.costs import NEG_DOT, CostConfig, cost_matrix
+from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix
 from sdfm.coupling import assign_batch, oracle_discrete_ot
 from sdfm.numerics import Rng
 from sdfm.semidual import (
@@ -29,9 +30,9 @@ from sdfm.semidual import (
 from conftest import make_enumerated_instance
 
 
-def _simple_potential(g, ys, b=None, eps=0.0):
+def _simple_potential(g, ys, b=None, eps=0.0, kind=NEG_DOT):
     target = TargetMeasure.from_points(ys, b)
-    cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
+    cost = CostConfig(kind=kind, eps_raw=eps)
     return Potential(g=np.asarray(g, dtype=np.float64), target=target, cost=cost)
 
 
@@ -56,6 +57,14 @@ class TestTargetMeasure:
         c = TargetMeasure.from_points([[0.0], [2.0]])
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+    def test_fingerprint_is_stable_across_versions(self):
+        # Stored potentials bind to their dataset by these digests.
+        pts = [[0.0, 1.0], [2.0, 3.0], [-1.0, 0.5]]
+        assert TargetMeasure.from_points(pts).fingerprint == (
+            "a06dda70f85f7bca1de3665bd402f5d5efbb31acfaa8870a4a17fc6cd6aac648")
+        assert TargetMeasure.from_points(pts, weights=[1, 2, 1]).fingerprint == (
+            "7c30f31aeb77646e5f41d46d5a8e951aab0cea719416ed0be240fe9876f1ea9a")
 
 
 class TestSoftCTransform:
@@ -125,7 +134,7 @@ class TestSemidualValue:
 
     def test_gauge_invariance(self):
         target, cost, noise = make_enumerated_instance(11)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         gen = Rng(4).generator()
         g = gen.standard_normal(target.n)
         base = semidual_value(Potential(g=g, target=target, cost=cost), atoms, w)
@@ -136,7 +145,7 @@ class TestSemidualValue:
 
     def test_matches_bruteforce_enumeration(self):
         target, cost, noise = make_enumerated_instance(12, n_target=2, n_atoms=6)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         g = Rng(5).generator().standard_normal(2)
         pot = Potential(g=g, target=target, cost=cost)
         # Brute force: sum the soft-min over atoms directly.
@@ -154,14 +163,14 @@ class TestSemidualValue:
 class TestStochasticGradient:
     def test_large_eps_vanishes(self):
         target, cost, noise = make_enumerated_instance(13, eps=1e6)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         pot = Potential(g=np.zeros(target.n), target=target, cost=cost)
         grad = stochastic_gradient(pot, atoms, w)
         assert np.max(np.abs(grad)) < 1e-4
 
     def test_sums_to_zero(self):
         target, cost, noise = make_enumerated_instance(14)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         g = Rng(6).generator().standard_normal(target.n)
         grad = stochastic_gradient(Potential(g=g, target=target, cost=cost), atoms, w)
         assert abs(grad.sum()) < 1e-10
@@ -170,7 +179,7 @@ class TestStochasticGradient:
         target, cost, noise = make_enumerated_instance(
             15, n_target=2, n_atoms=2, d=2, eps=0.5
         )
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         g0 = Rng(7).generator().standard_normal(2) * 0.5
         grad = stochastic_gradient(Potential(g=g0, target=target, cost=cost), atoms, w)
         h = 1e-5
@@ -186,7 +195,7 @@ class TestStochasticGradient:
 
     def test_oracle_stationarity(self):
         target, cost, noise = make_enumerated_instance(16, eps=0.5)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         costs = cost_matrix(cost, atoms, target.points)
         _, _, g_star, _ = oracle_discrete_ot(costs, w, target.weights, cost.eps)
         grad = stochastic_gradient(
@@ -198,7 +207,7 @@ class TestStochasticGradient:
         target, cost, noise = make_enumerated_instance(17)
         g = Rng(8).generator().standard_normal(target.n)
         pot = Potential(g=g, target=target, cost=cost)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         grad = stochastic_gradient(pot, atoms, w)
         m = marginal_exact(pot, noise)
         np.testing.assert_allclose(grad, target.weights - m, atol=1e-14)
@@ -210,7 +219,7 @@ class TestStochasticGradient:
         pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], b)
         noise = DiscreteNoise([[0.0, 1.0], [2.0, 0.0], [-1.0, 3.0]],
                               [0.5, 0.3, 0.2], exact=True)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         grad = stochastic_gradient(pot, atoms, w)
         m = 0.5 * b + np.array([0.3, 0.2])
         np.testing.assert_allclose(grad, b - m, atol=1e-15)
@@ -220,23 +229,24 @@ class TestStochasticGradient:
 class TestMarginal:
     def test_symmetric_two_point(self):
         pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
-        est = marginal_estimate(pot, Rng(9), total_samples=20000, batch=5000)
-        assert est.samples == 20000
-        assert np.max(np.abs(est.m - 0.5)) < 4 * est.std_error + 0.02
+        m = marginal_estimate(pot, Rng(9), total_samples=20000, batch=5000)
+        std_error = np.sqrt(np.max(m * (1.0 - m)) / 20000)
+        assert m.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(m - 0.5)) < 4 * std_error + 0.02
 
     def test_independent_limit(self):
         gen = Rng(10).generator()
         ys = gen.standard_normal((4, 2))
         b = np.array([0.4, 0.3, 0.2, 0.1])
         pot = _simple_potential(np.zeros(4), ys, b, eps=1e6)
-        est = marginal_estimate(pot, Rng(11), total_samples=10000, batch=2500)
-        assert np.max(np.abs(est.m - b)) < 1e-3
+        m = marginal_estimate(pot, Rng(11), total_samples=10000, batch=2500)
+        assert np.max(np.abs(m - b)) < 1e-3
 
     def test_enumeration_exact(self):
         target, cost, noise = make_enumerated_instance(18)
         g = Rng(12).generator().standard_normal(target.n)
         pot = Potential(g=g, target=target, cost=cost)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         direct = w @ responsibilities_rows(pot, atoms)
         np.testing.assert_allclose(marginal_exact(pot, noise), direct, atol=1e-12)
 
@@ -275,10 +285,10 @@ class TestChi2:
         ys = gen.standard_normal((3, 2))
         b = np.array([0.5, 0.3, 0.2])
         pot = _simple_potential(np.zeros(3), ys, b, eps=1e6)
-        noise = GaussianNoise(pot.target, pot.cost)
+        noise = GaussianNoise(pot.target)
         vals = []
         for chunk in range(200):
-            x, _ = noise.sample(Rng(14).child(chunk), 32)
+            x = noise.sample(Rng(14).child(chunk), 32)
             vals.append(chi2_estimator(pot, x))
         mean = np.mean(vals)
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
@@ -308,8 +318,8 @@ class TestChi2:
         # A streamed scan: four batches of 25, the 1-row tail dropped.
         scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
         assert scan.samples == 100 and len(scan.values) == 4
-        xs = np.vstack([GaussianNoise(pot.target, pot.cost)
-                        .sample(Rng(34).child(i), 25)[0] for i in range(4)])
+        xs = np.vstack([GaussianNoise(pot.target)
+                        .sample(Rng(34).child(i), 25) for i in range(4)])
         assert scan.soft_c_mean == pytest.approx(
             np.mean(soft_c_transform_rows(pot, xs)), abs=1e-12)
         np.testing.assert_allclose(scan.marginal,
@@ -345,7 +355,7 @@ class TestChi2:
 class TestConcavity:
     def test_interpolation_probe(self):
         target, cost, noise = make_enumerated_instance(21, eps=0.3)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         gen = Rng(16).generator()
         for _ in range(20):
             g1 = gen.standard_normal(target.n)
@@ -371,7 +381,7 @@ class TestTransportCost:
 
     def test_matches_lp_oracle_at_optimum(self):
         target, cost, noise = make_enumerated_instance(22, eps=0.05)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         costs = cost_matrix(cost, atoms, target.points)
         _, _, g_star, value = oracle_discrete_ot(costs, w, target.weights, cost.eps)
         pot = Potential(g=g_star, target=target, cost=cost)
@@ -411,22 +421,24 @@ def _traced_peak(fn, pot, x):
 
 class TestStreamingMemory:
     def test_peak_does_not_grow_with_batch(self):
-        # Reducers work in place on one reused tile buffer: their peak
-        # allocation is about one tile plus O(N + B) vectors, never a
-        # multiple of the (B, N) score block.
+        # Reducers work in place on one reused tile buffer, which both
+        # costs fill: their peak allocation is about one tile plus O(N + B)
+        # vectors, never a multiple of the (B, N) score block.
         gen = Rng(30).generator()
         n = 1024
         tile_bytes = semidual.SCORE_CHUNK_ENTRIES * 8
         rows = semidual.SCORE_CHUNK_ENTRIES // n
 
-        for eps in (0.0, 0.5):
+        for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
-                                    gen.standard_normal((n, 2)), eps=eps)
+                                    gen.standard_normal((n, 2)), eps=eps,
+                                    kind=kind)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (rows, 16 * rows + 3):
                     bound = 1.5 * tile_bytes + 16 * 8 * (n + b_rows)
                     got = _traced_peak(fn, pot, gen.standard_normal((b_rows, 2)))
-                    assert got < bound, (fn.__name__, eps, b_rows, got, bound)
+                    assert got < bound, (kind, fn.__name__, eps, b_rows, got,
+                                         bound)
 
     def test_one_score_call_per_block(self, monkeypatch):
         # At N=4096, d=32 the block rule binds: 128-row matmul blocks cut
@@ -445,16 +457,18 @@ class TestStreamingMemory:
             return scores(pot, x, *args, **kwargs)
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
-        for eps in (0.0, 0.5):
+        for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
-                                    gen.standard_normal((n, d)), eps=eps)
+                                    gen.standard_normal((n, d)), eps=eps,
+                                    kind=kind)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (block, 16 * block + 3):
                     x = gen.standard_normal((b_rows, d))
                     calls.clear()
                     bound = 1.5 * block_bytes + 16 * 8 * (n + b_rows)
                     got = _traced_peak(fn, pot, x)
-                    assert got < bound, (fn.__name__, eps, b_rows, got, bound)
+                    assert got < bound, (kind, fn.__name__, eps, b_rows, got,
+                                         bound)
                     assert len(calls) == -(-b_rows // block), (fn.__name__, calls)
                     assert sum(calls) == b_rows
 

@@ -114,7 +114,7 @@ class TestSolveSdot:
                            averaging_window=1500, tau=1e-10,
                            check_interval=1000)
         pot = solve_sdot(target, cost, cfg, Rng(2), noise=noise)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         costs = cost_matrix(cost, atoms, target.points)
         _, _, g_star, _ = oracle_discrete_ot(costs, w, target.weights, cost.eps)
         tol = 1e-2 * np.max(np.abs(g_star)) + 1e-3
@@ -142,16 +142,16 @@ class TestSolveSdot:
             captured.append(pot.g.sum())
 
         solve_sdot(target, cost, cfg, Rng(4), noise=DiscreteNoise(
-            *noise.enumerate()[:2], exact=False), checkpoint_cb=grab)
+            *noise.enumerate(), exact=False), checkpoint_cb=grab)
         # The averaged, gauge-fixed candidate sums to ~0; check via raw repeat:
         state_g = np.zeros(target.n)
         gen_rng = Rng(4).child(0)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         src = DiscreteNoise(atoms, w, exact=False)
         from sdfm.numerics import softmax_b_eps_rows
 
         for k in range(1000):
-            x, _ = src.sample(gen_rng.child(k), 16)
+            x = src.sample(gen_rng.child(k), 16)
             c = cost_matrix(cost, x, target.points)
             s = softmax_b_eps_rows(state_g[None, :] - c, target.weights, cost.eps)
             grad = target.weights - s.mean(axis=0)
@@ -164,9 +164,9 @@ class TestSolveSdot:
                            averaging_window=100, batch=8, tau=1e-12,
                            check_interval=100)
         a = solve_sdot(target, cost, cfg, Rng(5),
-                       noise=DiscreteNoise(*noise.enumerate()[:2]))
+                       noise=DiscreteNoise(*noise.enumerate()))
         b = solve_sdot(target, cost, cfg, Rng(5),
-                       noise=DiscreteNoise(*noise.enumerate()[:2]))
+                       noise=DiscreteNoise(*noise.enumerate()))
         np.testing.assert_array_equal(a.g, b.g)
 
     def test_divergence_guard(self):
@@ -177,7 +177,7 @@ class TestSolveSdot:
                            tau=1e-12, check_interval=100)
         with pytest.raises(SolverDivergence) as err:
             solve_sdot(target, cost, cfg, Rng(6), noise=DiscreteNoise(
-                *noise.enumerate()[:2], exact=False))
+                *noise.enumerate(), exact=False))
         assert "iteration" in err.value.info
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
@@ -214,13 +214,13 @@ class TestSolveSdot:
                            check_interval=10**6)
         iterates = []
 
-        orig = DiscreteNoise(*noise.enumerate()[:2], exact=True)
+        orig = DiscreteNoise(*noise.enumerate(), exact=True)
         pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig)
         # Re-run the recurrence by hand and compare the trailing mean.
         from sdfm.numerics import softmax_b_eps_rows
         from sdfm.semidual import gauge_fix
 
-        atoms, w, _ = orig.enumerate()
+        atoms, w = orig.enumerate()
         c = cost_matrix(cost, atoms, target.points)
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
@@ -256,7 +256,7 @@ class TestOneScanPerCheck:
                            check_interval=10)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, Rng(10), noise=noise, metrics=sink)
-        atoms, w, _ = noise.enumerate()
+        atoms, w = noise.enumerate()
         zero = Potential(g=np.zeros(target.n), target=target, cost=cost)
         assert sink.rows[(0, "semidual")] == semidual_value(zero, atoms, w)
         assert sink.rows[(30, "semidual")] == semidual_value(pot, atoms, w)
@@ -277,13 +277,13 @@ class TestOneScanPerCheck:
         sink = _Rows()
         rng = Rng(11)
         pot = solve_sdot(target, cost, cfg, rng, metrics=sink)
-        noise = GaussianNoise(target, cost)
+        noise = GaussianNoise(target)
         zero = Potential(g=np.zeros(target.n), target=target, cost=cost)
         for k, p in ((0, zero), (20, pot)):
             # The evaluation stream is rng.child(1); check k draws batch i
             # from its child(k).child(i).
             stream = rng.child(1).child(k)
-            x = np.vstack([noise.sample(stream.child(i), min(64, 200 - lo))[0]
+            x = np.vstack([noise.sample(stream.child(i), min(64, 200 - lo))
                            for i, lo in enumerate(range(0, 200, 64))])
             assert sink.rows[(k, "semidual")] == \
                 pytest.approx(semidual_value(p, x), abs=1e-12)
