@@ -1,5 +1,7 @@
 PYTHON ?= python3
 OUT := out/toy-2d
+# The CLI from this checkout; an installed `sdfm` works the same.
+SDFM ?= PYTHONPATH=src $(PYTHON) -m sdfm
 
 .PHONY: test acceptance demos bench bench-trace bench-smoke check toy-2d clean
 
@@ -34,38 +36,38 @@ bench-trace:
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py
 
-# Tier-1 tests, then the harness smoke test, which also runs the tracer:
-# it looks up package callables and every __all__ entry by name, and
-# tier-1 does not cover that lookup.
+# Tier-1 tests, then the harness smoke test, which also runs the traced
+# recipe (tier-1 only checks that the tracer's by-name lookups resolve).
 check: test bench-smoke
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
-# differ only in the coupling -> samples -> metrics.
+# differ only in the coupling -> samples -> metrics. The solve stops on
+# tau (exit 0) at iteration 12000, after about 2 minutes on two cores.
 toy-2d:
 	mkdir -p $(OUT)
-	sdfm dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm
-	sdfm solve --data $(OUT)/data.sdfm --eps 0 --tau 0.05 --lr 0.5 \
+	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm
+	$(SDFM) solve --data $(OUT)/data.sdfm --eps 0 --tau 0.05 --lr 0.05 \
 	    --iters 40000 --batch 1024 --seed 0 --out $(OUT)/pot.sdfm
-	sdfm chisq --potential $(OUT)/pot.sdfm --data $(OUT)/data.sdfm \
+	$(SDFM) chisq --potential $(OUT)/pot.sdfm --data $(OUT)/data.sdfm \
 	    --samples 65536 --seed 9
-	sdfm assign --potential $(OUT)/pot.sdfm --data $(OUT)/data.sdfm \
+	$(SDFM) assign --potential $(OUT)/pot.sdfm --data $(OUT)/data.sdfm \
 	    --sample 4096 --seed 1 --out $(OUT)/pairs.sdfm
-	sdfm train --data $(OUT)/data.sdfm --coupling independent \
+	$(SDFM) train --data $(OUT)/data.sdfm --coupling independent \
 	    --steps 1500 --batch 256 --hidden 64 64 64 --seed 0 \
 	    --out $(OUT)/ifm.sdfm
-	sdfm train --data $(OUT)/data.sdfm --coupling sd \
+	$(SDFM) train --data $(OUT)/data.sdfm --coupling sd \
 	    --potential $(OUT)/pot.sdfm --steps 1500 --batch 256 \
 	    --hidden 64 64 64 --seed 0 --out $(OUT)/sdfm.sdfm
-	sdfm sample --model $(OUT)/ifm.sdfm --count 1024 --solver euler \
+	$(SDFM) sample --model $(OUT)/ifm.sdfm --count 1024 --solver euler \
 	    --steps 4 --seed 2 --out $(OUT)/ifm_euler4
-	sdfm sample --model $(OUT)/sdfm.sdfm --count 1024 --solver euler \
+	$(SDFM) sample --model $(OUT)/sdfm.sdfm --count 1024 --solver euler \
 	    --steps 4 --seed 2 --out $(OUT)/sdfm_euler4
-	sdfm eval --model $(OUT)/ifm.sdfm --count 1024 --steps 4 --seed 3 \
+	$(SDFM) eval --model $(OUT)/ifm.sdfm --count 1024 --steps 4 --seed 3 \
 	    --out $(OUT)/ifm_report.json
-	sdfm eval --model $(OUT)/sdfm.sdfm --count 1024 --steps 4 --seed 3 \
+	$(SDFM) eval --model $(OUT)/sdfm.sdfm --count 1024 --steps 4 --seed 3 \
 	    --out $(OUT)/sdfm_report.json
-	@echo "== I-FM:" && cat $(OUT)/ifm_report.json
-	@echo "== SD-FM:" && cat $(OUT)/sdfm_report.json
+	@echo "== I-FM:" && cat $(OUT)/ifm_report.json && echo
+	@echo "== SD-FM:" && cat $(OUT)/sdfm_report.json && echo
 
 clean:
 	rm -rf out

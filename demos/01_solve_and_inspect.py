@@ -15,9 +15,9 @@ from sdfm import (
     SolverConfig,
     TargetMeasure,
     chi2_exact,
-    marginal_estimate,
     solve_sdot,
 )
+from sdfm.semidual import chi2_batches
 
 rng = Rng(0)
 gen = rng.generator()
@@ -51,7 +51,7 @@ for k, value in pot.provenance["chi2_history"]:
     print(f"  step {k:>6d}   {value:.5f}")
 
 # The fitted marginal should match the target weights (uniform here).
-m = marginal_estimate(pot, rng.child(2), total_samples=2**16, batch=2**13)
+m = chi2_batches(pot, rng.child(2), 2**16, 2**13).marginal
 print("\nmarginal check:")
 print("  TV(m, b)       =", f"{0.5 * np.abs(m - target.weights).sum():.5f}")
 print("  chi2(m, b)     =", f"{chi2_exact(m, target.weights):.5f}")

@@ -22,7 +22,6 @@ from .semidual import (
     TargetMeasure,
     chi2_estimator,
     chi2_exact,
-    marginal_estimate,
     semidual_value,
     stochastic_gradient,
 )

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import artifacts
-from .container import ContainerError, MetricsWriter
+from .container import MAGIC, ContainerError, MetricsWriter
 from .costs import (
     NEG_DOT,
     REFERENCE_BATCH_SIZE,
@@ -112,9 +113,10 @@ def cmd_solve(args) -> int:
         cfg = replace(cfg, optimizer=args.optimizer)
     if args.lr is not None:
         cfg = replace(cfg, base_lr=args.lr)
-    if args.batch:
-        cfg = replace(cfg, batch=args.batch)
-    if args.chi2_samples:
+    if args.checkpoint_every < 0:
+        raise UsageError("--checkpoint-every must be >= 0")
+    cfg = replace(cfg, batch=args.batch)
+    if args.chi2_samples is not None:
         cfg = replace(cfg, chi2_total=args.chi2_samples,
                       chi2_batch=min(args.chi2_samples, 2**12))
 
@@ -256,12 +258,16 @@ def cmd_chisq(args) -> int:
 
 
 def _load_cloud(path: str) -> np.ndarray:
-    if path.endswith(".bin") or path.endswith(".json"):
-        return artifacts.load_sample_dump(path)
-    try:
-        return artifacts.load_dataset(path)[0]
-    except ContainerError:
-        return artifacts.load_sample_dump(path)
+    """Points of a dataset container, else the sample dump at ``path``.
+
+    Only a file without the container magic falls back to the dump, so a
+    container that the loader refuses reports why.
+    """
+    if os.path.isfile(path) and not path.endswith((".bin", ".json")):
+        with open(path, "rb") as fh:
+            if fh.read(len(MAGIC)) == MAGIC:
+                return artifacts.load_dataset(path)[0]
+    return artifacts.load_sample_dump(path)
 
 
 def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -340,6 +346,8 @@ def cmd_dataset(args) -> int:
         raise UsageError(
             f"unknown dataset {args.name!r}; choose from {sorted(_TOY_BUILDERS)}"
         )
+    if args.n < 1 or args.d < 1:
+        raise UsageError("--n and --d must be >= 1")
     rng = Rng(args.seed)
     points, weights = _TOY_BUILDERS[args.name](args.n, args.d, rng)
     artifacts.save_dataset(args.out, points, weights,

@@ -77,6 +77,8 @@ class FlowModel:
     def __init__(self, dim: int, hidden=(128, 128, 128),
                  rng: Optional[Rng] = None):
         self.dim = int(dim)
+        if any(int(h) < 1 for h in hidden):
+            raise ConfigurationError("hidden layer widths must be >= 1")
         self.sizes = [self.dim + 1, *hidden, self.dim]
         gen = (rng or Rng(0)).generator()
         self.weights = []
@@ -257,6 +259,8 @@ class TrainConfig:
     batch: int = 256
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ConfigurationError("steps must be >= 0")
         if self.batch < 1:
             raise ConfigurationError("batch must be >= 1")
 

@@ -88,23 +88,6 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
     return idx, tie_rows, tie_weights
 
 
-def shifted_exp_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
-                     out: np.ndarray | None = None):
-    """``exp(t - max_j t)`` row by row for ``t = scores / eps + log_b``.
-
-    Returns ``(e, m)``: ``e`` is written to ``out`` (which may be
-    ``scores`` itself, so no ``(B, N)`` temporary is made) or to a fresh
-    array, and ``m`` holds the row maxima of ``t``. The shared first half
-    of the weighted softmax and the soft-c log-sum-exp.
-    """
-    e = np.divide(scores, eps, out=out)
-    e += log_b
-    m = e.max(axis=1)
-    e -= m[:, None]
-    np.exp(e, out=e)
-    return e, m
-
-
 def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
                        out: np.ndarray | None = None,
                        log_b: np.ndarray | None = None,
@@ -139,7 +122,12 @@ def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
     if log_b is None:
         with np.errstate(divide="ignore"):
             log_b = np.log(b)
-    e, m = shifted_exp_rows(scores, log_b, eps, out)
+    # exp(t - max_j t) row by row for t = scores / eps + log_b.
+    e = np.divide(scores, eps, out=out)
+    e += log_b
+    m = e.max(axis=1)
+    e -= m[:, None]
+    np.exp(e, out=e)
     total = e.sum(axis=1, keepdims=True)
     if smooth_max is not None:
         smooth_max[:] = eps * (m + np.log(total[:, 0]))

@@ -28,10 +28,11 @@ live in the coupling space (the raw rows, or their PCA projection):
 
 The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
 :func:`score_chunks` fills it one matmul block of rows at a time through
-one reused buffer and yields each block as cache-sized row slabs. Every
-reducer (column sums, soft-c transform, transport cost, pairing)
-overwrites each slab in place before taking the next, so a scan costs
-one block of memory whatever the batch size.
+one reused buffer and yields each block as cache-sized row slabs. Here
+one reducer, :func:`_column_sums`, reduces them in place; the semidual
+value, gradient, second marginal, chi-square and transport cost are all
+readouts of its column sums and soft-c transform. Pairing reads the same
+stream. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ import numpy as np
 from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
 from .numerics import (
     Rng,
-    argmax_with_ties,
     eps0_column_stats,
-    shifted_exp_rows,
     softmax_b_eps_rows,
 )
 
@@ -59,11 +58,9 @@ __all__ = [
     "DiscreteNoise",
     "gauge_fix",
     "coupling_scores",
-    "soft_c_transform_rows",
     "responsibilities_rows",
     "semidual_value",
     "stochastic_gradient",
-    "marginal_estimate",
     "marginal_exact",
     "chi2_exact",
     "chi2_estimator",
@@ -298,10 +295,10 @@ def _column_sums(pot: Potential, x: np.ndarray,
     ``weights`` if given) and, with ``squares``, the column sums of their
     squares (unweighted rows only), else ``None``.
 
-    With ``soft_c`` (one entry per row) each row's soft-c transform
-    ``f_{g,eps}(x_i)`` is written there from the same tiles: minus the row
-    max at eps=0, minus the softmax's log-domain normaliser at eps>0. It
-    equals :func:`soft_c_transform_rows` exactly.
+    With ``soft_c`` (one entry per row) each row's soft-c transform is
+    written there from the same tiles: ``f_{g,eps}(x_i) = -eps log sum_j
+    b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
+    score_ij`` at eps=0.
     """
     b = pot.target.weights
     n = pot.target.n
@@ -331,44 +328,21 @@ def _column_sums(pot: Potential, x: np.ndarray,
     return col_sum, col_sq if squares else None
 
 
-def _noise_batches(pot: Potential, rng: Rng, total: int, batch: int,
-                   noise=None):
-    """Yield ``total`` noise rows in batches of ``batch``.
-
-    Batch ``k`` draws from ``rng.child(k)``, so every estimate is a pure
-    function of ``(rng, total, batch)``. ``noise`` defaults to Gaussian.
-    """
-    if batch < 1:
-        raise ConfigurationError("batch must be >= 1")
-    if noise is None:
-        noise = GaussianNoise(pot.target)
-    for k, lo in enumerate(range(0, total, batch)):
-        yield noise.sample(rng.child(k), min(batch, total - lo))
-
-
-def soft_c_transform_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
-    """Soft-c transform ``f_{g,eps}(x_i)`` of each raw noise row.
-
-    ``eps > 0``: ``-eps log sum_j b_j exp((g_j - c(x, y_j))/eps)``;
-    ``eps = 0``: ``-max_j (g_j - c(x, y_j))``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    eps = pot.eps
-    log_b = pot.target.log_weights
-    out = np.empty(x.shape[0])
-    for lo, hi, scores in score_chunks(pot, x):
-        if eps == 0.0:
-            out[lo:hi] = -scores.max(axis=1)
-            continue
-        e, m = shifted_exp_rows(scores, log_b, eps, out=scores)
-        out[lo:hi] = -eps * (m + np.log(e.sum(axis=1)))
-    return out
-
-
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
     scores = coupling_scores(pot, x)
     return softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
+
+
+def _soft_c_and_marginal(pot: Potential, x: np.ndarray,
+                         weights: Optional[np.ndarray] = None):
+    """Mean soft-c transform and mean responsibilities of rows ``x`` (or
+    their ``weights``-weighted sums: a finite noise law), from one scan."""
+    f = np.empty(np.atleast_2d(x).shape[0])
+    m, _ = _column_sums(pot, x, weights, soft_c=f)
+    if weights is None:
+        return float(np.mean(f)), m / len(f)
+    return float(np.dot(np.asarray(weights, dtype=np.float64), f)), m
 
 
 def semidual_value(pot: Potential, noise_batch: np.ndarray,
@@ -378,11 +352,7 @@ def semidual_value(pot: Potential, noise_batch: np.ndarray,
     With ``weights`` (a finite noise law) the expectation is an exact sum,
     otherwise the batch mean is a Monte-Carlo estimate.
     """
-    f = soft_c_transform_rows(pot, noise_batch)
-    if weights is None:
-        ef = float(np.mean(f))
-    else:
-        ef = float(np.dot(np.asarray(weights, dtype=np.float64), f))
+    ef, _ = _soft_c_and_marginal(pot, noise_batch, weights)
     return ef + float(np.dot(pot.target.weights, pot.g))
 
 
@@ -398,30 +368,10 @@ def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
     return pot.target.weights - m
 
 
-def marginal_exact(pot: Potential, noise: DiscreteNoise,
-                   soft_c: Optional[np.ndarray] = None) -> np.ndarray:
-    """Second marginal ``m(g)`` by exact summation over noise atoms.
-
-    With ``soft_c`` (one entry per atom) the soft-c transform of each atom
-    is written there from the same scan (see :func:`_column_sums`).
-    """
+def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
+    """Second marginal ``m(g)`` by exact summation over noise atoms."""
     atoms, w = noise.enumerate()
-    return _column_sums(pot, atoms, w, soft_c=soft_c)[0]
-
-
-def marginal_estimate(pot: Potential, rng: Rng, total_samples: int,
-                      batch: int, noise=None) -> np.ndarray:
-    """Streamed Monte-Carlo estimate of ``m(g)``, deterministic given rng.
-
-    Each entry's standard error is about ``sqrt(m_j (1 - m_j) /
-    total_samples)``.
-    """
-    if not (1 <= batch <= total_samples):
-        raise ValueError("need total_samples >= batch >= 1")
-    acc = np.zeros(pot.target.n)
-    for x in _noise_batches(pot, rng, total_samples, batch, noise):
-        acc += _column_sums(pot, x)[0]
-    return acc / total_samples
+    return _column_sums(pot, atoms, w)[0]
 
 
 def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
@@ -473,14 +423,21 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
                  noise=None) -> Chi2Scan:
     """:func:`chi2_estimator` of each noise batch over ``total`` draws.
 
-    A batch of fewer than 2 rows has no estimate and ends the stream, so
-    ``samples`` can fall short of ``total``. The soft-c mean and the
-    marginal come from the same tiles as the estimates, so
-    ``soft_c_mean + <b, g>`` estimates ``F_eps(g)`` at no extra scan.
+    Batch ``k`` draws from ``rng.child(k)`` (``noise`` defaults to
+    Gaussian). A batch of fewer than 2 rows has no estimate and ends the
+    stream, so ``samples`` can fall short of ``total``. From the same
+    tiles, ``soft_c_mean + <b, g>`` estimates ``F_eps(g)``, and
+    ``marginal`` estimates ``m(g)`` to about ``sqrt(m_j (1 - m_j) /
+    samples)`` per entry.
     """
+    if batch < 1:
+        raise ConfigurationError("batch must be >= 1")
+    if noise is None:
+        noise = GaussianNoise(pot.target)
     values, samples, f_sum = [], 0, 0.0
     mass = np.zeros(pot.target.n)
-    for x in _noise_batches(pot, rng, total, batch, noise):
+    for k, lo in enumerate(range(0, total, batch)):
+        x = noise.sample(rng.child(k), min(batch, total - lo))
         if len(x) < 2:
             break
         f = np.empty(len(x))
@@ -499,25 +456,8 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     ``eps * KL(s_i || b)`` regularization term of the responsibilities. At
     ``eps = 0`` the KL term is reported as 0. Row ``i`` contributes
     ``sum_j s_ij (g_j - scores_ij) + eps KL(s_i || b) = f_{g,eps}(x_i) +
-    <s_i, g>``, which needs the responsibilities only through ``<s_i, g>``.
+    <s_i, g>``, and the rows' mean of ``<s_i, g>`` is ``<m, g>`` for their
+    mean responsibilities ``m``: one scan gives both terms.
     """
-    noise_batch = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
-    b = pot.target.weights
-    log_b = pot.target.log_weights
-    eps = pot.eps
-    per_row = np.empty(noise_batch.shape[0])
-    for lo, hi, scores in score_chunks(pot, noise_batch):
-        if eps == 0.0:
-            idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
-            s_dot_g = pot.g[idx]
-            s_dot_g[tie_rows] = tie_weights @ pot.g
-            f = -scores[np.arange(hi - lo), idx]
-        else:
-            e, m = shifted_exp_rows(scores, log_b, eps, out=scores)
-            total = e.sum(axis=1)
-            s_dot_g = (e @ pot.g) / total
-            f = -eps * (m + np.log(total))
-        per_row[lo:hi] = f + s_dot_g
-    if weights is None:
-        return float(np.mean(per_row))
-    return float(np.dot(np.asarray(weights, dtype=np.float64), per_row))
+    ef, m = _soft_c_and_marginal(pot, noise_batch, weights)
+    return ef + float(np.dot(m, pot.g))

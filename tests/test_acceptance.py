@@ -6,11 +6,13 @@ accounting) sit at the end; run the file with ``pytest -v -s
 tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+from sdfm.cli import main
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, estimate_cost_std
 from sdfm.coupling import (
     assign_batch,
@@ -368,3 +370,69 @@ def test_criterion_8_guidance_correctness():
     _report("criterion 8 (guidance correctness)",
             f"gamma 0/1 exact; gamma=2 endpoint mean {ends.mean():+.3f} vs "
             f"oracle {oracle_mean:+.3f} (3se={3*se:.3f}), {elapsed:.1f}s")
+
+
+def straightening_probe(tmp_path, seed: int) -> dict:
+    """I-FM and SD-FM on eight-gaussians (N=1024), through the CLI.
+
+    An eps=0 solve of 400 iterations (it ends on the budget), 400 training
+    steps of a 64x64x64 model per coupling, Euler-4 curvature over 2048
+    starts, and W2 of 512 Euler-4 samples against a fresh 512-point draw
+    of the dataset. Returns ``{coupling: (curvature, w2)}``.
+    """
+    def path(name):
+        return str(tmp_path / f"{seed}-{name}")
+
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        assert code in (0, 3), argv  # 3: the solve ends on its budget
+        return code
+
+    run("dataset", "--name", "eight-gaussians", "--n", 1024, "--seed", seed,
+        "--out", path("data.sdfm"))
+    run("dataset", "--name", "eight-gaussians", "--n", 512,
+        "--seed", seed + 10_000, "--out", path("ref.sdfm"))
+    run("solve", "--data", path("data.sdfm"), "--eps", 0, "--iters", 400,
+        "--batch", 256, "--seed", seed, "--out", path("pot.sdfm"))
+    result = {}
+    for coupling in ("independent", "sd"):
+        model = path(f"{coupling}.sdfm")
+        pot = ["--potential", path("pot.sdfm")] if coupling == "sd" else []
+        run("train", "--data", path("data.sdfm"), "--coupling", coupling,
+            *pot, "--steps", 400, "--batch", 256, "--hidden", 64, 64, 64,
+            "--seed", seed, "--out", model)
+        run("eval", "--model", model, "--count", 2048, "--steps", 4,
+            "--seed", seed, "--out", path(f"{coupling}-curv.json"))
+        run("sample", "--model", model, "--count", 512, "--steps", 4,
+            "--seed", seed, "--out", path(f"{coupling}-samples"))
+        run("eval", "--samples", path(f"{coupling}-samples.bin"),
+            "--reference", path("ref.sdfm"),
+            "--out", path(f"{coupling}-w2.json"))
+        with open(path(f"{coupling}-curv.json")) as fh:
+            curv = json.load(fh)["curvature"]
+        with open(path(f"{coupling}-w2.json")) as fh:
+            w2 = json.load(fh)["w2"]
+        result[coupling] = (curv, w2)
+    return result
+
+
+def test_criterion_9_sdfm_straightens_flows(tmp_path, capsys):
+    """SD-FM flows are straighter and closer to the data than I-FM's."""
+    t0 = time.time()
+    # Over seeds 0-19 the SD-FM/I-FM ratios were 0.030-0.373 (curvature)
+    # and 0.488-0.889 (W2); every one of those seeds passes these bounds.
+    max_curv_ratio, max_w2_ratio = 0.4, 0.9
+    lines = []
+    for seed in (0, 1, 2):
+        res = straightening_probe(tmp_path, seed)
+        (c_i, w_i), (c_sd, w_sd) = res["independent"], res["sd"]
+        lines.append(f"seed {seed}: curvature {c_sd:.3f}/{c_i:.3f}, "
+                     f"W2 {w_sd:.3f}/{w_i:.3f}")
+        assert c_sd <= max_curv_ratio * c_i, lines[-1]
+        assert w_sd <= max_w2_ratio * w_i, lines[-1]
+    capsys.readouterr()  # the commands' own output lines
+    elapsed = time.time() - t0
+    assert elapsed < 30.0
+    with capsys.disabled():
+        _report("criterion 9 (SD-FM straightens flows)",
+                "; ".join(lines) + f" (SD-FM/I-FM), {elapsed:.1f}s")

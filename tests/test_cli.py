@@ -218,6 +218,37 @@ class TestTrainSampleEval:
         assert main(["eval", "--samples", a + ".bin",
                      "--reference", b + ".bin"]) == 2
 
+    @pytest.mark.parametrize("fault", ["conditions", "fingerprint", "kind"])
+    def test_eval_reports_container_refusal(self, tmp_path, blob, capsys,
+                                            fault):
+        # A container the loader refuses is reported as such, never read
+        # as the sample dump "<path>.bin" that does not exist.
+        if fault == "conditions":
+            _rewritten(blob, {"conditions": np.zeros((64, 1))})
+            reason = "condition per point"
+        elif fault == "fingerprint":
+            raw = bytearray(open(blob, "rb").read())
+            raw[-1] ^= 0xFF  # the last payload byte
+            open(blob, "wb").write(bytes(raw))
+            reason = "fingerprint mismatch"
+        else:
+            blob = _quick_model(tmp_path, blob)
+            reason = "container kind 'model'"
+        ref = _dump(tmp_path, "ref", (64, 2))
+        capsys.readouterr()
+        assert main(["eval", "--samples", blob, "--reference", ref]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+
+    def test_eval_reads_dataset_and_bare_dump_paths(self, tmp_path, blob):
+        points = artifacts.load_dataset(blob)[0]
+        ref = str(tmp_path / "ref")
+        artifacts.save_sample_dump(ref, points)
+        report = str(tmp_path / "r.json")
+        assert main(["eval", "--samples", blob, "--reference", ref,
+                     "--out", report]) == 0
+        assert json.loads(open(report).read())["w2"] == 0.0
+
     def test_eval_model_curvature(self, tmp_path, blob):
         model_path = str(tmp_path / "m.sdfm")
         main(["train", "--data", blob, "--coupling", "independent",
@@ -483,6 +514,44 @@ _USAGE_CASES = {
     "model-cond-dim-2": lambda tmp, blob: [
         "sample", "--model", _rewritten(_quick_model(tmp, blob), cond_dim=2),
         "--out", str(tmp / "s")],
+    # Flags out of range are refused, not read as a default or run.
+    "solve-batch-0": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10",
+        "--batch", "0", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-chi2-samples-0": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "0", "--out", str(tmp / "x.sdfm")],
+    "solve-iters-0": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "0",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-iters-negative": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "-5",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-lr-0": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10", "--lr", "0",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-lr-negative": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10", "--lr", "-1",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-checkpoint-every-negative": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "256", "--checkpoint-every", "-1",
+        "--out", str(tmp / "x.sdfm")],
+    "train-steps-negative": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "independent", "--steps", "-3",
+        "--batch", "8", "--hidden", "4", "--out", str(tmp / "m.sdfm")],
+    "train-hidden-0": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "independent", "--steps", "2",
+        "--batch", "8", "--hidden", "0", "--out", str(tmp / "m.sdfm")],
+    "dataset-n-0": lambda tmp, blob: [
+        "dataset", "--name", "gaussian-blob", "--n", "0",
+        "--out", str(tmp / "d.sdfm")],
+    "dataset-d-0": lambda tmp, blob: [
+        "dataset", "--name", "gaussian-blob", "--d", "0",
+        "--out", str(tmp / "d.sdfm")],
+    "dataset-n-negative": lambda tmp, blob: [
+        "dataset", "--name", "gaussian-blob", "--n", "-3",
+        "--out", str(tmp / "d.sdfm")],
 }
 
 

@@ -12,12 +12,8 @@ from sdfm.numerics import (
     inverse_cdf,
     softmax_b_eps_rows,
 )
-from sdfm.semidual import (
-    GaussianNoise,
-    Potential,
-    TargetMeasure,
-    soft_c_transform_rows,
-)
+from sdfm import semidual
+from sdfm.semidual import GaussianNoise, Potential, TargetMeasure
 
 
 def _lse(z, logw, eps=1.0):
@@ -28,7 +24,9 @@ def _lse(z, logw, eps=1.0):
     target = TargetMeasure.from_points(np.eye(len(z)), b)
     pot = Potential(g=eps * np.asarray(z, dtype=np.float64), target=target,
                     cost=CostConfig(kind=NEG_DOT, eps_raw=eps))
-    return -soft_c_transform_rows(pot, np.zeros((1, len(z))))[0] / eps
+    f = np.empty(1)
+    semidual._column_sums(pot, np.zeros((1, len(z))), soft_c=f)
+    return -f[0] / eps
 
 
 def _softmax(z, b, eps):

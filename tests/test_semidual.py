@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from sdfm import semidual
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix
@@ -18,11 +19,9 @@ from sdfm.semidual import (
     chi2_estimator,
     chi2_exact,
     gauge_fix,
-    marginal_estimate,
     marginal_exact,
     responsibilities_rows,
     semidual_value,
-    soft_c_transform_rows,
     stochastic_gradient,
     transport_cost,
 )
@@ -34,6 +33,14 @@ def _simple_potential(g, ys, b=None, eps=0.0, kind=NEG_DOT):
     target = TargetMeasure.from_points(ys, b)
     cost = CostConfig(kind=kind, eps_raw=eps)
     return Potential(g=np.asarray(g, dtype=np.float64), target=target, cost=cost)
+
+
+def soft_c_transform_rows(pot, x):
+    """Soft-c transform of each row, as the column-sum scan writes it."""
+    x = np.atleast_2d(x)
+    f = np.empty(x.shape[0])
+    semidual._column_sums(pot, x, soft_c=f)
+    return f
 
 
 def soft_c_transform(pot, x):
@@ -90,6 +97,26 @@ class TestSoftCTransform:
         base = soft_c_transform(_simple_potential(g, ys, eps=eps), x)
         shifted = soft_c_transform(_simple_potential(g + kappa, ys, eps=eps), x)
         assert shifted == pytest.approx(base - kappa, abs=1e-12)
+
+    @pytest.mark.parametrize("eps, kind", [(0.0, NEG_DOT), (0.6, NEG_DOT),
+                                           (0.6, SQ_EUCLIDEAN)])
+    def test_scan_matches_dense_formula(self, eps, kind, monkeypatch):
+        gen = Rng(35).generator()
+        ys = gen.standard_normal((30, 3))
+        b = gen.random(30) + 0.1
+        pot = _simple_potential(gen.standard_normal(30), ys, b, eps=eps,
+                                kind=kind)
+        x = gen.standard_normal((41, 3))
+        # 6-row tiles with a ragged last one: f is written tile by tile.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 6 * 30)
+        scores = pot.g - cost_matrix(pot.cost, x, ys)
+        if eps == 0.0:
+            expected = -scores.max(axis=1)
+        else:
+            expected = -eps * logsumexp(scores / eps, axis=1,
+                                        b=pot.target.weights)
+        np.testing.assert_allclose(soft_c_transform_rows(pot, x), expected,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestResponsibilities:
@@ -229,7 +256,7 @@ class TestStochasticGradient:
 class TestMarginal:
     def test_symmetric_two_point(self):
         pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
-        m = marginal_estimate(pot, Rng(9), total_samples=20000, batch=5000)
+        m = semidual.chi2_batches(pot, Rng(9), 20000, 5000).marginal
         std_error = np.sqrt(np.max(m * (1.0 - m)) / 20000)
         assert m.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(m - 0.5)) < 4 * std_error + 0.02
@@ -239,7 +266,7 @@ class TestMarginal:
         ys = gen.standard_normal((4, 2))
         b = np.array([0.4, 0.3, 0.2, 0.1])
         pot = _simple_potential(np.zeros(4), ys, b, eps=1e6)
-        m = marginal_estimate(pot, Rng(11), total_samples=10000, batch=2500)
+        m = semidual.chi2_batches(pot, Rng(11), 10000, 2500).marginal
         assert np.max(np.abs(m - b)) < 1e-3
 
     def test_enumeration_exact(self):
@@ -312,8 +339,9 @@ class TestChi2:
         # The weighted rows of exact noise give the same transform.
         noise = DiscreteNoise(x, gen.random(50) + 0.1)
         f_w = np.empty(50)
-        np.testing.assert_array_equal(marginal_exact(pot, noise, soft_c=f_w),
-                                      marginal_exact(pot, noise))
+        np.testing.assert_array_equal(
+            semidual._column_sums(pot, x, noise.weights, soft_c=f_w)[0],
+            marginal_exact(pot, noise))
         np.testing.assert_array_equal(f_w, f)
         # A streamed scan: four batches of 25, the 1-row tail dropped.
         scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
@@ -386,6 +414,29 @@ class TestTransportCost:
         _, _, g_star, value = oracle_discrete_ot(costs, w, target.weights, cost.eps)
         pot = Potential(g=g_star, target=target, cost=cost)
         assert transport_cost(pot, atoms, w) == pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_matches_dense_primal(self, eps, monkeypatch):
+        # sum_ij w_i s_ij c_ij + eps sum_i w_i KL(s_i || b), from the
+        # dense responsibilities, against the one-scan readout.
+        gen = Rng(18).generator()
+        ys = gen.standard_normal((25, 2))
+        pot = _simple_potential(gen.standard_normal(25), ys,
+                                gen.random(25) + 0.1, eps=eps)
+        x = gen.standard_normal((37, 2))
+        w = gen.random(37) + 0.1
+        w /= w.sum()
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 5 * 25)
+        s = responsibilities_rows(pot, x)
+        per_row = np.sum(s * cost_matrix(pot.cost, x, ys), axis=1)
+        if eps > 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kl = np.where(s > 0, s * np.log(s / pot.target.weights), 0.0)
+            per_row += eps * kl.sum(axis=1)
+        assert transport_cost(pot, x) == pytest.approx(
+            float(np.mean(per_row)), rel=1e-10, abs=1e-12)
+        assert transport_cost(pot, x, w) == pytest.approx(
+            float(w @ per_row), rel=1e-10, abs=1e-12)
 
     def test_independent_limit_kl_vanishes(self):
         gen = Rng(17).generator()
