@@ -1,7 +1,6 @@
 PYTHON ?= python3
 OUT := out/toy-2d
-# The CLI from this checkout; an installed `sdfm` works the same.
-SDFM ?= PYTHONPATH=src $(PYTHON) -m sdfm
+SDFM := PYTHONPATH=src $(PYTHON) -m sdfm
 
 .PHONY: test acceptance demos bench bench-trace bench-smoke check toy-2d clean
 

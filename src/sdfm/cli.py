@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import artifacts
-from .container import MAGIC, ContainerError, MetricsWriter
+from .container import ContainerError, MetricsWriter, is_container
 from .costs import (
     NEG_DOT,
     REFERENCE_BATCH_SIZE,
@@ -263,10 +262,8 @@ def _load_cloud(path: str) -> np.ndarray:
     Only a file without the container magic falls back to the dump, so a
     container that the loader refuses reports why.
     """
-    if os.path.isfile(path) and not path.endswith((".bin", ".json")):
-        with open(path, "rb") as fh:
-            if fh.read(len(MAGIC)) == MAGIC:
-                return artifacts.load_dataset(path)[0]
+    if not path.endswith((".bin", ".json")) and is_container(path):
+        return artifacts.load_dataset(path)[0]
     return artifacts.load_sample_dump(path)
 
 
@@ -318,7 +315,7 @@ def _toy(name):
 
 @_toy("two-atoms")
 def _toy_two_atoms(n, d, rng):
-    pts = np.zeros((2, max(d, 1)))
+    pts = np.zeros((2, d))
     pts[0, 0] = 1.0
     pts[1, 0] = -1.0
     return pts, None

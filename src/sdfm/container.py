@@ -41,6 +41,7 @@ __all__ = [
     "ContainerError",
     "write_container",
     "read_container",
+    "is_container",
     "MetricsWriter",
     "CONTAINER_VERSION",
     "KINDS",
@@ -109,6 +110,14 @@ def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def is_container(path: str) -> bool:
+    """Whether ``path`` is a file that starts with the container magic."""
+    if not os.path.isfile(path):
+        return False
+    with open(path, "rb") as fh:
+        return fh.read(len(MAGIC)) == MAGIC
 
 
 def read_container(path: str, expect_kind: Optional[str] = None):
