@@ -35,8 +35,8 @@ bench-trace:
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py
 
-# Tier-1 tests, then the harness smoke test, which also runs the traced
-# recipe (tier-1 only checks that the tracer's by-name lookups resolve).
+# Tier-1 tests, then the harness smoke test, which also runs both traced
+# benchmark recipes (tier-1 traces one tiny recipe of every command).
 check: test bench-smoke
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that

@@ -8,17 +8,19 @@ step budgets. Saves a sample figure when matplotlib is available.
 Run:  python demos/03_flow_matching_lab.py           (about a minute)
 """
 
+from functools import partial
+
 import numpy as np
 
 from sdfm import (
     CostConfig,
     FlowModel,
-    IndependentCoupling,
     Rng,
-    SDCoupling,
     SolverConfig,
     TargetMeasure,
     TrainConfig,
+    assign_batch,
+    couple_independent,
     curvature,
     integrate,
     solve_sdot,
@@ -47,8 +49,10 @@ print("potential chi-square:", f"{pot.provenance['final_chi2']:.4f}")
 init = FlowModel(dim=2, hidden=(64, 64, 64), rng=rng.child(2))
 cfg = TrainConfig(steps=1500, batch=256)
 models = {
-    "I-FM": train_flow(init, target, IndependentCoupling(target), cfg, rng.child(3)),
-    "SD-FM": train_flow(init, target, SDCoupling(pot), cfg, rng.child(3)),
+    "I-FM": train_flow(init, target, partial(couple_independent, target), cfg,
+                       rng.child(3)),
+    "SD-FM": train_flow(init, target, partial(assign_batch, pot), cfg,
+                        rng.child(3)),
 }
 
 probe = rng.child(4).generator().standard_normal((1024, 2))

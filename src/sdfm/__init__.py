@@ -27,7 +27,6 @@ from .semidual import (
 )
 from .solver import SolverConfig, lr_schedule, smoothness_bound, solve_sdot
 from .coupling import (
-    PairBatch,
     assign_batch,
     couple_independent,
     couple_minibatch_ot,
@@ -39,9 +38,6 @@ from .coupling import (
 from .flow import (
     FlowModel,
     GuidanceConfig,
-    IndependentCoupling,
-    MinibatchOTCoupling,
-    SDCoupling,
     TrainConfig,
     Trajectory,
     curvature,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .container import ContainerError, read_container, write_container
 from .costs import CostConfig, ProjectionMatrix
-from .coupling import PairBatch
 from .flow import FlowModel
 from .semidual import Potential, TargetMeasure
 
@@ -133,15 +132,12 @@ def load_model(path: str) -> FlowModel:
     return model
 
 
-def save_pairs(path: str, batch: PairBatch, metadata: Optional[dict] = None) -> None:
-    arrays = {
-        "indices": batch.indices,
-        "noise": batch.noise,
-        "points": batch.points,
-    }
-    meta = dict(metadata or {})
-    meta.update(provenance=batch.provenance, time_per_pair=batch.time_per_pair)
-    write_container(path, "pairs", arrays, meta)
+def save_pairs(path: str, noise: np.ndarray, indices: np.ndarray,
+               points: np.ndarray, metadata: Optional[dict] = None) -> None:
+    """Noise rows, their target indices, and the target points of those."""
+    arrays = {"indices": np.asarray(indices, dtype=np.int64),
+              "noise": noise, "points": points}
+    write_container(path, "pairs", arrays, metadata)
 
 
 def save_sample_dump(prefix: str, samples: np.ndarray,

@@ -13,8 +13,10 @@ byte-identical artifact payloads; only recorded wall times differ.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -30,13 +32,16 @@ from .costs import (
     estimate_cost_std,
     fit_pca,
 )
-from .coupling import SinkhornError, assign_batch, hungarian
+from .coupling import (
+    SinkhornError,
+    assign_batch,
+    couple_independent,
+    couple_minibatch_ot,
+    hungarian,
+)
 from .flow import (
     FlowModel,
     GuidanceConfig,
-    IndependentCoupling,
-    MinibatchOTCoupling,
-    SDCoupling,
     TrainConfig,
     curvature,
     gaussian_starts,
@@ -71,10 +76,13 @@ def _fail(message: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 # Shared loading helpers
 
-def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
+def _load_target(data_path: str) -> TargetMeasure:
     points, weights, _ = artifacts.load_dataset(data_path)
-    target = TargetMeasure.from_points(points, weights)
-    return artifacts.load_potential(pot_path, target)
+    return TargetMeasure.from_points(points, weights)
+
+
+def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
+    return artifacts.load_potential(pot_path, _load_target(data_path))
 
 
 def _resolve_cost(args, points, rng: Rng):
@@ -158,45 +166,42 @@ def cmd_assign(args) -> int:
     else:
         if args.sample is None or args.sample < 1:
             raise UsageError("pass --noise FILE or --sample COUNT >= 1")
-        noise = rng.child(0).generator().standard_normal(
-            (args.sample, pot.target.dim))
-    batch = assign_batch(pot, noise, rng.child(1))
-    artifacts.save_pairs(args.out, batch, {
-        "seed": args.seed, "potential": args.potential,
-        "mean_time_per_pair_s": batch.time_per_pair,
+        noise = gaussian_starts(rng.child(0), args.sample, pot.target.dim)
+    t0 = time.perf_counter()
+    indices = assign_batch(pot, noise, rng.child(1))
+    time_per_pair = (time.perf_counter() - t0) / max(len(noise), 1)
+    points = pot.target.points[indices]
+    artifacts.save_pairs(args.out, noise, indices, points, {
+        "seed": args.seed, "potential": args.potential, "provenance": "sd",
+        "mean_time_per_pair_s": time_per_pair,
     })
-    print(f"assign: pairs={len(batch)} "
-          f"time_per_pair={batch.time_per_pair * 1e6:.2f}us out={args.out}")
+    print(f"assign: pairs={len(indices)} "
+          f"time_per_pair={time_per_pair * 1e6:.2f}us out={args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     rng = Rng(args.seed)
-    points, weights, _ = artifacts.load_dataset(args.data)
+    target = _load_target(args.data)
     if args.coupling == "sd":
         if not args.potential:
             raise UsageError("--coupling sd requires --potential")
-        pot = _load_potential_with_target(args.potential, args.data)
-        target = pot.target
-        coupling = SDCoupling(pot)
+        pot = artifacts.load_potential(args.potential, target)
+        pair = functools.partial(assign_batch, pot)
+    elif args.coupling == "independent":
+        pair = functools.partial(couple_independent, target)
+    elif args.coupling == "minibatch-hungarian":
+        pair = functools.partial(couple_minibatch_ot, target, 0.0)
     else:
-        target = TargetMeasure.from_points(points, weights)
-        if args.coupling == "independent":
-            coupling = IndependentCoupling(target)
-        elif args.coupling in ("minibatch-sinkhorn", "minibatch-hungarian"):
-            method = args.coupling.split("-")[1]
-            eps = args.ot_eps if method == "sinkhorn" else 0.0
-            cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=eps)
-            coupling = MinibatchOTCoupling(target, cost, eps, method)
-        else:
-            raise UsageError(f"unknown coupling {args.coupling!r}")
-    model = FlowModel(dim=points.shape[1], hidden=tuple(args.hidden),
+        if not args.ot_eps > 0.0:
+            raise UsageError("--ot-eps must be > 0 for minibatch-sinkhorn")
+        pair = functools.partial(couple_minibatch_ot, target, args.ot_eps)
+    model = FlowModel(dim=target.dim, hidden=tuple(args.hidden),
                       rng=rng.child(100))
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
     with MetricsWriter(args.out + ".metrics.csv",
                        args.out + ".metrics.json") as metrics:
-        model = train_flow(model, target, coupling, cfg, rng.child(101),
-                           metrics=metrics)
+        model = train_flow(model, target, pair, cfg, rng.child(101), metrics)
         artifacts.save_model(args.out, model, {
             "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
             "batch": args.batch, "data": args.data,
@@ -315,6 +320,8 @@ def _toy(name):
 
 @_toy("two-atoms")
 def _toy_two_atoms(n, d, rng):
+    if n not in (None, 2):
+        raise UsageError("two-atoms has exactly 2 points; drop --n or pass 2")
     pts = np.zeros((2, d))
     pts[0, 0] = 1.0
     pts[1, 0] = -1.0
@@ -343,10 +350,13 @@ def cmd_dataset(args) -> int:
         raise UsageError(
             f"unknown dataset {args.name!r}; choose from {sorted(_TOY_BUILDERS)}"
         )
-    if args.n < 1 or args.d < 1:
+    if (args.n is not None and args.n < 1) or args.d < 1:
         raise UsageError("--n and --d must be >= 1")
     rng = Rng(args.seed)
-    points, weights = _TOY_BUILDERS[args.name](args.n, args.d, rng)
+    n = args.n
+    if n is None and args.name != "two-atoms":
+        n = 4096  # the sampled builders' default size
+    points, weights = _TOY_BUILDERS[args.name](n, args.d, rng)
     artifacts.save_dataset(args.out, points, weights,
                            {"name": args.name, "seed": args.seed})
     print(f"dataset: name={args.name} n={len(points)} d={points.shape[1]} "
@@ -442,7 +452,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("dataset", help="generate a bundled toy dataset")
     s.add_argument("--name", required=True)
-    s.add_argument("--n", type=int, default=4096)
+    s.add_argument("--n", type=int)
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)

@@ -5,6 +5,8 @@ target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a maximum inner
 product search with a ``b``-weighted draw over ties; for ``eps > 0`` it
 is a categorical draw from the responsibilities. Baselines cover the
 independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian).
+Every pairing engine returns one thing, the target index of each noise
+row, so a training loop takes any of them as ``pair(noise, rng)``.
 
 :func:`oracle_discrete_ot` is the test oracle: dense log-domain Sinkhorn
 for ``eps > 0``, the exact transport LP for ``eps = 0``.
@@ -12,14 +14,16 @@ for ``eps > 0``, the exact transport LP for ``eps = 0``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy import optimize
 
-from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
+from .costs import (
+    NEG_DOT,
+    SQ_EUCLIDEAN,
+    ConfigurationError,
+    CostConfig,
+    cost_matrix,
+)
 from .numerics import (
     ARGMAX_TIE_TOL,
     Rng,
@@ -30,7 +34,6 @@ from .numerics import (
 from .semidual import Potential, TargetMeasure, coupling_scores, score_chunks
 
 __all__ = [
-    "PairBatch",
     "SinkhornError",
     "assign_batch",
     "laguerre_contains",
@@ -41,12 +44,6 @@ __all__ = [
     "oracle_discrete_ot",
 ]
 
-INDEPENDENT = "independent"
-SD = "sd"
-MINIBATCH_SINKHORN = "minibatch-sinkhorn"
-MINIBATCH_HUNGARIAN = "minibatch-hungarian"
-
-
 class SinkhornError(RuntimeError):
     """Sinkhorn failed to reach the marginal tolerance; carries residual."""
 
@@ -55,33 +52,8 @@ class SinkhornError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class PairBatch:
-    """A batch of coupled (noise, data index) pairs ready for training."""
-
-    noise: np.ndarray  # (B, d) raw noise
-    indices: np.ndarray  # (B,) into the target support
-    points: np.ndarray  # (B, d) raw dataset rows of the indices
-    provenance: str = INDEPENDENT
-    time_per_pair: Optional[float] = None  # seconds
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.shape[0] != self.noise.shape[0]:
-            raise ValueError("one index per noise row required")
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-def _resolve(target: TargetMeasure, noise: np.ndarray, idx: np.ndarray,
-             provenance: str, tpp: float | None = None) -> PairBatch:
-    return PairBatch(noise=noise, indices=idx, points=target.points[idx],
-                     provenance=provenance, time_per_pair=tpp)
-
-
-def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> PairBatch:
-    """Pair each raw noise row with a target index by the O(N) scan.
+def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
+    """Target index of each raw noise row, by the O(N) scan.
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
     over exact ties; ``eps > 0``: categorical draw from the
@@ -90,12 +62,9 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> PairBatch:
     its noise row, never on the batch size. Streams the scan through
     :func:`~sdfm.semidual.score_chunks`: one matmul block per read of the
     support, reduced in L2-sized slabs, so the scan holds at most the
-    larger of 1 MiB and 4 x the support's bytes whatever the batch size. It
-    records the mean wall-clock time per pair so pairing overhead can be
-    compared across coupling methods on the same harness.
+    larger of 1 MiB and 4 x the support's bytes whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    t0 = time.perf_counter()
     b = pot.target.weights
     log_b = pot.target.log_weights
     u = rng.generator().random(len(noise))
@@ -108,8 +77,7 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> PairBatch:
             s = softmax_b_eps_rows(scores, b, pot.eps, out=scores, log_b=log_b)
             part = inverse_cdf(s, u[lo:hi])
         idx[lo:hi] = part
-    tpp = (time.perf_counter() - t0) / max(len(noise), 1)
-    return _resolve(pot.target, noise, idx, SD, tpp)
+    return idx
 
 
 def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
@@ -130,13 +98,10 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
 
 
 def couple_independent(target: TargetMeasure, noise: np.ndarray,
-                       rng: Rng) -> PairBatch:
-    """Indices drawn i.i.d. from the target weights."""
-    noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    t0 = time.perf_counter()
-    idx = rng.generator().choice(target.n, size=len(noise), p=target.weights)
-    tpp = (time.perf_counter() - t0) / max(len(noise), 1)
-    return _resolve(target, noise, idx, INDEPENDENT, tpp)
+                       rng: Rng) -> np.ndarray:
+    """One index per noise row, drawn i.i.d. from the target weights."""
+    return rng.generator().choice(target.n, size=len(np.atleast_2d(noise)),
+                                  p=target.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +210,29 @@ def hungarian(costs: np.ndarray):
     return assignment, float(costs[rows, assignment].sum())
 
 
-def couple_minibatch_ot(target: TargetMeasure, noise: np.ndarray,
-                        cost: CostConfig, eps: float, rng: Rng,
-                        method: str = "sinkhorn") -> PairBatch:
+def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
+                        rng: Rng) -> np.ndarray:
     """Minibatch OT baseline: match ``n`` noise rows to ``n`` fresh data rows.
 
-    ``sinkhorn`` samples a data index per noise row from the row of the
-    (row-normalized) coupling matrix; ``hungarian`` uses the optimal
-    permutation. The recorded time per pair amortizes the full solve over
-    the batch.
+    Both solve the squared-Euclidean problem between the noise rows and
+    ``n`` data rows drawn from the target weights. ``eps == 0`` uses the
+    optimal permutation (Hungarian); ``eps > 0`` runs Sinkhorn and draws
+    each row's partner from its row of the normalized plan.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     n = len(noise)
-    t0 = time.perf_counter()
     gen = rng.generator()
     data_idx = gen.choice(target.n, size=n, p=target.weights)
-    c = cost_matrix(cost, cost.embed(noise), cost.embed(target.points[data_idx]))
-    if n == 1:
-        local = np.zeros(1, dtype=np.int64)
-    elif method == "hungarian":
+    c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise,
+                    target.points[data_idx])
+    if eps == 0.0:
         local, _ = hungarian(c)
-    elif method == "sinkhorn":
-        if eps <= 0.0:
-            raise ConfigurationError("sinkhorn minibatch coupling needs eps > 0")
+    else:
         marg = np.full(n, 1.0 / n)
         plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
         local = inverse_cdf(plan / plan.sum(axis=1, keepdims=True),
                             gen.random(n))
-    else:
-        raise ConfigurationError(f"unknown minibatch method {method!r}")
-    idx = data_idx[local]
-    tpp = (time.perf_counter() - t0) / max(n, 1)
-    prov = MINIBATCH_HUNGARIAN if method == "hungarian" else MINIBATCH_SINKHORN
-    return _resolve(target, noise, idx, prov, tpp)
+    return data_idx[local]
 
 
 # ---------------------------------------------------------------------------

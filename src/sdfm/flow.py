@@ -8,8 +8,9 @@ from the velocity, and the replica-resampling scheme for sampling from a
 geometric mixture of two flows.
 
 The three coupling sources (independent, semidiscrete, minibatch OT) are
-interchangeable: given identical pair batches, the parameter update is
-identical code.
+interchangeable: each is a function ``pair(noise, rng)`` returning the
+target index of every noise row, and given identical indices, the
+parameter update is identical code.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import (
-    PairBatch,
-    assign_batch,
-    couple_independent,
-    couple_minibatch_ot,
-)
-from .costs import NEG_DOT, ConfigurationError, CostConfig
+from .costs import NEG_DOT, ConfigurationError
 from .numerics import Rng, inverse_cdf
 from .semidual import Potential, TargetMeasure, responsibilities_rows
 
@@ -35,9 +30,6 @@ __all__ = [
     "Trajectory",
     "GuidanceConfig",
     "TrainConfig",
-    "IndependentCoupling",
-    "SDCoupling",
-    "MinibatchOTCoupling",
     "interpolate",
     "fm_loss_and_grad",
     "train_flow",
@@ -162,16 +154,15 @@ class FlowModel:
         )
 
 
-def fm_loss_and_grad(model: FlowModel, pairs: PairBatch, t=None,
-                     rng: Optional[Rng] = None):
+def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray,
+                     t=None, rng: Optional[Rng] = None):
     """Flow-matching loss and exact parameter gradient on one batch.
 
-    Loss is the batch mean of ``||(x1 - x0) - v(t, x_t)||^2`` along the
-    linear interpolant. ``t`` may be supplied per pair; otherwise it is
+    Row ``i`` of the noise ``x0`` is paired with row ``i`` of the data
+    ``x1``. Loss is the batch mean of ``||(x1 - x0) - v(t, x_t)||^2`` along
+    the linear interpolant. ``t`` may be supplied per pair; otherwise it is
     drawn uniformly on ``[0, 1 - 1e-3]`` from ``rng``.
     """
-    x0 = pairs.noise
-    x1 = pairs.points
     bsz = x0.shape[0]
     if t is None:
         if rng is None:
@@ -191,7 +182,7 @@ def fm_loss_and_grad(model: FlowModel, pairs: PairBatch, t=None,
 
 
 # ---------------------------------------------------------------------------
-# Optimizer and coupling sources
+# Optimizer and training loop
 
 class _Adam:
     """Adam with the standard constants."""
@@ -212,47 +203,6 @@ class _Adam:
         return theta - self.LR * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-class IndependentCoupling:
-    """Pair provider drawing data indices i.i.d. from the target weights."""
-
-    name = "independent"
-
-    def __init__(self, target: TargetMeasure):
-        self.target = target
-
-    def pairs(self, rng: Rng, noise: np.ndarray) -> PairBatch:
-        return couple_independent(self.target, noise, rng)
-
-
-class SDCoupling:
-    """Pair provider using a fitted semidiscrete potential."""
-
-    name = "sd"
-
-    def __init__(self, potential: Potential):
-        self.potential = potential
-        self.target = potential.target
-
-    def pairs(self, rng: Rng, noise: np.ndarray) -> PairBatch:
-        return assign_batch(self.potential, noise, rng)
-
-
-class MinibatchOTCoupling:
-    """Pair provider solving a fresh minibatch OT problem per request."""
-
-    def __init__(self, target: TargetMeasure, cost: CostConfig, eps: float,
-                 method: str = "sinkhorn"):
-        self.target = target
-        self.cost = cost
-        self.eps = eps
-        self.method = method
-        self.name = f"minibatch-{method}"
-
-    def pairs(self, rng: Rng, noise: np.ndarray) -> PairBatch:
-        return couple_minibatch_ot(self.target, noise, self.cost, self.eps,
-                                   rng, self.method)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 2000
@@ -265,41 +215,38 @@ class TrainConfig:
             raise ConfigurationError("batch must be >= 1")
 
 
-def train_flow(model: FlowModel, target: TargetMeasure, coupling,
+def train_flow(model: FlowModel, target: TargetMeasure,
+               pair: Callable[[np.ndarray, Rng], np.ndarray],
                cfg: TrainConfig, rng: Rng, metrics=None) -> FlowModel:
-    """Train the velocity field with pairs from ``coupling``.
+    """Train the velocity field on pairs of noise rows and target points.
 
-    The coupling source is the only difference across runs: noise draws,
-    time draws, and the parameter update are identical given identical
-    pair batches. Aborts on a non-finite loss.
+    ``pair(noise, rng)`` returns the target index of each noise row, and
+    is the only difference across runs: noise draws, time draws, and the
+    parameter update are identical given identical indices. Aborts on a
+    non-finite loss.
     """
     model = model.copy()
     theta = model.get_theta()
     opt = _Adam(theta.size)
-    noise_dim = model.dim
     start = time.perf_counter()
     for step in range(cfg.steps):
         step_rng = rng.child(step)
-        noise = step_rng.child(0).generator().standard_normal(
-            (cfg.batch, noise_dim)
-        )
+        noise = gaussian_starts(step_rng.child(0), cfg.batch, model.dim)
         t0 = time.perf_counter()
-        batch = coupling.pairs(step_rng.child(1), noise)
-        pair_seconds = time.perf_counter() - t0
-        loss, grad = fm_loss_and_grad(model, batch, rng=step_rng.child(2))
+        idx = pair(noise, step_rng.child(1))
+        pair_ms = (time.perf_counter() - t0) * 1e3
+        loss, grad = fm_loss_and_grad(model, noise, target.points[idx],
+                                      rng=step_rng.child(2))
         if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite loss at step {step} (coupling={coupling.name})"
-            )
+            raise FloatingPointError(f"non-finite loss at step {step}")
         theta = opt.step(theta, grad)
         model.set_theta(theta)
         if metrics is not None:
             wall = (time.perf_counter() - start) * 1e3
             metrics.log(step, "fm_loss", loss, wall_ms=wall)
-            metrics.log(step, "time_per_pair_ms",
-                        (batch.time_per_pair or pair_seconds / cfg.batch) * 1e3,
+            metrics.log(step, "time_per_pair_ms", pair_ms / cfg.batch,
                         wall_ms=wall)
-            metrics.log(step, "pair_batch_ms", pair_seconds * 1e3, wall_ms=wall)
+            metrics.log(step, "pair_batch_ms", pair_ms, wall_ms=wall)
     return model
 
 

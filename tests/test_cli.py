@@ -552,6 +552,17 @@ _USAGE_CASES = {
     "dataset-n-negative": lambda tmp, blob: [
         "dataset", "--name", "gaussian-blob", "--n", "-3",
         "--out", str(tmp / "d.sdfm")],
+    "dataset-two-atoms-n-5": lambda tmp, blob: [
+        "dataset", "--name", "two-atoms", "--n", "5",
+        "--out", str(tmp / "d.sdfm")],
+    "train-ot-eps-0": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
+        "--ot-eps", "0", "--steps", "2", "--batch", "8", "--hidden", "4",
+        "--out", str(tmp / "m.sdfm")],
+    "train-ot-eps-negative": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
+        "--ot-eps", "-0.5", "--steps", "2", "--batch", "8", "--hidden", "4",
+        "--out", str(tmp / "m.sdfm")],
 }
 
 

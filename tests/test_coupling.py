@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from sdfm import artifacts
+from sdfm.cli import main
+from sdfm.container import read_container
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
 from sdfm.coupling import (
     SinkhornError,
@@ -15,6 +18,7 @@ from sdfm.coupling import (
     oracle_discrete_ot,
     sinkhorn_log,
 )
+from sdfm.flow import gaussian_starts
 from sdfm.numerics import Rng
 from sdfm.semidual import Potential, TargetMeasure, stochastic_gradient
 
@@ -29,7 +33,7 @@ def _pot(g, ys, b=None, eps=0.0):
 
 def assign(pot, x, rng):
     """One-row form of :func:`assign_batch`."""
-    return int(assign_batch(pot, np.atleast_2d(x), rng).indices[0])
+    return int(assign_batch(pot, np.atleast_2d(x), rng)[0])
 
 
 class TestAssign:
@@ -45,7 +49,7 @@ class TestAssign:
     def test_tie_break_uniform(self):
         pot = _pot([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
         x = np.array([0.0, 1.0])  # orthogonal to y1 - y2: exact tie
-        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(1)).indices
+        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(1))
         freq = draws.mean()
         sigma = np.sqrt(0.25 / 10_000)
         assert abs(freq - 0.5) <= 3 * sigma
@@ -53,7 +57,7 @@ class TestAssign:
     def test_tie_break_follows_b(self):
         pot = _pot([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], b=[0.25, 0.75])
         x = np.array([0.0, 1.0])
-        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(2)).indices
+        draws = assign_batch(pot, np.tile(x, (10_000, 1)), Rng(2))
         freq = draws.mean()
         sigma = np.sqrt(0.25 * 0.75 / 10_000)
         assert abs(freq - 0.75) <= 3 * sigma
@@ -63,7 +67,7 @@ class TestAssign:
         ys = gen.standard_normal((4, 2))
         pot = _pot(gen.standard_normal(4), ys, eps=0.5)
         x = np.array([[0.3, -0.2]])
-        draws = assign_batch(pot, np.repeat(x, 20_000, axis=0), Rng(3)).indices
+        draws = assign_batch(pot, np.repeat(x, 20_000, axis=0), Rng(3))
         from sdfm.semidual import responsibilities_rows
 
         probs = responsibilities_rows(pot, x)[0]
@@ -77,7 +81,7 @@ class TestAssign:
         g = gen.standard_normal(n) * 0.3
         pot = _pot(g, ys)
         xs = gen.standard_normal((500, 8))
-        picked = assign_batch(pot, xs, Rng(5)).indices
+        picked = assign_batch(pot, xs, Rng(5))
         for x, got in zip(xs, picked):
             # Independent scan: per-index python arithmetic on raw points.
             best, best_score = None, -np.inf
@@ -98,10 +102,10 @@ class TestAssignBatch:
         pot = _pot(np.r_[0.0, 0.0, gen.standard_normal(4) - 5.0], ys, eps=eps)
         noise = gen.standard_normal((16, 2))
         noise[3::4] = [0.0, 1.0]  # exact ties at eps=0
-        full = assign_batch(pot, noise, Rng(9)).indices
+        full = assign_batch(pot, noise, Rng(9))
         for k in (1, 5, 16):
             np.testing.assert_array_equal(
-                assign_batch(pot, noise[:k], Rng(9)).indices, full[:k])
+                assign_batch(pot, noise[:k], Rng(9)), full[:k])
 
     def test_permutation_equivariance_no_ties(self):
         gen = Rng(10).generator()
@@ -109,18 +113,32 @@ class TestAssignBatch:
         pot = _pot(gen.standard_normal(8), ys, eps=0.0)
         noise = gen.standard_normal((32, 2))
         perm = gen.permutation(32)
-        a = assign_batch(pot, noise, Rng(11)).indices
-        b = assign_batch(pot, noise[perm], Rng(11)).indices
+        a = assign_batch(pot, noise, Rng(11))
+        b = assign_batch(pot, noise[perm], Rng(11))
         np.testing.assert_array_equal(a[perm], b)
 
-    def test_resolved_points_match_target(self):
+    def test_resolved_points_match_target(self, tmp_path):
+        # ``sdfm assign`` stores each noise row's index and the target row
+        # it names, as pairing the same draws in-process gives.
         gen = Rng(12).generator()
         ys = gen.standard_normal((4, 2))
-        pot = _pot(np.zeros(4), ys)
-        batch = assign_batch(pot, gen.standard_normal((8, 2)), Rng(13))
-        np.testing.assert_array_equal(batch.points, ys[batch.indices])
-        assert batch.provenance == "sd"
-        assert batch.time_per_pair is not None and batch.time_per_pair > 0
+        pot = _pot(gen.standard_normal(4) * 0.3, ys)
+        data, pot_path, out = (str(tmp_path / f) for f in
+                               ("data.sdfm", "pot.sdfm", "pairs.sdfm"))
+        artifacts.save_dataset(data, ys)
+        artifacts.save_potential(pot_path, pot)
+        assert main(["assign", "--potential", pot_path, "--data", data,
+                     "--sample", "8", "--seed", "13", "--out", out]) == 0
+        _, meta, arrays = read_container(out, expect_kind="pairs")
+        noise = gaussian_starts(Rng(13).child(0), 8, 2)
+        expected = assign_batch(pot, noise, Rng(13).child(1))
+        assert arrays["indices"].dtype == np.int64
+        np.testing.assert_array_equal(arrays["indices"], expected)
+        np.testing.assert_array_equal(arrays["noise"], noise)
+        np.testing.assert_array_equal(arrays["points"], ys[expected])
+        assert meta["provenance"] == "sd"
+        assert meta["mean_time_per_pair_s"] > 0
+        assert "time_per_pair" not in meta
 
 
 class TestLaguerre:
@@ -129,7 +147,7 @@ class TestLaguerre:
         ys = gen.standard_normal((12, 3))
         pot = _pot(gen.standard_normal(12) * 0.2, ys)
         xs = gen.standard_normal((1000, 3))
-        for x, j in zip(xs, assign_batch(pot, xs, Rng(15)).indices):
+        for x, j in zip(xs, assign_batch(pot, xs, Rng(15))):
             assert laguerre_contains(pot, j, x)
 
     def test_antipodal_half_spaces(self):
@@ -164,14 +182,14 @@ class TestCoupleIndependent:
     def test_single_atom(self):
         target = TargetMeasure.from_points([[1.0, 1.0]])
         batch = couple_independent(target, Rng(17).generator().standard_normal((16, 2)), Rng(18))
-        assert np.all(batch.indices == 0)
+        assert np.all(batch == 0)
 
     def test_uniform_goodness_of_fit(self):
         n = 10
         target = TargetMeasure.from_points(Rng(19).generator().standard_normal((n, 2)))
         noise = Rng(20).generator().standard_normal((100_000, 2))
         batch = couple_independent(target, noise, Rng(21))
-        counts = np.bincount(batch.indices, minlength=n)
+        counts = np.bincount(batch, minlength=n)
         _, p = chisquare(counts)
         assert p > 0.001
 
@@ -179,7 +197,7 @@ class TestCoupleIndependent:
         target = TargetMeasure.from_points([[1.0], [-1.0]], weights=[0.9, 0.1])
         noise = Rng(22).generator().standard_normal((50_000, 1))
         batch = couple_independent(target, noise, Rng(23))
-        freq0 = np.mean(batch.indices == 0)
+        freq0 = np.mean(batch == 0)
         sigma = np.sqrt(0.9 * 0.1 / 50_000)
         assert abs(freq0 - 0.9) <= 3 * sigma
 
@@ -234,9 +252,8 @@ class TestCoupleMinibatch:
     def test_single_pair_identity(self):
         target = TargetMeasure.from_points([[0.5, 0.5]])
         noise = np.array([[1.0, -1.0]])
-        batch = couple_minibatch_ot(target, noise, CostConfig(kind=SQ_EUCLIDEAN),
-                                    0.1, Rng(26), method="sinkhorn")
-        assert batch.indices[0] == 0
+        for eps in (0.0, 0.1):  # Hungarian and Sinkhorn
+            assert couple_minibatch_ot(target, eps, noise, Rng(26))[0] == 0
 
     def test_small_eps_approaches_hungarian(self):
         # 2x2 symmetric instance with a unique optimal permutation.
@@ -252,16 +269,18 @@ class TestCoupleMinibatch:
         gen = Rng(29).generator()
         target = TargetMeasure.from_points(gen.standard_normal((8, 2)))
         noise = gen.standard_normal((8, 2))
-        batch = couple_minibatch_ot(target, noise, CostConfig(kind=SQ_EUCLIDEAN),
-                                    0.0, Rng(30), method="hungarian")
-        assert batch.provenance == "minibatch-hungarian"
-        assert len(np.unique(batch.indices)) <= 8
+        batch = couple_minibatch_ot(target, 0.0, noise, Rng(30))
+        assert len(np.unique(batch)) <= 8
+        # eps=0 is the optimal permutation onto fresh squared-Euclidean draws.
+        fresh = Rng(30).generator().choice(8, size=8, p=target.weights)
+        perm, _ = hungarian(cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise,
+                                        target.points[fresh]))
+        np.testing.assert_array_equal(batch, fresh[perm])
 
     def test_sinkhorn_requires_positive_eps(self):
         target = TargetMeasure.from_points([[1.0], [0.0]])
-        with pytest.raises(ConfigurationError):
-            couple_minibatch_ot(target, np.zeros((2, 1)),
-                                CostConfig(kind=SQ_EUCLIDEAN), 0.0, Rng(31))
+        with pytest.raises(ValueError):
+            couple_minibatch_ot(target, -0.1, np.zeros((2, 1)), Rng(31))
 
     def test_minibatch_instability_vs_sd(self):
         # The same probe points get different partners across resampled
@@ -270,21 +289,19 @@ class TestCoupleMinibatch:
         data = gen.standard_normal((256, 2))
         target = TargetMeasure.from_points(data)
         probes = gen.standard_normal((8, 2))
-        cost = CostConfig(kind=SQ_EUCLIDEAN)
         partners = []
         for rep in range(12):
             companions = Rng(33).child(rep).generator().standard_normal((56, 2))
             noise = np.vstack([probes, companions])
-            batch = couple_minibatch_ot(target, noise, cost, 0.0,
-                                        Rng(34).child(rep), method="hungarian")
-            partners.append(batch.points[:8])
+            batch = couple_minibatch_ot(target, 0.0, noise, Rng(34).child(rep))
+            partners.append(data[batch[:8]])
         partners = np.stack(partners)
         minibatch_var = float(np.mean(np.var(partners, axis=0)))
 
         pot = Potential(g=np.zeros(256), target=target,
                         cost=CostConfig(kind=NEG_DOT, eps_raw=0.0))
         sd_indices = np.stack([
-            assign_batch(pot, probes, Rng(35).child(rep)).indices
+            assign_batch(pot, probes, Rng(35).child(rep))
             for rep in range(12)
         ])
         # The eps=0 assignment is a fixed map: zero variance across reps.

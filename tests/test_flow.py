@@ -1,13 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from sdfm.costs import NEG_DOT, CostConfig
-from sdfm.coupling import PairBatch
+from sdfm.coupling import assign_batch, couple_independent
 from sdfm.flow import (
     FlowModel,
     GuidanceConfig,
-    IndependentCoupling,
-    SDCoupling,
     TrainConfig,
     Trajectory,
     curvature,
@@ -44,7 +44,7 @@ class TestInterpolate:
 def _make_batch(gen, b=6, d=2):
     x0 = gen.standard_normal((b, d))
     x1 = gen.standard_normal((b, d))
-    return PairBatch(noise=x0, indices=np.zeros(b, dtype=int), points=x1)
+    return x0, x1
 
 
 class TestFmLoss:
@@ -55,16 +55,15 @@ class TestFmLoss:
         x0 = np.array([[1.0, 1.0]])
         x1 = np.array([[2.0, -1.0]])
         model.biases[-1] = (x1 - x0)[0]
-        batch = PairBatch(noise=x0, indices=np.zeros(1, dtype=int), points=x1)
-        loss, _ = fm_loss_and_grad(model, batch, t=np.array([0.3]))
+        loss, _ = fm_loss_and_grad(model, x0, x1, t=np.array([0.3]))
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         gen = Rng(1).generator()
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(1))
-        batch = _make_batch(gen)
+        x0, x1 = _make_batch(gen)
         t = gen.random(6) * 0.9
-        _, grad = fm_loss_and_grad(model, batch, t)
+        _, grad = fm_loss_and_grad(model, x0, x1, t)
         theta = model.get_theta()
         h = 1e-6
         for i in gen.choice(theta.size, size=10, replace=False):
@@ -74,8 +73,8 @@ class TestFmLoss:
             mp, mm = model.copy(), model.copy()
             mp.set_theta(tp)
             mm.set_theta(tm)
-            lp, _ = fm_loss_and_grad(mp, batch, t)
-            lm, _ = fm_loss_and_grad(mm, batch, t)
+            lp, _ = fm_loss_and_grad(mp, x0, x1, t)
+            lm, _ = fm_loss_and_grad(mm, x0, x1, t)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-5 * max(abs(grad[i]), 1e-6)
 
@@ -84,57 +83,53 @@ class TestFmLoss:
         model.set_theta(np.zeros(model.n_params))  # v == 0, residual = x1 - x0
         x0 = np.zeros((1, 2))
         x1 = np.array([[1.0, 2.0]])
-        base = PairBatch(noise=x0, indices=np.zeros(1, dtype=int), points=x1)
-        doubled = PairBatch(noise=x0, indices=np.zeros(1, dtype=int), points=2 * x1)
         t = np.array([0.4])
-        l1, _ = fm_loss_and_grad(model, base, t)
-        l2, _ = fm_loss_and_grad(model, doubled, t)
+        l1, _ = fm_loss_and_grad(model, x0, x1, t)
+        l2, _ = fm_loss_and_grad(model, x0, 2 * x1, t)
         assert l2 == pytest.approx(4.0 * l1)
 
     def test_rejects_t_at_one(self):
         model = FlowModel(dim=2, hidden=(4,), rng=Rng(3))
-        batch = _make_batch(Rng(3).generator(), b=2)
+        x0, x1 = _make_batch(Rng(3).generator(), b=2)
         with pytest.raises(ValueError):
-            fm_loss_and_grad(model, batch, t=np.array([0.5, 1.0]))
+            fm_loss_and_grad(model, x0, x1, t=np.array([0.5, 1.0]))
 
 
-class _FixedBatchCoupling:
-    def __init__(self, batch, name):
-        self.batch = batch
-        self.name = name
-
-    def pairs(self, rng, noise):
-        return self.batch
+def _fixed_stream(indices):
+    """A coupling that returns the next row of ``indices`` on every call."""
+    rows = iter(indices)
+    return lambda noise, rng: next(rows)
 
 
 class TestTrainFlow:
     def test_zero_steps_identity(self):
         target = TargetMeasure.from_points(Rng(4).generator().standard_normal((8, 2)))
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(4))
-        out = train_flow(model, target, IndependentCoupling(target),
-                         TrainConfig(steps=0, batch=4), Rng(5))
+        pair = partial(couple_independent, target)
+        out = train_flow(model, target, pair, TrainConfig(steps=0, batch=4),
+                         Rng(5))
         np.testing.assert_array_equal(out.get_theta(), model.get_theta())
 
     def test_determinism(self):
         target = TargetMeasure.from_points(Rng(6).generator().standard_normal((8, 2)))
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(6))
         cfg = TrainConfig(steps=20, batch=8)
-        a = train_flow(model, target, IndependentCoupling(target), cfg, Rng(7))
-        b = train_flow(model, target, IndependentCoupling(target), cfg, Rng(7))
+        pair = partial(couple_independent, target)
+        a = train_flow(model, target, pair, cfg, Rng(7))
+        b = train_flow(model, target, pair, cfg, Rng(7))
         np.testing.assert_array_equal(a.get_theta(), b.get_theta())
 
     def test_coupling_interchangeability(self):
-        # Identical injected batches produce identical parameter updates,
-        # whatever the provenance tag claims.
+        # Identical injected index streams produce identical parameter
+        # updates, whichever coupling function delivers them.
         gen = Rng(8).generator()
         target = TargetMeasure.from_points(gen.standard_normal((8, 2)))
-        batch = _make_batch(gen, b=8)
+        stream = gen.integers(0, 8, size=(5, 8))
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(8))
         cfg = TrainConfig(steps=5, batch=8)
         thetas = []
-        for name in ("independent", "sd", "minibatch-sinkhorn"):
-            out = train_flow(model, target, _FixedBatchCoupling(batch, name),
-                             cfg, Rng(9))
+        for _ in ("independent", "sd", "minibatch-sinkhorn"):
+            out = train_flow(model, target, _fixed_stream(stream), cfg, Rng(9))
             thetas.append(out.get_theta())
         np.testing.assert_array_equal(thetas[0], thetas[1])
         np.testing.assert_array_equal(thetas[0], thetas[2])
@@ -146,20 +141,20 @@ class TestTrainFlow:
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(6))
         path = tmp_path / "m.csv"
         with MetricsWriter(str(path)) as metrics:
-            train_flow(model, target, IndependentCoupling(target),
-                       TrainConfig(steps=5, batch=8), Rng(7), metrics=metrics)
+            train_flow(model, target, partial(couple_independent, target),
+                       TrainConfig(steps=5, batch=8), Rng(7), metrics)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert len(rows) == 15
         wall = [float(r[1]) for r in rows]
         assert wall == sorted(wall) and wall[-1] > 0.0
 
     def test_nan_loss_aborts(self):
-        target = TargetMeasure.from_points(Rng(10).generator().standard_normal((4, 2)))
-        bad = _make_batch(Rng(10).generator(), b=4)
-        bad.points[0, 0] = np.nan
+        points = Rng(10).generator().standard_normal((4, 2))
+        points[0, 0] = np.nan
+        target = TargetMeasure.from_points(points)
         model = FlowModel(dim=2, hidden=(4,), rng=Rng(10))
         with pytest.raises(FloatingPointError):
-            train_flow(model, target, _FixedBatchCoupling(bad, "independent"),
+            train_flow(model, target, _fixed_stream([np.arange(4)]),
                        TrainConfig(steps=1, batch=4), Rng(11))
 
     def test_training_reduces_loss_on_sd_map(self):
@@ -169,14 +164,13 @@ class TestTrainFlow:
         pot = Potential(g=np.zeros(2), target=target,
                         cost=CostConfig(kind=NEG_DOT, eps_raw=0.0))
         model = FlowModel(dim=2, hidden=(16, 16), rng=Rng(12))
-        coupling = SDCoupling(pot)
-        trained = train_flow(model, target, coupling,
+        trained = train_flow(model, target, partial(assign_batch, pot),
                              TrainConfig(steps=300, batch=64), Rng(13))
         probe = gen.standard_normal((256, 2))
-        batch = coupling.pairs(Rng(14), probe)
+        x1 = data[assign_batch(pot, probe, Rng(14))]
         t = np.full(256, 0.5)
-        loss_before, _ = fm_loss_and_grad(model, batch, t)
-        loss_after, _ = fm_loss_and_grad(trained, batch, t)
+        loss_before, _ = fm_loss_and_grad(model, probe, x1, t)
+        loss_after, _ = fm_loss_and_grad(trained, probe, x1, t)
         assert loss_after < loss_before
 
 

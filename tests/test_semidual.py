@@ -571,7 +571,7 @@ class TestScoreTiles:
             "chi2": chi2_estimator(pot, x),
             "soft_c": soft_c_transform_rows(pot, x),
             "cost": transport_cost(pot, x),
-            "assign": assign_batch(pot, x, Rng(32)).indices,
+            "assign": assign_batch(pot, x, Rng(32)),
         }
 
     def _check_against_one_tile(self, eps, monkeypatch):

@@ -1,19 +1,74 @@
-"""The benchmark tracer resolves every package name it wraps.
+"""The benchmark tracer resolves every package name it wraps and counts.
 
 ``perfbench/tracing.py`` looks up each ``(module, attribute)`` of its
 ``NAMED`` table and every entry of the traced modules' ``__all__`` by
 name, so a renamed or deleted function breaks the traced benchmark run.
-``perfbench`` is not a package: the module is loaded from its path.
+Its counters read positional arguments and return values of the traced
+calls, so a changed signature breaks them too; the tiny recipe below
+runs every counter the per-layer metrics rely on. ``perfbench`` is not a
+package: the module is loaded from its path.
 """
 
 import importlib.util
 from pathlib import Path
 
+from sdfm.cli import main
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_resolves_every_traced_name():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracing.Tracer()  # raises AttributeError on a stale name
+    return tracing
+
+
+def test_tracer_resolves_every_traced_name():
+    _tracing().Tracer()  # raises AttributeError on a stale name
+
+
+def test_tiny_traced_recipe_counts_every_layer(tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    data, pot = path("data.sdfm"), path("pot.sdfm")
+    train = ["train", "--data", data, "--steps", "5", "--batch", "16",
+             "--hidden", "8", "--seed", "5"]
+    recipe = [
+        ("dataset", 0, ["dataset", "--name", "eight-gaussians", "--n", "64",
+                        "--out", data]),
+        ("solve", 3, ["solve", "--data", data, "--eps", "0", "--tau", "1e-9",
+                      "--iters", "20", "--batch", "32", "--chi2-samples",
+                      "256", "--out", pot]),
+        ("assign", 0, ["assign", "--potential", pot, "--data", data,
+                       "--sample", "32", "--out", path("pairs.sdfm")]),
+        ("train_ifm", 0, [*train, "--coupling", "independent",
+                          "--out", path("ifm.sdfm")]),
+        ("train_sd", 0, [*train, "--coupling", "sd", "--potential", pot,
+                         "--out", path("sd.sdfm")]),
+        ("train_sinkhorn", 0, [*train, "--coupling", "minibatch-sinkhorn",
+                               "--ot-eps", "0.3", "--out", path("sk.sdfm")]),
+        ("train_hungarian", 0, [*train, "--coupling", "minibatch-hungarian",
+                                "--out", path("hu.sdfm")]),
+        ("sample", 0, ["sample", "--model", path("sd.sdfm"), "--count", "64",
+                       "--steps", "4", "--out", path("s")]),
+        ("eval", 0, ["eval", "--model", path("sd.sdfm"), "--count", "64",
+                     "--steps", "4", "--out", path("report.json")]),
+        ("guide", 0, ["guide", "--model1", path("sd.sdfm"), "--model2",
+                      path("ifm.sdfm"), "--replicas", "4", "--count", "16",
+                      "--steps", "4", "--out", path("g")]),
+    ]
+    tracer = _tracing().Tracer()
+    for label, code, argv in recipe:
+        assert tracer.command(label, main, argv) == code, label
+    stats = tracer.stats
+    # Four trainings of 5 steps x 16 rows; 32 assigned rows plus SD-FM's 80.
+    assert stats["flow.fm_loss_and_grad"]["rows"] == 4 * 5 * 16
+    assert stats["flow.train_flow"]["steps"] == 4 * 5
+    assert stats["coupling.assign_batch"]["pairs"] == 32 + 5 * 16
+    assert stats["coupling.hungarian"]["calls"] == 5
+    assert stats["coupling.hungarian"]["n"] == 5 * 16
+    assert stats["coupling.sinkhorn"]["calls"] == 5
+    assert stats["coupling.sinkhorn"]["sweeps"] > 0
+    assert stats["solver.solve_sdot"]["iterations"] == 20
