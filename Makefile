@@ -35,9 +35,10 @@ bench-trace:
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py
 
-# Tier-1 tests, then the harness smoke test, which also runs both traced
-# benchmark recipes (tier-1 traces one tiny recipe of every command).
-check: test bench-smoke
+# Tier-1 tests, the harness smoke test, which also runs both traced
+# benchmark recipes (tier-1 traces one tiny recipe of every command), and
+# the four demos.
+check: test bench-smoke demos
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics. The solve stops on

@@ -107,10 +107,14 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
     cost = CostConfig(
         kind=cmeta["kind"],
         eps_raw=float(cmeta["eps_raw"]),
-        eps_effective=float(cmeta["eps_effective"]),
         projection=_projection_from_arrays(arrays, meta),
         cost_std=cmeta.get("cost_std"),
     )
+    if cmeta.get("eps_effective") != cost.eps:
+        raise ContainerError(
+            f"{path}: stored eps_effective {cmeta.get('eps_effective')} is not "
+            f"eps_raw * cost_std = {cost.eps}"
+        )
     return Potential(g=arrays["g"], target=target, cost=cost,
                      provenance=meta.get("provenance", {}))
 
@@ -161,11 +165,20 @@ def save_sample_dump(prefix: str, samples: np.ndarray,
 
 
 def load_sample_dump(path: str) -> np.ndarray:
+    """The matrix of a sample dump; a dump that disagrees with its sidecar is refused."""
     bin_path = path if path.endswith(".bin") else path + ".bin"
     json_path = bin_path[:-4] + ".json"
     with open(json_path) as fh:
         sidecar = json.load(fh)
     with open(bin_path, "rb") as fh:
         raw = fh.read()
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return data.reshape(int(sidecar["rows"]), int(sidecar["cols"]))
+    try:
+        rows, cols = int(sidecar["rows"]), int(sidecar["cols"])
+    except KeyError as exc:
+        raise ContainerError(f"{json_path}: sidecar lacks {exc}") from None
+    if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
+        raise ContainerError(
+            f"{bin_path}: {len(raw)} bytes, not the {rows} x {cols} float64 "
+            f"values of its sidecar"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)

@@ -85,25 +85,31 @@ def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
     return artifacts.load_potential(pot_path, _load_target(data_path))
 
 
+def _relative_eps(cost: CostConfig, points, rng: Rng) -> CostConfig:
+    """``cost`` with its ``eps_raw`` bound to the scale of a reference cost.
+
+    The scale is the std of the cost between ``REFERENCE_BATCH_SIZE``
+    standard normal rows and as many data rows, both drawn from
+    ``rng.child(12)``.
+    """
+    gen = rng.child(12).generator()
+    n_ref = min(REFERENCE_BATCH_SIZE, len(points))
+    noise_ref = gen.standard_normal((n_ref, points.shape[1]))
+    data_idx = gen.choice(len(points), size=n_ref, replace=False) \
+        if len(points) >= n_ref else gen.integers(0, len(points), n_ref)
+    return cost.with_rescaled_eps(
+        estimate_cost_std(cost, noise_ref, points[data_idx]))
+
+
 def _resolve_cost(args, points, rng: Rng):
     kind = NEG_DOT if args.cost == "negdot" else SQ_EUCLIDEAN
     if args.eps == 0.0 and kind != NEG_DOT:
         raise ConfigurationError(
             "eps=0 requires the neg-dot cost (distinct-point geometry)"
         )
-    projection = None
-    if args.pca:
-        projection = fit_pca(points, int(args.pca), rng.child(11))
+    projection = fit_pca(points, int(args.pca)) if args.pca else None
     cfg = CostConfig(kind=kind, eps_raw=float(args.eps), projection=projection)
-    if args.eps > 0.0 and not args.no_eps_rescale:
-        gen = rng.child(12).generator()
-        n_ref = min(REFERENCE_BATCH_SIZE, len(points))
-        noise_ref = gen.standard_normal((n_ref, points.shape[1]))
-        data_idx = gen.choice(len(points), size=n_ref, replace=False) \
-            if len(points) >= n_ref else gen.integers(0, len(points), n_ref)
-        std = estimate_cost_std(cfg, noise_ref, points[data_idx])
-        cfg = cfg.with_rescaled_eps(std)
-    return cfg
+    return _relative_eps(cfg, points, rng) if args.eps > 0.0 else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,7 @@ def cmd_assign(args) -> int:
 def cmd_train(args) -> int:
     rng = Rng(args.seed)
     target = _load_target(args.data)
+    cost = None
     if args.coupling == "sd":
         if not args.potential:
             raise UsageError("--coupling sd requires --potential")
@@ -195,7 +202,9 @@ def cmd_train(args) -> int:
     else:
         if not args.ot_eps > 0.0:
             raise UsageError("--ot-eps must be > 0 for minibatch-sinkhorn")
-        pair = functools.partial(couple_minibatch_ot, target, args.ot_eps)
+        cost = _relative_eps(CostConfig(kind=SQ_EUCLIDEAN, eps_raw=args.ot_eps),
+                             target.points, rng)
+        pair = functools.partial(couple_minibatch_ot, target, cost.eps)
     model = FlowModel(dim=target.dim, hidden=tuple(args.hidden),
                       rng=rng.child(100))
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
@@ -205,6 +214,7 @@ def cmd_train(args) -> int:
         artifacts.save_model(args.out, model, {
             "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
             "batch": args.batch, "data": args.data,
+            **({"cost": cost.metadata()} if cost is not None else {}),
         })
         metrics.finalize({"command": "train", "coupling": args.coupling,
                           "seed": args.seed})
@@ -382,7 +392,6 @@ def build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--pca", type=int)
     s.add_argument("--cost", choices=["negdot", "sqeuclid"], default="negdot")
-    s.add_argument("--no-eps-rescale", action="store_true")
     s.add_argument("--chi2-samples", type=int)
     s.add_argument("--checkpoint-every", type=int, default=0)
     s.set_defaults(fn=cmd_solve)

@@ -4,9 +4,10 @@ The ground cost ``c(x, y)`` is either the negative dot product or the
 squared Euclidean distance, evaluated in the coupling space: the raw
 rows, or their PCA projection when the cost carries one.
 :meth:`CostConfig.embed` is the one place that maps raw rows into that
-space. The effective entropic regularization is the raw value rescaled
-by the standard deviation of a reference cost matrix, so that one
-``eps`` knob means the same thing across datasets.
+space. The entropic regularization is a multiple of the cost scale:
+:attr:`CostConfig.eps` is ``eps_raw`` times the standard deviation of a
+reference cost matrix (:func:`estimate_cost_std`), so that one ``eps``
+knob means the same thing across datasets.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-
-from .numerics import Rng
 
 __all__ = [
     "CostConfig",
@@ -41,10 +40,6 @@ REFERENCE_BATCH_SIZE = 1024
 # output at a time (256 KiB of float64), so its one temporary stays small
 # next to a caller's score block.
 _NORM_CHUNK_ENTRIES = 2**15
-
-# Randomized PCA: subspace-iteration passes and extra probe vectors.
-_PCA_POWER_ITERS = 8
-_PCA_OVERSAMPLE = 8
 
 
 class ConfigurationError(ValueError):
@@ -90,50 +85,44 @@ class ProjectionMatrix:
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Cost kind, projection, and effective regularization.
+    """Cost kind, projection, and regularization relative to the cost scale.
 
-    ``eps_effective`` is ``eps_raw`` times the reference cost std (see
-    :func:`estimate_cost_std`); construction leaves it equal to
-    ``eps_raw`` until :meth:`with_rescaled_eps` is applied.
+    ``eps_raw`` is a multiple of ``cost_std``, the reference cost std
+    (see :func:`estimate_cost_std`) that :meth:`with_rescaled_eps` binds.
+    The effective regularization :attr:`eps` is derived from the two.
     """
 
     kind: str = NEG_DOT
     eps_raw: float = 0.0
-    eps_effective: float | None = None
     projection: Optional[ProjectionMatrix] = None
-    cost_std: float | None = None  # std used for rescaling, for audit
+    cost_std: float | None = None
 
     def __post_init__(self):
         if self.kind not in (NEG_DOT, SQ_EUCLIDEAN):
             raise ConfigurationError(f"unknown cost kind {self.kind!r}")
         if self.eps_raw < 0:
             raise ConfigurationError("eps_raw must be >= 0")
-        if self.eps_effective is None:
-            object.__setattr__(self, "eps_effective", float(self.eps_raw))
 
     @property
     def eps(self) -> float:
-        return float(self.eps_effective)
+        """``eps_raw * cost_std``, or ``eps_raw`` while no std is bound."""
+        if not self.cost_std:
+            return float(self.eps_raw)
+        return float(self.eps_raw * self.cost_std)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Raw rows ``x`` in coupling space: projected if a projection is set."""
         return x if self.projection is None else self.projection.apply(x)
 
     def with_rescaled_eps(self, cost_std: float) -> "CostConfig":
-        """Bind ``eps_effective = eps_raw * cost_std`` (no-op for std 0)."""
-        if cost_std <= 0.0:
-            return replace(self, eps_effective=float(self.eps_raw), cost_std=0.0)
-        return replace(
-            self,
-            eps_effective=float(self.eps_raw * cost_std),
-            cost_std=float(cost_std),
-        )
+        """Bind the reference cost std (a std of 0 leaves ``eps == eps_raw``)."""
+        return replace(self, cost_std=float(cost_std) if cost_std > 0.0 else 0.0)
 
     def metadata(self) -> dict:
         return {
             "kind": self.kind,
             "eps_raw": self.eps_raw,
-            "eps_effective": self.eps_effective,
+            "eps_effective": self.eps,
             "cost_std": self.cost_std,
             "projection_k": None if self.projection is None else self.projection.k,
         }
@@ -185,19 +174,14 @@ def estimate_cost_std(cfg: CostConfig, noise_batch: np.ndarray,
     return float(np.std(c, ddof=1))
 
 
-def _orth(a: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(a)
-    return q
+def fit_pca(data: np.ndarray, k: int) -> ProjectionMatrix:
+    """Top-``k`` principal basis from the eigenpairs of the scatter matrix.
 
-
-def fit_pca(data: np.ndarray, k: int, rng: Rng) -> ProjectionMatrix:
-    """Top-``k`` principal basis by randomized subspace (power) iteration.
-
-    Runs :data:`_PCA_POWER_ITERS` passes with :data:`_PCA_OVERSAMPLE`
-    extra probe vectors.
-    If ``k`` exceeds the numerical rank of the centered data, the basis is
-    completed with deterministic orthonormal directions and the result is
-    flagged ``padded=True``.
+    One ``eigh`` of the ``d x d`` matrix ``centered.T @ centered``. If
+    ``k`` exceeds the numerical rank of the centered data, the trailing
+    rows are eigenvectors of the null space (orthonormal all the same)
+    with zero explained variance, and the result is flagged
+    ``padded=True``.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -207,30 +191,12 @@ def fit_pca(data: np.ndarray, k: int, rng: Rng) -> ProjectionMatrix:
         raise ConfigurationError(f"need 1 <= k <= min(N, d) = {min(n, d)}, got {k}")
     mean = data.mean(axis=0)
     centered = data - mean
-
-    width = min(d, k + _PCA_OVERSAMPLE)
-    q = _orth(rng.generator().standard_normal((d, width)))
-    for _ in range(_PCA_POWER_ITERS):
-        q = _orth(centered.T @ (centered @ q))
-    b = centered @ q
-    _, s, vt = np.linalg.svd(b, full_matrices=False)
-    basis = (q @ vt.T)[:, :k].T  # (k, d) rows = principal directions
-    explained = (s[:k] ** 2) / max(n - 1, 1)
-
-    # Rank deficiency: singular values below tol are noise directions.
-    tol = max(n, d) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s[:k] > tol))
-    padded = rank < k
-    if padded:
-        # Replace the junk directions with a deterministic orthonormal
-        # completion from the null space of the kept rows.
-        keep = basis[:rank]
-        if rank:
-            _, _, null_vt = np.linalg.svd(keep, full_matrices=True)
-            comp = null_vt[rank: k]
-        else:
-            comp = np.eye(d)[:k]
-        basis = np.vstack([keep, comp])
-        explained = np.concatenate([explained[:rank], np.zeros(k - rank)])
-    return ProjectionMatrix(basis=basis, mean=mean,
-                            explained_variance=explained, padded=padded)
+    evals, evecs = np.linalg.eigh(centered.T @ centered)  # ascending
+    evals = evals[::-1][:k]
+    basis = evecs[:, ::-1][:, :k].T  # (k, d) rows = principal directions
+    # Eigenvalues within rounding of the largest are null-space directions.
+    tol = max(n, d) * np.finfo(np.float64).eps * max(evals[0], 0.0)
+    kept = evals > tol
+    explained = np.where(kept, evals, 0.0) / max(n - 1, 1)
+    return ProjectionMatrix(basis=basis, mean=mean, explained_variance=explained,
+                            padded=not bool(kept.all()))

@@ -109,7 +109,7 @@ def couple_independent(target: TargetMeasure, noise: np.ndarray,
 
 def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
                  tol: float = 1e-6, max_sweeps: int = 10_000):
-    """Dense log-domain Sinkhorn with an eps-scaling warm start.
+    """Dense log-domain Sinkhorn at the requested ``eps``, from zero potentials.
 
     Alternates the dual updates
 
@@ -133,64 +133,38 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
     m, n = costs.shape
     f = np.zeros(m)
     g = np.zeros(n)
-
-    spread = float(costs.max() - costs.min())
-    if spread > 0 and eps < spread:
-        # Geometric ladder from an easy scale down to the requested eps.
-        levels = []
-        cur = spread
-        while cur > eps * 1.5:
-            levels.append(cur)
-            cur /= 3.0
-        schedule = levels + [eps]
-    else:
-        schedule = [eps]
-
+    scaled = costs / eps
     buf = np.empty_like(costs)
 
-    def row_transform(level, scaled_costs):
-        # buf <- (g - C)/level + log_b, reduced by a stable row LSE.
-        np.subtract(g[None, :] / level, scaled_costs, out=buf)
+    def row_transform():
+        # buf <- (g - C)/eps + log_b, reduced by a stable row LSE.
+        np.subtract(g[None, :] / eps, scaled, out=buf)
         np.add(buf, log_b[None, :], out=buf)
         mx = buf.max(axis=1)
         np.subtract(buf, mx[:, None], out=buf)
         np.exp(buf, out=buf)
-        return -level * (mx + np.log(buf.sum(axis=1)))
+        return -eps * (mx + np.log(buf.sum(axis=1)))
 
-    def col_transform(level, scaled_costs):
-        np.subtract(f[:, None] / level, scaled_costs, out=buf)
+    def col_transform():
+        np.subtract(f[:, None] / eps, scaled, out=buf)
         np.add(buf, log_a[:, None], out=buf)
         mx = buf.max(axis=0)
         np.subtract(buf, mx[None, :], out=buf)
         np.exp(buf, out=buf)
-        return -level * (mx + np.log(buf.sum(axis=0)))
+        return -eps * (mx + np.log(buf.sum(axis=0)))
 
-    sweeps = 0
     row_err = np.inf
-    for level_idx, level in enumerate(schedule):
-        final = level_idx == len(schedule) - 1
-        budget = max_sweeps - sweeps if final else min(50, max_sweeps - sweeps)
-        scaled = costs / level
-        fresh_level = True
-        for _ in range(max(budget, 0)):
-            f_new = row_transform(level, scaled)
-            if not fresh_level:
-                with np.errstate(over="ignore"):
-                    row_err = float(
-                        np.abs(a * np.expm1((f - f_new) / level)).sum()
-                    )
-                if np.isfinite(row_err):
-                    if row_err <= tol and final:
-                        log_plan = (f[:, None] + g[None, :]) / level - scaled \
-                            + log_a[:, None] + log_b[None, :]
-                        return np.exp(log_plan), f, g, sweeps
-                    if not final and row_err <= max(tol, 1e-3):
-                        f = f_new
-                        break
-            f = f_new
-            g = col_transform(level, scaled)
-            sweeps += 1
-            fresh_level = False
+    for sweeps in range(max_sweeps):
+        f_new = row_transform()
+        if sweeps:  # the zero start has no column update to measure
+            with np.errstate(over="ignore"):
+                row_err = float(np.abs(a * np.expm1((f - f_new) / eps)).sum())
+            if row_err <= tol:
+                log_plan = (f[:, None] + g[None, :]) / eps - scaled \
+                    + log_a[:, None] + log_b[None, :]
+                return np.exp(log_plan), f, g, sweeps
+        f = f_new
+        g = col_transform()
     raise SinkhornError(
         f"no convergence within {max_sweeps} sweeps (residual {row_err:.3e})",
         residual=float(row_err),
@@ -216,8 +190,9 @@ def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
 
     Both solve the squared-Euclidean problem between the noise rows and
     ``n`` data rows drawn from the target weights. ``eps == 0`` uses the
-    optimal permutation (Hungarian); ``eps > 0`` runs Sinkhorn and draws
-    each row's partner from its row of the normalized plan.
+    optimal permutation (Hungarian); ``eps > 0`` runs Sinkhorn at that
+    absolute eps (the CLI passes ``CostConfig.eps``) and draws each row's
+    partner from its row of the normalized plan.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     n = len(noise)

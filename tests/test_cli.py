@@ -6,6 +6,13 @@ import pytest
 from sdfm import artifacts, cli
 from sdfm.cli import main
 from sdfm.container import read_container, write_container
+from sdfm.costs import (
+    REFERENCE_BATCH_SIZE,
+    SQ_EUCLIDEAN,
+    CostConfig,
+    estimate_cost_std,
+)
+from sdfm.coupling import couple_minibatch_ot
 from sdfm.numerics import Rng
 
 
@@ -202,6 +209,35 @@ class TestTrainSampleEval:
                      "minibatch-hungarian", "--steps", "5", "--batch", "16",
                      "--hidden", "8",
                      "--out", str(tmp_path / "mb.sdfm")]) == 0
+
+    def test_sinkhorn_ot_eps_is_relative_to_reference_cost_std(
+            self, tmp_path, blob, monkeypatch):
+        passed = []
+
+        def recording(target, eps, noise, rng):
+            passed.append(eps)
+            return couple_minibatch_ot(target, eps, noise, rng)
+
+        monkeypatch.setattr(cli, "couple_minibatch_ot", recording)
+        out = str(tmp_path / "sk.sdfm")
+        assert main(["train", "--data", blob, "--coupling",
+                     "minibatch-sinkhorn", "--ot-eps", "0.2", "--steps", "2",
+                     "--batch", "16", "--hidden", "4", "--seed", "5",
+                     "--out", out]) == 0
+        # The reference draw from rng.child(12): as many noise rows as data
+        # rows, at most REFERENCE_BATCH_SIZE, the data rows without
+        # replacement.
+        points = artifacts.load_dataset(blob)[0]
+        n_ref = min(REFERENCE_BATCH_SIZE, len(points))
+        gen = Rng(5).child(12).generator()
+        noise = gen.standard_normal((n_ref, 2))
+        rows = points[gen.choice(len(points), size=n_ref, replace=False)]
+        std = estimate_cost_std(CostConfig(kind=SQ_EUCLIDEAN), noise, rows)
+        cost = read_container(out, expect_kind="model")[1]["cost"]
+        assert cost["cost_std"] == std
+        assert cost["eps_raw"] == 0.2
+        assert cost["eps_effective"] == 0.2 * std
+        assert passed == [0.2 * std] * 2
 
     def test_eval_identical_clouds_w2_zero(self, tmp_path):
         data = Rng(11).generator().standard_normal((40, 3))
@@ -428,10 +464,37 @@ def _beta_potential(tmp_path, data):
     return _rewritten(pot, cost={**cost, "beta": 1.0})
 
 
+def _eps_disagreeing_potential(tmp_path, data):
+    out = str(tmp_path / "eps.sdfm")
+    assert main(["solve", "--data", data, "--eps", "0.1", "--iters", "20",
+                 "--batch", "16", "--chi2-samples", "256", "--tau", "100",
+                 "--out", out]) == 0
+    cost = read_container(out)[1]["cost"]
+    return _rewritten(out, cost={**cost,
+                                 "eps_effective": 2 * cost["eps_effective"]})
+
+
 def _dump(tmp_path, name, shape):
     path = str(tmp_path / name)
     artifacts.save_sample_dump(path, np.zeros(shape))
     return path + ".bin"
+
+
+def _truncated_dump(tmp_path):
+    """A 15-value dump whose sidecar says 8 rows of 2."""
+    path = _dump(tmp_path, "t", (8, 2))
+    with open(path, "r+b") as fh:
+        fh.truncate(15 * 8)
+    return path
+
+
+def _dump_without(tmp_path, key):
+    path = _dump(tmp_path, "k", (8, 2))
+    sidecar = path[:-4] + ".json"
+    meta = json.load(open(sidecar))
+    del meta[key]
+    json.dump(meta, open(sidecar, "w"))
+    return path
 
 
 # Each case builds its inputs and returns the argv of one command.
@@ -559,6 +622,17 @@ _USAGE_CASES = {
         "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
         "--ot-eps", "0", "--steps", "2", "--batch", "8", "--hidden", "4",
         "--out", str(tmp / "m.sdfm")],
+    # A stored effective eps must be eps_raw * cost_std.
+    "potential-eps-effective-disagrees": lambda tmp, blob: [
+        "chisq", "--potential", _eps_disagreeing_potential(tmp, blob),
+        "--data", blob],
+    # A sample dump must hold the rows x cols values its sidecar names.
+    "eval-truncated-dump": lambda tmp, blob: [
+        "eval", "--samples", _truncated_dump(tmp),
+        "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
+    "eval-dump-sidecar-lacks-cols": lambda tmp, blob: [
+        "eval", "--samples", _dump_without(tmp, "cols"),
+        "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
     "train-ot-eps-negative": lambda tmp, blob: [
         "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
         "--ot-eps", "-0.5", "--steps", "2", "--batch", "8", "--hidden", "4",

@@ -92,11 +92,11 @@ class TestEstimateCostStd:
 
     def test_eps_rescaling_binds(self):
         cfg = CostConfig(kind=NEG_DOT, eps_raw=0.1)
-        assert cfg.eps_effective == 0.1
+        assert cfg.eps == 0.1
         rescaled = cfg.with_rescaled_eps(2.5)
-        assert rescaled.eps_effective == pytest.approx(0.25)
+        assert rescaled.eps == pytest.approx(0.25)
         disabled = cfg.with_rescaled_eps(0.0)
-        assert disabled.eps_effective == 0.1
+        assert disabled.eps == 0.1
 
 
 class TestFitPca:
@@ -104,14 +104,14 @@ class TestFitPca:
         gen = Rng(3).generator()
         direction = np.array([3.0, 4.0]) / 5.0
         data = np.outer(gen.standard_normal(200), direction) + np.array([1.0, -2.0])
-        proj = fit_pca(data, 1, Rng(0))
+        proj = fit_pca(data, 1)
         cosine = abs(float(proj.basis[0] @ direction))
         assert cosine >= 0.999
 
     def test_full_basis_preserves_negdot(self):
         gen = Rng(4).generator()
         data = gen.standard_normal((50, 6))
-        proj = fit_pca(data, 6, Rng(0))
+        proj = fit_pca(data, 6)
         centered = data - data.mean(axis=0)
         raw = -(centered @ centered.T)
         projected = proj.apply(data)
@@ -121,7 +121,7 @@ class TestFitPca:
     def test_top1_matches_dense_eig(self):
         gen = Rng(5).generator()
         data = gen.standard_normal((100, 10)) * np.linspace(3.0, 0.5, 10)
-        proj = fit_pca(data, 1, Rng(0))
+        proj = fit_pca(data, 1)
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (len(data) - 1)
         eigvals = np.linalg.eigvalsh(cov)
@@ -132,13 +132,13 @@ class TestFitPca:
     def test_explained_variance_monotone(self):
         gen = Rng(6).generator()
         data = gen.standard_normal((80, 8)) * np.linspace(2.5, 0.3, 8)
-        proj = fit_pca(data, 5, Rng(0))
+        proj = fit_pca(data, 5)
         assert np.all(np.diff(proj.explained_variance) <= 1e-9)
 
     def test_rank_deficient_padding(self):
         gen = Rng(7).generator()
         thin = np.outer(gen.standard_normal(40), np.array([1.0, 0.0, 0.0]))
-        proj = fit_pca(thin, 3, Rng(0))
+        proj = fit_pca(thin, 3)
         assert proj.padded
         gram = proj.basis @ proj.basis.T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)

