@@ -41,12 +41,13 @@ bench-smoke:
 check: test bench-smoke demos
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
-# differ only in the coupling -> samples -> metrics. The solve stops on
-# tau (exit 0) at iteration 12000, after about 2 minutes on two cores.
+# differ only in the coupling -> samples -> metrics. The solve sets its own
+# step size and stops on tau (exit 0) at iteration 18000, after about
+# 3 minutes on two cores.
 toy-2d:
 	mkdir -p $(OUT)
 	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm
-	$(SDFM) solve --data $(OUT)/data.sdfm --eps 0 --tau 0.05 --lr 0.05 \
+	$(SDFM) solve --data $(OUT)/data.sdfm --eps 0 --tau 0.05 \
 	    --iters 40000 --batch 1024 --seed 0 --out $(OUT)/pot.sdfm
 	$(SDFM) chisq --potential $(OUT)/pot.sdfm --data $(OUT)/data.sdfm \
 	    --samples 65536 --seed 9

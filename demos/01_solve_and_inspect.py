@@ -2,10 +2,14 @@
 
 Walks the basic pipeline on a 2-d two-cluster target: fit the potential
 with the chi-square stopping rule, look at the convergence series, and
-check the fitted marginal against the target weights.
+check the fitted marginal against the target weights. No step size is
+set: AdaGrad starts at 1.0 and halves its rate at every check that fails
+to halve the chi-square. Exits 1 unless the solve stops on tau.
 
 Run:  python demos/01_solve_and_inspect.py
 """
+
+import sys
 
 import numpy as np
 
@@ -31,7 +35,6 @@ target = TargetMeasure.from_points(np.vstack([right, left]))
 cost = CostConfig(kind="neg-dot", eps_raw=0.0)
 cfg = SolverConfig(
     optimizer="adagrad",
-    base_lr=1.0,
     constant_phase=4000,
     decay_phase=2000,
     averaging_window=1500,
@@ -46,6 +49,7 @@ pot = solve_sdot(target, cost, cfg, rng.child(1))
 print("stop reason:       ", pot.provenance["stop_reason"])
 print("iterations:        ", pot.provenance["iterations"])
 print("final chi-square:  ", f"{pot.provenance['final_chi2']:.5f}")
+print("lr halvings:       ", pot.provenance["lr_halvings"])
 print("chi-square series:")
 for k, value in pot.provenance["chi2_history"]:
     print(f"  step {k:>6d}   {value:.5f}")
@@ -56,3 +60,4 @@ print("\nmarginal check:")
 print("  TV(m, b)       =", f"{0.5 * np.abs(m - target.weights).sum():.5f}")
 print("  chi2(m, b)     =", f"{chi2_exact(m, target.weights):.5f}")
 print("  potential range=", f"[{pot.g.min():.3f}, {pot.g.max():.3f}]")
+sys.exit(0 if pot.provenance["stop_reason"] == "tau" else 1)

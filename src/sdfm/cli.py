@@ -95,8 +95,7 @@ def _relative_eps(cost: CostConfig, points, rng: Rng) -> CostConfig:
     gen = rng.child(12).generator()
     n_ref = min(REFERENCE_BATCH_SIZE, len(points))
     noise_ref = gen.standard_normal((n_ref, points.shape[1]))
-    data_idx = gen.choice(len(points), size=n_ref, replace=False) \
-        if len(points) >= n_ref else gen.integers(0, len(points), n_ref)
+    data_idx = gen.choice(len(points), size=n_ref, replace=False)
     return cost.with_rescaled_eps(
         estimate_cost_std(cost, noise_ref, points[data_idx]))
 
@@ -121,14 +120,10 @@ def cmd_solve(args) -> int:
     cost = _resolve_cost(args, points, rng)
     target = TargetMeasure.from_points(points, weights)
 
-    cfg = SolverConfig(tau=args.tau).scaled(args.iters)
-    if args.optimizer:
-        cfg = replace(cfg, optimizer=args.optimizer)
-    if args.lr is not None:
-        cfg = replace(cfg, base_lr=args.lr)
+    cfg = replace(SolverConfig(tau=args.tau).scaled(args.iters),
+                  optimizer=args.optimizer, base_lr=args.lr, batch=args.batch)
     if args.checkpoint_every < 0:
         raise UsageError("--checkpoint-every must be >= 0")
-    cfg = replace(cfg, batch=args.batch)
     if args.chi2_samples is not None:
         cfg = replace(cfg, chi2_total=args.chi2_samples,
                       chi2_batch=min(args.chi2_samples, 2**12))
@@ -153,6 +148,7 @@ def cmd_solve(args) -> int:
             "final_chi2": pot.provenance["final_chi2"],
             "final_marginal_linf": pot.provenance["final_marginal_linf"],
             "empty_cell_fraction": pot.provenance["empty_cell_fraction"],
+            "lr_halvings": pot.provenance["lr_halvings"],
             "cost": cost.metadata(), "checkpoints": checkpoint_paths,
         })
     print(f"solve: chi2={pot.provenance['final_chi2']:.6f} "
@@ -385,8 +381,9 @@ def build_parser() -> _Parser:
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--tau", type=float, default=0.05)
     s.add_argument("--out", required=True)
-    s.add_argument("--optimizer", choices=["sgd-constant", "sgd-decay", "adagrad"])
-    s.add_argument("--lr", type=float)
+    s.add_argument("--optimizer", choices=["sgd-constant", "sgd-decay", "adagrad"],
+                   default=SolverConfig.optimizer)
+    s.add_argument("--lr", type=float, default=SolverConfig.base_lr)
     s.add_argument("--iters", type=int, default=30_000)
     s.add_argument("--batch", type=int, default=256)
     s.add_argument("--seed", type=int, default=0)

@@ -1,24 +1,24 @@
 """Stochastic maximization of the semidual objective.
 
-Plain averaged SGD with the theory-mode learning rates, or AdaGrad
-(constant learning rate for a first phase, inverse-square-root decay
-afterwards, iterate averaging over a trailing window). Convergence is
-monitored through the unbiased chi-square estimator on a dedicated
-evaluation stream, never the training stream, so the stopping decision
-is independent of the optimization noise. Each check is one scan of that
-stream: the tiles that give the chi-square statistic also give the
-semidual estimate that the divergence guard watches and the marginal
-behind the final convergence diagnostics.
+Averaged SGD with the theory-mode learning rates (Genevay et al. 2016),
+or AdaGrad (Duchi, Hazan & Singer 2011) with a constant phase and then
+inverse-square-root decay, averaged over a trailing window. Convergence
+is monitored through the unbiased chi-square estimator on a dedicated
+evaluation stream, never the training stream. Each check is one scan of
+that stream: it gives the stopping statistic, the semidual estimate of
+the divergence guard and the marginal diagnostics. AdaGrad halves its
+base rate at every check that fails to halve the chi-square.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist
 
 from .costs import NEG_DOT, ConfigurationError, CostConfig
 from .numerics import Rng
@@ -36,7 +36,6 @@ from .semidual import (
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "SolverDivergence",
     "solve_sdot",
     "lr_schedule",
@@ -49,6 +48,8 @@ SGD_DECAY = "sgd-decay"
 ADAGRAD = "adagrad"
 
 _ADAGRAD_FLOOR = 1e-10
+_HALF = 0.5  # the chi-square must halve per check, or AdaGrad's rate does
+_DISTANCE_BLOCK = 2**21  # entries (16 MiB) per block of the eps=0 distances
 
 
 class SolverDivergence(RuntimeError):
@@ -65,17 +66,16 @@ class SolverConfig:
 
     Defaults: AdaGrad, a constant phase of two thirds of the budget,
     inverse-square-root decay for the rest, and averaging over the final
-    quarter. The base learning rate defaults to sqrt(N), a large-scale
-    heuristic that is far too large at eps=0 on desk problems: on
-    eight-gaussians (N=4096, batch 1024) a base rate of 0.05 reaches
-    tau=0.05 where 0.5 does not (see README). Every ``check_interval``
-    iterations one streamed scan of ``chi2_total`` evaluation rows, in
-    batches of ``chi2_batch``, gives both the stopping statistic and the
-    semidual estimate of the divergence guard.
+    quarter. ``base_lr`` is AdaGrad's starting rate: the solver halves
+    it at every check whose chi-square is not below half the previous
+    check's. Every ``check_interval`` iterations one streamed scan of
+    ``chi2_total`` evaluation rows, in batches of ``chi2_batch``, gives
+    the stopping statistic, the semidual estimate of the divergence
+    guard and the marginal diagnostics.
     """
 
     optimizer: str = ADAGRAD
-    base_lr: Optional[float] = None  # default sqrt(N), bound at solve time
+    base_lr: float = 1.0
     constant_phase: int = 20_000
     decay_phase: int = 10_000
     averaging_window: int = 7_500
@@ -92,7 +92,7 @@ class SolverConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.tau <= 0.0:
             raise ConfigurationError("stopping threshold tau must be > 0")
-        if self.base_lr is not None and not self.base_lr > 0.0:
+        if not self.base_lr > 0.0:
             raise ConfigurationError("base learning rate must be > 0")
         if self.constant_phase < 0 or self.decay_phase < 0:
             raise ConfigurationError("phase lengths must be >= 0")
@@ -122,30 +122,6 @@ class SolverConfig:
                        averaging_window=window)
 
 
-@dataclass
-class SolverState:
-    """Mutable solver internals; single writer."""
-
-    g: np.ndarray
-    accumulator: np.ndarray
-    iteration: int = 0
-    chi2_history: list = field(default_factory=list)
-    window: np.ndarray = None  # ring buffer of the last W iterates
-    window_fill: int = 0
-    window_pos: int = 0
-
-    def push(self, g: np.ndarray) -> None:
-        self.window[self.window_pos] = g
-        self.window_pos = (self.window_pos + 1) % self.window.shape[0]
-        self.window_fill = min(self.window_fill + 1, self.window.shape[0])
-
-    def averaged(self) -> np.ndarray:
-        """Exact arithmetic mean of the last min(k, W) iterates."""
-        if self.window_fill == 0:
-            return self.g.copy()
-        return self.window[: self.window_fill].mean(axis=0)
-
-
 def lr_schedule(cfg: SolverConfig, k: int) -> float:
     """Learning rate at iteration ``k`` (0-based).
 
@@ -167,10 +143,9 @@ def lr_schedule(cfg: SolverConfig, k: int) -> float:
         if cfg.optimizer == SGD_CONSTANT:
             return float(np.sqrt(delta / (smooth * cfg.max_iterations)))
         return float(np.sqrt(delta / (smooth * max(k, 1))))
-    base = cfg.base_lr if cfg.base_lr is not None else 1.0
     if k < cfg.constant_phase or cfg.constant_phase == 0:
-        return float(base)
-    return float(base * np.sqrt(cfg.constant_phase / k))
+        return float(cfg.base_lr)
+    return float(cfg.base_lr * np.sqrt(cfg.constant_phase / k))
 
 
 def smoothness_bound(support: np.ndarray, eps: float) -> float:
@@ -180,14 +155,23 @@ def smoothness_bound(support: np.ndarray, eps: float) -> float:
     product cost, standard normal noise) gives ``4 d^{1/4} / delta`` for
     the ``(N, d)`` coupling-space ``support`` (:attr:`Potential.support`),
     with ``delta`` the minimum pairwise distance among its points;
-    duplicate points make the bound infinite and raise.
+    duplicate points make the bound infinite and raise. The O(N^2)
+    distances are scanned in row blocks of O(N) memory.
     """
     if eps > 0.0:
         return 1.0 / eps
-    if support.shape[0] == 1:
+    n = support.shape[0]
+    if n == 1:
         raise ConfigurationError(
             "eps=0 smoothness bound needs at least 2 distinct points")
-    delta = float(pdist(support).min())  # O(N^2) scan, desk scale only
+    rows = max(1, _DISTANCE_BLOCK // n)
+    delta = np.inf
+    for lo in range(0, n - 1, rows):
+        # Block row i scores points lo..: its diagonal entry is the point
+        # itself, and pairs left of that repeat ones scored from the right.
+        dist = cdist(support[lo:lo + rows], support[lo:])
+        np.fill_diagonal(dist, np.inf)
+        delta = min(delta, float(dist.min()))
     if delta <= 0.0:
         raise ConfigurationError("duplicate target points: eps=0 bound undefined")
     return float(4.0 * support.shape[1]**0.25 / delta)
@@ -236,6 +220,14 @@ def _require_finite(v: np.ndarray, what: str, k: int) -> None:
                                {"iteration": k, "what": what})
 
 
+def _window_mean(sums: np.ndarray, count: int, window: int, block: int):
+    """Exact mean of the last ``min(count, window)`` of ``count`` iterates
+    (zero for none) from ``sums``, a ring of the last ``window // block``
+    block sums; ``block`` divides ``window`` and ``count``."""
+    filled = min(count // block, len(sums))
+    return sums[:filled].sum(axis=0) / max(min(count, window), 1)
+
+
 def solve_sdot(
     target: TargetMeasure,
     cost: CostConfig,
@@ -249,12 +241,17 @@ def solve_sdot(
 
     Runs until the chi-square statistic of the gauge-fixed averaged
     iterate drops to ``cfg.tau`` at a check point, or the iteration
-    budget is exhausted. Returns the averaged, gauge-fixed potential with
-    provenance (iterations, final chi-square, averaging window, stop
-    reason, wall time, and two diagnostics of the final check's marginal
-    estimate: ``final_marginal_linf = N max_j |m_j - b_j|`` and the
-    ``empty_cell_fraction`` of target points with ``m_j = 0``).
-    Deterministic given ``(target, cost, cfg, rng)``.
+    budget is exhausted. Every check logs ``chi2``, ``semidual``,
+    ``marginal_linf = N max_j |m_j - b_j|`` of its marginal estimate
+    ``m``, the ``empty_cell_fraction`` of target points with ``m_j = 0``,
+    and ``lr``, the rate after its halving decision. Returns the
+    averaged, gauge-fixed potential with provenance (iterations, final
+    chi-square, averaging window, stop reason, wall time,
+    ``lr_halvings``, and the final check's ``final_marginal_linf`` and
+    ``empty_cell_fraction``). Deterministic given ``(target, cost, cfg,
+    rng)``. Checks fall on multiples of ``gcd(averaging_window,
+    check_interval, max_iterations)``, so the window is kept as sums of
+    blocks of that many iterates.
 
     ``noise`` defaults to standard Gaussian noise in the target's raw
     space; pass a :class:`DiscreteNoise` for enumerated instances.
@@ -267,14 +264,14 @@ def solve_sdot(
         raise ConfigurationError("eps=0 requires the negative dot-product cost")
     b = target.weights
     n = target.n
-    state = SolverState(
-        g=np.zeros(n),
-        accumulator=np.zeros(n),
-        window=np.zeros((cfg.averaging_window, n)),
-    )
-    # The step potential aliases state.g, which every step updates in
-    # place, so its support is embedded once for the whole run.
-    pot_step = Potential(g=state.g, target=target, cost=cost)
+    g = np.zeros(n)
+    accumulator = np.zeros(n)
+    window = cfg.averaging_window
+    block = math.gcd(window, cfg.check_interval, cfg.max_iterations)
+    sums = np.zeros((window // block, n))
+    # The step potential aliases g, which every step updates in place, so
+    # its support is embedded once for the whole run.
+    pot_step = Potential(g=g, target=target, cost=cost)
     if cfg.optimizer in (SGD_CONSTANT, SGD_DECAY) and (
         cfg.theory_delta is None or cfg.theory_smoothness is None
     ):
@@ -286,21 +283,19 @@ def solve_sdot(
         if smooth is None:
             smooth = smoothness_bound(pot_step.support, cost.eps)
         cfg = replace(cfg, theory_delta=delta, theory_smoothness=smooth)
-    if cfg.base_lr is None and cfg.optimizer == ADAGRAD:
-        cfg = replace(cfg, base_lr=float(np.sqrt(target.n)))
 
     train = rng.child(0)
     evaluate = rng.child(1)
     t0 = time.perf_counter()
 
     def candidate() -> Potential:
-        g = gauge_fix(state.averaged(), b)
-        _require_finite(g, "averaged potential", state.iteration)
-        return Potential(g=g, target=target, cost=cost,
-                         provenance={"iterations": state.iteration})
+        g_bar = gauge_fix(_window_mean(sums, k, window, block), b)
+        _require_finite(g_bar, "averaged potential", k)
+        return Potential(g=g_bar, target=target, cost=cost,
+                         provenance={"iterations": k})
 
-    stop_reason = "max_iterations"
-    final_chi2 = np.inf
+    chi2_history = []
+    halvings = 0
     initial_value = None
     k = 0
     while True:
@@ -308,15 +303,7 @@ def solve_sdot(
             pot_k = candidate()
             chi2_k, value_k, m_k = _chi2_check(pot_k, evaluate.child(k), cfg,
                                                noise)
-            state.chi2_history.append((k, chi2_k))
-            lr_k = lr_schedule(cfg, min(k, cfg.max_iterations - 1))
-            if metrics is not None:
-                wall = (time.perf_counter() - t0) * 1e3
-                metrics.log(k, "chi2", chi2_k, wall_ms=wall)
-                metrics.log(k, "semidual", value_k, wall_ms=wall)
-                metrics.log(k, "lr", lr_k, wall_ms=wall)
-            if checkpoint_cb is not None:
-                checkpoint_cb(k, pot_k, chi2_k)
+            lr_k = _HALF**halvings * lr_schedule(cfg, min(k, cfg.max_iterations - 1))
             if initial_value is None:
                 initial_value = value_k
             elif value_k < initial_value - 10.0 * max(abs(initial_value), 1e-9):
@@ -325,42 +312,57 @@ def solve_sdot(
                     {"iteration": k, "initial": initial_value, "current": value_k,
                      "lr": lr_k, "chi2": chi2_k},
                 )
-            final_chi2 = chi2_k
-            if chi2_k <= cfg.tau:
-                stop_reason = "tau"
-                break
-            if k >= cfg.max_iterations:
-                stop_reason = "max_iterations"
+            done = chi2_k <= cfg.tau or k >= cfg.max_iterations
+            if (cfg.optimizer == ADAGRAD and chi2_history and not done
+                    and not chi2_k < _HALF * chi2_history[-1][1]):
+                halvings += 1
+                lr_k *= _HALF
+            chi2_history.append((k, chi2_k))
+            diagnostics = {"chi2": chi2_k, "semidual": value_k,
+                           "marginal_linf": float(n * np.max(np.abs(m_k - b))),
+                           "empty_cell_fraction": float(np.mean(m_k == 0.0)),
+                           "lr": lr_k}
+            if metrics is not None:
+                wall = (time.perf_counter() - t0) * 1e3
+                for name, value in diagnostics.items():
+                    metrics.log(k, name, value, wall_ms=wall)
+            if checkpoint_cb is not None:
+                checkpoint_cb(k, pot_k, chi2_k)
+            if done:
                 break
         # One stochastic ascent step.
         grad = stochastic_gradient(pot_step,
                                    *_noise_batch(noise, train.child(k), cfg.batch))
         _require_finite(grad, "gradient", k)
-        lr = lr_schedule(cfg, k)
+        lr = _HALF**halvings * lr_schedule(cfg, k)
         if cfg.optimizer == ADAGRAD:
-            state.accumulator += grad * grad
-            denom = np.sqrt(np.maximum(state.accumulator, _ADAGRAD_FLOOR))
-            state.g += lr * grad / denom
+            accumulator += grad * grad
+            denom = np.sqrt(np.maximum(accumulator, _ADAGRAD_FLOOR))
+            g += lr * grad / denom
         else:
-            state.g += lr * grad
-        _require_finite(state.g, "potential", k)
-        state.push(state.g)
+            g += lr * grad
+        _require_finite(g, "potential", k)
+        slot = sums[(k // block) % len(sums)]
+        if k % block:
+            slot += g
+        else:
+            slot[:] = g
         k += 1
-        state.iteration = k
 
     pot = candidate()
     pot.provenance.update(
-        iterations=state.iteration,
-        final_chi2=final_chi2,
-        averaging_window=min(cfg.averaging_window, max(state.iteration, 1)),
-        stop_reason=stop_reason,
+        iterations=k,
+        final_chi2=chi2_k,
+        averaging_window=min(window, max(k, 1)),
+        stop_reason="tau" if chi2_k <= cfg.tau else "max_iterations",
         wall_ms=(time.perf_counter() - t0) * 1e3,
         optimizer=cfg.optimizer,
         base_lr=cfg.base_lr,
+        lr_halvings=halvings,
         tau=cfg.tau,
-        chi2_history=list(state.chi2_history),
-        final_marginal_linf=float(n * np.max(np.abs(m_k - b))),
-        empty_cell_fraction=float(np.mean(m_k == 0.0)),
+        chi2_history=chi2_history,
+        final_marginal_linf=diagnostics["marginal_linf"],
+        empty_cell_fraction=diagnostics["empty_cell_fraction"],
         cost=cost.metadata(),
     )
     return pot

@@ -90,7 +90,8 @@ class TestSolveCommand:
                                                   "--tau", "1e-12"])
         assert code == 3
         rows = (tmp_path / "pot.sdfm.metrics.csv").read_text().splitlines()
-        assert {r.split(",")[2] for r in rows[1:]} == {"chi2", "semidual", "lr"}
+        assert {r.split(",")[2] for r in rows[1:]} == {
+            "chi2", "semidual", "marginal_linf", "empty_cell_fraction", "lr"}
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["solve", "--data", blob, "--eps", "0", "--lr", "1e308",
                          "--iters", "50", "--batch", "16",
@@ -98,7 +99,7 @@ class TestSolveCommand:
                          "--out", str(tmp_path / "x.sdfm")])
         assert code == 4
         rows = (tmp_path / "x.sdfm.metrics.csv").read_text().splitlines()
-        assert [r.split(",")[0] for r in rows[1:]] == ["0", "0", "0"]
+        assert [r.split(",")[0] for r in rows[1:]] == ["0"] * 5
 
     def test_summary_reports_final_diagnostics(self, tmp_path, blob):
         code, out = _solve(tmp_path, blob, extra=["--iters", "4"])
@@ -106,7 +107,8 @@ class TestSolveCommand:
         prov = read_container(out)[1]["provenance"]
         with open(out + ".metrics.json") as fh:
             summary = json.load(fh)["summary"]
-        for key in ("final_marginal_linf", "empty_cell_fraction"):
+        for key in ("final_marginal_linf", "empty_cell_fraction",
+                    "lr_halvings"):
             assert summary[key] == prov[key]
         assert summary["final_marginal_linf"] > 0.0
         assert 0.0 <= summary["empty_cell_fraction"] <= 1.0

@@ -77,6 +77,22 @@ class TestSmoothnessBound:
         with pytest.raises(ConfigurationError):
             smoothness_bound(np.array([[1.0], [1.0]]), 0.0)
 
+    def test_duplicate_points_in_a_large_set_rejected(self):
+        # The duplicate pair lies in different row blocks of the scan.
+        support = Rng(60).generator().standard_normal((3000, 2))
+        support[2999] = support[5]
+        with pytest.raises(ConfigurationError):
+            smoothness_bound(support, 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    @pytest.mark.parametrize("n", [2, 3, 700, 2500])
+    def test_blocked_scan_equals_pdist(self, n, d):
+        from scipy.spatial.distance import pdist
+
+        support = Rng(61 + n + d).generator().standard_normal((n, d))
+        expected = 4.0 * d**0.25 / pdist(support).min()
+        assert smoothness_bound(support, 0.0) == expected
+
 
 class TestSolveSdot:
     def test_single_atom_immediate(self):
@@ -206,16 +222,19 @@ class TestSolveSdot:
         names = {line.split(",")[2] for line in rows[1:]}
         assert {"chi2", "semidual", "lr"} <= names
 
-    def test_averaging_window_is_exact_mean(self):
+    # (37, 10**6) keeps one block per iterate; (40, 10) sums blocks of
+    # gcd(40, 10, 150) = 10 iterates and lets AdaGrad halve its rate.
+    @pytest.mark.parametrize("window,interval", [(37, 10**6), (40, 10)])
+    def test_averaging_window_is_exact_mean(self, window, interval):
         target, cost, noise = make_enumerated_instance(48)
-        window = 37
         cfg = SolverConfig(base_lr=1.5, constant_phase=150, decay_phase=0,
                            averaging_window=window, batch=4, tau=1e-12,
-                           check_interval=10**6)
+                           check_interval=interval)
         iterates = []
 
         orig = DiscreteNoise(*noise.enumerate(), exact=True)
-        pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig)
+        sink = _Rows()
+        pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig, metrics=sink)
         # Re-run the recurrence by hand and compare the trailing mean.
         from sdfm.numerics import softmax_b_eps_rows
         from sdfm.semidual import gauge_fix
@@ -224,14 +243,83 @@ class TestSolveSdot:
         c = cost_matrix(cost, atoms, target.points)
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
-        for k in range(150):
+        # The (40, 10) run stops on tau before the budget.
+        for k in range(pot.provenance["iterations"]):
             s = softmax_b_eps_rows(g[None, :] - c, target.weights, cost.eps)
             grad = target.weights - w @ s
             acc += grad * grad
-            g = g + lr_schedule(cfg, k) * grad / np.sqrt(np.maximum(acc, 1e-10))
+            # Steps after a check run at the rate that check logged.
+            lr = sink.rows[(k - k % interval, "lr")]
+            g = g + lr * grad / np.sqrt(np.maximum(acc, 1e-10))
             iterates.append(g.copy())
         expected = gauge_fix(np.mean(iterates[-window:], axis=0), target.weights)
         np.testing.assert_allclose(pot.g, expected, atol=1e-12)
+
+    def test_averaging_state_is_block_sums(self):
+        import tracemalloc
+
+        # A 2000-iterate window over N=2048 is 32 MB as full iterates;
+        # checks every 1000 iterations need two block sums (32 kB).
+        gen = Rng(53).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((2048, 2)))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
+        noise = DiscreteNoise(gen.standard_normal((8, 2)), exact=True)
+        cfg = SolverConfig(constant_phase=2000, decay_phase=0,
+                           averaging_window=2000, tau=1e-12,
+                           check_interval=1000)
+        tracemalloc.start()
+        try:
+            pot = solve_sdot(target, cost, cfg, Rng(13), noise=noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pot.provenance["iterations"] == 2000
+        assert peak < 8 * 2**20
+
+
+class TestStepSize:
+    """AdaGrad halves its base rate at every check that fails to halve
+    the chi-square; theory schedules keep the theorem's rate."""
+
+    def test_demo_instance_stops_on_tau(self):
+        # The instance and schedule of demos/01_solve_and_inspect.py at
+        # the default starting rate of 1.0, which overshoots at eps=0.
+        rng = Rng(0)
+        gen = rng.generator()
+        right = gen.standard_normal((192, 2)) * 0.25 + np.array([2.0, 0.0])
+        left = gen.standard_normal((64, 2)) * 0.25 + np.array([-2.0, 0.0])
+        target = TargetMeasure.from_points(np.vstack([right, left]))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
+        cfg = SolverConfig(constant_phase=4000, decay_phase=2000,
+                           averaging_window=1500, batch=256, tau=0.02,
+                           check_interval=500, chi2_total=2**14)
+        sink = _Rows()
+        pot = solve_sdot(target, cost, cfg, rng.child(1), metrics=sink)
+        prov = pot.provenance
+        assert prov["stop_reason"] == "tau"
+        assert prov["final_chi2"] <= 0.02
+        assert prov["lr_halvings"] >= 1
+        # Each logged rate is the schedule's, halved once per failed check.
+        history = prov["chi2_history"]
+        halvings = 0
+        for (_, before), (k, chi2) in zip(history, history[1:]):
+            if chi2 > 0.02 and k < 6000 and not chi2 < 0.5 * before:
+                halvings += 1
+            assert sink.rows[(k, "lr")] == 0.5**halvings * lr_schedule(cfg, k)
+        assert halvings == prov["lr_halvings"]
+
+    def test_theory_schedule_never_halves(self):
+        target, cost, noise = make_enumerated_instance(54)
+        cfg = SolverConfig(optimizer="sgd-constant", theory_delta=1.0,
+                           theory_smoothness=50.0, constant_phase=200,
+                           decay_phase=0, averaging_window=50, batch=4,
+                           tau=1e-12, check_interval=20)
+        sink = _Rows()
+        pot = solve_sdot(target, cost, cfg, Rng(14), metrics=sink,
+                         noise=DiscreteNoise(*noise.enumerate()))
+        assert pot.provenance["lr_halvings"] == 0
+        assert {v for (k, name), v in sink.rows.items() if name == "lr"} \
+            == {lr_schedule(cfg, 0)}
 
 
 class _Rows:
