@@ -3,8 +3,9 @@
 Walks the basic pipeline on a 2-d two-cluster target: fit the potential
 with the chi-square stopping rule, look at the convergence series, and
 check the fitted marginal against the target weights. No step size is
-set: AdaGrad starts at 1.0 and halves its rate at every check that fails
-to halve the chi-square. Exits 1 unless the solve stops on tau.
+set: AdaGrad starts at 1.0 and halves its rate at every check of its
+constant phase that fails to halve the chi-square. Exits 1 unless the
+solve stops on tau.
 
 Run:  python demos/01_solve_and_inspect.py
 """

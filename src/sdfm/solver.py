@@ -7,7 +7,7 @@ is monitored through the unbiased chi-square estimator on a dedicated
 evaluation stream, never the training stream. Each check is one scan of
 that stream: it gives the stopping statistic, the semidual estimate of
 the divergence guard and the marginal diagnostics. AdaGrad halves its
-base rate at every check that fails to halve the chi-square.
+base rate at a constant-phase check that fails to halve the chi-square.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ class SolverConfig:
     Defaults: AdaGrad, a constant phase of two thirds of the budget,
     inverse-square-root decay for the rest, and averaging over the final
     quarter. ``base_lr`` is AdaGrad's starting rate: the solver halves
-    it at every check whose chi-square is not below half the previous
-    check's. Every ``check_interval`` iterations one streamed scan of
-    ``chi2_total`` evaluation rows, in batches of ``chi2_batch``, gives
-    the stopping statistic, the semidual estimate of the divergence
-    guard and the marginal diagnostics.
+    it at every constant-phase check whose chi-square is not below half
+    the previous check's. Every ``check_interval`` iterations one
+    streamed scan of ``chi2_total`` evaluation rows, in batches of
+    ``chi2_batch``, gives the stopping statistic, the semidual estimate
+    of the divergence guard and the marginal diagnostics.
     """
 
     optimizer: str = ADAGRAD
@@ -304,16 +304,9 @@ def solve_sdot(
             chi2_k, value_k, m_k = _chi2_check(pot_k, evaluate.child(k), cfg,
                                                noise)
             lr_k = _HALF**halvings * lr_schedule(cfg, min(k, cfg.max_iterations - 1))
-            if initial_value is None:
-                initial_value = value_k
-            elif value_k < initial_value - 10.0 * max(abs(initial_value), 1e-9):
-                raise SolverDivergence(
-                    "semidual estimate collapsed",
-                    {"iteration": k, "initial": initial_value, "current": value_k,
-                     "lr": lr_k, "chi2": chi2_k},
-                )
             done = chi2_k <= cfg.tau or k >= cfg.max_iterations
             if (cfg.optimizer == ADAGRAD and chi2_history and not done
+                    and k < cfg.constant_phase
                     and not chi2_k < _HALF * chi2_history[-1][1]):
                 halvings += 1
                 lr_k *= _HALF
@@ -328,6 +321,14 @@ def solve_sdot(
                     metrics.log(k, name, value, wall_ms=wall)
             if checkpoint_cb is not None:
                 checkpoint_cb(k, pot_k, chi2_k)
+            if initial_value is None:
+                initial_value = value_k
+            elif value_k < initial_value - 10.0 * max(abs(initial_value), 1e-9):
+                raise SolverDivergence(
+                    "semidual estimate collapsed",
+                    {"iteration": k, "initial": initial_value, "current": value_k,
+                     "lr": lr_k, "chi2": chi2_k},
+                )
             if done:
                 break
         # One stochastic ascent step.

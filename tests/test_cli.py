@@ -85,7 +85,7 @@ class TestSolveCommand:
     def test_metrics_rows_reach_disk_on_budget_and_numeric_exits(
             self, tmp_path, blob):
         # Exit 3 (budget) finalizes the writer; exit 4 (numeric) leaves
-        # through an exception after the step-0 check rows were logged.
+        # through an exception after the rows of every check were logged.
         code, _ = _solve(tmp_path, blob, extra=["--iters", "2",
                                                   "--tau", "1e-12"])
         assert code == 3
@@ -100,6 +100,16 @@ class TestSolveCommand:
         assert code == 4
         rows = (tmp_path / "x.sdfm.metrics.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["0"] * 5
+        # A semidual collapse at a later check still logs that check's
+        # rows and writes its checkpoint before the exit.
+        code = main(["solve", "--data", blob, "--eps", "0", "--lr", "1e6",
+                     "--iters", "2001", "--batch", "16",
+                     "--chi2-samples", "256", "--checkpoint-every", "2000",
+                     "--out", str(tmp_path / "y.sdfm")])
+        assert code == 4
+        rows = (tmp_path / "y.sdfm.metrics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0"] * 5 + ["2000"] * 5
+        assert (tmp_path / "y.sdfm.ckpt2000").exists()
 
     def test_summary_reports_final_diagnostics(self, tmp_path, blob):
         code, out = _solve(tmp_path, blob, extra=["--iters", "4"])

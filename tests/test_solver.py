@@ -224,14 +224,16 @@ class TestSolveSdot:
 
     def test_averaging_window_is_exact_mean(self):
         # No check within the budget: one block per iterate.
-        self._assert_window_is_exact_mean(window=37, interval=10**6)
+        self._assert_window_is_exact_mean(window=37, interval=10**6,
+                                          iterations=150, halvings=0)
 
     def test_averaging_window_is_exact_mean_over_blocks_and_halvings(self):
         # Blocks of gcd(40, 10, 150) = 10 iterates; AdaGrad halves its rate.
-        self._assert_window_is_exact_mean(window=40, interval=10)
+        self._assert_window_is_exact_mean(window=40, interval=10,
+                                          iterations=90, halvings=1)
 
     @staticmethod
-    def _assert_window_is_exact_mean(window, interval):
+    def _assert_window_is_exact_mean(window, interval, iterations, halvings):
         target, cost, noise = make_enumerated_instance(48)
         cfg = SolverConfig(base_lr=1.5, constant_phase=150, decay_phase=0,
                            averaging_window=window, batch=4, tau=1e-12,
@@ -239,8 +241,14 @@ class TestSolveSdot:
         iterates = []
 
         orig = DiscreteNoise(*noise.enumerate(), exact=True)
-        sink = _Rows()
-        pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig, metrics=sink)
+        pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig)
+        assert pot.provenance["iterations"] == iterations
+        # Checks of the constant phase that fail to halve the chi-square.
+        history = pot.provenance["chi2_history"]
+        halved_at = [k for (_, before), (k, chi2) in zip(history, history[1:])
+                     if chi2 > cfg.tau and k < cfg.constant_phase
+                     and not chi2 < 0.5 * before]
+        assert len(halved_at) == pot.provenance["lr_halvings"] == halvings
         # Re-run the recurrence by hand and compare the trailing mean.
         from sdfm.numerics import softmax_b_eps_rows
         from sdfm.semidual import gauge_fix
@@ -249,13 +257,11 @@ class TestSolveSdot:
         c = cost_matrix(cost, atoms, target.points)
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
-        # A run with checks may stop on tau before the budget.
-        for k in range(pot.provenance["iterations"]):
+        for k in range(iterations):
             s = softmax_b_eps_rows(g[None, :] - c, target.weights, cost.eps)
             grad = target.weights - w @ s
             acc += grad * grad
-            # Steps after a check run at the rate that check logged.
-            lr = sink.rows[(k - k % interval, "lr")]
+            lr = lr_schedule(cfg, k) * 0.5**sum(j <= k for j in halved_at)
             g = g + lr * grad / np.sqrt(np.maximum(acc, 1e-10))
             iterates.append(g.copy())
         expected = gauge_fix(np.mean(iterates[-window:], axis=0), target.weights)
@@ -309,10 +315,31 @@ class TestStepSize:
         history = prov["chi2_history"]
         halvings = 0
         for (_, before), (k, chi2) in zip(history, history[1:]):
-            if chi2 > 0.02 and k < 6000 and not chi2 < 0.5 * before:
+            if (chi2 > 0.02 and k < cfg.constant_phase
+                    and not chi2 < 0.5 * before):
                 halvings += 1
             assert sink.rows[(k, "lr")] == 0.5**halvings * lr_schedule(cfg, k)
         assert halvings == prov["lr_halvings"]
+
+    def test_decay_phase_never_halves(self):
+        # tau is out of reach, so every check after the first can fail;
+        # only the nine after the first in the constant phase may halve.
+        target, cost, noise = make_enumerated_instance(55)
+        cfg = SolverConfig(constant_phase=100, decay_phase=300,
+                           averaging_window=50, batch=4, tau=1e-12,
+                           check_interval=10)
+        sink = _Rows()
+        pot = solve_sdot(target, cost, cfg, Rng(15), metrics=sink,
+                         noise=DiscreteNoise(*noise.enumerate()))
+        assert pot.provenance["stop_reason"] == "max_iterations"
+        assert 1 <= pot.provenance["lr_halvings"] <= 9
+        rates = [v for (k, name), v in sorted(sink.rows.items())
+                 if name == "lr"]
+        assert min(rates) >= 0.5**9 * lr_schedule(cfg, 399)
+        for (k, name), v in sink.rows.items():
+            if name == "lr" and k >= cfg.constant_phase:
+                assert v == 0.5**pot.provenance["lr_halvings"] \
+                    * lr_schedule(cfg, min(k, 399))
 
     def test_theory_schedule_never_halves(self):
         target, cost, noise = make_enumerated_instance(54)
