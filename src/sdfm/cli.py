@@ -204,16 +204,29 @@ def cmd_train(args) -> int:
     model = FlowModel(dim=target.dim, hidden=tuple(args.hidden),
                       rng=rng.child(100))
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
+    paired = np.zeros(target.n, dtype=bool)
+
+    def marking_pair(noise, pair_rng):
+        idx = pair(noise, pair_rng)
+        paired[idx] = True
+        return idx
+
     with MetricsWriter(args.out + ".metrics.csv",
                        args.out + ".metrics.json") as metrics:
-        model = train_flow(model, target, pair, cfg, rng.child(101), metrics)
+        t0 = time.perf_counter()
+        model = train_flow(model, target, marking_pair, cfg, rng.child(101),
+                           metrics)
+        train_ms = (time.perf_counter() - t0) * 1e3
+        pair_ms = metrics.totals.get("pair_batch_ms", 0.0)
         artifacts.save_model(args.out, model, {
             "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
             "batch": args.batch, "data": args.data,
             **({"cost": cost.metadata()} if cost is not None else {}),
         })
         metrics.finalize({"command": "train", "coupling": args.coupling,
-                          "seed": args.seed})
+                          "seed": args.seed, "pair_ms": pair_ms,
+                          "pair_share": pair_ms / train_ms,
+                          "paired_fraction": float(paired.mean())})
     print(f"train: coupling={args.coupling} steps={args.steps} out={args.out}")
     return EXIT_OK
 

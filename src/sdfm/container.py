@@ -168,14 +168,16 @@ class MetricsWriter:
     """Appends ``step, wall_ms, metric, value`` rows; JSON summary at close.
 
     Steps must be monotone per metric name; violations raise, keeping
-    emitted series plot-ready without sorting. The CSV stays open between
-    rows: :meth:`finalize`, :meth:`close` or leaving a ``with`` block
-    flushes every logged row to disk and closes it.
+    emitted series plot-ready without sorting; ``totals`` sums each
+    metric's rows. The CSV stays open between rows: :meth:`flush` puts
+    them on disk, :meth:`finalize`, :meth:`close` or leaving a ``with``
+    block also closes it.
     """
 
     csv_path: str
     json_path: Optional[str] = None
     _last_step: Dict[str, int] = field(default_factory=dict)
+    totals: Dict[str, float] = field(default_factory=dict)
     _n_rows: int = 0
 
     def __post_init__(self):
@@ -197,8 +199,12 @@ class MetricsWriter:
                 f"non-monotone step for metric {metric!r}: {step} < {last}"
             )
         self._last_step[metric] = step
+        self.totals[metric] = self.totals.get(metric, 0.0) + float(value)
         self._n_rows += 1
         self._csv.writerow([step, f"{wall_ms:.3f}", metric, repr(float(value))])
+
+    def flush(self) -> None:
+        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()

@@ -56,8 +56,8 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     """Target index of each raw noise row, by the O(N) scan.
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
-    over exact ties; ``eps > 0``: categorical draw from the
-    responsibilities. Row ``i`` draws with the ``i``-th uniform of
+    over exact ties; ``eps > 0``: categorical draw from the unnormalised
+    exp rows. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
     its noise row, never on the batch size. Streams the scan through
     :func:`~sdfm.semidual.score_chunks`: one matmul block per read of the
@@ -72,10 +72,12 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     for lo, hi, scores in score_chunks(pot, noise):
         if pot.eps == 0.0:
             part, tie_rows, tie_weights = argmax_with_ties(scores, b)
-            part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
+            if tie_rows.size:
+                part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
         else:
-            s = softmax_b_eps_rows(scores, b, pot.eps, out=scores, log_b=log_b)
-            part = inverse_cdf(s, u[lo:hi])
+            e, _ = softmax_b_eps_rows(scores, b, pot.eps, out=scores,
+                                      log_b=log_b)
+            part = inverse_cdf(e, u[lo:hi])
         idx[lo:hi] = part
     return idx
 
@@ -192,7 +194,7 @@ def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
     ``n`` data rows drawn from the target weights. ``eps == 0`` uses the
     optimal permutation (Hungarian); ``eps > 0`` runs Sinkhorn at that
     absolute eps (the CLI passes ``CostConfig.eps``) and draws each row's
-    partner from its row of the normalized plan.
+    partner from its row of the plan.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     n = len(noise)
@@ -205,8 +207,7 @@ def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
     else:
         marg = np.full(n, 1.0 / n)
         plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
-        local = inverse_cdf(plan / plan.sum(axis=1, keepdims=True),
-                            gen.random(n))
+        local = inverse_cdf(plan, gen.random(n))
     return data_idx[local]
 
 

@@ -379,7 +379,7 @@ def delta_eps_toy(pot: Potential, x: np.ndarray, t: float, samples: int,
     x0 = gen.standard_normal((samples, d))
     s = responsibilities_rows(pot, x0)
     y = pot.target.points
-    mean_x1 = s @ y  # E[X1 | X0], taken before the draw overwrites s
+    mean_x1 = s @ y  # E[X1 | X0]
     x1 = y[inverse_cdf(s, gen.random(samples))]
     xt = (1.0 - t) * x0 + t * x1
     inner = x1 - mean_x1

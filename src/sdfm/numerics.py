@@ -13,6 +13,7 @@ Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,48 +92,43 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
 def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
                        out: np.ndarray | None = None,
                        log_b: np.ndarray | None = None,
-                       smooth_max: np.ndarray | None = None) -> np.ndarray:
-    """Weighted softmax over data indices, row by row, for ``(B, N)`` scores.
+                       smooth_max: np.ndarray | None = None):
+    """Unnormalised weighted softmax over data indices, row by row.
 
-    For ``eps > 0`` row ``i`` is ``b_j exp(z_ij/eps)`` normalized (computed
-    in the log domain). For ``eps = 0`` it is one-hot on the row argmax,
-    with the ``b``-weighted split of :func:`argmax_with_ties` on tie rows.
-    The rows go to ``out`` when given (``out=scores`` works in place),
-    else to a fresh array; ``log_b`` spares the ``log(b)`` of a caller
-    that streams many blocks against the same ``b``. With ``smooth_max``
-    (one entry per row) each row's normaliser ``eps log sum_j b_j
-    exp(z_ij/eps)`` is written there, taken from the row max and the row
-    sum the softmax divides by; at ``eps = 0`` it is the row max.
+    Returns ``(rows, total)`` for ``(B, N)`` scores; the responsibilities
+    are ``rows / total[:, None]``. At ``eps > 0`` row ``i`` is ``b_j
+    exp(z_ij/eps - m_i)``, ``m_i`` the row max of the exponent: one exp
+    pass, never normalised. At ``eps = 0`` it is one-hot on the row argmax
+    (:func:`argmax_with_ties` splits tie rows by ``b``), with totals 1.
+    The rows go to ``out`` when given (``out=scores`` works in place), else
+    to a fresh array; ``log_b`` spares a streaming caller the ``log(b)``.
+    With ``smooth_max`` (one entry per row) each row's normaliser ``eps log
+    sum_j b_j exp(z_ij/eps)`` is written there; at ``eps = 0`` the row max.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
         if smooth_max is not None:
             smooth_max[:] = scores[np.arange(scores.shape[0]), idx]
-        if out is None:
-            out = np.zeros_like(scores)
-        else:
-            out.fill(0.0)
+        out = np.empty_like(scores) if out is None else out
+        out.fill(0.0)
         out[np.arange(scores.shape[0]), idx] = 1.0
         out[tie_rows] = tie_weights
-        return out
+        return out, np.ones(scores.shape[0])
     if log_b is None:
         with np.errstate(divide="ignore"):
             log_b = np.log(b)
     # exp(t - max_j t) row by row for t = scores / eps + log_b.
-    e = np.divide(scores, eps, out=out)
+    e = np.multiply(scores, 1.0 / eps, out=out)
     e += log_b
     m = e.max(axis=1)
     e -= m[:, None]
     np.exp(e, out=e)
-    total = e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1)
     if smooth_max is not None:
-        smooth_max[:] = eps * (m + np.log(total[:, 0]))
-    e /= total
-    return e
+        smooth_max[:] = eps * (m + np.log(total))
+    return e, total
 
 
 def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
@@ -170,15 +166,35 @@ def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
     return col_sum, col_sq
 
 
+def _last_positive_column(w: np.ndarray) -> np.ndarray:
+    return w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
+
+
 def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of nonnegative float ``weights``.
 
-    Row ``i`` returns the first index whose cumulative weight reaches
-    ``u[i]`` times the row total; rows need not be normalized. The
-    running sums are formed in place, so ``weights`` is overwritten. A
-    cumulative sum of nonnegative terms never decreases, so that first
-    index is the count of running sums below the threshold.
+    Row ``i`` returns the first index whose running sum exceeds ``u[i]``
+    times the row total, clamped to the last positive-weight index, so a
+    zero weight is never drawn. Rows need a positive total, not a unit
+    one; ``weights`` is not written. Blocks of ``k = ceil(sqrt(N))``
+    columns make two levels: block sums (a matrix-vector product) and
+    their running sums pick a block, a running sum inside it the index.
     """
-    cdf = np.cumsum(weights, axis=1, out=weights)
-    target = u * cdf[:, -1]
-    return (cdf < target[:, None]).sum(axis=1, dtype=np.int64)
+    rows, n = weights.shape
+    k = math.isqrt(n - 1) + 1
+    full = n // k
+    sums = weights[:, :full * k].reshape(rows, full, k) @ np.ones(k)
+    if n % k:  # the ragged last block
+        sums = np.column_stack([sums, weights[:, full * k:].sum(axis=1)])
+    cum = np.cumsum(sums, axis=1)
+    target = u * cum[:, -1]
+    # The chosen block's running sum rises past the target inside it.
+    blk = np.minimum((cum <= target[:, None]).sum(axis=1), _last_positive_column(sums))
+    cols = blk[:, None] * k + np.arange(k)
+    run = np.take_along_axis(weights, np.minimum(cols, n - 1), axis=1)
+    run[cols >= n] = 0.0
+    last = _last_positive_column(run)
+    np.cumsum(run, axis=1, out=run)
+    run += np.where(blk > 0, cum[np.arange(rows), blk - 1], 0.0)[:, None]
+    # Rounding may leave the block's running sum at or below the target.
+    return blk * k + np.minimum((run <= target[:, None]).sum(axis=1), last)

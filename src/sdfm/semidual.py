@@ -29,10 +29,10 @@ live in the coupling space (the raw rows, or their PCA projection):
 The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
 :func:`score_chunks` fills it one matmul block of rows at a time through
 one reused buffer and yields each block as cache-sized row slabs. Here
-one reducer, :func:`_column_sums`, reduces them in place; the semidual
-value, gradient, second marginal, chi-square and transport cost are all
-readouts of its column sums and soft-c transform. Pairing reads the same
-stream. :func:`chi2_batches` is the one streamed-noise loop.
+one reducer, :func:`_column_sums`, reduces each from one unnormalised
+exp pass; the semidual value, gradient, second marginal, chi-square and
+transport cost read its column sums and soft-c transform. Pairing
+reads the same stream. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -278,16 +278,6 @@ def score_chunks(pot: Potential, x: np.ndarray):
             yield lo + s, min(lo + s + slab, hi), scores[s:s + slab]
 
 
-def _add_rows(acc: np.ndarray, tile: np.ndarray) -> None:
-    """``acc += tile.sum(axis=0)``, summed in row order (``acc`` first).
-
-    The totals therefore do not depend on how the rows were cut into
-    tiles. Overwrites ``tile[0]``.
-    """
-    tile[0] += acc
-    np.sum(tile, axis=0, out=acc)
-
-
 def _column_sums(pot: Potential, x: np.ndarray,
                  weights: Optional[np.ndarray] = None, squares: bool = False,
                  soft_c: Optional[np.ndarray] = None):
@@ -295,6 +285,8 @@ def _column_sums(pot: Potential, x: np.ndarray,
     ``weights`` if given) and, with ``squares``, the column sums of their
     squares (unweighted rows only), else ``None``.
 
+    At eps>0 each slab's exp rows ``e`` stay unnormalised: with ``r = w /
+    total`` the sums gain ``r @ e`` and the squares ``(r * r) @ (e * e)``.
     With ``soft_c`` (one entry per row) each row's soft-c transform is
     written there from the same tiles: ``f_{g,eps}(x_i) = -eps log sum_j
     b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
@@ -305,24 +297,19 @@ def _column_sums(pot: Potential, x: np.ndarray,
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
     col_sum, col_sq = np.zeros(n), np.zeros(n)
-    first = np.empty(n) if squares else None
     for lo, hi, scores in score_chunks(pot, x):
         w = None if weights is None else weights[lo:hi]
         f = None if soft_c is None else soft_c[lo:hi]
         if pot.eps == 0.0:
             eps0_column_stats(scores, b, w, out=(col_sum, col_sq), row_max=f)
             continue
-        s = softmax_b_eps_rows(scores, b, pot.eps, out=scores,
-                               log_b=pot.target.log_weights, smooth_max=f)
-        if w is not None:
-            s *= w[:, None]
+        e, total = softmax_b_eps_rows(scores, b, pot.eps, out=scores, smooth_max=f,
+                                      log_b=pot.target.log_weights)
+        r = 1.0 / total if w is None else w / total
+        col_sum += r @ e
         if squares:
-            np.copyto(first, s[0])
-        _add_rows(col_sum, s)
-        if squares:
-            s[0] = first
-            np.square(s, out=s)
-            _add_rows(col_sq, s)
+            np.square(e, out=e)
+            col_sq += (r * r) @ e
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
     return col_sum, col_sq if squares else None
@@ -331,7 +318,8 @@ def _column_sums(pot: Potential, x: np.ndarray,
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
     scores = coupling_scores(pot, x)
-    return softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
+    e, total = softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
+    return e / total[:, None]
 
 
 def _soft_c_and_marginal(pot: Potential, x: np.ndarray,

@@ -244,12 +244,12 @@ def solve_sdot(
     budget is exhausted. Every check logs ``chi2``, ``semidual``,
     ``marginal_linf = N max_j |m_j - b_j|`` of its marginal estimate
     ``m``, the ``empty_cell_fraction`` of target points with ``m_j = 0``,
-    and ``lr``, the rate after its halving decision. Returns the
-    averaged, gauge-fixed potential with provenance (iterations, final
-    chi-square, averaging window, stop reason, wall time,
-    ``lr_halvings``, and the final check's ``final_marginal_linf`` and
-    ``empty_cell_fraction``). Deterministic given ``(target, cost, cfg,
-    rng)``. Checks fall on multiples of ``gcd(averaging_window,
+    and ``lr``, the rate after its halving decision, then flushes them.
+    Returns the averaged, gauge-fixed potential with provenance
+    (iterations, final chi-square, averaging window, stop reason, wall
+    time, ``lr_halvings``, and the final check's ``final_marginal_linf``
+    and ``empty_cell_fraction``). Deterministic given ``(target, cost,
+    cfg, rng)``. Checks fall on multiples of ``gcd(averaging_window,
     check_interval, max_iterations)``, so the window is kept as sums of
     blocks of that many iterates.
 
@@ -319,6 +319,7 @@ def solve_sdot(
                 wall = (time.perf_counter() - t0) * 1e3
                 for name, value in diagnostics.items():
                     metrics.log(k, name, value, wall_ms=wall)
+                metrics.flush()  # on disk before the next iteration
             if checkpoint_cb is not None:
                 checkpoint_cb(k, pot_k, chi2_k)
             if initial_value is None:

@@ -111,6 +111,27 @@ class TestSolveCommand:
         assert [r.split(",")[0] for r in rows[1:]] == ["0"] * 5 + ["2000"] * 5
         assert (tmp_path / "y.sdfm.ckpt2000").exists()
 
+    def test_check_rows_reach_disk_before_the_next_iteration(
+            self, tmp_path, blob, monkeypatch):
+        # The first ascent step runs right after the check at iteration 0:
+        # that check's rows must already be readable from the CSV.
+        import sdfm.solver
+
+        seen = []
+        step = sdfm.solver.stochastic_gradient
+
+        def reading_step(*args, **kwargs):
+            if not seen:
+                seen.append((tmp_path / "pot.sdfm.metrics.csv").read_text())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(sdfm.solver, "stochastic_gradient", reading_step)
+        code, _ = _solve(tmp_path, blob, extra=["--iters", "3"])
+        assert code == 3
+        rows = seen[0].splitlines()
+        assert rows[0] == "step,wall_ms,metric,value"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0"] * 5
+
     def test_summary_reports_final_diagnostics(self, tmp_path, blob):
         code, out = _solve(tmp_path, blob, extra=["--iters", "4"])
         assert code == 3
@@ -221,6 +242,32 @@ class TestTrainSampleEval:
                      "minibatch-hungarian", "--steps", "5", "--batch", "16",
                      "--hidden", "8",
                      "--out", str(tmp_path / "mb.sdfm")]) == 0
+
+    @pytest.mark.parametrize("coupling", ["sd", "independent"])
+    def test_train_summary_reports_pairing_share(self, tmp_path, blob,
+                                                 coupling):
+        _, pot = _solve(tmp_path, blob, "bp.sdfm", extra=["--iters", "50"])
+        out = str(tmp_path / "m.sdfm")
+        assert main(["train", "--data", blob, "--coupling", coupling,
+                     "--potential", pot, "--steps", "3", "--batch", "8",
+                     "--hidden", "4", "--seed", "2", "--out", out]) == 0
+        with open(out + ".metrics.json") as fh:
+            summary = json.load(fh)["summary"]
+        rows = [r.split(",") for r in
+                (tmp_path / "m.sdfm.metrics.csv").read_text().splitlines()[1:]]
+        logged = [float(r[3]) for r in rows if r[2] == "pair_batch_ms"]
+        assert len(logged) == 3
+        assert summary["pair_ms"] == pytest.approx(sum(logged), rel=1e-12)
+        assert 0.0 < summary["pair_share"] < 1.0
+        # Three steps of 8 rows pair at most 24 of the 64 points.
+        assert 0.0 < summary["paired_fraction"] <= 24 / 64
+        if coupling == "independent":
+            # Step k pairs with rng.child(101).child(k).child(1): the
+            # fraction counts the distinct indices of those draws.
+            drawn = {int(j) for k in range(3) for j in
+                     Rng(2).child(101).child(k).child(1).generator()
+                     .choice(64, size=8, p=np.full(64, 1 / 64))}
+            assert summary["paired_fraction"] == len(drawn) / 64
 
     def test_sinkhorn_ot_eps_is_relative_to_reference_cost_std(
             self, tmp_path, blob, monkeypatch):

@@ -355,7 +355,8 @@ class TestOracle:
         # Stationarity is checked against the stored cost matrix directly:
         from sdfm.numerics import softmax_b_eps_rows
 
-        s = softmax_b_eps_rows(g[None, :] - costs, b, 0.05)
+        e, total = softmax_b_eps_rows(g[None, :] - costs, b, 0.05)
+        s = e / total[:, None]
         grad = b - a @ s
         assert np.max(np.abs(grad)) <= 1e-8
 

@@ -29,8 +29,14 @@ def _lse(z, logw, eps=1.0):
     return -f[0] / eps
 
 
+def _softmax_rows(scores, b, eps, **kw):
+    """Normalised rows: the unnormalised ones divided by their totals."""
+    rows, total = softmax_b_eps_rows(scores, b, eps, **kw)
+    return rows / total[:, None]
+
+
 def _softmax(z, b, eps):
-    return softmax_b_eps_rows(np.array([z], dtype=np.float64), b, eps)[0]
+    return _softmax_rows(np.array([z], dtype=np.float64), b, eps)[0]
 
 
 class TestRng:
@@ -145,7 +151,7 @@ class TestSoftmaxBEps:
         b = gen.random(4) + 0.1
         b /= b.sum()
         for eps in (0.0, 0.3, 10.0):
-            rows = softmax_b_eps_rows(scores, b, eps)
+            rows = _softmax_rows(scores, b, eps)
             for i in range(5):
                 np.testing.assert_allclose(rows[i], _softmax(scores[i], b, eps),
                                            atol=1e-14)
@@ -161,8 +167,8 @@ class TestSoftmaxBEps:
         b /= b.sum()
         for eps in (0.0, 0.3, 10.0):
             smooth = np.empty(6)
-            rows = softmax_b_eps_rows(scores, b, eps, smooth_max=smooth)
-            np.testing.assert_array_equal(rows, softmax_b_eps_rows(scores, b, eps))
+            rows = _softmax_rows(scores, b, eps, smooth_max=smooth)
+            np.testing.assert_array_equal(rows, _softmax_rows(scores, b, eps))
             if eps == 0.0:
                 np.testing.assert_array_equal(smooth, scores.max(axis=1))
                 row_max = np.empty(6)
@@ -197,7 +203,7 @@ class TestArgmaxWithTies:
         scores = np.round(gen.standard_normal((64, 5)), 1)
         b = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
         rw = gen.random(64)
-        dense = softmax_b_eps_rows(scores, b, 0.0)
+        dense = _softmax_rows(scores, b, 0.0)
         for w in (None, rw):
             col_sum, col_sq = eps0_column_stats(scores, b, w)
             ws = dense if w is None else w[:, None] * dense
@@ -216,3 +222,64 @@ class TestInverseCdf:
             cdf = np.cumsum(w[i])
             assert got[i] == np.searchsorted(cdf, u[i] * cdf[-1])
         assert not np.any(got == 2)
+
+    @staticmethod
+    def _sequential(weights, u):
+        """The one-level draw that the two-level one replaced: the first
+        index whose cumulative weight reaches ``u`` times the row total,
+        from a running sum over the whole row (overwrites ``weights``)."""
+        cdf = np.cumsum(weights, axis=1, out=weights)
+        target = u * cdf[:, -1]
+        return (cdf < target[:, None]).sum(axis=1, dtype=np.int64)
+
+    def test_matches_sequential_draw(self):
+        # Block widths ceil(sqrt(N)): N = 11..13 and 127..129 end in a
+        # ragged block, 144 in a full one, 145 in a 1-column one. Half the
+        # rows have exponents spread so wide that most weights underflow
+        # to exact zeros, as eps>0 rows of a far-off noise point do.
+        gen = Rng(43).generator()
+        drawn = 0
+        for n, count in [(1, 9000), (2, 9000), (11, 9000), (12, 9000),
+                         (13, 9000), (127, 9000), (128, 9000), (129, 9000),
+                         (144, 9000), (145, 9000), (700, 9000),
+                         (16384, 2000)]:
+            for lo in range(0, count, 500):
+                z = gen.standard_normal((500, n))
+                z[::2] *= 1000.0
+                w = np.exp(z - z.max(axis=1, keepdims=True))
+                u = gen.random(500)
+                before = w.copy()
+                got = inverse_cdf(w, u)
+                np.testing.assert_array_equal(w, before)  # read, not written
+                np.testing.assert_array_equal(got, self._sequential(w, u))
+                drawn += 500
+        assert drawn >= 10**5
+
+    @pytest.mark.parametrize("n", [5, 12, 13, 50, 700])
+    def test_never_draws_a_zero_weight(self, n):
+        # Planted zeros at both ends of every row, and rows whose only
+        # positive weights sit in the ragged last block.
+        gen = Rng(44).generator()
+        w = gen.random((400, n)) + 0.1
+        lead = gen.integers(0, n, size=400)
+        trail = gen.integers(lead, n) + 1  # at least one positive weight
+        cols = np.arange(n)
+        w[(cols < lead[:, None]) | (cols >= trail[:, None])] = 0.0
+        rows = np.arange(400)
+        for u, expect in [(0.0, lead), (1.0 - 2.0**-53, trail - 1)]:
+            got = inverse_cdf(w, np.full(400, u))
+            assert np.all(w[rows, got] > 0.0)
+            np.testing.assert_array_equal(got, expect)
+
+    def test_tie_split_stays_in_the_tie_set(self):
+        # Tied maxima at the last two columns: the b-weighted split of a
+        # tie row draws only from its tie set, even at u = 0.
+        gen = Rng(45).generator()
+        scores = gen.standard_normal((64, 9))
+        scores[:, 7:] = scores.max(axis=1, keepdims=True) + 1.0
+        b = np.full(9, 1 / 9)
+        _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        assert tie_rows.size == 64
+        for u in (0.0, 1.0 - 2.0**-53):
+            got = inverse_cdf(tie_weights, np.full(64, u))
+            assert np.all((got == 7) | (got == 8))

@@ -169,7 +169,9 @@ class TestSolveSdot:
         for k in range(1000):
             x = src.sample(gen_rng.child(k), 16)
             c = cost_matrix(cost, x, target.points)
-            s = softmax_b_eps_rows(state_g[None, :] - c, target.weights, cost.eps)
+            e, total = softmax_b_eps_rows(state_g[None, :] - c,
+                                          target.weights, cost.eps)
+            s = e / total[:, None]
             grad = target.weights - s.mean(axis=0)
             state_g += lr_schedule(cfg, k) * grad
             assert abs(state_g.sum()) < 1e-8
@@ -258,7 +260,9 @@ class TestSolveSdot:
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
         for k in range(iterations):
-            s = softmax_b_eps_rows(g[None, :] - c, target.weights, cost.eps)
+            e, total = softmax_b_eps_rows(g[None, :] - c, target.weights,
+                                          cost.eps)
+            s = e / total[:, None]
             grad = target.weights - w @ s
             acc += grad * grad
             lr = lr_schedule(cfg, k) * 0.5**sum(j <= k for j in halved_at)
@@ -363,6 +367,9 @@ class _Rows:
 
     def log(self, step, metric, value, wall_ms=0.0):
         self.rows[(step, metric)] = value
+
+    def flush(self):
+        pass
 
 
 class TestOneScanPerCheck:

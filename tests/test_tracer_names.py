@@ -32,7 +32,7 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     def path(name):
         return str(tmp_path / name)
 
-    data, pot = path("data.sdfm"), path("pot.sdfm")
+    data, pot, pot_eps = path("data.sdfm"), path("pot.sdfm"), path("eps.sdfm")
     train = ["train", "--data", data, "--steps", "5", "--batch", "16",
              "--hidden", "8", "--seed", "5"]
     recipe = [
@@ -43,6 +43,11 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
                       "256", "--out", pot]),
         ("assign", 0, ["assign", "--potential", pot, "--data", data,
                        "--sample", "32", "--out", path("pairs.sdfm")]),
+        ("solve", 3, ["solve", "--data", data, "--eps", "0.5", "--tau",
+                      "1e-9", "--iters", "20", "--batch", "32",
+                      "--chi2-samples", "256", "--out", pot_eps]),
+        ("assign", 0, ["assign", "--potential", pot_eps, "--data", data,
+                       "--sample", "32", "--out", path("pairs_eps.sdfm")]),
         ("train_ifm", 0, [*train, "--coupling", "independent",
                           "--out", path("ifm.sdfm")]),
         ("train_sd", 0, [*train, "--coupling", "sd", "--potential", pot,
@@ -63,12 +68,19 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     for label, code, argv in recipe:
         assert tracer.command(label, main, argv) == code, label
     stats = tracer.stats
-    # Four trainings of 5 steps x 16 rows; 32 assigned rows plus SD-FM's 80.
+    # Four trainings of 5 steps x 16 rows; 2 x 32 assigned rows plus
+    # SD-FM's 80.
     assert stats["flow.fm_loss_and_grad"]["rows"] == 4 * 5 * 16
     assert stats["flow.train_flow"]["steps"] == 4 * 5
-    assert stats["coupling.assign_batch"]["pairs"] == 32 + 5 * 16
+    assert stats["coupling.assign_batch"]["pairs"] == 2 * 32 + 5 * 16
+    # Only the eps>0 solve and assign take the softmax: 20 steps of 32
+    # rows, a 256-row check at iterations 0 and 20, and 32 assigned rows,
+    # each row scored against the 64 points.
+    assert stats["numerics.softmax_rows"]["calls"] > 0
+    assert stats["numerics.softmax_rows"]["entries"] == \
+        (20 * 32 + 2 * 256 + 32) * 64
     assert stats["coupling.hungarian"]["calls"] == 5
     assert stats["coupling.hungarian"]["n"] == 5 * 16
     assert stats["coupling.sinkhorn"]["calls"] == 5
     assert stats["coupling.sinkhorn"]["sweeps"] > 0
-    assert stats["solver.solve_sdot"]["iterations"] == 20
+    assert stats["solver.solve_sdot"]["iterations"] == 2 * 20
