@@ -41,7 +41,6 @@ from .flow import (
     TrainConfig,
     Trajectory,
     curvature,
-    delta_eps_toy,
     fm_loss_and_grad,
     guided_sample,
     integrate,

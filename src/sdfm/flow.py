@@ -21,9 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .costs import NEG_DOT, ConfigurationError
+from .costs import ConfigurationError
 from .numerics import Rng, inverse_cdf
-from .semidual import Potential, TargetMeasure, responsibilities_rows
+from . import semidual
+from .semidual import TargetMeasure
 
 __all__ = [
     "FlowModel",
@@ -37,9 +38,7 @@ __all__ = [
     "integrate",
     "curvature",
     "score_from_velocity",
-    "delta_eps_toy",
     "guided_sample",
-    "DeltaEstimate",
 ]
 
 # Training times avoid the 1/(1-t) singularity used only by score extraction.
@@ -112,25 +111,61 @@ class FlowModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def _inputs(self, t, x) -> np.ndarray:
+    def _inputs(self, t, x, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows ``concat(x, t)``, written to ``out`` when given; ``t`` is a
+        scalar or one time per row."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
-                                (x.shape[0], 1))
-        return np.concatenate([x, t_col], axis=1)
+        if out is None:
+            out = np.empty((x.shape[0], self.dim + 1))
+        out[:, :-1] = x
+        out[:, -1] = np.asarray(t, dtype=np.float64).reshape(-1)
+        return out
+
+    def _layer(self, k: int, h: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Layer ``k`` of rows ``h`` (tanh unless it is the output layer),
+        written to ``out`` when given."""
+        out = np.matmul(h, self.weights[k], out=out)
+        out += self.biases[k]
+        if k < len(self.weights) - 1:
+            np.tanh(out, out=out)
+        return out
 
     def _forward(self, inp: np.ndarray):
         acts = [inp]
-        h = inp
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-            acts.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out, acts
+        for k in range(len(self.weights) - 1):
+            acts.append(self._layer(k, acts[-1]))
+        return self._layer(len(self.weights) - 1, acts[-1]), acts
 
     def velocity(self, t, x) -> np.ndarray:
-        """Evaluate ``v(t, x)`` for a batch (or single point)."""
+        """Evaluate ``v(t, x)`` for a batch (or single point).
+
+        ``t`` is a scalar or one time per row. Rows are evaluated in blocks
+        of ``semidual.SCORE_CHUNK_ENTRIES // max(sizes)`` rows, the score
+        slabs' L2 budget (1 MiB) for the widest layer. Each block goes
+        through one input buffer and two alternating activation buffers,
+        reused by every block, and its output layer writes the result rows
+        in place: beyond the ``(len(x), dim)`` result, a call allocates
+        at most 3 MiB whatever ``len(x)``. Blocks start at multiples of
+        the block size, so each row of a whole block has the same bits at
+        any batch size.
+        """
         single = np.asarray(x).ndim == 1
-        out, _ = self._forward(self._inputs(t, x))
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        n = x.shape[0]
+        t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
+        block = max(1, semidual.SCORE_CHUNK_ENTRIES // max(self.sizes))
+        rows = min(block, n)
+        inp = np.empty((rows, self.dim + 1))
+        acts = np.empty((2, rows, max(self.sizes)))
+        out = np.empty((n, self.dim))
+        last = len(self.weights) - 1
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            h = self._inputs(t[lo:hi], x[lo:hi], out=inp[:hi - lo])
+            for k in range(last):
+                h = self._layer(k, h, out=acts[k % 2, :hi - lo, :self.sizes[k + 1]])
+            self._layer(last, h, out=out[lo:hi])
         return out[0] if single else out
 
     __call__ = velocity
@@ -324,87 +359,16 @@ def curvature(traj: Trajectory) -> float:
     return float(np.mean(np.sum(dev**2, axis=-1)))
 
 
-def score_from_velocity(model, x: np.ndarray, t: float,
-                        mode: str = "eps-zero-or-indep",
-                        delta: Optional[np.ndarray] = None) -> np.ndarray:
-    """Recover the marginal score from the velocity field at time ``t``.
+def score_from_velocity(model, x: np.ndarray, t: float) -> np.ndarray:
+    """Recover the marginal score ``(t v(t, x) - x) / (1 - t)`` at time ``t``.
 
-    For independent or unregularized semidiscrete couplings the score is
-    ``(t v(t, x) - x) / (1 - t)`` (checked against the closed-form
-    Gaussian-mixture oracle). Mode ``eps-positive`` adds the correction
-    ``delta`` inside the numerator: ``(t v - x + delta) / (1 - t)``.
+    Exact for independent or unregularized semidiscrete couplings
+    (checked against the closed-form Gaussian-mixture oracle).
     """
     if t >= 1.0:
         raise ValueError("score is defined for t < 1 only")
     x = np.asarray(x, dtype=np.float64)
-    v = model(t, x)
-    num = t * v - x
-    if mode == "eps-positive":
-        if delta is None:
-            raise ValueError("eps-positive mode requires a delta correction")
-        num = num + delta
-    elif mode != "eps-zero-or-indep":
-        raise ValueError(f"unknown score mode {mode!r}")
-    return num / (1.0 - t)
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    value: np.ndarray
-    std_error: np.ndarray
-    effective_samples: float
-
-
-def delta_eps_toy(pot: Potential, x: np.ndarray, t: float, samples: int,
-                  rng: Rng, bandwidth: Optional[float] = None) -> DeltaEstimate:
-    """Kernel-weighted Monte-Carlo estimate of the score correction.
-
-    Simulates ``(X0, X1)`` from the entropic coupling, forms
-    ``X_t = (1-t) X0 + t X1``, and self-normalizes Gaussian kernel weights
-    around ``x`` to approximate
-
-        (1/eps) E[ X1 - E[X1 | X0]  |  X_t = x ]
-
-    valid for the negative dot-product cost where the cost gradient in
-    the noise argument is ``-X1``. Bandwidth defaults to 0.2x the median
-    pairwise distance of the simulated ``X_t``.
-    """
-    if pot.eps <= 0.0:
-        raise ValueError("delta_eps_toy requires eps > 0")
-    if pot.cost.kind != NEG_DOT:
-        raise ValueError("delta_eps_toy requires the neg-dot cost")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    d = pot.target.dim
-    gen = rng.generator()
-    x0 = gen.standard_normal((samples, d))
-    s = responsibilities_rows(pot, x0)
-    y = pot.target.points
-    mean_x1 = s @ y  # E[X1 | X0]
-    x1 = y[inverse_cdf(s, gen.random(samples))]
-    xt = (1.0 - t) * x0 + t * x1
-    inner = x1 - mean_x1
-
-    if bandwidth is None:
-        sub = xt[: min(512, samples)]
-        diff = sub[:, None, :] - sub[None, :, :]
-        dists = np.sqrt(np.sum(diff**2, axis=-1))
-        med = np.median(dists[np.triu_indices(len(sub), k=1)])
-        bandwidth = max(0.2 * med, 1e-8)
-    logw = -np.sum((xt - x[None, :]) ** 2, axis=1) / (2.0 * bandwidth**2)
-    logw -= logw.max()
-    w = np.exp(logw)
-    w_sum = w.sum()
-    ess = float(w_sum**2 / np.sum(w * w))
-    if ess < 10.0:
-        raise RuntimeError(
-            f"effective sample size {ess:.1f} < 10; increase samples or bandwidth"
-        )
-    w_norm = w / w_sum
-    value = (w_norm @ inner) / pot.eps
-    spread = inner / pot.eps - value[None, :]
-    var = (w_norm**2) @ (spread**2)
-    return DeltaEstimate(value=value, std_error=np.sqrt(var),
-                         effective_samples=ess)
+    return (t * model(t, x) - x) / (1.0 - t)
 
 
 @dataclass(frozen=True)

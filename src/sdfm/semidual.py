@@ -58,7 +58,6 @@ __all__ = [
     "DiscreteNoise",
     "gauge_fix",
     "coupling_scores",
-    "responsibilities_rows",
     "semidual_value",
     "stochastic_gradient",
     "marginal_exact",
@@ -313,13 +312,6 @@ def _column_sums(pot: Potential, x: np.ndarray,
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
     return col_sum, col_sq if squares else None
-
-
-def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
-    """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
-    scores = coupling_scores(pot, x)
-    e, total = softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
-    return e / total[:, None]
 
 
 def _soft_c_and_marginal(pot: Potential, x: np.ndarray,

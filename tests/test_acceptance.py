@@ -18,7 +18,6 @@ from sdfm.coupling import assign_batch, oracle_discrete_ot
 from sdfm.flow import (
     GuidanceConfig,
     curvature,
-    delta_eps_toy,
     guided_sample,
     integrate,
     score_from_velocity,
@@ -38,6 +37,7 @@ from sdfm.semidual import (
 from sdfm.solver import SolverConfig, solve_sdot
 
 from conftest import GaussianFlow1D, Mixture1D, make_enumerated_instance
+from oracles import delta_eps_toy, responsibilities_rows
 
 
 def _report(criterion: str, detail: str):
@@ -102,8 +102,6 @@ def test_criterion_2_chi2_unbiasedness():
         pot = Potential(g=g, target=target, cost=cost)
         exact = chi2_exact(marginal_exact(pot, noise), target.weights)
         # Vectorized batched estimator: responsibilities of every atom once.
-        from sdfm.semidual import responsibilities_rows
-
         s_all = responsibilities_rows(pot, atoms)
         idx = Rng(2100 + inst).generator().choice(len(atoms), size=(reps, batch),
                                                   p=w)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sdfm import artifacts, cli
+from sdfm import artifacts, cli, semidual
 from sdfm.cli import main
 from sdfm.container import read_container, write_container
 from sdfm.costs import (
@@ -416,6 +416,24 @@ class TestPrefixStableStarts:
                         else artifacts.load_sample_dump(out + ".bin"))
         assert rows[1].shape[0] == large
         np.testing.assert_allclose(rows[1][:small], rows[0], atol=1e-12)
+
+
+    def test_whole_blocks_are_bit_equal(self, tmp_path, blob):
+        # Velocity blocks start at fixed multiples of the block size, so a
+        # row of a whole block has the same bits at any --count.
+        model = str(tmp_path / "m.sdfm")
+        assert main(["train", "--data", blob, "--coupling", "independent",
+                     "--steps", "5", "--batch", "16", "--hidden", "64", "64",
+                     "64", "--seed", "5", "--out", model]) == 0
+        rows = []
+        for count in (3000, 65536):
+            out = str(tmp_path / f"s{count}")
+            assert main(["sample", "--model", model, "--count", str(count),
+                         "--seed", "5", "--out", out]) == 0
+            rows.append(artifacts.load_sample_dump(out + ".bin"))
+        block = semidual.SCORE_CHUNK_ENTRIES // 64
+        assert 0 < block <= 3000
+        np.testing.assert_array_equal(rows[1][:block], rows[0][:block])
 
 
 class TestChisqCommand:

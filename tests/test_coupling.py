@@ -23,6 +23,7 @@ from sdfm.numerics import Rng
 from sdfm.semidual import Potential, TargetMeasure, stochastic_gradient
 
 from conftest import make_enumerated_instance
+from oracles import responsibilities_rows
 
 
 def _pot(g, ys, b=None, eps=0.0):
@@ -68,8 +69,6 @@ class TestAssign:
         pot = _pot(gen.standard_normal(4), ys, eps=0.5)
         x = np.array([[0.3, -0.2]])
         draws = assign_batch(pot, np.repeat(x, 20_000, axis=0), Rng(3))
-        from sdfm.semidual import responsibilities_rows
-
         probs = responsibilities_rows(pot, x)[0]
         counts = np.bincount(draws, minlength=4) / len(draws)
         assert np.max(np.abs(counts - probs)) < 0.02

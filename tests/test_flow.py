@@ -1,8 +1,10 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+from sdfm import semidual
 from sdfm.costs import NEG_DOT, CostConfig
 from sdfm.coupling import assign_batch, couple_independent
 from sdfm.flow import (
@@ -11,7 +13,6 @@ from sdfm.flow import (
     TrainConfig,
     Trajectory,
     curvature,
-    delta_eps_toy,
     fm_loss_and_grad,
     guided_sample,
     integrate,
@@ -23,6 +24,7 @@ from sdfm.numerics import Rng
 from sdfm.semidual import Potential, TargetMeasure
 
 from conftest import GaussianFlow1D, Mixture1D
+from oracles import delta_eps_toy, score_eps_positive
 
 
 class TestInterpolate:
@@ -99,6 +101,52 @@ def _fixed_stream(indices):
     """A coupling that returns the next row of ``indices`` on every call."""
     rows = iter(indices)
     return lambda noise, rng: next(rows)
+
+
+def _unblocked_velocity(model, t, x):
+    """``v(t, x)`` as one whole-batch pass, the reference for the blocks."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
+                            (x.shape[0], 1))
+    h = np.concatenate([x, t_col], axis=1)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.tanh(h @ w + b)
+    return h @ model.weights[-1] + model.biases[-1]
+
+
+class TestBlockedVelocity:
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    @pytest.mark.parametrize("count", [None, 3, 5, 4 * 5 + 1, 23])
+    def test_matches_unblocked_reference(self, monkeypatch, count, per_row_t):
+        # Widest layer 16: blocks of 5 rows, so 5 rows are one whole
+        # block, 21 are four and one row, 23 end in a ragged block of 3,
+        # and 3 rows (or one 1-d row) sit below one block.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 16 * 5)
+        model = FlowModel(dim=3, hidden=(16, 12, 7), rng=Rng(40))
+        gen = Rng(41).generator()
+        rows = 1 if count is None else count
+        x = gen.standard_normal((rows, 3))
+        t = gen.random(rows) if per_row_t else 0.37
+        if count is None:
+            x = x[0]
+        got = model.velocity(t, x)
+        want = _unblocked_velocity(model, t, x)
+        assert got.shape == ((3,) if count is None else (rows, 3))
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0,
+                                   atol=1e-12)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # 65536 rows at width 64: each whole-batch activation would be
+        # 32 MiB; the blocks reuse two 1 MiB buffers.
+        model = FlowModel(dim=2, hidden=(64, 64, 64), rng=Rng(42))
+        x = Rng(43).generator().standard_normal((65536, 2))
+        tracemalloc.start()
+        try:
+            model.velocity(0.5, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTrainFlow:
@@ -288,8 +336,7 @@ class TestScore:
         t = 0.4
         delta = np.array([[0.2, 0.1]])
         base = score_from_velocity(model, x, t)
-        corrected = score_from_velocity(model, x, t, mode="eps-positive",
-                                        delta=delta)
+        corrected = score_eps_positive(model, x, t, delta)
         np.testing.assert_allclose(corrected, base + delta / (1 - t), atol=1e-14)
 
 

@@ -20,13 +20,13 @@ from sdfm.semidual import (
     chi2_exact,
     gauge_fix,
     marginal_exact,
-    responsibilities_rows,
     semidual_value,
     stochastic_gradient,
     transport_cost,
 )
 
 from conftest import make_enumerated_instance
+from oracles import responsibilities_rows
 
 
 def _simple_potential(g, ys, b=None, eps=0.0, kind=NEG_DOT):

@@ -12,6 +12,7 @@ package: the module is loaded from its path.
 import importlib.util
 from pathlib import Path
 
+from sdfm import semidual
 from sdfm.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -28,7 +29,8 @@ def test_tracer_resolves_every_traced_name():
     _tracing().Tracer()  # raises AttributeError on a stale name
 
 
-def test_tiny_traced_recipe_counts_every_layer(tmp_path):
+def _tiny_recipe_stats(tmp_path):
+    """Per-name counters of the tiny traced recipe of every command."""
     def path(name):
         return str(tmp_path / name)
 
@@ -67,7 +69,11 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     tracer = _tracing().Tracer()
     for label, code, argv in recipe:
         assert tracer.command(label, main, argv) == code, label
-    stats = tracer.stats
+    return tracer.stats
+
+
+def test_tiny_traced_recipe_counts_every_layer(tmp_path):
+    stats = _tiny_recipe_stats(tmp_path)
     # Four trainings of 5 steps x 16 rows; 2 x 32 assigned rows plus
     # SD-FM's 80.
     assert stats["flow.fm_loss_and_grad"]["rows"] == 4 * 5 * 16
@@ -84,3 +90,16 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     assert stats["coupling.sinkhorn"]["calls"] == 5
     assert stats["coupling.sinkhorn"]["sweeps"] > 0
     assert stats["solver.solve_sdot"]["iterations"] == 2 * 20
+    # sample and eval: 4 Euler steps of 64 rows; guide: 4 steps of two
+    # models on 16 x 4 replica rows.
+    assert stats["flow.velocity"]["calls"] == 16
+    assert stats["flow.velocity"]["rows"] == 1024
+
+
+def test_velocity_counts_one_call_per_batch_at_any_block_size(
+        tmp_path, monkeypatch):
+    # Width 8: blocks of 3 rows, so every 64-row call spans 22 blocks.
+    monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 8 * 3)
+    stats = _tiny_recipe_stats(tmp_path)
+    assert stats["flow.velocity"]["calls"] == 16
+    assert stats["flow.velocity"]["rows"] == 1024
