@@ -2,9 +2,9 @@
 
 Fit one dual potential value per dataset point by stochastic ascent with
 a chi-square stopping rule, then pair fresh noise to data in O(N) at
-training time. Includes baseline couplings (independent, minibatch OT),
-exact small-instance oracles, and a toy flow-matching laboratory with
-score recovery and guidance resampling.
+training time. Includes baseline couplings (independent, minibatch OT)
+and a toy flow-matching laboratory with score recovery and guidance
+resampling.
 """
 
 from .numerics import Rng
@@ -31,8 +31,6 @@ from .coupling import (
     couple_independent,
     couple_minibatch_ot,
     hungarian,
-    laguerre_contains,
-    oracle_discrete_ot,
     sinkhorn_log,
 )
 from .flow import (

@@ -1,4 +1,4 @@
-"""Pairing engines: semidiscrete assignment, baselines, and exact oracles.
+"""Pairing engines: semidiscrete assignment and baselines.
 
 The production path is :func:`assign_batch`: an O(N d) scan over the
 target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a maximum inner
@@ -7,41 +7,23 @@ is a categorical draw from the responsibilities. Baselines cover the
 independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian).
 Every pairing engine returns one thing, the target index of each noise
 row, so a training loop takes any of them as ``pair(noise, rng)``.
-
-:func:`oracle_discrete_ot` is the test oracle: dense log-domain Sinkhorn
-for ``eps > 0``, the exact transport LP for ``eps = 0``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
-from .costs import (
-    NEG_DOT,
-    SQ_EUCLIDEAN,
-    ConfigurationError,
-    CostConfig,
-    cost_matrix,
-)
-from .numerics import (
-    ARGMAX_TIE_TOL,
-    Rng,
-    argmax_with_ties,
-    inverse_cdf,
-    softmax_b_eps_rows,
-)
-from .semidual import Potential, TargetMeasure, coupling_scores, score_chunks
+from .costs import SQ_EUCLIDEAN, CostConfig, cost_matrix
+from .numerics import Rng, argmax_with_ties, inverse_cdf, softmax_b_eps_rows
+from .semidual import Potential, TargetMeasure, score_chunks
 
 __all__ = [
     "SinkhornError",
     "assign_batch",
-    "laguerre_contains",
     "couple_independent",
     "couple_minibatch_ot",
     "sinkhorn_log",
     "hungarian",
-    "oracle_discrete_ot",
 ]
 
 class SinkhornError(RuntimeError):
@@ -80,23 +62,6 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
             part = inverse_cdf(e, u[lo:hi])
         idx[lo:hi] = part
     return idx
-
-
-def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
-    """Whether raw point ``x`` lies in the cell of atom ``j``.
-
-    Only defined for the unregularized negative dot-product geometry,
-    where cell ``j`` is the half-space intersection
-    ``{x : x^T (y_j - y_k) + g_j - g_k >= 0 for all k}``.
-    """
-    if pot.eps != 0.0 or pot.cost.kind != NEG_DOT:
-        raise ConfigurationError(
-            "Laguerre cells require eps=0 and the neg-dot cost"
-        )
-    if not 0 <= j < pot.target.n:
-        raise ValueError(f"cell index {j} out of range")
-    scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
-    return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
 
 
 def couple_independent(target: TargetMeasure, noise: np.ndarray,
@@ -177,12 +142,17 @@ def hungarian(costs: np.ndarray):
     """Minimum-cost perfect matching on a square cost matrix.
 
     Returns ``(assignment, total)`` where ``assignment[i]`` is the column
-    matched to row ``i``.
+    matched to row ``i``. A non-finite cost (a NaN or infinite row, say
+    from a diverged model's dump) raises :class:`FloatingPointError`.
     """
+    from scipy.optimize import linear_sum_assignment
+
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError("hungarian expects a square cost matrix")
-    rows, assignment = optimize.linear_sum_assignment(costs)
+    if not np.isfinite(costs).all():
+        raise FloatingPointError("matching costs hold a non-finite entry")
+    rows, assignment = linear_sum_assignment(costs)
     return assignment, float(costs[rows, assignment].sum())
 
 
@@ -209,66 +179,3 @@ def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
         plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
         local = inverse_cdf(plan, gen.random(n))
     return data_idx[local]
-
-
-# ---------------------------------------------------------------------------
-# Exact small-instance oracle
-
-def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       eps: float):
-    """Exact discrete OT on a dense cost matrix, with dual potentials.
-
-    ``eps > 0``: log-domain Sinkhorn to marginal tolerance 1e-9.
-    ``eps = 0``: the transport LP via HiGHS. Returns ``(plan, f, g, value)`` with ``g``
-    gauge-fixed to ``<b, g> = 0`` and ``value`` the primal objective
-    (including the entropic term for ``eps > 0``).
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, n = costs.shape
-    if m > 512 or n > 512:
-        raise ValueError("oracle restricted to instances of size <= 512")
-    if eps > 0.0:
-        plan, f, g, _ = sinkhorn_log(costs, a, b, eps, tol=1e-9)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kl_terms = plan * np.log(plan / (a[:, None] * b[None, :]))
-        kl_terms[~np.isfinite(kl_terms)] = 0.0
-        value = float((plan * costs).sum() + eps * kl_terms.sum())
-    else:
-        plan, f, g = _transport_lp(costs, a, b)
-        value = float((plan * costs).sum())
-    shift = float(np.dot(b, g))
-    g = g - shift
-    f = f + shift
-    return plan, f, g, value
-
-
-def _transport_lp(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Transport LP via scipy HiGHS; returns plan and marginal duals."""
-    import scipy.sparse as sp
-
-    m, n = costs.shape
-    # Equality rows: m row sums then n column sums (one redundant).
-    row_idx = np.repeat(np.arange(m), n)
-    col_idx = np.tile(np.arange(n), m)
-    data = np.ones(m * n)
-    rows = sp.coo_matrix((data, (row_idx, np.arange(m * n))), shape=(m, m * n))
-    cols = sp.coo_matrix((data, (col_idx, np.arange(m * n))), shape=(n, m * n))
-    a_eq = sp.vstack([rows, cols]).tocsc()
-    b_eq = np.concatenate([a, b])
-    res = optimize.linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq,
-                           bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    duals = np.asarray(res.eqlin.marginals)
-    value = float((plan * costs).sum())
-    # Pick the dual sign convention under which strong duality holds:
-    # value = a.f + b.g with f_i + g_j <= C_ij.
-    f, g = duals[:m], duals[m:]
-    if abs(np.dot(a, f) + np.dot(b, g) - value) > abs(
-        -np.dot(a, f) - np.dot(b, g) - value
-    ):
-        f, g = -f, -g
-    return plan, f, g

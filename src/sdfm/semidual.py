@@ -30,9 +30,9 @@ The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
 :func:`score_chunks` fills it one matmul block of rows at a time through
 one reused buffer and yields each block as cache-sized row slabs. Here
 one reducer, :func:`_column_sums`, reduces each from one unnormalised
-exp pass; the semidual value, gradient, second marginal, chi-square and
-transport cost read its column sums and soft-c transform. Pairing
-reads the same stream. :func:`chi2_batches` is the one streamed-noise loop.
+exp pass; the semidual value, gradient, second marginal and chi-square
+read its column sums and soft-c transform. Pairing reads the same
+stream. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -60,11 +60,9 @@ __all__ = [
     "coupling_scores",
     "semidual_value",
     "stochastic_gradient",
-    "marginal_exact",
     "chi2_exact",
     "chi2_estimator",
     "chi2_batches",
-    "transport_cost",
 ]
 
 
@@ -348,12 +346,6 @@ def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
     return pot.target.weights - m
 
 
-def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
-    """Second marginal ``m(g)`` by exact summation over noise atoms."""
-    atoms, w = noise.enumerate()
-    return _column_sums(pot, atoms, w)[0]
-
-
 def chi2_exact(m: np.ndarray, b: np.ndarray) -> float:
     """``chi2(m || b) = sum_j m_j^2 / b_j - 1``; zero iff ``m = b``."""
     m = np.asarray(m, dtype=np.float64)
@@ -426,18 +418,3 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
         samples += len(x)
     scale = 1.0 / max(samples, 1)
     return Chi2Scan(values, samples, f_sum * scale, mass * scale)
-
-
-def transport_cost(pot: Potential, noise_batch: np.ndarray,
-                   weights: Optional[np.ndarray] = None) -> float:
-    """Primal objective of the induced coupling on a (weighted) batch.
-
-    Returns ``E[c(X, Y)]`` under ``pi_{eps,g}`` plus, for ``eps > 0``, the
-    ``eps * KL(s_i || b)`` regularization term of the responsibilities. At
-    ``eps = 0`` the KL term is reported as 0. Row ``i`` contributes
-    ``sum_j s_ij (g_j - scores_ij) + eps KL(s_i || b) = f_{g,eps}(x_i) +
-    <s_i, g>``, and the rows' mean of ``<s_i, g>`` is ``<m, g>`` for their
-    mean responsibilities ``m``: one scan gives both terms.
-    """
-    ef, m = _soft_c_and_marginal(pot, noise_batch, weights)
-    return ef + float(np.dot(m, pot.g))

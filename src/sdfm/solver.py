@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .costs import NEG_DOT, ConfigurationError, CostConfig
 from .numerics import Rng
@@ -160,6 +159,8 @@ def smoothness_bound(support: np.ndarray, eps: float) -> float:
     """
     if eps > 0.0:
         return 1.0 / eps
+    from scipy.spatial.distance import cdist
+
     n = support.shape[0]
     if n == 1:
         raise ConfigurationError(

@@ -1,18 +1,126 @@
 """Reference implementations that only the tests use.
 
-Dense responsibilities, the eps>0 score correction and its kernel-weighted
-Monte-Carlo estimate: the library's commands never call these, so they
-live beside the tests that check the library against them.
+Exact discrete OT on small dense instances (the transport LP at eps=0,
+tight log-domain Sinkhorn at eps>0), Laguerre-cell membership, the exact
+second marginal and primal transport cost, dense responsibilities, and
+the eps>0 score correction with its kernel-weighted Monte-Carlo
+estimate: the library's commands never call these, so they live beside
+the tests that check the library against them.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy import optimize
 
-from sdfm.costs import NEG_DOT
-from sdfm.numerics import Rng, inverse_cdf, softmax_b_eps_rows
-from sdfm.semidual import Potential, coupling_scores
+from sdfm.costs import NEG_DOT, ConfigurationError
+from sdfm.coupling import sinkhorn_log
+from sdfm.numerics import ARGMAX_TIE_TOL, Rng, inverse_cdf, softmax_b_eps_rows
+from sdfm.semidual import (
+    DiscreteNoise,
+    Potential,
+    _column_sums,
+    _soft_c_and_marginal,
+    coupling_scores,
+)
+
+
+def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       eps: float):
+    """Exact discrete OT on a dense cost matrix, with dual potentials.
+
+    ``eps > 0``: log-domain Sinkhorn to marginal tolerance 1e-9.
+    ``eps = 0``: the transport LP via HiGHS. Returns ``(plan, f, g,
+    value)`` with ``g`` gauge-fixed to ``<b, g> = 0`` and ``value`` the
+    primal objective (including the entropic term for ``eps > 0``).
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = costs.shape
+    if m > 512 or n > 512:
+        raise ValueError("oracle restricted to instances of size <= 512")
+    if eps > 0.0:
+        plan, f, g, _ = sinkhorn_log(costs, a, b, eps, tol=1e-9)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kl_terms = plan * np.log(plan / (a[:, None] * b[None, :]))
+        kl_terms[~np.isfinite(kl_terms)] = 0.0
+        value = float((plan * costs).sum() + eps * kl_terms.sum())
+    else:
+        plan, f, g = _transport_lp(costs, a, b)
+        value = float((plan * costs).sum())
+    shift = float(np.dot(b, g))
+    g = g - shift
+    f = f + shift
+    return plan, f, g, value
+
+
+def _transport_lp(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Transport LP via scipy HiGHS; returns plan and marginal duals."""
+    m, n = costs.shape
+    # Equality rows: m row sums then n column sums (one redundant).
+    row_idx = np.repeat(np.arange(m), n)
+    col_idx = np.tile(np.arange(n), m)
+    data = np.ones(m * n)
+    rows = sp.coo_matrix((data, (row_idx, np.arange(m * n))), shape=(m, m * n))
+    cols = sp.coo_matrix((data, (col_idx, np.arange(m * n))), shape=(n, m * n))
+    a_eq = sp.vstack([rows, cols]).tocsc()
+    b_eq = np.concatenate([a, b])
+    res = optimize.linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq,
+                           bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    plan = res.x.reshape(m, n)
+    duals = np.asarray(res.eqlin.marginals)
+    value = float((plan * costs).sum())
+    # Pick the dual sign convention under which strong duality holds:
+    # value = a.f + b.g with f_i + g_j <= C_ij.
+    f, g = duals[:m], duals[m:]
+    if abs(np.dot(a, f) + np.dot(b, g) - value) > abs(
+        -np.dot(a, f) - np.dot(b, g) - value
+    ):
+        f, g = -f, -g
+    return plan, f, g
+
+
+def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
+    """Whether raw point ``x`` lies in the cell of atom ``j``.
+
+    Only defined for the unregularized negative dot-product geometry,
+    where cell ``j`` is the half-space intersection
+    ``{x : x^T (y_j - y_k) + g_j - g_k >= 0 for all k}``.
+    """
+    if pot.eps != 0.0 or pot.cost.kind != NEG_DOT:
+        raise ConfigurationError(
+            "Laguerre cells require eps=0 and the neg-dot cost"
+        )
+    if not 0 <= j < pot.target.n:
+        raise ValueError(f"cell index {j} out of range")
+    scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
+    return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
+
+
+def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
+    """Second marginal ``m(g)`` by exact summation over noise atoms."""
+    atoms, w = noise.enumerate()
+    return _column_sums(pot, atoms, w)[0]
+
+
+def transport_cost(pot: Potential, noise_batch: np.ndarray,
+                   weights: Optional[np.ndarray] = None) -> float:
+    """Primal objective of the induced coupling on a (weighted) batch.
+
+    Returns ``E[c(X, Y)]`` under ``pi_{eps,g}`` plus, for ``eps > 0``, the
+    ``eps * KL(s_i || b)`` regularization term of the responsibilities. At
+    ``eps = 0`` the KL term is reported as 0. Row ``i`` contributes
+    ``sum_j s_ij (g_j - scores_ij) + eps KL(s_i || b) = f_{g,eps}(x_i) +
+    <s_i, g>``, and the rows' mean of ``<s_i, g>`` is ``<m, g>`` for their
+    mean responsibilities ``m``: one scan gives both terms.
+    """
+    ef, m = _soft_c_and_marginal(pot, noise_batch, weights)
+    return ef + float(np.dot(m, pot.g))
 
 
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from sdfm.cli import main
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, estimate_cost_std
-from sdfm.coupling import assign_batch, oracle_discrete_ot
+from sdfm.coupling import assign_batch
 from sdfm.flow import (
     GuidanceConfig,
     curvature,
@@ -29,15 +29,19 @@ from sdfm.semidual import (
     TargetMeasure,
     chi2_estimator,
     chi2_exact,
-    marginal_exact,
     semidual_value,
     stochastic_gradient,
-    transport_cost,
 )
 from sdfm.solver import SolverConfig, solve_sdot
 
 from conftest import GaussianFlow1D, Mixture1D, make_enumerated_instance
-from oracles import delta_eps_toy, responsibilities_rows
+from oracles import (
+    delta_eps_toy,
+    marginal_exact,
+    oracle_discrete_ot,
+    responsibilities_rows,
+    transport_cost,
+)
 
 
 def _report(criterion: str, detail: str):

@@ -313,6 +313,20 @@ class TestTrainSampleEval:
         assert main(["eval", "--samples", a + ".bin",
                      "--reference", b + ".bin"]) == 2
 
+    def test_eval_nan_dump_is_numeric_failure(self, tmp_path, capsys):
+        # A dump from a diverged model: one row holds a NaN.
+        gen = Rng(13).generator()
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        samples = gen.standard_normal((8, 2))
+        samples[5, 1] = np.nan
+        artifacts.save_sample_dump(a, samples)
+        artifacts.save_sample_dump(b, gen.standard_normal((8, 2)))
+        capsys.readouterr()
+        assert main(["eval", "--samples", a + ".bin",
+                     "--reference", b + ".bin"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+
     @pytest.mark.parametrize("fault", ["conditions", "fingerprint", "kind"])
     def test_eval_reports_container_refusal(self, tmp_path, blob, capsys,
                                             fault):

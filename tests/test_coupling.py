@@ -14,8 +14,6 @@ from sdfm.coupling import (
     couple_independent,
     couple_minibatch_ot,
     hungarian,
-    laguerre_contains,
-    oracle_discrete_ot,
     sinkhorn_log,
 )
 from sdfm.flow import gaussian_starts
@@ -23,7 +21,7 @@ from sdfm.numerics import Rng
 from sdfm.semidual import Potential, TargetMeasure, stochastic_gradient
 
 from conftest import make_enumerated_instance
-from oracles import responsibilities_rows
+from oracles import laguerre_contains, oracle_discrete_ot, responsibilities_rows
 
 
 def _pot(g, ys, b=None, eps=0.0):
@@ -222,6 +220,13 @@ class TestHungarian:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             hungarian(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_is_a_numeric_failure(self, bad):
+        c = np.zeros((3, 3))
+        c[1, 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            hungarian(c)
 
 
 class TestSinkhorn:

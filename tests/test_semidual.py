@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from sdfm import semidual
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix
-from sdfm.coupling import assign_batch, oracle_discrete_ot
+from sdfm.coupling import assign_batch
 from sdfm.numerics import Rng
 from sdfm.semidual import (
     DiscreteNoise,
@@ -19,14 +19,17 @@ from sdfm.semidual import (
     chi2_estimator,
     chi2_exact,
     gauge_fix,
-    marginal_exact,
     semidual_value,
     stochastic_gradient,
-    transport_cost,
 )
 
 from conftest import make_enumerated_instance
-from oracles import responsibilities_rows
+from oracles import (
+    marginal_exact,
+    oracle_discrete_ot,
+    responsibilities_rows,
+    transport_cost,
+)
 
 
 def _simple_potential(g, ys, b=None, eps=0.0, kind=NEG_DOT):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
-from sdfm.coupling import oracle_discrete_ot
 from sdfm.numerics import Rng
 from sdfm import semidual, solver
 from sdfm.semidual import (
@@ -11,7 +10,6 @@ from sdfm.semidual import (
     Potential,
     TargetMeasure,
     chi2_exact,
-    marginal_exact,
     semidual_value,
 )
 from sdfm.solver import (
@@ -23,6 +21,7 @@ from sdfm.solver import (
 )
 
 from conftest import make_enumerated_instance
+from oracles import marginal_exact, oracle_discrete_ot
 
 
 class TestLrSchedule:
