@@ -116,9 +116,8 @@ def _resolve_cost(args, points, rng: Rng):
 
 def cmd_solve(args) -> int:
     rng = Rng(args.seed)
-    points, weights, _ = artifacts.load_dataset(args.data)
-    cost = _resolve_cost(args, points, rng)
-    target = TargetMeasure.from_points(points, weights)
+    target = _load_target(args.data)
+    cost = _resolve_cost(args, target.points, rng)
 
     cfg = replace(SolverConfig(tau=args.tau).scaled(args.iters),
                   optimizer=args.optimizer, base_lr=args.lr, batch=args.batch)
@@ -274,9 +273,10 @@ def cmd_chisq(args) -> int:
     # The standard error is the spread of the batch estimates: one batch has none.
     se = (f"{np.std(vals, ddof=1) / np.sqrt(len(vals)):.6f}"
           if len(vals) > 1 else "n/a")
+    cost = scan.soft_c_mean + float(np.dot(scan.marginal, pot.g))
     dropped = args.samples - scan.samples
-    print(f"chisq: estimate={est:.6f} stderr={se} samples={scan.samples}"
-          + (f" dropped={dropped}" if dropped else ""))
+    print(f"chisq: estimate={est:.6f} transport_cost={cost:.6f} stderr={se} "
+          f"samples={scan.samples}" + (f" dropped={dropped}" if dropped else ""))
     return EXIT_OK
 
 

@@ -36,11 +36,6 @@ SQ_EUCLIDEAN = "sq-euclidean"
 # drawn once per run from a dedicated RNG stream.
 REFERENCE_BATCH_SIZE = 1024
 
-# cost_matrix adds the squared norms to at most this many entries of its
-# output at a time (256 KiB of float64), so its one temporary stays small
-# next to a caller's score block.
-_NORM_CHUNK_ENTRIES = 2**15
-
 
 class ConfigurationError(ValueError):
     """Mismatched dimensions or inconsistent cost configuration."""
@@ -128,34 +123,20 @@ class CostConfig:
         }
 
 
-def cost_matrix(cfg: CostConfig, x: np.ndarray, y: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full ``(n, m)`` cost matrix between coupling-space rows ``x`` and ``y``.
-
-    The rows are already embedded (see :meth:`CostConfig.embed`). Written
-    to ``out`` (shape ``(n, m)``) when given, else to a fresh array; no
-    other temporary is larger than the squares of ``x`` and ``y`` and
-    :data:`_NORM_CHUNK_ENTRIES` entries.
-    """
+def cost_matrix(cfg: CostConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full ``(n, m)`` cost matrix between coupling-space rows ``x`` and ``y``,
+    which are already embedded (see :meth:`CostConfig.embed`)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
-        raise ConfigurationError(
-            f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
-        )
-    out = np.matmul(x, y.T, out=out)
+        raise ConfigurationError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    out = np.matmul(x, y.T)
     if cfg.kind == NEG_DOT:
         return np.negative(out, out=out)
-    # -2 x.y + (|x_i|^2 + |y_j|^2) in row groups: the same bits as
-    # (|x|^2 + |y|^2) - 2 x.y, without a second (n, m) array.
+    # -2 x.y + (|x_i|^2 + |y_j|^2): the bits of (|x|^2 + |y|^2) - 2 x.y.
     out *= -2.0
-    sq_x = np.sum(x * x, axis=1)[:, None]
-    sq_y = np.sum(y * y, axis=1)
-    step = max(1, _NORM_CHUNK_ENTRIES // len(sq_y))
-    for lo in range(0, len(out), step):
-        out[lo:lo + step] += sq_x[lo:lo + step] + sq_y
-    np.maximum(out, 0.0, out=out)
-    return out
+    out += np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)
+    return np.maximum(out, 0.0, out=out)
 
 
 def estimate_cost_std(cfg: CostConfig, noise_batch: np.ndarray,

@@ -26,13 +26,13 @@ live in the coupling space (the raw rows, or their PCA projection):
 :meth:`~sdfm.costs.CostConfig.embed` and scores them against
 :attr:`Potential.support`, the target embedded once per potential.
 
-The B x N score block ``g_j - c(x_i, y_j)`` is never materialised:
-:func:`score_chunks` fills it one matmul block of rows at a time through
-one reused buffer and yields each block as cache-sized row slabs. Here
-one reducer, :func:`_column_sums`, reduces each from one unnormalised
-exp pass; the semidual value, gradient, second marginal and chi-square
-read its column sums and soft-c transform. Pairing reads the same
-stream. :func:`chi2_batches` is the one streamed-noise loop.
+Both costs score in one matmul, up to a per-row constant that cancels in
+every responsibility, argmax and draw. :func:`score_chunks` yields the B
+x N block as cache-sized row slabs of matmul blocks that share one
+buffer. One reducer, :func:`_column_sums`, reduces each from one
+unnormalised exp pass; the semidual value, gradient, second marginal and
+chi-square read its column sums and soft-c transform. Pairing reads the
+same stream. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costs import NEG_DOT, ConfigurationError, CostConfig, cost_matrix
+from .costs import NEG_DOT, ConfigurationError, CostConfig
 from .numerics import (
     Rng,
     eps0_column_stats,
@@ -94,7 +94,6 @@ class TargetMeasure:
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         weights = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         if weights.shape != (points.shape[0],):
             raise ConfigurationError("weights must have one entry per point")
@@ -104,6 +103,10 @@ class TargetMeasure:
             raise ConfigurationError("target weights must sum to 1")
         if not self.fingerprint:
             object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
+        # The points live in the lifted support of Potential.lift.
+        lifted = np.column_stack([points, np.full(len(points), np.nan)])
+        object.__setattr__(self, "points", lifted[:, :-1])
+        object.__setattr__(self, "_lifted", lifted)
 
     @classmethod
     def from_points(cls, points, weights=None) -> "TargetMeasure":
@@ -159,7 +162,22 @@ class Potential:
     @cached_property
     def support(self) -> np.ndarray:
         """Target points in coupling space, embedded once per potential."""
-        return self.cost.embed(self.target.points)
+        return self._lifted[:, :-1]
+
+    @cached_property
+    def _lifted(self) -> np.ndarray:
+        if self.cost.projection is None:
+            return self.target._lifted
+        return np.column_stack([self.cost.embed(self.target.points), self.g])
+
+    def lift(self) -> None:
+        """Write ``shift = g`` (less ``|support|^2`` for the squared Euclidean
+        cost) into the ``(N, d + 1)`` lifted support ``[support, shift]``:
+        the target's, shared by its potentials, or one per potential with a
+        projection. Each stream lifts once, so streams must not interleave."""
+        self._lifted[:, -1] = self.g
+        if self.cost.kind != NEG_DOT:
+            self._lifted[:, -1] -= np.einsum("ij,ij->i", self.support, self.support)
 
     @property
     def target_fingerprint(self) -> str:
@@ -223,10 +241,10 @@ class DiscreteNoise:
 # need no online merging. A reducer sees slabs of SCORE_CHUNK_ENTRIES // N
 # rows (at least one): 2^17 float64 entries (1 MiB) stay resident in a
 # 2 MiB per-core L2 cache while it makes its passes over the slab. One
-# coupling_scores call fills a block of max(slab, 4 d) rows for a
-# d-column support, so each read of the N x d support serves at least 4 d
-# rows. The block buffer holds max(1 MiB, 4 x the support's bytes),
-# whatever the batch size.
+# coupling_scores call, one matmul against the (N, d + 1) lifted support,
+# fills a block of max(slab, 4 d) rows for a d-column support, so each
+# read of the support serves at least 4 d rows. The block buffer holds
+# max(1 MiB, 4 x the support's bytes), whatever the batch size.
 SCORE_CHUNK_ENTRIES = 2**17
 
 
@@ -238,34 +256,32 @@ def _tile_rows(n: int, d: int) -> tuple[int, int]:
 
 def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Score matrix ``g_j - c(x_i, y_j)`` for raw noise rows ``x``.
-
-    The rows are embedded into coupling space and scored against
-    :attr:`Potential.support`. Written to ``out`` (shape ``(len(x), N)``)
-    when given, else to a fresh array.
+    """Scores ``g_j - c(x_i, y_j)`` of raw noise rows ``x``, up to a per-row
+    constant: one matmul of ``[a x_i, 1]`` (in coupling space) against the
+    support as last lifted (:meth:`Potential.lift`; every stream lifts, a
+    direct call must lift first). As ``g_j - |x - y_j|^2 = 2 <x, y_j> +
+    (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
+    ``+|x_i|^2``; negative dot product scores (``a = 1``) are exact.
+    Written to ``out`` (shape ``(len(x), N)``) when given.
     """
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if pot.cost.kind == NEG_DOT:
-        # Fused hot path: one matmul plus an in-place shift.
-        scores = np.matmul(x, pot.support.T, out=out)
-        scores += pot.g
-        return scores
-    c = cost_matrix(pot.cost, x, pot.support, out=out)
-    return np.subtract(pot.g, c, out=c)
+    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
+    rows = np.column_stack([a * x, np.ones(len(x))])
+    return np.matmul(rows, pot._lifted.T, out=out)
 
 
 def score_chunks(pot: Potential, x: np.ndarray):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
-    Every reducer of the score block streams through here. One
-    :func:`coupling_scores` call fills a block of rows, which is yielded
-    as L2-sized slabs (see :data:`SCORE_CHUNK_ENTRIES`). All blocks share
-    one buffer, allocated once per stream, of at most the larger of 1 MiB
-    and 4 x the support's bytes, whatever ``len(x)``. A reducer may
-    overwrite a slab in place but must be done with it before asking for
-    the next one.
+    Every reducer streams through here: one lift, then one
+    :func:`coupling_scores` call per block of rows (squared-Euclidean
+    scores up to a per-row constant), yielded as L2-sized slabs
+    (:data:`SCORE_CHUNK_ENTRIES`) of one buffer per stream, at most
+    max(1 MiB, 4 x the support's bytes) whatever ``len(x)``. A reducer
+    may overwrite a slab until it asks for the next.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    pot.lift()
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1])
     buf = np.empty((min(block, x.shape[0]), pot.target.n))
     for lo in range(0, x.shape[0], block):
@@ -287,7 +303,7 @@ def _column_sums(pot: Potential, x: np.ndarray,
     With ``soft_c`` (one entry per row) each row's soft-c transform is
     written there from the same tiles: ``f_{g,eps}(x_i) = -eps log sum_j
     b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
-    score_ij`` at eps=0.
+    score_ij`` at eps=0, plus ``|x_i|^2`` for the squared Euclidean cost.
     """
     b = pot.target.weights
     n = pot.target.n
@@ -309,6 +325,9 @@ def _column_sums(pot: Potential, x: np.ndarray,
             col_sq += (r * r) @ e
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
+        if pot.cost.kind != NEG_DOT:
+            x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+            soft_c += np.einsum("ij,ij->i", x, x)
     return col_sum, col_sq if squares else None
 
 

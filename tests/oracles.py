@@ -1,11 +1,12 @@
 """Reference implementations that only the tests use.
 
 Exact discrete OT on small dense instances (the transport LP at eps=0,
-tight log-domain Sinkhorn at eps>0), Laguerre-cell membership, the exact
-second marginal and primal transport cost, dense responsibilities, and
-the eps>0 score correction with its kernel-weighted Monte-Carlo
-estimate: the library's commands never call these, so they live beside
-the tests that check the library against them.
+tight log-domain Sinkhorn at eps>0), the two-pass score kernel,
+Laguerre-cell membership, the exact second marginal and primal transport
+cost, dense responsibilities, and the eps>0 score correction with its
+kernel-weighted Monte-Carlo estimate: the library's commands never call
+these, so they live beside the tests that check the library against
+them.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import optimize
 
-from sdfm.costs import NEG_DOT, ConfigurationError
+from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
 from sdfm.coupling import sinkhorn_log
 from sdfm.numerics import ARGMAX_TIE_TOL, Rng, inverse_cdf, softmax_b_eps_rows
 from sdfm.semidual import (
@@ -85,6 +86,19 @@ def _transport_lp(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
     return plan, f, g
 
 
+def scores_two_pass(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """Scores ``g_j - c(x_i, y_j)`` of raw rows ``x`` in two passes: the
+    matmul plus ``g`` for the negative dot product, ``g - cost_matrix``
+    for the squared Euclidean cost."""
+    x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    support = np.ascontiguousarray(pot.cost.embed(pot.target.points))
+    if pot.cost.kind == NEG_DOT:
+        scores = x @ support.T
+        scores += pot.g
+        return scores
+    return pot.g - cost_matrix(pot.cost, x, support)
+
+
 def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
     """Whether raw point ``x`` lies in the cell of atom ``j``.
 
@@ -98,6 +112,7 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
         )
     if not 0 <= j < pot.target.n:
         raise ValueError(f"cell index {j} out of range")
+    pot.lift()
     scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
     return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
 
@@ -125,6 +140,7 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
 
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
+    pot.lift()
     scores = coupling_scores(pot, x)
     e, total = softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
     return e / total[:, None]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from sdfm.costs import (
 )
 from sdfm.coupling import couple_minibatch_ot
 from sdfm.numerics import Rng
+
+from oracles import transport_cost
 
 
 @pytest.fixture
@@ -471,6 +474,27 @@ class TestChisqCommand:
         # The 1-row tail has no estimate: it is reported, not hidden.
         assert main(base + ["--samples", "4097"]) == 0
         assert "stderr=n/a samples=4096 dropped=1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps, cost", [("0", "negdot"), ("0.5", "negdot"),
+                                           ("0.5", "sqeuclid")])
+    def test_transport_cost_matches_oracle(self, tmp_path, blob, capsys, eps,
+                                           cost):
+        pot_path = str(tmp_path / "p.sdfm")
+        assert main(["solve", "--data", blob, "--eps", eps, "--cost", cost,
+                     "--iters", "50", "--batch", "32", "--chi2-samples", "256",
+                     "--tau", "1e-9", "--seed", "2", "--out", pot_path]) in (0, 3)
+        capsys.readouterr()
+        assert main(["chisq", "--potential", pot_path, "--data", blob,
+                     "--samples", "1000", "--batch", "256", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"estimate=\S+ transport_cost=\S+ stderr=", out)
+        printed = float(re.search(r"transport_cost=(\S+)", out).group(1))
+        # The same draws: chisq's batch k comes from Rng(seed).child(k).
+        pot = cli._load_potential_with_target(pot_path, blob)
+        noise = semidual.GaussianNoise(pot.target)
+        x = np.vstack([noise.sample(Rng(4).child(k), min(256, 1000 - lo))
+                       for k, lo in enumerate(range(0, 1000, 256))])
+        assert printed == pytest.approx(transport_cost(pot, x), abs=1e-6)
 
 
 class TestUsageErrors:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from sdfm import semidual
-from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix
+from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, fit_pca
 from sdfm.coupling import assign_batch
 from sdfm.numerics import Rng
 from sdfm.semidual import (
@@ -28,6 +28,7 @@ from oracles import (
     marginal_exact,
     oracle_discrete_ot,
     responsibilities_rows,
+    scores_two_pass,
     transport_cost,
 )
 
@@ -420,12 +421,21 @@ class TestTransportCost:
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_matches_dense_primal(self, eps, monkeypatch):
+        self._check_dense_primal(NEG_DOT, eps, monkeypatch)
+
+    def test_sq_euclidean_matches_dense_primal(self, monkeypatch):
+        # The scan's soft-c transform adds back the |x|^2 that the fused
+        # squared-Euclidean scores carry.
+        self._check_dense_primal(SQ_EUCLIDEAN, 0.3, monkeypatch)
+
+    @staticmethod
+    def _check_dense_primal(kind, eps, monkeypatch):
         # sum_ij w_i s_ij c_ij + eps sum_i w_i KL(s_i || b), from the
         # dense responsibilities, against the one-scan readout.
         gen = Rng(18).generator()
         ys = gen.standard_normal((25, 2))
         pot = _simple_potential(gen.standard_normal(25), ys,
-                                gen.random(25) + 0.1, eps=eps)
+                                gen.random(25) + 0.1, eps=eps, kind=kind)
         x = gen.standard_normal((37, 2))
         w = gen.random(37) + 0.1
         w /= w.sum()
@@ -601,3 +611,93 @@ class TestScoreTiles:
     def test_results_do_not_depend_on_block_height(self, eps, block_rows,
                                                    monkeypatch):
         self._check_against_one_tile(eps, monkeypatch)
+
+
+def _streamed_scores(pot, x):
+    """The scores of one :func:`semidual.score_chunks` stream, stacked."""
+    out = np.empty((len(x), pot.target.n))
+    for lo, hi, scores in semidual.score_chunks(pot, x):
+        out[lo:hi] = scores
+    return out
+
+
+def _two_pass_blocks(pot, x):
+    """:func:`scores_two_pass` over the stream's matmul blocks, stacked."""
+    block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1])
+    return np.vstack([scores_two_pass(pot, x[lo:lo + block])
+                      for lo in range(0, len(x), block)])
+
+
+class TestFusedKernel:
+    """One matmul of ``[a x, 1]`` against ``[S, shift]`` scores both costs.
+
+    Blocks are compared with the two-pass kernel on the same block shapes:
+    BLAS picks its kernel (matrix-vector for 1-row blocks, edge kernels
+    for ragged ones) from the shape.
+    """
+
+    @staticmethod
+    def _case(d, kind=NEG_DOT, pca=None, seed=40):
+        gen = Rng(seed).generator()
+        n = 1024 if d == 32 else 4096
+        points = gen.standard_normal((n, d if pca is None else 8))
+        projection = None if pca is None else fit_pca(points, pca)
+        cost = CostConfig(kind=kind, eps_raw=0.5, projection=projection)
+        target = TargetMeasure.from_points(points)
+        pot = Potential(g=gen.standard_normal(n), target=target, cost=cost)
+        return pot, gen
+
+    @pytest.mark.parametrize("d, pca", [(1, None), (2, None), (32, None),
+                                        (2, 2)])
+    @pytest.mark.parametrize("rows", ["1", "ragged", "several"])
+    def test_neg_dot_bit_equal_to_two_pass(self, d, pca, rows):
+        pot, gen = self._case(d, pca=pca)
+        block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1])
+        b_rows = {"1": 1, "ragged": 5, "several": 3 * block + 5}[rows]
+        x = gen.standard_normal((b_rows, pot.target.dim))
+        fused, ref = _streamed_scores(pot, x), _two_pass_blocks(pot, x)
+        if b_rows == 1 and d == 1:
+            # BLAS's matrix-vector kernel folds the two products of a K=2
+            # row in another order than K=1 plus an add: the results differ
+            # by rounding, within one unit of the two terms' magnitude.
+            x_dot = np.abs(x @ pot.target.points.T)
+            bound = np.finfo(np.float64).eps * (x_dot + np.abs(pot.g))
+            assert np.all(np.abs(fused - ref) <= bound)
+        else:
+            np.testing.assert_array_equal(fused, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_sq_euclidean_equal_up_to_row_constant(self, d):
+        # The fused scores carry +|x|^2 per row. Over these shapes the
+        # largest error measured against the two-pass scores was 2.98 eps
+        # of the score magnitude |x|^2 + |y|^2 + |g|; the bound is 8 eps.
+        pot, gen = self._case(d, kind=SQ_EUCLIDEAN)
+        x = 3.0 * gen.standard_normal((333, d))
+        sq_x = np.sum(x * x, axis=1)[:, None]
+        err = np.abs(_streamed_scores(pot, x) - _two_pass_blocks(pot, x) - sq_x)
+        scale = sq_x + np.sum(pot.target.points**2, axis=1) + np.abs(pot.g)
+        assert np.max(err / scale) <= 8 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("kind, eps", [(NEG_DOT, 0.0), (NEG_DOT, 0.5),
+                                           (SQ_EUCLIDEAN, 0.5)])
+    def test_in_place_g_update_is_scored(self, kind, eps):
+        # The solver's step potential aliases g, which changes in place
+        # between scans, and potentials over one target share its lifted
+        # support: every scan must score its own potential's current g.
+        gen = Rng(41).generator()
+        ys = gen.standard_normal((64, 2))
+        pot = _simple_potential(gen.standard_normal(64), ys, eps=eps, kind=kind)
+        other = Potential(g=gen.standard_normal(64), target=pot.target,
+                          cost=pot.cost)
+        x = gen.standard_normal((40, 2))
+        first, other_grad = stochastic_gradient(pot, x), stochastic_gradient(other, x)
+        assert np.all(np.isfinite(first)) and np.all(np.isfinite(other_grad))
+        np.testing.assert_array_equal(stochastic_gradient(pot, x), first)
+        pot.g += gen.standard_normal(64)
+        fresh = _simple_potential(pot.g.copy(), ys, eps=eps, kind=kind)
+        np.testing.assert_array_equal(stochastic_gradient(pot, x),
+                                      stochastic_gradient(fresh, x))
+        np.testing.assert_array_equal(assign_batch(pot, x, Rng(42)),
+                                      assign_batch(fresh, x, Rng(42)))
+        assert not np.array_equal(first, stochastic_gradient(pot, x))
+        np.testing.assert_array_equal(stochastic_gradient(other, x), other_grad)
