@@ -83,7 +83,7 @@ def _projection_from_arrays(arrays: dict, meta: dict) -> Optional[ProjectionMatr
 def save_potential(path: str, pot: Potential) -> None:
     arrays = {"g": pot.g, **_projection_arrays(pot.cost.projection)}
     meta = {
-        "target_fingerprint": pot.target_fingerprint,
+        "target_fingerprint": pot.target.fingerprint,
         "cost": pot.cost.metadata(),
         "provenance": json.loads(json.dumps(pot.provenance, default=str)),
         "projection_padded": bool(

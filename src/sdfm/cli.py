@@ -164,6 +164,8 @@ def cmd_assign(args) -> int:
         if noise.shape[1] != pot.target.dim:
             raise UsageError(f"noise rows have dimension {noise.shape[1]}, "
                              f"the dataset {pot.target.dim}")
+        if not np.isfinite(noise).all():
+            raise UsageError("noise rows must be finite")
     else:
         if args.sample is None or args.sample < 1:
             raise UsageError("pass --noise FILE or --sample COUNT >= 1")

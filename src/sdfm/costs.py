@@ -12,6 +12,7 @@ knob means the same thing across datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -95,8 +96,15 @@ class CostConfig:
     def __post_init__(self):
         if self.kind not in (NEG_DOT, SQ_EUCLIDEAN):
             raise ConfigurationError(f"unknown cost kind {self.kind!r}")
-        if self.eps_raw < 0:
-            raise ConfigurationError("eps_raw must be >= 0")
+        if not 0.0 <= self.eps_raw < math.inf:
+            raise ConfigurationError(
+                f"eps_raw must be finite and >= 0, got {self.eps_raw}")
+        if self.cost_std is not None and not 0.0 <= self.cost_std < math.inf:
+            raise ConfigurationError(
+                f"cost_std must be finite and >= 0, got {self.cost_std}")
+        if math.isinf(self.eps):
+            raise ConfigurationError(
+                f"eps_raw {self.eps_raw} times cost_std {self.cost_std} overflows")
 
     @property
     def eps(self) -> float:

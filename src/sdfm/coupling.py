@@ -53,13 +53,12 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     idx = np.empty(len(noise), dtype=np.int64)
     for lo, hi, scores in score_chunks(pot, noise):
         if pot.eps == 0.0:
-            part, tie_rows, tie_weights = argmax_with_ties(scores, b)
+            part, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
             if tie_rows.size:
                 part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
         else:
-            e, _ = softmax_b_eps_rows(scores, b, pot.eps, out=scores,
-                                      log_b=log_b)
-            part = inverse_cdf(e, u[lo:hi])
+            softmax_b_eps_rows(scores, log_b, pot.eps)
+            part = inverse_cdf(scores, u[lo:hi])
         idx[lo:hi] = part
     return idx
 
@@ -85,7 +84,7 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
 
     until the L1 marginal error falls below ``tol``. The column update
     zeroes the column residual by construction, and the row residual of
-    the current plan falls out of the next row transform for free:
+    the current plan falls out of the next f update for free:
     ``row_sum_i = a_i exp((f_i - f_new_i)/eps)``. Raises
     :class:`SinkhornError` with the residual if the sweep budget runs
     out. Returns ``(plan, f, g, sweeps)``.
@@ -95,43 +94,36 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
     b = np.asarray(b, dtype=np.float64)
     if eps <= 0.0:
         raise ValueError("Sinkhorn requires eps > 0")
-    log_a = np.log(a)
-    log_b = np.log(b)
+    log_a = np.log(a)[:, None]
+    log_b = np.log(b)[None, :]
     m, n = costs.shape
     f = np.zeros(m)
     g = np.zeros(n)
     scaled = costs / eps
     buf = np.empty_like(costs)
 
-    def row_transform():
-        # buf <- (g - C)/eps + log_b, reduced by a stable row LSE.
-        np.subtract(g[None, :] / eps, scaled, out=buf)
-        np.add(buf, log_b[None, :], out=buf)
-        mx = buf.max(axis=1)
-        np.subtract(buf, mx[:, None], out=buf)
+    def transform(h, log_w, axis):
+        # buf <- (h - C)/eps + log_w reduced over ``axis`` by a stable LSE,
+        # h and log_w laid along that axis: g and log b as rows give the f
+        # update, f and log a as columns the g update.
+        np.subtract(h / eps, scaled, out=buf)
+        np.add(buf, log_w, out=buf)
+        mx = buf.max(axis=axis, keepdims=True)
+        np.subtract(buf, mx, out=buf)
         np.exp(buf, out=buf)
-        return -eps * (mx + np.log(buf.sum(axis=1)))
-
-    def col_transform():
-        np.subtract(f[:, None] / eps, scaled, out=buf)
-        np.add(buf, log_a[:, None], out=buf)
-        mx = buf.max(axis=0)
-        np.subtract(buf, mx[None, :], out=buf)
-        np.exp(buf, out=buf)
-        return -eps * (mx + np.log(buf.sum(axis=0)))
+        return -eps * (mx.ravel() + np.log(buf.sum(axis=axis)))
 
     row_err = np.inf
     for sweeps in range(max_sweeps):
-        f_new = row_transform()
+        f_new = transform(g[None, :], log_b, 1)
         if sweeps:  # the zero start has no column update to measure
             with np.errstate(over="ignore"):
                 row_err = float(np.abs(a * np.expm1((f - f_new) / eps)).sum())
             if row_err <= tol:
-                log_plan = (f[:, None] + g[None, :]) / eps - scaled \
-                    + log_a[:, None] + log_b[None, :]
+                log_plan = (f[:, None] + g[None, :]) / eps - scaled + log_a + log_b
                 return np.exp(log_plan), f, g, sweeps
         f = f_new
-        g = col_transform()
+        g = transform(f[:, None], log_a, 0)
     raise SinkhornError(
         f"no convergence within {max_sweeps} sweeps (residual {row_err:.3e})",
         residual=float(row_err),

@@ -313,18 +313,17 @@ def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
 
 
 def integrate(model, x0: np.ndarray, method: str = "euler",
-              steps: int = 8, t_max: float = 1.0) -> Trajectory:
-    """Integrate the flow ODE on a uniform grid with ``steps`` steps.
+              steps: int = 8) -> Trajectory:
+    """Integrate the flow ODE over ``[0, 1]`` in ``steps`` uniform steps.
 
     ``model`` is any callable ``v(t, X) -> (B, d)``. Euler uses one
-    evaluation per step; rk4 uses four. ``t_max < 1`` supports score-time
-    evaluation.
+    evaluation per step; rk4 uses four.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
-    times = np.linspace(0.0, t_max, steps + 1)
-    dt = t_max / steps
+    times = np.linspace(0.0, 1.0, steps + 1)
+    dt = 1.0 / steps
     states = np.empty((steps + 1, *x.shape))
     vels = np.empty((steps, *x.shape))
     states[0] = x

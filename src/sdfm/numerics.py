@@ -9,6 +9,11 @@ one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
 gets the ``i``-th uniform of the stream, whatever the batch size.
 Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
+
+The score-slab reducers have one mode each and work on the caller's
+arrays: an in-place exp pass at eps>0 (:func:`softmax_b_eps_rows`), and
+at eps=0 the one tie rule (:func:`argmax_with_ties`), whose column sums
+:func:`eps0_column_stats` adds into the caller's accumulators.
 """
 
 from __future__ import annotations
@@ -65,16 +70,16 @@ class Rng:
         return Rng(self.seed, _mix64(self.stream & _MASK64, index & _MASK64))
 
 
-def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
-                     tol: float = ARGMAX_TIE_TOL):
+def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     """Row argmax plus the ``b``-weighted split of the (rare) tie rows.
 
-    Returns ``(idx, tie_rows, tie_weights)``: ``tie_weights[k]`` is the
-    distribution of row ``tie_rows[k]`` over its argmax set (entries within
-    ``tol`` of the row max), proportional to ``b``. This is the one tie
-    rule of the package. Tie rows are found by a second-max pass, which
-    overwrites each row's maximum with ``-inf`` and restores it, so
-    ``scores`` must be writable.
+    Returns ``(idx, best, tie_rows, tie_weights)``: ``best`` is each row's
+    maximum, and ``tie_weights[k]`` is the distribution of row
+    ``tie_rows[k]`` over its argmax set (entries within
+    :data:`ARGMAX_TIE_TOL` of the row max), proportional to ``b``. This is
+    the one tie rule of the package. Tie rows are found by a second-max
+    pass, which overwrites each row's maximum with ``-inf`` and restores
+    it, so ``scores`` must be writable.
     """
     rows = np.arange(scores.shape[0])
     idx = scores.argmax(axis=1)
@@ -82,74 +87,53 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray,
     scores[rows, idx] = -np.inf
     second = scores.max(axis=1)
     scores[rows, idx] = best
-    tie_rows = np.flatnonzero(second >= best - tol)
-    close = scores[tie_rows] >= (best[tie_rows] - tol)[:, None]
+    tie_rows = np.flatnonzero(second >= best - ARGMAX_TIE_TOL)
+    close = scores[tie_rows] >= (best[tie_rows] - ARGMAX_TIE_TOL)[:, None]
     tie_weights = b * close
     tie_weights /= tie_weights.sum(axis=1, keepdims=True)
-    return idx, tie_rows, tie_weights
+    return idx, best, tie_rows, tie_weights
 
 
-def softmax_b_eps_rows(scores: np.ndarray, b: np.ndarray, eps: float,
-                       out: np.ndarray | None = None,
-                       log_b: np.ndarray | None = None,
-                       smooth_max: np.ndarray | None = None):
-    """Unnormalised weighted softmax over data indices, row by row.
+def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
+                       smooth_max: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalised weighted softmax over data indices, row by row, in place.
 
-    Returns ``(rows, total)`` for ``(B, N)`` scores; the responsibilities
-    are ``rows / total[:, None]``. At ``eps > 0`` row ``i`` is ``b_j
+    For ``(B, N)`` scores and ``eps > 0``, overwrites row ``i`` with ``b_j
     exp(z_ij/eps - m_i)``, ``m_i`` the row max of the exponent: one exp
-    pass, never normalised. At ``eps = 0`` it is one-hot on the row argmax
-    (:func:`argmax_with_ties` splits tie rows by ``b``), with totals 1.
-    The rows go to ``out`` when given (``out=scores`` works in place), else
-    to a fresh array; ``log_b`` spares a streaming caller the ``log(b)``.
-    With ``smooth_max`` (one entry per row) each row's normaliser ``eps log
-    sum_j b_j exp(z_ij/eps)`` is written there; at ``eps = 0`` the row max.
+    pass, never normalised. Returns the row totals; the responsibilities
+    are ``scores / total[:, None]``. With ``smooth_max`` (one entry per
+    row) each row's normaliser ``eps log sum_j b_j exp(z_ij/eps)`` is
+    written there. The eps=0 reducers call :func:`argmax_with_ties`.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if eps == 0.0:
-        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
-        if smooth_max is not None:
-            smooth_max[:] = scores[np.arange(scores.shape[0]), idx]
-        out = np.empty_like(scores) if out is None else out
-        out.fill(0.0)
-        out[np.arange(scores.shape[0]), idx] = 1.0
-        out[tie_rows] = tie_weights
-        return out, np.ones(scores.shape[0])
-    if log_b is None:
-        with np.errstate(divide="ignore"):
-            log_b = np.log(b)
     # exp(t - max_j t) row by row for t = scores / eps + log_b.
-    e = np.multiply(scores, 1.0 / eps, out=out)
-    e += log_b
-    m = e.max(axis=1)
-    e -= m[:, None]
-    np.exp(e, out=e)
-    total = e.sum(axis=1)
+    scores *= 1.0 / eps
+    scores += log_b
+    m = scores.max(axis=1)
+    scores -= m[:, None]
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=1)
     if smooth_max is not None:
         smooth_max[:] = eps * (m + np.log(total))
-    return e, total
+    return total
 
 
 def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
-                      row_weights: np.ndarray | None = None,
-                      out: tuple | None = None,
-                      row_max: np.ndarray | None = None):
-    """Column sums and squared sums of eps=0 responsibility rows.
+                      row_weights: np.ndarray | None,
+                      col_sum: np.ndarray, col_sq: np.ndarray,
+                      row_max: np.ndarray | None = None) -> None:
+    """Add the column sums and squared sums of eps=0 responsibility rows.
 
-    Equivalent to summing ``softmax_b_eps_rows(scores, b, 0)`` and its
-    square over rows (optionally row-weighted) without materializing the
-    dense matrix. With ``out=(col_sum, col_sq)`` the sums are added to
-    those arrays, row by row in O(rows) work, so a stream of row tiles
-    pays no O(N) step per tile and sums in the same order as one block.
-    With ``row_max`` (one entry per row) each row's maximum score is
-    written there, gathered at the argmax the sums already need.
+    The rows are one-hot on each row's argmax, tie rows split by ``b``
+    (:func:`argmax_with_ties`), optionally scaled by ``row_weights``; their
+    sums and squared sums are added to ``col_sum`` and ``col_sq`` without
+    materializing the dense rows, in O(rows) work, so a stream of row
+    tiles pays no O(N) step per tile and sums in the same order as one
+    block. With ``row_max`` (one entry per row) each row's maximum score
+    is written there.
     """
-    n = scores.shape[1]
-    col_sum, col_sq = (np.zeros(n), np.zeros(n)) if out is None else out
-    idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+    idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
     if row_max is not None:
-        row_max[:] = scores[np.arange(scores.shape[0]), idx]
+        row_max[:] = best
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[tie_rows] = False
     if row_weights is None:
@@ -163,7 +147,6 @@ def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
     if tie_rows.size:
         col_sum += tie_weights.sum(axis=0)
         col_sq += (tie_weights * tie_weights).sum(axis=0)
-    return col_sum, col_sq
 
 
 def _last_positive_column(w: np.ndarray) -> np.ndarray:

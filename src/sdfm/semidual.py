@@ -29,10 +29,11 @@ live in the coupling space (the raw rows, or their PCA projection):
 Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. :func:`score_chunks` yields the B
 x N block as cache-sized row slabs of matmul blocks that share one
-buffer. One reducer, :func:`_column_sums`, reduces each from one
-unnormalised exp pass; the semidual value, gradient, second marginal and
-chi-square read its column sums and soft-c transform. Pairing reads the
-same stream. :func:`chi2_batches` is the one streamed-noise loop.
+buffer. One reducer, :func:`_column_sums`, reduces each slab in place:
+one unnormalised exp pass at eps>0, the argmax and its tie rule at eps=0
+(:mod:`sdfm.numerics`); the semidual value, gradient, second marginal
+and chi-square read its column sums and soft-c transform. Pairing reads
+the same stream. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -87,22 +88,24 @@ class TargetMeasure:
     binds stored potentials to their dataset.
     """
 
-    points: np.ndarray  # (N, d)
-    weights: np.ndarray  # (N,), strictly positive, sums to 1
-    fingerprint: str = ""
+    points: np.ndarray  # (N, d), finite
+    weights: np.ndarray  # (N,), finite, strictly positive, sums to 1
+    fingerprint: str = field(init=False)
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", weights)
+        if not np.isfinite(points).all():
+            raise ConfigurationError("target points must be finite")
         if weights.shape != (points.shape[0],):
             raise ConfigurationError("weights must have one entry per point")
-        if np.any(weights <= 0.0):
-            raise ConfigurationError("all target weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise ConfigurationError(
+                "all target weights must be finite and strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
-        if not self.fingerprint:
-            object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
+        object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
         # The points live in the lifted support of Potential.lift.
         lifted = np.column_stack([points, np.full(len(points), np.nan)])
         object.__setattr__(self, "points", lifted[:, :-1])
@@ -178,10 +181,6 @@ class Potential:
         self._lifted[:, -1] = self.g
         if self.cost.kind != NEG_DOT:
             self._lifted[:, -1] -= np.einsum("ij,ij->i", self.support, self.support)
-
-    @property
-    def target_fingerprint(self) -> str:
-        return self.target.fingerprint
 
 
 def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,15 +313,15 @@ def _column_sums(pot: Potential, x: np.ndarray,
         w = None if weights is None else weights[lo:hi]
         f = None if soft_c is None else soft_c[lo:hi]
         if pot.eps == 0.0:
-            eps0_column_stats(scores, b, w, out=(col_sum, col_sq), row_max=f)
+            eps0_column_stats(scores, b, w, col_sum, col_sq, row_max=f)
             continue
-        e, total = softmax_b_eps_rows(scores, b, pot.eps, out=scores, smooth_max=f,
-                                      log_b=pot.target.log_weights)
+        total = softmax_b_eps_rows(scores, pot.target.log_weights, pot.eps,
+                                   smooth_max=f)
         r = 1.0 / total if w is None else w / total
-        col_sum += r @ e
+        col_sum += r @ scores
         if squares:
-            np.square(e, out=e)
-            col_sq += (r * r) @ e
+            np.square(scores, out=scores)
+            col_sq += (r * r) @ scores
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
         if pot.cost.kind != NEG_DOT:

@@ -3,10 +3,10 @@
 Exact discrete OT on small dense instances (the transport LP at eps=0,
 tight log-domain Sinkhorn at eps>0), the two-pass score kernel,
 Laguerre-cell membership, the exact second marginal and primal transport
-cost, dense responsibilities, and the eps>0 score correction with its
-kernel-weighted Monte-Carlo estimate: the library's commands never call
-these, so they live beside the tests that check the library against
-them.
+cost, dense responsibility rows (the eps=0 one-hot rows among them), and
+the eps>0 score correction with its kernel-weighted Monte-Carlo
+estimate: the library's commands never call these, so they live beside
+the tests that check the library against them.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,13 @@ from scipy import optimize
 
 from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
 from sdfm.coupling import sinkhorn_log
-from sdfm.numerics import ARGMAX_TIE_TOL, Rng, inverse_cdf, softmax_b_eps_rows
+from sdfm.numerics import (
+    ARGMAX_TIE_TOL,
+    Rng,
+    argmax_with_ties,
+    inverse_cdf,
+    softmax_b_eps_rows,
+)
 from sdfm.semidual import (
     DiscreteNoise,
     Potential,
@@ -138,12 +144,30 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     return ef + float(np.dot(m, pot.g))
 
 
+def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """Dense responsibility rows of ``(B, N)`` scores; each row sums to 1.
+
+    At ``eps > 0`` the weighted softmax ``b_j exp(z_ij / eps)`` normalised
+    by its row total; at ``eps = 0`` one-hot on the row argmax, with tie
+    rows split by ``b`` (:func:`~sdfm.numerics.argmax_with_ties`).
+    ``scores`` is not written.
+    """
+    scores = np.array(scores, dtype=np.float64)
+    if eps == 0.0:
+        idx, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        rows = np.zeros_like(scores)
+        rows[np.arange(len(scores)), idx] = 1.0
+        rows[tie_rows] = tie_weights
+        return rows
+    with np.errstate(divide="ignore"):
+        total = softmax_b_eps_rows(scores, np.log(b), eps)
+    return scores / total[:, None]
+
+
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
     pot.lift()
-    scores = coupling_scores(pot, x)
-    e, total = softmax_b_eps_rows(scores, pot.target.weights, pot.eps, out=scores)
-    return e / total[:, None]
+    return softmax_rows(coupling_scores(pot, x), pot.target.weights, pot.eps)
 
 
 def score_eps_positive(model, x: np.ndarray, t: float,

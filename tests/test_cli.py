@@ -579,14 +579,35 @@ def _beta_potential(tmp_path, data):
     return _rewritten(pot, cost={**cost, "beta": 1.0})
 
 
-def _eps_disagreeing_potential(tmp_path, data):
+def _eps_potential(tmp_path, data):
+    """An eps=0.1 potential and its stored cost metadata."""
     out = str(tmp_path / "eps.sdfm")
     assert main(["solve", "--data", data, "--eps", "0.1", "--iters", "20",
                  "--batch", "16", "--chi2-samples", "256", "--tau", "100",
                  "--out", out]) == 0
-    cost = read_container(out)[1]["cost"]
+    return out, read_container(out)[1]["cost"]
+
+
+def _eps_disagreeing_potential(tmp_path, data):
+    out, cost = _eps_potential(tmp_path, data)
     return _rewritten(out, cost={**cost,
                                  "eps_effective": 2 * cost["eps_effective"]})
+
+
+def _cost_std_potential(tmp_path, data, cost_std):
+    """An eps=0.1 potential whose stored cost std is ``cost_std``, stored
+    with the effective eps that agrees with it."""
+    out, cost = _eps_potential(tmp_path, data)
+    return _rewritten(out, cost={**cost, "cost_std": cost_std,
+                                 "eps_effective": 0.1 * cost_std})
+
+
+def _with_nan(tmp_path, name, weights=None):
+    """Eight distinct points, the first point NaN unless ``weights`` is given."""
+    points = np.arange(16.0).reshape(8, 2)
+    if weights is None:
+        points[0, 0] = np.nan
+    return _saved(tmp_path, name, points, weights)
 
 
 def _dump(tmp_path, name, shape):
@@ -752,6 +773,49 @@ _USAGE_CASES = {
         "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
         "--ot-eps", "-0.5", "--steps", "2", "--batch", "8", "--hidden", "4",
         "--out", str(tmp / "m.sdfm")],
+    # Non-finite eps values and cost scales are refused before any scan.
+    "solve-eps-inf": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "inf", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-eps-nan": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "nan", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-eps-overflows": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "1.7e308", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "train-ot-eps-inf": lambda tmp, blob: [
+        "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
+        "--ot-eps", "inf", "--steps", "2", "--batch", "8", "--hidden", "4",
+        "--out", str(tmp / "m.sdfm")],
+    "chisq-cost-std-negative": lambda tmp, blob: [
+        "chisq", "--potential", _cost_std_potential(tmp, blob, -1.0),
+        "--data", blob],
+    "assign-cost-std-negative": lambda tmp, blob: [
+        "assign", "--potential", _cost_std_potential(tmp, blob, -1.0),
+        "--data", blob, "--sample", "4", "--out", str(tmp / "x.sdfm")],
+    "chisq-cost-std-inf": lambda tmp, blob: [
+        "chisq", "--potential", _cost_std_potential(tmp, blob, np.inf),
+        "--data", blob],
+    "assign-cost-std-inf": lambda tmp, blob: [
+        "assign", "--potential", _cost_std_potential(tmp, blob, np.inf),
+        "--data", blob, "--sample", "4", "--out", str(tmp / "x.sdfm")],
+    # Non-finite data and noise rows are refused, never paired or solved.
+    "solve-target-weight-nan": lambda tmp, blob: [
+        "solve", "--data", _with_nan(tmp, "w.sdfm", np.r_[np.nan, np.ones(7)]),
+        "--eps", "0", "--iters", "10", "--batch", "16",
+        "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-target-point-nan": lambda tmp, blob: [
+        "solve", "--data", _with_nan(tmp, "p.sdfm"), "--eps", "0",
+        "--iters", "10", "--batch", "16", "--chi2-samples", "256",
+        "--out", str(tmp / "x.sdfm")],
+    "train-target-point-nan": lambda tmp, blob: [
+        "train", "--data", _with_nan(tmp, "p.sdfm"), "--coupling",
+        "independent", "--steps", "2", "--batch", "8", "--hidden", "4",
+        "--out", str(tmp / "m.sdfm")],
+    "assign-noise-nan": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--noise", _saved(tmp, "nn.sdfm", [[np.nan, 0.0], [0.0, 1.0]]),
+        "--out", str(tmp / "x.sdfm")],
 }
 
 

@@ -21,7 +21,12 @@ from sdfm.numerics import Rng
 from sdfm.semidual import Potential, TargetMeasure, stochastic_gradient
 
 from conftest import make_enumerated_instance
-from oracles import laguerre_contains, oracle_discrete_ot, responsibilities_rows
+from oracles import (
+    laguerre_contains,
+    oracle_discrete_ot,
+    responsibilities_rows,
+    softmax_rows,
+)
 
 
 def _pot(g, ys, b=None, eps=0.0):
@@ -357,10 +362,7 @@ class TestOracle:
         target = TargetMeasure.from_points(gen.standard_normal((8, 2)), b)
         pot = Potential(g=g, target=target, cost=CostConfig(kind=NEG_DOT, eps_raw=0.05))
         # Stationarity is checked against the stored cost matrix directly:
-        from sdfm.numerics import softmax_b_eps_rows
-
-        e, total = softmax_b_eps_rows(g[None, :] - costs, b, 0.05)
-        s = e / total[:, None]
+        s = softmax_rows(g[None, :] - costs, b, 0.05)
         grad = b - a @ s
         assert np.max(np.abs(grad)) <= 1e-8
 

@@ -198,8 +198,9 @@ class TestTrainFlow:
 
     def test_nan_loss_aborts(self):
         points = Rng(10).generator().standard_normal((4, 2))
-        points[0, 0] = np.nan
         target = TargetMeasure.from_points(points)
+        # A target refuses a NaN point, so the NaN goes in after the checks.
+        target.points[0, 0] = np.nan
         model = FlowModel(dim=2, hidden=(4,), rng=Rng(10))
         with pytest.raises(FloatingPointError):
             train_flow(model, target, _fixed_stream([np.arange(4)]),
@@ -238,9 +239,9 @@ class TestIntegrate:
         traj = integrate(lambda t, x: x, np.array([1.0]), method="euler", steps=4)
         assert traj.endpoints[0][0] == pytest.approx((1 + 0.25) ** 4)
 
-    def test_t_max_grid(self):
-        traj = integrate(lambda t, x: x, np.array([1.0]), steps=5, t_max=0.5)
-        assert traj.times[-1] == pytest.approx(0.5)
+    def test_unit_time_grid(self):
+        traj = integrate(lambda t, x: x, np.array([1.0]), steps=5)
+        assert traj.times[-1] == pytest.approx(1.0)
         assert len(traj.times) == 6
 
 

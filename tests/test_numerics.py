@@ -15,6 +15,8 @@ from sdfm.numerics import (
 from sdfm import semidual
 from sdfm.semidual import GaussianNoise, Potential, TargetMeasure
 
+from oracles import softmax_rows
+
 
 def _lse(z, logw, eps=1.0):
     """Weighted log-sum-exp ``log sum_j exp(z_j + logw_j)`` through the soft-c
@@ -29,14 +31,8 @@ def _lse(z, logw, eps=1.0):
     return -f[0] / eps
 
 
-def _softmax_rows(scores, b, eps, **kw):
-    """Normalised rows: the unnormalised ones divided by their totals."""
-    rows, total = softmax_b_eps_rows(scores, b, eps, **kw)
-    return rows / total[:, None]
-
-
 def _softmax(z, b, eps):
-    return _softmax_rows(np.array([z], dtype=np.float64), b, eps)[0]
+    return softmax_rows(np.array([z], dtype=np.float64), b, eps)[0]
 
 
 class TestRng:
@@ -151,7 +147,7 @@ class TestSoftmaxBEps:
         b = gen.random(4) + 0.1
         b /= b.sum()
         for eps in (0.0, 0.3, 10.0):
-            rows = _softmax_rows(scores, b, eps)
+            rows = softmax_rows(scores, b, eps)
             for i in range(5):
                 np.testing.assert_allclose(rows[i], _softmax(scores[i], b, eps),
                                            atol=1e-14)
@@ -166,15 +162,19 @@ class TestSoftmaxBEps:
         b = gen.random(5) + 0.1
         b /= b.sum()
         for eps in (0.0, 0.3, 10.0):
-            smooth = np.empty(6)
-            rows = _softmax_rows(scores, b, eps, smooth_max=smooth)
-            np.testing.assert_array_equal(rows, _softmax_rows(scores, b, eps))
             if eps == 0.0:
-                np.testing.assert_array_equal(smooth, scores.max(axis=1))
+                _, best, _, _ = argmax_with_ties(scores, b)
+                np.testing.assert_array_equal(best, scores.max(axis=1))
                 row_max = np.empty(6)
-                eps0_column_stats(scores, b, row_max=row_max)
+                eps0_column_stats(scores, b, None, np.zeros(5), np.zeros(5),
+                                  row_max=row_max)
                 np.testing.assert_array_equal(row_max, scores.max(axis=1))
             else:
+                smooth = np.empty(6)
+                e = scores.copy()
+                total = softmax_b_eps_rows(e, np.log(b), eps, smooth_max=smooth)
+                np.testing.assert_array_equal(e / total[:, None],
+                                              softmax_rows(scores, b, eps))
                 np.testing.assert_allclose(
                     smooth, eps * logsumexp(scores / eps, b=b, axis=1),
                     rtol=1e-12)
@@ -187,9 +187,10 @@ class TestArgmaxWithTies:
         b = gen.random(7) + 0.1
         b /= b.sum()
         before = scores.copy()
-        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
         np.testing.assert_array_equal(scores, before)  # restored in place
         np.testing.assert_array_equal(idx, before.argmax(axis=1))
+        np.testing.assert_array_equal(best, before.max(axis=1))
         close = before >= before.max(axis=1, keepdims=True) - 1e-12
         np.testing.assert_array_equal(tie_rows,
                                       np.flatnonzero(close.sum(axis=1) > 1))
@@ -203,9 +204,10 @@ class TestArgmaxWithTies:
         scores = np.round(gen.standard_normal((64, 5)), 1)
         b = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
         rw = gen.random(64)
-        dense = _softmax_rows(scores, b, 0.0)
+        dense = softmax_rows(scores, b, 0.0)
         for w in (None, rw):
-            col_sum, col_sq = eps0_column_stats(scores, b, w)
+            col_sum, col_sq = np.zeros(5), np.zeros(5)
+            eps0_column_stats(scores, b, w, col_sum, col_sq)
             ws = dense if w is None else w[:, None] * dense
             np.testing.assert_allclose(col_sum, ws.sum(axis=0), atol=1e-14)
             np.testing.assert_allclose(col_sq, (ws * ws).sum(axis=0), atol=1e-14)
@@ -278,7 +280,7 @@ class TestInverseCdf:
         scores = gen.standard_normal((64, 9))
         scores[:, 7:] = scores.max(axis=1, keepdims=True) + 1.0
         b = np.full(9, 1 / 9)
-        _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        _, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
         assert tie_rows.size == 64
         for u in (0.0, 1.0 - 2.0**-53):
             got = inverse_cdf(tie_weights, np.full(64, u))

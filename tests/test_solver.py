@@ -21,7 +21,7 @@ from sdfm.solver import (
 )
 
 from conftest import make_enumerated_instance
-from oracles import marginal_exact, oracle_discrete_ot
+from oracles import marginal_exact, oracle_discrete_ot, softmax_rows
 
 
 class TestLrSchedule:
@@ -163,14 +163,10 @@ class TestSolveSdot:
         gen_rng = Rng(4).child(0)
         atoms, w = noise.enumerate()
         src = DiscreteNoise(atoms, w, exact=False)
-        from sdfm.numerics import softmax_b_eps_rows
-
         for k in range(1000):
             x = src.sample(gen_rng.child(k), 16)
             c = cost_matrix(cost, x, target.points)
-            e, total = softmax_b_eps_rows(state_g[None, :] - c,
-                                          target.weights, cost.eps)
-            s = e / total[:, None]
+            s = softmax_rows(state_g[None, :] - c, target.weights, cost.eps)
             grad = target.weights - s.mean(axis=0)
             state_g += lr_schedule(cfg, k) * grad
             assert abs(state_g.sum()) < 1e-8
@@ -251,7 +247,6 @@ class TestSolveSdot:
                      and not chi2 < 0.5 * before]
         assert len(halved_at) == pot.provenance["lr_halvings"] == halvings
         # Re-run the recurrence by hand and compare the trailing mean.
-        from sdfm.numerics import softmax_b_eps_rows
         from sdfm.semidual import gauge_fix
 
         atoms, w = orig.enumerate()
@@ -259,9 +254,7 @@ class TestSolveSdot:
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
         for k in range(iterations):
-            e, total = softmax_b_eps_rows(g[None, :] - c, target.weights,
-                                          cost.eps)
-            s = e / total[:, None]
+            s = softmax_rows(g[None, :] - c, target.weights, cost.eps)
             grad = target.weights - w @ s
             acc += grad * grad
             lr = lr_schedule(cfg, k) * 0.5**sum(j <= k for j in halved_at)
