@@ -35,6 +35,13 @@ def _unsupported(path: str, what: str) -> ContainerError:
     return ContainerError(f"{path}: {what}; conditional generation is not supported")
 
 
+def _require(path: str, what: str, fields: dict, *keys: str) -> None:
+    """Refuse a container whose ``what`` lacks one of ``keys``."""
+    for key in keys:
+        if key not in fields:
+            raise ContainerError(f"{path}: {what} lacks {key!r}")
+
+
 def save_dataset(path: str, points: np.ndarray, weights=None,
                  metadata: Optional[dict] = None) -> None:
     arrays = {"points": np.asarray(points)}
@@ -46,15 +53,11 @@ def save_dataset(path: str, points: np.ndarray, weights=None,
 def load_dataset(path: str):
     """Returns ``(points, weights or None, metadata)``."""
     _, meta, arrays = read_container(path, expect_kind="dataset")
-    if "points" not in arrays:
-        raise ContainerError(f"{path}: dataset container lacks 'points'")
+    _require(path, "dataset container", arrays, "points")
     if "conditions" in arrays:
         raise _unsupported(path, "dataset has a condition per point")
-    return (
-        np.asarray(arrays["points"], dtype=np.float64),
-        arrays.get("weights"),
-        meta,
-    )
+    points = np.asarray(arrays["points"], dtype=np.float64)
+    return points, arrays.get("weights"), meta
 
 
 def _projection_arrays(proj: Optional[ProjectionMatrix]) -> dict:
@@ -101,7 +104,9 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
             f"{path}: potential was fitted to a different dataset "
             f"(fingerprint mismatch)"
         )
+    _require(path, "potential container", {**meta, **arrays}, "g", "cost")
     cmeta = meta["cost"]
+    _require(path, "potential cost", cmeta, "kind", "eps_raw")
     if cmeta.get("beta", 0.0) > 0.0:
         raise _unsupported(path, "potential has a condition-augmented cost")
     cost = CostConfig(
@@ -122,15 +127,15 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
 def save_model(path: str, model: FlowModel, metadata: Optional[dict] = None) -> None:
     meta = dict(metadata or {})
     meta.update(dim=model.dim, sizes=model.sizes)
-    write_container(path, "model", {"theta": model.get_theta()}, meta)
+    write_container(path, "model", {"theta": model.theta}, meta)
 
 
 def load_model(path: str) -> FlowModel:
     _, meta, arrays = read_container(path, expect_kind="model")
     if meta.get("cond_dim", 0):
         raise _unsupported(path, "model takes condition inputs")
-    sizes = [int(s) for s in meta["sizes"]]
-    hidden = tuple(sizes[1:-1])
+    _require(path, "model container", {**meta, **arrays}, "theta", "dim", "sizes")
+    hidden = tuple(int(s) for s in meta["sizes"][1:-1])
     model = FlowModel(dim=int(meta["dim"]), hidden=hidden)
     model.set_theta(arrays["theta"])
     return model

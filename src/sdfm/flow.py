@@ -61,8 +61,10 @@ class FlowModel:
     """MLP velocity field with explicit parameters and exact backprop.
 
     Input is ``concat(x, t)``; hidden layers use tanh; the output
-    layer is linear with dimension ``dim``. Parameters are exposed as one
-    flat float64 vector (``theta``) to keep optimizers and tests simple.
+    layer is linear with dimension ``dim``. The parameters live in one
+    flat float64 vector, ``theta``; ``weights`` and ``biases`` are
+    per-layer views into it (:meth:`_views`), so whatever writes into
+    ``theta`` (``set_theta``, the optimizer) updates the field.
     """
 
     def __init__(self, dim: int, hidden=(128, 128, 128),
@@ -71,42 +73,41 @@ class FlowModel:
         if any(int(h) < 1 for h in hidden):
             raise ConfigurationError("hidden layer widths must be >= 1")
         self.sizes = [self.dim + 1, *hidden, self.dim]
+        self.theta = np.zeros(sum((a + 1) * b for a, b in
+                                  zip(self.sizes, self.sizes[1:])))
+        self.weights, self.biases = self._views(self.theta)
         gen = (rng or Rng(0)).generator()
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self.weights.append(gen.standard_normal((fan_in, fan_out)) * scale)
-            self.biases.append(np.zeros(fan_out))
+        for w in self.weights:
+            w[...] = gen.standard_normal(w.shape) * np.sqrt(2.0 / sum(w.shape))
 
     # -- parameter vector ---------------------------------------------------
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def _views(self, flat: np.ndarray):
+        """Per-layer ``(weights, biases)`` views into ``flat``: each layer's
+        ``(fan_in, fan_out)`` weights row-major, then its biases."""
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            end = pos + fan_in * fan_out
+            weights.append(flat[pos:end].reshape(fan_in, fan_out))
+            biases.append(flat[end:end + fan_out])
+            pos = end + fan_out
+        return weights, biases
 
     def get_theta(self) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        return self.theta.copy()
 
     def set_theta(self, theta: np.ndarray) -> None:
+        """Copy the finite vector ``theta`` into the parameters."""
         theta = np.asarray(theta, dtype=np.float64)
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = theta[pos: pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = theta[pos: pos + b.size].copy()
-            pos += b.size
-        if pos != theta.size:
-            raise ConfigurationError("parameter vector has the wrong length")
+        if theta.shape != self.theta.shape or not np.all(np.isfinite(theta)):
+            raise ConfigurationError(f"theta must be {self.theta.size} finite values")
+        self.theta[:] = theta
 
     def copy(self) -> "FlowModel":
         out = FlowModel.__new__(FlowModel)
-        out.dim = self.dim
-        out.sizes = list(self.sizes)
-        out.weights = [w.copy() for w in self.weights]
-        out.biases = [b.copy() for b in self.biases]
+        out.dim, out.sizes = self.dim, list(self.sizes)
+        out.theta = self.theta.copy()
+        out.weights, out.biases = out._views(out.theta)
         return out
 
     # -- forward / backward -------------------------------------------------
@@ -176,51 +177,40 @@ class FlowModel:
         ``acts`` are the activations that ``_forward(inp)`` returned, so
         the forward pass is not run again.
         """
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grad = np.empty_like(self.theta)
+        grads_w, grads_b = self._views(grad)
         delta = dout
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=grads_w[layer])
+            delta.sum(axis=0, out=grads_b[layer])
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        return np.concatenate(
-            [np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)]
-        )
+        return grad
 
 
-def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray,
-                     t=None, rng: Optional[Rng] = None):
+def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
     """Flow-matching loss and exact parameter gradient on one batch.
 
     Row ``i`` of the noise ``x0`` is paired with row ``i`` of the data
-    ``x1``. Loss is the batch mean of ``||(x1 - x0) - v(t, x_t)||^2`` along
-    the linear interpolant. ``t`` may be supplied per pair; otherwise it is
-    drawn uniformly on ``[0, 1 - 1e-3]`` from ``rng``.
+    ``x1`` at time ``t[i]`` in ``[0, 1)``. Loss is the batch mean of
+    ``||(x1 - x0) - v(t, x_t)||^2`` along the linear interpolant; the
+    gradient is a new flat vector in ``theta`` order.
     """
-    bsz = x0.shape[0]
-    if t is None:
-        if rng is None:
-            raise ValueError("either t draws or an rng must be supplied")
-        t = rng.generator().random(bsz) * T_MAX_TRAIN
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
-    xt = interpolate(x0, x1, t)
-    inp = model._inputs(t, xt)
-    out, acts = model._forward(inp)
+    out, acts = model._forward(model._inputs(t, interpolate(x0, x1, t)))
     residual = (x1 - x0) - out
     loss = float(np.mean(np.sum(residual**2, axis=1)))
     # d loss / d out = -2 residual / B
-    grad = model.backprop(acts, -2.0 * residual / bsz)
-    return loss, grad
+    return loss, model.backprop(acts, -2.0 * residual / x0.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Optimizer and training loop
 
 class _Adam:
-    """Adam with the standard constants."""
+    """Adam with the standard constants; :meth:`step` updates in place."""
 
     LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8
 
@@ -229,13 +219,13 @@ class _Adam:
         self.v = np.zeros(n)
         self.k = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.k += 1
-        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
-        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        self.m[:] = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v[:] = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
         m_hat = self.m / (1 - self.BETA1**self.k)
         v_hat = self.v / (1 - self.BETA2**self.k)
-        return theta - self.LR * m_hat / (np.sqrt(v_hat) + self.EPS)
+        theta -= self.LR * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -257,12 +247,13 @@ def train_flow(model: FlowModel, target: TargetMeasure,
 
     ``pair(noise, rng)`` returns the target index of each noise row, and
     is the only difference across runs: noise draws, time draws, and the
-    parameter update are identical given identical indices. Aborts on a
-    non-finite loss.
+    parameter update are identical given identical indices. Step ``s``
+    draws noise from ``rng.child(s).child(0)``, pairs with ``.child(1)``
+    and draws its times uniform on ``[0, T_MAX_TRAIN)`` from ``.child(2)``;
+    Adam updates the copy's ``theta`` in place. Aborts on a non-finite loss.
     """
     model = model.copy()
-    theta = model.get_theta()
-    opt = _Adam(theta.size)
+    opt = _Adam(model.theta.size)
     start = time.perf_counter()
     for step in range(cfg.steps):
         step_rng = rng.child(step)
@@ -270,12 +261,11 @@ def train_flow(model: FlowModel, target: TargetMeasure,
         t0 = time.perf_counter()
         idx = pair(noise, step_rng.child(1))
         pair_ms = (time.perf_counter() - t0) * 1e3
-        loss, grad = fm_loss_and_grad(model, noise, target.points[idx],
-                                      rng=step_rng.child(2))
+        t = step_rng.child(2).generator().random(cfg.batch) * T_MAX_TRAIN
+        loss, grad = fm_loss_and_grad(model, noise, target.points[idx], t)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at step {step}")
-        theta = opt.step(theta, grad)
-        model.set_theta(theta)
+        opt.step(model.theta, grad)
         if metrics is not None:
             wall = (time.perf_counter() - start) * 1e3
             metrics.log(step, "fm_loss", loss, wall_ms=wall)
@@ -380,6 +370,8 @@ class GuidanceConfig:
     t_clip: float = 0.99
 
     def __post_init__(self):
+        if not np.isfinite(self.gamma):
+            raise ConfigurationError("gamma must be finite")
         if self.replicas < 1:
             raise ConfigurationError("need at least one replica")
         if not (0.0 < self.t_clip < 1.0):

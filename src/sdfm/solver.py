@@ -89,10 +89,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.optimizer not in (SGD_CONSTANT, SGD_DECAY, ADAGRAD):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ConfigurationError("stopping threshold tau must be > 0")
-        if not self.base_lr > 0.0:
-            raise ConfigurationError("base learning rate must be > 0")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ConfigurationError("base learning rate must be finite and > 0")
         if self.constant_phase < 0 or self.decay_phase < 0:
             raise ConfigurationError("phase lengths must be >= 0")
         if self.max_iterations < 1:

@@ -573,6 +573,21 @@ def _rewritten(path, arrays=None, **meta):
     return path
 
 
+def _without(path, key):
+    """Rewrite a container without the array or metadata key ``key``."""
+    kind, meta, arrays = read_container(path)
+    arrays.pop(key, None)
+    meta.pop(key, None)
+    write_container(path, kind, arrays, meta)
+    return path
+
+
+def _model_theta(tmp_path, data, edit):
+    """A quick model whose stored theta is ``edit(theta)``."""
+    path = _quick_model(tmp_path, data)
+    return _rewritten(path, {"theta": edit(read_container(path)[2]["theta"])})
+
+
 def _beta_potential(tmp_path, data):
     pot = _quick_potential(tmp_path, data)
     cost = read_container(pot)[1]["cost"]
@@ -816,6 +831,43 @@ _USAGE_CASES = {
         "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--noise", _saved(tmp, "nn.sdfm", [[np.nan, 0.0], [0.0, 1.0]]),
         "--out", str(tmp / "x.sdfm")],
+    # Solver and guidance floats that are not finite are refused, never run.
+    "solve-tau-nan": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10", "--tau", "nan",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "solve-lr-inf": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10", "--lr", "inf",
+        "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],
+    "guide-gamma-nan": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--gamma", "nan",
+        "--count", "4", "--out", str(tmp / "g")],
+    "guide-gamma-inf": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--gamma", "inf",
+        "--count", "4", "--out", str(tmp / "g")],
+    # A container that lacks a field its loader reads, or a model whose
+    # parameters do not fit its sizes or are not finite, is refused.
+    "sample-model-theta-short": lambda tmp, blob: [
+        "sample", "--model", _model_theta(tmp, blob,
+                                          lambda th: th[:len(th) // 2]),
+        "--out", str(tmp / "s")],
+    "sample-model-theta-nan": lambda tmp, blob: [
+        "sample", "--model", _model_theta(tmp, blob,
+                                          lambda th: np.r_[np.nan, th[1:]]),
+        "--out", str(tmp / "s")],
+    "sample-model-no-theta": lambda tmp, blob: [
+        "sample", "--model", _without(_quick_model(tmp, blob), "theta"),
+        "--out", str(tmp / "s")],
+    "sample-model-no-sizes": lambda tmp, blob: [
+        "sample", "--model", _without(_quick_model(tmp, blob), "sizes"),
+        "--out", str(tmp / "s")],
+    "chisq-potential-no-g": lambda tmp, blob: [
+        "chisq", "--potential", _without(_quick_potential(tmp, blob), "g"),
+        "--data", blob],
+    "chisq-potential-no-cost": lambda tmp, blob: [
+        "chisq", "--potential", _without(_quick_potential(tmp, blob), "cost"),
+        "--data", blob],
 }
 
 

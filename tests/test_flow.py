@@ -4,8 +4,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sdfm import semidual
-from sdfm.costs import NEG_DOT, CostConfig
+from sdfm import artifacts, semidual
+from sdfm.cli import main
+from sdfm.container import write_container
+from sdfm.costs import NEG_DOT, ConfigurationError, CostConfig
 from sdfm.coupling import assign_batch, couple_independent
 from sdfm.flow import (
     FlowModel,
@@ -14,6 +16,7 @@ from sdfm.flow import (
     Trajectory,
     curvature,
     fm_loss_and_grad,
+    gaussian_starts,
     guided_sample,
     integrate,
     interpolate,
@@ -53,7 +56,7 @@ class TestFmLoss:
     def test_perfect_regression_zero_loss(self):
         # Zero weights and the displacement in the output bias: v == x1 - x0.
         model = FlowModel(dim=2, hidden=(4,), rng=Rng(0))
-        model.set_theta(np.zeros(model.n_params))
+        model.set_theta(np.zeros(model.theta.size))
         x0 = np.array([[1.0, 1.0]])
         x1 = np.array([[2.0, -1.0]])
         model.biases[-1] = (x1 - x0)[0]
@@ -82,7 +85,7 @@ class TestFmLoss:
 
     def test_quadratic_homogeneity(self):
         model = FlowModel(dim=2, hidden=(4,), rng=Rng(2))
-        model.set_theta(np.zeros(model.n_params))  # v == 0, residual = x1 - x0
+        model.set_theta(np.zeros(model.theta.size))  # v == 0, residual = x1 - x0
         x0 = np.zeros((1, 2))
         x1 = np.array([[1.0, 2.0]])
         t = np.array([0.4])
@@ -95,6 +98,107 @@ class TestFmLoss:
         x0, x1 = _make_batch(Rng(3).generator(), b=2)
         with pytest.raises(ValueError):
             fm_loss_and_grad(model, x0, x1, t=np.array([0.5, 1.0]))
+
+
+def _per_layer(gen, sizes, biases=True):
+    """Per-layer ``(weights, biases)`` as separate arrays: the weights drawn
+    as the initialisation draws them, the biases random or zero."""
+    return [(gen.standard_normal((a, b)) * np.sqrt(2.0 / (a + b)),
+             gen.standard_normal(b) if biases else np.zeros(b))
+            for a, b in zip(sizes[:-1], sizes[1:])]
+
+
+def _concatenated(layers):
+    """The flat vector that model files store: ``[w.ravel(), b]`` per layer."""
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+
+
+def _assert_views_of_theta(model):
+    """``weights`` and ``biases`` are the layer slices of ``theta`` itself."""
+    pos = 0
+    for w, b in zip(model.weights, model.biases):
+        for part in (w, b):
+            assert np.shares_memory(part, model.theta)
+            np.testing.assert_array_equal(part.ravel(),
+                                          model.theta[pos:pos + part.size])
+            pos += part.size
+    assert pos == model.theta.size
+    first = model.theta[0]
+    model.theta[0] = first + 1.0
+    assert model.weights[0][0, 0] == first + 1.0
+    model.theta[0] = first
+
+
+class TestParameterVector:
+    SIZES = [3, 5, 4, 2]
+
+    def test_init_matches_the_per_layer_draws(self):
+        model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(50))
+        layers = _per_layer(Rng(50).generator(), self.SIZES, biases=False)
+        np.testing.assert_array_equal(model.get_theta(), _concatenated(layers))
+        _assert_views_of_theta(model)
+
+    def test_layout_is_weights_row_major_then_biases(self):
+        model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(51))
+        layers = _per_layer(Rng(52).generator(), self.SIZES)
+        model.set_theta(_concatenated(layers))
+        for (w, b), mw, mb in zip(layers, model.weights, model.biases):
+            np.testing.assert_array_equal(mw, w)
+            np.testing.assert_array_equal(mb, b)
+        _assert_views_of_theta(model)
+
+    def test_copy_owns_its_vector(self):
+        model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(53))
+        twin = model.copy()
+        _assert_views_of_theta(twin)
+        twin.theta[:] = 0.0
+        assert not np.shares_memory(twin.theta, model.theta)
+        assert np.any(model.get_theta() != 0.0)
+
+    def test_trained_model_keeps_views(self):
+        target = TargetMeasure.from_points(Rng(54).generator().standard_normal((8, 2)))
+        model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(54))
+        out = train_flow(model, target, partial(couple_independent, target),
+                         TrainConfig(steps=3, batch=8), Rng(55))
+        _assert_views_of_theta(out)
+        assert np.any(out.get_theta() != model.get_theta())
+
+    @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+    def test_set_theta_refuses_a_wrong_length_or_non_finite_vector(self, bad):
+        model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(56))
+        before = model.get_theta()
+        theta = {"short": before[:-1], "long": np.r_[before, 0.0],
+                 "nan": np.r_[before[:-1], np.nan],
+                 "inf": np.r_[np.inf, before[1:]]}[bad]
+        with pytest.raises(ConfigurationError):
+            model.set_theta(theta)
+        np.testing.assert_array_equal(model.theta, before)
+
+    def test_model_file_in_the_per_layer_order_samples_as_its_layers(self, tmp_path):
+        # A model file as per-layer storage wrote it: the concatenated
+        # vector plus dim and sizes. Its sample dump holds exactly the Euler
+        # endpoints of the forward pass through those per-layer arrays.
+        layers = _per_layer(Rng(57).generator(), self.SIZES)
+        path = str(tmp_path / "m.sdfm")
+        write_container(path, "model", {"theta": _concatenated(layers)},
+                        {"dim": 2, "sizes": self.SIZES})
+        loaded = artifacts.load_model(path)
+        for (w, b), mw, mb in zip(layers, loaded.weights, loaded.biases):
+            np.testing.assert_array_equal(mw, w)
+            np.testing.assert_array_equal(mb, b)
+
+        def field(t, x):
+            h = np.empty((len(x), 3))
+            h[:, :2], h[:, 2] = x, t
+            for w, b in layers[:-1]:
+                h = np.tanh(h @ w + b)
+            return h @ layers[-1][0] + layers[-1][1]
+
+        assert main(["sample", "--model", path, "--count", "16", "--steps", "4",
+                     "--seed", "3", "--out", str(tmp_path / "s")]) == 0
+        want = integrate(field, gaussian_starts(Rng(3), 16, 2), steps=4).endpoints
+        got = artifacts.load_sample_dump(str(tmp_path / "s"))
+        assert got.tobytes() == want.tobytes()
 
 
 def _fixed_stream(indices):
