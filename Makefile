@@ -11,10 +11,12 @@ acceptance:
 	PYTHONPATH=src $(PYTHON) -m pytest -v -s tests/test_acceptance.py
 
 # The four narrative demos (about a minute on two cores); fails on the
-# first demo that exits non-zero.
+# first demo that exits non-zero. A RuntimeWarning is an error, as in the
+# tests (pyproject.toml).
 demos:
 	for f in demos/*.py; do \
-	    echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; \
+	    echo "== $$f"; \
+	    PYTHONPATH=src $(PYTHON) -W error::RuntimeWarning $$f || exit 1; \
 	done
 
 # Both benchmark workloads at the held-out seed (about 2 minutes each).

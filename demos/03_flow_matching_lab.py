@@ -61,11 +61,11 @@ print(f"\n{'model':<8} {'steps':>6} {'curvature':>11} {'W2 to data':>11}")
 endpoints = {}
 for name, model in models.items():
     for steps in (4, 8, 16):
-        traj = integrate(model, probe, method="euler", steps=steps)
-        w2 = empirical_w2(traj.endpoints, ref)
-        print(f"{name:<8} {steps:>6} {curvature(traj):>11.4f} {w2:>11.4f}")
+        x1, vels = integrate(model, probe, method="euler", steps=steps)
+        w2 = empirical_w2(x1, ref)
+        print(f"{name:<8} {steps:>6} {curvature(probe, x1, vels):>11.4f} {w2:>11.4f}")
         if steps == 8:
-            endpoints[name] = traj.endpoints
+            endpoints[name] = x1
 
 try:
     import matplotlib

@@ -37,7 +37,6 @@ from .flow import (
     FlowModel,
     GuidanceConfig,
     TrainConfig,
-    Trajectory,
     curvature,
     fm_loss_and_grad,
     guided_sample,

@@ -235,10 +235,10 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     model = artifacts.load_model(args.model)
     x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-    traj = integrate(model, x0, method=args.solver, steps=args.steps)
+    x1, vels = integrate(model, x0, method=args.solver, steps=args.steps)
     # One step has no curvature; JSON null keeps the sidecar strict JSON.
-    curv = curvature(traj) if args.steps >= 2 else None
-    bin_path, _ = artifacts.save_sample_dump(args.out, traj.endpoints, {
+    curv = curvature(x0, x1, vels) if args.steps >= 2 else None
+    bin_path, _ = artifacts.save_sample_dump(args.out, x1, {
         "seed": args.seed, "solver": args.solver, "steps": args.steps,
         "model": args.model, "curvature": curv,
     })
@@ -317,8 +317,8 @@ def cmd_eval(args) -> int:
     if args.model:
         model = artifacts.load_model(args.model)
         x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-        traj = integrate(model, x0, method=args.solver, steps=args.steps)
-        report["curvature"] = curvature(traj)
+        x1, vels = integrate(model, x0, method=args.solver, steps=args.steps)
+        report["curvature"] = curvature(x0, x1, vels)
     if not report:
         raise UsageError("nothing to evaluate: pass --samples/--reference "
                          "and/or --model")

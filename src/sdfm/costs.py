@@ -142,8 +142,13 @@ def cost_matrix(cfg: CostConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if cfg.kind == NEG_DOT:
         return np.negative(out, out=out)
     # -2 x.y + (|x_i|^2 + |y_j|^2): the bits of (|x|^2 + |y|^2) - 2 x.y.
+    # The norm sums are added in row groups of 2^15 entries (256 KiB), so
+    # no second (n, m) array is made.
     out *= -2.0
-    out += np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)
+    xx, yy = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
+    rows = max(1, 2**15 // max(1, len(yy)))
+    for lo in range(0, len(xx), rows):
+        out[lo:lo + rows] += xx[lo:lo + rows, None] + yy
     return np.maximum(out, 0.0, out=out)
 
 
@@ -160,7 +165,10 @@ def estimate_cost_std(cfg: CostConfig, noise_batch: np.ndarray,
     if noise_batch.shape[0] * data_batch.shape[0] < 2:
         raise ConfigurationError("need at least 2 cost entries to estimate a std")
     c = cost_matrix(cfg, cfg.embed(noise_batch), cfg.embed(data_batch))
-    return float(np.std(c, ddof=1))
+    # np.std(c, ddof=1), step for step, in place in c.
+    c -= c.sum() / c.size
+    np.square(c, out=c)
+    return float(np.sqrt(c.sum() / (c.size - 1)))
 
 
 def fit_pca(data: np.ndarray, k: int) -> ProjectionMatrix:

@@ -28,7 +28,6 @@ from .semidual import TargetMeasure
 
 __all__ = [
     "FlowModel",
-    "Trajectory",
     "GuidanceConfig",
     "TrainConfig",
     "interpolate",
@@ -92,9 +91,6 @@ class FlowModel:
             biases.append(flat[end:end + fan_out])
             pos = end + fan_out
         return weights, biases
-
-    def get_theta(self) -> np.ndarray:
-        return self.theta.copy()
 
     def set_theta(self, theta: np.ndarray) -> None:
         """Copy the finite vector ``theta`` into the parameters."""
@@ -278,23 +274,6 @@ def train_flow(model: FlowModel, target: TargetMeasure,
 # ---------------------------------------------------------------------------
 # Sampling, curvature, scores, guidance
 
-@dataclass
-class Trajectory:
-    """Fixed-grid integration record: states and evaluated velocities."""
-
-    times: np.ndarray  # (S+1,)
-    states: np.ndarray  # (S+1, B, d)
-    velocities: np.ndarray  # (S, B, d), field at the left grid points
-
-    def __post_init__(self):
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must start at 0 and strictly increase")
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
     """``count`` N(0, I) rows; row ``i`` is the ``i``-th of ``rng``'s stream."""
     if count < 1:
@@ -302,50 +281,47 @@ def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
     return rng.generator().standard_normal((count, dim))
 
 
-def integrate(model, x0: np.ndarray, method: str = "euler",
-              steps: int = 8) -> Trajectory:
+def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
     """Integrate the flow ODE over ``[0, 1]`` in ``steps`` uniform steps.
 
     ``model`` is any callable ``v(t, X) -> (B, d)``. Euler uses one
-    evaluation per step; rk4 uses four.
+    evaluation per step; rk4 uses four. Returns ``(endpoints (B, d),
+    velocities (steps, B, d))``, the field at the left grid points; the
+    intermediate states are not kept.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
-    x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
+    if method not in ("euler", "rk4"):
+        raise ConfigurationError(f"unknown solver {method!r}")
+    x = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     times = np.linspace(0.0, 1.0, steps + 1)
     dt = 1.0 / steps
-    states = np.empty((steps + 1, *x.shape))
     vels = np.empty((steps, *x.shape))
-    states[0] = x
     for i in range(steps):
         t = times[i]
-        k1 = model(t, x)
-        vels[i] = k1
+        k1 = vels[i] = model(t, x)
         if method == "euler":
             x = x + dt * k1
-        elif method == "rk4":
+        else:
             k2 = model(t + dt / 2, x + dt / 2 * k1)
             k3 = model(t + dt / 2, x + dt / 2 * k2)
             k4 = model(t + dt, x + dt * k3)
             x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            raise ConfigurationError(f"unknown solver {method!r}")
-        states[i + 1] = x
-    return Trajectory(times=times, states=states, velocities=vels)
+    return x, vels
 
 
-def curvature(traj: Trajectory) -> float:
-    """Chord-deviation energy of a trajectory batch.
+def curvature(x0: np.ndarray, x1: np.ndarray, velocities: np.ndarray) -> float:
+    """Chord-deviation energy of a trajectory batch over ``[0, 1]``.
 
-    Mean over grid points (and batch) of ``||v(t, x_t) - (x_T - x_0)/T||^2``;
-    zero exactly for straight constant-speed paths.
+    Mean over grid points (and batch) of ``||v(t, x_t) - (x_1 - x_0)||^2``
+    for the velocities that :func:`integrate` returns with the endpoints
+    ``x1`` of starts ``x0``; zero exactly for straight constant-speed paths.
     """
-    if traj.velocities.shape[0] < 2:
+    if velocities.shape[0] < 2:
         raise ConfigurationError("curvature needs at least 2 grid velocities")
-    t_final = traj.times[-1]
-    chord = (traj.states[-1] - traj.states[0]) / t_final
-    dev = traj.velocities - chord[None, :, :]
-    return float(np.mean(np.sum(dev**2, axis=-1)))
+    dev = velocities - (x1 - x0)
+    np.square(dev, out=dev)
+    return float(np.mean(np.sum(dev, axis=-1)))
 
 
 def score_from_velocity(model, x: np.ndarray, t: float) -> np.ndarray:
@@ -393,7 +369,8 @@ def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
     by a left Riemann sum on the grid, and picks a replica index from
     ``softmax(w)`` with the ``i``-th uniform of ``rng.child(0)``. All
     ``count * R`` rows share one Euler loop, so a larger ``count`` extends
-    a smaller one. Returns ``(endpoints (count, dim), weights (count, R))``.
+    a smaller one. Returns ``(endpoints (count, dim), weights (count, R))``;
+    raises ``FloatingPointError`` if a weight or a draw is not finite.
     """
     dim = model1.dim if dim is None else dim
     gamma, reps = cfg.gamma, cfg.replicas
@@ -401,15 +378,23 @@ def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
     times = np.linspace(0.0, 1.0, cfg.steps + 1)
     dt = 1.0 / cfg.steps
     w = np.zeros(count * reps)
-    for i in range(cfg.steps):
-        t = times[i]
-        v1 = np.atleast_2d(model1(t, x))
-        v2 = np.atleast_2d(model2(t, x))
-        if gamma != 0.0 and gamma != 1.0 and t < cfg.t_clip:
-            diff = np.sum((v1 - v2) ** 2, axis=1)
-            w += gamma * (gamma - 1.0) * (t / (1.0 - t)) * diff * dt
-        x = x + dt * (gamma * v1 + (1.0 - gamma) * v2)
+    # A large |gamma| can overflow the weights or the states; that is
+    # reported below as a numeric failure, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.steps):
+            t = times[i]
+            v1 = np.atleast_2d(model1(t, x))
+            v2 = np.atleast_2d(model2(t, x))
+            if gamma != 0.0 and gamma != 1.0 and t < cfg.t_clip:
+                diff = np.sum((v1 - v2) ** 2, axis=1)
+                w += gamma * (gamma - 1.0) * (t / (1.0 - t)) * diff * dt
+            x = x + dt * (gamma * v1 + (1.0 - gamma) * v2)
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError(f"non-finite guidance weight at gamma={gamma}")
     w = w.reshape(count, reps)
     pick = inverse_cdf(np.exp(w - w.max(axis=1, keepdims=True)),
                        rng.child(0).generator().random(count))
-    return x.reshape(count, reps, dim)[np.arange(count), pick], w
+    draws = x.reshape(count, reps, dim)[np.arange(count), pick]
+    if not np.all(np.isfinite(draws)):
+        raise FloatingPointError(f"non-finite guided draw at gamma={gamma}")
+    return draws, w

@@ -195,16 +195,11 @@ def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GaussianNoise:
     """Standard normal noise in the target's raw space."""
 
-    exact = False
-
     def __init__(self, target: TargetMeasure):
         self.target = target
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         return rng.generator().standard_normal((n, self.target.dim))
-
-    def enumerate(self):
-        return None
 
 
 class DiscreteNoise:

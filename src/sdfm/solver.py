@@ -39,7 +39,6 @@ __all__ = [
     "solve_sdot",
     "lr_schedule",
     "smoothness_bound",
-    "estimate_delta",
 ]
 
 SGD_CONSTANT = "sgd-constant"
@@ -178,23 +177,10 @@ def smoothness_bound(support: np.ndarray, eps: float) -> float:
     return float(4.0 * support.shape[1]**0.25 / delta)
 
 
-def estimate_delta(target: TargetMeasure, cost: CostConfig, rng: Rng,
-                   samples: int = 10_000, noise=None) -> float:
-    """Probe |F(0)| as a stand-in for the unknowable optimality gap."""
-    pot = Potential(g=np.zeros(target.n), target=target, cost=cost)
-    if noise is None:
-        noise = GaussianNoise(target)
-    return abs(_semidual_probe(pot, rng, noise, samples))
-
-
-def _is_exact(noise) -> bool:
-    return getattr(noise, "exact", False) and noise.enumerate() is not None
-
-
 def _noise_batch(noise, rng: Rng, samples: int):
     """``(x, weights)``: the whole weighted atom list of exact noise,
     otherwise ``samples`` unweighted draws from ``rng``."""
-    if _is_exact(noise):
+    if getattr(noise, "exact", False):
         return noise.enumerate()
     return noise.sample(rng, samples), None
 
@@ -207,7 +193,7 @@ def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
     sums over enumerable noise, ``chi2_total`` streamed rows otherwise.
     """
     b = pot.target.weights
-    if _is_exact(noise):
+    if getattr(noise, "exact", False):
         ef, m = _soft_c_and_marginal(pot, *noise.enumerate())
         return chi2_exact(m, b), ef + float(np.dot(b, pot.g)), m
     scan = chi2_batches(pot, rng, cfg.chi2_total, cfg.chi2_batch, noise)
@@ -277,9 +263,10 @@ def solve_sdot(
         cfg.theory_delta is None or cfg.theory_smoothness is None
     ):
         # Bind the theory constants once so the schedule is well defined.
+        # |F(0)| (g is still zero) stands in for the unknowable optimality gap.
         delta = cfg.theory_delta
         if delta is None:
-            delta = estimate_delta(target, cost, rng.child(2), noise=noise)
+            delta = abs(_semidual_probe(pot_step, rng.child(2), noise, 10_000))
         smooth = cfg.theory_smoothness
         if smooth is None:
             smooth = smoothness_bound(pot_step.support, cost.eps)
@@ -371,5 +358,5 @@ def solve_sdot(
     return pot
 
 
-def _semidual_probe(pot: Potential, rng: Rng, noise, samples: int = 4096) -> float:
+def _semidual_probe(pot: Potential, rng: Rng, noise, samples: int) -> float:
     return semidual_value(pot, *_noise_batch(noise, rng, samples))

@@ -338,8 +338,8 @@ def test_criterion_8_guidance_correctness():
                                               1, dim=1)
         assert np.all(weights == 0.0)
         x0 = Rng(8000).generator().standard_normal((1, 1))
-        traj = integrate(ref, x0, method="euler", steps=64)
-        np.testing.assert_allclose(sample, traj.endpoints[0], atol=1e-12)
+        x1, _ = integrate(ref, x0, method="euler", steps=64)
+        np.testing.assert_allclose(sample, x1[0], atol=1e-12)
 
     # Grid-quadrature oracle for the geometric-mixture mean at t=1.
     gamma = 2.0

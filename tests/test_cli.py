@@ -892,3 +892,15 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("gamma", ["1e200", "1e154"],
+                             ids=lambda gamma: f"guide-gamma-{gamma}")
+    def test_numeric_failures_exit_4(self, tmp_path, blob, capsys, gamma):
+        # Guidance weights or states that overflow float64.
+        argv = ["guide", "--model1", _quick_model(tmp_path, blob, "a.sdfm"),
+                "--model2", _quick_model(tmp_path, blob, "b.sdfm"),
+                "--gamma", gamma, "--count", "4", "--out", str(tmp_path / "g")]
+        capsys.readouterr()
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()

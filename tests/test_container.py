@@ -107,10 +107,10 @@ class TestArtifacts:
         np.testing.assert_array_equal(pot.g, [0.5, -0.5])
         model = FlowModel(dim=2, hidden=(3,), rng=Rng(6))
         model_path = str(tmp_path / "m.sdfm")
-        write_container(model_path, "model", {"theta": model.get_theta()},
+        write_container(model_path, "model", {"theta": model.theta},
                         {"dim": 2, "cond_dim": 0, "sizes": model.sizes})
         np.testing.assert_array_equal(
-            artifacts.load_model(model_path).get_theta(), model.get_theta())
+            artifacts.load_model(model_path).theta, model.theta)
 
     def test_potential_fingerprint_guard(self, tmp_path):
         target = TargetMeasure.from_points([[0.0], [1.0]])
@@ -128,7 +128,7 @@ class TestArtifacts:
         artifacts.save_model(path, model)
         loaded = artifacts.load_model(path)
         assert loaded.sizes == model.sizes
-        np.testing.assert_array_equal(loaded.get_theta(), model.get_theta())
+        np.testing.assert_array_equal(loaded.theta, model.theta)
 
     def test_sample_dump_round_trip(self, tmp_path):
         data = Rng(4).generator().standard_normal((9, 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,17 @@ class TestCost:
 
     def test_sq_euclidean_fills_buffer_bit_for_bit(self):
         # Adding the squared norms to -2 x.y gives exactly the bits of
-        # max(|x|^2 + |y|^2 - 2 x.y, 0), so stored artifacts do not move.
+        # max(|x|^2 + |y|^2 - 2 x.y, 0), so stored artifacts do not move;
+        # 1500 x 400 entries span several 2^15-entry row groups.
         cfg = CostConfig(kind=SQ_EUCLIDEAN)
         gen = Rng(8).generator()
-        x = gen.standard_normal((37, 5))
-        y = gen.standard_normal((300, 5))
-        out = cost_matrix(cfg, x, y)
-        ref = (np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
-               - 2.0 * (x @ y.T))
-        np.testing.assert_array_equal(out, np.maximum(ref, 0.0))
+        for n, m in ((37, 300), (1500, 400)):
+            x = gen.standard_normal((n, 5))
+            y = gen.standard_normal((m, 5))
+            out = cost_matrix(cfg, x, y)
+            ref = (np.sum(x * x, axis=1)[:, None]
+                   + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T))
+            np.testing.assert_array_equal(out, np.maximum(ref, 0.0))
 
 
 class TestEstimateCostStd:
@@ -86,6 +90,26 @@ class TestEstimateCostStd:
         assert estimate_cost_std(cfg, noise[perm], data) == pytest.approx(
             base, rel=1e-12
         )
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_in_place_std_is_np_std_in_one_matrix(self, kind):
+        # The in-place std has the bits of np.std(ddof=1) over the cost
+        # matrix, and the 1024 x 1024 reference batch holds one 8 MiB
+        # matrix at a time (16 MiB with the norm and deviation temporaries).
+        cfg = CostConfig(kind=kind)
+        gen = Rng(3).generator()
+        for n, m, d in ((2, 1, 1), (37, 300, 5), (700, 400, 3), (1024, 1024, 2)):
+            noise = gen.standard_normal((n, d))
+            data = gen.standard_normal((m, d)) + 1.5
+            want = float(np.std(cost_matrix(cfg, noise, data), ddof=1))
+            tracemalloc.start()
+            try:
+                got = estimate_cost_std(cfg, noise, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want
+        assert peak <= 9 * 2**20
 
     def test_eps_rescaling_binds(self):
         cfg = CostConfig(kind=NEG_DOT, eps_raw=0.1)

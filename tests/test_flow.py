@@ -13,7 +13,6 @@ from sdfm.flow import (
     FlowModel,
     GuidanceConfig,
     TrainConfig,
-    Trajectory,
     curvature,
     fm_loss_and_grad,
     gaussian_starts,
@@ -69,7 +68,7 @@ class TestFmLoss:
         x0, x1 = _make_batch(gen)
         t = gen.random(6) * 0.9
         _, grad = fm_loss_and_grad(model, x0, x1, t)
-        theta = model.get_theta()
+        theta = model.theta.copy()
         h = 1e-6
         for i in gen.choice(theta.size, size=10, replace=False):
             tp, tm = theta.copy(), theta.copy()
@@ -135,7 +134,7 @@ class TestParameterVector:
     def test_init_matches_the_per_layer_draws(self):
         model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(50))
         layers = _per_layer(Rng(50).generator(), self.SIZES, biases=False)
-        np.testing.assert_array_equal(model.get_theta(), _concatenated(layers))
+        np.testing.assert_array_equal(model.theta, _concatenated(layers))
         _assert_views_of_theta(model)
 
     def test_layout_is_weights_row_major_then_biases(self):
@@ -153,7 +152,7 @@ class TestParameterVector:
         _assert_views_of_theta(twin)
         twin.theta[:] = 0.0
         assert not np.shares_memory(twin.theta, model.theta)
-        assert np.any(model.get_theta() != 0.0)
+        assert np.any(model.theta != 0.0)
 
     def test_trained_model_keeps_views(self):
         target = TargetMeasure.from_points(Rng(54).generator().standard_normal((8, 2)))
@@ -161,12 +160,12 @@ class TestParameterVector:
         out = train_flow(model, target, partial(couple_independent, target),
                          TrainConfig(steps=3, batch=8), Rng(55))
         _assert_views_of_theta(out)
-        assert np.any(out.get_theta() != model.get_theta())
+        assert np.any(out.theta != model.theta)
 
     @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
     def test_set_theta_refuses_a_wrong_length_or_non_finite_vector(self, bad):
         model = FlowModel(dim=2, hidden=(5, 4), rng=Rng(56))
-        before = model.get_theta()
+        before = model.theta.copy()
         theta = {"short": before[:-1], "long": np.r_[before, 0.0],
                  "nan": np.r_[before[:-1], np.nan],
                  "inf": np.r_[np.inf, before[1:]]}[bad]
@@ -196,7 +195,7 @@ class TestParameterVector:
 
         assert main(["sample", "--model", path, "--count", "16", "--steps", "4",
                      "--seed", "3", "--out", str(tmp_path / "s")]) == 0
-        want = integrate(field, gaussian_starts(Rng(3), 16, 2), steps=4).endpoints
+        want, _ = integrate(field, gaussian_starts(Rng(3), 16, 2), steps=4)
         got = artifacts.load_sample_dump(str(tmp_path / "s"))
         assert got.tobytes() == want.tobytes()
 
@@ -260,7 +259,7 @@ class TestTrainFlow:
         pair = partial(couple_independent, target)
         out = train_flow(model, target, pair, TrainConfig(steps=0, batch=4),
                          Rng(5))
-        np.testing.assert_array_equal(out.get_theta(), model.get_theta())
+        np.testing.assert_array_equal(out.theta, model.theta)
 
     def test_determinism(self):
         target = TargetMeasure.from_points(Rng(6).generator().standard_normal((8, 2)))
@@ -269,7 +268,7 @@ class TestTrainFlow:
         pair = partial(couple_independent, target)
         a = train_flow(model, target, pair, cfg, Rng(7))
         b = train_flow(model, target, pair, cfg, Rng(7))
-        np.testing.assert_array_equal(a.get_theta(), b.get_theta())
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_coupling_interchangeability(self):
         # Identical injected index streams produce identical parameter
@@ -282,7 +281,7 @@ class TestTrainFlow:
         thetas = []
         for _ in ("independent", "sd", "minibatch-sinkhorn"):
             out = train_flow(model, target, _fixed_stream(stream), cfg, Rng(9))
-            thetas.append(out.get_theta())
+            thetas.append(out.theta.copy())
         np.testing.assert_array_equal(thetas[0], thetas[1])
         np.testing.assert_array_equal(thetas[0], thetas[2])
 
@@ -330,31 +329,59 @@ class TestTrainFlow:
 class TestIntegrate:
     def test_constant_field_exact(self):
         c = np.array([0.5, -1.5])
-        traj = integrate(lambda t, x: np.broadcast_to(c, x.shape), np.zeros(2),
-                         method="euler", steps=7)
-        np.testing.assert_allclose(traj.endpoints[0], c, atol=1e-15)
+        x1, _ = integrate(lambda t, x: np.broadcast_to(c, x.shape), np.zeros(2),
+                          method="euler", steps=7)
+        np.testing.assert_allclose(x1[0], c, atol=1e-15)
 
     def test_rk4_exponential(self):
         x0 = np.array([1.0, -2.0])
-        traj = integrate(lambda t, x: x, x0, method="rk4", steps=16)
-        np.testing.assert_allclose(traj.endpoints[0], np.e * x0, atol=1e-5)
+        x1, _ = integrate(lambda t, x: x, x0, method="rk4", steps=16)
+        np.testing.assert_allclose(x1[0], np.e * x0, atol=1e-5)
 
     def test_euler_recurrence(self):
-        traj = integrate(lambda t, x: x, np.array([1.0]), method="euler", steps=4)
-        assert traj.endpoints[0][0] == pytest.approx((1 + 0.25) ** 4)
+        x1, _ = integrate(lambda t, x: x, np.array([1.0]), method="euler", steps=4)
+        assert x1[0][0] == pytest.approx((1 + 0.25) ** 4)
 
     def test_unit_time_grid(self):
-        traj = integrate(lambda t, x: x, np.array([1.0]), steps=5)
-        assert traj.times[-1] == pytest.approx(1.0)
-        assert len(traj.times) == 6
+        # Euler evaluates the field at the left points of a uniform grid
+        # over [0, 1].
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            return x
+
+        integrate(field, np.array([1.0]), steps=5)
+        assert calls == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
+
+    @pytest.mark.parametrize("rows, dim, width, method, steps, mib", [
+        (65536, 2, 64, "euler", 4, 12),  # desk-2d eval: 20 MiB with states
+        (3072, 32, 128, "rk4", 8, 15),  # highdim-eps sample: 25.7 MiB
+    ])
+    def test_keeps_no_states(self, rows, dim, width, method, steps, mib):
+        # Only the endpoints and the (steps, B, d) velocities are returned:
+        # no (steps + 1, B, d) state array bounds the peak of the sampler
+        # and curvature together.
+        model = FlowModel(dim=dim, hidden=(width,) * 3, rng=Rng(60))
+        x0 = gaussian_starts(Rng(61), rows, dim)
+        tracemalloc.start()
+        try:
+            x1, vels = integrate(model, x0, method=method, steps=steps)
+            curvature(x0, x1, vels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x1.shape == x0.shape and vels.shape == (steps, *x0.shape)
+        assert peak <= mib * 2**20
 
 
 class TestCurvature:
     def test_straight_path_zero(self):
         c = np.array([1.0, 1.0])
-        traj = integrate(lambda t, x: np.broadcast_to(c, x.shape), np.zeros(2),
-                         method="euler", steps=8)
-        assert curvature(traj) == pytest.approx(0.0, abs=1e-24)
+        x0 = np.zeros(2)
+        x1, vels = integrate(lambda t, x: np.broadcast_to(c, x.shape), x0,
+                             method="euler", steps=8)
+        assert curvature(x0, x1, vels) == pytest.approx(0.0, abs=1e-24)
 
     def test_quarter_circle_matches_quadrature(self):
         # Analytic path (cos, sin)(pi t / 2); compare the grid mean against
@@ -369,7 +396,6 @@ class TestCurvature:
         vels = (np.pi / 2) * np.stack(
             [-np.sin(np.pi * vel_t / 2), np.cos(np.pi * vel_t / 2)], axis=1
         )[:, None, :]
-        traj = Trajectory(times=times, states=states, velocities=vels)
         chord = states[-1, 0] - states[0, 0]
 
         def integrand(t):
@@ -377,15 +403,17 @@ class TestCurvature:
             return float(np.sum((v - chord) ** 2))
 
         oracle, _ = quad(integrand, 0.0, 1.0)
-        assert curvature(traj) == pytest.approx(oracle, rel=0.01)
-        assert curvature(traj) > 0
+        curv = curvature(states[0], states[-1], vels)
+        assert curv == pytest.approx(oracle, rel=0.01)
+        assert curv > 0
 
     def test_grid_refinement_stable(self):
         def field(t, x):
             return np.stack([-x[:, 1], x[:, 0]], axis=1)
 
-        c1 = curvature(integrate(field, np.array([1.0, 0.0]), steps=64))
-        c2 = curvature(integrate(field, np.array([1.0, 0.0]), steps=128))
+        x0 = np.array([1.0, 0.0])
+        c1 = curvature(x0, *integrate(field, x0, steps=64))
+        c2 = curvature(x0, *integrate(field, x0, steps=128))
         assert abs(c2 - c1) / c1 < 0.05
 
 
@@ -492,8 +520,8 @@ class TestGuidance:
                                               dim=1)
         np.testing.assert_array_equal(weights, [0.0])
         x0 = Rng(23).generator().standard_normal((1, 1))
-        traj = integrate(flow1, x0, method="euler", steps=32)
-        np.testing.assert_allclose(sample, traj.endpoints[0], atol=1e-12)
+        x1, _ = integrate(flow1, x0, method="euler", steps=32)
+        np.testing.assert_allclose(sample, x1[0], atol=1e-12)
 
     def test_gamma_zero_follows_model2(self):
         flow1 = GaussianFlow1D(1.0)
@@ -503,8 +531,8 @@ class TestGuidance:
                                               dim=1)
         np.testing.assert_array_equal(weights, [0.0])
         x0 = Rng(24).generator().standard_normal((1, 1))
-        traj = integrate(flow2, x0, method="euler", steps=32)
-        np.testing.assert_allclose(sample, traj.endpoints[0], atol=1e-12)
+        x1, _ = integrate(flow2, x0, method="euler", steps=32)
+        np.testing.assert_allclose(sample, x1[0], atol=1e-12)
 
     def test_weight_formula_equivalence(self):
         # The general inner-product weight integrand collapses to
