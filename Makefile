@@ -45,7 +45,7 @@ check: test bench-smoke demos
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics. The solve sets its own
 # step size and stops on tau (exit 0) at iteration 18000, after about
-# 2 minutes (117 s on an idle two-core box).
+# 1.5 minutes (91 s on an idle two-core box).
 toy-2d:
 	mkdir -p $(OUT)
 	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm

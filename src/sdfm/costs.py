@@ -180,7 +180,9 @@ def fit_pca(data: np.ndarray, k: int) -> ProjectionMatrix:
     with zero explained variance, and the result is flagged
     ``padded=True``.
     """
-    data = np.asarray(data, dtype=np.float64)
+    # C-ordered: the mean and scatter matrix of a transposed view, such as
+    # TargetMeasure.points, round differently.
+    data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ConfigurationError("data must be (N, d)")
     n, d = data.shape

@@ -79,7 +79,9 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     :data:`ARGMAX_TIE_TOL` of the row max), proportional to ``b``. This is
     the one tie rule of the package. Tie rows are found by a second-max
     pass, which overwrites each row's maximum with ``-inf`` and restores
-    it, so ``scores`` must be writable.
+    it, so ``scores`` must be writable. A slab without ties, almost every
+    one, returns right after that pass: ``tie_rows`` is empty and
+    ``tie_weights`` has shape ``(0, N)``.
     """
     rows = np.arange(scores.shape[0])
     idx = scores.argmax(axis=1)
@@ -88,6 +90,8 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     second = scores.max(axis=1)
     scores[rows, idx] = best
     tie_rows = np.flatnonzero(second >= best - ARGMAX_TIE_TOL)
+    if not tie_rows.size:
+        return idx, best, tie_rows, np.empty((0, scores.shape[1]))
     close = scores[tie_rows] >= (best[tie_rows] - ARGMAX_TIE_TOL)[:, None]
     tie_weights = b * close
     tie_weights /= tie_weights.sum(axis=1, keepdims=True)
@@ -119,34 +123,36 @@ def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
 
 def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
                       row_weights: np.ndarray | None,
-                      col_sum: np.ndarray, col_sq: np.ndarray,
+                      col_sum: np.ndarray, col_sq: np.ndarray | None = None,
                       row_max: np.ndarray | None = None) -> None:
-    """Add the column sums and squared sums of eps=0 responsibility rows.
+    """Add the column sums (and squared sums) of eps=0 responsibility rows.
 
     The rows are one-hot on each row's argmax, tie rows split by ``b``
     (:func:`argmax_with_ties`), optionally scaled by ``row_weights``; their
-    sums and squared sums are added to ``col_sum`` and ``col_sq`` without
-    materializing the dense rows, in O(rows) work, so a stream of row
-    tiles pays no O(N) step per tile and sums in the same order as one
-    block. With ``row_max`` (one entry per row) each row's maximum score
-    is written there.
+    sums are added to ``col_sum`` and, when given, their squared sums to
+    ``col_sq``, without materializing the dense rows, in O(rows) work, so
+    a stream of row tiles pays no O(N) step per tile and sums in the same
+    order as one block. With ``row_max`` (one entry per row) each row's
+    maximum score is written there.
     """
     idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
     if row_max is not None:
         row_max[:] = best
-    keep = np.ones(scores.shape[0], dtype=bool)
-    keep[tie_rows] = False
-    if row_weights is None:
-        np.add.at(col_sum, idx[keep], 1.0)
-        np.add.at(col_sq, idx[keep], 1.0)
-    else:
-        rw = np.asarray(row_weights, dtype=np.float64)
-        np.add.at(col_sum, idx[keep], rw[keep])
-        np.add.at(col_sq, idx[keep], rw[keep] ** 2)
-        tie_weights = rw[tie_rows, None] * tie_weights
+    w = 1.0 if row_weights is None else np.asarray(row_weights, dtype=np.float64)
+    if tie_rows.size:
+        keep = np.ones(len(idx), dtype=bool)
+        keep[tie_rows] = False
+        idx = idx[keep]
+        if row_weights is not None:
+            tie_weights = w[tie_rows, None] * tie_weights
+            w = w[keep]
+    np.add.at(col_sum, idx, w)
+    if col_sq is not None:
+        np.add.at(col_sq, idx, w * w)
     if tie_rows.size:
         col_sum += tie_weights.sum(axis=0)
-        col_sq += (tie_weights * tie_weights).sum(axis=0)
+        if col_sq is not None:
+            col_sq += (tie_weights * tie_weights).sum(axis=0)
 
 
 def _last_positive_column(w: np.ndarray) -> np.ndarray:

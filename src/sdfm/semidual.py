@@ -27,13 +27,16 @@ live in the coupling space (the raw rows, or their PCA projection):
 :attr:`Potential.support`, the target embedded once per potential.
 
 Both costs score in one matmul, up to a per-row constant that cancels in
-every responsibility, argmax and draw. :func:`score_chunks` yields the B
-x N block as cache-sized row slabs of matmul blocks that share one
-buffer. One reducer, :func:`_column_sums`, reduces each slab in place:
-one unnormalised exp pass at eps>0, the argmax and its tie rule at eps=0
-(:mod:`sdfm.numerics`); the semidual value, gradient, second marginal
-and chi-square read its column sums and soft-c transform. Pairing reads
-the same stream. :func:`chi2_batches` is the one streamed-noise loop.
+every responsibility, argmax and draw. Its right operand is the lifted
+support, one C-contiguous ``(d + 1, N)`` array: the support's d
+coordinate rows, then a shift row (:meth:`Potential.lift`).
+:func:`score_chunks` yields the B x N block as cache-sized row slabs of
+matmul blocks that share one buffer. One reducer, :func:`_column_sums`,
+reduces each slab in place: one unnormalised exp pass at eps>0, the
+argmax and its tie rule at eps=0 (:mod:`sdfm.numerics`); the semidual
+value, gradient, second marginal and chi-square read its column sums and
+soft-c transform. Pairing reads the same stream. :func:`chi2_batches` is
+the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -79,13 +82,27 @@ def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _lifted_support(points: np.ndarray, shift) -> np.ndarray:
+    """The C-contiguous ``(d + 1, N)`` array of ``points.T`` over ``shift``."""
+    lifted = np.empty((points.shape[1] + 1, len(points)))
+    # Transposed in blocks of 128 points, which stay in cache: a one-shot
+    # transpose of a d=32 target is several times slower, as its strided
+    # accesses miss the cache, and every command loads its target.
+    for lo in range(0, len(points), 128):
+        lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
+    lifted[-1] = shift
+    return lifted
+
+
 @dataclass(frozen=True)
 class TargetMeasure:
     """Discrete target: raw dataset points and their weights.
 
     Pairing resolves indices to these rows; the scores see them through
-    :attr:`Potential.support`. The fingerprint hashes both arrays and
-    binds stored potentials to their dataset.
+    :attr:`Potential.support`. The points are stored once, as the first d
+    rows of the ``(d + 1, N)`` lifted support, so ``points`` is their
+    F-ordered ``(N, d)`` transposed view. The fingerprint hashes both
+    arrays and binds stored potentials to their dataset.
     """
 
     points: np.ndarray  # (N, d), finite
@@ -106,9 +123,8 @@ class TargetMeasure:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
         object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
-        # The points live in the lifted support of Potential.lift.
-        lifted = np.column_stack([points, np.full(len(points), np.nan)])
-        object.__setattr__(self, "points", lifted[:, :-1])
+        lifted = _lifted_support(points, np.nan)
+        object.__setattr__(self, "points", lifted[:-1].T)
         object.__setattr__(self, "_lifted", lifted)
 
     @classmethod
@@ -164,23 +180,33 @@ class Potential:
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Target points in coupling space, embedded once per potential."""
-        return self._lifted[:, :-1]
+        """Target points in coupling space, embedded once per potential: the
+        ``(N, d)`` transposed view of the lifted support's first d rows."""
+        return self._lifted[:-1].T
 
     @cached_property
     def _lifted(self) -> np.ndarray:
         if self.cost.projection is None:
             return self.target._lifted
-        return np.column_stack([self.cost.embed(self.target.points), self.g])
+        return _lifted_support(self.cost.embed(self.target.points), self.g)
+
+    @cached_property
+    def _sq_norms(self) -> np.ndarray:
+        # From a C-ordered copy: einsum over the strided support view rounds
+        # some norms differently.
+        s = np.ascontiguousarray(self.support)
+        return np.einsum("ij,ij->i", s, s)
 
     def lift(self) -> None:
         """Write ``shift = g`` (less ``|support|^2`` for the squared Euclidean
-        cost) into the ``(N, d + 1)`` lifted support ``[support, shift]``:
-        the target's, shared by its potentials, or one per potential with a
-        projection. Each stream lifts once, so streams must not interleave."""
-        self._lifted[:, -1] = self.g
+        cost) into the last row of the C-contiguous ``(d + 1, N)`` lifted
+        support: d coordinate rows (the support, transposed), then the shift
+        row. It is the target's, shared by its potentials, or one per
+        potential with a projection. Each stream lifts once, so streams must
+        not interleave."""
+        self._lifted[-1] = self.g
         if self.cost.kind != NEG_DOT:
-            self._lifted[:, -1] -= np.einsum("ij,ij->i", self.support, self.support)
+            self._lifted[-1] -= self._sq_norms
 
 
 def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,10 +261,10 @@ class DiscreteNoise:
 # need no online merging. A reducer sees slabs of SCORE_CHUNK_ENTRIES // N
 # rows (at least one): 2^17 float64 entries (1 MiB) stay resident in a
 # 2 MiB per-core L2 cache while it makes its passes over the slab. One
-# coupling_scores call, one matmul against the (N, d + 1) lifted support,
-# fills a block of max(slab, 4 d) rows for a d-column support, so each
-# read of the support serves at least 4 d rows. The block buffer holds
-# max(1 MiB, 4 x the support's bytes), whatever the batch size.
+# coupling_scores call, one matmul against the C-contiguous (d + 1, N)
+# lifted support, fills a block of max(slab, 4 d) rows for a d-dimensional
+# support, so each read of the support serves at least 4 d rows. The block
+# buffer holds max(1 MiB, 4 x the support's bytes), whatever the batch size.
 SCORE_CHUNK_ENTRIES = 2**17
 
 
@@ -251,8 +277,9 @@ def _tile_rows(n: int, d: int) -> tuple[int, int]:
 def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Scores ``g_j - c(x_i, y_j)`` of raw noise rows ``x``, up to a per-row
-    constant: one matmul of ``[a x_i, 1]`` (in coupling space) against the
-    support as last lifted (:meth:`Potential.lift`; every stream lifts, a
+    constant: one matmul of the rows ``[a x_i, 1]`` (in coupling space) by
+    the ``(d + 1, N)`` lifted support as last lifted, read in its own
+    C-contiguous layout (:meth:`Potential.lift`; every stream lifts, a
     direct call must lift first). As ``g_j - |x - y_j|^2 = 2 <x, y_j> +
     (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
     ``+|x_i|^2``; negative dot product scores (``a = 1``) are exact.
@@ -261,7 +288,7 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     rows = np.column_stack([a * x, np.ones(len(x))])
-    return np.matmul(rows, pot._lifted.T, out=out)
+    return np.matmul(rows, pot._lifted, out=out)
 
 
 def score_chunks(pot: Potential, x: np.ndarray):
@@ -303,7 +330,8 @@ def _column_sums(pot: Potential, x: np.ndarray,
     n = pot.target.n
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-    col_sum, col_sq = np.zeros(n), np.zeros(n)
+    col_sum = np.zeros(n)
+    col_sq = np.zeros(n) if squares else None
     for lo, hi, scores in score_chunks(pot, x):
         w = None if weights is None else weights[lo:hi]
         f = None if soft_c is None else soft_c[lo:hi]
@@ -322,7 +350,7 @@ def _column_sums(pot: Potential, x: np.ndarray,
         if pot.cost.kind != NEG_DOT:
             x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
             soft_c += np.einsum("ij,ij->i", x, x)
-    return col_sum, col_sq if squares else None
+    return col_sum, col_sq
 
 
 def _soft_c_and_marginal(pot: Potential, x: np.ndarray,

@@ -160,6 +160,8 @@ def smoothness_bound(support: np.ndarray, eps: float) -> float:
         return 1.0 / eps
     from scipy.spatial.distance import cdist
 
+    # One C-ordered copy: cdist would copy each strided row block.
+    support = np.ascontiguousarray(support)
     n = support.shape[0]
     if n == 1:
         raise ConfigurationError(

@@ -95,11 +95,14 @@ def _transport_lp(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
 def scores_two_pass(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Scores ``g_j - c(x_i, y_j)`` of raw rows ``x`` in two passes: the
     matmul plus ``g`` for the negative dot product, ``g - cost_matrix``
-    for the squared Euclidean cost."""
+    for the squared Euclidean cost. The negative dot product reads the
+    support in the fused kernel's C-contiguous ``(d, N)`` layout: BLAS's
+    matrix-vector kernel (1-row blocks) rounds a row-major operand and its
+    transposed view differently."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     support = np.ascontiguousarray(pot.cost.embed(pot.target.points))
     if pot.cost.kind == NEG_DOT:
-        scores = x @ support.T
+        scores = x @ np.ascontiguousarray(support.T)
         scores += pot.g
         return scores
     return pot.g - cost_matrix(pot.cost, x, support)

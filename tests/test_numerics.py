@@ -211,6 +211,27 @@ class TestArgmaxWithTies:
             ws = dense if w is None else w[:, None] * dense
             np.testing.assert_allclose(col_sum, ws.sum(axis=0), atol=1e-14)
             np.testing.assert_allclose(col_sq, (ws * ws).sum(axis=0), atol=1e-14)
+            sums_only = np.zeros(5)
+            eps0_column_stats(scores, b, w, sums_only)  # no squares asked
+            np.testing.assert_array_equal(sums_only, col_sum)
+
+    def test_tie_free_slab_skips_the_tie_work(self):
+        gen = Rng(46).generator()
+        scores = gen.standard_normal((32, 300))
+        b = gen.random(300) + 0.1
+        b /= b.sum()
+        idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        np.testing.assert_array_equal(idx, scores.argmax(axis=1))
+        np.testing.assert_array_equal(best, scores.max(axis=1))
+        assert tie_rows.size == 0
+        assert tie_weights.shape == (0, 300)
+        for w in (None, gen.random(32)):
+            ws = np.zeros((32, 300))
+            ws[np.arange(32), idx] = 1.0 if w is None else w
+            col_sum, col_sq = np.zeros(300), np.zeros(300)
+            eps0_column_stats(scores, b, w, col_sum, col_sq)
+            np.testing.assert_array_equal(col_sum, ws.sum(axis=0))
+            np.testing.assert_array_equal(col_sq, (ws * ws).sum(axis=0))
 
 
 class TestInverseCdf:

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from sdfm import semidual
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, fit_pca
 from sdfm.coupling import assign_batch
-from sdfm.numerics import Rng
+from sdfm.numerics import ARGMAX_TIE_TOL, Rng, argmax_with_ties, inverse_cdf
 from sdfm.semidual import (
     DiscreteNoise,
     GaussianNoise,
@@ -29,6 +29,7 @@ from oracles import (
     oracle_discrete_ot,
     responsibilities_rows,
     scores_two_pass,
+    softmax_rows,
     transport_cost,
 )
 
@@ -76,6 +77,28 @@ class TestTargetMeasure:
             "a06dda70f85f7bca1de3665bd402f5d5efbb31acfaa8870a4a17fc6cd6aac648")
         assert TargetMeasure.from_points(pts, weights=[1, 2, 1]).fingerprint == (
             "7c30f31aeb77646e5f41d46d5a8e951aab0cea719416ed0be240fe9876f1ea9a")
+
+    @pytest.mark.parametrize("pca", [None, 3])
+    def test_points_view_keeps_pca_and_shift_bits(self, pca):
+        # ``points`` is the transposed view of the lifted support's first d
+        # rows. The PCA fitted to it, and the squared-Euclidean shift row,
+        # keep the bits they have on C-ordered points.
+        gen = Rng(47).generator()
+        points = 3.0 * gen.standard_normal((2048, 8)) + 1.0
+        target = TargetMeasure.from_points(points)
+        assert target.points.flags.f_contiguous
+        np.testing.assert_array_equal(target.points, points)
+        ref, got = fit_pca(points, 3), fit_pca(target.points, 3)
+        for key in ("basis", "mean", "explained_variance"):
+            np.testing.assert_array_equal(getattr(got, key), getattr(ref, key))
+        cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=0.5,
+                          projection=None if pca is None else ref)
+        pot = Potential(g=gen.standard_normal(2048), target=target, cost=cost)
+        pot.lift()
+        support = cost.embed(points)
+        np.testing.assert_array_equal(pot.support, support)
+        np.testing.assert_array_equal(
+            pot._lifted[-1], pot.g - np.einsum("ij,ij->i", support, support))
 
 
 class TestSoftCTransform:
@@ -701,3 +724,60 @@ class TestFusedKernel:
                                       assign_batch(fresh, x, Rng(42)))
         assert not np.array_equal(first, stochastic_gradient(pot, x))
         np.testing.assert_array_equal(stochastic_gradient(other, x), other_grad)
+
+
+class TestEps0TieFreeSlabs:
+    """At eps=0 a slab without ties skips the tie work. A stream that mixes
+    such slabs with slabs whose ties come from duplicated support points
+    reduces as the dense rule does: one-hot rows, tie rows split by ``b``.
+    """
+
+    N, SLAB = 64, 8
+
+    def test_mixed_stream_matches_dense_rule(self, monkeypatch):
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", self.SLAB * self.N)
+        gen = Rng(48).generator()
+        # Points on the unit circle; the last two repeat points 0 and 3.
+        angles = 2 * np.pi * np.arange(self.N - 2) / (self.N - 2)
+        ys = np.column_stack([np.cos(angles), np.sin(angles)])
+        ys = np.vstack([ys, ys[[0, 3]]])
+        g = 0.01 * gen.standard_normal(self.N)
+        g[-2:] = g[[0, 3]]
+        b = gen.random(self.N) + 0.1
+        pot = _simple_potential(g, ys, b / b.sum())
+        b = pot.target.weights
+        # Rows point away from the repeated points, except three rows of
+        # slabs 1 and 3, which point at them.
+        theta = np.pi * gen.uniform(0.6, 1.4, 5 * self.SLAB)
+        x = gen.uniform(0.5, 3.0, (len(theta), 1)) * np.column_stack(
+            [np.cos(theta), np.sin(theta)])
+        x[self.SLAB + 2] = x[self.SLAB + 5] = 50.0 * ys[0]
+        x[3 * self.SLAB] = 50.0 * ys[3]
+
+        scores = np.empty((len(x), self.N))
+        has_ties = []
+        for lo, hi, slab in semidual.score_chunks(pot, x):
+            scores[lo:hi] = slab
+            has_ties.append(argmax_with_ties(slab.copy(), b)[2].size > 0)
+        assert has_ties == [False, True, False, True, False]
+        close = scores >= scores.max(axis=1, keepdims=True) - ARGMAX_TIE_TOL
+        dense = b * close
+        dense /= dense.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(dense, softmax_rows(scores, b, 0.0))
+
+        f = np.empty(len(x))
+        col_sum, col_sq = semidual._column_sums(pot, x, squares=True, soft_c=f)
+        np.testing.assert_array_equal(-f, scores.max(axis=1))
+        np.testing.assert_allclose(col_sum, dense.sum(axis=0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(col_sq, (dense * dense).sum(axis=0), rtol=0,
+                                   atol=1e-14)
+        w = gen.random(len(x))
+        weighted, none = semidual._column_sums(pot, x, w)
+        assert none is None
+        np.testing.assert_allclose(weighted, (w[:, None] * dense).sum(axis=0),
+                                   rtol=0, atol=1e-14)
+        idx = assign_batch(pot, x, Rng(49))
+        np.testing.assert_array_equal(
+            idx, inverse_cdf(dense, Rng(49).generator().random(len(x))))
+        assert idx[self.SLAB + 2] in (0, self.N - 2)
+        assert idx[3 * self.SLAB] in (3, self.N - 1)
