@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT := out/toy-2d
 SDFM := PYTHONPATH=src $(PYTHON) -m sdfm
 
-.PHONY: test acceptance demos bench bench-trace bench-smoke check toy-2d clean
+.PHONY: test acceptance demos bench bench-trace bench-smoke check loc toy-2d clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q
@@ -41,6 +41,10 @@ bench-smoke:
 # benchmark recipes (tier-1 traces one tiny recipe of every command), and
 # the four demos.
 check: test bench-smoke demos
+
+# Total lines of the package's modules, the net-size metric of ROADMAP aim 2.
+loc:
+	@cat src/sdfm/*.py | wc -l
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics. The solve sets its own

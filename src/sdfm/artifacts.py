@@ -51,7 +51,8 @@ def save_dataset(path: str, points: np.ndarray, weights=None,
 
 
 def load_dataset(path: str):
-    """Returns ``(points, weights or None, metadata)``."""
+    """Returns ``(points, weights or None, metadata)``; the arrays are
+    read-only views of the container's bytes (copy before writing)."""
     _, meta, arrays = read_container(path, expect_kind="dataset")
     _require(path, "dataset container", arrays, "points")
     if "conditions" in arrays:
@@ -152,11 +153,11 @@ def save_pairs(path: str, noise: np.ndarray, indices: np.ndarray,
 def save_sample_dump(prefix: str, samples: np.ndarray,
                      metadata: Optional[dict] = None) -> Tuple[str, str]:
     """Raw little-endian float64 matrix plus a JSON sidecar."""
-    samples = np.ascontiguousarray(np.asarray(samples, dtype="<f8"))
+    samples = np.ascontiguousarray(samples, dtype="<f8")
     bin_path = prefix if prefix.endswith(".bin") else prefix + ".bin"
     json_path = bin_path[:-4] + ".json"
     with open(bin_path, "wb") as fh:
-        fh.write(samples.tobytes())
+        fh.write(samples)
     sidecar = {
         "rows": int(samples.shape[0]),
         "cols": int(samples.shape[1]),
@@ -170,7 +171,8 @@ def save_sample_dump(prefix: str, samples: np.ndarray,
 
 
 def load_sample_dump(path: str) -> np.ndarray:
-    """The matrix of a sample dump; a dump that disagrees with its sidecar is refused."""
+    """The matrix of a sample dump, a read-only view of the bytes read (copy
+    before writing); a dump that disagrees with its sidecar is refused."""
     bin_path = path if path.endswith(".bin") else path + ".bin"
     json_path = bin_path[:-4] + ".json"
     with open(json_path) as fh:
@@ -186,4 +188,4 @@ def load_sample_dump(path: str) -> np.ndarray:
             f"{bin_path}: {len(raw)} bytes, not the {rows} x {cols} float64 "
             f"values of its sidecar"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)

@@ -106,7 +106,7 @@ def _resolve_cost(args, points, rng: Rng):
         raise ConfigurationError(
             "eps=0 requires the neg-dot cost (distinct-point geometry)"
         )
-    projection = fit_pca(points, int(args.pca)) if args.pca else None
+    projection = None if args.pca is None else fit_pca(points, args.pca)
     cfg = CostConfig(kind=kind, eps_raw=float(args.eps), projection=projection)
     return _relative_eps(cfg, points, rng) if args.eps > 0.0 else cfg
 

@@ -16,9 +16,9 @@ Byte layout (all integers little-endian):
         ndim     u32, dims u64 * ndim
         data     raw little-endian array bytes (row-major)
 
-Round trips are bit-exact; the metadata fingerprint is the sha256 of the
-concatenated payload bytes, so corrupt or mismatched payloads fail
-closed. Version mismatches raise, they never misread payloads.
+Round trips are bit-exact (other dtypes are stored as float64); the
+sha256 fingerprint of the stored payload bytes makes corrupt payloads
+fail closed, as do version mismatches. Reads return read-only views.
 
 Run metrics are a CSV of ``step, wall_ms, metric, value`` rows (step is
 monotone per metric name) plus a JSON summary echoing the config.
@@ -51,11 +51,7 @@ MAGIC = b"SDFM"
 CONTAINER_VERSION = 1
 KINDS = ("dataset", "potential", "model", "pairs")
 
-_DTYPE_CODES = {
-    np.dtype(np.float32): 4,
-    np.dtype(np.float64): 8,
-    np.dtype(np.int64): 1,
-}
+_DTYPE_CODES = {np.dtype("<f4"): 4, np.dtype("<f8"): 8, np.dtype("<i8"): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
@@ -63,23 +59,29 @@ class ContainerError(ValueError):
     """Malformed, mismatched, or corrupt container file."""
 
 
+def _stored(a) -> np.ndarray:
+    """``a`` as the C-ordered array it is stored as: a view if it is one."""
+    dtype = np.asarray(a).dtype.newbyteorder("<")
+    return np.ascontiguousarray(a, dtype=dtype if dtype in _DTYPE_CODES else "<f8")
+
+
 def _payload_fingerprint(arrays: Dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(arrays):
-        a = np.ascontiguousarray(arrays[name])
         h.update(name.encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(str(arrays[name].shape).encode())
+        h.update(arrays[name])
     return h.hexdigest()
 
 
 def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
                     metadata: Optional[dict] = None) -> None:
-    """Atomically write a container (temp file + rename)."""
+    """Atomically write a container (temp file + rename) of stored buffers."""
     if kind not in KINDS:
         raise ContainerError(f"unknown container kind {kind!r}")
+    stored = {name: _stored(arrays[name]) for name in sorted(arrays)}
     meta = dict(metadata or {})
-    meta["fingerprint"] = _payload_fingerprint(arrays)
+    meta["fingerprint"] = _payload_fingerprint(stored)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     kind_bytes = kind.encode("utf-8")
 
@@ -93,11 +95,8 @@ def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
             fh.write(kind_bytes)
             fh.write(struct.pack("<I", len(meta_bytes)))
             fh.write(meta_bytes)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                a = np.ascontiguousarray(arrays[name])
-                if a.dtype not in _DTYPE_CODES:
-                    a = a.astype(np.float64)
+            fh.write(struct.pack("<I", len(stored)))
+            for name, a in stored.items():
                 name_b = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(name_b)))
                 fh.write(name_b)
@@ -105,7 +104,7 @@ def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
                 fh.write(struct.pack("<I", a.ndim))
                 for dim in a.shape:
                     fh.write(struct.pack("<Q", dim))
-                fh.write(a.astype(a.dtype.newbyteorder("<")).tobytes())
+                fh.write(a)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -121,7 +120,8 @@ def is_container(path: str) -> bool:
 
 
 def read_container(path: str, expect_kind: Optional[str] = None):
-    """Read ``(kind, metadata, arrays)``; validates magic, version, hash."""
+    """Read ``(kind, metadata, arrays)``; validates magic, version, hash.
+    The arrays are read-only views: a caller that writes must copy first."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ContainerError(f"{path}: bad magic, not a container file")
@@ -150,8 +150,7 @@ def read_container(path: str, expect_kind: Optional[str] = None):
             raw = fh.read(count * dtype.itemsize)
             if len(raw) != count * dtype.itemsize:
                 raise ContainerError(f"{path}: truncated payload for {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")) \
-                .astype(dtype).reshape(shape)
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     stored = metadata.get("fingerprint")
     actual = _payload_fingerprint(arrays)
     if stored != actual:

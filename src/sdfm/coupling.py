@@ -85,9 +85,10 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
     until the L1 marginal error falls below ``tol``. The column update
     zeroes the column residual by construction, and the row residual of
     the current plan falls out of the next f update for free:
-    ``row_sum_i = a_i exp((f_i - f_new_i)/eps)``. Raises
-    :class:`SinkhornError` with the residual if the sweep budget runs
-    out. Returns ``(plan, f, g, sweeps)``.
+    ``row_sum_i = a_i exp((f_i - f_new_i)/eps)``. Raises :class:`SinkhornError`
+    if the sweep budget runs out, or if the plan's row error exceeds ``10 *
+    tol`` (at a tiny eps that residual rounds to 0). Returns ``(plan, f, g,
+    sweeps)``.
     """
     costs = np.asarray(costs, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -121,7 +122,13 @@ def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
                 row_err = float(np.abs(a * np.expm1((f - f_new) / eps)).sum())
             if row_err <= tol:
                 log_plan = (f[:, None] + g[None, :]) / eps - scaled + log_a + log_b
-                return np.exp(log_plan), f, g, sweeps
+                with np.errstate(over="ignore"):
+                    plan = np.exp(log_plan)
+                plan_err = float(np.abs(plan.sum(axis=1) - a).sum())
+                if not plan_err <= 10 * tol:  # also a non-finite plan
+                    raise SinkhornError(f"plan row error {plan_err:.3e} at "
+                                        f"residual {row_err:.3e}", plan_err)
+                return plan, f, g, sweeps
         f = f_new
         g = transform(f[:, None], log_a, 0)
     raise SinkhornError(

@@ -29,7 +29,8 @@ live in the coupling space (the raw rows, or their PCA projection):
 Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. Its right operand is the lifted
 support, one C-contiguous ``(d + 1, N)`` array: the support's d
-coordinate rows, then a shift row (:meth:`Potential.lift`).
+coordinate rows, then the shift row that each :func:`coupling_scores`
+call writes from its own potential.
 :func:`score_chunks` yields the B x N block as cache-sized row slabs of
 matmul blocks that share one buffer. One reducer, :func:`_column_sums`,
 reduces each slab in place: one unnormalised exp pass at eps>0, the
@@ -73,24 +74,23 @@ __all__ = [
 def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in (points, weights):
-        a = np.ascontiguousarray(a)
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(np.ascontiguousarray(a))
     # Trailing marker of the empty per-point-condition slot that earlier
     # versions hashed: every stored potential still binds to its dataset.
     h.update(b"\x00none")
     return h.hexdigest()
 
 
-def _lifted_support(points: np.ndarray, shift) -> np.ndarray:
-    """The C-contiguous ``(d + 1, N)`` array of ``points.T`` over ``shift``."""
+def _lifted_support(points: np.ndarray) -> np.ndarray:
+    """The C-contiguous ``(d + 1, N)`` array of ``points.T`` over a NaN row."""
     lifted = np.empty((points.shape[1] + 1, len(points)))
     # Transposed in blocks of 128 points, which stay in cache: a one-shot
     # transpose of a d=32 target is several times slower, as its strided
     # accesses miss the cache, and every command loads its target.
     for lo in range(0, len(points), 128):
         lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
-    lifted[-1] = shift
+    lifted[-1] = np.nan
     return lifted
 
 
@@ -123,7 +123,7 @@ class TargetMeasure:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
         object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
-        lifted = _lifted_support(points, np.nan)
+        lifted = _lifted_support(points)
         object.__setattr__(self, "points", lifted[:-1].T)
         object.__setattr__(self, "_lifted", lifted)
 
@@ -188,7 +188,7 @@ class Potential:
     def _lifted(self) -> np.ndarray:
         if self.cost.projection is None:
             return self.target._lifted
-        return _lifted_support(self.cost.embed(self.target.points), self.g)
+        return _lifted_support(self.cost.embed(self.target.points))
 
     @cached_property
     def _sq_norms(self) -> np.ndarray:
@@ -196,17 +196,6 @@ class Potential:
         # some norms differently.
         s = np.ascontiguousarray(self.support)
         return np.einsum("ij,ij->i", s, s)
-
-    def lift(self) -> None:
-        """Write ``shift = g`` (less ``|support|^2`` for the squared Euclidean
-        cost) into the last row of the C-contiguous ``(d + 1, N)`` lifted
-        support: d coordinate rows (the support, transposed), then the shift
-        row. It is the target's, shared by its potentials, or one per
-        potential with a projection. Each stream lifts once, so streams must
-        not interleave."""
-        self._lifted[-1] = self.g
-        if self.cost.kind != NEG_DOT:
-            self._lifted[-1] -= self._sq_norms
 
 
 def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,31 +267,33 @@ def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Scores ``g_j - c(x_i, y_j)`` of raw noise rows ``x``, up to a per-row
     constant: one matmul of the rows ``[a x_i, 1]`` (in coupling space) by
-    the ``(d + 1, N)`` lifted support as last lifted, read in its own
-    C-contiguous layout (:meth:`Potential.lift`; every stream lifts, a
-    direct call must lift first). As ``g_j - |x - y_j|^2 = 2 <x, y_j> +
-    (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
+    the C-contiguous ``(d + 1, N)`` lifted support, whose shift row this
+    call first sets to the potential's ``g`` (less ``|y_j|^2`` for the
+    squared Euclidean cost). As ``g_j - |x - y_j|^2 = 2 <x, y_j> + (g_j -
+    |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
     ``+|x_i|^2``; negative dot product scores (``a = 1``) are exact.
     Written to ``out`` (shape ``(len(x), N)``) when given.
     """
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     rows = np.column_stack([a * x, np.ones(len(x))])
+    if pot.cost.kind == NEG_DOT:
+        pot._lifted[-1] = pot.g
+    else:
+        np.subtract(pot.g, pot._sq_norms, out=pot._lifted[-1])
     return np.matmul(rows, pot._lifted, out=out)
 
 
 def score_chunks(pot: Potential, x: np.ndarray):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
-    Every reducer streams through here: one lift, then one
-    :func:`coupling_scores` call per block of rows (squared-Euclidean
-    scores up to a per-row constant), yielded as L2-sized slabs
-    (:data:`SCORE_CHUNK_ENTRIES`) of one buffer per stream, at most
-    max(1 MiB, 4 x the support's bytes) whatever ``len(x)``. A reducer
-    may overwrite a slab until it asks for the next.
+    Every reducer streams through here: one :func:`coupling_scores` call
+    per block of rows (squared-Euclidean scores up to a per-row constant),
+    yielded as L2-sized slabs (:data:`SCORE_CHUNK_ENTRIES`) of one buffer
+    per stream, at most max(1 MiB, 4 x the support's bytes) whatever
+    ``len(x)``. A reducer may overwrite a slab until it asks for the next.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    pot.lift()
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1])
     buf = np.empty((min(block, x.shape[0]), pot.target.n))
     for lo in range(0, x.shape[0], block):

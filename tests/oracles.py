@@ -121,7 +121,6 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
         )
     if not 0 <= j < pot.target.n:
         raise ValueError(f"cell index {j} out of range")
-    pot.lift()
     scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
     return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
 
@@ -169,7 +168,6 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
 
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
-    pot.lift()
     return softmax_rows(coupling_scores(pot, x), pot.target.weights, pot.eps)
 
 

@@ -560,6 +560,7 @@ def _saved(tmp_path, name, points, weights=None):
 def _non_finite_potential(tmp_path, data):
     pot = _quick_potential(tmp_path, data)
     _, meta, arrays = read_container(pot)
+    arrays["g"] = arrays["g"].copy()
     arrays["g"][0] = np.nan
     write_container(pot, "potential", arrays, meta)
     return pot
@@ -670,6 +671,9 @@ _USAGE_CASES = {
         "--sample", "-2", "--out", str(tmp / "x.sdfm")],
     "pca-k-above-dim": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--pca", "3",
+        "--out", str(tmp / "x.sdfm")],
+    "pca-k-zero": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--pca", "0",
         "--out", str(tmp / "x.sdfm")],
     "target-weight-zero": lambda tmp, blob: [
         "solve", "--data", _saved(tmp, "w.sdfm", [[0.0, 1.0], [1.0, 0.0]],
@@ -893,13 +897,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
-    @pytest.mark.parametrize("gamma", ["1e200", "1e154"],
-                             ids=lambda gamma: f"guide-gamma-{gamma}")
-    def test_numeric_failures_exit_4(self, tmp_path, blob, capsys, gamma):
-        # Guidance weights or states that overflow float64.
-        argv = ["guide", "--model1", _quick_model(tmp_path, blob, "a.sdfm"),
-                "--model2", _quick_model(tmp_path, blob, "b.sdfm"),
-                "--gamma", gamma, "--count", "4", "--out", str(tmp_path / "g")]
+    @pytest.mark.parametrize("case", ["guide-gamma-1e200", "guide-gamma-1e154",
+                                      "train-ot-eps-1e-300"])
+    def test_numeric_failures_exit_4(self, tmp_path, blob, capsys, case):
+        if case.startswith("guide"):
+            # Guidance weights or states that overflow float64.
+            argv = ["guide", "--model1", _quick_model(tmp_path, blob, "a.sdfm"),
+                    "--model2", _quick_model(tmp_path, blob, "b.sdfm"),
+                    "--gamma", case.rsplit("-", 1)[1], "--count", "4",
+                    "--out", str(tmp_path / "g")]
+        else:
+            # Sinkhorn's residual rounds to 0 long before its plan converges.
+            argv = ["train", "--data", blob, "--coupling", "minibatch-sinkhorn",
+                    "--ot-eps", "1e-300", "--steps", "2", "--batch", "16",
+                    "--hidden", "4", "--out", str(tmp_path / "m.sdfm")]
         capsys.readouterr()
         assert main(argv) == 4
         err = capsys.readouterr().err

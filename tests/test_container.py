@@ -1,9 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdfm import artifacts
+from sdfm import artifacts, cli
 from sdfm.container import (
     CONTAINER_VERSION,
     ContainerError,
@@ -32,6 +33,28 @@ class TestContainerRoundTrip:
         for name, arr in arrays.items():
             assert out[name].dtype == arr.dtype
             np.testing.assert_array_equal(out[name], arr)
+
+    @pytest.mark.parametrize("dtype", ["int32", "bool", "float16", ">f8"])
+    def test_other_dtypes_are_stored_as_float64(self, tmp_path, dtype):
+        # The fingerprint hashes the stored bytes, not the array passed in.
+        path = str(tmp_path / "x.sdfm")
+        points = np.arange(12).reshape(6, 2).astype(dtype)
+        write_container(path, "dataset", {"points": points})
+        out = read_container(path)[2]["points"]
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, points.astype(np.float64))
+        artifacts.save_dataset(path, points)
+        np.testing.assert_array_equal(artifacts.load_dataset(path)[0], out)
+
+    def test_reads_are_read_only_views(self, tmp_path):
+        path = str(tmp_path / "x.sdfm")
+        write_container(path, "dataset", {"points": np.ones((4, 2)),
+                                          "weights": np.full(4, 0.25)})
+        for arr in read_container(path)[2].values():
+            assert not arr.flags.writeable
+        prefix = str(tmp_path / "s")
+        artifacts.save_sample_dump(prefix, np.ones((3, 2)))
+        assert not artifacts.load_sample_dump(prefix).flags.writeable
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         a = str(tmp_path / "a.sdfm")
@@ -146,6 +169,27 @@ class TestArtifacts:
         out_pts, out_w, _ = artifacts.load_dataset(path)
         np.testing.assert_array_equal(out_pts, pts)
         assert out_w is None
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_io_makes_no_payload_copies(tmp_path):
+    # A 16384 x 32 dataset holds 4 MiB of points. Saving it hashes and
+    # writes that buffer; loading the target holds the bytes read and the
+    # (d + 1, N) lifted support, 4 + 4.125 MiB, with no third copy.
+    mib = 2**20
+    points = Rng(7).generator().standard_normal((16384, 32))
+    path = str(tmp_path / "d.sdfm")
+    assert _traced_peak(artifacts.save_dataset, path, points) <= 1 * mib
+    assert _traced_peak(cli._load_target, path) <= 9 * mib
 
 
 class TestMetricsWriter:

@@ -94,7 +94,7 @@ class TestTargetMeasure:
         cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=0.5,
                           projection=None if pca is None else ref)
         pot = Potential(g=gen.standard_normal(2048), target=target, cost=cost)
-        pot.lift()
+        semidual.coupling_scores(pot, points[:4])
         support = cost.embed(points)
         np.testing.assert_array_equal(pot.support, support)
         np.testing.assert_array_equal(
@@ -724,6 +724,40 @@ class TestFusedKernel:
                                       assign_batch(fresh, x, Rng(42)))
         assert not np.array_equal(first, stochastic_gradient(pot, x))
         np.testing.assert_array_equal(stochastic_gradient(other, x), other_grad)
+
+
+class TestShiftRow:
+    """Each :func:`semidual.coupling_scores` call writes its own potential's
+    shift row, so scores need no set-up call and streams may interleave."""
+
+    @pytest.mark.parametrize("pca", [None, 2])
+    def test_fresh_target_scores_match_two_pass(self, pca):
+        pot, gen = TestFusedKernel._case(2, pca=pca)
+        x = gen.standard_normal((40, pot.target.dim))
+        np.testing.assert_array_equal(semidual.coupling_scores(pot, x),
+                                      scores_two_pass(pot, x))
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_interleaved_streams_score_their_own_potential(self, kind):
+        # At N=4096, d=2 a stream of 64 rows is two 32-row blocks, so each
+        # stream's second block is scored after the other stream's first.
+        gen = Rng(43).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((4096, 2)))
+        cost = CostConfig(kind=kind, eps_raw=0.5)
+        pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
+                for _ in range(2)]
+        x = gen.standard_normal((64, 2))
+        assert semidual._tile_rows(4096, 2) == (32, 32)
+        streams = [semidual.score_chunks(pot, x) for pot in pots]
+        got = [np.empty((64, 4096)) for _ in pots]
+        for _ in range(2):
+            for stream, out in zip(streams, got):
+                lo, hi, scores = next(stream)
+                out[lo:hi] = scores
+        for pot, out in zip(pots, got):
+            np.testing.assert_array_equal(out, _streamed_scores(pot, x))
+            if kind == NEG_DOT:
+                np.testing.assert_array_equal(out, _two_pass_blocks(pot, x))
 
 
 class TestEps0TieFreeSlabs:
