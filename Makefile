@@ -4,8 +4,10 @@ SDFM := PYTHONPATH=src $(PYTHON) -m sdfm
 
 .PHONY: test acceptance demos bench bench-trace bench-smoke check loc toy-2d clean
 
+# The ROADMAP's tier-1 command: a collection error in one file does not
+# stop the rest of the suite.
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest -q
+	PYTHONPATH=src $(PYTHON) -m pytest -q --continue-on-collection-errors
 
 acceptance:
 	PYTHONPATH=src $(PYTHON) -m pytest -v -s tests/test_acceptance.py

@@ -42,6 +42,15 @@ def _require(path: str, what: str, fields: dict, *keys: str) -> None:
             raise ContainerError(f"{path}: {what} lacks {key!r}")
 
 
+def _number(path: str, key: str, value, integral: bool = False):
+    """Metadata field ``key``: a JSON number, integral if ``integral``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and not float(value).is_integer()):
+        raise ContainerError(f"{path}: {key} is {value!r}, not a "
+                             f"{'whole ' if integral else ''}number")
+    return int(value) if integral else float(value)
+
+
 def save_dataset(path: str, points: np.ndarray, weights=None,
                  metadata: Optional[dict] = None) -> None:
     arrays = {"points": np.asarray(points)}
@@ -108,13 +117,14 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
     _require(path, "potential container", {**meta, **arrays}, "g", "cost")
     cmeta = meta["cost"]
     _require(path, "potential cost", cmeta, "kind", "eps_raw")
-    if cmeta.get("beta", 0.0) > 0.0:
+    if _number(path, "cost.beta", cmeta.get("beta", 0.0)) > 0.0:
         raise _unsupported(path, "potential has a condition-augmented cost")
+    std = cmeta.get("cost_std")
     cost = CostConfig(
         kind=cmeta["kind"],
-        eps_raw=float(cmeta["eps_raw"]),
+        eps_raw=_number(path, "cost.eps_raw", cmeta["eps_raw"]),
         projection=_projection_from_arrays(arrays, meta),
-        cost_std=cmeta.get("cost_std"),
+        cost_std=None if std is None else _number(path, "cost.cost_std", std),
     )
     if cmeta.get("eps_effective") != cost.eps:
         raise ContainerError(
@@ -136,8 +146,11 @@ def load_model(path: str) -> FlowModel:
     if meta.get("cond_dim", 0):
         raise _unsupported(path, "model takes condition inputs")
     _require(path, "model container", {**meta, **arrays}, "theta", "dim", "sizes")
-    hidden = tuple(int(s) for s in meta["sizes"][1:-1])
-    model = FlowModel(dim=int(meta["dim"]), hidden=hidden)
+    if not isinstance(meta["sizes"], list):
+        raise ContainerError(f"{path}: sizes is {meta['sizes']!r}, not a list")
+    sizes = [_number(path, "sizes", s, integral=True) for s in meta["sizes"]]
+    model = FlowModel(dim=_number(path, "dim", meta["dim"], integral=True),
+                      hidden=tuple(sizes[1:-1]))
     model.set_theta(arrays["theta"])
     return model
 
@@ -179,10 +192,9 @@ def load_sample_dump(path: str) -> np.ndarray:
         sidecar = json.load(fh)
     with open(bin_path, "rb") as fh:
         raw = fh.read()
-    try:
-        rows, cols = int(sidecar["rows"]), int(sidecar["cols"])
-    except KeyError as exc:
-        raise ContainerError(f"{json_path}: sidecar lacks {exc}") from None
+    _require(json_path, "sidecar", sidecar, "rows", "cols")
+    rows, cols = (_number(json_path, key, sidecar[key], integral=True)
+                  for key in ("rows", "cols"))
     if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
         raise ContainerError(
             f"{bin_path}: {len(raw)} bytes, not the {rows} x {cols} float64 "

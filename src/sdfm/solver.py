@@ -12,7 +12,6 @@ base rate at a constant-phase check that fails to halve the chi-square.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -90,7 +89,7 @@ class SolverConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not self.tau > 0.0:
             raise ConfigurationError("stopping threshold tau must be > 0")
-        if not 0.0 < self.base_lr < math.inf:
+        if not 0.0 < self.base_lr < np.inf:
             raise ConfigurationError("base learning rate must be finite and > 0")
         if self.constant_phase < 0 or self.decay_phase < 0:
             raise ConfigurationError("phase lengths must be >= 0")
@@ -209,14 +208,6 @@ def _require_finite(v: np.ndarray, what: str, k: int) -> None:
                                {"iteration": k, "what": what})
 
 
-def _window_mean(sums: np.ndarray, count: int, window: int, block: int):
-    """Exact mean of the last ``min(count, window)`` of ``count`` iterates
-    (zero for none) from ``sums``, a ring of the last ``window // block``
-    block sums; ``block`` divides ``window`` and ``count``."""
-    filled = min(count // block, len(sums))
-    return sums[:filled].sum(axis=0) / max(min(count, window), 1)
-
-
 def solve_sdot(
     target: TargetMeasure,
     cost: CostConfig,
@@ -238,9 +229,9 @@ def solve_sdot(
     (iterations, final chi-square, averaging window, stop reason, wall
     time, ``lr_halvings``, and the final check's ``final_marginal_linf``
     and ``empty_cell_fraction``). Deterministic given ``(target, cost,
-    cfg, rng)``. Checks fall on multiples of ``gcd(averaging_window,
-    check_interval, max_iterations)``, so the window is kept as sums of
-    blocks of that many iterates.
+    cfg, rng)``. The window is kept as one running sum from each check's
+    window start: at most ``ceil(averaging_window / check_interval) + 2``
+    vectors of length N, whatever the budget.
 
     ``noise`` defaults to standard Gaussian noise in the target's raw
     space; pass a :class:`DiscreteNoise` for enumerated instances.
@@ -256,8 +247,7 @@ def solve_sdot(
     g = np.zeros(n)
     accumulator = np.zeros(n)
     window = cfg.averaging_window
-    block = math.gcd(window, cfg.check_interval, cfg.max_iterations)
-    sums = np.zeros((window // block, n))
+    runs = {}  # window start -> sum of the iterates up to the next start
     # The step potential aliases g, which every step updates in place, so
     # its support is embedded once for the whole run.
     pot_step = Potential(g=g, target=target, cost=cost)
@@ -278,19 +268,17 @@ def solve_sdot(
     evaluate = rng.child(1)
     t0 = time.perf_counter()
 
-    def candidate() -> Potential:
-        g_bar = gauge_fix(_window_mean(sums, k, window, block), b)
-        _require_finite(g_bar, "averaged potential", k)
-        return Potential(g=g_bar, target=target, cost=cost,
-                         provenance={"iterations": k})
-
     chi2_history = []
     halvings = 0
     initial_value = None
     k = 0
     while True:
         if k % cfg.check_interval == 0 or k >= cfg.max_iterations:
-            pot_k = candidate()
+            runs = {s: v for s, v in runs.items() if s >= k - window}
+            g_bar = sum(runs.values(), np.zeros(n)) / max(min(k, window), 1)
+            _require_finite(g_bar, "averaged potential", k)
+            pot_k = Potential(g=gauge_fix(g_bar, b), target=target, cost=cost,
+                              provenance={"iterations": k})
             chi2_k, value_k, m_k = _chi2_check(pot_k, evaluate.child(k), cfg,
                                                noise)
             lr_k = _HALF**halvings * lr_schedule(cfg, min(k, cfg.max_iterations - 1))
@@ -334,15 +322,14 @@ def solve_sdot(
         else:
             g += lr * grad
         _require_finite(g, "potential", k)
-        slot = sums[(k // block) % len(sums)]
-        if k % block:
-            slot += g
-        else:
-            slot[:] = g
+        end = k + window  # the check whose window starts here
+        if k == 0 or end == cfg.max_iterations or (
+                end < cfg.max_iterations and end % cfg.check_interval == 0):
+            run = runs[k] = np.zeros(n)
+        run += g
         k += 1
 
-    pot = candidate()
-    pot.provenance.update(
+    pot_k.provenance.update(
         iterations=k,
         final_chi2=chi2_k,
         averaging_window=min(window, max(k, 1)),
@@ -357,7 +344,7 @@ def solve_sdot(
         empty_cell_fraction=diagnostics["empty_cell_fraction"],
         cost=cost.metadata(),
     )
-    return pot
+    return pot_k
 
 
 def _semidual_probe(pot: Potential, rng: Rng, noise, samples: int) -> float:

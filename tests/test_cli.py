@@ -589,10 +589,11 @@ def _model_theta(tmp_path, data, edit):
     return _rewritten(path, {"theta": edit(read_container(path)[2]["theta"])})
 
 
-def _beta_potential(tmp_path, data):
+def _cost_edited(tmp_path, data, **fields):
+    """A quick potential whose stored cost metadata has ``fields`` set."""
     pot = _quick_potential(tmp_path, data)
     cost = read_container(pot)[1]["cost"]
-    return _rewritten(pot, cost={**cost, "beta": 1.0})
+    return _rewritten(pot, cost={**cost, **fields})
 
 
 def _eps_potential(tmp_path, data):
@@ -640,11 +641,12 @@ def _truncated_dump(tmp_path):
     return path
 
 
-def _dump_without(tmp_path, key):
+def _dump_sidecar(tmp_path, edit):
+    """An 8 x 2 dump whose sidecar dict went through ``edit``."""
     path = _dump(tmp_path, "k", (8, 2))
     sidecar = path[:-4] + ".json"
     meta = json.load(open(sidecar))
-    del meta[key]
+    edit(meta)
     json.dump(meta, open(sidecar, "w"))
     return path
 
@@ -728,7 +730,8 @@ _USAGE_CASES = {
             {"conditions": np.eye(4)[:, :2]}),
         "--eps", "0", "--out", str(tmp / "x.sdfm")],
     "potential-beta-1": lambda tmp, blob: [
-        "chisq", "--potential", _beta_potential(tmp, blob), "--data", blob],
+        "chisq", "--potential", _cost_edited(tmp, blob, beta=1.0),
+        "--data", blob],
     "model-cond-dim-2": lambda tmp, blob: [
         "sample", "--model", _rewritten(_quick_model(tmp, blob), cond_dim=2),
         "--out", str(tmp / "s")],
@@ -786,7 +789,13 @@ _USAGE_CASES = {
         "eval", "--samples", _truncated_dump(tmp),
         "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
     "eval-dump-sidecar-lacks-cols": lambda tmp, blob: [
-        "eval", "--samples", _dump_without(tmp, "cols"),
+        "eval", "--samples", _dump_sidecar(tmp, lambda m: m.pop("cols")),
+        "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
+    "eval-dump-rows-string": lambda tmp, blob: [
+        "eval", "--samples", _dump_sidecar(tmp, lambda m: m.update(rows="x")),
+        "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
+    "eval-dump-rows-null": lambda tmp, blob: [
+        "eval", "--samples", _dump_sidecar(tmp, lambda m: m.update(rows=None)),
         "--reference", _saved(tmp, "ref.sdfm", np.zeros((8, 2)))],
     "train-ot-eps-negative": lambda tmp, blob: [
         "train", "--data", blob, "--coupling", "minibatch-sinkhorn",
@@ -872,6 +881,32 @@ _USAGE_CASES = {
     "chisq-potential-no-cost": lambda tmp, blob: [
         "chisq", "--potential", _without(_quick_potential(tmp, blob), "cost"),
         "--data", blob],
+    # Metadata fields of the wrong type are refused, not raised or truncated.
+    "chisq-potential-eps-raw-string": lambda tmp, blob: [
+        "chisq", "--potential", _cost_edited(tmp, blob, eps_raw="x"),
+        "--data", blob],
+    "chisq-potential-eps-raw-null": lambda tmp, blob: [
+        "chisq", "--potential", _cost_edited(tmp, blob, eps_raw=None),
+        "--data", blob],
+    "chisq-potential-cost-std-string": lambda tmp, blob: [
+        "chisq", "--potential", _cost_edited(tmp, blob, cost_std="x"),
+        "--data", blob],
+    "chisq-potential-beta-string": lambda tmp, blob: [
+        "chisq", "--potential", _cost_edited(tmp, blob, beta="x"),
+        "--data", blob],
+    "sample-model-dim-string": lambda tmp, blob: [
+        "sample", "--model", _rewritten(_quick_model(tmp, blob), dim="x"),
+        "--out", str(tmp / "s")],
+    "sample-model-dim-2.5": lambda tmp, blob: [
+        "sample", "--model", _rewritten(_quick_model(tmp, blob), dim=2.5),
+        "--out", str(tmp / "s")],
+    "sample-model-sizes-string": lambda tmp, blob: [
+        "sample", "--model", _rewritten(_quick_model(tmp, blob), sizes="abc"),
+        "--out", str(tmp / "s")],
+    "sample-model-sizes-entry-string": lambda tmp, blob: [
+        "sample", "--model", _rewritten(_quick_model(tmp, blob),
+                                        sizes=[3, "a", 2]),
+        "--out", str(tmp / "s")],
 }
 
 

@@ -220,19 +220,23 @@ class TestSolveSdot:
         assert {"chi2", "semidual", "lr"} <= names
 
     def test_averaging_window_is_exact_mean(self):
-        # No check within the budget: one block per iterate.
+        # No check within the budget: sums from 0 and from the last start.
         self._assert_window_is_exact_mean(window=37, interval=10**6,
                                           iterations=150, halvings=0)
 
     def test_averaging_window_is_exact_mean_over_blocks_and_halvings(self):
-        # Blocks of gcd(40, 10, 150) = 10 iterates; AdaGrad halves its rate.
+        # Window starts on checks (every 10 iterates); AdaGrad halves its rate.
         self._assert_window_is_exact_mean(window=40, interval=10,
                                           iterations=90, halvings=1)
+        # Starts at 5 mod 10: the final window spans three running sums.
+        self._assert_window_is_exact_mean(window=25, interval=10,
+                                          iterations=80, halvings=1, budget=90)
 
     @staticmethod
-    def _assert_window_is_exact_mean(window, interval, iterations, halvings):
+    def _assert_window_is_exact_mean(window, interval, iterations, halvings,
+                                     budget=150):
         target, cost, noise = make_enumerated_instance(48)
-        cfg = SolverConfig(base_lr=1.5, constant_phase=150, decay_phase=0,
+        cfg = SolverConfig(base_lr=1.5, constant_phase=budget, decay_phase=0,
                            averaging_window=window, batch=4, tau=1e-12,
                            check_interval=interval)
         iterates = []
@@ -263,17 +267,19 @@ class TestSolveSdot:
         expected = gauge_fix(np.mean(iterates[-window:], axis=0), target.weights)
         np.testing.assert_allclose(pot.g, expected, atol=1e-12)
 
-    def test_averaging_state_is_block_sums(self):
+    @pytest.mark.parametrize("budget, window", [(2000, 2000), (2001, 1000)])
+    def test_averaging_state_is_window_sums(self, budget, window):
         import tracemalloc
 
         # A 2000-iterate window over N=2048 is 32 MB as full iterates;
-        # checks every 1000 iterations need two block sums (32 kB).
+        # checks every 1000 iterations need a few running sums (16 kB
+        # each), also for a budget that no check interval divides.
         gen = Rng(53).generator()
         target = TargetMeasure.from_points(gen.standard_normal((2048, 2)))
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
         noise = DiscreteNoise(gen.standard_normal((8, 2)), exact=True)
-        cfg = SolverConfig(constant_phase=2000, decay_phase=0,
-                           averaging_window=2000, tau=1e-12,
+        cfg = SolverConfig(constant_phase=budget, decay_phase=0,
+                           averaging_window=window, tau=1e-12,
                            check_interval=1000)
         tracemalloc.start()
         try:
@@ -281,7 +287,7 @@ class TestSolveSdot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pot.provenance["iterations"] == 2000
+        assert pot.provenance["iterations"] == budget
         assert peak < 8 * 2**20
 
 
