@@ -50,7 +50,7 @@ from .flow import (
     train_flow,
 )
 from .numerics import Rng
-from .semidual import Potential, TargetMeasure, chi2_batches
+from .semidual import TargetMeasure, chi2_batches
 from .solver import SolverConfig, SolverDivergence, solve_sdot
 
 EXIT_OK = 0
@@ -79,10 +79,6 @@ def _fail(message: str, code: int) -> int:
 def _load_target(data_path: str) -> TargetMeasure:
     points, weights, _ = artifacts.load_dataset(data_path)
     return TargetMeasure.from_points(points, weights)
-
-
-def _load_potential_with_target(pot_path: str, data_path: str) -> Potential:
-    return artifacts.load_potential(pot_path, _load_target(data_path))
 
 
 def _relative_eps(cost: CostConfig, points, rng: Rng) -> CostConfig:
@@ -157,7 +153,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    pot = _load_potential_with_target(args.potential, args.data)
+    pot = artifacts.load_potential(args.potential, _load_target(args.data))
     rng = Rng(args.seed)
     if args.noise:
         noise = artifacts.load_dataset(args.noise)[0]
@@ -266,19 +262,16 @@ def cmd_guide(args) -> int:
 
 
 def cmd_chisq(args) -> int:
-    pot = _load_potential_with_target(args.potential, args.data)
+    pot = artifacts.load_potential(args.potential, _load_target(args.data))
     scan = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
     vals = scan.values
-    if not vals:
-        raise UsageError("chisq needs a first batch of at least 2 samples")
     est = float(np.mean(vals))
     # The standard error is the spread of the batch estimates: one batch has none.
     se = (f"{np.std(vals, ddof=1) / np.sqrt(len(vals)):.6f}"
           if len(vals) > 1 else "n/a")
     cost = scan.soft_c_mean + float(np.dot(scan.marginal, pot.g))
-    dropped = args.samples - scan.samples
     print(f"chisq: estimate={est:.6f} transport_cost={cost:.6f} stderr={se} "
-          f"samples={scan.samples}" + (f" dropped={dropped}" if dropped else ""))
+          f"samples={args.samples}")
     return EXIT_OK
 
 
@@ -329,56 +322,29 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_TOY_BUILDERS = {}
-
-
-def _toy(name):
-    def deco(fn):
-        _TOY_BUILDERS[name] = fn
-        return fn
-    return deco
-
-
-@_toy("two-atoms")
-def _toy_two_atoms(n, d, rng):
-    if n not in (None, 2):
-        raise UsageError("two-atoms has exactly 2 points; drop --n or pass 2")
-    pts = np.zeros((2, d))
-    pts[0, 0] = 1.0
-    pts[1, 0] = -1.0
-    return pts, None
-
-
-@_toy("eight-gaussians")
-def _toy_eight_gaussians(n, d, rng):
+def _eight_gaussians(n, d, rng):
     if d != 2:
         raise UsageError("eight-gaussians is a 2-d dataset")
     gen = rng.generator()
     angles = 2.0 * np.pi * np.arange(8) / 8.0
     centers = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     which = gen.integers(0, 8, size=n)
-    pts = centers[which] + 0.3 * gen.standard_normal((n, 2))
-    return pts, None
+    return centers[which] + 0.3 * gen.standard_normal((n, 2))
 
 
-@_toy("gaussian-blob")
-def _toy_gaussian_blob(n, d, rng):
-    return rng.generator().standard_normal((n, d)), None
+def _gaussian_blob(n, d, rng):
+    return rng.generator().standard_normal((n, d))
+
+
+_DATASETS = {"eight-gaussians": _eight_gaussians,
+             "gaussian-blob": _gaussian_blob}
 
 
 def cmd_dataset(args) -> int:
-    if args.name not in _TOY_BUILDERS:
-        raise UsageError(
-            f"unknown dataset {args.name!r}; choose from {sorted(_TOY_BUILDERS)}"
-        )
-    if (args.n is not None and args.n < 1) or args.d < 1:
+    if args.n < 1 or args.d < 1:
         raise UsageError("--n and --d must be >= 1")
-    rng = Rng(args.seed)
-    n = args.n
-    if n is None and args.name != "two-atoms":
-        n = 4096  # the sampled builders' default size
-    points, weights = _TOY_BUILDERS[args.name](n, args.d, rng)
-    artifacts.save_dataset(args.out, points, weights,
+    points = _DATASETS[args.name](args.n, args.d, Rng(args.seed))
+    artifacts.save_dataset(args.out, points, None,
                            {"name": args.name, "seed": args.seed})
     print(f"dataset: name={args.name} n={len(points)} d={points.shape[1]} "
           f"out={args.out}")
@@ -472,8 +438,8 @@ def build_parser() -> _Parser:
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("dataset", help="generate a bundled toy dataset")
-    s.add_argument("--name", required=True)
-    s.add_argument("--n", type=int)
+    s.add_argument("--name", required=True, choices=sorted(_DATASETS))
+    s.add_argument("--n", type=int, default=4096)
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)

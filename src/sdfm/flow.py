@@ -356,8 +356,7 @@ class GuidanceConfig:
             raise ConfigurationError("steps must be >= 1")
 
 
-def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
-                  dim: Optional[int] = None):
+def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int):
     """``count`` draws from the geometric mixture of two flows via resampling.
 
     Draw ``i`` integrates ``R = cfg.replicas`` trajectories under the field
@@ -369,10 +368,12 @@ def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
     by a left Riemann sum on the grid, and picks a replica index from
     ``softmax(w)`` with the ``i``-th uniform of ``rng.child(0)``. All
     ``count * R`` rows share one Euler loop, so a larger ``count`` extends
-    a smaller one. Returns ``(endpoints (count, dim), weights (count, R))``;
+    a smaller one. Both models map ``(t, x)`` with ``x`` of shape ``(rows,
+    dim)``, ``dim = model1.dim``, to velocities of the same shape. Returns
+    ``(endpoints (count, dim), weights (count, R))``;
     raises ``FloatingPointError`` if a weight or a draw is not finite.
     """
-    dim = model1.dim if dim is None else dim
+    dim = model1.dim
     gamma, reps = cfg.gamma, cfg.replicas
     x = gaussian_starts(rng, count * reps, dim)
     times = np.linspace(0.0, 1.0, cfg.steps + 1)
@@ -383,8 +384,8 @@ def guided_sample(model1, model2, cfg: GuidanceConfig, rng: Rng, count: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.steps):
             t = times[i]
-            v1 = np.atleast_2d(model1(t, x))
-            v2 = np.atleast_2d(model2(t, x))
+            v1 = model1(t, x)
+            v2 = model2(t, x)
             if gamma != 0.0 and gamma != 1.0 and t < cfg.t_clip:
                 diff = np.sum((v1 - v2) ** 2, axis=1)
                 w += gamma * (gamma - 1.0) * (t / (1.0 - t)) * diff * dt

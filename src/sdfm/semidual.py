@@ -418,8 +418,7 @@ class Chi2Scan(NamedTuple):
     """What one streamed chi-square pass (:func:`chi2_batches`) yields."""
 
     values: list  # chi2_estimator of each batch
-    samples: int  # rows those batches hold
-    soft_c_mean: float  # mean soft-c transform f_{g,eps} over those rows
+    soft_c_mean: float  # mean soft-c transform f_{g,eps} over all the rows
     marginal: np.ndarray  # their mean responsibilities: an estimate of m(g)
 
 
@@ -428,25 +427,23 @@ def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
     """:func:`chi2_estimator` of each noise batch over ``total`` draws.
 
     Batch ``k`` draws from ``rng.child(k)`` (``noise`` defaults to
-    Gaussian). A batch of fewer than 2 rows has no estimate and ends the
-    stream, so ``samples`` can fall short of ``total``. From the same
-    tiles, ``soft_c_mean + <b, g>`` estimates ``F_eps(g)``, and
-    ``marginal`` estimates ``m(g)`` to about ``sqrt(m_j (1 - m_j) /
-    samples)`` per entry.
+    Gaussian). Batches hold ``batch`` rows and the last one the rest; a
+    rest of one row joins the batch before it, so every row is used.
+    From the same tiles, ``soft_c_mean + <b, g>`` estimates ``F_eps(g)``,
+    and ``marginal`` estimates ``m(g)`` to about ``sqrt(m_j (1 - m_j) /
+    total)`` per entry.
     """
-    if batch < 1:
-        raise ConfigurationError("batch must be >= 1")
+    if total < 2 or batch < 2:
+        raise ConfigurationError("need total >= 2 and batch >= 2 rows")
     if noise is None:
         noise = GaussianNoise(pot.target)
-    values, samples, f_sum = [], 0, 0.0
+    values, f_sum = [], 0.0
     mass = np.zeros(pot.target.n)
-    for k, lo in enumerate(range(0, total, batch)):
-        x = noise.sample(rng.child(k), min(batch, total - lo))
-        if len(x) < 2:
-            break
+    for k, lo in enumerate(range(0, total - 1, batch)):
+        hi = total if total - lo <= batch + 1 else lo + batch
+        x = noise.sample(rng.child(k), hi - lo)
         f = np.empty(len(x))
         values.append(chi2_estimator(pot, x, f, mass))
         f_sum += float(np.sum(f))
-        samples += len(x)
-    scale = 1.0 / max(samples, 1)
-    return Chi2Scan(values, samples, f_sum * scale, mass * scale)
+    scale = 1.0 / total
+    return Chi2Scan(values, f_sum * scale, mass * scale)

@@ -221,10 +221,12 @@ def solve_sdot(
 
     Runs until the chi-square statistic of the gauge-fixed averaged
     iterate drops to ``cfg.tau`` at a check point, or the iteration
-    budget is exhausted. Every check logs ``chi2``, ``semidual``,
-    ``marginal_linf = N max_j |m_j - b_j|`` of its marginal estimate
-    ``m``, the ``empty_cell_fraction`` of target points with ``m_j = 0``,
-    and ``lr``, the rate after its halving decision, then flushes them.
+    budget is exhausted. An estimate at its floor of -1 (no two
+    evaluation rows share a cell at eps=0) never stops the run. Every
+    check logs ``chi2``, ``semidual``, ``marginal_linf = N max_j |m_j -
+    b_j|`` of its marginal estimate ``m``, the ``empty_cell_fraction`` of
+    target points with ``m_j = 0``, and ``lr``, the rate after its
+    halving decision, then flushes them.
     Returns the averaged, gauge-fixed potential with provenance
     (iterations, final chi-square, averaging window, stop reason, wall
     time, ``lr_halvings``, and the final check's ``final_marginal_linf``
@@ -282,7 +284,8 @@ def solve_sdot(
             chi2_k, value_k, m_k = _chi2_check(pot_k, evaluate.child(k), cfg,
                                                noise)
             lr_k = _HALF**halvings * lr_schedule(cfg, min(k, cfg.max_iterations - 1))
-            done = chi2_k <= cfg.tau or k >= cfg.max_iterations
+            converged = -1.0 < chi2_k <= cfg.tau
+            done = converged or k >= cfg.max_iterations
             if (cfg.optimizer == ADAGRAD and chi2_history and not done
                     and k < cfg.constant_phase
                     and not chi2_k < _HALF * chi2_history[-1][1]):
@@ -333,7 +336,7 @@ def solve_sdot(
         iterations=k,
         final_chi2=chi2_k,
         averaging_window=min(window, max(k, 1)),
-        stop_reason="tau" if chi2_k <= cfg.tau else "max_iterations",
+        stop_reason="tau" if converged else "max_iterations",
         wall_ms=(time.perf_counter() - t0) * 1e3,
         optimizer=cfg.optimizer,
         base_lr=cfg.base_lr,

@@ -3,10 +3,11 @@
 Exact discrete OT on small dense instances (the transport LP at eps=0,
 tight log-domain Sinkhorn at eps>0), the two-pass score kernel,
 Laguerre-cell membership, the exact second marginal and primal transport
-cost, dense responsibility rows (the eps=0 one-hot rows among them), and
-the eps>0 score correction with its kernel-weighted Monte-Carlo
-estimate: the library's commands never call these, so they live beside
-the tests that check the library against them.
+cost, dense responsibility rows (the eps=0 one-hot rows among them), the
+eps>0 score correction with its kernel-weighted Monte-Carlo estimate,
+and the closed-form cells, marginal and optimum of Gaussian noise in one
+dimension at any N: the library's commands never call these, so they
+live beside the tests that check the library against them.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy import optimize
+from scipy.special import ndtr, ndtri
 
 from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
 from sdfm.coupling import sinkhorn_log
@@ -28,6 +30,7 @@ from sdfm.numerics import (
 from sdfm.semidual import (
     DiscreteNoise,
     Potential,
+    TargetMeasure,
     _column_sums,
     _soft_c_and_marginal,
     coupling_scores,
@@ -123,6 +126,68 @@ def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
         raise ValueError(f"cell index {j} out of range")
     scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
     return bool(np.all(scores[j] >= scores - ARGMAX_TIE_TOL))
+
+
+def envelope_1d(pot: Potential):
+    """Exact Laguerre cells of a d=1, eps=0 neg-dot potential.
+
+    Cell ``j`` is the interval on which the line ``g_j + x y_j`` tops the
+    upper envelope of all N lines. Returns ``(hull, breaks)``: the atoms
+    on the envelope in order of slope, and the ``len(hull) - 1`` points
+    at which it passes from each to the next. Atoms off the envelope have
+    empty cells. The points must be distinct.
+    """
+    if pot.eps != 0.0 or pot.cost.kind != NEG_DOT or pot.target.dim != 1:
+        raise ConfigurationError("1-d cells require d=1, eps=0, neg-dot")
+    y = pot.target.points[:, 0].tolist()
+    g = pot.g.tolist()
+    hull, breaks = [], []
+    for j in sorted(range(len(y)), key=y.__getitem__):
+        while hull:
+            k = hull[-1]
+            if y[j] == y[k]:
+                raise ValueError("1-d cells need distinct points")
+            x = (g[k] - g[j]) / (y[j] - y[k])  # line j overtakes line k
+            if not breaks or x > breaks[-1]:
+                breaks.append(x)
+                break
+            hull.pop()  # line k never tops the envelope
+            breaks.pop()
+        hull.append(j)
+    return np.array(hull), np.array(breaks)
+
+
+def marginal_1d(pot: Potential) -> np.ndarray:
+    """Exact ``m(g)`` under N(0, 1) noise: ``Phi(r_j) - Phi(l_j)`` for the
+    cell ``[l_j, r_j]`` of each atom (upper tails from the survival
+    function, which keeps their digits)."""
+    hull, breaks = envelope_1d(pot)
+    lo = np.concatenate([[-np.inf], breaks])
+    hi = np.concatenate([breaks, [np.inf]])
+    m = np.zeros(pot.target.n)
+    m[hull] = np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    return m
+
+
+def cells_1d(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """The exact cell of each row of ``x``, shape ``(B, 1)``."""
+    hull, breaks = envelope_1d(pot)
+    return hull[np.searchsorted(breaks, np.asarray(x)[:, 0])]
+
+
+def optimal_g_1d(target: TargetMeasure) -> np.ndarray:
+    """``g*`` of a d=1 target under N(0, 1) noise at eps=0 (neg-dot).
+
+    Monotone rearrangement: with the points sorted, the cell of the j-th
+    ends at ``t_j = Phi^-1(b_1 + ... + b_j)``, where its line meets the
+    next: ``g*_{j+1} = g*_j - t_j (y_{j+1} - y_j)``.
+    """
+    y = target.points[:, 0]
+    order = np.argsort(y)
+    t = ndtri(np.cumsum(target.weights[order])[:-1])
+    g = np.empty(target.n)
+    g[order] = np.concatenate([[0.0], -np.cumsum(t * np.diff(y[order]))])
+    return g
 
 
 def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:

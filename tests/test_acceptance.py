@@ -334,8 +334,7 @@ def test_criterion_8_guidance_correctness():
     # gamma in {0, 1}: zero weights, flow follows the selected model.
     for gamma, ref in ((0.0, flow2), (1.0, flow1)):
         cfg = GuidanceConfig(gamma=gamma, replicas=1, steps=64)
-        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(8000),
-                                              1, dim=1)
+        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(8000), 1)
         assert np.all(weights == 0.0)
         x0 = Rng(8000).generator().standard_normal((1, 1))
         x1, _ = integrate(ref, x0, method="euler", steps=64)
@@ -355,7 +354,7 @@ def test_criterion_8_guidance_correctness():
 
     reps = 1000
     cfg = GuidanceConfig(gamma=gamma, replicas=256, steps=64)
-    ends = guided_sample(flow1, flow2, cfg, Rng(8100), reps, dim=1)[0][:, 0]
+    ends = guided_sample(flow1, flow2, cfg, Rng(8100), reps)[0][:, 0]
     se = ends.std(ddof=1) / np.sqrt(reps)
     assert abs(ends.mean() - oracle_mean) <= 3 * se + 0.02
     elapsed = time.time() - t0

@@ -22,8 +22,8 @@ from oracles import transport_cost
 @pytest.fixture
 def two_atoms(tmp_path):
     path = str(tmp_path / "two.sdfm")
-    assert main(["dataset", "--name", "two-atoms", "--d", "2",
-                 "--out", path]) == 0
+    artifacts.save_dataset(path, np.array([[1.0, 0.0], [-1.0, 0.0]]), None,
+                           {"name": "two-atoms", "seed": 0})
     return path
 
 
@@ -66,13 +66,24 @@ class TestSolveCommand:
         _, _, arrays2 = read_container(out2)
         assert arrays1["g"].tobytes() == arrays2["g"].tobytes()
 
-    def test_budget_exit_code(self, tmp_path, blob):
+    def test_budget_exit_code(self, tmp_path, blob, capsys):
         out = str(tmp_path / "short.sdfm")
         code = main(["solve", "--data", blob, "--eps", "0", "--tau", "1e-9",
                      "--iters", "50", "--batch", "16",
                      "--chi2-samples", "1024", "--out", out])
         assert code == 3
         read_container(out, expect_kind="potential")  # artifact still written
+        # At g = 0, 8 evaluation rows over 4096 cells share none, so the
+        # first check reads the estimator's floor of -1: that is no stop.
+        data = str(tmp_path / "eight.sdfm")
+        assert main(["dataset", "--name", "eight-gaussians",
+                     "--out", data]) == 0
+        for optimizer in ("adagrad", "sgd-decay"):
+            capsys.readouterr()
+            assert main(["solve", "--data", data, "--eps", "0", "--iters", "3",
+                         "--batch", "4", "--chi2-samples", "8",
+                         "--optimizer", optimizer, "--out", out]) == 3
+            assert "stop=max_iterations" in capsys.readouterr().out
 
     def test_non_finite_solver_state_is_numeric_failure(self, tmp_path, blob,
                                                         capsys):
@@ -463,7 +474,7 @@ class TestChisqCommand:
         out = capsys.readouterr().out
         assert "estimate=" in out
 
-    def test_single_batch_and_dropped_tail(self, tmp_path, two_atoms, capsys):
+    def test_single_batch_and_one_row_tail(self, tmp_path, two_atoms, capsys):
         _, pot = _solve(tmp_path, two_atoms)
         base = ["chisq", "--potential", pot, "--data", two_atoms,
                 "--batch", "4096", "--seed", "4"]
@@ -471,9 +482,9 @@ class TestChisqCommand:
         assert main(base + ["--samples", "4096"]) == 0
         out = capsys.readouterr().out
         assert "stderr=n/a samples=4096\n" in out
-        # The 1-row tail has no estimate: it is reported, not hidden.
+        # A 1-row tail joins the batch before it: every row is used.
         assert main(base + ["--samples", "4097"]) == 0
-        assert "stderr=n/a samples=4096 dropped=1\n" in capsys.readouterr().out
+        assert "stderr=n/a samples=4097\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("eps, cost", [("0", "negdot"), ("0.5", "negdot"),
                                            ("0.5", "sqeuclid")])
@@ -490,7 +501,7 @@ class TestChisqCommand:
         assert re.search(r"estimate=\S+ transport_cost=\S+ stderr=", out)
         printed = float(re.search(r"transport_cost=(\S+)", out).group(1))
         # The same draws: chisq's batch k comes from Rng(seed).child(k).
-        pot = cli._load_potential_with_target(pot_path, blob)
+        pot = artifacts.load_potential(pot_path, cli._load_target(blob))
         noise = semidual.GaussianNoise(pot.target)
         x = np.vstack([noise.sample(Rng(4).child(k), min(256, 1000 - lo))
                        for k, lo in enumerate(range(0, 1000, 256))])
@@ -772,9 +783,6 @@ _USAGE_CASES = {
         "--out", str(tmp / "d.sdfm")],
     "dataset-n-negative": lambda tmp, blob: [
         "dataset", "--name", "gaussian-blob", "--n", "-3",
-        "--out", str(tmp / "d.sdfm")],
-    "dataset-two-atoms-n-5": lambda tmp, blob: [
-        "dataset", "--name", "two-atoms", "--n", "5",
         "--out", str(tmp / "d.sdfm")],
     "train-ot-eps-0": lambda tmp, blob: [
         "train", "--data", blob, "--coupling", "minibatch-sinkhorn",

@@ -516,8 +516,7 @@ class TestGuidance:
         flow1 = GaussianFlow1D(1.0, 0.7)
         flow2 = GaussianFlow1D(-1.0, 0.7)
         cfg = GuidanceConfig(gamma=1.0, replicas=1, steps=32)
-        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(23), 1,
-                                              dim=1)
+        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(23), 1)
         np.testing.assert_array_equal(weights, [0.0])
         x0 = Rng(23).generator().standard_normal((1, 1))
         x1, _ = integrate(flow1, x0, method="euler", steps=32)
@@ -527,8 +526,7 @@ class TestGuidance:
         flow1 = GaussianFlow1D(1.0)
         flow2 = GaussianFlow1D(-1.0)
         cfg = GuidanceConfig(gamma=0.0, replicas=1, steps=32)
-        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(24), 1,
-                                              dim=1)
+        (sample,), (weights,) = guided_sample(flow1, flow2, cfg, Rng(24), 1)
         np.testing.assert_array_equal(weights, [0.0])
         x0 = Rng(24).generator().standard_normal((1, 1))
         x1, _ = integrate(flow2, x0, method="euler", steps=32)
@@ -554,5 +552,5 @@ class TestGuidance:
         flow1 = GaussianFlow1D(1.0, 0.5)
         flow2 = GaussianFlow1D(-1.0, 0.5)
         cfg = GuidanceConfig(gamma=2.0, replicas=8, steps=64)
-        _, (weights,) = guided_sample(flow1, flow2, cfg, Rng(26), 1, dim=1)
+        _, (weights,) = guided_sample(flow1, flow2, cfg, Rng(26), 1)
         assert np.max(np.abs(weights - weights[0])) < 1e-9

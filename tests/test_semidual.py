@@ -370,15 +370,17 @@ class TestChi2:
             semidual._column_sums(pot, x, noise.weights, soft_c=f_w)[0],
             marginal_exact(pot, noise))
         np.testing.assert_array_equal(f_w, f)
-        # A streamed scan: four batches of 25, the 1-row tail dropped.
+        # A streamed scan: batches of 25, 25, 25 and 26, as the 1-row tail
+        # joins the batch before it.
         scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
-        assert scan.samples == 100 and len(scan.values) == 4
-        xs = np.vstack([GaussianNoise(pot.target)
-                        .sample(Rng(34).child(i), 25) for i in range(4)])
+        batches = [GaussianNoise(pot.target).sample(Rng(34).child(i), size)
+                   for i, size in enumerate((25, 25, 25, 26))]
+        assert scan.values == [chi2_estimator(pot, xb) for xb in batches]
+        xs = np.vstack(batches)
         assert scan.soft_c_mean == pytest.approx(
             np.mean(soft_c_transform_rows(pot, xs)), abs=1e-12)
         np.testing.assert_allclose(scan.marginal,
-                                   semidual._column_sums(pot, xs)[0] / 100,
+                                   semidual._column_sums(pot, xs)[0] / 101,
                                    rtol=1e-12, atol=1e-15)
 
     def test_batch_too_small(self):
