@@ -64,6 +64,9 @@ class FlowModel:
     flat float64 vector, ``theta``; ``weights`` and ``biases`` are
     per-layer views into it (:meth:`_views`), so whatever writes into
     ``theta`` (``set_theta``, the optimizer) updates the field.
+    Training (:meth:`_forward`, :meth:`backprop`) computes in float64;
+    :meth:`velocity`, which the samplers and guidance call, computes in
+    float32 through the same per-layer code.
     """
 
     def __init__(self, dim: int, hidden=(128, 128, 128),
@@ -118,51 +121,66 @@ class FlowModel:
         out[:, -1] = np.asarray(t, dtype=np.float64).reshape(-1)
         return out
 
-    def _layer(self, k: int, h: np.ndarray,
+    def _layer(self, params, k: int, h: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Layer ``k`` of rows ``h`` (tanh unless it is the output layer),
-        written to ``out`` when given."""
-        out = np.matmul(h, self.weights[k], out=out)
-        out += self.biases[k]
-        if k < len(self.weights) - 1:
+        written to ``out`` when given. ``params`` is ``(weights, biases)``,
+        the per-layer views of ``theta`` or of its float32 copy; the layer
+        computes in the dtype of ``h`` and ``params``."""
+        weights, biases = params
+        out = np.matmul(h, weights[k], out=out)
+        out += biases[k]
+        if k < len(weights) - 1:
             np.tanh(out, out=out)
         return out
 
     def _forward(self, inp: np.ndarray):
+        params = (self.weights, self.biases)
         acts = [inp]
         for k in range(len(self.weights) - 1):
-            acts.append(self._layer(k, acts[-1]))
-        return self._layer(len(self.weights) - 1, acts[-1]), acts
+            acts.append(self._layer(params, k, acts[-1]))
+        return self._layer(params, len(self.weights) - 1, acts[-1]), acts
 
     def velocity(self, t, x) -> np.ndarray:
-        """Evaluate ``v(t, x)`` for a batch (or single point).
+        """Evaluate ``v(t, x)`` for a batch (or single point), in float32.
 
-        ``t`` is a scalar or one time per row. Rows are evaluated in blocks
-        of ``semidual.SCORE_CHUNK_ENTRIES // max(sizes)`` rows, the score
-        slabs' L2 budget (1 MiB) for the widest layer. Each block goes
-        through one input buffer and two alternating activation buffers,
-        reused by every block, and its output layer writes the result rows
-        in place: beyond the ``(len(x), dim)`` result, a call allocates
-        at most 3 MiB whatever ``len(x)``. Blocks start at multiples of
-        the block size, so each row of a whole block has the same bits at
-        any batch size.
+        ``t`` is a scalar or one time per row. Each call casts ``theta``
+        once to float32 and raises ``FloatingPointError`` if an entry lies
+        beyond float32's finite range. The inputs ``concat(x, t)`` are cast
+        to float32, every layer computes in float32, and the output rows
+        are returned as float64 ``(len(x), dim)``, so they move from a
+        float64 forward pass by float32 rounding.
+
+        Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_ENTRIES //
+        max(sizes)`` rows (2048 at width 64). Each block goes through one
+        input buffer and two alternating activation buffers, reused by
+        every block, and its output rows are copied into the result: beyond
+        the result and the float32 parameter copy, a call allocates at most
+        1.5 MiB whatever ``len(x)``. Blocks start at
+        multiples of the block size, so each row of a whole block has the
+        same bits at any batch size.
         """
+        with np.errstate(over="ignore"):
+            theta = self.theta.astype(np.float32)
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError("model parameters exceed the float32 range")
+        params = self._views(theta)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
         block = max(1, semidual.SCORE_CHUNK_ENTRIES // max(self.sizes))
         rows = min(block, n)
-        inp = np.empty((rows, self.dim + 1))
-        acts = np.empty((2, rows, max(self.sizes)))
+        inp = np.empty((rows, self.dim + 1), dtype=np.float32)
+        acts = np.empty((2, rows, max(self.sizes)), dtype=np.float32)
         out = np.empty((n, self.dim))
-        last = len(self.weights) - 1
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             h = self._inputs(t[lo:hi], x[lo:hi], out=inp[:hi - lo])
-            for k in range(last):
-                h = self._layer(k, h, out=acts[k % 2, :hi - lo, :self.sizes[k + 1]])
-            self._layer(last, h, out=out[lo:hi])
+            for k in range(len(self.weights)):
+                h = self._layer(params, k, h,
+                                out=acts[k % 2, :hi - lo, :self.sizes[k + 1]])
+            out[lo:hi] = h
         return out[0] if single else out
 
     __call__ = velocity
@@ -287,7 +305,8 @@ def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
     ``model`` is any callable ``v(t, X) -> (B, d)``. Euler uses one
     evaluation per step; rk4 uses four. Returns ``(endpoints (B, d),
     velocities (steps, B, d))``, the field at the left grid points; the
-    intermediate states are not kept.
+    intermediate states are not kept. Raises ``FloatingPointError`` if an
+    endpoint is not finite (a non-finite velocity makes one).
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
@@ -297,16 +316,21 @@ def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
     times = np.linspace(0.0, 1.0, steps + 1)
     dt = 1.0 / steps
     vels = np.empty((steps, *x.shape))
-    for i in range(steps):
-        t = times[i]
-        k1 = vels[i] = model(t, x)
-        if method == "euler":
-            x = x + dt * k1
-        else:
-            k2 = model(t + dt / 2, x + dt / 2 * k1)
-            k3 = model(t + dt / 2, x + dt / 2 * k2)
-            k4 = model(t + dt, x + dt * k3)
-            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    # A field that overflows is reported below as a numeric failure, not as
+    # warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            t = times[i]
+            k1 = vels[i] = model(t, x)
+            if method == "euler":
+                x = x + dt * k1
+            else:
+                k2 = model(t + dt / 2, x + dt / 2 * k1)
+                k3 = model(t + dt / 2, x + dt / 2 * k2)
+                k4 = model(t + dt, x + dt * k3)
+                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("non-finite flow endpoint")
     return x, vels
 
 
@@ -316,12 +340,23 @@ def curvature(x0: np.ndarray, x1: np.ndarray, velocities: np.ndarray) -> float:
     Mean over grid points (and batch) of ``||v(t, x_t) - (x_1 - x_0)||^2``
     for the velocities that :func:`integrate` returns with the endpoints
     ``x1`` of starts ``x0``; zero exactly for straight constant-speed paths.
+    Reduces one grid step at a time through one ``(B, d)`` buffer. Raises
+    ``FloatingPointError`` if the result is not finite.
     """
     if velocities.shape[0] < 2:
         raise ConfigurationError("curvature needs at least 2 grid velocities")
-    dev = velocities - (x1 - x0)
-    np.square(dev, out=dev)
-    return float(np.mean(np.sum(dev, axis=-1)))
+    chord = x1 - x0
+    dev = np.empty(velocities.shape[1:])
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in velocities:
+            np.subtract(v, chord, out=dev)
+            np.square(dev, out=dev)
+            total += float(np.sum(dev))
+    curv = total / velocities[..., 0].size
+    if not np.isfinite(curv):
+        raise FloatingPointError("non-finite curvature")
+    return curv
 
 
 def score_from_velocity(model, x: np.ndarray, t: float) -> np.ndarray:

@@ -940,14 +940,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
-    @pytest.mark.parametrize("case", ["guide-gamma-1e200", "guide-gamma-1e154",
-                                      "train-ot-eps-1e-300"])
+    @pytest.mark.parametrize("case", [
+        "guide-gamma-1e200", "guide-gamma-1e154", "train-ot-eps-1e-300",
+        *(f"{command}-theta-{value}" for command in ("sample", "eval", "guide")
+          for value in ("1e39", "1e200")),
+        "sample-theta-all-3e38", "eval-theta-all-3e38"])
     def test_numeric_failures_exit_4(self, tmp_path, blob, capsys, case):
-        if case.startswith("guide"):
+        command, kind, value = case.split("-", 2)
+        if kind == "theta":
+            # Parameters scaled beyond float32's finite range, which the
+            # velocity refuses; or all 3e38, finite in float32, where the
+            # output layer overflows and so do the endpoints.
+            edit = ((lambda theta: np.full_like(theta, 3e38))
+                    if value == "all-3e38" else (lambda theta: theta * float(value)))
+            model = _model_theta(tmp_path, blob, edit)
+            argv = {
+                "sample": ["sample", "--model", model,
+                           "--out", str(tmp_path / "s")],
+                "eval": ["eval", "--model", model],
+                "guide": ["guide", "--model1", model, "--model2",
+                          _quick_model(tmp_path, blob, "b.sdfm"),
+                          "--out", str(tmp_path / "g")],
+            }[command] + ["--count", "4"]
+        elif command == "guide":
             # Guidance weights or states that overflow float64.
             argv = ["guide", "--model1", _quick_model(tmp_path, blob, "a.sdfm"),
                     "--model2", _quick_model(tmp_path, blob, "b.sdfm"),
-                    "--gamma", case.rsplit("-", 1)[1], "--count", "4",
+                    "--gamma", value, "--count", "4",
                     "--out", str(tmp_path / "g")]
         else:
             # Sinkhorn's residual rounds to 0 long before its plan converges.

@@ -176,7 +176,8 @@ class TestParameterVector:
     def test_model_file_in_the_per_layer_order_samples_as_its_layers(self, tmp_path):
         # A model file as per-layer storage wrote it: the concatenated
         # vector plus dim and sizes. Its sample dump holds exactly the Euler
-        # endpoints of the forward pass through those per-layer arrays.
+        # endpoints of the float32 forward pass through those per-layer
+        # arrays.
         layers = _per_layer(Rng(57).generator(), self.SIZES)
         path = str(tmp_path / "m.sdfm")
         write_container(path, "model", {"theta": _concatenated(layers)},
@@ -186,12 +187,15 @@ class TestParameterVector:
             np.testing.assert_array_equal(mw, w)
             np.testing.assert_array_equal(mb, b)
 
+        layers32 = [(w.astype(np.float32), b.astype(np.float32))
+                    for w, b in layers]
+
         def field(t, x):
-            h = np.empty((len(x), 3))
+            h = np.empty((len(x), 3), dtype=np.float32)
             h[:, :2], h[:, 2] = x, t
-            for w, b in layers[:-1]:
+            for w, b in layers32[:-1]:
                 h = np.tanh(h @ w + b)
-            return h @ layers[-1][0] + layers[-1][1]
+            return (h @ layers32[-1][0] + layers32[-1][1]).astype(np.float64)
 
         assert main(["sample", "--model", path, "--count", "16", "--steps", "4",
                      "--seed", "3", "--out", str(tmp_path / "s")]) == 0
@@ -207,14 +211,17 @@ def _fixed_stream(indices):
 
 
 def _unblocked_velocity(model, t, x):
-    """``v(t, x)`` as one whole-batch pass, the reference for the blocks."""
+    """``v(t, x)`` as one whole-batch float32 pass, the reference for the
+    blocks."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
                             (x.shape[0], 1))
-    h = np.concatenate([x, t_col], axis=1)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+    h = np.concatenate([x, t_col], axis=1).astype(np.float32)
+    layers = [(w.astype(np.float32), b.astype(np.float32))
+              for w, b in zip(model.weights, model.biases)]
+    for w, b in layers[:-1]:
         h = np.tanh(h @ w + b)
-    return h @ model.weights[-1] + model.biases[-1]
+    return (h @ layers[-1][0] + layers[-1][1]).astype(np.float64)
 
 
 class TestBlockedVelocity:
@@ -250,6 +257,45 @@ class TestBlockedVelocity:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestFloat32Velocity:
+    @pytest.mark.parametrize("dim, width, steps, batch", [
+        (2, 64, 200, 256),  # desk-2d's model size and training
+        (32, 128, 150, 128),  # highdim-eps's
+    ])
+    def test_agrees_with_the_float64_forward_pass(self, dim, width, steps,
+                                                  batch):
+        # The float32 field against training's float64 forward pass, on the
+        # states of an Euler-8 run at the nine grid times. Measured at these
+        # sizes over four seeds, after 0, 200 and 1000 training steps on
+        # eight-gaussians (d=2), N(0, I) and 3 N(0, I) data (d=32): at most
+        # 1.8e-6 (1 + |v|), at d=32 on 3 N(0, I) after 1000 steps (this
+        # test's models: 4.6e-7 and 1.3e-6). The bound 5e-6 leaves a factor
+        # 2.7.
+        gen = Rng(70).generator()
+        target = TargetMeasure.from_points(3.0 * gen.standard_normal((1024, dim)))
+        model = train_flow(FlowModel(dim=dim, hidden=(width,) * 3, rng=Rng(71)),
+                           target, partial(couple_independent, target),
+                           TrainConfig(steps=steps, batch=batch), Rng(72))
+        x0 = gaussian_starts(Rng(73), 4096, dim)
+        x1, _ = integrate(model, x0, steps=8)
+        for t in np.linspace(0.0, 1.0, 9):
+            x = (1.0 - t) * x0 + t * x1
+            want, _ = model._forward(model._inputs(t, x))
+            got = model.velocity(t, x)
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 5e-6
+
+    def test_parameters_beyond_float32_raise(self):
+        model = FlowModel(dim=2, hidden=(8,), rng=Rng(74))
+        x = np.zeros((3, 2))
+        model.theta[0] = np.finfo(np.float32).max
+        assert np.all(np.isfinite(model.velocity(0.5, x)))
+        # Tier-1 turns RuntimeWarnings into errors, so this also checks
+        # that the cast overflow does not warn.
+        model.theta[0] = 1e39
+        with pytest.raises(FloatingPointError):
+            model.velocity(0.5, x)
 
 
 class TestTrainFlow:
@@ -354,6 +400,13 @@ class TestIntegrate:
         integrate(field, np.array([1.0]), steps=5)
         assert calls == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_non_finite_endpoint_raises(self, method):
+        # The overflow is reported as a FloatingPointError, not as warnings.
+        with pytest.raises(FloatingPointError):
+            integrate(lambda t, x: x * 1e300, np.ones((2, 2)), method=method,
+                      steps=4)
+
     @pytest.mark.parametrize("rows, dim, width, method, steps, mib", [
         (65536, 2, 64, "euler", 4, 12),  # desk-2d eval: 20 MiB with states
         (3072, 32, 128, "rk4", 8, 15),  # highdim-eps sample: 25.7 MiB
@@ -406,6 +459,31 @@ class TestCurvature:
         curv = curvature(states[0], states[-1], vels)
         assert curv == pytest.approx(oracle, rel=0.01)
         assert curv > 0
+
+    def test_reduces_one_grid_step_at_a_time(self):
+        # At the desk-2d eval shape (65536 rows, width 64, Euler-4) the
+        # curvature holds the (B, d) chord and one (B, d) buffer, 2 MiB,
+        # where a (steps, B, d) deviation array and its row sums took 6 MiB;
+        # with the sampler the peak is 8.1 MiB (11.0 with those arrays).
+        model = FlowModel(dim=2, hidden=(64,) * 3, rng=Rng(62))
+        x0 = gaussian_starts(Rng(63), 65536, 2)
+        tracemalloc.start()
+        try:
+            x1, vels = integrate(model, x0, steps=4)
+            sampler_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            curvature(x0, x1, vels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 2.5 * 2**20
+        assert max(sampler_peak, peak) <= 8.5 * 2**20
+
+    def test_non_finite_result_raises(self):
+        vels = np.full((2, 1, 2), 1e200)
+        with pytest.raises(FloatingPointError):
+            curvature(np.zeros(2), np.zeros((1, 2)), vels)
 
     def test_grid_refinement_stable(self):
         def field(t, x):
