@@ -183,11 +183,14 @@ def cmd_train(args) -> int:
     rng = Rng(args.seed)
     target = _load_target(args.data)
     cost = None
+    potential = {}  # the sd potential's state, echoed in the summary
     if args.coupling == "sd":
         if not args.potential:
             raise UsageError("--coupling sd requires --potential")
         pot = artifacts.load_potential(args.potential, target)
         pair = functools.partial(assign_batch, pot)
+        potential = {f"potential_{key}": pot.provenance.get(key) for key in
+                     ("stop_reason", "final_chi2", "empty_cell_fraction")}
     elif args.coupling == "independent":
         pair = functools.partial(couple_independent, target)
     elif args.coupling == "minibatch-hungarian":
@@ -223,8 +226,11 @@ def cmd_train(args) -> int:
         metrics.finalize({"command": "train", "coupling": args.coupling,
                           "seed": args.seed, "pair_ms": pair_ms,
                           "pair_share": pair_ms / train_ms,
-                          "paired_fraction": float(paired.mean())})
-    print(f"train: coupling={args.coupling} steps={args.steps} out={args.out}")
+                          "paired_fraction": float(paired.mean()),
+                          **potential})
+    echo = "".join(f"{key}={value} " for key, value in potential.items())
+    print(f"train: coupling={args.coupling} steps={args.steps} {echo}"
+          f"out={args.out}")
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import SQ_EUCLIDEAN, CostConfig, cost_matrix
-from .numerics import Rng, argmax_with_ties, inverse_cdf, softmax_b_eps_rows
-from .semidual import Potential, TargetMeasure, score_chunks
+from .numerics import Rng, inverse_cdf, softmax_b_eps_rows
+from .semidual import Potential, TargetMeasure, argmax_chunks, score_chunks
 
 __all__ = [
     "SinkhornError",
@@ -42,24 +42,24 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     exp rows. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
     its noise row, never on the batch size. Streams the scan through
-    :func:`~sdfm.semidual.score_chunks`: one matmul block per read of the
-    support, reduced in L2-sized slabs, so the scan holds at most the
-    larger of 1 MiB and 4 x the support's bytes whatever the batch size.
+    :func:`~sdfm.semidual.score_chunks` (at eps=0 through
+    :func:`~sdfm.semidual.argmax_chunks`, whose float32 scores give the
+    float64 argmax): one matmul block per read of the support, reduced in
+    L2-sized slabs, so the scan holds at most the larger of 1 MiB and 4 d
+    N scores whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    b = pot.target.weights
-    log_b = pot.target.log_weights
     u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
-    for lo, hi, scores in score_chunks(pot, noise):
-        if pot.eps == 0.0:
-            part, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+    if pot.eps == 0.0:
+        for lo, hi, (part, _, tie_rows, tie_weights) in argmax_chunks(pot, noise):
             if tie_rows.size:
                 part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
-        else:
-            softmax_b_eps_rows(scores, log_b, pot.eps)
-            part = inverse_cdf(scores, u[lo:hi])
-        idx[lo:hi] = part
+            idx[lo:hi] = part
+        return idx
+    for lo, hi, scores in score_chunks(pot, noise):
+        softmax_b_eps_rows(scores, pot.target.log_weights, pot.eps)
+        idx[lo:hi] = inverse_cdf(scores, u[lo:hi])
     return idx
 
 

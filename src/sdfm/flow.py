@@ -151,8 +151,8 @@ class FlowModel:
         are returned as float64 ``(len(x), dim)``, so they move from a
         float64 forward pass by float32 rounding.
 
-        Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_ENTRIES //
-        max(sizes)`` rows (2048 at width 64). Each block goes through one
+        Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
+        max(sizes))`` rows (2048 at width 64). Each block goes through one
         input buffer and two alternating activation buffers, reused by
         every block, and its output rows are copied into the result: beyond
         the result and the float32 parameter copy, a call allocates at most
@@ -169,7 +169,7 @@ class FlowModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
-        block = max(1, semidual.SCORE_CHUNK_ENTRIES // max(self.sizes))
+        block = max(1, semidual.SCORE_CHUNK_BYTES // (8 * max(self.sizes)))
         rows = min(block, n)
         inp = np.empty((rows, self.dim + 1), dtype=np.float32)
         acts = np.empty((2, rows, max(self.sizes)), dtype=np.float32)

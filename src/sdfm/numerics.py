@@ -1,10 +1,13 @@
 """Deterministic numerical substrate: splittable RNG and the row reductions.
 
-All solver math runs in float64. Randomness flows through :class:`Rng`
-values, which wrap a counter-based (Philox) bit generator keyed on
-``(seed, stream)``: the same value always reproduces the same draws, and
-child streams derived with :meth:`Rng.child` are independent of thread
-scheduling, so parallel batches stay reproducible. Per-row randomness is
+The solver's reductions and updates run in float64. Only the eps=0 score
+blocks are float32, and their argmax is re-checked in float64 wherever
+float32 rounding could change it (:func:`sdfm.semidual.argmax_chunks`).
+Randomness flows through :class:`Rng` values, which wrap a counter-based
+(Philox) bit generator keyed on ``(seed, stream)``: the same value always
+reproduces the same draws, and child streams derived with
+:meth:`Rng.child` are independent of thread scheduling, so parallel
+batches stay reproducible. Per-row randomness is
 one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
 gets the ``i``-th uniform of the stream, whatever the batch size.
 Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
@@ -121,21 +124,21 @@ def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
     return total
 
 
-def eps0_column_stats(scores: np.ndarray, b: np.ndarray,
-                      row_weights: np.ndarray | None,
+def eps0_column_stats(top, row_weights: np.ndarray | None,
                       col_sum: np.ndarray, col_sq: np.ndarray | None = None,
                       row_max: np.ndarray | None = None) -> None:
     """Add the column sums (and squared sums) of eps=0 responsibility rows.
 
-    The rows are one-hot on each row's argmax, tie rows split by ``b``
-    (:func:`argmax_with_ties`), optionally scaled by ``row_weights``; their
-    sums are added to ``col_sum`` and, when given, their squared sums to
-    ``col_sq``, without materializing the dense rows, in O(rows) work, so
-    a stream of row tiles pays no O(N) step per tile and sums in the same
-    order as one block. With ``row_max`` (one entry per row) each row's
-    maximum score is written there.
+    ``top`` is ``(idx, best, tie_rows, tie_weights)`` as
+    :func:`argmax_with_ties` returns it: the rows are one-hot on ``idx``,
+    tie rows split by their ``tie_weights``, optionally scaled by
+    ``row_weights``; their sums are added to ``col_sum`` and, when given,
+    their squared sums to ``col_sq``, without materializing the dense rows,
+    in O(rows) work, so a stream of row tiles pays no O(N) step per tile
+    and sums in the same order as one block. With ``row_max`` (one entry
+    per row) each row's ``best`` is written there.
     """
-    idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
+    idx, best, tie_rows, tie_weights = top
     if row_max is not None:
         row_max[:] = best
     w = 1.0 if row_weights is None else np.asarray(row_weights, dtype=np.float64)

@@ -30,13 +30,17 @@ Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. Its right operand is the lifted
 support, one C-contiguous ``(d + 1, N)`` array: the support's d
 coordinate rows, then the shift row that each :func:`coupling_scores`
-call writes from its own potential.
+call writes from its own potential. eps>0 scores in float64; eps=0 scores
+in float32 against a float32 copy of the lifted support, made on the first
+eps=0 scan.
 :func:`score_chunks` yields the B x N block as cache-sized row slabs of
 matmul blocks that share one buffer. One reducer, :func:`_column_sums`,
-reduces each slab in place: one unnormalised exp pass at eps>0, the
-argmax and its tie rule at eps=0 (:mod:`sdfm.numerics`); the semidual
+reduces them: one unnormalised exp pass per slab at eps>0
+(:mod:`sdfm.numerics`), and at eps=0 the result of :func:`argmax_chunks`,
+which is the float64 tie rule's (the float32 argmax wherever a rounding
+bound proves it, a float64 re-check of the few other rows). The semidual
 value, gradient, second marginal and chi-square read its column sums and
-soft-c transform. Pairing reads the same stream. :func:`chi2_batches` is
+soft-c transform. Pairing reads the same streams. :func:`chi2_batches` is
 the one streamed-noise loop.
 """
 
@@ -51,7 +55,9 @@ import numpy as np
 
 from .costs import NEG_DOT, ConfigurationError, CostConfig
 from .numerics import (
+    ARGMAX_TIE_TOL,
     Rng,
+    argmax_with_ties,
     eps0_column_stats,
     softmax_b_eps_rows,
 )
@@ -92,6 +98,16 @@ def _lifted_support(points: np.ndarray) -> np.ndarray:
         lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
     lifted[-1] = np.nan
     return lifted
+
+
+def _single_support(lifted: np.ndarray):
+    """``(copy, row_max)``: the float32 copy of a lifted support, and the
+    largest ``|entry|`` of each of its coordinate rows, or ``inf`` from
+    ``2^127`` up, where the copy may overflow (:func:`argmax_chunks`)."""
+    with np.errstate(over="ignore"):
+        copy = lifted.astype(np.float32)
+    row_max = np.maximum(lifted[:-1].max(axis=1), -lifted[:-1].min(axis=1))
+    return copy, _f32_range(row_max)
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,10 @@ class TargetMeasure:
         log_w.setflags(write=False)
         return log_w
 
+    @cached_property
+    def _single(self):
+        return _single_support(self._lifted)
+
 
 @dataclass
 class Potential:
@@ -191,11 +211,21 @@ class Potential:
         return _lifted_support(self.cost.embed(self.target.points))
 
     @cached_property
+    def _single(self):
+        # Kept once per lifted array: potentials share their target's.
+        if self.cost.projection is None:
+            return self.target._single
+        return _single_support(self._lifted)
+
+    @cached_property
     def _sq_norms(self) -> np.ndarray:
-        # From a C-ordered copy: einsum over the strided support view rounds
-        # some norms differently.
-        s = np.ascontiguousarray(self.support)
-        return np.einsum("ij,ij->i", s, s)
+        # From C-ordered copies of 1024-point blocks: einsum over the strided
+        # support view rounds some norms differently.
+        norms = np.empty(len(self.support))
+        for lo in range(0, len(norms), 1024):
+            s = np.ascontiguousarray(self.support[lo:lo + 1024])
+            norms[lo:lo + 1024] = np.einsum("ij,ij->i", s, s)
+        return norms
 
 
 def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,20 +277,41 @@ class DiscreteNoise:
 # Kernel evaluations (inputs are raw rows)
 
 # Score tiles come in two levels, both of whole rows, so row reductions
-# need no online merging. A reducer sees slabs of SCORE_CHUNK_ENTRIES // N
-# rows (at least one): 2^17 float64 entries (1 MiB) stay resident in a
-# 2 MiB per-core L2 cache while it makes its passes over the slab. One
-# coupling_scores call, one matmul against the C-contiguous (d + 1, N)
-# lifted support, fills a block of max(slab, 4 d) rows for a d-dimensional
-# support, so each read of the support serves at least 4 d rows. The block
-# buffer holds max(1 MiB, 4 x the support's bytes), whatever the batch size.
-SCORE_CHUNK_ENTRIES = 2**17
+# need no online merging. A reducer sees slabs of SCORE_CHUNK_BYTES of
+# scores (at least one row): 1 MiB, 2^17 float64 or 2^18 float32 entries,
+# stays resident in a 2 MiB per-core L2 cache while it makes its passes
+# over the slab. One coupling_scores call, one matmul against the
+# C-contiguous (d + 1, N) lifted support, fills a block of max(slab, 4 d)
+# rows for a d-dimensional support, so each read of the support serves at
+# least 4 d rows. The block buffer holds max(1 MiB, 4 d N scores) whatever
+# the batch size.
+SCORE_CHUNK_BYTES = 2**20
+
+_UNIT32 = 2.0**-24  # float32's unit roundoff
+_TINY32 = 2.0**-124  # four times float32's smallest normal number
 
 
-def _tile_rows(n: int, d: int) -> tuple[int, int]:
-    """``(block, slab)``: rows per matmul block and per reducer slab."""
-    slab = max(1, SCORE_CHUNK_ENTRIES // n)
+def _tile_rows(n: int, d: int, itemsize: int) -> tuple[int, int]:
+    """``(block, slab)``: rows per matmul block and per reducer slab of
+    scores of ``itemsize`` bytes."""
+    slab = max(1, SCORE_CHUNK_BYTES // (itemsize * n))
     return max(slab, 4 * d), slab
+
+
+def _f32_range(v):
+    """Nonnegative ``v``, or ``inf`` from ``2^127`` up: there, a float32
+    copy may overflow."""
+    return np.where(v < 2.0**127, v, np.inf)
+
+
+def _lifted_rows(pot: Potential, x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling space,
+    made in float64 and stored in ``dtype``."""
+    x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    rows = np.empty((len(x), x.shape[1] + 1), dtype=dtype)
+    np.multiply(x, 1.0 if pot.cost.kind == NEG_DOT else 2.0, out=rows[:, :-1])
+    rows[:, -1] = 1.0
+    return rows
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
@@ -272,16 +323,36 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     squared Euclidean cost). As ``g_j - |x - y_j|^2 = 2 <x, y_j> + (g_j -
     |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
     ``+|x_i|^2``; negative dot product scores (``a = 1``) are exact.
-    Written to ``out`` (shape ``(len(x), N)``) when given.
+    Written to ``out`` (shape ``(len(x), N)``) when given, in its dtype: a
+    float32 ``out`` is the product of the rows cast to float32 and the
+    float32 copy of the lifted support, whose shift row is the float64
+    one cast. Values beyond float32's range become ``inf`` or ``nan``
+    there, without a warning.
     """
-    x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
-    rows = np.column_stack([a * x, np.ones(len(x))])
+    lifted = pot._lifted
     if pot.cost.kind == NEG_DOT:
-        pot._lifted[-1] = pot.g
+        lifted[-1] = pot.g
     else:
-        np.subtract(pot.g, pot._sq_norms, out=pot._lifted[-1])
-    return np.matmul(rows, pot._lifted, out=out)
+        np.subtract(pot.g, pot._sq_norms, out=lifted[-1])
+    if out is None or out.dtype == np.float64:
+        return np.matmul(_lifted_rows(pot, x), lifted, out=out)
+    single = pot._single[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        single[-1] = lifted[-1]
+        return np.matmul(_lifted_rows(pot, x, np.float32), single, out=out)
+
+
+def _score_blocks(pot: Potential, x: np.ndarray):
+    """Yield ``(lo, hi, scores, slab)``: the :func:`coupling_scores` of the
+    matmul block of rows ``lo:hi`` in one buffer, and its slab height."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
+    block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
+                             dtype.itemsize)
+    buf = np.empty((min(block, x.shape[0]), pot.target.n), dtype=dtype)
+    for lo in range(0, x.shape[0], block):
+        hi = min(lo + block, x.shape[0])
+        yield lo, hi, coupling_scores(pot, x[lo:hi], out=buf[:hi - lo]), slab
 
 
 def score_chunks(pot: Potential, x: np.ndarray):
@@ -289,18 +360,89 @@ def score_chunks(pot: Potential, x: np.ndarray):
 
     Every reducer streams through here: one :func:`coupling_scores` call
     per block of rows (squared-Euclidean scores up to a per-row constant),
-    yielded as L2-sized slabs (:data:`SCORE_CHUNK_ENTRIES`) of one buffer
-    per stream, at most max(1 MiB, 4 x the support's bytes) whatever
-    ``len(x)``. A reducer may overwrite a slab until it asks for the next.
+    yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one buffer per
+    stream, at most max(1 MiB, 4 d N scores) whatever ``len(x)``. A reducer
+    may overwrite a slab until it asks for the next. Scores are float64 at
+    eps>0 and float32 at eps=0, where :func:`argmax_chunks` reduces them.
+
+    **The eps=0 rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n =
+    n u / (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik|
+    max_j |L_kj| + max_j |shift_j|``. Every float32 score of row ``i``
+    differs from its float64 score by at most
+
+        β_i = γ_{K+2} S_i + 2^-124 (sum_k max_j |L_kj| + sum_k |a x_ik| + K + 1).
+
+    Sketch: casting both factors of a product to float32 scales it by at
+    most ``(1 + u)^2``, and a K-term float32 dot product errs by at most
+    ``K u`` times the sum of its terms' magnitudes, in any summation order
+    and with or without FMA (Jeannerod & Rump, SIMAX 2013). So the float32
+    score lies within ``((1 + u)^2 (1 + K u) - 1) S_i`` of the exact one and
+    the float64 score within ``K 2^-53 S_i``; both together stay below
+    ``γ_{K+2} S_i``, whose ``(K + 2)^2 u^2`` term is the margin. Each cast,
+    product and sum may also underflow, by less than 2^-126 flushed or
+    2^-150 gradual; the second term bounds their sum. The bound needs every
+    float32 value finite, so it is taken as ``inf`` when ``S_i`` reaches
+    ``2^126`` or an operand ``2^127``. A row whose float32 top-two gap
+    (taken in float64) exceeds ``2 β_i + ARGMAX_TIE_TOL`` then has float64
+    scores with the same argmax and no other entry within ``ARGMAX_TIE_TOL``
+    of it, which is the tie rule's one-hot row. Any other row, an infinite
+    or NaN bound or gap included, is rescored in float64.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    block, slab = _tile_rows(pot.target.n, pot.support.shape[1])
-    buf = np.empty((min(block, x.shape[0]), pot.target.n))
-    for lo in range(0, x.shape[0], block):
-        hi = min(lo + block, x.shape[0])
-        scores = coupling_scores(pot, x[lo:hi], out=buf[:hi - lo])
+    for lo, hi, scores, slab in _score_blocks(pot, x):
         for s in range(0, hi - lo, slab):
             yield lo + s, min(lo + s + slab, hi), scores[s:s + slab]
+
+
+def argmax_chunks(pot: Potential, x: np.ndarray, best: bool = False):
+    """Yield ``(lo, hi, (idx, top, tie_rows, tie_weights))`` per matmul block
+    at eps=0: what :func:`~sdfm.numerics.argmax_with_ties` returns for the
+    float64 :func:`coupling_scores` of rows ``lo:hi``.
+
+    Each float32 slab gives its rows' argmax and top-two gap. The rows that
+    the rounding bound of :func:`score_chunks` cannot settle are rescored
+    in float64 through :func:`coupling_scores`, and
+    :func:`~sdfm.numerics.argmax_with_ties` resolves them, so there is one
+    tie rule. ``top``, each row's maximum score, is ``None`` unless
+    ``best``; it is taken in float64 from the row's chosen column, an
+    O(rows d) gather.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    coord_max = pot._single[1]
+    k = len(coord_max) + 1
+    gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
+    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
+    per_coord = gamma * coord_max + _TINY32
+    constant = None  # the bound's row-independent part
+    for lo, hi, scores, slab in _score_blocks(pot, x):
+        if constant is None:  # the shift row is this potential's until a yield
+            shift = pot._lifted[-1]
+            constant = gamma * _f32_range(max(shift.max(), -shift.min())) + \
+                _TINY32 * (coord_max.sum() + k + 1)
+        idx = np.empty(hi - lo, dtype=np.int64)
+        gap = np.empty(hi - lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, hi - lo, slab):
+                part = scores[s:s + slab]
+                rows = np.arange(len(part))
+                first = idx[s:s + slab] = part.argmax(axis=1)
+                peak = part[rows, first]
+                part[rows, first] = -np.inf  # the next max is the second
+                np.subtract(peak, part.max(axis=1), out=gap[s:s + slab],
+                            dtype=np.float64)
+            bound = _f32_range(a * np.abs(pot.cost.embed(x[lo:hi]))) @ per_coord
+            bound += constant
+            bound[~(bound < gamma * 2.0**126)] = np.inf
+            recheck = np.flatnonzero(~(gap > 2.0 * bound + ARGMAX_TIE_TOL))
+        tie_rows, tie_weights = recheck, np.empty((0, pot.target.n))
+        if recheck.size:
+            sub, _, ties, tie_weights = argmax_with_ties(
+                coupling_scores(pot, x[lo:hi][recheck]), pot.target.weights)
+            idx[recheck] = sub
+            tie_rows = recheck[ties]
+        top = None
+        if best:
+            top = np.vecdot(_lifted_rows(pot, x[lo:hi]), pot._lifted[:, idx].T)
+        yield lo, hi, (idx, top, tie_rows, tie_weights)
 
 
 def _column_sums(pot: Potential, x: np.ndarray,
@@ -317,25 +459,27 @@ def _column_sums(pot: Potential, x: np.ndarray,
     b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
     score_ij`` at eps=0, plus ``|x_i|^2`` for the squared Euclidean cost.
     """
-    b = pot.target.weights
     n = pot.target.n
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
     col_sum = np.zeros(n)
     col_sq = np.zeros(n) if squares else None
-    for lo, hi, scores in score_chunks(pot, x):
-        w = None if weights is None else weights[lo:hi]
-        f = None if soft_c is None else soft_c[lo:hi]
-        if pot.eps == 0.0:
-            eps0_column_stats(scores, b, w, col_sum, col_sq, row_max=f)
-            continue
-        total = softmax_b_eps_rows(scores, pot.target.log_weights, pot.eps,
-                                   smooth_max=f)
-        r = 1.0 / total if w is None else w / total
-        col_sum += r @ scores
-        if squares:
-            np.square(scores, out=scores)
-            col_sq += (r * r) @ scores
+    if pot.eps == 0.0:
+        for lo, hi, top in argmax_chunks(pot, x, best=soft_c is not None):
+            eps0_column_stats(top, None if weights is None else weights[lo:hi],
+                              col_sum, col_sq,
+                              row_max=None if soft_c is None else soft_c[lo:hi])
+    else:
+        for lo, hi, scores in score_chunks(pot, x):
+            w = None if weights is None else weights[lo:hi]
+            f = None if soft_c is None else soft_c[lo:hi]
+            total = softmax_b_eps_rows(scores, pot.target.log_weights,
+                                       pot.eps, smooth_max=f)
+            r = 1.0 / total if w is None else w / total
+            col_sum += r @ scores
+            if squares:
+                np.square(scores, out=scores)
+                col_sq += (r * r) @ scores
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
         if pot.cost.kind != NEG_DOT:

@@ -283,6 +283,28 @@ class TestTrainSampleEval:
                      .choice(64, size=8, p=np.full(64, 1 / 64))}
             assert summary["paired_fraction"] == len(drawn) / 64
 
+    def test_train_sd_echoes_the_potential_state(self, tmp_path, blob, capsys):
+        _, pot = _solve(tmp_path, blob, "bp.sdfm", extra=["--iters", "50"])
+        provenance = read_container(pot, expect_kind="potential")[1]["provenance"]
+        for coupling in ("sd", "independent"):
+            out = str(tmp_path / f"{coupling}.sdfm")
+            capsys.readouterr()
+            assert main(["train", "--data", blob, "--coupling", coupling,
+                         "--potential", pot, "--steps", "2", "--batch", "8",
+                         "--hidden", "4", "--out", out]) == 0
+            stdout = capsys.readouterr().out
+            with open(out + ".metrics.json") as fh:
+                summary = json.load(fh)["summary"]
+            for key in ("stop_reason", "final_chi2", "empty_cell_fraction"):
+                echoed = f"potential_{key}={provenance[key]} "
+                if coupling == "sd":
+                    assert summary["potential_" + key] == provenance[key]
+                    assert echoed in stdout
+                else:
+                    assert "potential_" + key not in summary
+                    assert "potential_" not in stdout
+        assert provenance["stop_reason"] == "max_iterations"
+
     def test_sinkhorn_ot_eps_is_relative_to_reference_cost_std(
             self, tmp_path, blob, monkeypatch):
         passed = []
@@ -459,7 +481,7 @@ class TestPrefixStableStarts:
             assert main(["sample", "--model", model, "--count", str(count),
                          "--seed", "5", "--out", out]) == 0
             rows.append(artifacts.load_sample_dump(out + ".bin"))
-        block = semidual.SCORE_CHUNK_ENTRIES // 64
+        block = semidual.SCORE_CHUNK_BYTES // (8 * 64)
         assert 0 < block <= 3000
         np.testing.assert_array_equal(rows[1][:block], rows[0][:block])
 

@@ -231,7 +231,7 @@ class TestBlockedVelocity:
         # Widest layer 16: blocks of 5 rows, so 5 rows are one whole
         # block, 21 are four and one row, 23 end in a ragged block of 3,
         # and 3 rows (or one 1-d row) sit below one block.
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 16 * 5)
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 16 * 5)
         model = FlowModel(dim=3, hidden=(16, 12, 7), rng=Rng(40))
         gen = Rng(41).generator()
         rows = 1 if count is None else count

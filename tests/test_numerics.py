@@ -166,8 +166,8 @@ class TestSoftmaxBEps:
                 _, best, _, _ = argmax_with_ties(scores, b)
                 np.testing.assert_array_equal(best, scores.max(axis=1))
                 row_max = np.empty(6)
-                eps0_column_stats(scores, b, None, np.zeros(5), np.zeros(5),
-                                  row_max=row_max)
+                eps0_column_stats(argmax_with_ties(scores, b), None,
+                                  np.zeros(5), np.zeros(5), row_max=row_max)
                 np.testing.assert_array_equal(row_max, scores.max(axis=1))
             else:
                 smooth = np.empty(6)
@@ -207,12 +207,12 @@ class TestArgmaxWithTies:
         dense = softmax_rows(scores, b, 0.0)
         for w in (None, rw):
             col_sum, col_sq = np.zeros(5), np.zeros(5)
-            eps0_column_stats(scores, b, w, col_sum, col_sq)
+            eps0_column_stats(argmax_with_ties(scores, b), w, col_sum, col_sq)
             ws = dense if w is None else w[:, None] * dense
             np.testing.assert_allclose(col_sum, ws.sum(axis=0), atol=1e-14)
             np.testing.assert_allclose(col_sq, (ws * ws).sum(axis=0), atol=1e-14)
             sums_only = np.zeros(5)
-            eps0_column_stats(scores, b, w, sums_only)  # no squares asked
+            eps0_column_stats(argmax_with_ties(scores, b), w, sums_only)  # no squares
             np.testing.assert_array_equal(sums_only, col_sum)
 
     def test_tie_free_slab_skips_the_tie_work(self):
@@ -229,7 +229,7 @@ class TestArgmaxWithTies:
             ws = np.zeros((32, 300))
             ws[np.arange(32), idx] = 1.0 if w is None else w
             col_sum, col_sq = np.zeros(300), np.zeros(300)
-            eps0_column_stats(scores, b, w, col_sum, col_sq)
+            eps0_column_stats(argmax_with_ties(scores, b), w, col_sum, col_sq)
             np.testing.assert_array_equal(col_sum, ws.sum(axis=0))
             np.testing.assert_array_equal(col_sq, (ws * ws).sum(axis=0))
 

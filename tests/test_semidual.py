@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,8 +135,9 @@ class TestSoftCTransform:
         pot = _simple_potential(gen.standard_normal(30), ys, b, eps=eps,
                                 kind=kind)
         x = gen.standard_normal((41, 3))
-        # 6-row tiles with a ragged last one: f is written tile by tile.
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 6 * 30)
+        # 6-row float64 tiles (12-row float32 ones at eps=0) with a ragged
+        # last one: f is written tile by tile.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 6 * 30)
         scores = pot.g - cost_matrix(pot.cost, x, ys)
         if eps == 0.0:
             expected = -scores.max(axis=1)
@@ -354,8 +356,9 @@ class TestChi2:
         pot = _simple_potential(gen.standard_normal(40) * 0.3,
                                 gen.standard_normal((40, 3)),
                                 gen.random(40) + 0.1, eps=eps)
-        # 7-row tiles: the outputs are filled tile by tile.
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 7 * 40)
+        # 7-row float64 tiles (14-row float32 ones at eps=0): the outputs
+        # are filled tile by tile.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 7 * 40)
         x = gen.standard_normal((50, 3))
         f, mass = np.empty(50), np.ones(40)
         assert chi2_estimator(pot, x, soft_c=f, mass=mass) == \
@@ -464,7 +467,7 @@ class TestTransportCost:
         x = gen.standard_normal((37, 2))
         w = gen.random(37) + 0.1
         w /= w.sum()
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 5 * 25)
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 5 * 25)
         s = responsibilities_rows(pot, x)
         per_row = np.sum(s * cost_matrix(pot.cost, x, ys), axis=1)
         if eps > 0.0:
@@ -515,8 +518,8 @@ class TestStreamingMemory:
         # vectors, never a multiple of the (B, N) score block.
         gen = Rng(30).generator()
         n = 1024
-        tile_bytes = semidual.SCORE_CHUNK_ENTRIES * 8
-        rows = semidual.SCORE_CHUNK_ENTRIES // n
+        tile_bytes = semidual.SCORE_CHUNK_BYTES
+        rows = semidual.SCORE_CHUNK_BYTES // (8 * n)  # float64 rows per tile
 
         for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
@@ -531,25 +534,29 @@ class TestStreamingMemory:
 
     def test_one_score_call_per_block(self, monkeypatch):
         # At N=4096, d=32 the block rule binds: 128-row matmul blocks cut
-        # into 32-row slabs. A scan makes one coupling_scores call per
-        # block, and its peak is about one block plus O(N + B) vectors.
+        # into 32-row float64 slabs, or 64-row float32 ones at eps=0. A scan
+        # makes one coupling_scores call per block into the stream's buffer,
+        # and at eps=0 at most one more per block, the float64 re-check of
+        # its near-tie rows. Its peak is about one block plus O(N + B)
+        # vectors.
         gen = Rng(34).generator()
         n, d = 4096, 32
-        block, slab = semidual._tile_rows(n, d)
-        assert (block, slab) == (128, 32)
-        block_bytes = block * n * 8
+        assert semidual._tile_rows(n, d, 8) == (128, 32)
+        assert semidual._tile_rows(n, d, 4) == (128, 64)
+        block = 128
         calls = []
         scores = semidual.coupling_scores
 
-        def counted(pot, x, *args, **kwargs):
-            calls.append(len(x))
-            return scores(pot, x, *args, **kwargs)
+        def counted(pot, x, out=None):
+            calls.append((len(x), out is not None))
+            return scores(pot, x, out)
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
         for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
                                     gen.standard_normal((n, d)), eps=eps,
                                     kind=kind)
+            block_bytes = block * n * (4 if eps == 0.0 else 8)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (block, 16 * block + 3):
                     x = gen.standard_normal((b_rows, d))
@@ -558,8 +565,11 @@ class TestStreamingMemory:
                     got = _traced_peak(fn, pot, x)
                     assert got < bound, (kind, fn.__name__, eps, b_rows, got,
                                          bound)
-                    assert len(calls) == -(-b_rows // block), (fn.__name__, calls)
-                    assert sum(calls) == b_rows
+                    blocks = [rows for rows, buffered in calls if buffered]
+                    rechecks = [rows for rows, buffered in calls if not buffered]
+                    assert len(blocks) == -(-b_rows // block), (fn.__name__, calls)
+                    assert sum(blocks) == b_rows
+                    assert len(rechecks) <= (len(blocks) if eps == 0.0 else 0)
 
 
 class TestScoreTiles:
@@ -576,10 +586,11 @@ class TestScoreTiles:
 
     @pytest.fixture(params=[1, 8, "default", "batch"])
     def tile_rows(self, request, monkeypatch):
-        # Slab heights, with the block rule left as it is.
+        # float64 slab heights, with the block rule left as it is; eps=0
+        # slabs are float32 and twice as high.
         if request.param != "default":
             rows = self.B if request.param == "batch" else request.param
-            monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", rows * self.N)
+            monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * rows * self.N)
         return request.param
 
     @pytest.fixture(params=["1", "ragged", "batch"])
@@ -589,7 +600,8 @@ class TestScoreTiles:
         # ragged last slab each; one whole-batch block in 8-row slabs.
         shape = {"1": (1, 1), "ragged": (70, 16), "batch": (self.B, 8)}
         block, slab = shape[request.param]
-        monkeypatch.setattr(semidual, "_tile_rows", lambda n, d: (block, slab))
+        monkeypatch.setattr(semidual, "_tile_rows",
+                            lambda n, d, itemsize: (block, slab))
         return request.param
 
     @staticmethod
@@ -615,7 +627,7 @@ class TestScoreTiles:
     def _check_against_one_tile(self, eps, monkeypatch):
         got = self._results(eps)
         monkeypatch.setattr(semidual, "_tile_rows",
-                            lambda n, d: (self.B, self.B))
+                            lambda n, d, itemsize: (self.B, self.B))
         ref = self._results(eps)
         np.testing.assert_array_equal(got["assign"], ref["assign"])
         if eps == 0.0:
@@ -648,7 +660,7 @@ def _streamed_scores(pot, x):
 
 def _two_pass_blocks(pot, x):
     """:func:`scores_two_pass` over the stream's matmul blocks, stacked."""
-    block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1])
+    block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
     return np.vstack([scores_two_pass(pot, x[lo:lo + block])
                       for lo in range(0, len(x), block)])
 
@@ -677,7 +689,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("rows", ["1", "ragged", "several"])
     def test_neg_dot_bit_equal_to_two_pass(self, d, pca, rows):
         pot, gen = self._case(d, pca=pca)
-        block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1])
+        block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
         b_rows = {"1": 1, "ragged": 5, "several": 3 * block + 5}[rows]
         x = gen.standard_normal((b_rows, pot.target.dim))
         fused, ref = _streamed_scores(pot, x), _two_pass_blocks(pot, x)
@@ -749,7 +761,7 @@ class TestShiftRow:
         pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
                 for _ in range(2)]
         x = gen.standard_normal((64, 2))
-        assert semidual._tile_rows(4096, 2) == (32, 32)
+        assert semidual._tile_rows(4096, 2, 8) == (32, 32)
         streams = [semidual.score_chunks(pot, x) for pot in pots]
         got = [np.empty((64, 4096)) for _ in pots]
         for _ in range(2):
@@ -763,15 +775,17 @@ class TestShiftRow:
 
 
 class TestEps0TieFreeSlabs:
-    """At eps=0 a slab without ties skips the tie work. A stream that mixes
-    such slabs with slabs whose ties come from duplicated support points
-    reduces as the dense rule does: one-hot rows, tie rows split by ``b``.
+    """At eps=0 a block without near-ties skips the float64 and tie work. A
+    stream that mixes such blocks with blocks whose ties come from
+    duplicated support points reduces as the dense rule does on the float64
+    scores: one-hot rows, tie rows split by ``b``.
     """
 
     N, SLAB = 64, 8
 
     def test_mixed_stream_matches_dense_rule(self, monkeypatch):
-        monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", self.SLAB * self.N)
+        # float32 slabs of SLAB rows, which is also the block height 4 d.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 4 * self.SLAB * self.N)
         gen = Rng(48).generator()
         # Points on the unit circle; the last two repeat points 0 and 3.
         angles = 2 * np.pi * np.arange(self.N - 2) / (self.N - 2)
@@ -790,11 +804,14 @@ class TestEps0TieFreeSlabs:
         x[self.SLAB + 2] = x[self.SLAB + 5] = 50.0 * ys[0]
         x[3 * self.SLAB] = 50.0 * ys[3]
 
-        scores = np.empty((len(x), self.N))
+        scores = semidual.coupling_scores(pot, x)  # float64
         has_ties = []
-        for lo, hi, slab in semidual.score_chunks(pot, x):
-            scores[lo:hi] = slab
-            has_ties.append(argmax_with_ties(slab.copy(), b)[2].size > 0)
+        for lo, hi, (idx, _, tie_rows, _) in semidual.argmax_chunks(pot, x):
+            assert hi - lo == self.SLAB
+            ref_idx, _, ref_ties, _ = argmax_with_ties(scores[lo:hi].copy(), b)
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(tie_rows, ref_ties)
+            has_ties.append(tie_rows.size > 0)
         assert has_ties == [False, True, False, True, False]
         close = scores >= scores.max(axis=1, keepdims=True) - ARGMAX_TIE_TOL
         dense = b * close
@@ -817,3 +834,156 @@ class TestEps0TieFreeSlabs:
             idx, inverse_cdf(dense, Rng(49).generator().random(len(x))))
         assert idx[self.SLAB + 2] in (0, self.N - 2)
         assert idx[3 * self.SLAB] in (3, self.N - 1)
+
+
+class TestFloat32Eps0Scan:
+    """eps=0 scans score in float32 and re-check near-ties in float64: the
+    indices, draws, column sums, squares and soft-c equal the float64
+    reference (the oracle's float64 scores plus ``argmax_with_ties``) at
+    both costs, with and without a projection, on planted near-ties,
+    duplicate points and values beyond float32's range."""
+
+    N, D = 300, 3
+
+    @classmethod
+    def _potential(cls, kind, pca, points, g):
+        projection = None if pca is None else fit_pca(points, pca)
+        cost = CostConfig(kind=kind, eps_raw=0.0, projection=projection)
+        b = Rng(60).generator().random(len(points)) + 0.1
+        return Potential(g=g, target=TargetMeasure.from_points(points, b),
+                         cost=cost)
+
+    @staticmethod
+    def _bound(pot, x):
+        """β_i of :func:`semidual.score_chunks` without its underflow term."""
+        a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
+        support = pot.support
+        shift = pot.g - (0.0 if a == 1.0 else np.sum(support**2, axis=1))
+        k = support.shape[1] + 1
+        gamma = (k + 2) * 2.0**-24 / (1 - (k + 2) * 2.0**-24)
+        s = a * np.abs(pot.cost.embed(x)) @ np.abs(support).max(axis=0)
+        return gamma * (s + np.abs(shift).max())
+
+    @staticmethod
+    def _check_against_float64(pot, x):
+        b = pot.target.weights
+        scores = semidual.coupling_scores(pot, x)  # float64
+        idx, best, tie_rows, tie_weights = argmax_with_ties(scores.copy(), b)
+        want_sum, want_sq = np.zeros(pot.target.n), np.zeros(pot.target.n)
+        semidual.eps0_column_stats((idx, best, tie_rows, tie_weights), None,
+                                   want_sum, want_sq)
+        u = Rng(61).generator().random(len(x))
+        want_idx = idx.copy()
+        want_idx[tie_rows] = inverse_cdf(tie_weights, u[tie_rows])
+
+        f = np.empty(len(x))
+        col_sum, col_sq = semidual._column_sums(pot, x, squares=True, soft_c=f)
+        np.testing.assert_array_equal(col_sum, want_sum)
+        np.testing.assert_array_equal(col_sq, want_sq)
+        np.testing.assert_array_equal(assign_batch(pot, x, Rng(61)), want_idx)
+        want_f = -best
+        if pot.cost.kind != NEG_DOT:
+            want_f += np.einsum("ij,ij->i", pot.cost.embed(x), pot.cost.embed(x))
+        np.testing.assert_array_equal(f, want_f)
+        blocks = list(semidual.argmax_chunks(pot, x))
+        assert [(lo, hi) for lo, hi, _ in blocks] == [(0, len(x))]
+        np.testing.assert_array_equal(blocks[0][2][0], idx)
+        np.testing.assert_array_equal(blocks[0][2][2], tie_rows)
+        return scores, tie_rows
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("pca", [None, 2])
+    def test_planted_near_ties(self, kind, pca):
+        gen = Rng(62).generator()
+        points = gen.standard_normal((self.N, self.D))
+        pot = self._potential(kind, pca, points, np.zeros(self.N))
+        # Every point gets a cell: at the neg-dot cost, as the nearest
+        # point does at the squared Euclidean one.
+        pot.g[:] = 0.1 * gen.standard_normal(self.N)
+        if kind == NEG_DOT:
+            pot.g -= 0.5 * np.sum(pot.support**2, axis=1)
+        pot.g[0] = -100.0  # the largest |shift|, which planting leaves alone
+        x = gen.standard_normal((256, self.D))
+        # Each planted row lowers its top column's potential onto the
+        # second's plus the gap; rows that share a top-two column are not
+        # planted, so no planting moves another.
+        scores = semidual.coupling_scores(pot, x)
+        top_two = np.argsort(-scores, axis=1)[:, :2]
+        planted, used = [], set()
+        for row, pair in enumerate(top_two):
+            if len(planted) < 16 and not used & set(pair):
+                planted.append(row)
+                used |= set(pair)
+        planted = np.array(planted)
+        assert len(planted) == 16
+        # Float64 top-two gaps: 0, 1e-13, just under and just over 2 β.
+        beta = self._bound(pot, x[planted])
+        gaps = np.tile([0.0, 1e-13, 0.0, 0.0], 4)
+        gaps[2::4], gaps[3::4] = 0.99 * 2 * beta[2::4], 1.01 * 2 * beta[3::4]
+        for row, gap in zip(planted, gaps):
+            top, second = top_two[row]
+            pot.g[top] -= scores[row, top] - scores[row, second] - gap
+        scores, tie_rows = self._check_against_float64(pot, x)
+        top_two = -np.sort(-scores[planted], axis=1)[:, :2]
+        got_gaps = top_two[:, 0] - top_two[:, 1]
+        np.testing.assert_allclose(got_gaps, gaps, rtol=1e-6, atol=1e-14)
+        np.testing.assert_array_equal(tie_rows, planted[gaps <= 1e-13])
+        np.testing.assert_array_equal(self._bound(pot, x[planted]), beta)
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("pca", [None, 2])
+    def test_duplicate_points(self, kind, pca):
+        gen = Rng(63).generator()
+        points = gen.standard_normal((self.N, self.D))
+        points[-30:] = points[:30]
+        g = 0.1 * gen.standard_normal(self.N)
+        g[-30:] = g[:30]
+        pot = self._potential(kind, pca, points, g)
+        # Half the rows sit at or point at a duplicated point.
+        x = 2.0 * gen.standard_normal((64, self.D))
+        scale = 5.0 if kind == NEG_DOT else 1.0
+        x[::2] = scale * points[gen.integers(0, 30, 32)]
+        _, tie_rows = self._check_against_float64(pot, x)
+        assert tie_rows.size >= 8
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("pca", [None, 2])
+    @pytest.mark.parametrize("case", ["points 1e39", "potential 1e39",
+                                      "points 1e-40"])
+    def test_values_beyond_float32_range(self, kind, pca, case):
+        gen = Rng(64).generator()
+        points = gen.standard_normal((self.N, self.D))
+        g = 0.1 * gen.standard_normal(self.N)
+        x = gen.standard_normal((64, self.D))
+        if case == "points 1e39":
+            points *= 1e39
+        elif case == "potential 1e39":
+            g = 1e39 * (1.0 + 1e-9 * gen.standard_normal(self.N))
+        else:
+            points *= 1e-40
+            x *= 1e-40
+        pot = self._potential(kind, pca, points, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check_against_float64(pot, x)
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("case", ["point", "noise"])
+    def test_one_coordinate_beyond_float32_range(self, kind, case):
+        # A product of a coordinate beyond float32's range with one near
+        # 1e-39 is of order 1 in float64 but infinite in float32, where
+        # point 7 alone gets +inf.
+        gen = Rng(65).generator()
+        points = gen.standard_normal((self.N, self.D))
+        x = gen.standard_normal((64, self.D))
+        if case == "point":
+            points[7, 0] = 1e39
+            x[:, 0] *= 1e-39
+        else:
+            points[:, 0] = -1e-39 * np.abs(points[:, 0])
+            points[7, 0] = 1e-40
+            x[::2, 0] = 1e39 * np.abs(gen.standard_normal(32))
+        pot = self._potential(kind, None, points, 0.1 * gen.standard_normal(self.N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check_against_float64(pot, x)

@@ -99,7 +99,7 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
 def test_velocity_counts_one_call_per_batch_at_any_block_size(
         tmp_path, monkeypatch):
     # Width 8: blocks of 3 rows, so every 64-row call spans 22 blocks.
-    monkeypatch.setattr(semidual, "SCORE_CHUNK_ENTRIES", 8 * 3)
+    monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 8 * 3)
     stats = _tiny_recipe_stats(tmp_path)
     assert stats["flow.velocity"]["calls"] == 16
     assert stats["flow.velocity"]["rows"] == 1024
