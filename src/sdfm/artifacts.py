@@ -51,6 +51,14 @@ def _number(path: str, key: str, value, integral: bool = False):
     return int(value) if integral else float(value)
 
 
+def _rows(path: str, what: str, points: np.ndarray) -> np.ndarray:
+    """``points``, refused unless a 2-D array of at least one row and column."""
+    if points.ndim != 2 or 0 in points.shape:
+        raise ContainerError(f"{path}: {what} have shape {points.shape}, not "
+                             f"at least one row of at least one coordinate")
+    return points
+
+
 def save_dataset(path: str, points: np.ndarray, weights=None,
                  metadata: Optional[dict] = None) -> None:
     arrays = {"points": np.asarray(points)}
@@ -67,7 +75,7 @@ def load_dataset(path: str):
     if "conditions" in arrays:
         raise _unsupported(path, "dataset has a condition per point")
     points = np.asarray(arrays["points"], dtype=np.float64)
-    return points, arrays.get("weights"), meta
+    return _rows(path, "points", points), arrays.get("weights"), meta
 
 
 def _projection_arrays(proj: Optional[ProjectionMatrix]) -> dict:
@@ -200,4 +208,5 @@ def load_sample_dump(path: str) -> np.ndarray:
             f"{bin_path}: {len(raw)} bytes, not the {rows} x {cols} float64 "
             f"values of its sidecar"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+    return _rows(bin_path, "samples",
+                 np.frombuffer(raw, dtype="<f8").reshape(rows, cols))

@@ -41,18 +41,17 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     over exact ties; ``eps > 0``: categorical draw from the unnormalised
     exp rows. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
-    its noise row, never on the batch size. Streams the scan through
-    :func:`~sdfm.semidual.score_chunks` (at eps=0 through
+    its noise row, never on the batch size. Maps over the slabs of the one
+    scan loop, :func:`~sdfm.semidual.score_chunks` (at eps=0 through
     :func:`~sdfm.semidual.argmax_chunks`, whose float32 scores give the
-    float64 argmax): one matmul block per read of the support, reduced in
-    L2-sized slabs, so the scan holds at most the larger of 1 MiB and 4 d
+    float64 argmax), so the scan holds at most the larger of 1 MiB and 4 d
     N scores whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     u = rng.generator().random(len(noise))
     idx = np.empty(len(noise), dtype=np.int64)
     if pot.eps == 0.0:
-        for lo, hi, (part, _, tie_rows, tie_weights) in argmax_chunks(pot, noise):
+        for lo, hi, (part, tie_rows, tie_weights), _ in argmax_chunks(pot, noise):
             if tie_rows.size:
                 part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
             idx[lo:hi] = part

@@ -1,7 +1,7 @@
 """Deterministic numerical substrate: splittable RNG and the row reductions.
 
 The solver's reductions and updates run in float64. Only the eps=0 score
-blocks are float32, and their argmax is re-checked in float64 wherever
+slabs are float32, and their argmax is re-checked in float64 wherever
 float32 rounding could change it (:func:`sdfm.semidual.argmax_chunks`).
 Randomness flows through :class:`Rng` values, which wrap a counter-based
 (Philox) bit generator keyed on ``(seed, stream)``: the same value always
@@ -13,10 +13,11 @@ gets the ``i``-th uniform of the stream, whatever the batch size.
 Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
 
-The score-slab reducers have one mode each and work on the caller's
-arrays: an in-place exp pass at eps>0 (:func:`softmax_b_eps_rows`), and
-at eps=0 the one tie rule (:func:`argmax_with_ties`), whose column sums
-:func:`eps0_column_stats` adds into the caller's accumulators.
+The score-slab reducers map over the slabs of the one scan loop, with one
+mode each, on the caller's arrays: an in-place exp pass at eps>0
+(:func:`softmax_b_eps_rows`); at eps=0 one top-two pass (:func:`top_two`)
+for the float32 scan and the one tie rule (:func:`argmax_with_ties`),
+whose column sums :func:`eps0_column_stats` adds up.
 """
 
 from __future__ import annotations
@@ -73,32 +74,38 @@ class Rng:
         return Rng(self.seed, _mix64(self.stream & _MASK64, index & _MASK64))
 
 
+def top_two(scores: np.ndarray):
+    """``(idx, first, second)``: each row's argmax, maximum, and maximum of
+    its other entries. The maxima are overwritten with ``-inf`` for the
+    second pass and then restored, so ``scores`` must be writable."""
+    rows = np.arange(scores.shape[0])
+    idx = scores.argmax(axis=1)
+    first = scores[rows, idx]
+    scores[rows, idx] = -np.inf
+    second = scores.max(axis=1)
+    scores[rows, idx] = first
+    return idx, first, second
+
+
 def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     """Row argmax plus the ``b``-weighted split of the (rare) tie rows.
 
-    Returns ``(idx, best, tie_rows, tie_weights)``: ``best`` is each row's
-    maximum, and ``tie_weights[k]`` is the distribution of row
-    ``tie_rows[k]`` over its argmax set (entries within
+    Returns ``(idx, tie_rows, tie_weights)``: ``tie_weights[k]`` is the
+    distribution of row ``tie_rows[k]`` over its argmax set (entries within
     :data:`ARGMAX_TIE_TOL` of the row max), proportional to ``b``. This is
-    the one tie rule of the package. Tie rows are found by a second-max
-    pass, which overwrites each row's maximum with ``-inf`` and restores
-    it, so ``scores`` must be writable. A slab without ties, almost every
-    one, returns right after that pass: ``tie_rows`` is empty and
-    ``tie_weights`` has shape ``(0, N)``.
+    the one tie rule of the package. Tie rows are found by the second-max
+    pass of :func:`top_two`, so ``scores`` must be writable. A slab
+    without ties, almost every one, returns right after that pass:
+    ``tie_rows`` is empty and ``tie_weights`` has shape ``(0, N)``.
     """
-    rows = np.arange(scores.shape[0])
-    idx = scores.argmax(axis=1)
-    best = scores[rows, idx]
-    scores[rows, idx] = -np.inf
-    second = scores.max(axis=1)
-    scores[rows, idx] = best
+    idx, best, second = top_two(scores)
     tie_rows = np.flatnonzero(second >= best - ARGMAX_TIE_TOL)
     if not tie_rows.size:
-        return idx, best, tie_rows, np.empty((0, scores.shape[1]))
+        return idx, tie_rows, np.empty((0, scores.shape[1]))
     close = scores[tie_rows] >= (best[tie_rows] - ARGMAX_TIE_TOL)[:, None]
     tie_weights = b * close
     tie_weights /= tie_weights.sum(axis=1, keepdims=True)
-    return idx, best, tie_rows, tie_weights
+    return idx, tie_rows, tie_weights
 
 
 def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
@@ -110,7 +117,7 @@ def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
     pass, never normalised. Returns the row totals; the responsibilities
     are ``scores / total[:, None]``. With ``smooth_max`` (one entry per
     row) each row's normaliser ``eps log sum_j b_j exp(z_ij/eps)`` is
-    written there. The eps=0 reducers call :func:`argmax_with_ties`.
+    written there. At eps=0 the slabs go through :func:`top_two` instead.
     """
     # exp(t - max_j t) row by row for t = scores / eps + log_b.
     scores *= 1.0 / eps
@@ -124,23 +131,19 @@ def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
     return total
 
 
-def eps0_column_stats(top, row_weights: np.ndarray | None,
-                      col_sum: np.ndarray, col_sq: np.ndarray | None = None,
-                      row_max: np.ndarray | None = None) -> None:
+def eps0_column_stats(argmax, row_weights: np.ndarray | None,
+                      col_sum: np.ndarray, col_sq: np.ndarray | None = None) -> None:
     """Add the column sums (and squared sums) of eps=0 responsibility rows.
 
-    ``top`` is ``(idx, best, tie_rows, tie_weights)`` as
+    ``argmax`` is ``(idx, tie_rows, tie_weights)`` as
     :func:`argmax_with_ties` returns it: the rows are one-hot on ``idx``,
     tie rows split by their ``tie_weights``, optionally scaled by
     ``row_weights``; their sums are added to ``col_sum`` and, when given,
     their squared sums to ``col_sq``, without materializing the dense rows,
     in O(rows) work, so a stream of row tiles pays no O(N) step per tile
-    and sums in the same order as one block. With ``row_max`` (one entry
-    per row) each row's ``best`` is written there.
+    and sums in the same order as one block.
     """
-    idx, best, tie_rows, tie_weights = top
-    if row_max is not None:
-        row_max[:] = best
+    idx, tie_rows, tie_weights = argmax
     w = 1.0 if row_weights is None else np.asarray(row_weights, dtype=np.float64)
     if tie_rows.size:
         keep = np.ones(len(idx), dtype=bool)

@@ -24,7 +24,8 @@ Targets, noise and every function here take raw rows. Only the scores
 live in the coupling space (the raw rows, or their PCA projection):
 :func:`coupling_scores` embeds its noise rows through
 :meth:`~sdfm.costs.CostConfig.embed` and scores them against
-:attr:`Potential.support`, the target embedded once per potential.
+:attr:`Potential.support`, the points of the potential's coupling-space
+measure: its target, or the target embedded once per potential.
 
 Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. Its right operand is the lifted
@@ -33,15 +34,15 @@ coordinate rows, then the shift row that each :func:`coupling_scores`
 call writes from its own potential. eps>0 scores in float64; eps=0 scores
 in float32 against a float32 copy of the lifted support, made on the first
 eps=0 scan.
-:func:`score_chunks` yields the B x N block as cache-sized row slabs of
-matmul blocks that share one buffer. One reducer, :func:`_column_sums`,
-reduces them: one unnormalised exp pass per slab at eps>0
-(:mod:`sdfm.numerics`), and at eps=0 the result of :func:`argmax_chunks`,
-which is the float64 tie rule's (the float32 argmax wherever a rounding
-bound proves it, a float64 re-check of the few other rows). The semidual
-value, gradient, second marginal and chi-square read its column sums and
-soft-c transform. Pairing reads the same streams. :func:`chi2_batches` is
-the one streamed-noise loop.
+:func:`score_chunks` holds the scan's one loop: matmul blocks in one
+buffer, yielded as cache-sized row slabs. Every reducer maps over its
+slabs: :func:`_column_sums` takes one unnormalised exp pass per slab at
+eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
+:func:`argmax_chunks`, the float64 tie rule's (the float32 argmax wherever
+a rounding bound proves it, a float64 re-check of the slab's few other
+rows). The semidual value, gradient, second marginal and chi-square read
+its column sums and soft-c transform. Pairing reads the same streams.
+:func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .numerics import (
     argmax_with_ties,
     eps0_column_stats,
     softmax_b_eps_rows,
+    top_two,
 )
 
 __all__ = [
@@ -86,28 +88,6 @@ def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     # versions hashed: every stored potential still binds to its dataset.
     h.update(b"\x00none")
     return h.hexdigest()
-
-
-def _lifted_support(points: np.ndarray) -> np.ndarray:
-    """The C-contiguous ``(d + 1, N)`` array of ``points.T`` over a NaN row."""
-    lifted = np.empty((points.shape[1] + 1, len(points)))
-    # Transposed in blocks of 128 points, which stay in cache: a one-shot
-    # transpose of a d=32 target is several times slower, as its strided
-    # accesses miss the cache, and every command loads its target.
-    for lo in range(0, len(points), 128):
-        lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
-    lifted[-1] = np.nan
-    return lifted
-
-
-def _single_support(lifted: np.ndarray):
-    """``(copy, row_max)``: the float32 copy of a lifted support, and the
-    largest ``|entry|`` of each of its coordinate rows, or ``inf`` from
-    ``2^127`` up, where the copy may overflow (:func:`argmax_chunks`)."""
-    with np.errstate(over="ignore"):
-        copy = lifted.astype(np.float32)
-    row_max = np.maximum(lifted[:-1].max(axis=1), -lifted[:-1].min(axis=1))
-    return copy, _f32_range(row_max)
 
 
 @dataclass(frozen=True)
@@ -139,7 +119,15 @@ class TargetMeasure:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
         object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
-        lifted = _lifted_support(points)
+        # The C-contiguous (d + 1, N) lifted support: points.T over a NaN
+        # row, transposed in blocks of 128 points, which stay in cache: a
+        # one-shot transpose of a d=32 target is several times slower, as
+        # its strided accesses miss the cache, and every command loads its
+        # target.
+        lifted = np.empty((points.shape[1] + 1, len(points)))
+        for lo in range(0, len(points), 128):
+            lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
+        lifted[-1] = np.nan
         object.__setattr__(self, "points", lifted[:-1].T)
         object.__setattr__(self, "_lifted", lifted)
 
@@ -151,7 +139,9 @@ class TargetMeasure:
             weights = np.full(n, 1.0 / n)
         else:
             weights = np.asarray(weights, dtype=np.float64)
-            weights = weights / weights.sum()
+            # Invalid weights go to __post_init__ as they are, to be refused.
+            if np.all(np.isfinite(weights) & (weights > 0.0)):
+                weights = weights / weights.sum()
         return cls(points=points, weights=weights)
 
     @property
@@ -171,7 +161,12 @@ class TargetMeasure:
 
     @cached_property
     def _single(self):
-        return _single_support(self._lifted)
+        """The float32 copy of the lifted support, and each coordinate row's
+        largest ``|entry|``, ``inf`` from ``2^127`` up (:func:`argmax_chunks`)."""
+        with np.errstate(over="ignore"):
+            copy = self._lifted.astype(np.float32)
+        coords = self._lifted[:-1]
+        return copy, _f32_range(np.maximum(coords.max(axis=1), -coords.min(axis=1)))
 
 
 @dataclass
@@ -198,24 +193,19 @@ class Potential:
     def eps(self) -> float:
         return self.cost.eps
 
-    @cached_property
+    @property
     def support(self) -> np.ndarray:
-        """Target points in coupling space, embedded once per potential: the
-        ``(N, d)`` transposed view of the lifted support's first d rows."""
-        return self._lifted[:-1].T
+        """Target points in coupling space: the points of :attr:`_space`."""
+        return self._space.points
 
     @cached_property
-    def _lifted(self) -> np.ndarray:
+    def _space(self) -> TargetMeasure:
+        """The target in coupling space, whose lifted support the scores read:
+        the target itself, or its embedded points when the cost projects."""
         if self.cost.projection is None:
-            return self.target._lifted
-        return _lifted_support(self.cost.embed(self.target.points))
-
-    @cached_property
-    def _single(self):
-        # Kept once per lifted array: potentials share their target's.
-        if self.cost.projection is None:
-            return self.target._single
-        return _single_support(self._lifted)
+            return self.target
+        return TargetMeasure(points=self.cost.embed(self.target.points),
+                             weights=self.target.weights)
 
     @cached_property
     def _sq_norms(self) -> np.ndarray:
@@ -314,6 +304,12 @@ def _lifted_rows(pot: Potential, x: np.ndarray, dtype=np.float64) -> np.ndarray:
     return rows
 
 
+def _shift(pot: Potential) -> np.ndarray:
+    """The scores' shift row: ``g``, less ``|y_j|^2`` at the squared
+    Euclidean cost."""
+    return pot.g if pot.cost.kind == NEG_DOT else pot.g - pot._sq_norms
+
+
 def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Scores ``g_j - c(x_i, y_j)`` of raw noise rows ``x``, up to a per-row
@@ -329,22 +325,27 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     one cast. Values beyond float32's range become ``inf`` or ``nan``
     there, without a warning.
     """
-    lifted = pot._lifted
-    if pot.cost.kind == NEG_DOT:
-        lifted[-1] = pot.g
-    else:
-        np.subtract(pot.g, pot._sq_norms, out=lifted[-1])
+    lifted = pot._space._lifted
+    lifted[-1] = _shift(pot)
     if out is None or out.dtype == np.float64:
         return np.matmul(_lifted_rows(pot, x), lifted, out=out)
-    single = pot._single[0]
+    single = pot._space._single[0]
     with np.errstate(over="ignore", invalid="ignore"):
         single[-1] = lifted[-1]
         return np.matmul(_lifted_rows(pot, x, np.float32), single, out=out)
 
 
-def _score_blocks(pot: Potential, x: np.ndarray):
-    """Yield ``(lo, hi, scores, slab)``: the :func:`coupling_scores` of the
-    matmul block of rows ``lo:hi`` in one buffer, and its slab height."""
+def score_chunks(pot: Potential, x: np.ndarray):
+    """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
+
+    The scan's one block loop: every reducer streams through here. One
+    :func:`coupling_scores` call per block of rows (squared-Euclidean
+    scores up to a per-row constant), yielded as L2-sized slabs
+    (:data:`SCORE_CHUNK_BYTES`) of one buffer per stream, at most max(1
+    MiB, 4 d N scores) whatever ``len(x)``. A reducer may overwrite a slab
+    until it asks for the next. Scores are float64 at eps>0 and float32 at
+    eps=0, where :func:`argmax_chunks` reduces them.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
@@ -352,23 +353,29 @@ def _score_blocks(pot: Potential, x: np.ndarray):
     buf = np.empty((min(block, x.shape[0]), pot.target.n), dtype=dtype)
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
-        yield lo, hi, coupling_scores(pot, x[lo:hi], out=buf[:hi - lo]), slab
+        scores = coupling_scores(pot, x[lo:hi], out=buf[:hi - lo])
+        for s in range(lo, hi, slab):
+            yield s, min(s + slab, hi), scores[s - lo:s - lo + slab]
 
 
-def score_chunks(pot: Potential, x: np.ndarray):
-    """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
+def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
+    """Yield ``(lo, hi, argmax, top)`` per slab of the eps=0
+    :func:`score_chunks` stream: ``argmax`` is what
+    :func:`~sdfm.numerics.argmax_with_ties` returns for the float64
+    :func:`coupling_scores` of rows ``lo:hi``, and ``top``, only with
+    ``top`` (else ``None``), each row's maximum float64 score, gathered
+    from the row's chosen column, an O(rows d) step.
 
-    Every reducer streams through here: one :func:`coupling_scores` call
-    per block of rows (squared-Euclidean scores up to a per-row constant),
-    yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one buffer per
-    stream, at most max(1 MiB, 4 d N scores) whatever ``len(x)``. A reducer
-    may overwrite a slab until it asks for the next. Scores are float64 at
-    eps>0 and float32 at eps=0, where :func:`argmax_chunks` reduces them.
+    Each float32 slab gives its rows' argmax and top-two gap
+    (:func:`~sdfm.numerics.top_two`). The rows that the rounding bound
+    below cannot settle are rescored in float64 through
+    :func:`coupling_scores`, and :func:`~sdfm.numerics.argmax_with_ties`
+    resolves them, so there is one tie rule.
 
-    **The eps=0 rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n =
-    n u / (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik|
-    max_j |L_kj| + max_j |shift_j|``. Every float32 score of row ``i``
-    differs from its float64 score by at most
+    **The rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n = n u /
+    (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik| max_j
+    |L_kj| + max_j |shift_j|``. Every float32 score of row ``i`` differs
+    from its float64 score by at most
 
         β_i = γ_{K+2} S_i + 2^-124 (sum_k max_j |L_kj| + sum_k |a x_ik| + K + 1).
 
@@ -388,61 +395,37 @@ def score_chunks(pot: Potential, x: np.ndarray):
     of it, which is the tie rule's one-hot row. Any other row, an infinite
     or NaN bound or gap included, is rescored in float64.
     """
-    for lo, hi, scores, slab in _score_blocks(pot, x):
-        for s in range(0, hi - lo, slab):
-            yield lo + s, min(lo + s + slab, hi), scores[s:s + slab]
-
-
-def argmax_chunks(pot: Potential, x: np.ndarray, best: bool = False):
-    """Yield ``(lo, hi, (idx, top, tie_rows, tie_weights))`` per matmul block
-    at eps=0: what :func:`~sdfm.numerics.argmax_with_ties` returns for the
-    float64 :func:`coupling_scores` of rows ``lo:hi``.
-
-    Each float32 slab gives its rows' argmax and top-two gap. The rows that
-    the rounding bound of :func:`score_chunks` cannot settle are rescored
-    in float64 through :func:`coupling_scores`, and
-    :func:`~sdfm.numerics.argmax_with_ties` resolves them, so there is one
-    tie rule. ``top``, each row's maximum score, is ``None`` unless
-    ``best``; it is taken in float64 from the row's chosen column, an
-    O(rows d) gather.
-    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    coord_max = pot._single[1]
+    space = pot._space
+    coord_max = space._single[1]
     k = len(coord_max) + 1
     gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
-    per_coord = gamma * coord_max + _TINY32
-    constant = None  # the bound's row-independent part
-    for lo, hi, scores, slab in _score_blocks(pot, x):
-        if constant is None:  # the shift row is this potential's until a yield
-            shift = pot._lifted[-1]
-            constant = gamma * _f32_range(max(shift.max(), -shift.min())) + \
-                _TINY32 * (coord_max.sum() + k + 1)
-        idx = np.empty(hi - lo, dtype=np.int64)
-        gap = np.empty(hi - lo)
+    shift = _shift(pot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _f32_range(a * np.abs(pot.cost.embed(x))) @ \
+            (gamma * coord_max + _TINY32)
+        bound += gamma * _f32_range(max(shift.max(), -shift.min())) + \
+            _TINY32 * (coord_max.sum() + k + 1)
+        bound[~(bound < gamma * 2.0**126)] = np.inf
+    limit = 2.0 * bound + ARGMAX_TIE_TOL
+    for lo, hi, scores in score_chunks(pot, x):
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, hi - lo, slab):
-                part = scores[s:s + slab]
-                rows = np.arange(len(part))
-                first = idx[s:s + slab] = part.argmax(axis=1)
-                peak = part[rows, first]
-                part[rows, first] = -np.inf  # the next max is the second
-                np.subtract(peak, part.max(axis=1), out=gap[s:s + slab],
-                            dtype=np.float64)
-            bound = _f32_range(a * np.abs(pot.cost.embed(x[lo:hi]))) @ per_coord
-            bound += constant
-            bound[~(bound < gamma * 2.0**126)] = np.inf
-            recheck = np.flatnonzero(~(gap > 2.0 * bound + ARGMAX_TIE_TOL))
+            idx, first, second = top_two(scores)
+            gap = np.subtract(first, second, dtype=np.float64)
+        recheck = np.flatnonzero(~(gap > limit[lo:hi]))
         tie_rows, tie_weights = recheck, np.empty((0, pot.target.n))
         if recheck.size:
-            sub, _, ties, tie_weights = argmax_with_ties(
-                coupling_scores(pot, x[lo:hi][recheck]), pot.target.weights)
+            sub, ties, tie_weights = argmax_with_ties(
+                coupling_scores(pot, x[lo + recheck]), pot.target.weights)
             idx[recheck] = sub
             tie_rows = recheck[ties]
-        top = None
-        if best:
-            top = np.vecdot(_lifted_rows(pot, x[lo:hi]), pot._lifted[:, idx].T)
-        yield lo, hi, (idx, top, tie_rows, tie_weights)
+        peak = None
+        if top:  # the shared shift row may hold another stream's by now
+            cols = space._lifted[:, idx]
+            cols[-1] = shift[idx]
+            peak = np.vecdot(_lifted_rows(pot, x[lo:hi]), cols.T)
+        yield lo, hi, (idx, tie_rows, tie_weights), peak
 
 
 def _column_sums(pot: Potential, x: np.ndarray,
@@ -465,10 +448,11 @@ def _column_sums(pot: Potential, x: np.ndarray,
     col_sum = np.zeros(n)
     col_sq = np.zeros(n) if squares else None
     if pot.eps == 0.0:
-        for lo, hi, top in argmax_chunks(pot, x, best=soft_c is not None):
-            eps0_column_stats(top, None if weights is None else weights[lo:hi],
-                              col_sum, col_sq,
-                              row_max=None if soft_c is None else soft_c[lo:hi])
+        for lo, hi, argmax, top in argmax_chunks(pot, x, soft_c is not None):
+            eps0_column_stats(argmax, None if weights is None else weights[lo:hi],
+                              col_sum, col_sq)
+            if soft_c is not None:
+                soft_c[lo:hi] = top
     else:
         for lo, hi, scores in score_chunks(pot, x):
             w = None if weights is None else weights[lo:hi]

@@ -221,7 +221,7 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """
     scores = np.array(scores, dtype=np.float64)
     if eps == 0.0:
-        idx, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
         rows = np.zeros_like(scores)
         rows[np.arange(len(scores)), idx] = 1.0
         rows[tie_rows] = tie_weights

@@ -748,6 +748,41 @@ _USAGE_CASES = {
                                   [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         "--eps", "0", "--optimizer", "sgd-constant", "--iters", "10",
         "--out", str(tmp / "x.sdfm")],
+    # Point arrays that are not rows of at least one coordinate.
+    "dataset-0-rows": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "e.sdfm", np.zeros((0, 2))),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "dataset-1-d": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "v.sdfm", np.arange(5.0)),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "dataset-0-columns": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "c0.sdfm", np.zeros((3, 0))),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "dataset-3-d": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "t.sdfm", np.arange(8.0).reshape(2, 2, 2)),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "assign-noise-1-d": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--noise", _saved(tmp, "n1.sdfm", np.zeros(2)),
+        "--out", str(tmp / "x.sdfm")],
+    "assign-noise-0-rows": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--noise", _saved(tmp, "n0.sdfm", np.zeros((0, 2))),
+        "--out", str(tmp / "x.sdfm")],
+    "eval-dump-0-rows": lambda tmp, blob: [
+        "eval", "--samples", _dump(tmp, "a", (0, 2)),
+        "--reference", _dump(tmp, "b", (0, 2))],
+    "eval-dump-0-columns": lambda tmp, blob: [
+        "eval", "--samples", _dump(tmp, "a", (3, 0)),
+        "--reference", _dump(tmp, "b", (3, 0))],
+    "target-weights-negative": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "wn.sdfm", [[0.0, 1.0], [1.0, 0.0]],
+                                  np.array([-1.0, -1.0])),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
+    "target-weights-all-zero": lambda tmp, blob: [
+        "solve", "--data", _saved(tmp, "w0.sdfm", [[0.0, 1.0], [1.0, 0.0]],
+                                  np.zeros(2)),
+        "--eps", "0", "--out", str(tmp / "x.sdfm")],
     "assign-noise-dimension": lambda tmp, blob: [
         "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--noise", _saved(tmp, "n3.sdfm", np.zeros((4, 3))),

@@ -11,6 +11,7 @@ from sdfm.numerics import (
     eps0_column_stats,
     inverse_cdf,
     softmax_b_eps_rows,
+    top_two,
 )
 from sdfm import semidual
 from sdfm.semidual import GaussianNoise, Potential, TargetMeasure
@@ -161,23 +162,15 @@ class TestSoftmaxBEps:
         scores[3, 0] = scores[3, 4] = scores[3].max() + 1.0  # an exact tie
         b = gen.random(5) + 0.1
         b /= b.sum()
-        for eps in (0.0, 0.3, 10.0):
-            if eps == 0.0:
-                _, best, _, _ = argmax_with_ties(scores, b)
-                np.testing.assert_array_equal(best, scores.max(axis=1))
-                row_max = np.empty(6)
-                eps0_column_stats(argmax_with_ties(scores, b), None,
-                                  np.zeros(5), np.zeros(5), row_max=row_max)
-                np.testing.assert_array_equal(row_max, scores.max(axis=1))
-            else:
-                smooth = np.empty(6)
-                e = scores.copy()
-                total = softmax_b_eps_rows(e, np.log(b), eps, smooth_max=smooth)
-                np.testing.assert_array_equal(e / total[:, None],
-                                              softmax_rows(scores, b, eps))
-                np.testing.assert_allclose(
-                    smooth, eps * logsumexp(scores / eps, b=b, axis=1),
-                    rtol=1e-12)
+        for eps in (0.3, 10.0):
+            smooth = np.empty(6)
+            e = scores.copy()
+            total = softmax_b_eps_rows(e, np.log(b), eps, smooth_max=smooth)
+            np.testing.assert_array_equal(e / total[:, None],
+                                          softmax_rows(scores, b, eps))
+            np.testing.assert_allclose(
+                smooth, eps * logsumexp(scores / eps, b=b, axis=1),
+                rtol=1e-12)
 
 
 class TestArgmaxWithTies:
@@ -187,10 +180,13 @@ class TestArgmaxWithTies:
         b = gen.random(7) + 0.1
         b /= b.sum()
         before = scores.copy()
-        idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        first, second = top_two(scores)[1:]
         np.testing.assert_array_equal(scores, before)  # restored in place
+        np.testing.assert_array_equal(first, before.max(axis=1))
+        np.testing.assert_array_equal(second, np.sort(before, axis=1)[:, -2])
+        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        np.testing.assert_array_equal(scores, before)
         np.testing.assert_array_equal(idx, before.argmax(axis=1))
-        np.testing.assert_array_equal(best, before.max(axis=1))
         close = before >= before.max(axis=1, keepdims=True) - 1e-12
         np.testing.assert_array_equal(tie_rows,
                                       np.flatnonzero(close.sum(axis=1) > 1))
@@ -220,9 +216,8 @@ class TestArgmaxWithTies:
         scores = gen.standard_normal((32, 300))
         b = gen.random(300) + 0.1
         b /= b.sum()
-        idx, best, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        idx, tie_rows, tie_weights = argmax_with_ties(scores, b)
         np.testing.assert_array_equal(idx, scores.argmax(axis=1))
-        np.testing.assert_array_equal(best, scores.max(axis=1))
         assert tie_rows.size == 0
         assert tie_weights.shape == (0, 300)
         for w in (None, gen.random(32)):
@@ -301,7 +296,7 @@ class TestInverseCdf:
         scores = gen.standard_normal((64, 9))
         scores[:, 7:] = scores.max(axis=1, keepdims=True) + 1.0
         b = np.full(9, 1 / 9)
-        _, _, tie_rows, tie_weights = argmax_with_ties(scores, b)
+        _, tie_rows, tie_weights = argmax_with_ties(scores, b)
         assert tie_rows.size == 64
         for u in (0.0, 1.0 - 2.0**-53):
             got = inverse_cdf(tie_weights, np.full(64, u))

@@ -99,7 +99,8 @@ class TestTargetMeasure:
         support = cost.embed(points)
         np.testing.assert_array_equal(pot.support, support)
         np.testing.assert_array_equal(
-            pot._lifted[-1], pot.g - np.einsum("ij,ij->i", support, support))
+            pot._space._lifted[-1],
+            pot.g - np.einsum("ij,ij->i", support, support))
 
 
 class TestSoftCTransform:
@@ -536,7 +537,7 @@ class TestStreamingMemory:
         # At N=4096, d=32 the block rule binds: 128-row matmul blocks cut
         # into 32-row float64 slabs, or 64-row float32 ones at eps=0. A scan
         # makes one coupling_scores call per block into the stream's buffer,
-        # and at eps=0 at most one more per block, the float64 re-check of
+        # and at eps=0 at most one more per slab, the float64 re-check of
         # its near-tie rows. Its peak is about one block plus O(N + B)
         # vectors.
         gen = Rng(34).generator()
@@ -569,7 +570,8 @@ class TestStreamingMemory:
                     rechecks = [rows for rows, buffered in calls if not buffered]
                     assert len(blocks) == -(-b_rows // block), (fn.__name__, calls)
                     assert sum(blocks) == b_rows
-                    assert len(rechecks) <= (len(blocks) if eps == 0.0 else 0)
+                    slabs = sum(-(-rows // 64) for rows in blocks)
+                    assert len(rechecks) <= (slabs if eps == 0.0 else 0)
 
 
 class TestScoreTiles:
@@ -773,6 +775,30 @@ class TestShiftRow:
             if kind == NEG_DOT:
                 np.testing.assert_array_equal(out, _two_pass_blocks(pot, x))
 
+    def test_interleaved_eps0_streams_gather_their_own_maxima(self):
+        # At N=4096, d=32 an eps=0 block is two 64-row slabs, so each
+        # stream's second slab is reduced after the other stream's block
+        # has rewritten the shared shift row.
+        gen = Rng(44).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((4096, 32)))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
+        pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
+                for _ in range(2)]
+        x = gen.standard_normal((128, 32))
+        assert semidual._tile_rows(4096, 32, 4) == (128, 64)
+        streams = [semidual.argmax_chunks(pot, x, top=True) for pot in pots]
+        got = [np.empty(128) for _ in pots]
+        for _ in range(2):
+            for stream, out in zip(streams, got):
+                lo, hi, _, top = next(stream)
+                out[lo:hi] = top
+        for pot, out in zip(pots, got):
+            alone = np.concatenate(
+                [top for *_, top in semidual.argmax_chunks(pot, x, top=True)])
+            np.testing.assert_array_equal(out, alone)
+            np.testing.assert_allclose(
+                out, semidual.coupling_scores(pot, x).max(axis=1), rtol=1e-12)
+
 
 class TestEps0TieFreeSlabs:
     """At eps=0 a block without near-ties skips the float64 and tie work. A
@@ -806,9 +832,9 @@ class TestEps0TieFreeSlabs:
 
         scores = semidual.coupling_scores(pot, x)  # float64
         has_ties = []
-        for lo, hi, (idx, _, tie_rows, _) in semidual.argmax_chunks(pot, x):
+        for lo, hi, (idx, tie_rows, _), _ in semidual.argmax_chunks(pot, x):
             assert hi - lo == self.SLAB
-            ref_idx, _, ref_ties, _ = argmax_with_ties(scores[lo:hi].copy(), b)
+            ref_idx, ref_ties, _ = argmax_with_ties(scores[lo:hi].copy(), b)
             np.testing.assert_array_equal(idx, ref_idx)
             np.testing.assert_array_equal(tie_rows, ref_ties)
             has_ties.append(tie_rows.size > 0)
@@ -855,7 +881,7 @@ class TestFloat32Eps0Scan:
 
     @staticmethod
     def _bound(pot, x):
-        """β_i of :func:`semidual.score_chunks` without its underflow term."""
+        """β_i of :func:`semidual.argmax_chunks` without its underflow term."""
         a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
         support = pot.support
         shift = pot.g - (0.0 if a == 1.0 else np.sum(support**2, axis=1))
@@ -868,9 +894,9 @@ class TestFloat32Eps0Scan:
     def _check_against_float64(pot, x):
         b = pot.target.weights
         scores = semidual.coupling_scores(pot, x)  # float64
-        idx, best, tie_rows, tie_weights = argmax_with_ties(scores.copy(), b)
+        idx, tie_rows, tie_weights = argmax_with_ties(scores.copy(), b)
         want_sum, want_sq = np.zeros(pot.target.n), np.zeros(pot.target.n)
-        semidual.eps0_column_stats((idx, best, tie_rows, tie_weights), None,
+        semidual.eps0_column_stats((idx, tie_rows, tie_weights), None,
                                    want_sum, want_sq)
         u = Rng(61).generator().random(len(x))
         want_idx = idx.copy()
@@ -881,14 +907,14 @@ class TestFloat32Eps0Scan:
         np.testing.assert_array_equal(col_sum, want_sum)
         np.testing.assert_array_equal(col_sq, want_sq)
         np.testing.assert_array_equal(assign_batch(pot, x, Rng(61)), want_idx)
-        want_f = -best
+        want_f = -scores.max(axis=1)
         if pot.cost.kind != NEG_DOT:
             want_f += np.einsum("ij,ij->i", pot.cost.embed(x), pot.cost.embed(x))
         np.testing.assert_array_equal(f, want_f)
-        blocks = list(semidual.argmax_chunks(pot, x))
-        assert [(lo, hi) for lo, hi, _ in blocks] == [(0, len(x))]
-        np.testing.assert_array_equal(blocks[0][2][0], idx)
-        np.testing.assert_array_equal(blocks[0][2][2], tie_rows)
+        slabs = list(semidual.argmax_chunks(pot, x))
+        assert [(lo, hi) for lo, hi, _, _ in slabs] == [(0, len(x))]
+        np.testing.assert_array_equal(slabs[0][2][0], idx)
+        np.testing.assert_array_equal(slabs[0][2][1], tie_rows)
         return scores, tie_rows
 
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])

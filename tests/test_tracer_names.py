@@ -85,6 +85,8 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     assert stats["numerics.softmax_rows"]["calls"] > 0
     assert stats["numerics.softmax_rows"]["entries"] == \
         (20 * 32 + 2 * 256 + 32) * 64
+    # The eps=0 solve and assign reduce through the traced eps=0 reducer.
+    assert stats["numerics.eps0_column_stats"]["calls"] > 0
     assert stats["coupling.hungarian"]["calls"] == 5
     assert stats["coupling.hungarian"]["n"] == 5 * 16
     assert stats["coupling.sinkhorn"]["calls"] == 5
