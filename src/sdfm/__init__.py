@@ -16,7 +16,6 @@ from .costs import (
     fit_pca,
 )
 from .semidual import (
-    DiscreteNoise,
     GaussianNoise,
     Potential,
     TargetMeasure,

@@ -131,30 +131,23 @@ def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
     return total
 
 
-def eps0_column_stats(argmax, row_weights: np.ndarray | None,
-                      col_sum: np.ndarray, col_sq: np.ndarray | None = None) -> None:
+def eps0_column_stats(argmax, col_sum: np.ndarray,
+                      col_sq: np.ndarray | None = None) -> None:
     """Add the column sums (and squared sums) of eps=0 responsibility rows.
 
     ``argmax`` is ``(idx, tie_rows, tie_weights)`` as
     :func:`argmax_with_ties` returns it: the rows are one-hot on ``idx``,
-    tie rows split by their ``tie_weights``, optionally scaled by
-    ``row_weights``; their sums are added to ``col_sum`` and, when given,
-    their squared sums to ``col_sq``, without materializing the dense rows,
-    in O(rows) work, so a stream of row tiles pays no O(N) step per tile
-    and sums in the same order as one block.
+    tie rows split by their ``tie_weights``; their sums are added to
+    ``col_sum`` and, when given, their squared sums to ``col_sq``, without
+    materializing the dense rows, in O(rows) work, so a stream of row tiles
+    pays no O(N) step per tile and sums in the same order as one block.
     """
     idx, tie_rows, tie_weights = argmax
-    w = 1.0 if row_weights is None else np.asarray(row_weights, dtype=np.float64)
     if tie_rows.size:
-        keep = np.ones(len(idx), dtype=bool)
-        keep[tie_rows] = False
-        idx = idx[keep]
-        if row_weights is not None:
-            tie_weights = w[tie_rows, None] * tie_weights
-            w = w[keep]
-    np.add.at(col_sum, idx, w)
+        idx = np.delete(idx, tie_rows)
+    np.add.at(col_sum, idx, 1.0)
     if col_sq is not None:
-        np.add.at(col_sq, idx, w * w)
+        np.add.at(col_sq, idx, 1.0)
     if tie_rows.size:
         col_sum += tie_weights.sum(axis=0)
         if col_sq is not None:

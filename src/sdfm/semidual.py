@@ -16,9 +16,9 @@ second marginal of the induced coupling. Convergence is tracked through
 the chi-square divergence ``chi2(m(g) || b)``, which admits an unbiased
 O(NB) batch estimator; all of that machinery lives here.
 
-Every expectation over the noise law has two routes: Monte-Carlo batches
-(production) and exact summation over a finite weighted atom list
-(:class:`DiscreteNoise`), the backbone of the oracle test suite.
+Every noise source has one contract, ``sample(rng, n) -> rows``, and each
+expectation is a plain mean over unweighted rows: exact over a finite law
+whose rows repeat each atom by an integer count (the oracle tests).
 
 Targets, noise and every function here take raw rows. Only the scores
 live in the coupling space (the raw rows, or their PCA projection):
@@ -68,7 +68,6 @@ __all__ = [
     "TargetMeasure",
     "Potential",
     "GaussianNoise",
-    "DiscreteNoise",
     "gauge_fix",
     "coupling_scores",
     "semidual_value",
@@ -237,32 +236,6 @@ class GaussianNoise:
         return rng.generator().standard_normal((n, self.target.dim))
 
 
-class DiscreteNoise:
-    """Finite weighted list of raw noise atoms: exact expectations.
-
-    ``exact=True`` makes solver batches the full weighted list (every
-    gradient is the exact one); ``exact=False`` samples atoms i.i.d. by
-    weight, preserving the stochastic behaviour on a finite instance.
-    """
-
-    def __init__(self, atoms, weights=None, exact: bool = False):
-        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
-        m = self.atoms.shape[0]
-        if weights is None:
-            self.weights = np.full(m, 1.0 / m)
-        else:
-            self.weights = np.asarray(weights, dtype=np.float64)
-            self.weights = self.weights / self.weights.sum()
-        self.exact = bool(exact)
-
-    def sample(self, rng: Rng, n: int) -> np.ndarray:
-        idx = rng.generator().choice(self.atoms.shape[0], size=n, p=self.weights)
-        return self.atoms[idx]
-
-    def enumerate(self):
-        return self.atoms, self.weights
-
-
 # ---------------------------------------------------------------------------
 # Kernel evaluations (inputs are raw rows)
 
@@ -428,38 +401,31 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
         yield lo, hi, (idx, tie_rows, tie_weights), peak
 
 
-def _column_sums(pot: Potential, x: np.ndarray,
-                 weights: Optional[np.ndarray] = None, squares: bool = False,
+def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
                  soft_c: Optional[np.ndarray] = None):
-    """Column sums of the responsibilities of rows ``x`` (row-weighted by
-    ``weights`` if given) and, with ``squares``, the column sums of their
-    squares (unweighted rows only), else ``None``.
+    """Column sums of the responsibilities of rows ``x`` and, with
+    ``squares``, the column sums of their squares, else ``None``.
 
-    At eps>0 each slab's exp rows ``e`` stay unnormalised: with ``r = w /
+    At eps>0 each slab's exp rows ``e`` stay unnormalised: with ``r = 1 /
     total`` the sums gain ``r @ e`` and the squares ``(r * r) @ (e * e)``.
     With ``soft_c`` (one entry per row) each row's soft-c transform is
     written there from the same tiles: ``f_{g,eps}(x_i) = -eps log sum_j
     b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
     score_ij`` at eps=0, plus ``|x_i|^2`` for the squared Euclidean cost.
     """
-    n = pot.target.n
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-    col_sum = np.zeros(n)
-    col_sq = np.zeros(n) if squares else None
+    col_sum = np.zeros(pot.target.n)
+    col_sq = np.zeros(pot.target.n) if squares else None
     if pot.eps == 0.0:
         for lo, hi, argmax, top in argmax_chunks(pot, x, soft_c is not None):
-            eps0_column_stats(argmax, None if weights is None else weights[lo:hi],
-                              col_sum, col_sq)
+            eps0_column_stats(argmax, col_sum, col_sq)
             if soft_c is not None:
                 soft_c[lo:hi] = top
     else:
         for lo, hi, scores in score_chunks(pot, x):
-            w = None if weights is None else weights[lo:hi]
             f = None if soft_c is None else soft_c[lo:hi]
             total = softmax_b_eps_rows(scores, pot.target.log_weights,
                                        pot.eps, smooth_max=f)
-            r = 1.0 / total if w is None else w / total
+            r = 1.0 / total
             col_sum += r @ scores
             if squares:
                 np.square(scores, out=scores)
@@ -472,37 +438,23 @@ def _column_sums(pot: Potential, x: np.ndarray,
     return col_sum, col_sq
 
 
-def _soft_c_and_marginal(pot: Potential, x: np.ndarray,
-                         weights: Optional[np.ndarray] = None):
-    """Mean soft-c transform and mean responsibilities of rows ``x`` (or
-    their ``weights``-weighted sums: a finite noise law), from one scan."""
+def _soft_c_and_marginal(pot: Potential, x: np.ndarray):
+    """Mean soft-c transform and mean responsibilities of rows ``x``: one scan."""
     f = np.empty(np.atleast_2d(x).shape[0])
-    m, _ = _column_sums(pot, x, weights, soft_c=f)
-    if weights is None:
-        return float(np.mean(f)), m / len(f)
-    return float(np.dot(np.asarray(weights, dtype=np.float64), f)), m
+    m, _ = _column_sums(pot, x, soft_c=f)
+    return float(np.mean(f)), m / len(f)
 
 
-def semidual_value(pot: Potential, noise_batch: np.ndarray,
-                   weights: Optional[np.ndarray] = None) -> float:
-    """Estimate of ``F_eps(g) = E[f_{g,eps}(X)] + <b, g>``.
-
-    With ``weights`` (a finite noise law) the expectation is an exact sum,
-    otherwise the batch mean is a Monte-Carlo estimate.
-    """
-    ef, _ = _soft_c_and_marginal(pot, noise_batch, weights)
+def semidual_value(pot: Potential, noise_batch: np.ndarray) -> float:
+    """Batch-mean estimate of ``F_eps(g) = E[f_{g,eps}(X)] + <b, g>``."""
+    ef, _ = _soft_c_and_marginal(pot, noise_batch)
     return ef + float(np.dot(pot.target.weights, pot.g))
 
 
-def stochastic_gradient(pot: Potential, noise_batch: np.ndarray,
-                        weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient estimate ``b - mean_i s_{eps,g}(x_i)``; entries sum to 0.
-
-    With ``weights`` the mean is the exact weighted sum over the rows.
-    """
-    m, _ = _column_sums(pot, noise_batch, weights)
-    if weights is None:
-        m /= np.atleast_2d(noise_batch).shape[0]
+def stochastic_gradient(pot: Potential, noise_batch: np.ndarray) -> np.ndarray:
+    """Gradient estimate ``b - mean_i s_{eps,g}(x_i)``; entries sum to 0."""
+    m, _ = _column_sums(pot, noise_batch)
+    m /= np.atleast_2d(noise_batch).shape[0]
     return pot.target.weights - m
 
 

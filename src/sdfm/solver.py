@@ -178,24 +178,18 @@ def smoothness_bound(support: np.ndarray, eps: float) -> float:
     return float(4.0 * support.shape[1]**0.25 / delta)
 
 
-def _noise_batch(noise, rng: Rng, samples: int):
-    """``(x, weights)``: the whole weighted atom list of exact noise,
-    otherwise ``samples`` unweighted draws from ``rng``."""
-    if getattr(noise, "exact", False):
-        return noise.enumerate()
-    return noise.sample(rng, samples), None
-
-
 def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
     """One scan of the evaluation stream: ``(chi2, semidual, marginal)``.
 
     The stopping statistic, the estimate of ``F_eps(g)`` from the soft-c
-    transform of the same rows, and the second-marginal estimate. Exact
-    sums over enumerable noise, ``chi2_total`` streamed rows otherwise.
+    transform of the same rows, and the second-marginal estimate, over
+    ``chi2_total`` streamed rows. A noise with ``exact = True`` (a finite
+    law) returns all its rows from every ``sample``: the check is then
+    :func:`~sdfm.semidual.chi2_exact` of their mean responsibilities.
     """
     b = pot.target.weights
     if getattr(noise, "exact", False):
-        ef, m = _soft_c_and_marginal(pot, *noise.enumerate())
+        ef, m = _soft_c_and_marginal(pot, noise.sample(rng, cfg.chi2_total))
         return chi2_exact(m, b), ef + float(np.dot(b, pot.g)), m
     scan = chi2_batches(pot, rng, cfg.chi2_total, cfg.chi2_batch, noise)
     value = scan.soft_c_mean + float(np.dot(b, pot.g))
@@ -236,7 +230,8 @@ def solve_sdot(
     vectors of length N, whatever the budget.
 
     ``noise`` defaults to standard Gaussian noise in the target's raw
-    space; pass a :class:`DiscreteNoise` for enumerated instances.
+    space; any ``sample(rng, n) -> rows`` source may stand in (exact
+    finite laws: :func:`_chi2_check`).
     ``checkpoint_cb(iteration, potential, chi2)`` fires at every check.
     The iteration starts from the zero vector.
     """
@@ -314,8 +309,7 @@ def solve_sdot(
             if done:
                 break
         # One stochastic ascent step.
-        grad = stochastic_gradient(pot_step,
-                                   *_noise_batch(noise, train.child(k), cfg.batch))
+        grad = stochastic_gradient(pot_step, noise.sample(train.child(k), cfg.batch))
         _require_finite(grad, "gradient", k)
         lr = _HALF**halvings * lr_schedule(cfg, k)
         if cfg.optimizer == ADAGRAD:
@@ -351,4 +345,4 @@ def solve_sdot(
 
 
 def _semidual_probe(pot: Potential, rng: Rng, noise, samples: int) -> float:
-    return semidual_value(pot, *_noise_batch(noise, rng, samples))
+    return semidual_value(pot, noise.sample(rng, samples))

@@ -5,12 +5,16 @@ import pytest
 
 from sdfm.costs import NEG_DOT, CostConfig
 from sdfm.numerics import Rng
-from sdfm.semidual import DiscreteNoise, TargetMeasure
+from sdfm.semidual import TargetMeasure
+
+from oracles import FiniteNoise
 
 
 def make_enumerated_instance(seed, n_target=8, n_atoms=32, d=3, eps=0.5,
-                             uniform=False):
-    """Random discrete-noise instance where every expectation is a sum."""
+                             uniform=False, exact=True):
+    """Random finite-noise instance where every expectation is a mean over
+    the rows: each atom repeated 1 to 4 times. ``exact=False`` gives the
+    law that the solver samples i.i.d."""
     gen = Rng(seed).generator()
     y = gen.standard_normal((n_target, d))
     if uniform:
@@ -19,11 +23,10 @@ def make_enumerated_instance(seed, n_target=8, n_atoms=32, d=3, eps=0.5,
         b = gen.random(n_target) + 0.5
         b /= b.sum()
     atoms = gen.standard_normal((n_atoms, d))
-    w = gen.random(n_atoms) + 0.2
-    w /= w.sum()
+    counts = gen.integers(1, 5, n_atoms)
     target = TargetMeasure.from_points(y, b)
     cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-    noise = DiscreteNoise(atoms, w, exact=True)
+    noise = FiniteNoise(atoms, counts, exact=exact)
     return target, cost, noise
 
 

@@ -1,13 +1,14 @@
 """Reference implementations that only the tests use.
 
-Exact discrete OT on small dense instances (the transport LP at eps=0,
-tight log-domain Sinkhorn at eps>0), the two-pass score kernel,
-Laguerre-cell membership, the exact second marginal and primal transport
-cost, dense responsibility rows (the eps=0 one-hot rows among them), the
-eps>0 score correction with its kernel-weighted Monte-Carlo estimate,
-and the closed-form cells, marginal and optimum of Gaussian noise in one
-dimension at any N: the library's commands never call these, so they
-live beside the tests that check the library against them.
+Finite noise laws with integer multiplicities, exact discrete OT on small
+dense instances (the transport LP at eps=0, tight log-domain Sinkhorn at
+eps>0), the two-pass score kernel, Laguerre-cell membership, the exact
+second marginal and primal transport cost, dense responsibility rows (the
+eps=0 one-hot rows among them), the eps>0 score correction with its
+kernel-weighted Monte-Carlo estimate, and the closed-form cells, marginal
+and optimum of Gaussian noise in one dimension at any N: the library's
+commands never call these, so they live beside the tests that check the
+library against them.
 """
 
 from dataclasses import dataclass
@@ -28,13 +29,39 @@ from sdfm.numerics import (
     softmax_b_eps_rows,
 )
 from sdfm.semidual import (
-    DiscreteNoise,
     Potential,
     TargetMeasure,
     _column_sums,
     _soft_c_and_marginal,
     coupling_scores,
 )
+
+
+class FiniteNoise:
+    """Finite noise law: raw ``atoms``, each repeated by its integer entry
+    of ``counts`` (default 1) in ``rows``, so every exact expectation is the
+    plain mean over ``rows``.
+
+    With ``exact=True`` every ``sample`` call returns all of ``rows``: each
+    solver step takes the exact gradient and each check is exact
+    (:func:`sdfm.solver._chi2_check`). Otherwise ``sample`` draws atoms
+    i.i.d. with probabilities ``weights = counts / counts.sum()``.
+    """
+
+    def __init__(self, atoms, counts=None, exact: bool = False):
+        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
+        m = self.atoms.shape[0]
+        self.counts = np.ones(m, dtype=np.int64) if counts is None \
+            else np.asarray(counts, dtype=np.int64)
+        self.weights = self.counts / self.counts.sum()
+        self.rows = np.repeat(self.atoms, self.counts, axis=0)
+        self.exact = bool(exact)
+
+    def sample(self, rng: Rng, n: int) -> np.ndarray:
+        if self.exact:
+            return self.rows
+        idx = rng.generator().choice(self.atoms.shape[0], size=n, p=self.weights)
+        return self.atoms[idx]
 
 
 def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -190,15 +217,13 @@ def optimal_g_1d(target: TargetMeasure) -> np.ndarray:
     return g
 
 
-def marginal_exact(pot: Potential, noise: DiscreteNoise) -> np.ndarray:
-    """Second marginal ``m(g)`` by exact summation over noise atoms."""
-    atoms, w = noise.enumerate()
-    return _column_sums(pot, atoms, w)[0]
+def marginal_exact(pot: Potential, noise: FiniteNoise) -> np.ndarray:
+    """Second marginal ``m(g)`` of a finite law: the mean over its rows."""
+    return _column_sums(pot, noise.rows)[0] / len(noise.rows)
 
 
-def transport_cost(pot: Potential, noise_batch: np.ndarray,
-                   weights: Optional[np.ndarray] = None) -> float:
-    """Primal objective of the induced coupling on a (weighted) batch.
+def transport_cost(pot: Potential, noise_batch: np.ndarray) -> float:
+    """Primal objective of the induced coupling on a batch.
 
     Returns ``E[c(X, Y)]`` under ``pi_{eps,g}`` plus, for ``eps > 0``, the
     ``eps * KL(s_i || b)`` regularization term of the responsibilities. At
@@ -207,7 +232,7 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray,
     <s_i, g>``, and the rows' mean of ``<s_i, g>`` is ``<m, g>`` for their
     mean responsibilities ``m``: one scan gives both terms.
     """
-    ef, m = _soft_c_and_marginal(pot, noise_batch, weights)
+    ef, m = _soft_c_and_marginal(pot, noise_batch)
     return ef + float(np.dot(m, pot.g))
 
 

@@ -24,7 +24,6 @@ from sdfm.flow import (
 )
 from sdfm.numerics import Rng
 from sdfm.semidual import (
-    DiscreteNoise,
     Potential,
     TargetMeasure,
     chi2_estimator,
@@ -36,6 +35,7 @@ from sdfm.solver import SolverConfig, solve_sdot
 
 from conftest import GaussianFlow1D, Mixture1D, make_enumerated_instance
 from oracles import (
+    FiniteNoise,
     delta_eps_toy,
     marginal_exact,
     oracle_discrete_ot,
@@ -56,11 +56,10 @@ def _random_instance(gen, eps):
     b = gen.random(n) + 0.2
     b /= b.sum()
     atoms = gen.standard_normal((m, d))
-    w = gen.random(m) + 0.2
-    w /= w.sum()
+    counts = gen.integers(1, 5, m)
     target = TargetMeasure.from_points(y, b)
     cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-    return target, cost, DiscreteNoise(atoms, w, exact=True)
+    return target, cost, FiniteNoise(atoms, counts, exact=True)
 
 
 def test_criterion_1_gradient_identity():
@@ -71,10 +70,10 @@ def test_criterion_1_gradient_identity():
     for trial in range(20):
         eps = 0.05 if trial % 2 == 0 else 0.5
         target, cost, noise = _random_instance(gen, eps)
-        atoms, w = noise.enumerate()
+        rows = noise.rows
         g0 = gen.standard_normal(target.n) * 0.5
         pot = Potential(g=g0, target=target, cost=cost)
-        grad = stochastic_gradient(pot, atoms, w)
+        grad = stochastic_gradient(pot, rows)
         h = 1e-5
         scale = max(np.max(np.abs(grad)), 1e-3)
         for j in range(target.n):
@@ -82,8 +81,8 @@ def test_criterion_1_gradient_identity():
             gp[j] += h
             gm[j] -= h
             fd = (
-                semidual_value(Potential(g=gp, target=target, cost=cost), atoms, w)
-                - semidual_value(Potential(g=gm, target=target, cost=cost), atoms, w)
+                semidual_value(Potential(g=gp, target=target, cost=cost), rows)
+                - semidual_value(Potential(g=gm, target=target, cost=cost), rows)
             ) / (2 * h)
             rel = abs(fd - grad[j]) / scale
             worst = max(worst, rel)
@@ -101,7 +100,7 @@ def test_criterion_2_chi2_unbiasedness():
     for inst in range(5):
         gen = Rng(2000 + inst).generator()
         target, cost, noise = _random_instance(gen, eps=0.3 if inst % 2 else 0.0)
-        atoms, w = noise.enumerate()
+        atoms, w = noise.atoms, noise.weights
         g = gen.standard_normal(target.n) * 0.4
         pot = Potential(g=g, target=target, cost=cost)
         exact = chi2_exact(marginal_exact(pot, noise), target.weights)
@@ -137,18 +136,16 @@ def test_criterion_3_oracle_dual_equivalence():
         b = gen.random(n) + 0.3
         b /= b.sum()
         atoms = gen.standard_normal((m, 3))
-        w = gen.random(m) + 0.3
-        w /= w.sum()
+        noise = FiniteNoise(atoms, gen.integers(1, 5, m), exact=True)
         target = TargetMeasure.from_points(y, b)
         cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-        noise = DiscreteNoise(atoms, w, exact=True)
         cfg = SolverConfig(optimizer="adagrad", base_lr=1.0,
                            constant_phase=6000, decay_phase=3000,
                            averaging_window=2000, tau=1e-11,
                            check_interval=1000)
         pot = solve_sdot(target, cost, cfg, Rng(3100 + inst), noise=noise)
         costs = cost_matrix(cost, atoms, y)
-        _, _, g_star, _ = oracle_discrete_ot(costs, w, b, eps)
+        _, _, g_star, _ = oracle_discrete_ot(costs, noise.weights, b, eps)
         dual_err = np.max(np.abs(pot.g - g_star))
         assert dual_err <= 1e-2 * np.max(np.abs(g_star)) + 1e-3
         tv = 0.5 * np.abs(marginal_exact(pot, noise) - b).sum()
@@ -162,11 +159,9 @@ def test_criterion_3_oracle_dual_equivalence():
 def test_criterion_4_theorem_decay():
     """Decaying-schedule chi2 shrinks like a power law and is monotone."""
     t0 = time.time()
-    target, cost, noise_exact = make_enumerated_instance(
-        4000, n_target=8, n_atoms=48, d=2, eps=0.1, uniform=True
+    target, cost, noise = make_enumerated_instance(
+        4000, n_target=8, n_atoms=48, d=2, eps=0.1, uniform=True, exact=False
     )
-    atoms, w = noise_exact.enumerate()
-    sampler = DiscreteNoise(atoms, w, exact=False)
 
     def run(iters, seed, track=False):
         cfg = SolverConfig(optimizer="sgd-decay", theory_delta=1.0,
@@ -178,13 +173,13 @@ def test_criterion_4_theorem_decay():
         series = []
 
         def grab(k, pot, chi2):
-            series.append(chi2_exact(marginal_exact(pot, noise_exact),
+            series.append(chi2_exact(marginal_exact(pot, noise),
                                      target.weights))
 
         pot = solve_sdot(target, cost, cfg, Rng(seed),
-                         noise=DiscreteNoise(atoms, w, exact=False),
+                         noise=noise,
                          checkpoint_cb=grab if track else None)
-        final = chi2_exact(marginal_exact(pot, noise_exact), target.weights)
+        final = chi2_exact(marginal_exact(pot, noise), target.weights)
         return final, series
 
     ratios = []
@@ -214,9 +209,9 @@ def test_criterion_5_cost_bound():
         gen = Rng(5000 + inst).generator()
         eps = [0.05, 0.5, 0.2][inst % 3]
         target, cost, noise = _random_instance(gen, eps)
-        atoms, w = noise.enumerate()
-        costs = cost_matrix(cost, atoms, target.points)
-        _, _, _, c_star = oracle_discrete_ot(costs, w, target.weights, eps)
+        costs = cost_matrix(cost, noise.atoms, target.points)
+        _, _, _, c_star = oracle_discrete_ot(costs, noise.weights,
+                                             target.weights, eps)
         # Probe both random potentials and a lightly trained one.
         cfg = SolverConfig(constant_phase=300, decay_phase=0, base_lr=0.5,
                            averaging_window=75, tau=1e-12,
@@ -230,8 +225,8 @@ def test_criterion_5_cost_bound():
             # Off-optimum couplings carry the wrong second marginal, so
             # their cost may undercut the constrained optimum; only the
             # upper bound is asserted.
-            primal = transport_cost(pot, atoms, w)
-            grad = stochastic_gradient(pot, atoms, w)
+            primal = transport_cost(pot, noise.rows)
+            grad = stochastic_gradient(pot, noise.rows)
             bound = np.linalg.norm(pot.g) * np.linalg.norm(grad) + 1e-6
             assert primal - c_star <= bound
     elapsed = time.time() - t0

@@ -199,17 +199,14 @@ class TestArgmaxWithTies:
         gen = Rng(41).generator()
         scores = np.round(gen.standard_normal((64, 5)), 1)
         b = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
-        rw = gen.random(64)
         dense = softmax_rows(scores, b, 0.0)
-        for w in (None, rw):
-            col_sum, col_sq = np.zeros(5), np.zeros(5)
-            eps0_column_stats(argmax_with_ties(scores, b), w, col_sum, col_sq)
-            ws = dense if w is None else w[:, None] * dense
-            np.testing.assert_allclose(col_sum, ws.sum(axis=0), atol=1e-14)
-            np.testing.assert_allclose(col_sq, (ws * ws).sum(axis=0), atol=1e-14)
-            sums_only = np.zeros(5)
-            eps0_column_stats(argmax_with_ties(scores, b), w, sums_only)  # no squares
-            np.testing.assert_array_equal(sums_only, col_sum)
+        col_sum, col_sq = np.zeros(5), np.zeros(5)
+        eps0_column_stats(argmax_with_ties(scores, b), col_sum, col_sq)
+        np.testing.assert_allclose(col_sum, dense.sum(axis=0), atol=1e-14)
+        np.testing.assert_allclose(col_sq, (dense * dense).sum(axis=0), atol=1e-14)
+        sums_only = np.zeros(5)
+        eps0_column_stats(argmax_with_ties(scores, b), sums_only)  # no squares
+        np.testing.assert_array_equal(sums_only, col_sum)
 
     def test_tie_free_slab_skips_the_tie_work(self):
         gen = Rng(46).generator()
@@ -220,13 +217,12 @@ class TestArgmaxWithTies:
         np.testing.assert_array_equal(idx, scores.argmax(axis=1))
         assert tie_rows.size == 0
         assert tie_weights.shape == (0, 300)
-        for w in (None, gen.random(32)):
-            ws = np.zeros((32, 300))
-            ws[np.arange(32), idx] = 1.0 if w is None else w
-            col_sum, col_sq = np.zeros(300), np.zeros(300)
-            eps0_column_stats(argmax_with_ties(scores, b), w, col_sum, col_sq)
-            np.testing.assert_array_equal(col_sum, ws.sum(axis=0))
-            np.testing.assert_array_equal(col_sq, (ws * ws).sum(axis=0))
+        ws = np.zeros((32, 300))
+        ws[np.arange(32), idx] = 1.0
+        col_sum, col_sq = np.zeros(300), np.zeros(300)
+        eps0_column_stats(argmax_with_ties(scores, b), col_sum, col_sq)
+        np.testing.assert_array_equal(col_sum, ws.sum(axis=0))
+        np.testing.assert_array_equal(col_sq, (ws * ws).sum(axis=0))
 
 
 class TestInverseCdf:

@@ -13,7 +13,6 @@ from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, fit_pca
 from sdfm.coupling import assign_batch
 from sdfm.numerics import ARGMAX_TIE_TOL, Rng, argmax_with_ties, inverse_cdf
 from sdfm.semidual import (
-    DiscreteNoise,
     GaussianNoise,
     Potential,
     TargetMeasure,
@@ -26,6 +25,7 @@ from sdfm.semidual import (
 
 from conftest import make_enumerated_instance
 from oracles import (
+    FiniteNoise,
     marginal_exact,
     oracle_discrete_ot,
     responsibilities_rows,
@@ -191,72 +191,69 @@ class TestSemidualValue:
 
     def test_gauge_invariance(self):
         target, cost, noise = make_enumerated_instance(11)
-        atoms, w = noise.enumerate()
         gen = Rng(4).generator()
         g = gen.standard_normal(target.n)
-        base = semidual_value(Potential(g=g, target=target, cost=cost), atoms, w)
+        base = semidual_value(Potential(g=g, target=target, cost=cost), noise.rows)
         shifted = semidual_value(
-            Potential(g=g + 3.21, target=target, cost=cost), atoms, w
+            Potential(g=g + 3.21, target=target, cost=cost), noise.rows
         )
         assert shifted == pytest.approx(base, abs=1e-10)
 
     def test_matches_bruteforce_enumeration(self):
         target, cost, noise = make_enumerated_instance(12, n_target=2, n_atoms=6)
-        atoms, w = noise.enumerate()
         g = Rng(5).generator().standard_normal(2)
         pot = Potential(g=g, target=target, cost=cost)
         # Brute force: sum the soft-min over atoms directly.
         acc = 0.0
-        for x, wi in zip(atoms, w):
+        for x, wi in zip(noise.atoms, noise.weights):
             scores = g - cost_matrix(cost, x[None, :], target.points)[0]
             t = scores / cost.eps + np.log(target.weights)
             m = t.max()
             f = -cost.eps * (m + np.log(np.exp(t - m).sum()))
             acc += wi * f
         acc += float(target.weights @ g)
-        assert semidual_value(pot, atoms, w) == pytest.approx(acc, abs=1e-12)
+        assert semidual_value(pot, noise.rows) == pytest.approx(acc, abs=1e-12)
 
 
 class TestStochasticGradient:
     def test_large_eps_vanishes(self):
         target, cost, noise = make_enumerated_instance(13, eps=1e6)
-        atoms, w = noise.enumerate()
         pot = Potential(g=np.zeros(target.n), target=target, cost=cost)
-        grad = stochastic_gradient(pot, atoms, w)
+        grad = stochastic_gradient(pot, noise.rows)
         assert np.max(np.abs(grad)) < 1e-4
 
     def test_sums_to_zero(self):
         target, cost, noise = make_enumerated_instance(14)
-        atoms, w = noise.enumerate()
         g = Rng(6).generator().standard_normal(target.n)
-        grad = stochastic_gradient(Potential(g=g, target=target, cost=cost), atoms, w)
+        grad = stochastic_gradient(Potential(g=g, target=target, cost=cost),
+                                   noise.rows)
         assert abs(grad.sum()) < 1e-10
 
     def test_finite_difference_oracle(self):
         target, cost, noise = make_enumerated_instance(
             15, n_target=2, n_atoms=2, d=2, eps=0.5
         )
-        atoms, w = noise.enumerate()
+        rows = noise.rows
         g0 = Rng(7).generator().standard_normal(2) * 0.5
-        grad = stochastic_gradient(Potential(g=g0, target=target, cost=cost), atoms, w)
+        grad = stochastic_gradient(Potential(g=g0, target=target, cost=cost), rows)
         h = 1e-5
         for j in range(2):
             gp, gm = g0.copy(), g0.copy()
             gp[j] += h
             gm[j] -= h
             fd = (
-                semidual_value(Potential(g=gp, target=target, cost=cost), atoms, w)
-                - semidual_value(Potential(g=gm, target=target, cost=cost), atoms, w)
+                semidual_value(Potential(g=gp, target=target, cost=cost), rows)
+                - semidual_value(Potential(g=gm, target=target, cost=cost), rows)
             ) / (2 * h)
             assert abs(fd - grad[j]) <= 1e-5 * max(abs(grad[j]), 1e-3)
 
     def test_oracle_stationarity(self):
         target, cost, noise = make_enumerated_instance(16, eps=0.5)
-        atoms, w = noise.enumerate()
-        costs = cost_matrix(cost, atoms, target.points)
-        _, _, g_star, _ = oracle_discrete_ot(costs, w, target.weights, cost.eps)
+        costs = cost_matrix(cost, noise.atoms, target.points)
+        _, _, g_star, _ = oracle_discrete_ot(costs, noise.weights, target.weights,
+                                             cost.eps)
         grad = stochastic_gradient(
-            Potential(g=g_star, target=target, cost=cost), atoms, w
+            Potential(g=g_star, target=target, cost=cost), noise.rows
         )
         assert np.max(np.abs(grad)) <= 1e-8
 
@@ -264,8 +261,7 @@ class TestStochasticGradient:
         target, cost, noise = make_enumerated_instance(17)
         g = Rng(8).generator().standard_normal(target.n)
         pot = Potential(g=g, target=target, cost=cost)
-        atoms, w = noise.enumerate()
-        grad = stochastic_gradient(pot, atoms, w)
+        grad = stochastic_gradient(pot, noise.rows)
         m = marginal_exact(pot, noise)
         np.testing.assert_allclose(grad, target.weights - m, atol=1e-14)
 
@@ -274,10 +270,8 @@ class TestStochasticGradient:
         # mass splits in proportion to b, not uniformly.
         b = np.array([0.25, 0.75])
         pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], b)
-        noise = DiscreteNoise([[0.0, 1.0], [2.0, 0.0], [-1.0, 3.0]],
-                              [0.5, 0.3, 0.2], exact=True)
-        atoms, w = noise.enumerate()
-        grad = stochastic_gradient(pot, atoms, w)
+        noise = FiniteNoise([[0.0, 1.0], [2.0, 0.0], [-1.0, 3.0]], [5, 3, 2])
+        grad = stochastic_gradient(pot, noise.rows)
         m = 0.5 * b + np.array([0.3, 0.2])
         np.testing.assert_allclose(grad, b - m, atol=1e-15)
         np.testing.assert_allclose(marginal_exact(pot, noise), m, atol=1e-15)
@@ -300,12 +294,22 @@ class TestMarginal:
         assert np.max(np.abs(m - b)) < 1e-3
 
     def test_enumeration_exact(self):
-        target, cost, noise = make_enumerated_instance(18)
-        g = Rng(12).generator().standard_normal(target.n)
-        pot = Potential(g=g, target=target, cost=cost)
-        atoms, w = noise.enumerate()
-        direct = w @ responsibilities_rows(pot, atoms)
-        np.testing.assert_allclose(marginal_exact(pot, noise), direct, atol=1e-12)
+        # A finite law's rows repeat each atom by its count: their plain
+        # means are the dense weighted oracle's sums over the distinct atoms.
+        for eps in (0.0, 0.5):
+            target, cost, noise = make_enumerated_instance(18, eps=eps)
+            g = Rng(12).generator().standard_normal(target.n)
+            pot = Potential(g=g, target=target, cost=cost)
+            w = noise.counts / noise.counts.sum()
+            scores = g - cost_matrix(cost, noise.atoms, target.points)
+            m = w @ softmax_rows(scores, target.weights, eps)
+            f = -scores.max(axis=1) if eps == 0.0 else \
+                -eps * logsumexp(scores / eps, b=target.weights, axis=1)
+            np.testing.assert_allclose(marginal_exact(pot, noise), m, atol=1e-12)
+            np.testing.assert_allclose(stochastic_gradient(pot, noise.rows),
+                                       target.weights - m, atol=1e-12)
+            assert semidual_value(pot, noise.rows) == \
+                pytest.approx(w @ f + target.weights @ g, abs=1e-12)
 
 
 class TestChi2:
@@ -367,13 +371,6 @@ class TestChi2:
         np.testing.assert_array_equal(f, soft_c_transform_rows(pot, x))
         np.testing.assert_array_equal(mass,
                                       1.0 + semidual._column_sums(pot, x)[0])
-        # The weighted rows of exact noise give the same transform.
-        noise = DiscreteNoise(x, gen.random(50) + 0.1)
-        f_w = np.empty(50)
-        np.testing.assert_array_equal(
-            semidual._column_sums(pot, x, noise.weights, soft_c=f_w)[0],
-            marginal_exact(pot, noise))
-        np.testing.assert_array_equal(f_w, f)
         # A streamed scan: batches of 25, 25, 25 and 26, as the 1-row tail
         # joins the batch before it.
         scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
@@ -416,7 +413,7 @@ class TestChi2:
 class TestConcavity:
     def test_interpolation_probe(self):
         target, cost, noise = make_enumerated_instance(21, eps=0.3)
-        atoms, w = noise.enumerate()
+        rows = noise.rows
         gen = Rng(16).generator()
         for _ in range(20):
             g1 = gen.standard_normal(target.n)
@@ -424,10 +421,10 @@ class TestConcavity:
             lam = gen.random()
             mix = semidual_value(
                 Potential(g=lam * g1 + (1 - lam) * g2, target=target, cost=cost),
-                atoms, w,
+                rows,
             )
-            v1 = semidual_value(Potential(g=g1, target=target, cost=cost), atoms, w)
-            v2 = semidual_value(Potential(g=g2, target=target, cost=cost), atoms, w)
+            v1 = semidual_value(Potential(g=g1, target=target, cost=cost), rows)
+            v2 = semidual_value(Potential(g=g2, target=target, cost=cost), rows)
             assert mix >= lam * v1 + (1 - lam) * v2 - 1e-9
 
 
@@ -442,11 +439,11 @@ class TestTransportCost:
 
     def test_matches_lp_oracle_at_optimum(self):
         target, cost, noise = make_enumerated_instance(22, eps=0.05)
-        atoms, w = noise.enumerate()
-        costs = cost_matrix(cost, atoms, target.points)
-        _, _, g_star, value = oracle_discrete_ot(costs, w, target.weights, cost.eps)
+        costs = cost_matrix(cost, noise.atoms, target.points)
+        _, _, g_star, value = oracle_discrete_ot(costs, noise.weights,
+                                                 target.weights, cost.eps)
         pot = Potential(g=g_star, target=target, cost=cost)
-        assert transport_cost(pot, atoms, w) == pytest.approx(value, abs=1e-6)
+        assert transport_cost(pot, noise.rows) == pytest.approx(value, abs=1e-6)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_matches_dense_primal(self, eps, monkeypatch):
@@ -459,15 +456,13 @@ class TestTransportCost:
 
     @staticmethod
     def _check_dense_primal(kind, eps, monkeypatch):
-        # sum_ij w_i s_ij c_ij + eps sum_i w_i KL(s_i || b), from the
-        # dense responsibilities, against the one-scan readout.
+        # mean_i sum_j s_ij c_ij + eps mean_i KL(s_i || b), from the dense
+        # responsibilities, against the one-scan readout.
         gen = Rng(18).generator()
         ys = gen.standard_normal((25, 2))
         pot = _simple_potential(gen.standard_normal(25), ys,
                                 gen.random(25) + 0.1, eps=eps, kind=kind)
         x = gen.standard_normal((37, 2))
-        w = gen.random(37) + 0.1
-        w /= w.sum()
         monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 5 * 25)
         s = responsibilities_rows(pot, x)
         per_row = np.sum(s * cost_matrix(pot.cost, x, ys), axis=1)
@@ -477,8 +472,6 @@ class TestTransportCost:
             per_row += eps * kl.sum(axis=1)
         assert transport_cost(pot, x) == pytest.approx(
             float(np.mean(per_row)), rel=1e-10, abs=1e-12)
-        assert transport_cost(pot, x, w) == pytest.approx(
-            float(w @ per_row), rel=1e-10, abs=1e-12)
 
     def test_independent_limit_kl_vanishes(self):
         gen = Rng(17).generator()
@@ -613,12 +606,10 @@ class TestScoreTiles:
                                 gen.standard_normal((TestScoreTiles.N, 3)),
                                 gen.random(TestScoreTiles.N) + 0.1, eps=eps)
         x = gen.standard_normal((TestScoreTiles.B, 3))
-        w = gen.random(TestScoreTiles.B)
         col_sum, col_sq = semidual._column_sums(pot, x, squares=True)
         return {
             "col_sum": col_sum,
             "col_sq": col_sq,
-            "weighted": semidual._column_sums(pot, x, w / w.sum())[0],
             "grad": stochastic_gradient(pot, x),
             "chi2": chi2_estimator(pot, x),
             "soft_c": soft_c_transform_rows(pot, x),
@@ -636,7 +627,7 @@ class TestScoreTiles:
             np.testing.assert_array_equal(got["col_sum"], ref["col_sum"])
             np.testing.assert_array_equal(got["grad"], ref["grad"])
             assert got["col_sum"].sum() == self.B
-        for key in ("col_sum", "col_sq", "weighted", "soft_c"):
+        for key in ("col_sum", "col_sq", "soft_c"):
             np.testing.assert_allclose(got[key], ref[key], rtol=1e-12, atol=0)
         for key in ("chi2", "cost"):
             assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0)
@@ -850,11 +841,9 @@ class TestEps0TieFreeSlabs:
         np.testing.assert_allclose(col_sum, dense.sum(axis=0), rtol=0, atol=1e-14)
         np.testing.assert_allclose(col_sq, (dense * dense).sum(axis=0), rtol=0,
                                    atol=1e-14)
-        w = gen.random(len(x))
-        weighted, none = semidual._column_sums(pot, x, w)
+        sums, none = semidual._column_sums(pot, x)
         assert none is None
-        np.testing.assert_allclose(weighted, (w[:, None] * dense).sum(axis=0),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(sums, col_sum)
         idx = assign_batch(pot, x, Rng(49))
         np.testing.assert_array_equal(
             idx, inverse_cdf(dense, Rng(49).generator().random(len(x))))
@@ -896,8 +885,8 @@ class TestFloat32Eps0Scan:
         scores = semidual.coupling_scores(pot, x)  # float64
         idx, tie_rows, tie_weights = argmax_with_ties(scores.copy(), b)
         want_sum, want_sq = np.zeros(pot.target.n), np.zeros(pot.target.n)
-        semidual.eps0_column_stats((idx, tie_rows, tie_weights), None,
-                                   want_sum, want_sq)
+        semidual.eps0_column_stats((idx, tie_rows, tie_weights), want_sum,
+                                   want_sq)
         u = Rng(61).generator().random(len(x))
         want_idx = idx.copy()
         want_idx[tie_rows] = inverse_cdf(tie_weights, u[tie_rows])

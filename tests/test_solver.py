@@ -5,7 +5,6 @@ from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, co
 from sdfm.numerics import Rng
 from sdfm import semidual, solver
 from sdfm.semidual import (
-    DiscreteNoise,
     GaussianNoise,
     Potential,
     TargetMeasure,
@@ -21,7 +20,7 @@ from sdfm.solver import (
 )
 
 from conftest import make_enumerated_instance
-from oracles import marginal_exact, oracle_discrete_ot, softmax_rows
+from oracles import FiniteNoise, marginal_exact, oracle_discrete_ot, softmax_rows
 
 
 class TestLrSchedule:
@@ -129,9 +128,9 @@ class TestSolveSdot:
                            averaging_window=1500, tau=1e-10,
                            check_interval=1000)
         pot = solve_sdot(target, cost, cfg, Rng(2), noise=noise)
-        atoms, w = noise.enumerate()
-        costs = cost_matrix(cost, atoms, target.points)
-        _, _, g_star, _ = oracle_discrete_ot(costs, w, target.weights, cost.eps)
+        costs = cost_matrix(cost, noise.atoms, target.points)
+        _, _, g_star, _ = oracle_discrete_ot(costs, noise.weights, target.weights,
+                                             cost.eps)
         tol = 1e-2 * np.max(np.abs(g_star)) + 1e-3
         assert np.max(np.abs(pot.g - g_star)) <= tol
         m = marginal_exact(pot, noise)
@@ -146,7 +145,8 @@ class TestSolveSdot:
 
     def test_uniform_weight_mean_drift(self):
         # Gradient entries sum to zero, so plain SGD keeps sum(g) fixed.
-        target, cost, noise = make_enumerated_instance(44, uniform=True)
+        target, cost, src = make_enumerated_instance(44, uniform=True,
+                                                     exact=False)
         cfg = SolverConfig(optimizer="sgd-decay", theory_delta=1.0,
                            theory_smoothness=2.0, constant_phase=1000,
                            decay_phase=0, averaging_window=10, batch=16,
@@ -156,13 +156,10 @@ class TestSolveSdot:
         def grab(k, pot, chi2):
             captured.append(pot.g.sum())
 
-        solve_sdot(target, cost, cfg, Rng(4), noise=DiscreteNoise(
-            *noise.enumerate(), exact=False), checkpoint_cb=grab)
+        solve_sdot(target, cost, cfg, Rng(4), noise=src, checkpoint_cb=grab)
         # The averaged, gauge-fixed candidate sums to ~0; check via raw repeat:
         state_g = np.zeros(target.n)
         gen_rng = Rng(4).child(0)
-        atoms, w = noise.enumerate()
-        src = DiscreteNoise(atoms, w, exact=False)
         for k in range(1000):
             x = src.sample(gen_rng.child(k), 16)
             c = cost_matrix(cost, x, target.points)
@@ -172,25 +169,22 @@ class TestSolveSdot:
             assert abs(state_g.sum()) < 1e-8
 
     def test_determinism(self):
-        target, cost, noise = make_enumerated_instance(45)
+        target, cost, noise = make_enumerated_instance(45, exact=False)
         cfg = SolverConfig(constant_phase=300, decay_phase=100,
                            averaging_window=100, batch=8, tau=1e-12,
                            check_interval=100)
-        a = solve_sdot(target, cost, cfg, Rng(5),
-                       noise=DiscreteNoise(*noise.enumerate()))
-        b = solve_sdot(target, cost, cfg, Rng(5),
-                       noise=DiscreteNoise(*noise.enumerate()))
+        a = solve_sdot(target, cost, cfg, Rng(5), noise=noise)
+        b = solve_sdot(target, cost, cfg, Rng(5), noise=noise)
         np.testing.assert_array_equal(a.g, b.g)
 
     def test_divergence_guard(self):
-        target, cost, noise = make_enumerated_instance(46, eps=0.05)
+        target, cost, noise = make_enumerated_instance(46, eps=0.05, exact=False)
         cfg = SolverConfig(optimizer="sgd-constant", theory_delta=1e14,
                            theory_smoothness=1.0, constant_phase=2000,
                            decay_phase=0, averaging_window=100, batch=4,
                            tau=1e-12, check_interval=100)
         with pytest.raises(SolverDivergence) as err:
-            solve_sdot(target, cost, cfg, Rng(6), noise=DiscreteNoise(
-                *noise.enumerate(), exact=False))
+            solve_sdot(target, cost, cfg, Rng(6), noise=noise)
         assert "iteration" in err.value.info
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
@@ -230,7 +224,7 @@ class TestSolveSdot:
                                           iterations=90, halvings=1)
         # Starts at 5 mod 10: the final window spans three running sums.
         self._assert_window_is_exact_mean(window=25, interval=10,
-                                          iterations=80, halvings=1, budget=90)
+                                          iterations=90, halvings=0, budget=90)
 
     @staticmethod
     def _assert_window_is_exact_mean(window, interval, iterations, halvings,
@@ -241,8 +235,7 @@ class TestSolveSdot:
                            check_interval=interval)
         iterates = []
 
-        orig = DiscreteNoise(*noise.enumerate(), exact=True)
-        pot = solve_sdot(target, cost, cfg, Rng(8), noise=orig)
+        pot = solve_sdot(target, cost, cfg, Rng(8), noise=noise)
         assert pot.provenance["iterations"] == iterations
         # Checks of the constant phase that fail to halve the chi-square.
         history = pot.provenance["chi2_history"]
@@ -253,13 +246,12 @@ class TestSolveSdot:
         # Re-run the recurrence by hand and compare the trailing mean.
         from sdfm.semidual import gauge_fix
 
-        atoms, w = orig.enumerate()
-        c = cost_matrix(cost, atoms, target.points)
+        c = cost_matrix(cost, noise.atoms, target.points)
         g = np.zeros(target.n)
         acc = np.zeros(target.n)
         for k in range(iterations):
             s = softmax_rows(g[None, :] - c, target.weights, cost.eps)
-            grad = target.weights - w @ s
+            grad = target.weights - noise.weights @ s
             acc += grad * grad
             lr = lr_schedule(cfg, k) * 0.5**sum(j <= k for j in halved_at)
             g = g + lr * grad / np.sqrt(np.maximum(acc, 1e-10))
@@ -277,7 +269,7 @@ class TestSolveSdot:
         gen = Rng(53).generator()
         target = TargetMeasure.from_points(gen.standard_normal((2048, 2)))
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
-        noise = DiscreteNoise(gen.standard_normal((8, 2)), exact=True)
+        noise = FiniteNoise(gen.standard_normal((8, 2)), exact=True)
         cfg = SolverConfig(constant_phase=budget, decay_phase=0,
                            averaging_window=window, tau=1e-12,
                            check_interval=1000)
@@ -326,13 +318,12 @@ class TestStepSize:
     def test_decay_phase_never_halves(self):
         # tau is out of reach, so every check after the first can fail;
         # only the nine after the first in the constant phase may halve.
-        target, cost, noise = make_enumerated_instance(55)
+        target, cost, noise = make_enumerated_instance(55, exact=False)
         cfg = SolverConfig(constant_phase=100, decay_phase=300,
                            averaging_window=50, batch=4, tau=1e-12,
                            check_interval=10)
         sink = _Rows()
-        pot = solve_sdot(target, cost, cfg, Rng(15), metrics=sink,
-                         noise=DiscreteNoise(*noise.enumerate()))
+        pot = solve_sdot(target, cost, cfg, Rng(15), metrics=sink, noise=noise)
         assert pot.provenance["stop_reason"] == "max_iterations"
         assert 1 <= pot.provenance["lr_halvings"] <= 9
         rates = [v for (k, name), v in sorted(sink.rows.items())
@@ -344,14 +335,13 @@ class TestStepSize:
                     * lr_schedule(cfg, min(k, 399))
 
     def test_theory_schedule_never_halves(self):
-        target, cost, noise = make_enumerated_instance(54)
+        target, cost, noise = make_enumerated_instance(54, exact=False)
         cfg = SolverConfig(optimizer="sgd-constant", theory_delta=1.0,
                            theory_smoothness=50.0, constant_phase=200,
                            decay_phase=0, averaging_window=50, batch=4,
                            tau=1e-12, check_interval=20)
         sink = _Rows()
-        pot = solve_sdot(target, cost, cfg, Rng(14), metrics=sink,
-                         noise=DiscreteNoise(*noise.enumerate()))
+        pot = solve_sdot(target, cost, cfg, Rng(14), metrics=sink, noise=noise)
         assert pot.provenance["lr_halvings"] == 0
         assert {v for (k, name), v in sink.rows.items() if name == "lr"} \
             == {lr_schedule(cfg, 0)}
@@ -382,10 +372,9 @@ class TestOneScanPerCheck:
                            check_interval=10)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, Rng(10), noise=noise, metrics=sink)
-        atoms, w = noise.enumerate()
         zero = Potential(g=np.zeros(target.n), target=target, cost=cost)
-        assert sink.rows[(0, "semidual")] == semidual_value(zero, atoms, w)
-        assert sink.rows[(30, "semidual")] == semidual_value(pot, atoms, w)
+        assert sink.rows[(0, "semidual")] == semidual_value(zero, noise.rows)
+        assert sink.rows[(30, "semidual")] == semidual_value(pot, noise.rows)
         m = marginal_exact(pot, noise)
         assert pot.provenance["final_marginal_linf"] == \
             target.n * np.max(np.abs(m - target.weights))
@@ -440,3 +429,14 @@ class TestOneScanPerCheck:
         solve_sdot(target, cost, cfg, Rng(12))
         assert per_check == [256, 256, 256]  # checks at k = 0, 3, 6
         assert sum(scored) == 3 * 256 + 6 * 16
+        # An exact finite law: each check scores its rows once, not
+        # chi2_total streamed ones, and each step all of them, not batch.
+        noise = FiniteNoise(gen.standard_normal((9, 2)), gen.integers(1, 5, 9),
+                            exact=True)
+        rows = len(noise.rows)
+        assert rows not in (cfg.batch, cfg.chi2_batch, cfg.chi2_total)
+        scored.clear()
+        per_check.clear()
+        solve_sdot(target, cost, cfg, Rng(12), noise=noise)
+        assert per_check == [rows, rows, rows]
+        assert sum(scored) == 3 * rows + 6 * rows
