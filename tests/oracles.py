@@ -51,10 +51,10 @@ class FiniteNoise:
     def __init__(self, atoms, counts=None, exact: bool = False):
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
         m = self.atoms.shape[0]
-        self.counts = np.ones(m, dtype=np.int64) if counts is None \
+        counts = np.ones(m, dtype=np.int64) if counts is None \
             else np.asarray(counts, dtype=np.int64)
-        self.weights = self.counts / self.counts.sum()
-        self.rows = np.repeat(self.atoms, self.counts, axis=0)
+        self.weights = counts / counts.sum()
+        self.rows = np.repeat(self.atoms, counts, axis=0)
         self.exact = bool(exact)
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:

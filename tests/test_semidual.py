@@ -300,7 +300,7 @@ class TestMarginal:
             target, cost, noise = make_enumerated_instance(18, eps=eps)
             g = Rng(12).generator().standard_normal(target.n)
             pot = Potential(g=g, target=target, cost=cost)
-            w = noise.counts / noise.counts.sum()
+            w = noise.weights  # counts / counts.sum()
             scores = g - cost_matrix(cost, noise.atoms, target.points)
             m = w @ softmax_rows(scores, target.weights, eps)
             f = -scores.max(axis=1) if eps == 0.0 else \

@@ -102,7 +102,6 @@ class TestSolveSdot:
         np.testing.assert_array_equal(pot.g, [0.0])
         assert pot.provenance["iterations"] == 0
         assert pot.provenance["final_chi2"] == pytest.approx(0.0, abs=1e-12)
-        assert pot.provenance["stop_reason"] == "tau"
 
     def test_symmetric_two_atoms(self):
         target = TargetMeasure.from_points([[1.0, 0.0], [-1.0, 0.0]])
@@ -222,15 +221,19 @@ class TestSolveSdot:
         # Window starts on checks (every 10 iterates); AdaGrad halves its rate.
         self._assert_window_is_exact_mean(window=40, interval=10,
                                           iterations=90, halvings=1)
-        # Starts at 5 mod 10: the final window spans three running sums.
+        # Stops on tau at 50, before the budget of 70, after one halving.
+        # Its window starts at 25 (5 mod 10) and spans three running sums,
+        # from 25, 35 and 45; the last opens because its window would end
+        # at the budget.
         self._assert_window_is_exact_mean(window=25, interval=10,
-                                          iterations=90, halvings=0, budget=90)
+                                          iterations=50, halvings=1, budget=70,
+                                          base_lr=2.5)
 
     @staticmethod
     def _assert_window_is_exact_mean(window, interval, iterations, halvings,
-                                     budget=150):
+                                     budget=150, base_lr=1.5):
         target, cost, noise = make_enumerated_instance(48)
-        cfg = SolverConfig(base_lr=1.5, constant_phase=budget, decay_phase=0,
+        cfg = SolverConfig(base_lr=base_lr, constant_phase=budget, decay_phase=0,
                            averaging_window=window, batch=4, tau=1e-12,
                            check_interval=interval)
         iterates = []
