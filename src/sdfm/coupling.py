@@ -38,8 +38,8 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
     """Target index of each raw noise row, by the O(N) scan.
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
-    over exact ties; ``eps > 0``: categorical draw from the unnormalised
-    exp rows. Row ``i`` draws with the ``i``-th uniform of
+    over exact ties; ``eps > 0``: categorical draw from the exp rows of the
+    scan's exponents. Row ``i`` draws with the ``i``-th uniform of
     ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
     its noise row, never on the batch size. Maps over the slabs of the one
     scan loop, :func:`~sdfm.semidual.score_chunks` (at eps=0 through
@@ -57,7 +57,7 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
             idx[lo:hi] = part
         return idx
     for lo, hi, scores in score_chunks(pot, noise):
-        softmax_b_eps_rows(scores, pot.target.log_weights, pot.eps)
+        softmax_b_eps_rows(scores, pot.eps)
         idx[lo:hi] = inverse_cdf(scores, u[lo:hi])
     return idx
 

@@ -227,19 +227,22 @@ class _Adam:
     """Adam with the standard constants; :meth:`step` updates in place."""
 
     LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8
-
-    def __init__(self, n: int):
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.k = 0
+    k = 0  # steps taken
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        # theta -= LR * m_hat / (sqrt(v_hat) + EPS), in that order: same bits.
+        if not self.k:  # the moments and two buffers, shaped like grad
+            self.m, self.v, self._a, self._b = map(np.zeros_like, [grad] * 4)
         self.k += 1
-        self.m[:] = self.BETA1 * self.m + (1 - self.BETA1) * grad
-        self.v[:] = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
-        m_hat = self.m / (1 - self.BETA1**self.k)
-        v_hat = self.v / (1 - self.BETA2**self.k)
-        theta -= self.LR * m_hat / (np.sqrt(v_hat) + self.EPS)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.BETA1
+        m += np.multiply(grad, 1 - self.BETA1, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(grad, 1 - self.BETA2, out=a), grad, out=a)
+        np.sqrt(np.divide(v, 1 - self.BETA2**self.k, out=b), out=b)
+        b += self.EPS
+        np.multiply(np.divide(m, 1 - self.BETA1**self.k, out=a), self.LR, out=a)
+        theta -= np.divide(a, b, out=a)
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,7 @@ def train_flow(model: FlowModel, target: TargetMeasure,
     Adam updates the copy's ``theta`` in place. Aborts on a non-finite loss.
     """
     model = model.copy()
-    opt = _Adam(model.theta.size)
+    opt = _Adam()
     start = time.perf_counter()
     for step in range(cfg.steps):
         step_rng = rng.child(step)

@@ -14,10 +14,11 @@ Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
 
 The score-slab reducers map over the slabs of the one scan loop, with one
-mode each, on the caller's arrays: an in-place exp pass at eps>0
-(:func:`softmax_b_eps_rows`); at eps=0 one top-two pass (:func:`top_two`)
-for the float32 scan and the one tie rule (:func:`argmax_with_ties`),
-whose column sums :func:`eps0_column_stats` adds up.
+mode each, on the caller's arrays: at eps>0 an in-place exp pass over
+the matmul's exponents (:func:`softmax_b_eps_rows`); at eps=0 one top-two
+pass (:func:`top_two`) for the float32 scan and the one tie rule
+(:func:`argmax_with_ties`), whose column sums :func:`eps0_column_stats`
+adds up.
 """
 
 from __future__ import annotations
@@ -108,24 +109,22 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     return idx, tie_rows, tie_weights
 
 
-def softmax_b_eps_rows(scores: np.ndarray, log_b: np.ndarray, eps: float,
+def softmax_b_eps_rows(exponents: np.ndarray, eps: float,
                        smooth_max: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalised weighted softmax over data indices, row by row, in place.
+    """Unnormalised softmax of ``(B, N)`` exponents, row by row, in place.
 
-    For ``(B, N)`` scores and ``eps > 0``, overwrites row ``i`` with ``b_j
-    exp(z_ij/eps - m_i)``, ``m_i`` the row max of the exponent: one exp
-    pass, never normalised. Returns the row totals; the responsibilities
-    are ``scores / total[:, None]``. With ``smooth_max`` (one entry per
-    row) each row's normaliser ``eps log sum_j b_j exp(z_ij/eps)`` is
-    written there. At eps=0 the slabs go through :func:`top_two` instead.
+    For exponents ``t_ij = z_ij / eps + log b_j`` up to a per-row constant
+    (:func:`sdfm.semidual.coupling_scores` at eps>0), overwrites row ``i``
+    with ``exp(t_ij - max_j t_ij)``: one exp pass, never normalised.
+    Returns the row totals; the responsibilities are ``exponents /
+    total[:, None]``. With ``smooth_max`` (one entry per row) each row's
+    ``eps log sum_j exp(t_ij)``, the normaliser ``eps log sum_j b_j
+    exp(z_ij / eps)`` plus ``eps`` times the row's constant, goes there.
     """
-    # exp(t - max_j t) row by row for t = scores / eps + log_b.
-    scores *= 1.0 / eps
-    scores += log_b
-    m = scores.max(axis=1)
-    scores -= m[:, None]
-    np.exp(scores, out=scores)
-    total = scores.sum(axis=1)
+    m = exponents.max(axis=1)
+    exponents -= m[:, None]
+    np.exp(exponents, out=exponents)
+    total = exponents.sum(axis=1)
     if smooth_max is not None:
         smooth_max[:] = eps * (m + np.log(total))
     return total

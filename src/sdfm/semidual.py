@@ -31,13 +31,13 @@ Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. Its right operand is the lifted
 support, one C-contiguous ``(d + 1, N)`` array: the support's d
 coordinate rows, then the shift row that each :func:`coupling_scores`
-call writes from its own potential. eps>0 scores in float64; eps=0 scores
-in float32 against a float32 copy of the lifted support, made on the first
-eps=0 scan.
+call writes from its own potential. At eps>0 it gives float64 exponents
+``(g_j - c(x, y_j)) / eps + log b_j``; eps=0 scores in float32 against a
+float32 copy of the lifted support, made on the first eps=0 scan.
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
 buffer, yielded as cache-sized row slabs. Every reducer maps over its
-slabs: :func:`_column_sums` takes one unnormalised exp pass per slab at
-eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
+slabs: :func:`_column_sums` takes one unnormalised exp pass per slab of
+exponents at eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
 :func:`argmax_chunks`, the float64 tie rule's (the float32 argmax wherever
 a rounding bound proves it, a float64 re-check of the slab's few other
 rows). The semidual value, gradient, second marginal and chi-square read
@@ -153,7 +153,7 @@ class TargetMeasure:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """``log(weights)``, computed once: every score tile reads it."""
+        """``log(weights)``, computed once: every eps>0 score block reads it."""
         log_w = np.log(self.weights)
         log_w.setflags(write=False)
         return log_w
@@ -268,11 +268,12 @@ def _f32_range(v):
 
 
 def _lifted_rows(pot: Potential, x: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling space,
-    made in float64 and stored in ``dtype``."""
+    """The rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling space
+    (``[a x_i / eps, 1]`` at eps>0), made in float64, stored in ``dtype``."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     rows = np.empty((len(x), x.shape[1] + 1), dtype=dtype)
-    np.multiply(x, 1.0 if pot.cost.kind == NEG_DOT else 2.0, out=rows[:, :-1])
+    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
+    np.multiply(x, a if pot.eps == 0.0 else a / pot.eps, out=rows[:, :-1])
     rows[:, -1] = 1.0
     return rows
 
@@ -285,21 +286,23 @@ def _shift(pot: Potential) -> np.ndarray:
 
 def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scores ``g_j - c(x_i, y_j)`` of raw noise rows ``x``, up to a per-row
-    constant: one matmul of the rows ``[a x_i, 1]`` (in coupling space) by
-    the C-contiguous ``(d + 1, N)`` lifted support, whose shift row this
-    call first sets to the potential's ``g`` (less ``|y_j|^2`` for the
-    squared Euclidean cost). As ``g_j - |x - y_j|^2 = 2 <x, y_j> + (g_j -
-    |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``) carry
-    ``+|x_i|^2``; negative dot product scores (``a = 1``) are exact.
+    """Scores ``z_ij = g_j - c(x_i, y_j)`` of raw noise rows ``x`` at eps=0,
+    and at eps>0 the softmax's exponents ``z_ij / eps + log b_j``, up to a
+    per-row constant: one matmul of the rows ``[a x_i, 1]`` (in coupling
+    space, the coordinates over ``eps`` at eps>0) by the C-contiguous ``(d
+    + 1, N)`` lifted support, whose shift row this call first sets from its
+    own potential: ``g`` (less ``|y_j|^2`` for the squared Euclidean cost),
+    at eps>0 over ``eps`` plus ``log b``. As ``g_j - |x - y_j|^2 = 2 <x,
+    y_j> + (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``)
+    carry ``+|x_i|^2`` (over ``eps``); negative dot product ones are exact.
     Written to ``out`` (shape ``(len(x), N)``) when given, in its dtype: a
-    float32 ``out`` is the product of the rows cast to float32 and the
-    float32 copy of the lifted support, whose shift row is the float64
-    one cast. Values beyond float32's range become ``inf`` or ``nan``
-    there, without a warning.
+    float32 ``out`` (eps=0) is the product of the float32 rows and lifted
+    support (a kept copy); values beyond float32's range become ``inf`` or
+    ``nan`` there, without a warning.
     """
     lifted = pot._space._lifted
-    lifted[-1] = _shift(pot)
+    lifted[-1] = _shift(pot) if pot.eps == 0.0 else \
+        _shift(pot) / pot.eps + pot._space.log_weights
     if out is None or out.dtype == np.float64:
         return np.matmul(_lifted_rows(pot, x), lifted, out=out)
     single = pot._space._single[0]
@@ -312,12 +315,12 @@ def score_chunks(pot: Potential, x: np.ndarray):
     """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
 
     The scan's one block loop: every reducer streams through here. One
-    :func:`coupling_scores` call per block of rows (squared-Euclidean
-    scores up to a per-row constant), yielded as L2-sized slabs
-    (:data:`SCORE_CHUNK_BYTES`) of one buffer per stream, at most max(1
-    MiB, 4 d N scores) whatever ``len(x)``. A reducer may overwrite a slab
-    until it asks for the next. Scores are float64 at eps>0 and float32 at
-    eps=0, where :func:`argmax_chunks` reduces them.
+    :func:`coupling_scores` call per block of rows (up to a per-row
+    constant), yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one
+    buffer per stream, at most max(1 MiB, 4 d N scores) whatever
+    ``len(x)``. A reducer may overwrite a slab until it asks for the next.
+    Slabs hold float64 exponents at eps>0 and float32 scores at eps=0,
+    where :func:`argmax_chunks` reduces them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
@@ -406,12 +409,13 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     """Column sums of the responsibilities of rows ``x`` and, with
     ``squares``, the column sums of their squares, else ``None``.
 
-    At eps>0 each slab's exp rows ``e`` stay unnormalised: with ``r = 1 /
-    total`` the sums gain ``r @ e`` and the squares ``(r * r) @ (e * e)``.
-    With ``soft_c`` (one entry per row) each row's soft-c transform is
-    written there from the same tiles: ``f_{g,eps}(x_i) = -eps log sum_j
-    b_j exp(score_ij / eps)`` at eps>0 (the softmax's normaliser), ``-max_j
-    score_ij`` at eps=0, plus ``|x_i|^2`` for the squared Euclidean cost.
+    At eps>0 one exp pass turns each slab of exponents into unnormalised
+    rows ``e``: with ``r = 1 / total`` the sums gain ``r @ e`` and the
+    squares ``(r * r) @ (e * e)``. With ``soft_c`` (one entry per row) each
+    row's soft-c transform is written there from the same tiles:
+    ``f_{g,eps}(x_i) = -eps log sum_j b_j exp(score_ij / eps)`` at eps>0
+    (the exponents' normaliser), ``-max_j score_ij`` at eps=0, plus
+    ``|x_i|^2`` for the squared Euclidean cost.
     """
     col_sum = np.zeros(pot.target.n)
     col_sq = np.zeros(pot.target.n) if squares else None
@@ -423,8 +427,7 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     else:
         for lo, hi, scores in score_chunks(pot, x):
             f = None if soft_c is None else soft_c[lo:hi]
-            total = softmax_b_eps_rows(scores, pot.target.log_weights,
-                                       pot.eps, smooth_max=f)
+            total = softmax_b_eps_rows(scores, pot.eps, smooth_max=f)
             r = 1.0 / total
             col_sum += r @ scores
             if squares:

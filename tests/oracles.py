@@ -11,7 +11,7 @@ commands never call these, so they live beside the tests that check the
 library against them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -252,13 +252,23 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
         rows[tie_rows] = tie_weights
         return rows
     with np.errstate(divide="ignore"):
-        total = softmax_b_eps_rows(scores, np.log(b), eps)
-    return scores / total[:, None]
+        exponents = scores / eps + np.log(b)
+    total = softmax_b_eps_rows(exponents, eps)
+    return exponents / total[:, None]
+
+
+def float64_scores(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """The fused float64 scores ``g_j - c(x_i, y_j)`` of raw rows ``x``, up
+    to the per-row constant of :func:`~sdfm.semidual.coupling_scores`: its
+    product for the potential's eps=0 twin (at eps>0 it gives exponents)."""
+    twin = Potential(g=pot.g, target=pot.target,
+                     cost=replace(pot.cost, eps_raw=0.0))
+    return coupling_scores(twin, x)
 
 
 def responsibilities_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Dense row-wise responsibilities, ``(B, N)``; each row sums to 1."""
-    return softmax_rows(coupling_scores(pot, x), pot.target.weights, pot.eps)
+    return softmax_rows(float64_scores(pot, x), pot.target.weights, pot.eps)
 
 
 def score_eps_positive(model, x: np.ndarray, t: float,

@@ -164,8 +164,8 @@ class TestSoftmaxBEps:
         b /= b.sum()
         for eps in (0.3, 10.0):
             smooth = np.empty(6)
-            e = scores.copy()
-            total = softmax_b_eps_rows(e, np.log(b), eps, smooth_max=smooth)
+            e = scores / eps + np.log(b)
+            total = softmax_b_eps_rows(e, eps, smooth_max=smooth)
             np.testing.assert_array_equal(e / total[:, None],
                                           softmax_rows(scores, b, eps))
             np.testing.assert_allclose(

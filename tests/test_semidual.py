@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from sdfm import semidual
-from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, CostConfig, cost_matrix, fit_pca
+from sdfm.costs import (
+    NEG_DOT,
+    SQ_EUCLIDEAN,
+    CostConfig,
+    cost_matrix,
+    estimate_cost_std,
+    fit_pca,
+)
 from sdfm.coupling import assign_batch
 from sdfm.numerics import ARGMAX_TIE_TOL, Rng, argmax_with_ties, inverse_cdf
 from sdfm.semidual import (
@@ -98,9 +105,11 @@ class TestTargetMeasure:
         semidual.coupling_scores(pot, points[:4])
         support = cost.embed(points)
         np.testing.assert_array_equal(pot.support, support)
+        # At eps>0 the shift row is folded: shift / eps + log b.
         np.testing.assert_array_equal(
             pot._space._lifted[-1],
-            pot.g - np.einsum("ij,ij->i", support, support))
+            (pot.g - np.einsum("ij,ij->i", support, support)) / pot.eps
+            + np.log(target.weights))
 
 
 class TestSoftCTransform:
@@ -651,29 +660,56 @@ def _streamed_scores(pot, x):
     return out
 
 
-def _two_pass_blocks(pot, x):
-    """:func:`scores_two_pass` over the stream's matmul blocks, stacked."""
+def _exponent_error(pot, x, got):
+    """Largest error of eps>0 exponents ``got`` of raw rows ``x`` against
+    the two-pass scores' ``scores / eps + log b`` (plus ``|x|^2 / eps`` per
+    row at the squared Euclidean cost), in float64 eps of the magnitude
+    ``(|x|^2 + |y|^2 + |g|) / eps + |log b|``."""
+    e = pot.cost.embed(x)
+    sq_x = np.sum(e * e, axis=1)[:, None]
+    log_b = np.log(pot.target.weights)
+    ref = scores_two_pass(pot, x) / pot.eps + log_b
+    if pot.cost.kind == SQ_EUCLIDEAN:
+        ref += sq_x / pot.eps
+    scale = (sq_x + np.sum(pot.support**2, axis=1) + np.abs(pot.g)) / pot.eps
+    scale += np.abs(log_b)
+    return np.max(np.abs(got - ref) / scale) / np.finfo(np.float64).eps
+
+
+def _blocks(scores, pot, x):
+    """``scores(pot, rows)`` over the float64 stream's matmul blocks, stacked."""
     block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
-    return np.vstack([scores_two_pass(pot, x[lo:lo + block])
+    return np.vstack([scores(pot, x[lo:lo + block])
                       for lo in range(0, len(x), block)])
+
+
+def _two_pass_blocks(pot, x):
+    return _blocks(scores_two_pass, pot, x)
+
+
+def _float64_blocks(pot, x):
+    """The float64 scores of an eps=0 potential, block by block."""
+    return _blocks(semidual.coupling_scores, pot, x)
 
 
 class TestFusedKernel:
     """One matmul of ``[a x, 1]`` against ``[S, shift]`` scores both costs.
 
-    Blocks are compared with the two-pass kernel on the same block shapes:
-    BLAS picks its kernel (matrix-vector for 1-row blocks, edge kernels
-    for ragged ones) from the shape.
+    Blocks of the float64 scores (``coupling_scores`` at eps=0 without an
+    ``out``) are compared with the two-pass kernel on the same block
+    shapes: BLAS picks its kernel (matrix-vector for 1-row blocks, edge
+    kernels for ragged ones) from the shape.
     """
 
     @staticmethod
-    def _case(d, kind=NEG_DOT, pca=None, seed=40):
+    def _case(d, kind=NEG_DOT, pca=None, seed=40, eps=0.0, weights=False):
         gen = Rng(seed).generator()
         n = 1024 if d == 32 else 4096
         points = gen.standard_normal((n, d if pca is None else 8))
         projection = None if pca is None else fit_pca(points, pca)
-        cost = CostConfig(kind=kind, eps_raw=0.5, projection=projection)
-        target = TargetMeasure.from_points(points)
+        cost = CostConfig(kind=kind, eps_raw=eps, projection=projection)
+        b = gen.random(n) + 0.1 if weights else None
+        target = TargetMeasure.from_points(points, b)
         pot = Potential(g=gen.standard_normal(n), target=target, cost=cost)
         return pot, gen
 
@@ -685,7 +721,7 @@ class TestFusedKernel:
         block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
         b_rows = {"1": 1, "ragged": 5, "several": 3 * block + 5}[rows]
         x = gen.standard_normal((b_rows, pot.target.dim))
-        fused, ref = _streamed_scores(pot, x), _two_pass_blocks(pot, x)
+        fused, ref = _float64_blocks(pot, x), _two_pass_blocks(pot, x)
         if b_rows == 1 and d == 1:
             # BLAS's matrix-vector kernel folds the two products of a K=2
             # row in another order than K=1 plus an add: the results differ
@@ -704,9 +740,58 @@ class TestFusedKernel:
         pot, gen = self._case(d, kind=SQ_EUCLIDEAN)
         x = 3.0 * gen.standard_normal((333, d))
         sq_x = np.sum(x * x, axis=1)[:, None]
-        err = np.abs(_streamed_scores(pot, x) - _two_pass_blocks(pot, x) - sq_x)
+        err = np.abs(_float64_blocks(pot, x) - _two_pass_blocks(pot, x) - sq_x)
         scale = sq_x + np.sum(pot.target.points**2, axis=1) + np.abs(pot.g)
         assert np.max(err / scale) <= 8 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("d, pca", [(1, None), (2, None), (32, None),
+                                        (2, 2)])
+    def test_eps_positive_slabs_hold_exponents(self, kind, d, pca):
+        # At eps>0 the stream's slabs hold (g - c) / eps + log b, plus
+        # |x|^2 / eps per row at the squared Euclidean cost. Over these
+        # shapes at eps 0.37, 0.5, 3 and 1e-3, with 1, 5 and 3 blocks + 5
+        # rows, the largest error measured against the two-pass scores was
+        # 1.7 eps (neg-dot) and 4.5 eps (sq-euclidean) of the magnitude
+        # (|x|^2 + |y|^2 + |g|) / eps + |log b|; the bound is 8 eps.
+        pot, gen = self._case(d, kind, pca, eps=0.37, weights=True)
+        block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
+        for rows in (1, 3 * block + 5):
+            x = 3.0 * gen.standard_normal((rows, pot.target.dim))
+            assert _exponent_error(pot, x, _streamed_scores(pot, x)) <= 8
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_tiny_eps_matches_dense_softmax(self, kind):
+        # At eps = 1e-3 of the cost std a row's exponents span thousands:
+        # most exp entries underflow, none may overflow or warn. The
+        # responsibilities, soft-c and draws match the dense oracle. The
+        # largest errors measured were 4.0e-13 relative on column sums
+        # above 1e-3, 1.6e-13 relative on soft-c (the squared Euclidean
+        # cost; 3.5e-13 and 8.4e-14 before the fold).
+        gen = Rng(45).generator()
+        points = gen.standard_normal((500, 3))
+        cost = CostConfig(kind=kind, eps_raw=1e-3)
+        cost = cost.with_rescaled_eps(estimate_cost_std(
+            cost, gen.standard_normal((256, 3)), points[:256]))
+        pot = Potential(g=gen.standard_normal(500),
+                        target=TargetMeasure.from_points(points,
+                                                         gen.random(500) + 0.1),
+                        cost=cost)
+        b, x = pot.target.weights, gen.standard_normal((300, 3))
+        scores = pot.g - cost_matrix(cost, x, points)
+        dense = softmax_rows(scores, b, pot.eps)
+        col_sum, col_sq = semidual._column_sums(pot, x, squares=True)
+        np.testing.assert_allclose(col_sum, dense.sum(axis=0), rtol=1e-12,
+                                   atol=1e-15)
+        np.testing.assert_allclose(col_sq, (dense * dense).sum(axis=0),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            soft_c_transform_rows(pot, x),
+            -pot.eps * logsumexp(scores / pot.eps, axis=1, b=b),
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            assign_batch(pot, x, Rng(46)),
+            inverse_cdf(dense, Rng(46).generator().random(len(x))))
 
     @pytest.mark.parametrize("kind, eps", [(NEG_DOT, 0.0), (NEG_DOT, 0.5),
                                            (SQ_EUCLIDEAN, 0.5)])
@@ -747,9 +832,11 @@ class TestShiftRow:
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
     def test_interleaved_streams_score_their_own_potential(self, kind):
         # At N=4096, d=2 a stream of 64 rows is two 32-row blocks, so each
-        # stream's second block is scored after the other stream's first.
+        # stream's second block is scored after the other stream's first,
+        # and must hold its own folded shift row g / eps + log b.
         gen = Rng(43).generator()
-        target = TargetMeasure.from_points(gen.standard_normal((4096, 2)))
+        target = TargetMeasure.from_points(gen.standard_normal((4096, 2)),
+                                           gen.random(4096) + 0.1)
         cost = CostConfig(kind=kind, eps_raw=0.5)
         pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
                 for _ in range(2)]
@@ -763,8 +850,7 @@ class TestShiftRow:
                 out[lo:hi] = scores
         for pot, out in zip(pots, got):
             np.testing.assert_array_equal(out, _streamed_scores(pot, x))
-            if kind == NEG_DOT:
-                np.testing.assert_array_equal(out, _two_pass_blocks(pot, x))
+            assert _exponent_error(pot, x, out) <= 8  # as in TestFusedKernel
 
     def test_interleaved_eps0_streams_gather_their_own_maxima(self):
         # At N=4096, d=32 an eps=0 block is two 64-row slabs, so each
