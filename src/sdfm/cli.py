@@ -163,8 +163,6 @@ def cmd_assign(args) -> int:
         if not np.isfinite(noise).all():
             raise UsageError("noise rows must be finite")
     else:
-        if args.sample is None or args.sample < 1:
-            raise UsageError("pass --noise FILE or --sample COUNT >= 1")
         noise = gaussian_starts(rng.child(0), args.sample, pot.target.dim)
     t0 = time.perf_counter()
     indices = assign_batch(pot, noise, rng.child(1))
@@ -305,7 +303,9 @@ def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_eval(args) -> int:
     report = {}
-    if args.samples and args.reference:
+    if (args.samples is None) != (args.reference is None):
+        raise UsageError("W2 needs both --samples and --reference")
+    if args.samples is not None:
         a = _load_cloud(args.samples)
         b = _load_cloud(args.reference)
         if a.shape[0] != b.shape[0]:
@@ -383,8 +383,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("assign", help="pair a noise file against a potential")
     s.add_argument("--potential", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--noise")
-    s.add_argument("--sample", type=int)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--noise")
+    source.add_argument("--sample", type=int)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_assign)

@@ -174,7 +174,7 @@ class MetricsWriter:
     """
 
     csv_path: str
-    json_path: Optional[str] = None
+    json_path: str
     _last_step: Dict[str, int] = field(default_factory=dict)
     totals: Dict[str, float] = field(default_factory=dict)
     _n_rows: int = 0
@@ -210,8 +210,6 @@ class MetricsWriter:
 
     def finalize(self, summary: Optional[dict] = None) -> None:
         self.close()
-        if self.json_path is None:
-            return
         payload = {"summary": summary or {}, "n_rows": self._n_rows}
         with open(self.json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)

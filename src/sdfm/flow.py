@@ -30,7 +30,6 @@ __all__ = [
     "FlowModel",
     "GuidanceConfig",
     "TrainConfig",
-    "interpolate",
     "fm_loss_and_grad",
     "train_flow",
     "gaussian_starts",
@@ -42,18 +41,6 @@ __all__ = [
 
 # Training times avoid the 1/(1-t) singularity used only by score extraction.
 T_MAX_TRAIN = 1.0 - 1e-3
-
-
-def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
-    """Linear interpolant ``(1 - t) x0 + t x1``."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("interpolation time must lie in [0, 1]")
-    if t_arr.ndim == 1 and x0.ndim == 2:
-        t_arr = t_arr[:, None]
-    return (1.0 - t_arr) * x0 + t_arr * x1
 
 
 class FlowModel:
@@ -213,7 +200,8 @@ def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
-    out, acts = model._forward(model._inputs(t, interpolate(x0, x1, t)))
+    tc = t.reshape(-1, 1)
+    out, acts = model._forward(model._inputs(t, (1.0 - tc) * x0 + tc * x1))
     residual = (x1 - x0) - out
     loss = float(np.mean(np.sum(residual**2, axis=1)))
     # d loss / d out = -2 residual / B

@@ -441,17 +441,11 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     return col_sum, col_sq
 
 
-def _soft_c_and_marginal(pot: Potential, x: np.ndarray):
-    """Mean soft-c transform and mean responsibilities of rows ``x``: one scan."""
-    f = np.empty(np.atleast_2d(x).shape[0])
-    m, _ = _column_sums(pot, x, soft_c=f)
-    return float(np.mean(f)), m / len(f)
-
-
 def semidual_value(pot: Potential, noise_batch: np.ndarray) -> float:
     """Batch-mean estimate of ``F_eps(g) = E[f_{g,eps}(X)] + <b, g>``."""
-    ef, _ = _soft_c_and_marginal(pot, noise_batch)
-    return ef + float(np.dot(pot.target.weights, pot.g))
+    f = np.empty(np.atleast_2d(noise_batch).shape[0])
+    _column_sums(pot, noise_batch, soft_c=f)
+    return float(np.mean(f)) + float(np.dot(pot.target.weights, pot.g))
 
 
 def stochastic_gradient(pot: Potential, noise_batch: np.ndarray) -> np.ndarray:

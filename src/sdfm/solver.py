@@ -24,9 +24,7 @@ from .semidual import (
     GaussianNoise,
     Potential,
     TargetMeasure,
-    _soft_c_and_marginal,
     chi2_batches,
-    chi2_exact,
     gauge_fix,
     semidual_value,
     stochastic_gradient,
@@ -183,16 +181,11 @@ def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
 
     The stopping statistic, the estimate of ``F_eps(g)`` from the soft-c
     transform of the same rows, and the second-marginal estimate, over
-    ``chi2_total`` streamed rows. A noise with ``exact = True`` (a finite
-    law) returns all its rows from every ``sample``: the check is then
-    :func:`~sdfm.semidual.chi2_exact` of their mean responsibilities.
+    ``chi2_total`` streamed rows in batches of ``chi2_batch``
+    (:func:`~sdfm.semidual.chi2_batches`).
     """
-    b = pot.target.weights
-    if getattr(noise, "exact", False):
-        ef, m = _soft_c_and_marginal(pot, noise.sample(rng, cfg.chi2_total))
-        return chi2_exact(m, b), ef + float(np.dot(b, pot.g)), m
     scan = chi2_batches(pot, rng, cfg.chi2_total, cfg.chi2_batch, noise)
-    value = scan.soft_c_mean + float(np.dot(b, pot.g))
+    value = scan.soft_c_mean + float(np.dot(pot.target.weights, pot.g))
     return float(np.mean(scan.values)), value, scan.marginal
 
 
@@ -230,8 +223,7 @@ def solve_sdot(
     vectors of length N, whatever the budget.
 
     ``noise`` defaults to standard Gaussian noise in the target's raw
-    space; any ``sample(rng, n) -> rows`` source may stand in (exact
-    finite laws: :func:`_chi2_check`).
+    space; any ``sample(rng, n) -> rows`` source may stand in.
     ``checkpoint_cb(iteration, potential, chi2)`` fires at every check.
     The iteration starts from the zero vector.
     """

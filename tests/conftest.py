@@ -1,13 +1,22 @@
-"""Shared fixtures: enumerated instances and closed-form 1-d oracles."""
+"""Shared fixtures: enumerated instances, closed-form 1-d oracles, and
+exact solver checks of finite laws."""
 
 import numpy as np
 import pytest
 
+from sdfm import solver
 from sdfm.costs import NEG_DOT, CostConfig
 from sdfm.numerics import Rng
 from sdfm.semidual import TargetMeasure
 
-from oracles import FiniteNoise
+from oracles import FiniteNoise, exact_check
+
+
+@pytest.fixture(autouse=True)
+def exact_solver_checks(monkeypatch):
+    """Every solve checks an exact finite law exactly (:func:`exact_check`);
+    the library streams every noise through one check."""
+    monkeypatch.setattr(solver, "_chi2_check", exact_check(solver._chi2_check))
 
 
 def make_enumerated_instance(seed, n_target=8, n_atoms=32, d=3, eps=0.5,

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
-Finite noise laws with integer multiplicities, exact discrete OT on small
-dense instances (the transport LP at eps=0, tight log-domain Sinkhorn at
-eps>0), the two-pass score kernel, Laguerre-cell membership, the exact
+Finite noise laws with integer multiplicities and the solver's exact
+check over them, exact discrete OT on small dense instances (the
+transport LP at eps=0, tight log-domain Sinkhorn at eps>0), the two-pass
+score kernel, Laguerre-cell membership, the exact
 second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
 kernel-weighted Monte-Carlo estimate, and the closed-form cells, marginal
@@ -32,7 +33,7 @@ from sdfm.semidual import (
     Potential,
     TargetMeasure,
     _column_sums,
-    _soft_c_and_marginal,
+    chi2_exact,
     coupling_scores,
 )
 
@@ -43,9 +44,10 @@ class FiniteNoise:
     plain mean over ``rows``.
 
     With ``exact=True`` every ``sample`` call returns all of ``rows``: each
-    solver step takes the exact gradient and each check is exact
-    (:func:`sdfm.solver._chi2_check`). Otherwise ``sample`` draws atoms
-    i.i.d. with probabilities ``weights = counts / counts.sum()``.
+    solver step takes the exact gradient and each check is exact (the
+    :func:`exact_check` that ``conftest.py`` puts in place of the solver's
+    check). Otherwise ``sample`` draws atoms i.i.d. with probabilities
+    ``weights = counts / counts.sum()``.
     """
 
     def __init__(self, atoms, counts=None, exact: bool = False):
@@ -62,6 +64,29 @@ class FiniteNoise:
             return self.rows
         idx = rng.generator().choice(self.atoms.shape[0], size=n, p=self.weights)
         return self.atoms[idx]
+
+
+def soft_c_and_marginal(pot: Potential, x: np.ndarray):
+    """Mean soft-c transform and mean responsibilities of rows ``x``: one scan."""
+    f = np.empty(np.atleast_2d(x).shape[0])
+    m, _ = _column_sums(pot, x, soft_c=f)
+    return float(np.mean(f)), m / len(f)
+
+
+def exact_check(check):
+    """The solver's check ``check(pot, rng, cfg, noise)``, made exact for a
+    :class:`FiniteNoise` with ``exact = True``: ``(chi2, semidual,
+    marginal)`` are :func:`~sdfm.semidual.chi2_exact` of the mean
+    responsibilities of its rows, their mean soft-c transform plus ``<b,
+    g>``, and those mean responsibilities. Any other noise goes to
+    ``check``."""
+    def checked(pot, rng, cfg, noise):
+        if not getattr(noise, "exact", False):
+            return check(pot, rng, cfg, noise)
+        b = pot.target.weights
+        ef, m = soft_c_and_marginal(pot, noise.rows)
+        return chi2_exact(m, b), ef + float(np.dot(b, pot.g)), m
+    return checked
 
 
 def oracle_discrete_ot(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -232,7 +257,7 @@ def transport_cost(pot: Potential, noise_batch: np.ndarray) -> float:
     <s_i, g>``, and the rows' mean of ``<s_i, g>`` is ``<m, g>`` for their
     mean responsibilities ``m``: one scan gives both terms.
     """
-    ef, m = _soft_c_and_marginal(pot, noise_batch)
+    ef, m = soft_c_and_marginal(pot, noise_batch)
     return ef + float(np.dot(m, pot.g))
 
 

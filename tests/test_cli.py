@@ -704,6 +704,9 @@ _USAGE_CASES = {
     "assign-sample-negative": lambda tmp, blob: [
         "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--sample", "-2", "--out", str(tmp / "x.sdfm")],
+    "assign-noise-and-sample": lambda tmp, blob: [
+        "assign", "--potential", _quick_potential(tmp, blob), "--data", blob,
+        "--noise", blob, "--sample", "4", "--out", str(tmp / "x.sdfm")],
     "pca-k-above-dim": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--pca", "3",
         "--out", str(tmp / "x.sdfm")],
@@ -731,6 +734,13 @@ _USAGE_CASES = {
         "--out", str(tmp / "s")],
     "eval-curvature-one-step": lambda tmp, blob: [
         "eval", "--model", _quick_model(tmp, blob), "--steps", "1"],
+    # Half a W2 request is refused, not dropped beside the curvature.
+    "eval-samples-without-reference": lambda tmp, blob: [
+        "eval", "--samples", _dump(tmp, "a", (8, 2)),
+        "--model", _quick_model(tmp, blob)],
+    "eval-reference-without-samples": lambda tmp, blob: [
+        "eval", "--reference", _dump(tmp, "b", (8, 2)),
+        "--model", _quick_model(tmp, blob)],
     "guide-replicas-0": lambda tmp, blob: [
         "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
         "--model2", _quick_model(tmp, blob, "b.sdfm"), "--replicas", "0",

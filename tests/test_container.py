@@ -205,7 +205,7 @@ class TestMetricsWriter:
         assert lines[2].startswith("10,3.200,loss,")
 
     def test_monotone_step_enforced(self, tmp_path):
-        w = MetricsWriter(str(tmp_path / "m.csv"))
+        w = MetricsWriter(str(tmp_path / "m.csv"), str(tmp_path / "m.json"))
         w.log(5, "chi2", 1.0)
         with pytest.raises(ValueError, match="monotone"):
             w.log(4, "chi2", 0.9)

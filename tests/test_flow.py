@@ -18,7 +18,6 @@ from sdfm.flow import (
     gaussian_starts,
     guided_sample,
     integrate,
-    interpolate,
     score_from_velocity,
     train_flow,
 )
@@ -27,22 +26,6 @@ from sdfm.semidual import Potential, TargetMeasure
 
 from conftest import GaussianFlow1D, Mixture1D
 from oracles import delta_eps_toy, score_eps_positive
-
-
-class TestInterpolate:
-    def test_boundaries(self):
-        x0 = np.array([1.0, 2.0])
-        x1 = np.array([-3.0, 5.0])
-        np.testing.assert_array_equal(interpolate(x0, x1, 0.0), x0)
-        np.testing.assert_array_equal(interpolate(x0, x1, 1.0), x1)
-
-    def test_quarter_point(self):
-        out = interpolate(np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.25)
-        np.testing.assert_allclose(out, [0.5, 1.0])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            interpolate(np.zeros(2), np.ones(2), 1.5)
 
 
 def _make_batch(gen, b=6, d=2):
@@ -337,7 +320,7 @@ class TestTrainFlow:
         target = TargetMeasure.from_points(Rng(6).generator().standard_normal((8, 2)))
         model = FlowModel(dim=2, hidden=(8,), rng=Rng(6))
         path = tmp_path / "m.csv"
-        with MetricsWriter(str(path)) as metrics:
+        with MetricsWriter(str(path), str(tmp_path / "m.json")) as metrics:
             train_flow(model, target, partial(couple_independent, target),
                        TrainConfig(steps=5, batch=8), Rng(7), metrics)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]

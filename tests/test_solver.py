@@ -432,8 +432,9 @@ class TestOneScanPerCheck:
         solve_sdot(target, cost, cfg, Rng(12))
         assert per_check == [256, 256, 256]  # checks at k = 0, 3, 6
         assert sum(scored) == 3 * 256 + 6 * 16
-        # An exact finite law: each check scores its rows once, not
-        # chi2_total streamed ones, and each step all of them, not batch.
+        # An exact finite law, through the tests' exact check (conftest.py):
+        # each check scores its rows once, not chi2_total streamed ones,
+        # and each step all of them, not batch.
         noise = FiniteNoise(gen.standard_normal((9, 2)), gen.integers(1, 5, 9),
                             exact=True)
         rows = len(noise.rows)
