@@ -4,9 +4,9 @@ The production path is :func:`assign_batch`: an O(N d) scan over the
 target scores ``g_j - c(x, y_j)``. At ``eps = 0`` this is a maximum inner
 product search with a ``b``-weighted draw over ties; for ``eps > 0`` it
 is a categorical draw from the responsibilities. Baselines cover the
-independent coupling and minibatch OT (log-domain Sinkhorn or Hungarian).
-Every pairing engine returns one thing, the target index of each noise
-row, so a training loop takes any of them as ``pair(noise, rng)``.
+independent coupling and minibatch OT: Hungarian, or Sinkhorn by matrix
+scaling with log-domain anchoring. Every pairing engine returns the target
+index of each noise row, so a training loop takes any as ``pair(noise, rng)``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
             idx[lo:hi] = part
         return idx
     for lo, hi, scores in score_chunks(pot, noise):
-        softmax_b_eps_rows(scores, pot.eps)
+        softmax_b_eps_rows(scores)
         idx[lo:hi] = inverse_cdf(scores, u[lo:hi])
     return idx
 
@@ -65,75 +65,81 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
 def couple_independent(target: TargetMeasure, noise: np.ndarray,
                        rng: Rng) -> np.ndarray:
     """One index per noise row, drawn i.i.d. from the target weights."""
-    return rng.generator().choice(target.n, size=len(np.atleast_2d(noise)),
-                                  p=target.weights)
+    u = rng.generator().random(len(np.atleast_2d(noise)))
+    return target.cdf.searchsorted(u, side="right")
 
 
 # ---------------------------------------------------------------------------
-# Log-domain Sinkhorn
+# Sinkhorn; a new scaling outside this range, or not finite, re-anchors it
+SCALING_RANGE = (1e-100, 1e100)
+
 
 def sinkhorn_log(costs: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float,
                  tol: float = 1e-6, max_sweeps: int = 10_000):
-    """Dense log-domain Sinkhorn at the requested ``eps``, from zero potentials.
+    """Dense Sinkhorn at the requested ``eps``, from zero potentials.
 
-    Alternates the dual updates
-
-        f_i = -eps * LSE_j((g_j - C_ij)/eps + log b_j)
-        g_j = -eps * LSE_i((f_i - C_ij)/eps + log a_i)
-
-    until the L1 marginal error falls below ``tol``. The column update
-    zeroes the column residual by construction, and the row residual of
-    the current plan falls out of the next f update for free:
-    ``row_sum_i = a_i exp((f_i - f_new_i)/eps)``. Raises :class:`SinkhornError`
-    if the sweep budget runs out, or if the plan's row error exceeds ``10 *
-    tol`` (at a tiny eps that residual rounds to 0). Returns ``(plan, f, g,
+    The dual updates ``f_i = -eps LSE_j((g_j - C_ij)/eps + log b_j)`` and
+    ``g_j = -eps LSE_i((f_i - C_ij)/eps + log a_i)`` run as matrix scaling:
+    the iterate is ``(f + eps log u, g + eps log v)`` on the kernel ``K_ij =
+    a_i b_j exp((f_i + g_j - C_ij)/eps)`` anchored at ``(f, g)``, and a sweep
+    is ``u = a / (K v)``, then ``v = b / (K^T u)``. So the columns sum to
+    ``b``, the L1 marginal error is ``sum_i |u_i (K v)_i - a_i|``, and below
+    ``tol`` the plan is ``u_i K_ij v_j``. An anchor step (both updates by a
+    stable LSE from the current ``g``, then ``u = v = 1``) runs at sweep 0 and
+    replaces any sweep whose new ``u`` or ``v`` leaves :data:`SCALING_RANGE`,
+    ``[1e-100, 1e100]``, or is not finite. In exact arithmetic it gives the
+    same iterate, so where a small ``eps`` underflows the kernel the sweep
+    count stays. Raises :class:`SinkhornError` if the sweep budget runs out
+    or the plan's row error exceeds ``10 * tol``. Returns ``(plan, f, g,
     sweeps)``.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    costs, a, b = (np.asarray(x, dtype=np.float64) for x in (costs, a, b))
     if eps <= 0.0:
         raise ValueError("Sinkhorn requires eps > 0")
-    log_a = np.log(a)[:, None]
-    log_b = np.log(b)[None, :]
-    m, n = costs.shape
-    f = np.zeros(m)
-    g = np.zeros(n)
-    scaled = costs / eps
-    buf = np.empty_like(costs)
+    log_a, log_b = np.log(a)[:, None], np.log(b)[None, :]
+    lo, hi = SCALING_RANGE
+    g = np.zeros(costs.shape[1])
+    buf = np.empty_like(costs)  # the LSE workspace, then the kernel
 
     def transform(h, log_w, axis):
-        # buf <- (h - C)/eps + log_w reduced over ``axis`` by a stable LSE,
-        # h and log_w laid along that axis: g and log b as rows give the f
-        # update, f and log a as columns the g update.
-        np.subtract(h / eps, scaled, out=buf)
+        # Stable LSE of (h - C)/eps + log_w over ``axis``, h and log_w laid
+        # along it (rows: the f update, columns: g); exp terms stay in buf.
+        np.divide(costs, -eps, out=buf)  # then h/eps - C/eps, bit for bit
+        np.add(buf, h / eps, out=buf)
         np.add(buf, log_w, out=buf)
         mx = buf.max(axis=axis, keepdims=True)
         np.subtract(buf, mx, out=buf)
         np.exp(buf, out=buf)
-        return -eps * (mx.ravel() + np.log(buf.sum(axis=axis)))
+        total = buf.sum(axis=axis)
+        return -eps * (mx.ravel() + np.log(total)), total
 
     row_err = np.inf
     for sweeps in range(max_sweeps):
-        f_new = transform(g[None, :], log_b, 1)
         if sweeps:  # the zero start has no column update to measure
-            with np.errstate(over="ignore"):
-                row_err = float(np.abs(a * np.expm1((f - f_new) / eps)).sum())
+            kv = buf @ v
+            row_err = float(np.abs(u * kv - a).sum())
             if row_err <= tol:
-                log_plan = (f[:, None] + g[None, :]) / eps - scaled + log_a + log_b
-                with np.errstate(over="ignore"):
-                    plan = np.exp(log_plan)
-                plan_err = float(np.abs(plan.sum(axis=1) - a).sum())
+                buf *= u[:, None]
+                buf *= v
+                plan_err = float(np.abs(buf.sum(axis=1) - a).sum())
                 if not plan_err <= 10 * tol:  # also a non-finite plan
                     raise SinkhornError(f"plan row error {plan_err:.3e} at "
                                         f"residual {row_err:.3e}", plan_err)
-                return plan, f, g, sweeps
-        f = f_new
-        g = transform(f[:, None], log_a, 0)
-    raise SinkhornError(
-        f"no convergence within {max_sweeps} sweeps (residual {row_err:.3e})",
-        residual=float(row_err),
-    )
+                return buf, f + eps * np.log(u), g + eps * np.log(v), sweeps
+            with np.errstate(divide="ignore"):
+                u = a / kv
+                if lo <= u.min() and u.max() <= hi:
+                    v_new = b / (u @ buf)
+                    if lo <= v_new.min() and v_new.max() <= hi:
+                        v = v_new
+                        continue
+            g = g + eps * np.log(v)  # anchor at the current iterate
+        f, _ = transform(g[None, :], log_b, 1)
+        g, total = transform(f[:, None], log_a, 0)
+        buf *= b / total  # the kernel, as exp(g_j/eps) = exp(-mx_j) / total_j
+        u, v = np.ones(len(f)), np.ones(len(g))
+    raise SinkhornError(f"no convergence within {max_sweeps} sweeps "
+                        f"(residual {row_err:.3e})", float(row_err))
 
 
 def hungarian(costs: np.ndarray):
@@ -167,7 +173,7 @@ def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     n = len(noise)
     gen = rng.generator()
-    data_idx = gen.choice(target.n, size=n, p=target.weights)
+    data_idx = target.cdf.searchsorted(gen.random(n), side="right")
     c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise,
                     target.points[data_idx])
     if eps == 0.0:

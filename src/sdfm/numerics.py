@@ -109,25 +109,20 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     return idx, tie_rows, tie_weights
 
 
-def softmax_b_eps_rows(exponents: np.ndarray, eps: float,
-                       smooth_max: np.ndarray | None = None) -> np.ndarray:
+def softmax_b_eps_rows(exponents: np.ndarray) -> np.ndarray:
     """Unnormalised softmax of ``(B, N)`` exponents, row by row, in place.
 
     For exponents ``t_ij = z_ij / eps + log b_j`` up to a per-row constant
     (:func:`sdfm.semidual.coupling_scores` at eps>0), overwrites row ``i``
-    with ``exp(t_ij - max_j t_ij)``: one exp pass, never normalised.
-    Returns the row totals; the responsibilities are ``exponents /
-    total[:, None]``. With ``smooth_max`` (one entry per row) each row's
-    ``eps log sum_j exp(t_ij)``, the normaliser ``eps log sum_j b_j
-    exp(z_ij / eps)`` plus ``eps`` times the row's constant, goes there.
+    with ``exp(t_ij - max_j t_ij)`` in a max, a subtract and an exp pass,
+    and returns the row maxima ``m``. With the rows' totals ``s``, their
+    responsibilities are ``exponents / s[:, None]`` and ``eps (m + log s)``
+    is ``eps log sum_j b_j exp(z_ij / eps)`` plus ``eps`` times the constant.
     """
     m = exponents.max(axis=1)
     exponents -= m[:, None]
     np.exp(exponents, out=exponents)
-    total = exponents.sum(axis=1)
-    if smooth_max is not None:
-        smooth_max[:] = eps * (m + np.log(total))
-    return total
+    return m
 
 
 def eps0_column_stats(argmax, col_sum: np.ndarray,

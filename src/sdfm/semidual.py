@@ -159,6 +159,15 @@ class TargetMeasure:
         return log_w
 
     @cached_property
+    def cdf(self) -> np.ndarray:
+        """The CDF that ``Generator.choice(n, p=weights)`` builds per call,
+        built once: ``cdf.searchsorted(gen.random(n), side="right")``."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
     def _single(self):
         """The float32 copy of the lifted support, and each coordinate row's
         largest ``|entry|``, ``inf`` from ``2^127`` up (:func:`argmax_chunks`)."""
@@ -426,8 +435,10 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
                 soft_c[lo:hi] = top
     else:
         for lo, hi, scores in score_chunks(pot, x):
-            f = None if soft_c is None else soft_c[lo:hi]
-            total = softmax_b_eps_rows(scores, pot.eps, smooth_max=f)
+            m = softmax_b_eps_rows(scores)
+            total = scores.sum(axis=1)
+            if soft_c is not None:
+                soft_c[lo:hi] = pot.eps * (m + np.log(total))
             r = 1.0 / total
             col_sum += r @ scores
             if squares:

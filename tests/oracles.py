@@ -2,7 +2,8 @@
 
 Finite noise laws with integer multiplicities and the solver's exact
 check over them, exact discrete OT on small dense instances (the
-transport LP at eps=0, tight log-domain Sinkhorn at eps>0), the two-pass
+transport LP at eps=0, tight Sinkhorn at eps>0), the log-domain Sinkhorn
+loop that the library runs in scaling form, the two-pass
 score kernel, Laguerre-cell membership, the exact
 second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
@@ -21,7 +22,7 @@ from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
-from sdfm.coupling import sinkhorn_log
+from sdfm.coupling import SinkhornError, sinkhorn_log
 from sdfm.numerics import (
     ARGMAX_TIE_TOL,
     Rng,
@@ -145,6 +146,73 @@ def _transport_lp(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
     ):
         f, g = -f, -g
     return plan, f, g
+
+
+def sinkhorn_log_reference(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
+                           eps: float, tol: float = 1e-6,
+                           max_sweeps: int = 10_000):
+    """Dense log-domain Sinkhorn at the requested ``eps``, from zero potentials:
+    the loop that :func:`~sdfm.coupling.sinkhorn_log` runs in scaling form,
+    with the same sweeps and, up to rounding, the same results.
+
+    Alternates the dual updates
+
+        f_i = -eps * LSE_j((g_j - C_ij)/eps + log b_j)
+        g_j = -eps * LSE_i((f_i - C_ij)/eps + log a_i)
+
+    until the L1 marginal error falls below ``tol``. The column update
+    zeroes the column residual by construction, and the row residual of
+    the current plan falls out of the next f update for free:
+    ``row_sum_i = a_i exp((f_i - f_new_i)/eps)``. Raises :class:`SinkhornError`
+    if the sweep budget runs out, or if the plan's row error exceeds ``10 *
+    tol`` (at a tiny eps that residual rounds to 0). Returns ``(plan, f, g,
+    sweeps)``.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if eps <= 0.0:
+        raise ValueError("Sinkhorn requires eps > 0")
+    log_a = np.log(a)[:, None]
+    log_b = np.log(b)[None, :]
+    m, n = costs.shape
+    f = np.zeros(m)
+    g = np.zeros(n)
+    scaled = costs / eps
+    buf = np.empty_like(costs)
+
+    def transform(h, log_w, axis):
+        # buf <- (h - C)/eps + log_w reduced over ``axis`` by a stable LSE,
+        # h and log_w laid along that axis: g and log b as rows give the f
+        # update, f and log a as columns the g update.
+        np.subtract(h / eps, scaled, out=buf)
+        np.add(buf, log_w, out=buf)
+        mx = buf.max(axis=axis, keepdims=True)
+        np.subtract(buf, mx, out=buf)
+        np.exp(buf, out=buf)
+        return -eps * (mx.ravel() + np.log(buf.sum(axis=axis)))
+
+    row_err = np.inf
+    for sweeps in range(max_sweeps):
+        f_new = transform(g[None, :], log_b, 1)
+        if sweeps:  # the zero start has no column update to measure
+            with np.errstate(over="ignore"):
+                row_err = float(np.abs(a * np.expm1((f - f_new) / eps)).sum())
+            if row_err <= tol:
+                log_plan = (f[:, None] + g[None, :]) / eps - scaled + log_a + log_b
+                with np.errstate(over="ignore"):
+                    plan = np.exp(log_plan)
+                plan_err = float(np.abs(plan.sum(axis=1) - a).sum())
+                if not plan_err <= 10 * tol:  # also a non-finite plan
+                    raise SinkhornError(f"plan row error {plan_err:.3e} at "
+                                        f"residual {row_err:.3e}", plan_err)
+                return plan, f, g, sweeps
+        f = f_new
+        g = transform(f[:, None], log_a, 0)
+    raise SinkhornError(
+        f"no convergence within {max_sweeps} sweeps (residual {row_err:.3e})",
+        residual=float(row_err),
+    )
 
 
 def scores_two_pass(pot: Potential, x: np.ndarray) -> np.ndarray:
@@ -278,8 +346,8 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
         return rows
     with np.errstate(divide="ignore"):
         exponents = scores / eps + np.log(b)
-    total = softmax_b_eps_rows(exponents, eps)
-    return exponents / total[:, None]
+    softmax_b_eps_rows(exponents)
+    return exponents / exponents.sum(axis=1, keepdims=True)
 
 
 def float64_scores(pot: Potential, x: np.ndarray) -> np.ndarray:

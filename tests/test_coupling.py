@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from sdfm import artifacts
@@ -9,6 +10,7 @@ from sdfm.cli import main
 from sdfm.container import read_container
 from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, cost_matrix
 from sdfm.coupling import (
+    SCALING_RANGE,
     SinkhornError,
     assign_batch,
     couple_independent,
@@ -17,7 +19,7 @@ from sdfm.coupling import (
     sinkhorn_log,
 )
 from sdfm.flow import gaussian_starts
-from sdfm.numerics import Rng
+from sdfm.numerics import Rng, inverse_cdf
 from sdfm.semidual import Potential, TargetMeasure, stochastic_gradient
 
 from conftest import make_enumerated_instance
@@ -25,6 +27,7 @@ from oracles import (
     laguerre_contains,
     oracle_discrete_ot,
     responsibilities_rows,
+    sinkhorn_log_reference,
     softmax_rows,
 )
 
@@ -204,6 +207,38 @@ class TestCoupleIndependent:
         assert abs(freq0 - 0.9) <= 3 * sigma
 
 
+class TestDataDraws:
+    """Data indices come from the target's cached CDF, drawn as
+    ``Generator.choice(n, size, p=weights)`` draws them."""
+
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_cdf_draws_equal_generator_choice(self, n, uniform):
+        gen = Rng(24).generator()
+        weights = None if uniform else gen.random(n) + 0.01
+        target = TargetMeasure.from_points(gen.standard_normal((n, 1)), weights)
+        p = target.weights
+        expected = Rng(25).generator().choice(n, size=300, p=p)
+        np.testing.assert_array_equal(
+            couple_independent(target, np.zeros((300, 1)), Rng(25)), expected)
+        # The generator ends where choice leaves it: the next draws agree.
+        ours, theirs = Rng(26).generator(), Rng(26).generator()
+        np.testing.assert_array_equal(
+            target.cdf.searchsorted(ours.random(300), side="right"),
+            theirs.choice(n, size=300, p=p))
+        np.testing.assert_array_equal(ours.random(5), theirs.random(5))
+        # couple_minibatch_ot draws each row's partner from its plan row
+        # with the same generator, after the data indices.
+        noise = Rng(27).generator().standard_normal((8, 1))
+        gen = Rng(28).generator()
+        fresh = gen.choice(n, size=8, p=p)
+        c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise, target.points[fresh])
+        plan = sinkhorn_log(c, np.full(8, 1 / 8), np.full(8, 1 / 8), 0.5)[0]
+        np.testing.assert_array_equal(
+            couple_minibatch_ot(target, 0.5, noise, Rng(28)),
+            fresh[inverse_cdf(plan, gen.random(8))])
+
+
 class TestHungarian:
     def test_diagonal_optimum(self):
         assignment, total = hungarian(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -245,19 +280,58 @@ class TestSinkhorn:
         assert np.abs(plan.sum(axis=1) - a).sum() <= 1e-9
         assert np.abs(plan.sum(axis=0) - b).sum() <= 1e-9 + 1e-12
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_eight_gaussians_batch_at_relative_eps(self, seed):
-        # A 256-row eight-gaussians batch at 0.1 x its cost std converged in
-        # 78-87 sweeps at these seeds.
+    @staticmethod
+    def _eight_gaussians_costs(seed):
+        """Costs of a 256-row eight-gaussians batch against Gaussian noise."""
         gen = Rng(seed).generator()
         angles = 2.0 * np.pi * gen.integers(0, 8, size=256) / 8.0
         data = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1) \
             + 0.3 * gen.standard_normal((256, 2))
         noise = gen.standard_normal((256, 2))
-        c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise, data)
+        return cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise, data)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eight_gaussians_batch_at_relative_eps(self, seed):
+        # A 256-row eight-gaussians batch at 0.1 x its cost std converges in
+        # the log-domain loop's sweep counts at these seeds.
+        c = self._eight_gaussians_costs(seed)
         marg = np.full(256, 1.0 / 256)
         _, _, _, sweeps = sinkhorn_log(c, marg, marg, 0.1 * np.std(c, ddof=1))
-        assert sweeps < 150
+        assert sweeps == [87, 78, 85][seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("relative_eps", [0.3, 0.1])
+    def test_scaling_matches_log_domain_reference(self, seed, relative_eps):
+        c = self._eight_gaussians_costs(seed)
+        marg = np.full(256, 1.0 / 256)
+        eps = relative_eps * np.std(c, ddof=1)
+        plan, f, g, sweeps = sinkhorn_log(c, marg, marg, eps)
+        ref_plan, ref_f, ref_g, ref_sweeps = sinkhorn_log_reference(
+            c, marg, marg, eps)
+        assert sweeps == ref_sweeps
+        np.testing.assert_allclose(plan, ref_plan, rtol=0,
+                                   atol=1e-12 * ref_plan.max())
+        np.testing.assert_allclose(f, ref_f, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, ref_g, rtol=0, atol=1e-12)
+
+    def test_tiny_eps_reanchors_and_matches_reference(self):
+        # Two clusters a unit cost apart, with 90 % of the row mass beside
+        # 10 % of the column mass, so most mass crosses. At eps = 1e-3 the
+        # crossing entries of the sweep-0 kernel are about exp(-1000) and
+        # underflow, and the row potentials travel further from that anchor
+        # than any scaling in SCALING_RANGE reaches: the solve re-anchors.
+        c = np.kron(1.0 - np.eye(2), np.ones((8, 8))) \
+            + 0.01 * Rng(3).generator().random((16, 16))
+        a = np.repeat([0.9 / 8, 0.1 / 8], 8)
+        b = a[::-1].copy()
+        eps = 1e-3
+        plan, f, _, sweeps = sinkhorn_log(c, a, b, eps)
+        ref_plan, _, _, ref_sweeps = sinkhorn_log_reference(c, a, b, eps)
+        assert sweeps == ref_sweeps
+        np.testing.assert_allclose(plan, ref_plan, rtol=0,
+                                   atol=1e-12 * ref_plan.max())
+        f_anchor = -eps * logsumexp(-c / eps, b=b, axis=1)  # sweep 0, g = 0
+        assert np.abs(f - f_anchor).max() / eps > np.log(SCALING_RANGE[1])
 
     def test_nonconvergence_raises(self):
         gen = Rng(99).generator()

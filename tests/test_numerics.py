@@ -163,14 +163,17 @@ class TestSoftmaxBEps:
         b = gen.random(5) + 0.1
         b /= b.sum()
         for eps in (0.3, 10.0):
-            smooth = np.empty(6)
             e = scores / eps + np.log(b)
-            total = softmax_b_eps_rows(e, eps, smooth_max=smooth)
+            top = e.max(axis=1)
+            m = softmax_b_eps_rows(e)
+            np.testing.assert_array_equal(m, top)
+            np.testing.assert_array_equal(e.max(axis=1), 1.0)  # exp(0)
+            total = e.sum(axis=1)
             np.testing.assert_array_equal(e / total[:, None],
                                           softmax_rows(scores, b, eps))
             np.testing.assert_allclose(
-                smooth, eps * logsumexp(scores / eps, b=b, axis=1),
-                rtol=1e-12)
+                eps * (m + np.log(total)),
+                eps * logsumexp(scores / eps, b=b, axis=1), rtol=1e-12)
 
 
 class TestArgmaxWithTies:
