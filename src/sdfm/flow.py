@@ -50,10 +50,10 @@ class FlowModel:
     layer is linear with dimension ``dim``. The parameters live in one
     flat float64 vector, ``theta``; ``weights`` and ``biases`` are
     per-layer views into it (:meth:`_views`), so whatever writes into
-    ``theta`` (``set_theta``, the optimizer) updates the field.
-    Training (:meth:`_forward`, :meth:`backprop`) computes in float64;
-    :meth:`velocity`, which the samplers and guidance call, computes in
-    float32 through the same per-layer code.
+    ``theta`` (``set_theta``, the optimizer) updates the field. Sampling
+    (:meth:`velocity`) and training (:func:`fm_loss_and_grad`) share one
+    float32 forward pass, :meth:`_forward`; :meth:`backprop` is float32
+    too. ``theta``, the gradient and Adam's moments stay float64.
     """
 
     def __init__(self, dim: int, hidden=(128, 128, 128),
@@ -96,47 +96,50 @@ class FlowModel:
         out.weights, out.biases = out._views(out.theta)
         return out
 
+    def _params32(self):
+        """Per-layer ``(weights, biases)`` views of ``theta`` cast once to
+        float32. Raises ``FloatingPointError``, without a cast warning, if
+        an entry lies beyond float32's finite range."""
+        with np.errstate(over="ignore"):
+            theta = self.theta.astype(np.float32)
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError("model parameters exceed the float32 range")
+        return self._views(theta)
+
     # -- forward / backward -------------------------------------------------
 
-    def _inputs(self, t, x, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rows ``concat(x, t)``, written to ``out`` when given; ``t`` is a
-        scalar or one time per row."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if out is None:
-            out = np.empty((x.shape[0], self.dim + 1))
-        out[:, :-1] = x
-        out[:, -1] = np.asarray(t, dtype=np.float64).reshape(-1)
-        return out
+    def _forward(self, params, t, x: np.ndarray, buffers=None):
+        """Float32 pass of the rows ``concat(x, t)``, one time per row.
 
-    def _layer(self, params, k: int, h: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Layer ``k`` of rows ``h`` (tanh unless it is the output layer),
-        written to ``out`` when given. ``params`` is ``(weights, biases)``,
-        the per-layer views of ``theta`` or of its float32 copy; the layer
-        computes in the dtype of ``h`` and ``params``."""
-        weights, biases = params
-        out = np.matmul(h, weights[k], out=out)
-        out += biases[k]
-        if k < len(weights) - 1:
-            np.tanh(out, out=out)
-        return out
-
-    def _forward(self, inp: np.ndarray):
-        params = (self.weights, self.biases)
-        acts = [inp]
-        for k in range(len(self.weights) - 1):
-            acts.append(self._layer(params, k, acts[-1]))
-        return self._layer(params, len(self.weights) - 1, acts[-1]), acts
+        ``params`` comes from :meth:`_params32`. Returns ``(out, acts)``:
+        the output rows and, for :meth:`backprop`, each layer's input.
+        With ``buffers`` (float32 ``(rows, dim + 1)`` inputs and ``(2, rows,
+        max(sizes))`` activations), layer ``k`` writes into
+        ``buffers[1][k % 2]`` and ``acts`` is ``None``.
+        """
+        acts = [] if buffers is None else None
+        h = (np.empty((len(x), self.dim + 1), dtype=np.float32)
+             if buffers is None else buffers[0][:len(x)])
+        h[:, :-1] = x
+        h[:, -1] = t
+        for k, (w, b) in enumerate(zip(*params)):
+            if acts is not None:
+                acts.append(h)
+            h = np.matmul(h, w, out=None if buffers is None
+                          else buffers[1][k % 2, :len(h), :w.shape[1]])
+            h += b
+            if k < len(self.sizes) - 2:  # tanh on every hidden layer
+                np.tanh(h, out=h)
+        return h, acts
 
     def velocity(self, t, x) -> np.ndarray:
         """Evaluate ``v(t, x)`` for a batch (or single point), in float32.
 
         ``t`` is a scalar or one time per row. Each call casts ``theta``
-        once to float32 and raises ``FloatingPointError`` if an entry lies
-        beyond float32's finite range. The inputs ``concat(x, t)`` are cast
-        to float32, every layer computes in float32, and the output rows
-        are returned as float64 ``(len(x), dim)``, so they move from a
-        float64 forward pass by float32 rounding.
+        once to float32 (:meth:`_params32`: ``FloatingPointError`` beyond
+        float32's range), every layer computes in float32
+        (:meth:`_forward`), and the rows are returned as float64 ``(len(x),
+        dim)``.
 
         Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
         max(sizes))`` rows (2048 at width 64). Each block goes through one
@@ -147,46 +150,40 @@ class FlowModel:
         multiples of the block size, so each row of a whole block has the
         same bits at any batch size.
         """
-        with np.errstate(over="ignore"):
-            theta = self.theta.astype(np.float32)
-        if not np.all(np.isfinite(theta)):
-            raise FloatingPointError("model parameters exceed the float32 range")
-        params = self._views(theta)
+        params = self._params32()
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
         block = max(1, semidual.SCORE_CHUNK_BYTES // (8 * max(self.sizes)))
         rows = min(block, n)
-        inp = np.empty((rows, self.dim + 1), dtype=np.float32)
-        acts = np.empty((2, rows, max(self.sizes)), dtype=np.float32)
+        buffers = (np.empty((rows, self.dim + 1), dtype=np.float32),
+                   np.empty((2, rows, max(self.sizes)), dtype=np.float32))
         out = np.empty((n, self.dim))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            h = self._inputs(t[lo:hi], x[lo:hi], out=inp[:hi - lo])
-            for k in range(len(self.weights)):
-                h = self._layer(params, k, h,
-                                out=acts[k % 2, :hi - lo, :self.sizes[k + 1]])
-            out[lo:hi] = h
+            out[lo:hi] = self._forward(params, t[lo:hi], x[lo:hi], buffers)[0]
         return out[0] if single else out
 
     __call__ = velocity
 
-    def backprop(self, acts: list, dout: np.ndarray) -> np.ndarray:
-        """Flat gradient of ``sum(dout * forward(inp))`` in theta order.
+    def backprop(self, params, acts: list, dout: np.ndarray) -> np.ndarray:
+        """Flat float64 gradient of ``sum(dout * out)`` in theta order.
 
-        ``acts`` are the activations that ``_forward(inp)`` returned, so
-        the forward pass is not run again.
+        ``params`` and ``acts`` are those of the :meth:`_forward` pass that
+        gave ``out``, so that pass is not run again. The backward pass
+        computes in float32; only the returned gradient is float64.
         """
-        grad = np.empty_like(self.theta)
+        grad = np.empty(self.theta.size, dtype=np.float32)
         grads_w, grads_b = self._views(grad)
-        delta = dout
-        for layer in range(len(self.weights) - 1, -1, -1):
+        delta = dout.astype(np.float32)
+        ones = np.ones(len(delta), dtype=np.float32)  # column sums as a GEMV
+        for layer in range(len(acts) - 1, -1, -1):
             np.matmul(acts[layer].T, delta, out=grads_w[layer])
-            delta.sum(axis=0, out=grads_b[layer])
+            np.matmul(ones, delta, out=grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        return grad
+                delta = (delta @ params[0][layer].T) * (1.0 - acts[layer] ** 2)
+        return grad.astype(np.float64)
 
 
 def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
@@ -195,17 +192,20 @@ def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
     Row ``i`` of the noise ``x0`` is paired with row ``i`` of the data
     ``x1`` at time ``t[i]`` in ``[0, 1)``. Loss is the batch mean of
     ``||(x1 - x0) - v(t, x_t)||^2`` along the linear interpolant; the
-    gradient is a new flat vector in ``theta`` order.
+    gradient is a new flat float64 vector in ``theta`` order. The
+    interpolant, residual and loss are float64; the forward pass and
+    backprop are float32, with :meth:`FlowModel.velocity`'s range check.
     """
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
+    params = model._params32()
     tc = t.reshape(-1, 1)
-    out, acts = model._forward(model._inputs(t, (1.0 - tc) * x0 + tc * x1))
+    out, acts = model._forward(params, t, (1.0 - tc) * x0 + tc * x1)
     residual = (x1 - x0) - out
     loss = float(np.mean(np.sum(residual**2, axis=1)))
     # d loss / d out = -2 residual / B
-    return loss, model.backprop(acts, -2.0 * residual / x0.shape[0])
+    return loss, model.backprop(params, acts, -2.0 * residual / x0.shape[0])
 
 
 # ---------------------------------------------------------------------------

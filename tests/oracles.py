@@ -7,8 +7,9 @@ loop that the library runs in scaling form, the two-pass
 score kernel, Laguerre-cell membership, the exact
 second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
-kernel-weighted Monte-Carlo estimate, and the closed-form cells, marginal
-and optimum of Gaussian noise in one dimension at any N: the library's
+kernel-weighted Monte-Carlo estimate, the closed-form cells, marginal
+and optimum of Gaussian noise in one dimension at any N, and the float64
+forward pass, flow-matching loss and backprop of a velocity model: the library's
 commands never call these, so they live beside the tests that check the
 library against them.
 """
@@ -372,6 +373,50 @@ def score_eps_positive(model, x: np.ndarray, t: float,
         raise ValueError("score is defined for t < 1 only")
     x = np.asarray(x, dtype=np.float64)
     return (t * model(t, x) - x + delta) / (1.0 - t)
+
+
+def _forward_float64(model, t, x):
+    """Float64 output rows of ``model`` at ``(t, x)`` and the input of
+    every layer, through its float64 ``weights`` and ``biases``."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
+                            (len(x), 1))
+    h = np.concatenate([x, t_col], axis=1)
+    acts = []
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        acts.append(h)
+        h = h @ w + b
+        if k < len(model.weights) - 1:
+            h = np.tanh(h)
+    return h, acts
+
+
+def velocity_float64(model, t, x) -> np.ndarray:
+    """``v(t, x)`` of ``model`` computed in float64, ``(len(x), dim)``."""
+    return _forward_float64(model, t, x)[0]
+
+
+def fm_loss_and_grad_float64(model, x0: np.ndarray, x1: np.ndarray,
+                             t: np.ndarray):
+    """Float64 flow-matching loss and gradient: the reference for
+    :func:`~sdfm.flow.fm_loss_and_grad`'s float32 pass.
+
+    The batch mean of ``||(x1 - x0) - v(t, x_t)||^2`` along the linear
+    interpolant, and its exact gradient in ``theta`` order by backprop
+    through the float64 layers.
+    """
+    tc = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    out, acts = _forward_float64(model, t, (1.0 - tc) * x0 + tc * x1)
+    residual = (x1 - x0) - out
+    delta = -2.0 * residual / len(x0)  # d loss / d out
+    grad = np.empty_like(model.theta)
+    grads_w, grads_b = model._views(grad)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer][...] = acts[layer].T @ delta
+        grads_b[layer][...] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
+    return float(np.mean(np.sum(residual**2, axis=1))), grad
 
 
 @dataclass(frozen=True)

@@ -1011,10 +1011,25 @@ class TestExitCodes:
         "guide-gamma-1e200", "guide-gamma-1e154", "train-ot-eps-1e-300",
         *(f"{command}-theta-{value}" for command in ("sample", "eval", "guide")
           for value in ("1e39", "1e200")),
-        "sample-theta-all-3e38", "eval-theta-all-3e38"])
-    def test_numeric_failures_exit_4(self, tmp_path, blob, capsys, case):
+        "sample-theta-all-3e38", "eval-theta-all-3e38", "train-theta-1e39"])
+    def test_numeric_failures_exit_4(self, tmp_path, blob, capsys,
+                                     monkeypatch, case):
         command, kind, value = case.split("-", 2)
-        if kind == "theta":
+        if case.startswith("train-theta"):
+            # Initial parameters beyond float32's finite range, which the
+            # training step refuses as the velocity does.
+            init = cli.FlowModel
+
+            def scaled(*args, **kwargs):
+                model = init(*args, **kwargs)
+                model.theta *= float(value)
+                return model
+
+            monkeypatch.setattr(cli, "FlowModel", scaled)
+            argv = ["train", "--data", blob, "--coupling", "independent",
+                    "--steps", "2", "--batch", "8", "--hidden", "4",
+                    "--out", str(tmp_path / "m.sdfm")]
+        elif kind == "theta":
             # Parameters scaled beyond float32's finite range, which the
             # velocity refuses; or all 3e38, finite in float32, where the
             # output layer overflows and so do the endpoints.
