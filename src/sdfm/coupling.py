@@ -39,13 +39,14 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
     over exact ties; ``eps > 0``: categorical draw from the exp rows of the
-    scan's exponents. Row ``i`` draws with the ``i``-th uniform of
-    ``rng.generator().random(n)``, so it depends only on ``(rng, i)`` and
-    its noise row, never on the batch size. Maps over the slabs of the one
-    scan loop, :func:`~sdfm.semidual.score_chunks` (at eps=0 through
-    :func:`~sdfm.semidual.argmax_chunks`, whose float32 scores give the
-    float64 argmax), so the scan holds at most the larger of 1 MiB and 4 d
-    N scores whatever the batch size.
+    scan's exponents less each row's bound (or maximum): a row factor, which
+    the draw's scaling by the row total cancels. Row ``i`` draws with the
+    ``i``-th uniform of ``rng.generator().random(n)``, so it depends only on
+    ``(rng, i)`` and its noise row, never on the batch size. Maps over the
+    slabs of the one scan loop, :func:`~sdfm.semidual.score_chunks` (at
+    eps=0 through :func:`~sdfm.semidual.argmax_chunks`, whose float32 scores
+    give the float64 argmax), so the scan holds at most the larger of 1 MiB
+    and 4 d N scores whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
     u = rng.generator().random(len(noise))
@@ -56,8 +57,8 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
                 part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
             idx[lo:hi] = part
         return idx
-    for lo, hi, scores in score_chunks(pot, noise):
-        softmax_b_eps_rows(scores)
+    for lo, hi, scores, shift in score_chunks(pot, noise):
+        softmax_b_eps_rows(scores, shift)
         idx[lo:hi] = inverse_cdf(scores, u[lo:hi])
     return idx
 

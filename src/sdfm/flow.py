@@ -195,15 +195,20 @@ def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
     gradient is a new flat float64 vector in ``theta`` order. The
     interpolant, residual and loss are float64; the forward pass and
     backprop are float32, with :meth:`FlowModel.velocity`'s range check.
+    Rows beyond float32's range give a non-finite loss, without a warning,
+    and an all-NaN gradient: there is nothing to backpropagate.
     """
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
     params = model._params32()
     tc = t.reshape(-1, 1)
-    out, acts = model._forward(params, t, (1.0 - tc) * x0 + tc * x1)
-    residual = (x1 - x0) - out
-    loss = float(np.mean(np.sum(residual**2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, acts = model._forward(params, t, (1.0 - tc) * x0 + tc * x1)
+        residual = (x1 - x0) - out
+        loss = float(np.mean(np.sum(residual**2, axis=1)))
+    if not np.isfinite(loss):
+        return loss, np.full(model.theta.size, np.nan)
     # d loss / d out = -2 residual / B
     return loss, model.backprop(params, acts, -2.0 * residual / x0.shape[0])
 

@@ -14,8 +14,8 @@ Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
 
 The score-slab reducers map over the slabs of the one scan loop, with one
-mode each, on the caller's arrays: at eps>0 an in-place exp pass over
-the matmul's exponents (:func:`softmax_b_eps_rows`); at eps=0 one top-two
+mode each, on the caller's arrays: at eps>0 an in-place exp pass over the
+bound-shifted exponents (:func:`softmax_b_eps_rows`); at eps=0 one top-two
 pass (:func:`top_two`) for the float32 scan and the one tie rule
 (:func:`argmax_with_ties`), whose column sums :func:`eps0_column_stats`
 adds up.
@@ -109,20 +109,21 @@ def argmax_with_ties(scores: np.ndarray, b: np.ndarray):
     return idx, tie_rows, tie_weights
 
 
-def softmax_b_eps_rows(exponents: np.ndarray) -> np.ndarray:
-    """Unnormalised softmax of ``(B, N)`` exponents, row by row, in place.
+def softmax_b_eps_rows(exponents: np.ndarray, shift: np.ndarray) -> None:
+    """Unnormalised softmax of ``(B, N)`` shifted exponents, in place.
 
-    For exponents ``t_ij = z_ij / eps + log b_j`` up to a per-row constant
-    (:func:`sdfm.semidual.coupling_scores` at eps>0), overwrites row ``i``
-    with ``exp(t_ij - max_j t_ij)`` in a max, a subtract and an exp pass,
-    and returns the row maxima ``m``. With the rows' totals ``s``, their
-    responsibilities are ``exponents / s[:, None]`` and ``eps (m + log s)``
-    is ``eps log sum_j b_j exp(z_ij / eps)`` plus ``eps`` times the constant.
+    Row ``i`` holds ``t_ij - shift_i`` for exponents ``t_ij = z_ij / eps +
+    log b_j`` up to a per-row constant (:func:`sdfm.semidual.coupling_scores`
+    at eps>0) and becomes ``exp(t_ij - shift_i)``; a row whose ``shift_i`` is
+    ``NaN`` holds ``t_ij`` and first subtracts its maximum, its ``shift_i``.
+    With the rows' totals ``s``, their responsibilities are ``exponents /
+    s[:, None]`` and ``eps (shift + log s)`` is ``eps log sum_j b_j exp(z_ij
+    / eps)`` plus ``eps`` times the constant.
     """
-    m = exponents.max(axis=1)
-    exponents -= m[:, None]
+    for i in np.flatnonzero(np.isnan(shift)):  # rows whose bound is loose
+        shift[i] = exponents[i].max()
+        exponents[i] -= shift[i]
     np.exp(exponents, out=exponents)
-    return m
 
 
 def eps0_column_stats(argmax, col_sum: np.ndarray,

@@ -29,11 +29,12 @@ measure: its target, or the target embedded once per potential.
 
 Both costs score in one matmul, up to a per-row constant that cancels in
 every responsibility, argmax and draw. Its right operand is the lifted
-support, one C-contiguous ``(d + 1, N)`` array: the support's d
-coordinate rows, then the shift row that each :func:`coupling_scores`
-call writes from its own potential. At eps>0 it gives float64 exponents
-``(g_j - c(x, y_j)) / eps + log b_j``; eps=0 scores in float32 against a
-float32 copy of the lifted support, made on the first eps=0 scan.
+support, one C-contiguous ``(d + 2, N)`` array: the support's d coordinate
+rows, the shift row that each :func:`coupling_scores` call writes from its
+own potential, and a ones row. eps=0 scores the first d + 1 rows in float32,
+against a copy made on the first eps=0 scan. At eps>0 a certified bound of
+each row's exponents ``(g_j - c(x, y_j)) / eps + log b_j``, folded into the
+matmul, leaves a slab only the exp (a loose one, its row maximum).
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
 buffer, yielded as cache-sized row slabs. Every reducer maps over its
 slabs: :func:`_column_sums` takes one unnormalised exp pass per slab of
@@ -95,7 +96,7 @@ class TargetMeasure:
 
     Pairing resolves indices to these rows; the scores see them through
     :attr:`Potential.support`. The points are stored once, as the first d
-    rows of the ``(d + 1, N)`` lifted support, so ``points`` is their
+    rows of the ``(d + 2, N)`` lifted support, so ``points`` is their
     F-ordered ``(N, d)`` transposed view. The fingerprint hashes both
     arrays and binds stored potentials to their dataset.
     """
@@ -118,16 +119,17 @@ class TargetMeasure:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
         object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
-        # The C-contiguous (d + 1, N) lifted support: points.T over a NaN
-        # row, transposed in blocks of 128 points, which stay in cache: a
-        # one-shot transpose of a d=32 target is several times slower, as
-        # its strided accesses miss the cache, and every command loads its
-        # target.
-        lifted = np.empty((points.shape[1] + 1, len(points)))
+        # The C-contiguous (d + 2, N) lifted support: points.T over a NaN
+        # shift row and a row of ones, transposed in blocks of 128 points,
+        # which stay in cache: a one-shot transpose of a d=32 target is
+        # several times slower, as its strided accesses miss the cache, and
+        # every command loads its target.
+        lifted = np.empty((points.shape[1] + 2, len(points)))
         for lo in range(0, len(points), 128):
-            lifted[:-1, lo:lo + 128] = points[lo:lo + 128].T
-        lifted[-1] = np.nan
-        object.__setattr__(self, "points", lifted[:-1].T)
+            lifted[:-2, lo:lo + 128] = points[lo:lo + 128].T
+        lifted[-2] = np.nan
+        lifted[-1] = 1.0
+        object.__setattr__(self, "points", lifted[:-2].T)
         object.__setattr__(self, "_lifted", lifted)
 
     @classmethod
@@ -169,12 +171,19 @@ class TargetMeasure:
 
     @cached_property
     def _single(self):
-        """The float32 copy of the lifted support, and each coordinate row's
-        largest ``|entry|``, ``inf`` from ``2^127`` up (:func:`argmax_chunks`)."""
+        """The float32 copy of the lifted support's first ``d + 1`` rows, and
+        each coordinate row's largest ``|entry|``, ``inf`` from ``2^127`` up
+        (:func:`argmax_chunks`)."""
         with np.errstate(over="ignore"):
-            copy = self._lifted.astype(np.float32)
-        coords = self._lifted[:-1]
+            copy = self._lifted[:-1].astype(np.float32)
+        coords = self._lifted[:-2]
         return copy, _f32_range(np.maximum(coords.max(axis=1), -coords.min(axis=1)))
+
+    @cached_property
+    def _max_norm(self) -> float:  # max_j |y_j|, for the eps>0 row bound
+        coords = self._lifted[:-2]  # einsum: no (d, N) temporary
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.einsum("ij,ij->j", coords, coords).max()))
 
 
 @dataclass
@@ -253,11 +262,13 @@ class GaussianNoise:
 # scores (at least one row): 1 MiB, 2^17 float64 or 2^18 float32 entries,
 # stays resident in a 2 MiB per-core L2 cache while it makes its passes
 # over the slab. One coupling_scores call, one matmul against the
-# C-contiguous (d + 1, N) lifted support, fills a block of max(slab, 4 d)
+# C-contiguous (d + 2, N) lifted support, fills a block of max(slab, 4 d)
 # rows for a d-dimensional support, so each read of the support serves at
 # least 4 d rows. The block buffer holds max(1 MiB, 4 d N scores) whatever
 # the batch size.
 SCORE_CHUNK_BYTES = 2**20
+
+BOUND_MARGIN = 300.0  # an eps>0 row bound's slack: e^-300 squared is normal
 
 _UNIT32 = 2.0**-24  # float32's unit roundoff
 _TINY32 = 2.0**-124  # four times float32's smallest normal number
@@ -278,12 +289,13 @@ def _f32_range(v):
 
 def _lifted_rows(pot: Potential, x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling space
-    (``[a x_i / eps, 1]`` at eps>0), made in float64, stored in ``dtype``."""
+    (``[a x_i / eps, 1, unset]`` at eps>0), in float64, stored in ``dtype``."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    rows = np.empty((len(x), x.shape[1] + 1), dtype=dtype)
+    d = x.shape[1]
+    rows = np.empty((len(x), d + (1 if pot.eps == 0.0 else 2)), dtype=dtype)
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
-    np.multiply(x, a if pot.eps == 0.0 else a / pot.eps, out=rows[:, :-1])
-    rows[:, -1] = 1.0
+    np.multiply(x, a if pot.eps == 0.0 else a / pot.eps, out=rows[:, :d])
+    rows[:, d] = 1.0
     return rows
 
 
@@ -294,53 +306,73 @@ def _shift(pot: Potential) -> np.ndarray:
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+                    out: Optional[np.ndarray] = None,
+                    shift: Optional[np.ndarray] = None) -> np.ndarray:
     """Scores ``z_ij = g_j - c(x_i, y_j)`` of raw noise rows ``x`` at eps=0,
-    and at eps>0 the softmax's exponents ``z_ij / eps + log b_j``, up to a
-    per-row constant: one matmul of the rows ``[a x_i, 1]`` (in coupling
-    space, the coordinates over ``eps`` at eps>0) by the C-contiguous ``(d
-    + 1, N)`` lifted support, whose shift row this call first sets from its
-    own potential: ``g`` (less ``|y_j|^2`` for the squared Euclidean cost),
-    at eps>0 over ``eps`` plus ``log b``. As ``g_j - |x - y_j|^2 = 2 <x,
-    y_j> + (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a = 2``)
-    carry ``+|x_i|^2`` (over ``eps``); negative dot product ones are exact.
-    Written to ``out`` (shape ``(len(x), N)``) when given, in its dtype: a
-    float32 ``out`` (eps=0) is the product of the float32 rows and lifted
-    support (a kept copy); values beyond float32's range become ``inf`` or
-    ``nan`` there, without a warning.
+    and at eps>0 the softmax's exponents ``t_ij = z_ij / eps + log b_j``,
+    up to a per-row constant: one matmul of the rows ``[a x_i, 1]`` (in
+    coupling space, the coordinates over ``eps`` at eps>0) by the lifted
+    support's first d + 1 rows, whose shift row this call first sets from
+    its own potential: ``g`` (less ``|y_j|^2`` for the squared Euclidean
+    cost), at eps>0 over ``eps`` plus ``log b``. As ``g_j - |x - y_j|^2 = 2
+    <x, y_j> + (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a =
+    2``) carry ``+|x_i|^2`` (over ``eps``); negative dot product ones are
+    exact. Written to ``out`` (shape ``(len(x), N)``) when given, in its
+    dtype: a float32 ``out`` (eps=0) is the product of the float32 rows and
+    lifted support (a kept copy); values beyond float32's range become
+    ``inf`` or ``nan`` there, without a warning. At eps>0 a ``-U_i`` column
+    against the ones row subtracts row i's Cauchy-Schwarz bound ``U_i = |a
+    x_i / eps| max_j |y_j| + max_j s_j`` (``s`` the shift row), also written
+    to ``shift[i]``, where it exceeds the exponent at ``argmax s`` by at most
+    :data:`BOUND_MARGIN`. Other rows keep their exponents and a ``NaN`` shift
+    (:func:`~sdfm.numerics.softmax_b_eps_rows` subtracts their maximum).
     """
     lifted = pot._space._lifted
-    lifted[-1] = _shift(pot) if pot.eps == 0.0 else \
+    lifted[-2] = _shift(pot) if pot.eps == 0.0 else \
         _shift(pot) / pot.eps + pot._space.log_weights
-    if out is None or out.dtype == np.float64:
-        return np.matmul(_lifted_rows(pot, x), lifted, out=out)
-    single = pot._space._single[0]
+    if pot.eps == 0.0 and out is not None and out.dtype == np.float32:
+        single = pot._space._single[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            single[-1] = lifted[-2]
+            return np.matmul(_lifted_rows(pot, x, np.float32), single, out=out)
+    rows = _lifted_rows(pot, x)
+    if pot.eps == 0.0:
+        return np.matmul(rows, lifted[:-1], out=out)
+    top = int(np.argmax(lifted[-2]))
     with np.errstate(over="ignore", invalid="ignore"):
-        single[-1] = lifted[-1]
-        return np.matmul(_lifted_rows(pot, x, np.float32), single, out=out)
+        reach = np.linalg.norm(rows[:, :-2], axis=1) * pot._space._max_norm
+        bound = reach + lifted[-2, top]
+        safe = bound - rows[:, :-1] @ lifted[:-1, top] <= BOUND_MARGIN
+    rows[:, -1] = np.where(safe, -bound, 0.0)
+    if shift is not None:
+        shift[:] = np.where(safe, bound, np.nan)
+    return np.matmul(rows, lifted, out=out)
 
 
 def score_chunks(pot: Potential, x: np.ndarray):
-    """Yield ``(lo, hi, scores)``, the :func:`coupling_scores` of rows ``lo:hi``.
+    """Yield ``(lo, hi, scores, shift)``: the :func:`coupling_scores` of
+    rows ``lo:hi`` and their ``shift`` (unset at eps=0).
 
     The scan's one block loop: every reducer streams through here. One
     :func:`coupling_scores` call per block of rows (up to a per-row
     constant), yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one
     buffer per stream, at most max(1 MiB, 4 d N scores) whatever
-    ``len(x)``. A reducer may overwrite a slab until it asks for the next.
-    Slabs hold float64 exponents at eps>0 and float32 scores at eps=0,
-    where :func:`argmax_chunks` reduces them.
+    ``len(x)``. A reducer may overwrite a slab and its shift until it asks
+    for the next. Slabs hold float64 shifted exponents at eps>0 and float32
+    scores at eps=0, where :func:`argmax_chunks` reduces them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
                              dtype.itemsize)
     buf = np.empty((min(block, x.shape[0]), pot.target.n), dtype=dtype)
+    shift = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
-        scores = coupling_scores(pot, x[lo:hi], out=buf[:hi - lo])
+        scores = coupling_scores(pot, x[lo:hi], buf[:hi - lo], shift[lo:hi])
         for s in range(lo, hi, slab):
-            yield s, min(s + slab, hi), scores[s - lo:s - lo + slab]
+            e = min(s + slab, hi)
+            yield s, e, scores[s - lo:e - lo], shift[s:e]
 
 
 def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
@@ -394,7 +426,7 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
             _TINY32 * (coord_max.sum() + k + 1)
         bound[~(bound < gamma * 2.0**126)] = np.inf
     limit = 2.0 * bound + ARGMAX_TIE_TOL
-    for lo, hi, scores in score_chunks(pot, x):
+    for lo, hi, scores, _ in score_chunks(pot, x):
         with np.errstate(over="ignore", invalid="ignore"):
             idx, first, second = top_two(scores)
             gap = np.subtract(first, second, dtype=np.float64)
@@ -407,7 +439,7 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
             tie_rows = recheck[ties]
         peak = None
         if top:  # the shared shift row may hold another stream's by now
-            cols = space._lifted[:, idx]
+            cols = space._lifted[:-1, idx]
             cols[-1] = shift[idx]
             peak = np.vecdot(_lifted_rows(pot, x[lo:hi]), cols.T)
         yield lo, hi, (idx, tie_rows, tie_weights), peak
@@ -418,12 +450,13 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     """Column sums of the responsibilities of rows ``x`` and, with
     ``squares``, the column sums of their squares, else ``None``.
 
-    At eps>0 one exp pass turns each slab of exponents into unnormalised
-    rows ``e``: with ``r = 1 / total`` the sums gain ``r @ e`` and the
+    At eps>0 one exp pass turns each slab of shifted exponents into
+    unnormalised rows ``e``, and a matrix-vector product with ones gives
+    their totals: with ``r = 1 / total`` the sums gain ``r @ e`` and the
     squares ``(r * r) @ (e * e)``. With ``soft_c`` (one entry per row) each
     row's soft-c transform is written there from the same tiles:
-    ``f_{g,eps}(x_i) = -eps log sum_j b_j exp(score_ij / eps)`` at eps>0
-    (the exponents' normaliser), ``-max_j score_ij`` at eps=0, plus
+    ``f_{g,eps}(x_i) = -eps log sum_j b_j exp(score_ij / eps) = -eps (shift_i
+    + log total_i)`` at eps>0, ``-max_j score_ij`` at eps=0, plus
     ``|x_i|^2`` for the squared Euclidean cost.
     """
     col_sum = np.zeros(pot.target.n)
@@ -434,11 +467,12 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
             if soft_c is not None:
                 soft_c[lo:hi] = top
     else:
-        for lo, hi, scores in score_chunks(pot, x):
-            m = softmax_b_eps_rows(scores)
-            total = scores.sum(axis=1)
+        ones = pot._space._lifted[-1]  # the lifted support's ones row
+        for lo, hi, scores, shift in score_chunks(pot, x):
+            softmax_b_eps_rows(scores, shift)
+            total = scores @ ones
             if soft_c is not None:
-                soft_c[lo:hi] = pot.eps * (m + np.log(total))
+                soft_c[lo:hi] = pot.eps * (shift + np.log(total))
             r = 1.0 / total
             col_sum += r @ scores
             if squares:

@@ -29,7 +29,6 @@ from sdfm.numerics import (
     Rng,
     argmax_with_ties,
     inverse_cdf,
-    softmax_b_eps_rows,
 )
 from sdfm.semidual import (
     Potential,
@@ -347,8 +346,8 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
         return rows
     with np.errstate(divide="ignore"):
         exponents = scores / eps + np.log(b)
-    softmax_b_eps_rows(exponents)
-    return exponents / exponents.sum(axis=1, keepdims=True)
+    rows = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def float64_scores(pot: Potential, x: np.ndarray) -> np.ndarray:

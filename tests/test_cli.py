@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1060,3 +1061,21 @@ class TestExitCodes:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
+
+    def test_training_data_beyond_float32_exits_4_without_warnings(
+            self, tmp_path, capsys):
+        # Data beyond float32's range overflows the float32 forward pass:
+        # one error line and exit 4, with no RuntimeWarning on the way.
+        data = str(tmp_path / "big.sdfm")
+        points = Rng(7).generator().standard_normal((64, 2)) * 1e39
+        artifacts.save_dataset(data, points, None, {"name": "big", "seed": 0})
+        argv = ["train", "--data", data, "--coupling", "independent",
+                "--steps", "2", "--batch", "8", "--hidden", "4",
+                "--out", str(tmp_path / "m.sdfm")]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        assert not caught
+        err = capsys.readouterr().err
+        assert err == "error: non-finite loss at step 0\n"

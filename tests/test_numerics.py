@@ -162,17 +162,28 @@ class TestSoftmaxBEps:
         scores[3, 0] = scores[3, 4] = scores[3].max() + 1.0  # an exact tie
         b = gen.random(5) + 0.1
         b /= b.sum()
+        odd = np.arange(6) % 2 == 1
         for eps in (0.3, 10.0):
             e = scores / eps + np.log(b)
             top = e.max(axis=1)
-            m = softmax_b_eps_rows(e)
-            np.testing.assert_array_equal(m, top)
-            np.testing.assert_array_equal(e.max(axis=1), 1.0)  # exp(0)
-            total = e.sum(axis=1)
-            np.testing.assert_array_equal(e / total[:, None],
-                                          softmax_rows(scores, b, eps))
+            # Even rows come less a bound 2 above their maximum; odd rows
+            # come whole, with a NaN shift, and take their own maximum.
+            shift = np.where(odd, np.nan, top + 2.0)
+            slab = e - np.where(odd, 0.0, shift)[:, None]
+            softmax_b_eps_rows(slab, shift)
+            np.testing.assert_array_equal(shift[odd], top[odd])
+            np.testing.assert_array_equal(shift[~odd], top[~odd] + 2.0)
+            np.testing.assert_array_equal(slab[odd].max(axis=1), 1.0)  # exp(0)
+            np.testing.assert_allclose(slab[~odd].max(axis=1), np.exp(-2.0),
+                                       rtol=1e-15)
+            total = slab.sum(axis=1)
+            dense = softmax_rows(scores, b, eps)
+            np.testing.assert_array_equal((slab / total[:, None])[odd],
+                                          dense[odd])
+            np.testing.assert_allclose(slab / total[:, None], dense,
+                                       rtol=1e-14)
             np.testing.assert_allclose(
-                eps * (m + np.log(total)),
+                eps * (shift + np.log(total)),
                 eps * logsumexp(scores / eps, b=b, axis=1), rtol=1e-12)
 
 

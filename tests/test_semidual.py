@@ -105,11 +105,13 @@ class TestTargetMeasure:
         semidual.coupling_scores(pot, points[:4])
         support = cost.embed(points)
         np.testing.assert_array_equal(pot.support, support)
-        # At eps>0 the shift row is folded: shift / eps + log b.
+        # At eps>0 the shift row is folded: shift / eps + log b. The ones
+        # row under it carries the rows' bound column.
         np.testing.assert_array_equal(
-            pot._space._lifted[-1],
+            pot._space._lifted[-2],
             (pot.g - np.einsum("ij,ij->i", support, support)) / pot.eps
             + np.log(target.weights))
+        np.testing.assert_array_equal(pot._space._lifted[-1], 1.0)
 
 
 class TestSoftCTransform:
@@ -550,9 +552,9 @@ class TestStreamingMemory:
         calls = []
         scores = semidual.coupling_scores
 
-        def counted(pot, x, out=None):
+        def counted(pot, x, out=None, shift=None):
             calls.append((len(x), out is not None))
-            return scores(pot, x, out)
+            return scores(pot, x, out, shift)
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
         for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
@@ -652,19 +654,30 @@ class TestScoreTiles:
         self._check_against_one_tile(eps, monkeypatch)
 
 
+def _unshifted(scores, shift):
+    """An eps>0 slab plus its rows' shift: the exponents themselves, and the
+    shift the matmul subtracted (0 where ``shift`` is ``NaN``: that row
+    holds its exponents already)."""
+    shift = np.where(np.isnan(shift), 0.0, shift)
+    return scores + shift[:, None], shift
+
+
 def _streamed_scores(pot, x):
-    """The scores of one :func:`semidual.score_chunks` stream, stacked."""
-    out = np.empty((len(x), pot.target.n))
-    for lo, hi, scores in semidual.score_chunks(pot, x):
-        out[lo:hi] = scores
-    return out
+    """The exponents of one eps>0 :func:`semidual.score_chunks` stream and
+    the rows' shifts (:func:`_unshifted`), stacked."""
+    out, shifts = np.empty((len(x), pot.target.n)), np.empty(len(x))
+    for lo, hi, scores, shift in semidual.score_chunks(pot, x):
+        out[lo:hi], shifts[lo:hi] = _unshifted(scores, shift)
+    return out, shifts
 
 
-def _exponent_error(pot, x, got):
-    """Largest error of eps>0 exponents ``got`` of raw rows ``x`` against
-    the two-pass scores' ``scores / eps + log b`` (plus ``|x|^2 / eps`` per
-    row at the squared Euclidean cost), in float64 eps of the magnitude
-    ``(|x|^2 + |y|^2 + |g|) / eps + |log b|``."""
+def _exponent_error(pot, x, got, shift):
+    """Largest error of eps>0 exponents ``got`` of raw rows ``x``, less
+    ``shift`` in the matmul, against the two-pass scores' ``scores / eps +
+    log b`` (plus ``|x|^2 / eps`` per row at the squared Euclidean cost),
+    in float64 eps of the magnitude ``(|x|^2 + |y|^2 + |g|) / eps + |log
+    b| + |shift|``. The matmul sums the ``-shift`` term too, so its
+    rounding scales with it."""
     e = pot.cost.embed(x)
     sq_x = np.sum(e * e, axis=1)[:, None]
     log_b = np.log(pot.target.weights)
@@ -672,7 +685,7 @@ def _exponent_error(pot, x, got):
     if pot.cost.kind == SQ_EUCLIDEAN:
         ref += sq_x / pot.eps
     scale = (sq_x + np.sum(pot.support**2, axis=1) + np.abs(pot.g)) / pot.eps
-    scale += np.abs(log_b)
+    scale += np.abs(log_b) + np.abs(shift)[:, None]
     return np.max(np.abs(got - ref) / scale) / np.finfo(np.float64).eps
 
 
@@ -748,17 +761,20 @@ class TestFusedKernel:
     @pytest.mark.parametrize("d, pca", [(1, None), (2, None), (32, None),
                                         (2, 2)])
     def test_eps_positive_slabs_hold_exponents(self, kind, d, pca):
-        # At eps>0 the stream's slabs hold (g - c) / eps + log b, plus
-        # |x|^2 / eps per row at the squared Euclidean cost. Over these
-        # shapes at eps 0.37, 0.5, 3 and 1e-3, with 1, 5 and 3 blocks + 5
-        # rows, the largest error measured against the two-pass scores was
-        # 1.7 eps (neg-dot) and 4.5 eps (sq-euclidean) of the magnitude
-        # (|x|^2 + |y|^2 + |g|) / eps + |log b|; the bound is 8 eps.
+        # At eps>0 the stream's slabs plus their rows' shift hold (g - c) /
+        # eps + log b, plus |x|^2 / eps per row at the squared Euclidean
+        # cost. Over these shapes at eps 0.37, 0.5, 3 and 1e-3, with 1, 5
+        # and 3 blocks + 5 rows, the largest error measured against the
+        # two-pass scores was 1.7 eps (neg-dot) and 4.5 eps (sq-euclidean)
+        # of the magnitude (|x|^2 + |y|^2 + |g|) / eps + |log b| + |shift|;
+        # the bound is 8 eps. Without |shift| the one bound-shifted row at
+        # eps 1e-3, d=1 measured 59 and 85 eps: its shift is 240-310 times
+        # its columns' magnitude there.
         pot, gen = self._case(d, kind, pca, eps=0.37, weights=True)
         block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
         for rows in (1, 3 * block + 5):
             x = 3.0 * gen.standard_normal((rows, pot.target.dim))
-            assert _exponent_error(pot, x, _streamed_scores(pot, x)) <= 8
+            assert _exponent_error(pot, x, *_streamed_scores(pot, x)) <= 8
 
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
     def test_tiny_eps_matches_dense_softmax(self, kind):
@@ -777,8 +793,14 @@ class TestFusedKernel:
                         target=TargetMeasure.from_points(points,
                                                          gen.random(500) + 0.1),
                         cost=cost)
-        b, x = pot.target.weights, gen.standard_normal((300, 3))
-        scores = pot.g - cost_matrix(cost, x, points)
+        self._matches_dense_softmax(pot, gen.standard_normal((300, 3)), 46)
+
+    @staticmethod
+    def _matches_dense_softmax(pot, x, seed):
+        """Column sums, squares, soft-c and draws of rows ``x`` equal the
+        dense oracle's."""
+        b = pot.target.weights
+        scores = pot.g - cost_matrix(pot.cost, x, pot.target.points)
         dense = softmax_rows(scores, b, pot.eps)
         col_sum, col_sq = semidual._column_sums(pot, x, squares=True)
         np.testing.assert_allclose(col_sum, dense.sum(axis=0), rtol=1e-12,
@@ -790,8 +812,51 @@ class TestFusedKernel:
             -pot.eps * logsumexp(scores / pot.eps, axis=1, b=b),
             rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(
-            assign_batch(pot, x, Rng(46)),
-            inverse_cdf(dense, Rng(46).generator().random(len(x))))
+            assign_batch(pot, x, Rng(seed)),
+            inverse_cdf(dense, Rng(seed).generator().random(len(x))))
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_bound_and_guarded_rows_match_dense_softmax(self, kind):
+        # At eps 0.2 the rows near the support are shifted by their bound
+        # U_i. Every third row is scaled by 100: its bound exceeds the
+        # exponent at j* = argmax shift by more than BOUND_MARGIN, so it
+        # subtracts its own maximum. Both branches run in each slab.
+        gen = Rng(47).generator()
+        points = gen.standard_normal((500, 3))
+        pot = Potential(g=gen.standard_normal(500),
+                        target=TargetMeasure.from_points(points,
+                                                         gen.random(500) + 0.1),
+                        cost=CostConfig(kind=kind, eps_raw=0.2))
+        x = gen.standard_normal((300, 3))
+        far = np.arange(300) % 3 == 0
+        x[far] *= 100.0
+        assert semidual._tile_rows(500, 3, 8) == (262, 262)
+        shift = np.empty(300)
+        semidual.coupling_scores(pot, x, shift=shift)
+        np.testing.assert_array_equal(np.isnan(shift), far)
+        self._matches_dense_softmax(pot, x, 48)
+
+    def test_overflowing_bound_takes_the_row_maximum(self):
+        # A row scaled by 1e200 overflows its bound's norm, not its
+        # exponents: it takes its own maximum, and its gradient is the
+        # dense one. At 1e308 its coordinates over eps overflow as well,
+        # and its gradient is not finite (the solver fails closed on it,
+        # test_solver.py).
+        gen = Rng(49).generator()
+        pot = _simple_potential(gen.standard_normal(64),
+                                gen.standard_normal((64, 2)), eps=0.5)
+        x = gen.standard_normal((8, 2))
+        x[3] *= 1e200
+        shift = np.empty(8)
+        semidual.coupling_scores(pot, x, shift=shift)
+        np.testing.assert_array_equal(np.isnan(shift), np.arange(8) == 3)
+        np.testing.assert_allclose(
+            stochastic_gradient(pot, x),
+            pot.target.weights - responsibilities_rows(pot, x).mean(axis=0),
+            rtol=1e-12, atol=1e-15)
+        x[3] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(stochastic_gradient(pot, x)))
 
     @pytest.mark.parametrize("kind, eps", [(NEG_DOT, 0.0), (NEG_DOT, 0.5),
                                            (SQ_EUCLIDEAN, 0.5)])
@@ -843,14 +908,17 @@ class TestShiftRow:
         x = gen.standard_normal((64, 2))
         assert semidual._tile_rows(4096, 2, 8) == (32, 32)
         streams = [semidual.score_chunks(pot, x) for pot in pots]
-        got = [np.empty((64, 4096)) for _ in pots]
+        got = [(np.empty((64, 4096)), np.empty(64)) for _ in pots]
         for _ in range(2):
-            for stream, out in zip(streams, got):
-                lo, hi, scores = next(stream)
-                out[lo:hi] = scores
-        for pot, out in zip(pots, got):
-            np.testing.assert_array_equal(out, _streamed_scores(pot, x))
-            assert _exponent_error(pot, x, out) <= 8  # as in TestFusedKernel
+            for stream, (out, shifts) in zip(streams, got):
+                lo, hi, scores, shift = next(stream)
+                out[lo:hi], shifts[lo:hi] = _unshifted(scores, shift)
+        for pot, (out, shifts) in zip(pots, got):
+            alone, alone_shifts = _streamed_scores(pot, x)
+            np.testing.assert_array_equal(out, alone)
+            np.testing.assert_array_equal(shifts, alone_shifts)
+            # as in TestFusedKernel
+            assert _exponent_error(pot, x, out, shifts) <= 8
 
     def test_interleaved_eps0_streams_gather_their_own_maxima(self):
         # At N=4096, d=32 an eps=0 block is two 64-row slabs, so each

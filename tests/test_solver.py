@@ -198,6 +198,21 @@ class TestSolveSdot:
         assert err.value.info["iteration"] < 50
         assert "non-finite" in str(err.value)
 
+    def test_overflowing_noise_row_fails_closed(self):
+        # A noise row whose coordinates over eps overflow has a non-finite
+        # gradient whether or not its row bound is used: the solver raises.
+        gen = Rng(50).generator()
+        target = TargetMeasure.from_points(gen.standard_normal((64, 2)))
+        cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
+        rows = gen.standard_normal((8, 2))
+        rows[3] = 1e308
+        cfg = SolverConfig(base_lr=0.5, constant_phase=6, decay_phase=0,
+                           averaging_window=2, batch=8, tau=1e-12,
+                           check_interval=3, chi2_batch=8, chi2_total=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergence, match="non-finite"):
+                solve_sdot(target, cost, cfg, Rng(1), noise=FiniteNoise(rows))
+
     def test_metrics_rows_emitted(self, tmp_path):
         from sdfm.container import MetricsWriter
 
