@@ -8,8 +8,9 @@ score kernel, Laguerre-cell membership, the exact
 second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
 kernel-weighted Monte-Carlo estimate, the closed-form cells, marginal
-and optimum of Gaussian noise in one dimension at any N, and the float64
-forward pass, flow-matching loss and backprop of a velocity model: the library's
+and optimum of Gaussian noise in one dimension at any N, the plain float32
+layer loop of a velocity model, and the float64 forward pass,
+flow-matching loss and backprop of a velocity model: the library's
 commands never call these, so they live beside the tests that check the
 library against them.
 """
@@ -393,6 +394,22 @@ def _forward_float64(model, t, x):
 def velocity_float64(model, t, x) -> np.ndarray:
     """``v(t, x)`` of ``model`` computed in float64, ``(len(x), dim)``."""
     return _forward_float64(model, t, x)[0]
+
+
+def velocity_float32(model, t, x) -> np.ndarray:
+    """``v(t, x)`` of ``model`` by a plain float32 layer loop, ``(len(x),
+    dim)`` in float64: ``h = tanh(h @ w + b)`` on new whole-batch arrays,
+    the last layer linear. :meth:`~sdfm.flow.FlowModel.velocity` computes
+    the same operations on the same operands in blocks, bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
+                            (len(x), 1))
+    h = np.concatenate([x, t_col], axis=1).astype(np.float32)
+    layers = [(w.astype(np.float32), b.astype(np.float32))
+              for w, b in zip(model.weights, model.biases)]
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+    return (h @ layers[-1][0] + layers[-1][1]).astype(np.float64)
 
 
 def fm_loss_and_grad_float64(model, x0: np.ndarray, x1: np.ndarray,

@@ -1079,3 +1079,26 @@ class TestExitCodes:
         assert not caught
         err = capsys.readouterr().err
         assert err == "error: non-finite loss at step 0\n"
+
+    def test_non_finite_gradient_exits_4_without_warnings(
+            self, tmp_path, blob, capsys, monkeypatch):
+        # Output weights of 1e30: a finite loss whose float32 backward pass
+        # overflows. The model is refused before it is saved.
+        init = cli.FlowModel
+
+        def heavy(*args, **kwargs):
+            model = init(*args, **kwargs)
+            model.weights[-1][...] = 1e30
+            return model
+
+        monkeypatch.setattr(cli, "FlowModel", heavy)
+        out = tmp_path / "m.sdfm"
+        argv = ["train", "--data", blob, "--coupling", "independent",
+                "--steps", "1", "--batch", "8", "--hidden", "4",
+                "--out", str(out)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        assert not caught and not out.exists()
+        assert capsys.readouterr().err == "error: non-finite gradient at step 0\n"

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sdfm import artifacts, semidual
+from sdfm import artifacts, flow, semidual
 from sdfm.cli import main
 from sdfm.container import write_container
 from sdfm.costs import NEG_DOT, ConfigurationError, CostConfig
@@ -30,6 +30,7 @@ from oracles import (
     delta_eps_toy,
     fm_loss_and_grad_float64,
     score_eps_positive,
+    velocity_float32,
     velocity_float64,
 )
 
@@ -245,18 +246,11 @@ def _fixed_stream(indices):
     return lambda noise, rng: next(rows)
 
 
-def _unblocked_velocity(model, t, x):
-    """``v(t, x)`` as one whole-batch float32 pass, the reference for the
-    blocks."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
-                            (x.shape[0], 1))
-    h = np.concatenate([x, t_col], axis=1).astype(np.float32)
-    layers = [(w.astype(np.float32), b.astype(np.float32))
-              for w, b in zip(model.weights, model.biases)]
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
-    return (h @ layers[-1][0] + layers[-1][1]).astype(np.float64)
+def _random_biases(model, gen):
+    """Standard normal biases in place of the initial zeros, which would
+    leave every bias add untested."""
+    for b in model.biases:
+        b[...] = gen.standard_normal(b.shape)
 
 
 class TestBlockedVelocity:
@@ -275,10 +269,44 @@ class TestBlockedVelocity:
         if count is None:
             x = x[0]
         got = model.velocity(t, x)
-        want = _unblocked_velocity(model, t, x)
+        want = velocity_float32(model, t, x)
         assert got.shape == ((3,) if count is None else (rows, 3))
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("tile", [2, 4, 256])
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    @pytest.mark.parametrize("count", [None, 3, 5, 4 * 5 + 1, 23])
+    def test_bits_equal_the_plain_float32_loop(self, monkeypatch, count,
+                                               per_row_t, tile):
+        # Blocks of 5 rows, as above. Tiles of 2 rows leave one row of a
+        # whole block and of the ragged block of 3; tiles of 4 leave one and
+        # three; tiles of 256 never fit, so every row is broadcast.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 16 * 5)
+        monkeypatch.setattr(flow, "BIAS_TILE_ROWS", tile)
+        model = FlowModel(dim=3, hidden=(16, 12, 7), rng=Rng(40))
+        gen = Rng(44).generator()
+        _random_biases(model, gen)
+        rows = 1 if count is None else count
+        x = gen.standard_normal((rows, 3))
+        t = gen.random(rows) if per_row_t else 0.37
+        if count is None:
+            x = x[0]
+        np.testing.assert_array_equal(
+            model.velocity(t, x), velocity_float32(model, t, x).reshape(x.shape))
+
+    @pytest.mark.parametrize("dim, width", [(2, 64), (32, 128)])
+    def test_default_blocks_and_tiles_keep_the_bits(self, dim, width):
+        # Two whole blocks (2048 rows at width 64, 1024 at 128) and a ragged
+        # block of 300 rows: one 256-row tile and 44 rows left over.
+        model = FlowModel(dim=dim, hidden=(width,) * 3, rng=Rng(45))
+        gen = Rng(46).generator()
+        _random_biases(model, gen)
+        rows = 2 * semidual.SCORE_CHUNK_BYTES // (8 * width) + 300
+        x = 3.0 * gen.standard_normal((rows, dim))
+        t = gen.random(rows)
+        np.testing.assert_array_equal(model.velocity(t, x),
+                                      velocity_float32(model, t, x))
 
     def test_peak_memory_is_bounded_by_the_block(self):
         # 65536 rows at width 64: each whole-batch activation would be
@@ -389,6 +417,17 @@ class TestTrainFlow:
         with pytest.raises(FloatingPointError):
             train_flow(model, target, _fixed_stream([np.arange(4)]),
                        TrainConfig(steps=1, batch=4), Rng(11))
+
+    def test_non_finite_gradient_aborts(self):
+        # Output weights of 1e30 keep the loss finite (about 4e58), but the
+        # float32 backward pass overflows. Tier-1 turns RuntimeWarnings into
+        # errors, so this also checks that the overflow does not warn.
+        target = TargetMeasure.from_points(Rng(15).generator().standard_normal((8, 2)))
+        model = FlowModel(dim=2, hidden=(4,), rng=Rng(15))
+        model.weights[-1][...] = 1e30
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            train_flow(model, target, partial(couple_independent, target),
+                       TrainConfig(steps=1, batch=8), Rng(16))
 
     def test_training_reduces_loss_on_sd_map(self):
         gen = Rng(12).generator()
