@@ -235,7 +235,8 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     model = artifacts.load_model(args.model)
     x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-    x1, vels = integrate(model, x0, method=args.solver, steps=args.steps)
+    x1, vels = integrate(model.snapshot(), x0, method=args.solver,
+                         steps=args.steps)
     # One step has no curvature; JSON null keeps the sidecar strict JSON.
     curv = curvature(x0, x1, vels) if args.steps >= 2 else None
     bin_path, _ = artifacts.save_sample_dump(args.out, x1, {
@@ -255,7 +256,8 @@ def cmd_guide(args) -> int:
         raise UsageError("guidance models must share the data dimension")
     cfg = GuidanceConfig(gamma=args.gamma, replicas=args.replicas,
                          steps=args.steps, t_clip=args.t_clip)
-    out, _ = guided_sample(model1, model2, cfg, Rng(args.seed), args.count)
+    out, _ = guided_sample(model1.snapshot(), model2.snapshot(), cfg,
+                           Rng(args.seed), args.count)
     bin_path, _ = artifacts.save_sample_dump(args.out, out, {
         "seed": args.seed, "gamma": args.gamma, "replicas": args.replicas,
         "steps": args.steps, "t_clip": args.t_clip,
@@ -316,7 +318,8 @@ def cmd_eval(args) -> int:
     if args.model:
         model = artifacts.load_model(args.model)
         x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-        x1, vels = integrate(model, x0, method=args.solver, steps=args.steps)
+        x1, vels = integrate(model.snapshot(), x0, method=args.solver,
+                             steps=args.steps)
         report["curvature"] = curvature(x0, x1, vels)
     if not report:
         raise UsageError("nothing to evaluate: pass --samples/--reference "

@@ -61,6 +61,8 @@ class FlowModel:
     has the bits of a plain float32 loop ``h = tanh(h @ w + b)``.
     """
 
+    _frozen = None  # a snapshot's float32 parameters and bias tiles
+
     def __init__(self, dim: int, hidden=(128, 128, 128),
                  rng: Optional[Rng] = None):
         self.dim = int(dim)
@@ -99,6 +101,18 @@ class FlowModel:
         out.dim, out.sizes = self.dim, list(self.sizes)
         out.theta = self.theta.copy()
         out.weights, out.biases = out._views(out.theta)
+        return out
+
+    def snapshot(self) -> "FlowModel":
+        """A read-only copy whose :meth:`velocity` calls share one float32
+        cast of ``theta`` (``FloatingPointError`` beyond float32's range)
+        and one set of bias tiles: the same rows, bit for bit. A later
+        write to this model's ``theta`` shows in the next snapshot only."""
+        out = self.copy()
+        out.theta.setflags(write=False)
+        out.weights, out.biases = out._views(out.theta)
+        params = out._params32()
+        out._frozen = params, _bias_tiles(params)
         return out
 
     def _params32(self):
@@ -151,28 +165,29 @@ class FlowModel:
 
         ``t`` is a scalar or one time per row. Each call casts ``theta``
         once to float32 (:meth:`_params32`: ``FloatingPointError`` beyond
-        float32's range), every layer computes in float32
-        (:meth:`_forward`), and the rows are returned as float64 ``(len(x),
-        dim)``.
+        float32's range; a :meth:`snapshot` has cast it already), every
+        layer computes in float32 (:meth:`_forward`), and the rows are
+        returned as float64 ``(len(x), dim)``.
 
         Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
         max(sizes))`` rows (2048 at width 64), through one input buffer and
         two flat activation buffers that every block reuses (and bias tiles
-        built once per call), and copied into the result: beyond it and the
-        float32 parameter copy, a call allocates at most 1.5 MiB plus
-        ``BIAS_TILE_ROWS · Σ fan_out`` floats (194 KiB at d=2, width 64),
-        whatever ``len(x)``. Blocks start at multiples of the block size,
-        so each row of a whole block has the same bits at any batch size.
+        built once per call, or per snapshot), and copied into the result:
+        beyond it and the float32 parameter copy, a call allocates at most
+        1.5 MiB plus ``BIAS_TILE_ROWS · Σ fan_out`` floats (194 KiB at d=2,
+        width 64), whatever ``len(x)``. Blocks start at multiples of the
+        block size, so each row of a whole block has the same bits at any
+        batch size.
         """
-        params = self._params32()
+        params, tiles = self._frozen or (self._params32(), None)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
         block = max(1, semidual.SCORE_CHUNK_BYTES // (8 * max(self.sizes)))
         rows = min(block, n)
-        tiles = ([np.full((BIAS_TILE_ROWS, b.size), b).ravel()
-                  for b in params[1]] if rows >= BIAS_TILE_ROWS else None)
+        if tiles is None and rows >= BIAS_TILE_ROWS:
+            tiles = _bias_tiles(params)
         buffers = (np.empty((rows, self.dim + 1), dtype=np.float32),
                    np.empty((2, rows * max(self.sizes)), dtype=np.float32),
                    tiles)
@@ -201,6 +216,11 @@ class FlowModel:
             if layer > 0:
                 delta = (delta @ params[0][layer].T) * (1.0 - acts[layer] ** 2)
         return grad.astype(np.float64)
+
+
+def _bias_tiles(params) -> list:
+    """Each float32 bias repeated over ``BIAS_TILE_ROWS`` rows, flat."""
+    return [np.full((BIAS_TILE_ROWS, b.size), b).ravel() for b in params[1]]
 
 
 def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):

@@ -77,14 +77,16 @@ class Rng:
 
 def top_two(scores: np.ndarray):
     """``(idx, first, second)``: each row's argmax, maximum, and maximum of
-    its other entries. The maxima are overwritten with ``-inf`` for the
-    second pass and then restored, so ``scores`` must be writable."""
-    rows = np.arange(scores.shape[0])
+    its other entries. The maxima are set to ``-inf`` for the second pass
+    and restored, through flat positions, so ``scores`` must be writable
+    (a copy of it is written if it is not C-contiguous)."""
     idx = scores.argmax(axis=1)
-    first = scores[rows, idx]
-    scores[rows, idx] = -np.inf
-    second = scores.max(axis=1)
-    scores[rows, idx] = first
+    flat = scores.reshape(-1)
+    pos = idx + np.arange(0, flat.size, scores.shape[1])
+    first = flat[pos]
+    flat[pos] = -np.inf
+    second = flat.reshape(scores.shape).max(axis=1)
+    flat[pos] = first
     return idx, first, second
 
 

@@ -28,13 +28,16 @@ live in the coupling space (the raw rows, or their PCA projection):
 measure: its target, or the target embedded once per potential.
 
 Both costs score in one matmul, up to a per-row constant that cancels in
-every responsibility, argmax and draw. Its right operand is the lifted
-support, one C-contiguous ``(d + 2, N)`` array: the support's d coordinate
-rows, the shift row that each :func:`coupling_scores` call writes from its
-own potential, and a ones row. eps=0 scores the first d + 1 rows in float32,
-against a copy made on the first eps=0 scan. At eps>0 a certified bound of
-each row's exponents ``(g_j - c(x, y_j)) / eps + log b_j``, folded into the
-matmul, leaves a slab only the exp (a loose one, its row maximum).
+every responsibility, argmax and draw. Its right operand is a lifted
+support. At eps>0 it is the target's, one C-contiguous ``(d + 2, N)``
+array: the support's d coordinate rows, the shift row that each
+:func:`coupling_scores` call writes from its own potential, and a ones row.
+At eps=0 each potential has its own first d + 1 rows, in float64 and in
+float32, whose float32 shift row each :func:`score_chunks` stream writes
+once: an eps=0 scan writes no array that potentials share. At eps>0 a
+certified bound of each row's exponents ``(g_j - c(x, y_j)) / eps + log
+b_j``, folded into the matmul, leaves a slab only the exp (a loose one, its
+row maximum).
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
 buffer, yielded as cache-sized row slabs. Every reducer maps over its
 slabs: :func:`_column_sums` takes one unnormalised exp pass per slab of
@@ -83,7 +86,8 @@ def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in (points, weights):
         h.update(str(a.shape).encode())
-        h.update(np.ascontiguousarray(a))
+        for lo in range(0, len(a), 1024):  # no C-ordered copy of a view
+            h.update(np.ascontiguousarray(a[lo:lo + 1024]))
     # Trailing marker of the empty per-point-condition slot that earlier
     # versions hashed: every stored potential still binds to its dataset.
     h.update(b"\x00none")
@@ -97,13 +101,11 @@ class TargetMeasure:
     Pairing resolves indices to these rows; the scores see them through
     :attr:`Potential.support`. The points are stored once, as the first d
     rows of the ``(d + 2, N)`` lifted support, so ``points`` is their
-    F-ordered ``(N, d)`` transposed view. The fingerprint hashes both
-    arrays and binds stored potentials to their dataset.
+    F-ordered ``(N, d)`` transposed view.
     """
 
     points: np.ndarray  # (N, d), finite
     weights: np.ndarray  # (N,), finite, strictly positive, sums to 1
-    fingerprint: str = field(init=False)
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -118,7 +120,6 @@ class TargetMeasure:
                 "all target weights must be finite and strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("target weights must sum to 1")
-        object.__setattr__(self, "fingerprint", _fingerprint(points, weights))
         # The C-contiguous (d + 2, N) lifted support: points.T over a NaN
         # shift row and a row of ones, transposed in blocks of 128 points,
         # which stay in cache: a one-shot transpose of a d=32 target is
@@ -145,6 +146,10 @@ class TargetMeasure:
                 weights = weights / weights.sum()
         return cls(points=points, weights=weights)
 
+    @cached_property
+    def fingerprint(self) -> str:  # binds stored potentials to the dataset
+        return _fingerprint(self.points, self.weights)
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -170,14 +175,11 @@ class TargetMeasure:
         return cdf
 
     @cached_property
-    def _single(self):
-        """The float32 copy of the lifted support's first ``d + 1`` rows, and
-        each coordinate row's largest ``|entry|``, ``inf`` from ``2^127`` up
-        (:func:`argmax_chunks`)."""
-        with np.errstate(over="ignore"):
-            copy = self._lifted[:-1].astype(np.float32)
+    def _coord_range(self) -> np.ndarray:
+        """Each coordinate row's largest ``|entry|``, ``inf`` from ``2^127``
+        up (:func:`argmax_chunks`)."""
         coords = self._lifted[:-2]
-        return copy, _f32_range(np.maximum(coords.max(axis=1), -coords.min(axis=1)))
+        return _f32_range(np.maximum(coords.max(axis=1), -coords.min(axis=1)))
 
     @cached_property
     def _max_norm(self) -> float:  # max_j |y_j|, for the eps>0 row bound
@@ -205,6 +207,11 @@ class Potential:
             raise ConfigurationError("potential length must match the target size")
         if not np.all(np.isfinite(self.g)):
             raise ConfigurationError("potential entries must be finite")
+        if self.eps == 0.0:  # its own lifted support (coupling_scores),
+            # made here, so a scan allocates no more than its block
+            self._lifted = self._space._lifted[:-1].copy()
+            with np.errstate(over="ignore"):
+                self._single = self._lifted.astype(np.float32)
 
     @property
     def eps(self) -> float:
@@ -287,12 +294,12 @@ def _f32_range(v):
     return np.where(v < 2.0**127, v, np.inf)
 
 
-def _lifted_rows(pot: Potential, x: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling space
-    (``[a x_i / eps, 1, unset]`` at eps>0), in float64, stored in ``dtype``."""
+def _lifted_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """The float64 rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling
+    space (``[a x_i / eps, 1, unset]`` at eps>0)."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     d = x.shape[1]
-    rows = np.empty((len(x), d + (1 if pot.eps == 0.0 else 2)), dtype=dtype)
+    rows = np.empty((len(x), d + (1 if pot.eps == 0.0 else 2)))
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     np.multiply(x, a if pot.eps == 0.0 else a / pot.eps, out=rows[:, :d])
     rows[:, d] = 1.0
@@ -311,33 +318,32 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     """Scores ``z_ij = g_j - c(x_i, y_j)`` of raw noise rows ``x`` at eps=0,
     and at eps>0 the softmax's exponents ``t_ij = z_ij / eps + log b_j``,
     up to a per-row constant: one matmul of the rows ``[a x_i, 1]`` (in
-    coupling space, the coordinates over ``eps`` at eps>0) by the lifted
-    support's first d + 1 rows, whose shift row this call first sets from
-    its own potential: ``g`` (less ``|y_j|^2`` for the squared Euclidean
-    cost), at eps>0 over ``eps`` plus ``log b``. As ``g_j - |x - y_j|^2 = 2
-    <x, y_j> + (g_j - |y_j|^2) - |x|^2``, squared Euclidean scores (``a =
-    2``) carry ``+|x_i|^2`` (over ``eps``); negative dot product ones are
-    exact. Written to ``out`` (shape ``(len(x), N)``) when given, in its
-    dtype: a float32 ``out`` (eps=0) is the product of the float32 rows and
-    lifted support (a kept copy); values beyond float32's range become
-    ``inf`` or ``nan`` there, without a warning. At eps>0 a ``-U_i`` column
+    coupling space, the coordinates over ``eps`` at eps>0) by the first d +
+    1 rows of a lifted support (the module docstring), whose shift row this
+    call first sets from its own potential: ``g`` (less ``|y_j|^2`` for the
+    squared Euclidean cost), at eps>0 over ``eps`` plus ``log b``. As ``g_j
+    - |x - y_j|^2 = 2 <x, y_j> + (g_j - |y_j|^2) - |x|^2``, squared
+    Euclidean scores (``a = 2``) carry ``+|x_i|^2`` (over ``eps``); negative
+    dot product ones are exact. Written to ``out`` (shape ``(len(x), N)``)
+    when given, in its dtype. A float32 ``out`` (eps=0) makes it a block of
+    a :func:`score_chunks` stream: ``x`` holds the block's float32 lifted
+    rows, scored against the potential's float32 lifted support with the
+    stream's shift row, under its consumer's ``errstate``
+    (:func:`argmax_chunks`). At eps>0 a ``-U_i`` column
     against the ones row subtracts row i's Cauchy-Schwarz bound ``U_i = |a
     x_i / eps| max_j |y_j| + max_j s_j`` (``s`` the shift row), also written
     to ``shift[i]``, where it exceeds the exponent at ``argmax s`` by at most
     :data:`BOUND_MARGIN`. Other rows keep their exponents and a ``NaN`` shift
     (:func:`~sdfm.numerics.softmax_b_eps_rows` subtracts their maximum).
     """
-    lifted = pot._space._lifted
-    lifted[-2] = _shift(pot) if pot.eps == 0.0 else \
-        _shift(pot) / pot.eps + pot._space.log_weights
-    if pot.eps == 0.0 and out is not None and out.dtype == np.float32:
-        single = pot._space._single[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            single[-1] = lifted[-2]
-            return np.matmul(_lifted_rows(pot, x, np.float32), single, out=out)
-    rows = _lifted_rows(pot, x)
     if pot.eps == 0.0:
-        return np.matmul(rows, lifted[:-1], out=out)
+        if out is not None and out.dtype == np.float32:
+            return np.matmul(x, pot._single, out=out)
+        pot._lifted[-1] = _shift(pot)
+        return np.matmul(_lifted_rows(pot, x), pot._lifted, out=out)
+    lifted = pot._space._lifted
+    lifted[-2] = _shift(pot) / pot.eps + pot._space.log_weights
+    rows = _lifted_rows(pot, x)
     top = int(np.argmax(lifted[-2]))
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.linalg.norm(rows[:, :-2], axis=1) * pot._space._max_norm
@@ -359,7 +365,9 @@ def score_chunks(pot: Potential, x: np.ndarray):
     buffer per stream, at most max(1 MiB, 4 d N scores) whatever
     ``len(x)``. A reducer may overwrite a slab and its shift until it asks
     for the next. Slabs hold float64 shifted exponents at eps>0 and float32
-    scores at eps=0, where :func:`argmax_chunks` reduces them.
+    scores at eps=0, where :func:`argmax_chunks` reduces them. An eps=0
+    stream writes its potential's float32 shift row when it starts, and
+    lifts each block's rows into one reused float32 array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
@@ -367,9 +375,17 @@ def score_chunks(pot: Potential, x: np.ndarray):
                              dtype.itemsize)
     buf = np.empty((min(block, x.shape[0]), pot.target.n), dtype=dtype)
     shift = np.empty(x.shape[0])
+    if pot.eps == 0.0:
+        pot._single[-1] = _shift(pot)
+        rows32 = np.ones((len(buf), pot.support.shape[1] + 1), np.float32)
+        a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
-        scores = coupling_scores(pot, x[lo:hi], buf[:hi - lo], shift[lo:hi])
+        rows = x[lo:hi]
+        if pot.eps == 0.0:  # [a x_i, 1]: a x_i in float64, stored in float32
+            rows = rows32[:hi - lo]
+            np.multiply(pot.cost.embed(x[lo:hi]), a, out=rows[:, :-1])
+        scores = coupling_scores(pot, rows, buf[:hi - lo], shift[lo:hi])
         for s in range(lo, hi, slab):
             e = min(s + slab, hi)
             yield s, e, scores[s - lo:e - lo], shift[s:e]
@@ -387,7 +403,10 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     (:func:`~sdfm.numerics.top_two`). The rows that the rounding bound
     below cannot settle are rescored in float64 through
     :func:`coupling_scores`, and :func:`~sdfm.numerics.argmax_with_ties`
-    resolves them, so there is one tie rule.
+    resolves them, so there is one tie rule. Both read only the potential's
+    own lifted support, so streams of other potentials may interleave. One
+    ``errstate`` per slab covers the stream's float32 casts and matmul and
+    the slab's top-two pass.
 
     **The rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n = n u /
     (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik| max_j
@@ -413,8 +432,7 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     or NaN bound or gap included, is rescored in float64.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    space = pot._space
-    coord_max = space._single[1]
+    coord_max = pot._space._coord_range
     k = len(coord_max) + 1
     gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
@@ -426,8 +444,12 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
             _TINY32 * (coord_max.sum() + k + 1)
         bound[~(bound < gamma * 2.0**126)] = np.inf
     limit = 2.0 * bound + ARGMAX_TIE_TOL
-    for lo, hi, scores, _ in score_chunks(pot, x):
+    slabs = score_chunks(pot, x)
+    while True:  # next() runs the stream's float32 casts and matmul
         with np.errstate(over="ignore", invalid="ignore"):
+            if (slab := next(slabs, None)) is None:
+                return
+            lo, hi, scores, _ = slab
             idx, first, second = top_two(scores)
             gap = np.subtract(first, second, dtype=np.float64)
         recheck = np.flatnonzero(~(gap > limit[lo:hi]))
@@ -438,8 +460,8 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
             idx[recheck] = sub
             tie_rows = recheck[ties]
         peak = None
-        if top:  # the shared shift row may hold another stream's by now
-            cols = space._lifted[:-1, idx]
+        if top:  # the chosen columns, with this stream's shift row
+            cols = pot._lifted[:, idx]
             cols[-1] = shift[idx]
             peak = np.vecdot(_lifted_rows(pot, x[lo:hi]), cols.T)
         yield lo, hi, (idx, tie_rows, tie_weights), peak

@@ -306,6 +306,31 @@ class TestTrainSampleEval:
                     assert "potential_" not in stdout
         assert provenance["stop_reason"] == "max_iterations"
 
+    def test_only_sd_training_hashes_the_dataset(self, tmp_path, blob,
+                                                  monkeypatch):
+        # The target's fingerprint binds a stored potential to its dataset:
+        # a training run without a potential never reads it.
+        hashed = []
+        fingerprint = semidual._fingerprint
+
+        def recording(points, weights):
+            hashed.append(len(points))
+            return fingerprint(points, weights)
+
+        monkeypatch.setattr(semidual, "_fingerprint", recording)
+        pot = _quick_potential(tmp_path, blob)
+        hashed.clear()
+        for coupling in ("independent", "minibatch-sinkhorn",
+                         "minibatch-hungarian"):
+            assert main(["train", "--data", blob, "--coupling", coupling,
+                         "--steps", "2", "--batch", "8", "--hidden", "4",
+                         "--out", str(tmp_path / "m.sdfm")]) == 0
+        assert hashed == []
+        assert main(["train", "--data", blob, "--coupling", "sd",
+                     "--potential", pot, "--steps", "2", "--batch", "8",
+                     "--hidden", "4", "--out", str(tmp_path / "m.sdfm")]) == 0
+        assert hashed == [64]
+
     def test_sinkhorn_ot_eps_is_relative_to_reference_cost_std(
             self, tmp_path, blob, monkeypatch):
         passed = []

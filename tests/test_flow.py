@@ -308,6 +308,37 @@ class TestBlockedVelocity:
         np.testing.assert_array_equal(model.velocity(t, x),
                                       velocity_float32(model, t, x))
 
+    def test_snapshot_keeps_the_bits_and_no_later_write(self, monkeypatch):
+        # Blocks of 5 rows and tiles of 2, built once by the snapshot: 23
+        # rows end in a ragged block of 3, whose last row is not tiled, and
+        # 3 rows sit below one block.
+        monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 16 * 5)
+        monkeypatch.setattr(flow, "BIAS_TILE_ROWS", 2)
+        model = FlowModel(dim=3, hidden=(16, 12, 7), rng=Rng(40))
+        gen = Rng(47).generator()
+        _random_biases(model, gen)
+        x = gen.standard_normal((23, 3))
+        t = gen.random(23)
+        snap = model.snapshot()
+        for rows in (1, 3, 5, 23):
+            got = snap(t[:rows], x[:rows])
+            np.testing.assert_array_equal(got, model.velocity(t[:rows], x[:rows]))
+            np.testing.assert_array_equal(
+                got, velocity_float32(model, t[:rows], x[:rows]))
+        np.testing.assert_array_equal(snap(0.3, x[0]), model.velocity(0.3, x[0]))
+        # A snapshot cannot be written, and does not follow its model.
+        for write in (lambda: snap.theta.__setitem__(0, 1.0),
+                      lambda: snap.weights[0].__setitem__((0, 0), 1.0),
+                      lambda: snap.set_theta(model.theta)):
+            with pytest.raises(ValueError):
+                write()
+        before = snap(t, x)
+        model.theta[0] += 1.0
+        np.testing.assert_array_equal(snap(t, x), before)
+        fresh = model.snapshot()
+        np.testing.assert_array_equal(fresh(t, x), model.velocity(t, x))
+        assert not np.array_equal(fresh(t, x), before)
+
     def test_peak_memory_is_bounded_by_the_block(self):
         # 65536 rows at width 64: each whole-batch activation would be
         # 32 MiB; the blocks reuse two 1 MiB buffers.
@@ -359,6 +390,8 @@ class TestFloat32Velocity:
         model.theta[0] = 1e39
         with pytest.raises(FloatingPointError):
             model.velocity(0.5, x)
+        with pytest.raises(FloatingPointError):
+            model.snapshot()
 
 
 class TestTrainFlow:

@@ -922,27 +922,86 @@ class TestShiftRow:
 
     def test_interleaved_eps0_streams_gather_their_own_maxima(self):
         # At N=4096, d=32 an eps=0 block is two 64-row slabs, so each
-        # stream's second slab is reduced after the other stream's block
-        # has rewritten the shared shift row.
+        # stream's second block is scored, and its slabs reduced, after the
+        # other stream's first block. The last two points repeat points 0
+        # and 5, with their g, and rows 3, 70 and 200 point at them: slabs
+        # 0, 1 and 3 hold a tie row.
         gen = Rng(44).generator()
-        target = TargetMeasure.from_points(gen.standard_normal((4096, 32)))
+        points = gen.standard_normal((4096, 32))
+        points[-2:] = points[[0, 5]]
+        target = TargetMeasure.from_points(points)
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
-        pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
-                for _ in range(2)]
-        x = gen.standard_normal((128, 32))
-        assert semidual._tile_rows(4096, 32, 4) == (128, 64)
-        streams = [semidual.argmax_chunks(pot, x, top=True) for pot in pots]
-        got = [np.empty(128) for _ in pots]
+        pots = []
         for _ in range(2):
-            for stream, out in zip(streams, got):
-                lo, hi, _, top = next(stream)
-                out[lo:hi] = top
-        for pot, out in zip(pots, got):
-            alone = np.concatenate(
-                [top for *_, top in semidual.argmax_chunks(pot, x, top=True)])
-            np.testing.assert_array_equal(out, alone)
-            np.testing.assert_allclose(
-                out, semidual.coupling_scores(pot, x).max(axis=1), rtol=1e-12)
+            g = gen.standard_normal(4096)
+            g[-2:] = g[[0, 5]]
+            pots.append(Potential(g=g, target=target, cost=cost))
+        x = gen.standard_normal((256, 32))
+        x[3], x[70], x[200] = 50.0 * points[[0, 5, 0]]
+        assert semidual._tile_rows(4096, 32, 4) == (128, 64)
+
+        def copied(slab):
+            lo, hi, (idx, tie_rows, tie_weights), top = slab
+            return lo, hi, idx.copy(), tie_rows, tie_weights, top
+
+        streams = [semidual.argmax_chunks(pot, x, top=True) for pot in pots]
+        got = [[], []]
+        for _ in range(4):
+            for stream, slabs in zip(streams, got):
+                slabs.append(copied(next(stream)))
+        for pot, slabs in zip(pots, got):
+            alone = [copied(s) for s in semidual.argmax_chunks(pot, x, top=True)]
+            assert len(alone) == len(slabs) == 4
+            for mine, ref in zip(slabs, alone):
+                for a, b in zip(mine, ref):
+                    np.testing.assert_array_equal(a, b)
+            assert [s[3].tolist() for s in slabs] == [[3], [6], [], [8]]
+            scores = semidual.coupling_scores(pot, x)
+            np.testing.assert_array_equal(
+                np.concatenate([s[2] for s in slabs]), scores.argmax(axis=1))
+            np.testing.assert_allclose(np.concatenate([s[5] for s in slabs]),
+                                       scores.max(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_eps0_scans_write_no_target_array(self, kind, monkeypatch):
+        # An eps=0 scan writes only its own potential's lifted support, its
+        # float64 re-checks included: every array of the shared target,
+        # the lifted support among them, keeps its bytes. Row 0 points at
+        # the longest point, which the last point repeats (with its g), so
+        # its tie is re-checked in float64.
+        gen = Rng(49).generator()
+        ys = gen.standard_normal((4096, 2))
+        far = np.argmax(np.sum(ys * ys, axis=1))
+        ys[-1] = ys[far]
+        g = 0.01 * gen.standard_normal(4096)
+        g[-1] = g[far]
+        pot = _simple_potential(g, ys, kind=kind)
+        x = gen.standard_normal((300, 2))
+        x[0] = 100.0 * ys[far]
+        target = pot.target
+        # A scan of another potential builds the target's cached arrays.
+        other = Potential(g=-g, target=target, cost=pot.cost)
+        stochastic_gradient(other, x)
+
+        def arrays():
+            return {k: v.tobytes() for k, v in vars(target).items()
+                    if isinstance(v, np.ndarray)}
+
+        before = arrays()
+        assert "_lifted" in before
+        rechecked = []
+        scores = semidual.coupling_scores
+
+        def counted(pot, x, out=None, shift=None):
+            rechecked.append(out is None)
+            return scores(pot, x, out, shift)
+
+        monkeypatch.setattr(semidual, "coupling_scores", counted)
+        semidual_value(pot, x)
+        chi2_estimator(pot, x)
+        assign_batch(pot, x, Rng(50))
+        assert sum(rechecked) >= 3
+        assert arrays() == before
 
 
 class TestEps0TieFreeSlabs:
