@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,8 +62,6 @@ class FlowModel:
     has the bits of a plain float32 loop ``h = tanh(h @ w + b)``.
     """
 
-    _frozen = None  # a snapshot's float32 parameters and bias tiles
-
     def __init__(self, dim: int, hidden=(128, 128, 128),
                  rng: Optional[Rng] = None):
         self.dim = int(dim)
@@ -103,17 +102,16 @@ class FlowModel:
         out.weights, out.biases = out._views(out.theta)
         return out
 
-    def snapshot(self) -> "FlowModel":
-        """A read-only copy whose :meth:`velocity` calls share one float32
-        cast of ``theta`` (``FloatingPointError`` beyond float32's range)
-        and one set of bias tiles: the same rows, bit for bit. A later
-        write to this model's ``theta`` shows in the next snapshot only."""
-        out = self.copy()
-        out.theta.setflags(write=False)
-        out.weights, out.biases = out._views(out.theta)
-        params = out._params32()
-        out._frozen = params, _bias_tiles(params)
-        return out
+    def snapshot(self) -> Callable:
+        """The field ``v(t, x)`` of the current ``theta``, with the model's
+        ``dim``: :meth:`velocity` with one float32 cast of ``theta``
+        (``FloatingPointError`` beyond float32's range) and one set of bias
+        tiles for all its calls, the same rows bit for bit. A later write
+        to ``theta`` shows in the next snapshot only."""
+        params = self._params32()
+        field = partial(self.velocity, frozen=(params, _bias_tiles(params)))
+        field.dim = self.dim
+        return field
 
     def _params32(self):
         """Per-layer ``(weights, biases)`` views of ``theta`` cast once to
@@ -160,14 +158,14 @@ class FlowModel:
                 np.tanh(h, out=h)
         return h, acts
 
-    def velocity(self, t, x) -> np.ndarray:
+    def velocity(self, t, x, frozen=None) -> np.ndarray:
         """Evaluate ``v(t, x)`` for a batch (or single point), in float32.
 
         ``t`` is a scalar or one time per row. Each call casts ``theta``
         once to float32 (:meth:`_params32`: ``FloatingPointError`` beyond
-        float32's range; a :meth:`snapshot` has cast it already), every
-        layer computes in float32 (:meth:`_forward`), and the rows are
-        returned as float64 ``(len(x), dim)``.
+        float32's range) unless given a :meth:`snapshot`'s ``frozen`` cast
+        and tiles, every layer computes in float32 (:meth:`_forward`), and
+        the rows are returned as float64 ``(len(x), dim)``.
 
         Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
         max(sizes))`` rows (2048 at width 64), through one input buffer and
@@ -179,7 +177,7 @@ class FlowModel:
         block size, so each row of a whole block has the same bits at any
         batch size.
         """
-        params, tiles = self._frozen or (self._params32(), None)
+        params, tiles = frozen or (self._params32(), None)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
