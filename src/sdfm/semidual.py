@@ -86,7 +86,7 @@ def _fingerprint(points: np.ndarray, weights: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in (points, weights):
         h.update(str(a.shape).encode())
-        for lo in range(0, len(a), 1024):  # no C-ordered copy of a view
+        for lo in range(0, len(a), 1024):  # points is a transposed view
             h.update(np.ascontiguousarray(a[lo:lo + 1024]))
     # Trailing marker of the empty per-point-condition slot that earlier
     # versions hashed: every stored potential still binds to its dataset.
@@ -289,10 +289,10 @@ def _tile_rows(n: int, d: int, itemsize: int) -> tuple[int, int]:
 
 
 def _aligned(shape, dtype) -> np.ndarray:
-    """``np.empty(shape, dtype)`` from a 64-byte cache line. numpy's 16-byte
-    alignment makes a slab pass's 64-byte loads straddle two lines: a
-    1024-row eps=0 gradient at N = 4096, d = 2 took 1500 µs from offsets
-    16 to 112 (mod 64), 1300 µs aligned."""
+    """``np.empty(shape, dtype)`` starting on a 64-byte cache line. From
+    numpy's 16-byte alignment a slab pass's 64-byte loads straddle two
+    lines: a 1024-row eps=0 gradient at N = 4096, d = 2 took 1500 µs from
+    offsets 16 to 112 (mod 64), 1300 µs aligned."""
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     raw = np.empty(size + 64, np.uint8)
     lo = -raw.ctypes.data % 64
