@@ -577,7 +577,6 @@ class TestStreamingMemory:
                     slabs = sum(-(-rows // 64) for rows in blocks)
                     assert len(rechecks) <= (slabs if eps == 0.0 else 0)
 
-
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_block_buffer_starts_on_a_cache_line(self, eps):
         # A slab pass over a buffer off a 64-byte line splits its loads.
