@@ -50,8 +50,9 @@ loc:
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics. The solve sets its own
-# step size and stops on tau (exit 0) at iteration 18000, after about a
-# minute (53 s on an idle two-core box; 59 and 47 s at solver seeds 1, 2).
+# step size and stops on tau (exit 0) at iteration 18000, after about 30 s
+# (31 s on an idle two-core box; 30 s at solver seed 1, and 27 s at seed 2,
+# which stops at iteration 16000).
 toy-2d:
 	mkdir -p $(OUT)
 	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm

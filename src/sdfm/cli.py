@@ -204,8 +204,8 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(steps=args.steps, batch=args.batch)
     paired = np.zeros(target.n, dtype=bool)
 
-    def marking_pair(noise, pair_rng):
-        idx = pair(noise, pair_rng)
+    def marking_pair(noise, rngs):
+        idx = pair(noise, rngs)
         paired[idx] = True
         return idx
 

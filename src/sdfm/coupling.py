@@ -6,7 +6,7 @@ product search with a ``b``-weighted draw over ties; for ``eps > 0`` it
 is a categorical draw from the responsibilities. Baselines cover the
 independent coupling and minibatch OT: Hungarian, or Sinkhorn by matrix
 scaling with log-domain anchoring. Every pairing engine returns the target
-index of each noise row, so a training loop takes any as ``pair(noise, rng)``.
+index of each noise row, so a training loop takes any as ``pair(noise, rngs)``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import SQ_EUCLIDEAN, CostConfig, cost_matrix
-from .numerics import Rng, inverse_cdf, softmax_b_eps_rows
+from .numerics import inverse_cdf, rng_batches, softmax_b_eps_rows
 from .semidual import Potential, TargetMeasure, argmax_chunks, score_chunks
 
 __all__ = [
@@ -34,22 +34,23 @@ class SinkhornError(RuntimeError):
         self.residual = residual
 
 
-def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
+def assign_batch(pot: Potential, noise: np.ndarray, rngs) -> np.ndarray:
     """Target index of each raw noise row, by the O(N) scan.
 
     ``eps = 0``: argmax of ``g_k - c(x, y_k)``, with a ``b``-weighted draw
     over exact ties; ``eps > 0``: categorical draw from the exp rows of the
     scan's exponents less each row's bound (or maximum): a row factor, which
-    the draw's scaling by the row total cancels. Row ``i`` draws with the
-    ``i``-th uniform of ``rng.generator().random(n)``, so it depends only on
-    ``(rng, i)`` and its noise row, never on the batch size. Maps over the
-    slabs of the one scan loop, :func:`~sdfm.semidual.score_chunks` (at
-    eps=0 through :func:`~sdfm.semidual.argmax_chunks`, whose float32 scores
-    give the float64 argmax), so the scan holds at most the larger of 1 MiB
-    and 4 d N scores whatever the batch size.
+    the draw's scaling by the row total cancels. Row ``i`` of a batch draws
+    with the ``i``-th uniform of its ``rng``, so it depends only on ``(rng,
+    i)`` and its noise row, never on the batch size or other batches. Maps
+    over the slabs of the one scan loop, :func:`~sdfm.semidual.score_chunks`
+    (at eps=0 through :func:`~sdfm.semidual.argmax_chunks`, whose float32
+    scores give the float64 argmax), so the scan holds at most the larger of
+    1 MiB and 4 d N scores whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    u = rng.generator().random(len(noise))
+    u = np.concatenate([r.generator().random(hi - lo)
+                        for lo, hi, r in rng_batches(rngs, len(noise))])
     idx = np.empty(len(noise), dtype=np.int64)
     if pot.eps == 0.0:
         for lo, hi, (part, tie_rows, tie_weights), _ in argmax_chunks(pot, noise):
@@ -64,9 +65,10 @@ def assign_batch(pot: Potential, noise: np.ndarray, rng: Rng) -> np.ndarray:
 
 
 def couple_independent(target: TargetMeasure, noise: np.ndarray,
-                       rng: Rng) -> np.ndarray:
+                       rngs) -> np.ndarray:
     """One index per noise row, drawn i.i.d. from the target weights."""
-    u = rng.generator().random(len(np.atleast_2d(noise)))
+    u = np.concatenate([r.generator().random(hi - lo) for lo, hi, r in
+                        rng_batches(rngs, len(np.atleast_2d(noise)))])
     return target.cdf.searchsorted(u, side="right")
 
 
@@ -162,25 +164,27 @@ def hungarian(costs: np.ndarray):
 
 
 def couple_minibatch_ot(target: TargetMeasure, eps: float, noise: np.ndarray,
-                        rng: Rng) -> np.ndarray:
+                        rngs) -> np.ndarray:
     """Minibatch OT baseline: match ``n`` noise rows to ``n`` fresh data rows.
 
-    Both solve the squared-Euclidean problem between the noise rows and
-    ``n`` data rows drawn from the target weights. ``eps == 0`` uses the
+    Each batch solves the squared-Euclidean problem between its noise rows
+    and ``n`` data rows drawn from the target weights. ``eps == 0`` uses the
     optimal permutation (Hungarian); ``eps > 0`` runs Sinkhorn at that
     absolute eps (the CLI passes ``CostConfig.eps``) and draws each row's
     partner from its row of the plan.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    n = len(noise)
-    gen = rng.generator()
-    data_idx = target.cdf.searchsorted(gen.random(n), side="right")
-    c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise,
-                    target.points[data_idx])
-    if eps == 0.0:
-        local, _ = hungarian(c)
-    else:
-        marg = np.full(n, 1.0 / n)
-        plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
-        local = inverse_cdf(plan, gen.random(n))
-    return data_idx[local]
+    idx = np.empty(len(noise), dtype=np.int64)
+    for lo, hi, rng in rng_batches(rngs, len(noise)):
+        gen, n = rng.generator(), hi - lo
+        data_idx = target.cdf.searchsorted(gen.random(n), side="right")
+        c = cost_matrix(CostConfig(kind=SQ_EUCLIDEAN), noise[lo:hi],
+                        target.points[data_idx])
+        if eps == 0.0:
+            local, _ = hungarian(c)
+        else:
+            marg = np.full(n, 1.0 / n)
+            plan, _, _, _ = sinkhorn_log(c, marg, marg, eps)
+            local = inverse_cdf(plan, gen.random(n))
+        idx[lo:hi] = data_idx[local]
+    return idx

@@ -9,7 +9,7 @@ reproduces the same draws, and child streams derived with
 :meth:`Rng.child` are independent of thread scheduling, so parallel
 batches stay reproducible. Per-row randomness is
 one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
-gets the ``i``-th uniform of the stream, whatever the batch size.
+gets the ``i``-th uniform of its batch's stream (:func:`rng_batches`).
 Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
 
@@ -73,6 +73,16 @@ class Rng:
     def child(self, index: int) -> "Rng":
         """Derive the ``index``-th child stream of this one."""
         return Rng(self.seed, _mix64(self.stream & _MASK64, index & _MASK64))
+
+
+def rng_batches(rngs, n: int) -> list:
+    """``(lo, hi, rng)`` of each equal batch; ``rngs``: one :class:`Rng` or a list.
+    Row ``lo + i`` draws the ``i``-th uniform of its batch's stream."""
+    rngs = [rngs] if isinstance(rngs, Rng) else rngs
+    per, rest = divmod(n, len(rngs))
+    if rest:
+        raise ValueError(f"{n} rows do not split into {len(rngs)} batches")
+    return [(k * per, (k + 1) * per, r) for k, r in enumerate(rngs)]
 
 
 def top_two(scores: np.ndarray):

@@ -9,8 +9,9 @@ second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
 kernel-weighted Monte-Carlo estimate, the closed-form cells, marginal
 and optimum of Gaussian noise in one dimension at any N, the plain float32
-layer loop of a velocity model, and the float64 forward pass,
-flow-matching loss and backprop of a velocity model: the library's
+layer loop of a velocity model, the float64 forward pass,
+flow-matching loss and backprop of a velocity model, and the training
+loop that pairs one step at a time: the library's
 commands never call these, so they live beside the tests that check the
 library against them.
 """
@@ -25,6 +26,7 @@ from scipy.special import ndtr, ndtri
 
 from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
 from sdfm.coupling import SinkhornError, sinkhorn_log
+from sdfm.flow import T_MAX_TRAIN, _Adam, fm_loss_and_grad, gaussian_starts
 from sdfm.numerics import (
     ARGMAX_TIE_TOL,
     Rng,
@@ -433,6 +435,23 @@ def fm_loss_and_grad_float64(model, x0: np.ndarray, x1: np.ndarray,
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
     return float(np.mean(np.sum(residual**2, axis=1))), grad
+
+
+def train_flow_per_step(model, target: TargetMeasure, pair, cfg,
+                        rng: Rng):
+    """:func:`~sdfm.flow.train_flow` with one ``pair`` call per step, on
+    that step's noise and ``rng.child(step).child(1)`` alone: the same
+    streams, loss and Adam update, so the same ``theta`` bits."""
+    model = model.copy()
+    opt = _Adam()
+    for step in range(cfg.steps):
+        step_rng = rng.child(step)
+        noise = gaussian_starts(step_rng.child(0), cfg.batch, model.dim)
+        idx = pair(noise, step_rng.child(1))
+        t = step_rng.child(2).generator().random(cfg.batch) * T_MAX_TRAIN
+        _, grad = fm_loss_and_grad(model, noise, target.points[idx], t)
+        opt.step(model.theta, grad)
+    return model
 
 
 @dataclass(frozen=True)

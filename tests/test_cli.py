@@ -1,11 +1,12 @@
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from sdfm import artifacts, cli, semidual
+from sdfm import artifacts, cli, flow, semidual
 from sdfm.cli import main
 from sdfm.container import read_container, write_container
 from sdfm.costs import (
@@ -14,7 +15,7 @@ from sdfm.costs import (
     CostConfig,
     estimate_cost_std,
 )
-from sdfm.coupling import couple_minibatch_ot
+from sdfm.coupling import assign_batch, couple_minibatch_ot
 from sdfm.numerics import Rng
 
 from oracles import transport_cost
@@ -271,7 +272,7 @@ class TestTrainSampleEval:
         rows = [r.split(",") for r in
                 (tmp_path / "m.sdfm.metrics.csv").read_text().splitlines()[1:]]
         logged = [float(r[3]) for r in rows if r[2] == "pair_batch_ms"]
-        assert len(logged) == 3
+        assert len(logged) == 1  # the three steps pair in one chunk
         assert summary["pair_ms"] == pytest.approx(sum(logged), rel=1e-12)
         assert 0.0 < summary["pair_share"] < 1.0
         # Three steps of 8 rows pair at most 24 of the 64 points.
@@ -283,6 +284,25 @@ class TestTrainSampleEval:
                      Rng(2).child(101).child(k).child(1).generator()
                      .choice(64, size=8, p=np.full(64, 1 / 64))}
             assert summary["paired_fraction"] == len(drawn) / 64
+
+    def test_sd_training_pairs_a_chunk_of_steps_per_scan(
+            self, tmp_path, blob, monkeypatch):
+        # 200 steps of 256 rows make ceil(200 / 64) assign_batch calls, one
+        # per chunk of PAIR_CHUNK_ROWS // 256 steps, not one per step.
+        calls = []
+
+        def counting(pot, noise, rngs):
+            calls.append(len(rngs))
+            return assign_batch(pot, noise, rngs)
+
+        pot = _quick_potential(tmp_path, blob)
+        monkeypatch.setattr(cli, "assign_batch", counting)
+        assert main(["train", "--data", blob, "--coupling", "sd",
+                     "--potential", pot, "--steps", "200", "--batch", "256",
+                     "--hidden", "4", "--out", str(tmp_path / "m.sdfm")]) == 0
+        per_chunk = flow.PAIR_CHUNK_ROWS // 256
+        assert len(calls) == math.ceil(200 / per_chunk)
+        assert sum(calls) == 200
 
     def test_train_sd_echoes_the_potential_state(self, tmp_path, blob, capsys):
         _, pot = _solve(tmp_path, blob, "bp.sdfm", extra=["--iters", "50"])
@@ -358,7 +378,7 @@ class TestTrainSampleEval:
         assert cost["cost_std"] == std
         assert cost["eps_raw"] == 0.2
         assert cost["eps_effective"] == 0.2 * std
-        assert passed == [0.2 * std] * 2
+        assert passed == [0.2 * std]  # the two steps pair in one call
 
     def test_eval_identical_clouds_w2_zero(self, tmp_path):
         data = Rng(11).generator().standard_normal((40, 3))

@@ -8,7 +8,7 @@ from sdfm import artifacts, flow, semidual
 from sdfm.cli import main
 from sdfm.container import write_container
 from sdfm.costs import NEG_DOT, ConfigurationError, CostConfig
-from sdfm.coupling import assign_batch, couple_independent
+from sdfm.coupling import assign_batch, couple_independent, couple_minibatch_ot
 from sdfm.flow import (
     T_MAX_TRAIN,
     FlowModel,
@@ -30,6 +30,7 @@ from oracles import (
     delta_eps_toy,
     fm_loss_and_grad_float64,
     score_eps_positive,
+    train_flow_per_step,
     velocity_float32,
     velocity_float64,
 )
@@ -241,9 +242,10 @@ class TestParameterVector:
 
 
 def _fixed_stream(indices):
-    """A coupling that returns the next row of ``indices`` on every call."""
+    """A coupling that returns the next row of ``indices`` for each batch,
+    that is each step, of every call: one row per step of the chunk."""
     rows = iter(indices)
-    return lambda noise, rng: next(rows)
+    return lambda noise, rngs: np.concatenate([next(rows) for _ in rngs])
 
 
 def _random_biases(model, gen):
@@ -433,9 +435,50 @@ class TestTrainFlow:
             train_flow(model, target, partial(couple_independent, target),
                        TrainConfig(steps=5, batch=8), Rng(7), metrics)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        assert len(rows) == 15
+        # Five fm_loss rows and one chunk's time_per_pair_ms and pair_batch_ms.
+        assert len(rows) == 5 + 2
         wall = [float(r[1]) for r in rows]
         assert wall == sorted(wall) and wall[-1] > 0.0
+
+    @pytest.mark.parametrize("chunk_rows, steps", [
+        (flow.PAIR_CHUNK_ROWS, 5),  # one chunk
+        (3 * 8, 7),  # chunks of 3, 3 and 1 steps
+        (5, 3),  # a batch larger than the chunk: one step per call
+    ])
+    @pytest.mark.parametrize("coupling", ["sd-eps0-ties", "sd-eps2",
+                                          "independent", "hungarian",
+                                          "sinkhorn"])
+    def test_chunked_pairing_keeps_the_per_step_bits(
+            self, monkeypatch, coupling, chunk_rows, steps):
+        # Every step keeps its own noise, pairing and time streams, so
+        # pairing a chunk of steps in one call gives the theta bits of
+        # pairing each step alone.
+        gen = Rng(40).generator()
+        ys = np.vstack([[[1.0, 0.0], [-1.0, 0.0]], gen.standard_normal((6, 2))])
+        target = TargetMeasure.from_points(ys)
+        g = np.r_[0.0, 0.0, gen.standard_normal(6) - 5.0]
+
+        def sd(eps):
+            return partial(assign_batch, Potential(
+                g=g, target=target, cost=CostConfig(kind=NEG_DOT, eps_raw=eps)))
+
+        def tied(noise, rngs):
+            # Rows 3, 7, ... of every 8-row step tie exactly between the
+            # first two points at eps=0, as in test_prefix_stable.
+            noise = noise.copy()
+            noise[3::4] = [0.0, 1.0]
+            return sd(0.0)(noise, rngs)
+
+        pair = {"sd-eps0-ties": tied, "sd-eps2": sd(2.0),
+                "independent": partial(couple_independent, target),
+                "hungarian": partial(couple_minibatch_ot, target, 0.0),
+                "sinkhorn": partial(couple_minibatch_ot, target, 0.5)}[coupling]
+        model = FlowModel(dim=2, hidden=(8,), rng=Rng(41))
+        cfg = TrainConfig(steps=steps, batch=8)
+        want = train_flow_per_step(model, target, pair, cfg, Rng(42))
+        monkeypatch.setattr(flow, "PAIR_CHUNK_ROWS", chunk_rows)
+        got = train_flow(model, target, pair, cfg, Rng(42))
+        assert got.theta.tobytes() == want.theta.tobytes()
 
     def test_nan_loss_aborts(self):
         points = Rng(10).generator().standard_normal((4, 2))
