@@ -35,7 +35,6 @@ target = TargetMeasure.from_points(np.vstack([right, left]))
 
 cost = CostConfig(kind="neg-dot", eps_raw=0.0)
 cfg = SolverConfig(
-    optimizer="adagrad",
     constant_phase=4000,
     decay_phase=2000,
     averaging_window=1500,

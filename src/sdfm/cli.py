@@ -116,7 +116,7 @@ def cmd_solve(args) -> int:
     cost = _resolve_cost(args, target.points, rng)
 
     cfg = replace(SolverConfig(tau=args.tau).scaled(args.iters),
-                  optimizer=args.optimizer, base_lr=args.lr, batch=args.batch)
+                  base_lr=args.lr, batch=args.batch)
     if args.checkpoint_every < 0:
         raise UsageError("--checkpoint-every must be >= 0")
     if args.chi2_samples is not None:
@@ -371,8 +371,6 @@ def build_parser() -> _Parser:
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--tau", type=float, default=0.05)
     s.add_argument("--out", required=True)
-    s.add_argument("--optimizer", choices=["sgd-constant", "sgd-decay", "adagrad"],
-                   default=SolverConfig.optimizer)
     s.add_argument("--lr", type=float, default=SolverConfig.base_lr)
     s.add_argument("--iters", type=int, default=30_000)
     s.add_argument("--batch", type=int, default=256)

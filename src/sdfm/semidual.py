@@ -368,7 +368,7 @@ def coupling_scores(pot: Potential, x: np.ndarray,
 
 def score_chunks(pot: Potential, x: np.ndarray):
     """Yield ``(lo, hi, scores, shift)``: the :func:`coupling_scores` of
-    rows ``lo:hi`` and their ``shift`` (unset at eps=0).
+    rows ``lo:hi`` and their ``shift`` (empty at eps=0).
 
     The scan's one block loop: every reducer streams through here. One
     :func:`coupling_scores` call per block of rows (up to a per-row
@@ -386,7 +386,7 @@ def score_chunks(pot: Potential, x: np.ndarray):
     block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
                              dtype.itemsize)
     buf = _aligned((min(block, x.shape[0]), pot.target.n), dtype)
-    shift = np.empty(x.shape[0])
+    shift = np.empty(x.shape[0] if pot.eps else 0)
     if pot.eps == 0.0:
         pot._single[-1] = _shift(pot)
         rows32 = np.ones((len(buf), pot.support.shape[1] + 1), np.float32)

@@ -164,8 +164,8 @@ def test_criterion_4_theorem_decay():
     )
 
     def run(iters, seed, track=False):
-        cfg = SolverConfig(optimizer="sgd-decay", theory_delta=1.0,
-                           theory_smoothness=1.0 / cost.eps,
+        # base_lr = sqrt(Delta / L) with Delta = 1 and L = 1 / eps.
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=cost.eps**0.5,
                            constant_phase=iters, decay_phase=0,
                            averaging_window=max(1, iters // 4),
                            batch=32 if track else 8,

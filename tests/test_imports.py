@@ -2,10 +2,9 @@
 
 Every CLI command starts a new interpreter, and importing scipy's
 ``spatial`` and ``optimize`` costs several times the rest of the start-up.
-Only the W2 ``eval``, minibatch-Hungarian ``train`` and an eps=0
-theory-schedule ``solve`` call scipy, so they alone may load it. The
-check runs in a fresh interpreter: this test process has loaded scipy
-long before.
+Only the W2 ``eval`` and minibatch-Hungarian ``train`` call scipy, so
+they alone may load it. The check runs in a fresh interpreter: this test
+process has loaded scipy long before.
 """
 
 import os

@@ -15,7 +15,6 @@ from sdfm.solver import (
     SolverConfig,
     SolverDivergence,
     lr_schedule,
-    smoothness_bound,
     solve_sdot,
 )
 
@@ -24,34 +23,23 @@ from oracles import FiniteNoise, marginal_exact, oracle_discrete_ot, softmax_row
 
 
 class TestLrSchedule:
-    def test_constant_theorem_rate(self):
-        cfg = SolverConfig(optimizer="sgd-constant", constant_phase=100,
-                           decay_phase=0, averaging_window=25,
-                           theory_delta=1.0, theory_smoothness=1.0)
-        for k in (0, 13, 99):
-            assert lr_schedule(cfg, k) == pytest.approx(0.1)
-
     def test_decay_rate(self):
-        cfg = SolverConfig(optimizer="sgd-decay", constant_phase=100,
-                           decay_phase=0, averaging_window=25,
-                           theory_delta=1.0, theory_smoothness=1.0)
+        # base_lr = sqrt(Delta / L) with Delta = L = 1.
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=1.0,
+                           constant_phase=100, decay_phase=0,
+                           averaging_window=25)
         assert lr_schedule(cfg, 4) == pytest.approx(0.5)
         assert lr_schedule(cfg, 0) == pytest.approx(1.0)  # max(k, 1)
 
     def test_decay_is_nonincreasing(self):
-        cfg = SolverConfig(optimizer="sgd-decay", constant_phase=1000,
-                           decay_phase=0, averaging_window=100,
-                           theory_delta=2.0, theory_smoothness=0.5)
+        # base_lr = sqrt(Delta / L) with Delta = 2, L = 0.5.
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=2.0,
+                           constant_phase=1000, decay_phase=0,
+                           averaging_window=100)
         rates = [lr_schedule(cfg, k) for k in range(1, 500)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         # 1/sqrt(k) scaling: quadrupling k halves the rate.
         assert lr_schedule(cfg, 400) == pytest.approx(lr_schedule(cfg, 100) / 2)
-
-    def test_theory_mode_requires_constants(self):
-        cfg = SolverConfig(optimizer="sgd-decay", constant_phase=10,
-                           decay_phase=0, averaging_window=5)
-        with pytest.raises(ConfigurationError):
-            lr_schedule(cfg, 1)
 
     def test_adagrad_base_then_decay(self):
         cfg = SolverConfig(optimizer="adagrad", base_lr=2.0, constant_phase=100,
@@ -60,36 +48,9 @@ class TestLrSchedule:
         assert lr_schedule(cfg, 99) == 2.0
         assert lr_schedule(cfg, 400) == pytest.approx(2.0 * np.sqrt(100 / 400))
 
-
-class TestSmoothnessBound:
-    def test_reciprocal_eps(self):
-        assert smoothness_bound(np.array([[0.0], [1.0]]), 0.5) == pytest.approx(2.0)
-
-    def test_eps_zero_formula(self):
-        # Two points at distance 2 in d=16: 4 * 16^(1/4) / 2 = 4.
-        support = np.zeros((2, 16))
-        support[:, 0] = [1.0, -1.0]
-        assert smoothness_bound(support, 0.0) == pytest.approx(4.0)
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            smoothness_bound(np.array([[1.0], [1.0]]), 0.0)
-
-    def test_duplicate_points_in_a_large_set_rejected(self):
-        # The duplicate pair lies in different row blocks of the scan.
-        support = Rng(60).generator().standard_normal((3000, 2))
-        support[2999] = support[5]
-        with pytest.raises(ConfigurationError):
-            smoothness_bound(support, 0.0)
-
-    @pytest.mark.parametrize("d", [1, 2, 8, 32])
-    @pytest.mark.parametrize("n", [2, 3, 700, 2500])
-    def test_blocked_scan_equals_pdist(self, n, d):
-        from scipy.spatial.distance import pdist
-
-        support = Rng(61 + n + d).generator().standard_normal((n, d))
-        expected = 4.0 * d**0.25 / pdist(support).min()
-        assert smoothness_bound(support, 0.0) == expected
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown optimizer"):
+            SolverConfig(optimizer="sgd-constant")
 
 
 class TestSolveSdot:
@@ -146,10 +107,11 @@ class TestSolveSdot:
         # Gradient entries sum to zero, so plain SGD keeps sum(g) fixed.
         target, cost, src = make_enumerated_instance(44, uniform=True,
                                                      exact=False)
-        cfg = SolverConfig(optimizer="sgd-decay", theory_delta=1.0,
-                           theory_smoothness=2.0, constant_phase=1000,
-                           decay_phase=0, averaging_window=10, batch=16,
-                           tau=1e-12, check_interval=10**6)
+        # base_lr = sqrt(Delta / L) with Delta = 1, L = 2.
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=0.5**0.5,
+                           constant_phase=1000, decay_phase=0,
+                           averaging_window=10, batch=16, tau=1e-12,
+                           check_interval=10**6)
         captured = []
 
         def grab(k, pot, chi2):
@@ -178,12 +140,13 @@ class TestSolveSdot:
 
     def test_divergence_guard(self):
         target, cost, noise = make_enumerated_instance(46, eps=0.05, exact=False)
-        cfg = SolverConfig(optimizer="sgd-constant", theory_delta=1e14,
-                           theory_smoothness=1.0, constant_phase=2000,
-                           decay_phase=0, averaging_window=100, batch=4,
-                           tau=1e-12, check_interval=100)
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=1e7,
+                           constant_phase=2000, decay_phase=0,
+                           averaging_window=100, batch=4, tau=1e-12,
+                           check_interval=100)
         with pytest.raises(SolverDivergence) as err:
             solve_sdot(target, cost, cfg, Rng(6), noise=noise)
+        assert "semidual estimate collapsed" in str(err.value)
         assert "iteration" in err.value.info
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
@@ -303,7 +266,7 @@ class TestSolveSdot:
 
 class TestStepSize:
     """AdaGrad halves its base rate at every check that fails to halve
-    the chi-square; theory schedules keep the theorem's rate."""
+    the chi-square; ``sgd-decay`` keeps the theorem's rate."""
 
     def test_demo_instance_stops_on_tau(self):
         # The instance and schedule of demos/01_solve_and_inspect.py at
@@ -354,15 +317,17 @@ class TestStepSize:
 
     def test_theory_schedule_never_halves(self):
         target, cost, noise = make_enumerated_instance(54, exact=False)
-        cfg = SolverConfig(optimizer="sgd-constant", theory_delta=1.0,
-                           theory_smoothness=50.0, constant_phase=200,
-                           decay_phase=0, averaging_window=50, batch=4,
-                           tau=1e-12, check_interval=20)
+        cfg = SolverConfig(optimizer="sgd-decay", base_lr=50**-0.5,
+                           constant_phase=200, decay_phase=0,
+                           averaging_window=50, batch=4, tau=1e-12,
+                           check_interval=20)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, Rng(14), metrics=sink, noise=noise)
         assert pot.provenance["lr_halvings"] == 0
-        assert {v for (k, name), v in sink.rows.items() if name == "lr"} \
-            == {lr_schedule(cfg, 0)}
+        rates = {k: v for (k, name), v in sink.rows.items() if name == "lr"}
+        assert len(rates) == 11
+        for k, v in rates.items():
+            assert v == lr_schedule(cfg, min(k, 199))
 
 
 class _Rows:
