@@ -146,7 +146,8 @@ def load_potential(path: str, target: TargetMeasure) -> Potential:
 def save_model(path: str, model: FlowModel, metadata: Optional[dict] = None) -> None:
     meta = dict(metadata or {})
     meta.update(dim=model.dim, sizes=model.sizes)
-    write_container(path, "model", {"theta": model.theta}, meta)
+    write_container(path, "model", {"theta": model.theta.astype(np.float64)},
+                    meta)
 
 
 def load_model(path: str) -> FlowModel:

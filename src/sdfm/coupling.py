@@ -49,8 +49,9 @@ def assign_batch(pot: Potential, noise: np.ndarray, rngs) -> np.ndarray:
     1 MiB and 4 d N scores whatever the batch size.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    u = np.concatenate([r.generator().random(hi - lo)
-                        for lo, hi, r in rng_batches(rngs, len(noise))])
+    u = np.empty(len(noise))
+    for lo, hi, r in rng_batches(rngs, len(noise)):
+        r.generator().random(out=u[lo:hi])
     idx = np.empty(len(noise), dtype=np.int64)
     if pot.eps == 0.0:
         for lo, hi, (part, tie_rows, tie_weights), _ in argmax_chunks(pot, noise):
@@ -67,8 +68,9 @@ def assign_batch(pot: Potential, noise: np.ndarray, rngs) -> np.ndarray:
 def couple_independent(target: TargetMeasure, noise: np.ndarray,
                        rngs) -> np.ndarray:
     """One index per noise row, drawn i.i.d. from the target weights."""
-    u = np.concatenate([r.generator().random(hi - lo) for lo, hi, r in
-                        rng_batches(rngs, len(np.atleast_2d(noise)))])
+    u = np.empty(len(np.atleast_2d(noise)))
+    for lo, hi, r in rng_batches(rngs, len(u)):
+        r.generator().random(out=u[lo:hi])
     return target.cdf.searchsorted(u, side="right")
 
 

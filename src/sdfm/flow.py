@@ -55,13 +55,14 @@ class FlowModel:
 
     Input is ``concat(x, t)``; hidden layers use tanh; the output
     layer is linear with dimension ``dim``. The parameters live in one
-    flat float64 vector, ``theta``; ``weights`` and ``biases`` are
+    flat float32 vector, ``theta``; ``weights`` and ``biases`` are
     per-layer views into it (:meth:`_views`), so whatever writes into
     ``theta`` (``set_theta``, the optimizer) updates the field. Sampling
     (:meth:`velocity`) and training (:func:`fm_loss_and_grad`) share one
-    float32 forward pass, :meth:`_forward`; :meth:`backprop` is float32
-    too. ``theta``, the gradient and Adam's moments stay float64. Either
-    has the bits of a plain float32 loop ``h = tanh(h @ w + b)``.
+    float32 forward pass, :meth:`_forward`, which reads the views with no
+    cast; :meth:`backprop`, the gradient and Adam's update are float32
+    too. Either pass has the bits of a plain float32 loop ``h = tanh(h @ w
+    + b)``. Model files store ``theta`` as float64 (``save_model``).
     """
 
     def __init__(self, dim: int, hidden=(128, 128, 128),
@@ -71,7 +72,7 @@ class FlowModel:
             raise ConfigurationError("hidden layer widths must be >= 1")
         self.sizes = [self.dim + 1, *hidden, self.dim]
         self.theta = np.zeros(sum((a + 1) * b for a, b in
-                                  zip(self.sizes, self.sizes[1:])))
+                                  zip(self.sizes, self.sizes[1:])), np.float32)
         self.weights, self.biases = self._views(self.theta)
         gen = (rng or Rng(0)).generator()
         for w in self.weights:
@@ -91,10 +92,16 @@ class FlowModel:
         return weights, biases
 
     def set_theta(self, theta: np.ndarray) -> None:
-        """Copy the finite vector ``theta`` into the parameters."""
+        """Copy the finite vector ``theta`` into the float32 parameters.
+        Raises ``FloatingPointError``, without a cast warning, if an entry
+        lies beyond float32's finite range."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != self.theta.shape or not np.all(np.isfinite(theta)):
             raise ConfigurationError(f"theta must be {self.theta.size} finite values")
+        with np.errstate(over="ignore"):
+            theta = theta.astype(np.float32)
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError("model parameters exceed the float32 range")
         self.theta[:] = theta
 
     def copy(self) -> "FlowModel":
@@ -106,32 +113,21 @@ class FlowModel:
 
     def snapshot(self) -> Callable:
         """The field ``v(t, x)`` of the current ``theta``, with the model's
-        ``dim``: :meth:`velocity` with one float32 cast of ``theta``
-        (``FloatingPointError`` beyond float32's range) and one set of bias
-        tiles for all its calls, the same rows bit for bit. A later write
-        to ``theta`` shows in the next snapshot only."""
-        params = self._params32()
+        ``dim``: :meth:`velocity` on one copy of ``theta`` and one set of
+        bias tiles for all its calls, the same rows bit for bit. A later
+        write to ``theta`` shows in the next snapshot only."""
+        params = self._views(self.theta.copy())
         field = partial(self.velocity, frozen=(params, _bias_tiles(params)))
         field.dim = self.dim
         return field
-
-    def _params32(self):
-        """Per-layer ``(weights, biases)`` views of ``theta`` cast once to
-        float32. Raises ``FloatingPointError``, without a cast warning, if
-        an entry lies beyond float32's finite range."""
-        with np.errstate(over="ignore"):
-            theta = self.theta.astype(np.float32)
-        if not np.all(np.isfinite(theta)):
-            raise FloatingPointError("model parameters exceed the float32 range")
-        return self._views(theta)
 
     # -- forward / backward -------------------------------------------------
 
     def _forward(self, params, t, x: np.ndarray, buffers=None):
         """Float32 pass of the rows ``concat(x, t)``, one time per row.
 
-        ``params`` comes from :meth:`_params32`. Returns ``(out, acts)``:
-        the output rows and, for :meth:`backprop`, each layer's input.
+        ``params`` is a :meth:`_views` pair. Returns ``(out, acts)``: the
+        output rows and, for :meth:`backprop`, each layer's input.
         With :meth:`velocity`'s ``buffers`` (``(block, dim + 1)`` input,
         ``(2, block · max(sizes))`` flat activations, bias tiles or
         ``None``), layer ``k`` writes a C-contiguous ``(rows, fan_out)`` view
@@ -163,23 +159,21 @@ class FlowModel:
     def velocity(self, t, x, frozen=None) -> np.ndarray:
         """Evaluate ``v(t, x)`` for a batch (or single point), in float32.
 
-        ``t`` is a scalar or one time per row. Each call casts ``theta``
-        once to float32 (:meth:`_params32`: ``FloatingPointError`` beyond
-        float32's range) unless given a :meth:`snapshot`'s ``frozen`` cast
-        and tiles, every layer computes in float32 (:meth:`_forward`), and
-        the rows are returned as float64 ``(len(x), dim)``.
+        ``t`` is a scalar or one time per row. Each call reads ``weights``
+        and ``biases`` unless given a :meth:`snapshot`'s ``frozen`` copy and
+        tiles, every layer computes in float32 (:meth:`_forward`), and the
+        rows are returned as float64 ``(len(x), dim)``.
 
         Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
         max(sizes))`` rows (2048 at width 64), through one input buffer and
         two flat activation buffers that every block reuses (and bias tiles
         built once per call, or per snapshot), and copied into the result:
-        beyond it and the float32 parameter copy, a call allocates at most
-        1.5 MiB plus ``BIAS_TILE_ROWS · Σ fan_out`` floats (194 KiB at d=2,
-        width 64), whatever ``len(x)``. Blocks start at multiples of the
-        block size, so each row of a whole block has the same bits at any
-        batch size.
+        beyond it, a call allocates at most 1.5 MiB plus ``BIAS_TILE_ROWS ·
+        Σ fan_out`` floats (194 KiB at d=2, width 64), whatever ``len(x)``.
+        Blocks start at multiples of the block size, so each row of a whole
+        block has the same bits at any batch size.
         """
-        params, tiles = frozen or (self._params32(), None)
+        params, tiles = frozen or ((self.weights, self.biases), None)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
@@ -200,11 +194,11 @@ class FlowModel:
     __call__ = velocity
 
     def backprop(self, params, acts: list, dout: np.ndarray) -> np.ndarray:
-        """Flat float64 gradient of ``sum(dout * out)`` in theta order.
+        """Flat float32 gradient of ``sum(dout * out)`` in theta order.
 
         ``params`` and ``acts`` are those of the :meth:`_forward` pass that
-        gave ``out``, so that pass is not run again. The backward pass
-        computes in float32; only the returned gradient is float64.
+        gave ``out``, so that pass is not run again. Each layer's input,
+        once its weight gradient is taken, is overwritten with ``1 - a**2``.
         """
         grad = np.empty(self.theta.size, dtype=np.float32)
         grads_w, grads_b = self._views(grad)
@@ -213,9 +207,11 @@ class FlowModel:
         for layer in range(len(acts) - 1, -1, -1):
             np.matmul(acts[layer].T, delta, out=grads_w[layer])
             np.matmul(ones, delta, out=grads_b[layer])
-            if layer > 0:
-                delta = (delta @ params[0][layer].T) * (1.0 - acts[layer] ** 2)
-        return grad.astype(np.float64)
+            if layer > 0:  # delta @ w.T * (1 - a**2), in that order
+                slope = np.subtract(1.0, np.square(acts[layer], out=acts[layer]),
+                                    out=acts[layer])
+                delta = np.multiply(delta @ params[0][layer].T, slope, out=slope)
+        return grad
 
 
 def _bias_tiles(params) -> list:
@@ -229,23 +225,23 @@ def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
     Row ``i`` of the noise ``x0`` is paired with row ``i`` of the data
     ``x1`` at time ``t[i]`` in ``[0, 1)``. Loss is the batch mean of
     ``||(x1 - x0) - v(t, x_t)||^2`` along the linear interpolant; the
-    gradient is a new flat float64 vector in ``theta`` order. The
-    interpolant, residual and loss are float64; the forward pass and
-    backprop are float32, with :meth:`FlowModel.velocity`'s range check.
-    A non-finite loss comes with an all-NaN gradient, not backpropagated,
-    and an overflow in backprop gives non-finite entries; neither warns.
+    gradient is a new flat float32 vector in ``theta`` order. The
+    interpolant, residual and loss are float64; the forward pass reads the
+    model's float32 views and backprop is float32. A non-finite loss comes
+    with an all-NaN gradient, not backpropagated, and an overflow in
+    backprop gives non-finite entries; neither warns.
     """
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("training times must lie in [0, 1)")
-    params = model._params32()
+    params = model.weights, model.biases
     tc = t.reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         out, acts = model._forward(params, t, (1.0 - tc) * x0 + tc * x1)
         residual = (x1 - x0) - out
         loss = float(np.mean(np.sum(residual**2, axis=1)))
         if not np.isfinite(loss):
-            return loss, np.full(model.theta.size, np.nan)
+            return loss, np.full(model.theta.size, np.nan, np.float32)
         # d loss / d out = -2 residual / B
         return loss, model.backprop(params, acts, -2.0 * residual / len(x0))
 
@@ -254,13 +250,14 @@ def fm_loss_and_grad(model: FlowModel, x0: np.ndarray, x1: np.ndarray, t):
 # Optimizer and training loop
 
 class _Adam:
-    """Adam with the standard constants; :meth:`step` updates in place."""
+    """Adam with the standard constants; :meth:`step` updates in place, in
+    the dtype of ``grad`` (float32 in training), bias corrections too."""
 
     LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8
     k = 0  # steps taken
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        # theta -= LR * m_hat / (sqrt(v_hat) + EPS), in that order: same bits.
+        # theta -= LR * m_hat / (sqrt(v_hat) + EPS), in that order.
         if not self.k:  # the moments and two buffers, shaped like grad
             self.m, self.v, self._a, self._b = map(np.zeros_like, [grad] * 4)
         self.k += 1
@@ -295,30 +292,36 @@ def train_flow(model: FlowModel, target: TargetMeasure,
     ``pair(noise, rngs)`` returns the target index of each noise row
     (:mod:`sdfm.coupling`) and is the only difference across runs: noise
     draws, time draws, and the parameter update are identical given
-    identical indices. Step ``s`` draws noise from ``rng.child(s).child(0)``,
-    pairs with ``.child(1)`` and draws its times uniform on ``[0,
-    T_MAX_TRAIN)`` from ``.child(2)``; a chunk of ``max(1, PAIR_CHUNK_ROWS //
-    batch)`` steps pairs in one call, logged as ``pair_batch_ms`` and per-row
-    ``time_per_pair_ms``; chunking changes no bit of the model. Adam updates a
-    copy's ``theta``. A non-finite loss or gradient raises ``FloatingPointError``.
+    identical indices. Step ``s`` draws its noise and then its times,
+    uniform on ``[0, T_MAX_TRAIN)``, from one ``rng.child(s).generator()``,
+    and pairs with ``rng.child(s).child(1)``. A chunk of ``max(1,
+    PAIR_CHUNK_ROWS // batch)`` steps draws into one noise array and pairs
+    in one call, logged as ``pair_batch_ms`` and per-row
+    ``time_per_pair_ms``; chunking changes no bit of the model. Adam updates
+    a copy's float32 ``theta``. A non-finite loss or gradient raises
+    ``FloatingPointError``.
     """
     model = model.copy()
     opt = _Adam()
     per_chunk = max(1, PAIR_CHUNK_ROWS // cfg.batch)
+    noise = np.empty((min(per_chunk, cfg.steps) * cfg.batch, model.dim))
+    times = np.empty((min(per_chunk, cfg.steps), cfg.batch))
     step_rngs = [rng.child(step) for step in range(cfg.steps)]
     start = time.perf_counter()
     for first in range(0, cfg.steps, per_chunk):
         rngs = step_rngs[first:first + per_chunk]
-        noise = np.concatenate([gaussian_starts(r.child(0), cfg.batch,
-                                                model.dim) for r in rngs])
-        t0 = time.perf_counter()
-        idx = pair(noise, [r.child(1) for r in rngs])
-        pair_ms = (time.perf_counter() - t0) * 1e3
         for k, step_rng in enumerate(rngs):
+            gen = step_rng.generator()
+            gen.standard_normal(out=noise[k * cfg.batch:(k + 1) * cfg.batch])
+            np.multiply(gen.random(out=times[k]), T_MAX_TRAIN, out=times[k])
+        chunk = noise[:len(rngs) * cfg.batch]
+        t0 = time.perf_counter()
+        idx = pair(chunk, [step_rng.child(1) for step_rng in rngs])
+        pair_ms = (time.perf_counter() - t0) * 1e3
+        for k in range(len(rngs)):
             step, rows = first + k, slice(k * cfg.batch, (k + 1) * cfg.batch)
-            t = step_rng.child(2).generator().random(cfg.batch) * T_MAX_TRAIN
-            loss, grad = fm_loss_and_grad(model, noise[rows],
-                                          target.points[idx[rows]], t)
+            loss, grad = fm_loss_and_grad(model, chunk[rows],
+                                          target.points[idx[rows]], times[k])
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at step {step}")
             if not np.isfinite(grad).all():
@@ -328,7 +331,7 @@ def train_flow(model: FlowModel, target: TargetMeasure,
                 wall = (time.perf_counter() - start) * 1e3
                 metrics.log(step, "fm_loss", loss, wall_ms=wall)
                 if not k:  # the chunk's pairing call
-                    metrics.log(step, "time_per_pair_ms", pair_ms / len(noise),
+                    metrics.log(step, "time_per_pair_ms", pair_ms / len(chunk),
                                 wall_ms=wall)
                     metrics.log(step, "pair_batch_ms", pair_ms, wall_ms=wall)
     return model

@@ -2,7 +2,9 @@
 
 The solver's reductions and updates run in float64. Only the eps=0 score
 slabs are float32, and their argmax is re-checked in float64 wherever
-float32 rounding could change it (:func:`sdfm.semidual.argmax_chunks`).
+float32 rounding could change it (:func:`sdfm.semidual.argmax_chunks`);
+the flow model's parameters and training update are float32
+(:class:`sdfm.flow.FlowModel`).
 Randomness flows through :class:`Rng` values, which wrap a counter-based
 (Philox) bit generator keyed on ``(seed, stream)``: the same value always
 reproduces the same draws, and child streams derived with
@@ -12,6 +14,9 @@ one prefix-stable draw of ``rng.generator().random(n)``: row ``i`` always
 gets the ``i``-th uniform of its batch's stream (:func:`rng_batches`).
 Gaussian starts follow the same rule: ``flow.gaussian_starts`` is one
 ``rng.generator().standard_normal((n, d))`` block, prefix-stable in ``n``.
+A training step draws its noise block and then its times from one
+generator, ``rng.child(step).generator()``, and pairs with
+``rng.child(step).child(1)`` (``flow.train_flow``).
 
 The score-slab reducers map over the slabs of the one scan loop, with one
 mode each, on the caller's arrays: at eps>0 an in-place exp pass over the

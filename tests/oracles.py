@@ -26,7 +26,7 @@ from scipy.special import ndtr, ndtri
 
 from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
 from sdfm.coupling import SinkhornError, sinkhorn_log
-from sdfm.flow import T_MAX_TRAIN, _Adam, fm_loss_and_grad, gaussian_starts
+from sdfm.flow import T_MAX_TRAIN, _Adam, fm_loss_and_grad
 from sdfm.numerics import (
     ARGMAX_TIE_TOL,
     Rng,
@@ -377,20 +377,23 @@ def score_eps_positive(model, x: np.ndarray, t: float,
     return (t * model(t, x) - x + delta) / (1.0 - t)
 
 
-def _forward_float64(model, t, x):
-    """Float64 output rows of ``model`` at ``(t, x)`` and the input of
-    every layer, through its float64 ``weights`` and ``biases``."""
+def _forward_float64(model, t, x, theta=None):
+    """Float64 output rows of ``model`` at ``(t, x)``, the input of every
+    layer and the float64 weights: those of the flat vector ``theta``, by
+    default the model's float32 ``theta`` cast to float64."""
+    weights, biases = model._views(
+        model.theta.astype(np.float64) if theta is None else theta)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t_col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
                             (len(x), 1))
     h = np.concatenate([x, t_col], axis=1)
     acts = []
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for k, (w, b) in enumerate(zip(weights, biases)):
         acts.append(h)
         h = h @ w + b
-        if k < len(model.weights) - 1:
+        if k < len(weights) - 1:
             h = np.tanh(h)
-    return h, acts
+    return h, acts, weights
 
 
 def velocity_float64(model, t, x) -> np.ndarray:
@@ -415,40 +418,43 @@ def velocity_float32(model, t, x) -> np.ndarray:
 
 
 def fm_loss_and_grad_float64(model, x0: np.ndarray, x1: np.ndarray,
-                             t: np.ndarray):
+                             t: np.ndarray, theta=None):
     """Float64 flow-matching loss and gradient: the reference for
     :func:`~sdfm.flow.fm_loss_and_grad`'s float32 pass.
 
     The batch mean of ``||(x1 - x0) - v(t, x_t)||^2`` along the linear
-    interpolant, and its exact gradient in ``theta`` order by backprop
-    through the float64 layers.
+    interpolant, and its exact float64 gradient in ``theta`` order by
+    backprop through the float64 layers of ``theta`` (by default the
+    model's, cast to float64).
     """
     tc = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    out, acts = _forward_float64(model, t, (1.0 - tc) * x0 + tc * x1)
+    out, acts, weights = _forward_float64(model, t, (1.0 - tc) * x0 + tc * x1,
+                                          theta)
     residual = (x1 - x0) - out
     delta = -2.0 * residual / len(x0)  # d loss / d out
-    grad = np.empty_like(model.theta)
+    grad = np.empty(model.theta.size)
     grads_w, grads_b = model._views(grad)
-    for layer in range(len(model.weights) - 1, -1, -1):
+    for layer in range(len(weights) - 1, -1, -1):
         grads_w[layer][...] = acts[layer].T @ delta
         grads_b[layer][...] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
+            delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
     return float(np.mean(np.sum(residual**2, axis=1))), grad
 
 
 def train_flow_per_step(model, target: TargetMeasure, pair, cfg,
                         rng: Rng):
     """:func:`~sdfm.flow.train_flow` with one ``pair`` call per step, on
-    that step's noise and ``rng.child(step).child(1)`` alone: the same
-    streams, loss and Adam update, so the same ``theta`` bits."""
+    that step's noise and ``rng.child(step).child(1)`` alone: the noise and
+    then the times from one ``rng.child(step).generator()``, the same loss
+    and Adam update, so the same ``theta`` bits."""
     model = model.copy()
     opt = _Adam()
     for step in range(cfg.steps):
-        step_rng = rng.child(step)
-        noise = gaussian_starts(step_rng.child(0), cfg.batch, model.dim)
-        idx = pair(noise, step_rng.child(1))
-        t = step_rng.child(2).generator().random(cfg.batch) * T_MAX_TRAIN
+        gen = rng.child(step).generator()
+        noise = gen.standard_normal((cfg.batch, model.dim))
+        idx = pair(noise, rng.child(step).child(1))
+        t = gen.random(cfg.batch) * T_MAX_TRAIN
         _, grad = fm_loss_and_grad(model, noise, target.points[idx], t)
         opt.step(model.theta, grad)
     return model

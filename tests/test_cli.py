@@ -1060,13 +1060,13 @@ class TestExitCodes:
                                      monkeypatch, case):
         command, kind, value = case.split("-", 2)
         if case.startswith("train-theta"):
-            # Initial parameters beyond float32's finite range, which the
-            # training step refuses as the velocity does.
+            # Initial parameters beyond float32's finite range, which
+            # set_theta refuses as loading a model file does.
             init = cli.FlowModel
 
             def scaled(*args, **kwargs):
                 model = init(*args, **kwargs)
-                model.theta *= float(value)
+                model.set_theta(model.theta.astype(np.float64) * float(value))
                 return model
 
             monkeypatch.setattr(cli, "FlowModel", scaled)
@@ -1108,7 +1108,10 @@ class TestExitCodes:
     def test_training_data_beyond_float32_exits_4_without_warnings(
             self, tmp_path, capsys):
         # Data beyond float32's range overflows the float32 forward pass:
-        # one error line and exit 4, with no RuntimeWarning on the way.
+        # one error line and exit 4, with no RuntimeWarning on the way. At
+        # these draws every interpolant row overflows to +-inf, the hidden
+        # tanh saturates, so the loss is finite (about 1.7e78) and backprop
+        # overflows.
         data = str(tmp_path / "big.sdfm")
         points = Rng(7).generator().standard_normal((64, 2)) * 1e39
         artifacts.save_dataset(data, points, None, {"name": "big", "seed": 0})
@@ -1121,7 +1124,7 @@ class TestExitCodes:
             assert main(argv) == 4
         assert not caught
         err = capsys.readouterr().err
-        assert err == "error: non-finite loss at step 0\n"
+        assert err == "error: non-finite gradient at step 0\n"
 
     def test_non_finite_gradient_exits_4_without_warnings(
             self, tmp_path, blob, capsys, monkeypatch):
