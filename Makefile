@@ -50,9 +50,11 @@ loc:
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
 # differ only in the coupling -> samples -> metrics. The solve sets its own
-# step size and stops on tau (exit 0) at iteration 18000, after about 30 s
-# (31 s on an idle two-core box; 30 s at solver seed 1, and 27 s at seed 2,
-# which stops at iteration 16000).
+# step size and stops on tau (exit 0) at iteration 18000, after about 37 s
+# on a two-core box (36.5 and 36.7 s at solver seed 0, 36.3 and 38.8 s at
+# seed 1, and 32.7 and 33.0 s at seed 2, which stops at iteration 16000;
+# one fresh process each). The same box took 41-46 s before the eps=0
+# score stream's padded stride.
 toy-2d:
 	mkdir -p $(OUT)
 	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm

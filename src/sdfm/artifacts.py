@@ -158,10 +158,8 @@ def load_model(path: str) -> FlowModel:
     if not isinstance(meta["sizes"], list):
         raise ContainerError(f"{path}: sizes is {meta['sizes']!r}, not a list")
     sizes = [_number(path, "sizes", s, integral=True) for s in meta["sizes"]]
-    model = FlowModel(dim=_number(path, "dim", meta["dim"], integral=True),
-                      hidden=tuple(sizes[1:-1]))
-    model.set_theta(arrays["theta"])
-    return model
+    return FlowModel(dim=_number(path, "dim", meta["dim"], integral=True),
+                     hidden=tuple(sizes[1:-1]), theta=arrays["theta"])
 
 
 def save_pairs(path: str, noise: np.ndarray, indices: np.ndarray,

@@ -66,7 +66,9 @@ class FlowModel:
     """
 
     def __init__(self, dim: int, hidden=(128, 128, 128),
-                 rng: Optional[Rng] = None):
+                 rng: Optional[Rng] = None, theta: Optional[np.ndarray] = None):
+        """Zero biases and scaled normal weights drawn from ``rng``, or with
+        ``theta`` the parameters :meth:`set_theta` copies from it."""
         self.dim = int(dim)
         if any(int(h) < 1 for h in hidden):
             raise ConfigurationError("hidden layer widths must be >= 1")
@@ -74,6 +76,9 @@ class FlowModel:
         self.theta = np.zeros(sum((a + 1) * b for a, b in
                                   zip(self.sizes, self.sizes[1:])), np.float32)
         self.weights, self.biases = self._views(self.theta)
+        if theta is not None:
+            self.set_theta(theta)
+            return
         gen = (rng or Rng(0)).generator()
         for w in self.weights:
             w[...] = gen.standard_normal(w.shape) * np.sqrt(2.0 / sum(w.shape))
@@ -105,11 +110,7 @@ class FlowModel:
         self.theta[:] = theta
 
     def copy(self) -> "FlowModel":
-        out = FlowModel.__new__(FlowModel)
-        out.dim, out.sizes = self.dim, list(self.sizes)
-        out.theta = self.theta.copy()
-        out.weights, out.biases = out._views(out.theta)
-        return out
+        return FlowModel(self.dim, self.sizes[1:-1], theta=self.theta)
 
     def snapshot(self) -> Callable:
         """The field ``v(t, x)`` of the current ``theta``, with the model's

@@ -90,14 +90,18 @@ def rng_batches(rngs, n: int) -> list:
     return [(k * per, (k + 1) * per, r) for k, r in enumerate(rngs)]
 
 
-def top_two(scores: np.ndarray):
+def top_two(scores: np.ndarray, starts: np.ndarray | None = None):
     """``(idx, first, second)``: each row's argmax, maximum, and maximum of
     its other entries, by two argmax passes and gathers, which cost less
     than a max pass. The maxima are set to ``-inf`` for the second pass and
     restored, through flat positions, so ``scores`` must be writable (a
-    copy of it is written if it is not C-contiguous)."""
+    copy of it is written if it is not C-contiguous). ``starts``, each
+    row's flat start ``i * scores.shape[1]`` for at least as many rows, lets
+    a stream of equally wide slabs make it once."""
     flat = scores.reshape(-1)
-    starts = np.arange(0, flat.size, scores.shape[1])
+    if starts is None:
+        starts = np.arange(0, flat.size, scores.shape[1])
+    starts = starts[:len(scores)]
     idx = scores.argmax(axis=1)
     pos = idx + starts
     first = flat[pos]

@@ -39,12 +39,15 @@ certified bound of each row's exponents ``(g_j - c(x, y_j)) / eps + log
 b_j``, folded into the matmul, leaves a slab only the exp (a loose one, its
 row maximum).
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
-buffer, yielded as cache-sized row slabs. Every reducer maps over its
-slabs: :func:`_column_sums` takes one unnormalised exp pass per slab of
+buffer, yielded as cache-sized row slabs, at eps=0 on a row stride padded
+with ``-inf`` off whole pages. Every reducer maps over its slabs:
+:func:`_column_sums` takes one unnormalised exp pass per slab of
 exponents at eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
-:func:`argmax_chunks`, the float64 tie rule's (the float32 argmax wherever
-a rounding bound proves it, a float64 re-check of the slab's few other
-rows). The semidual value, gradient, second marginal and chi-square read
+:func:`argmax_chunks`, the float64 tie rule's. That stream runs every
+float32 block and argmax pass first, with its bookkeeping once per
+stream: the float32 argmax stands wherever a rounding bound proves it,
+and each slab's few other rows are re-checked in float64 as it is
+yielded. The semidual value, gradient, second marginal and chi-square read
 its column sums and soft-c transform. Pairing reads the same streams.
 :func:`chi2_batches` is the one streamed-noise loop.
 """
@@ -208,10 +211,13 @@ class Potential:
         if not np.all(np.isfinite(self.g)):
             raise ConfigurationError("potential entries must be finite")
         if self.eps == 0.0:  # its own lifted support (coupling_scores),
-            # made here, so a scan allocates no more than its block
+            # made here, so a scan allocates no more than its block; the
+            # float32 one on a cache line (_aligned): off it, a 1024-row
+            # gradient at N = 4096, d = 2 took 15 % longer
             self._lifted = self._space._lifted[:-1].copy()
+            self._single = _aligned(self._lifted.shape, np.float32)
             with np.errstate(over="ignore"):
-                self._single = self._lifted.astype(np.float32)
+                self._single[...] = self._lifted
 
     @property
     def eps(self) -> float:
@@ -279,6 +285,7 @@ BOUND_MARGIN = 300.0  # an eps>0 row bound's slack: e^-300 squared is normal
 
 _UNIT32 = 2.0**-24  # float32's unit roundoff
 _TINY32 = 2.0**-124  # four times float32's smallest normal number
+_PAD = 16  # float32 columns, one 64-byte cache line, of a padded eps=0 row
 
 
 def _tile_rows(n: int, d: int, itemsize: int) -> tuple[int, int]:
@@ -292,7 +299,8 @@ def _aligned(shape, dtype) -> np.ndarray:
     """``np.empty(shape, dtype)`` starting on a 64-byte cache line. From
     numpy's 16-byte alignment a slab pass's 64-byte loads straddle two
     lines: a 1024-row eps=0 gradient at N = 4096, d = 2 took 1500 µs from
-    offsets 16 to 112 (mod 64), 1300 µs aligned."""
+    offsets 16 to 112 (mod 64), 1300 µs aligned (before the padded row
+    stride of :func:`score_chunks`)."""
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     raw = np.empty(size + 64, np.uint8)
     lo = -raw.ctypes.data % 64
@@ -379,13 +387,21 @@ def score_chunks(pot: Potential, x: np.ndarray):
     for the next. Slabs hold float64 shifted exponents at eps>0 and float32
     scores at eps=0, where :func:`argmax_chunks` reduces them. An eps=0
     stream writes its potential's float32 shift row when it starts, and
-    lifts each block's rows into one reused float32 array.
+    lifts each block's rows into one reused float32 array. Where ``4 N`` is
+    a multiple of 4 KiB its rows are :data:`_PAD` ``-inf`` columns longer,
+    so its slabs are ``(rows, N + 16)``, a pad never a row's maximum: a row
+    stride of whole pages aliases in cache, and the K = 3 matmul of a
+    64-row block at N = 4096 took 51 µs, against 37 µs padded.
+    :func:`coupling_scores` writes the ``(rows, N)`` view; the argmax
+    passes read the padded rows whole, at a third of a strided view's cost.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = pot.target.n
     dtype = np.dtype(np.float32 if pot.eps == 0.0 else np.float64)
-    block, slab = _tile_rows(pot.target.n, pot.support.shape[1],
-                             dtype.itemsize)
-    buf = _aligned((min(block, x.shape[0]), pot.target.n), dtype)
+    block, slab = _tile_rows(n, pot.support.shape[1], dtype.itemsize)
+    stride = n + _PAD if pot.eps == 0.0 and n % 1024 == 0 else n
+    buf = _aligned((min(block, x.shape[0]), stride), dtype)
+    buf[:, n:] = -np.inf
     shift = np.empty(x.shape[0] if pot.eps else 0)
     if pot.eps == 0.0:
         pot._single[-1] = _shift(pot)
@@ -397,10 +413,10 @@ def score_chunks(pot: Potential, x: np.ndarray):
         if pot.eps == 0.0:  # [a x_i, 1]: a x_i in float64, stored in float32
             rows = rows32[:hi - lo]
             np.multiply(pot.cost.embed(x[lo:hi]), a, out=rows[:, :-1])
-        scores = coupling_scores(pot, rows, buf[:hi - lo], shift[lo:hi])
+        coupling_scores(pot, rows, buf[:hi - lo, :n], shift[lo:hi])
         for s in range(lo, hi, slab):
             e = min(s + slab, hi)
-            yield s, e, scores[s - lo:e - lo], shift[s:e]
+            yield s, e, buf[s - lo:e - lo], shift[s:e]
 
 
 def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
@@ -411,14 +427,16 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     ``top`` (else ``None``), each row's maximum float64 score, gathered
     from the row's chosen column, an O(rows d) step.
 
-    Each float32 slab gives its rows' argmax and top-two gap
-    (:func:`~sdfm.numerics.top_two`). The rows that the rounding bound
-    below cannot settle are rescored in float64 through
-    :func:`coupling_scores`, and :func:`~sdfm.numerics.argmax_with_ties`
-    resolves them, so there is one tie rule. Both read only the potential's
-    own lifted support, so streams of other potentials may interleave. One
-    ``errstate`` per slab covers the stream's float32 casts and matmul and
-    the slab's top-two pass.
+    The stream's float32 work runs first, under one ``errstate``, with no
+    yield: per block its matmul, and per slab the two argmax passes of
+    :func:`~sdfm.numerics.top_two`, which give each row's argmax and
+    top-two gap. Then one test of every row's gap against the rounding
+    bound below picks the rows it cannot settle. They are rescored in
+    float64 through :func:`coupling_scores`, one call for the rows of
+    each slab as it is yielded, and :func:`~sdfm.numerics.argmax_with_ties`
+    resolves them, so there is one tie rule and the slabs' tie rows come
+    in scan order. Both read only the potential's own lifted support, so
+    streams of other potentials may interleave.
 
     **The rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n = n u /
     (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik| max_j
@@ -449,34 +467,38 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     shift = _shift(pot)
+    idx, gap, slabs = np.empty(len(x), np.intp), np.empty(len(x)), []
     with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, scores, _ in score_chunks(pot, x):
+            if not slabs:  # the first slab is the widest
+                starts = np.arange(0, scores.size, scores.shape[1])
+            idx[lo:hi], first, second = top_two(scores, starts)
+            np.subtract(first, second, out=gap[lo:hi], dtype=np.float64)
+            slabs.append((lo, hi))
+        scores = None  # frees the block buffer before β_i's temporaries
         bound = _f32_range(a * np.abs(pot.cost.embed(x))) @ \
             (gamma * coord_max + _TINY32)
         bound += gamma * _f32_range(max(shift.max(), -shift.min())) + \
             _TINY32 * (coord_max.sum() + k + 1)
         bound[~(bound < gamma * 2.0**126)] = np.inf
-    limit = 2.0 * bound + ARGMAX_TIE_TOL
-    slabs = score_chunks(pot, x)
-    while True:  # next() runs the stream's float32 casts and matmul
-        with np.errstate(over="ignore", invalid="ignore"):
-            if (slab := next(slabs, None)) is None:
-                return
-            lo, hi, scores, _ = slab
-            idx, first, second = top_two(scores)
-            gap = np.subtract(first, second, dtype=np.float64)
-        recheck = np.flatnonzero(~(gap > limit[lo:hi]))
-        tie_rows, tie_weights = recheck, np.empty((0, pot.target.n))
-        if recheck.size:
+        recheck = np.flatnonzero(~(gap > 2.0 * bound + ARGMAX_TIE_TOL))
+    ends = np.searchsorted(recheck, [hi for _, hi in slabs]).tolist()
+    no_weights = np.empty((0, pot.target.n))
+    for (lo, hi), c, end in zip(slabs, [0] + ends, ends):
+        part, rows = idx[lo:hi], recheck[c:end]
+        tie_rows, tie_weights = rows, no_weights
+        if rows.size:
+            rows = rows - lo
             sub, ties, tie_weights = argmax_with_ties(
-                coupling_scores(pot, x[lo + recheck]), pot.target.weights)
-            idx[recheck] = sub
-            tie_rows = recheck[ties]
+                coupling_scores(pot, x[lo + rows]), pot.target.weights)
+            part[rows] = sub
+            tie_rows = rows[ties]
         peak = None
         if top:  # the chosen columns, with this stream's shift row
-            cols = pot._lifted[:, idx]
-            cols[-1] = shift[idx]
+            cols = pot._lifted[:, part]
+            cols[-1] = shift[part]
             peak = np.vecdot(_lifted_rows(pot, x[lo:hi]), cols.T)
-        yield lo, hi, (idx, tie_rows, tie_weights), peak
+        yield lo, hi, (part, tie_rows, tie_weights), peak
 
 
 def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,

@@ -211,9 +211,11 @@ class TestParameterVector:
         _assert_views_of_theta(out)
         assert np.any(out.theta != model.theta)
 
-    def test_trained_model_file_keeps_the_theta_bits(self, tmp_path):
+    def test_trained_model_file_keeps_the_theta_bits(self, tmp_path,
+                                                       monkeypatch):
         # The file stores float64, as before theta became float32; loading
-        # it gives back the trained float32 theta bit for bit.
+        # it gives back the trained float32 theta bit for bit, and draws no
+        # initial weights for set_theta to overwrite.
         target = TargetMeasure.from_points(
             Rng(58).generator().standard_normal((64, 2)))
         model = train_flow(FlowModel(dim=2, hidden=(16, 8), rng=Rng(58)),
@@ -224,6 +226,11 @@ class TestParameterVector:
         stored = read_container(path)[2]["theta"]
         assert stored.dtype == np.float64
         np.testing.assert_array_equal(stored, model.theta)
+
+        def draw(rng):
+            raise AssertionError("loading a model draws no initial weights")
+
+        monkeypatch.setattr(Rng, "generator", draw)
         loaded = artifacts.load_model(path)
         assert loaded.theta.dtype == np.float32
         assert loaded.theta.tobytes() == model.theta.tobytes()

@@ -577,6 +577,48 @@ class TestStreamingMemory:
                     slabs = sum(-(-rows // 64) for rows in blocks)
                     assert len(rechecks) <= (slabs if eps == 0.0 else 0)
 
+    @pytest.mark.parametrize("n", [4096, 3000])  # a padded row stride, a plain one
+    def test_eps0_scans_score_rows_times_n_float32_entries(self, n, monkeypatch):
+        # Pairing, a solver step and a chi-square check each score every
+        # row once in float32, on its N columns alone, and rescore in
+        # float64 only the rows the rounding bound leaves open: here every
+        # 50th row, whose nearest point is the longest one, which the last
+        # point repeats.
+        gen = Rng(36).generator()
+        ys = gen.standard_normal((n, 2))
+        far = np.argmax(np.sum(ys * ys, axis=1))
+        ys[-1] = ys[far]
+        g = 0.01 * gen.standard_normal(n)
+        g[-1] = g[far]
+        pot = _simple_potential(g, ys, kind=SQ_EUCLIDEAN)
+
+        class Planted:
+            @staticmethod
+            def sample(rng, rows):
+                x = rng.generator().standard_normal((rows, 2))
+                x[::50] = 100.0 * ys[far]
+                return x
+
+        entries = {np.float32: 0, np.float64: 0}
+        scores = semidual.coupling_scores
+
+        def counted(pot, x, out=None, shift=None):
+            got = scores(pot, x, out, shift)
+            entries[got.dtype.type] += got.size
+            return got
+
+        monkeypatch.setattr(semidual, "coupling_scores", counted)
+        x = Planted.sample(Rng(37), 1000)
+        for run, rows in ((lambda: assign_batch(pot, x, Rng(38)), 1000),
+                          (lambda: stochastic_gradient(pot, x), 1000),
+                          (lambda: semidual.chi2_batches(pot, Rng(39), 2500, 1000,
+                                                         Planted), 2500)):
+            entries.update({np.float32: 0, np.float64: 0})
+            run()
+            assert entries[np.float32] == rows * n
+            assert entries[np.float64] % n == 0
+            assert -(-rows // 50) <= entries[np.float64] // n < rows // 10
+
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_block_buffer_starts_on_a_cache_line(self, eps):
         # A slab pass over a buffer off a 64-byte line splits its loads.
@@ -1226,3 +1268,52 @@ class TestFloat32Eps0Scan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self._check_against_float64(pot, x)
+
+
+class TestPaddedRowStride:
+    """An eps=0 stream's rows of N = 4096 float32 scores are 16 ``-inf``
+    columns longer, a 64-byte line (:func:`semidual.score_chunks`); rows of
+    N = 4095 are not padded. Either way the stream gives what the tie rule
+    gives on the dense float64 scores, so no pad column wins a row: on
+    exact ties with the last column, next to the pad; on rows whose float32
+    scores overflow; and on rows that hold a NaN."""
+
+    @pytest.mark.parametrize("n", [4096, 4095])
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("g_scale", [0.01, 1e38])
+    def test_a_pad_column_never_wins(self, n, kind, g_scale):
+        gen = Rng(66).generator()
+        ys = gen.standard_normal((n, 2))
+        far = np.argmax(np.sum(ys * ys, axis=1))
+        ys[-1] = ys[far]
+        g = g_scale * (1.0 + 1e-9 * gen.standard_normal(n))
+        g[far] = g[-1] = g.max()
+        pot = _simple_potential(g, ys, kind=kind)
+        x = gen.standard_normal((300, 2))
+        x[::7] = 100.0 * ys[far]  # exact ties
+        # float32 overflow: at most 3e38 a coordinate, over 4e38 a score
+        x[3::11] = ys[far] * (gen.uniform(1e38, 3e38, (27, 1)) / np.abs(ys[far]).max())
+        x[5::23, 1] = np.nan
+
+        with np.errstate(over="ignore", invalid="ignore"):  # its consumer's
+            _, _, slab, _ = next(semidual.score_chunks(pot, x))
+        assert slab.shape[1] == (n + 16 if n == 4096 else n)
+        assert np.all(slab[:, n:] == -np.inf)
+        assert np.isinf(slab[3, :n]).any() and np.isnan(slab[5, :n]).all()
+        b = pot.target.weights
+        want_idx, want_ties, want_weights = argmax_with_ties(
+            semidual.coupling_scores(pot, x), b)
+        idx, ties, weights = [], [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi, (part, tie_rows, tie_weights), _ in \
+                    semidual.argmax_chunks(pot, x):
+                idx.append(part.copy())
+                ties.append(lo + tie_rows)
+                weights.append(tie_weights)
+        idx = np.concatenate(idx)
+        assert idx.max() < n
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(np.concatenate(ties), want_ties)
+        np.testing.assert_array_equal(np.vstack(weights), want_weights)
+        assert len(want_ties) >= 30
