@@ -54,7 +54,7 @@ def assign_batch(pot: Potential, noise: np.ndarray, rngs) -> np.ndarray:
         r.generator().random(out=u[lo:hi])
     idx = np.empty(len(noise), dtype=np.int64)
     if pot.eps == 0.0:
-        for lo, hi, (part, tie_rows, tie_weights), _ in argmax_chunks(pot, noise):
+        for lo, hi, (part, tie_rows, tie_weights) in argmax_chunks(pot, noise):
             if tie_rows.size:
                 part[tie_rows] = inverse_cdf(tie_weights, u[lo + tie_rows])
             idx[lo:hi] = part

@@ -28,28 +28,25 @@ live in the coupling space (the raw rows, or their PCA projection):
 measure: its target, or the target embedded once per potential.
 
 Both costs score in one matmul, up to a per-row constant that cancels in
-every responsibility, argmax and draw. Its right operand is a lifted
-support. At eps>0 it is the target's, one C-contiguous ``(d + 2, N)``
-array: the support's d coordinate rows, the shift row that each
-:func:`coupling_scores` call writes from its own potential, and a ones row.
-At eps=0 each potential has its own first d + 1 rows, in float64 and in
-float32, whose float32 shift row each :func:`score_chunks` stream writes
-once: an eps=0 scan writes no array that potentials share. At eps>0 a
-certified bound of each row's exponents ``(g_j - c(x, y_j)) / eps + log
-b_j``, folded into the matmul, leaves a slab only the exp (a loose one, its
-row maximum).
+every responsibility, argmax and draw. Its right operand is the
+coupling-space target's lifted support, one C-contiguous ``(d + 2, N)``
+array of the support's d coordinate rows, a shift row and a ones row (at
+eps=0 its first d + 1 rows, or their float32 copy). The target owns every
+array derived from the support; each score call writes its potential's
+shift row there just before a use that does not yield, so streams of
+potentials may interleave. At eps>0 a certified bound of each row's
+exponents ``(g_j - c(x, y_j)) / eps + log b_j``, folded into the matmul,
+leaves a slab only the exp (a loose one, its row maximum).
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
 buffer, yielded as cache-sized row slabs, at eps=0 on a row stride padded
 with ``-inf`` off whole pages. Every reducer maps over its slabs:
-:func:`_column_sums` takes one unnormalised exp pass per slab of
-exponents at eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
-:func:`argmax_chunks`, the float64 tie rule's. That stream runs every
-float32 block and argmax pass first, with its bookkeeping once per
-stream: the float32 argmax stands wherever a rounding bound proves it,
-and each slab's few other rows are re-checked in float64 as it is
-yielded. The semidual value, gradient, second marginal and chi-square read
-its column sums and soft-c transform. Pairing reads the same streams.
-:func:`chi2_batches` is the one streamed-noise loop.
+:func:`_column_sums` takes one unnormalised exp pass per slab of exponents
+at eps>0 (:mod:`sdfm.numerics`), and at eps=0 the result of
+:func:`argmax_chunks`, the float64 tie rule's: its float32 argmax stands
+wherever a rounding bound proves it, and each slab's few other rows are
+re-checked in float64. The semidual value, gradient, second marginal and
+chi-square read its column sums and soft-c transform. Pairing reads the
+same streams. :func:`chi2_batches` is the one streamed-noise loop.
 """
 
 from __future__ import annotations
@@ -104,7 +101,8 @@ class TargetMeasure:
     Pairing resolves indices to these rows; the scores see them through
     :attr:`Potential.support`. The points are stored once, as the first d
     rows of the ``(d + 2, N)`` lifted support, so ``points`` is their
-    F-ordered ``(N, d)`` transposed view.
+    F-ordered ``(N, d)`` transposed view. It owns every array that the
+    scores derive from them (the module docstring).
     """
 
     points: np.ndarray  # (N, d), finite
@@ -178,6 +176,25 @@ class TargetMeasure:
         return cdf
 
     @cached_property
+    def _single(self) -> np.ndarray:
+        """The lifted support's first d + 1 rows in float32 for eps=0 streams,
+        on a cache line: off it, a 1024-row gradient took 15 % longer."""
+        single = _aligned((self.dim + 1, self.n), np.float32)
+        with np.errstate(over="ignore"):
+            single[...] = self._lifted[:-1]
+        return single
+
+    @cached_property
+    def _sq_norms(self) -> np.ndarray:
+        # |y_j|^2 from C-ordered 1024-point blocks: einsum over the strided
+        # points view rounds some norms differently.
+        norms = np.empty(self.n)
+        for lo in range(0, self.n, 1024):
+            s = np.ascontiguousarray(self.points[lo:lo + 1024])
+            norms[lo:lo + 1024] = np.einsum("ij,ij->i", s, s)
+        return norms
+
+    @cached_property
     def _coord_range(self) -> np.ndarray:
         """Each coordinate row's largest ``|entry|``, ``inf`` from ``2^127``
         up (:func:`argmax_chunks`)."""
@@ -196,7 +213,8 @@ class Potential:
     """Dual vector ``g`` bound to its target, cost, and solver provenance.
 
     Gauge convention: ``<b, g> = 0`` (the additive constant of the dual
-    is unidentifiable), applied by :func:`gauge_fix`.
+    is unidentifiable), applied by :func:`gauge_fix`. The scores read
+    only the arrays of its coupling-space target, :attr:`_space`.
     """
 
     g: np.ndarray
@@ -210,14 +228,6 @@ class Potential:
             raise ConfigurationError("potential length must match the target size")
         if not np.all(np.isfinite(self.g)):
             raise ConfigurationError("potential entries must be finite")
-        if self.eps == 0.0:  # its own lifted support (coupling_scores),
-            # made here, so a scan allocates no more than its block; the
-            # float32 one on a cache line (_aligned): off it, a 1024-row
-            # gradient at N = 4096, d = 2 took 15 % longer
-            self._lifted = self._space._lifted[:-1].copy()
-            self._single = _aligned(self._lifted.shape, np.float32)
-            with np.errstate(over="ignore"):
-                self._single[...] = self._lifted
 
     @property
     def eps(self) -> float:
@@ -236,16 +246,6 @@ class Potential:
             return self.target
         return TargetMeasure(points=self.cost.embed(self.target.points),
                              weights=self.target.weights)
-
-    @cached_property
-    def _sq_norms(self) -> np.ndarray:
-        # From C-ordered copies of 1024-point blocks: einsum over the strided
-        # support view rounds some norms differently.
-        norms = np.empty(len(self.support))
-        for lo in range(0, len(norms), 1024):
-            s = np.ascontiguousarray(self.support[lo:lo + 1024])
-            norms[lo:lo + 1024] = np.einsum("ij,ij->i", s, s)
-        return norms
 
 
 def gauge_fix(g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -296,11 +296,9 @@ def _tile_rows(n: int, d: int, itemsize: int) -> tuple[int, int]:
 
 
 def _aligned(shape, dtype) -> np.ndarray:
-    """``np.empty(shape, dtype)`` starting on a 64-byte cache line. From
+    """``np.empty(shape, dtype)`` starting on a 64-byte cache line: from
     numpy's 16-byte alignment a slab pass's 64-byte loads straddle two
-    lines: a 1024-row eps=0 gradient at N = 4096, d = 2 took 1500 µs from
-    offsets 16 to 112 (mod 64), 1300 µs aligned (before the padded row
-    stride of :func:`score_chunks`)."""
+    lines."""
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     raw = np.empty(size + 64, np.uint8)
     lo = -raw.ctypes.data % 64
@@ -328,7 +326,7 @@ def _lifted_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
 def _shift(pot: Potential) -> np.ndarray:
     """The scores' shift row: ``g``, less ``|y_j|^2`` at the squared
     Euclidean cost."""
-    return pot.g if pot.cost.kind == NEG_DOT else pot.g - pot._sq_norms
+    return pot.g if pot.cost.kind == NEG_DOT else pot.g - pot._space._sq_norms
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
@@ -338,15 +336,15 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     and at eps>0 the softmax's exponents ``t_ij = z_ij / eps + log b_j``,
     up to a per-row constant: one matmul of the rows ``[a x_i, 1]`` (in
     coupling space, the coordinates over ``eps`` at eps>0) by the first d +
-    1 rows of a lifted support (the module docstring), whose shift row this
-    call first sets from its own potential: ``g`` (less ``|y_j|^2`` for the
-    squared Euclidean cost), at eps>0 over ``eps`` plus ``log b``. As ``g_j
-    - |x - y_j|^2 = 2 <x, y_j> + (g_j - |y_j|^2) - |x|^2``, squared
-    Euclidean scores (``a = 2``) carry ``+|x_i|^2`` (over ``eps``); negative
-    dot product ones are exact. Written to ``out`` (shape ``(len(x), N)``)
+    1 rows of the target's lifted support (the module docstring), whose
+    shift row this call first sets from its own potential: ``g`` (less
+    ``|y_j|^2`` for the squared Euclidean cost), at eps>0 over ``eps``
+    plus ``log b``. As ``g_j - |x - y_j|^2 = 2 <x, y_j> + (g_j - |y_j|^2)
+    - |x|^2``, squared Euclidean scores (``a = 2``) carry ``+|x_i|^2``
+    (over ``eps``); negative dot product ones are exact. Written to ``out`` (shape ``(len(x), N)``)
     when given, in its dtype. A float32 ``out`` (eps=0) makes it a block of
     a :func:`score_chunks` stream: ``x`` holds the block's float32 lifted
-    rows, scored against the potential's float32 lifted support with the
+    rows, scored against the target's float32 lifted support with the
     stream's shift row, under its consumer's ``errstate``
     (:func:`argmax_chunks`). At eps>0 a ``-U_i`` column
     against the ones row subtracts row i's Cauchy-Schwarz bound ``U_i = |a
@@ -355,12 +353,12 @@ def coupling_scores(pot: Potential, x: np.ndarray,
     :data:`BOUND_MARGIN`. Other rows keep their exponents and a ``NaN`` shift
     (:func:`~sdfm.numerics.softmax_b_eps_rows` subtracts their maximum).
     """
+    lifted = pot._space._lifted
     if pot.eps == 0.0:
         if out is not None and out.dtype == np.float32:
-            return np.matmul(x, pot._single, out=out)
-        pot._lifted[-1] = _shift(pot)
-        return np.matmul(_lifted_rows(pot, x), pot._lifted, out=out)
-    lifted = pot._space._lifted
+            return np.matmul(x, pot._space._single, out=out)
+        lifted[-2] = _shift(pot)
+        return np.matmul(_lifted_rows(pot, x), lifted[:-1], out=out)
     lifted[-2] = _shift(pot) / pot.eps + pot._space.log_weights
     rows = _lifted_rows(pot, x)
     top = int(np.argmax(lifted[-2]))
@@ -382,18 +380,19 @@ def score_chunks(pot: Potential, x: np.ndarray):
     :func:`coupling_scores` call per block of rows (up to a per-row
     constant), yielded as L2-sized slabs (:data:`SCORE_CHUNK_BYTES`) of one
     cache-line aligned buffer per stream (:func:`_aligned`), at most max(1
-    MiB, 4 d N scores) whatever
-    ``len(x)``. A reducer may overwrite a slab and its shift until it asks
-    for the next. Slabs hold float64 shifted exponents at eps>0 and float32
-    scores at eps=0, where :func:`argmax_chunks` reduces them. An eps=0
-    stream writes its potential's float32 shift row when it starts, and
-    lifts each block's rows into one reused float32 array. Where ``4 N`` is
-    a multiple of 4 KiB its rows are :data:`_PAD` ``-inf`` columns longer,
-    so its slabs are ``(rows, N + 16)``, a pad never a row's maximum: a row
-    stride of whole pages aliases in cache, and the K = 3 matmul of a
-    64-row block at N = 4096 took 51 µs, against 37 µs padded.
-    :func:`coupling_scores` writes the ``(rows, N)`` view; the argmax
-    passes read the padded rows whole, at a third of a strided view's cost.
+    MiB, 4 d N scores) whatever ``len(x)``. A reducer may overwrite a slab
+    and its shift until it asks for the next. Slabs hold float64 shifted
+    exponents at eps>0 and float32 scores at eps=0, where
+    :func:`argmax_chunks` reduces them. An eps=0 stream writes its shift
+    row into the target's float32 support when it starts, so it runs to its
+    end before another starts, and lifts each block's rows into one reused
+    float32 array. Where ``4 N`` is a multiple of 4 KiB its rows are
+    :data:`_PAD` ``-inf`` columns longer, so its slabs are ``(rows, N +
+    16)``, a pad never a row's maximum: a row stride of whole pages aliases
+    in cache, and the K = 3 matmul of a 64-row block at N = 4096 took 51
+    µs, against 37 µs padded. :func:`coupling_scores` writes the ``(rows,
+    N)`` view; the argmax passes read the padded rows whole, at a third of
+    a strided view's cost.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = pot.target.n
@@ -404,7 +403,7 @@ def score_chunks(pot: Potential, x: np.ndarray):
     buf[:, n:] = -np.inf
     shift = np.empty(x.shape[0] if pot.eps else 0)
     if pot.eps == 0.0:
-        pot._single[-1] = _shift(pot)
+        pot._space._single[-1] = _shift(pot)
         rows32 = np.ones((len(buf), pot.support.shape[1] + 1), np.float32)
         a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     for lo in range(0, x.shape[0], block):
@@ -419,13 +418,11 @@ def score_chunks(pot: Potential, x: np.ndarray):
             yield s, e, buf[s - lo:e - lo], shift[s:e]
 
 
-def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
-    """Yield ``(lo, hi, argmax, top)`` per slab of the eps=0
+def argmax_chunks(pot: Potential, x: np.ndarray):
+    """Yield ``(lo, hi, argmax)`` per slab of the eps=0
     :func:`score_chunks` stream: ``argmax`` is what
     :func:`~sdfm.numerics.argmax_with_ties` returns for the float64
-    :func:`coupling_scores` of rows ``lo:hi``, and ``top``, only with
-    ``top`` (else ``None``), each row's maximum float64 score, gathered
-    from the row's chosen column, an O(rows d) step.
+    :func:`coupling_scores` of rows ``lo:hi``.
 
     The stream's float32 work runs first, under one ``errstate``, with no
     yield: per block its matmul, and per slab the two argmax passes of
@@ -435,8 +432,8 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     float64 through :func:`coupling_scores`, one call for the rows of
     each slab as it is yielded, and :func:`~sdfm.numerics.argmax_with_ties`
     resolves them, so there is one tie rule and the slabs' tie rows come
-    in scan order. Both read only the potential's own lifted support, so
-    streams of other potentials may interleave.
+    in scan order. Each writes its shift row before its matmul, so streams
+    of other potentials may interleave between slabs.
 
     **The rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n = n u /
     (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik| max_j
@@ -466,7 +463,6 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
     k = len(coord_max) + 1
     gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
     a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
-    shift = _shift(pot)
     idx, gap, slabs = np.empty(len(x), np.intp), np.empty(len(x)), []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, scores, _ in score_chunks(pot, x):
@@ -478,7 +474,7 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
         scores = None  # frees the block buffer before β_i's temporaries
         bound = _f32_range(a * np.abs(pot.cost.embed(x))) @ \
             (gamma * coord_max + _TINY32)
-        bound += gamma * _f32_range(max(shift.max(), -shift.min())) + \
+        bound += gamma * _f32_range(np.abs(_shift(pot)).max()) + \
             _TINY32 * (coord_max.sum() + k + 1)
         bound[~(bound < gamma * 2.0**126)] = np.inf
         recheck = np.flatnonzero(~(gap > 2.0 * bound + ARGMAX_TIE_TOL))
@@ -493,12 +489,7 @@ def argmax_chunks(pot: Potential, x: np.ndarray, top: bool = False):
                 coupling_scores(pot, x[lo + rows]), pot.target.weights)
             part[rows] = sub
             tie_rows = rows[ties]
-        peak = None
-        if top:  # the chosen columns, with this stream's shift row
-            cols = pot._lifted[:, part]
-            cols[-1] = shift[part]
-            peak = np.vecdot(_lifted_rows(pot, x[lo:hi]), cols.T)
-        yield lo, hi, (part, tie_rows, tie_weights), peak
+        yield lo, hi, (part, tie_rows, tie_weights)
 
 
 def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
@@ -513,15 +504,21 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     row's soft-c transform is written there from the same tiles:
     ``f_{g,eps}(x_i) = -eps log sum_j b_j exp(score_ij / eps) = -eps (shift_i
     + log total_i)`` at eps>0, ``-max_j score_ij`` at eps=0, plus
-    ``|x_i|^2`` for the squared Euclidean cost.
+    ``|x_i|^2`` for the squared Euclidean cost. The eps=0 maxima are
+    gathered after the stream, in one ``vecdot`` with the chosen columns.
     """
     col_sum = np.zeros(pot.target.n)
     col_sq = np.zeros(pot.target.n) if squares else None
     if pot.eps == 0.0:
-        for lo, hi, argmax, top in argmax_chunks(pot, x, soft_c is not None):
+        chosen = []  # views of the stream's one index array
+        for _, _, argmax in argmax_chunks(pot, x):
             eps0_column_stats(argmax, col_sum, col_sq)
-            if soft_c is not None:
-                soft_c[lo:hi] = top
+            chosen.append(argmax[0])
+        if soft_c is not None:  # each row's score at its chosen column
+            lifted = pot._space._lifted
+            lifted[-2] = _shift(pot)
+            cols = lifted[:-1].T[np.concatenate(chosen)]
+            np.vecdot(_lifted_rows(pot, x), cols, out=soft_c)
     else:
         ones = pot._space._lifted[-1]  # the lifted support's ones row
         for lo, hi, scores, shift in score_chunks(pot, x):

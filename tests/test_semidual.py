@@ -978,7 +978,10 @@ class TestShiftRow:
         # stream's second block is scored, and its slabs reduced, after the
         # other stream's first block. The last two points repeat points 0
         # and 5, with their g, and rows 3, 70 and 200 point at them: slabs
-        # 0, 1 and 3 hold a tie row.
+        # 0, 1 and 3 hold a tie row. Between two slabs of one stream the
+        # other potential's soft-c is gathered, which writes its own shift
+        # rows into the shared target. Its rows, those of slab 2, have no
+        # tie, so only its own shift row may reach its gather.
         gen = Rng(44).generator()
         points = gen.standard_normal((4096, 32))
         points[-2:] = points[[0, 5]]
@@ -994,16 +997,19 @@ class TestShiftRow:
         assert semidual._tile_rows(4096, 32, 4) == (128, 64)
 
         def copied(slab):
-            lo, hi, (idx, tie_rows, tie_weights), top = slab
-            return lo, hi, idx.copy(), tie_rows, tie_weights, top
+            lo, hi, (idx, tie_rows, tie_weights) = slab
+            return lo, hi, idx.copy(), tie_rows, tie_weights
 
-        streams = [semidual.argmax_chunks(pot, x, top=True) for pot in pots]
-        got = [[], []]
+        streams = [semidual.argmax_chunks(pot, x) for pot in pots]
+        got, soft_c = [[], []], [[], []]
         for _ in range(4):
-            for stream, slabs in zip(streams, got):
+            for k, (stream, slabs) in enumerate(zip(streams, got)):
                 slabs.append(copied(next(stream)))
-        for pot, slabs in zip(pots, got):
-            alone = [copied(s) for s in semidual.argmax_chunks(pot, x, top=True)]
+                f = np.empty(64)
+                semidual._column_sums(pots[1 - k], x[128:192], soft_c=f)
+                soft_c[1 - k].append(f)
+        for pot, slabs, fs in zip(pots, got, soft_c):
+            alone = [copied(s) for s in semidual.argmax_chunks(pot, x)]
             assert len(alone) == len(slabs) == 4
             for mine, ref in zip(slabs, alone):
                 for a, b in zip(mine, ref):
@@ -1012,36 +1018,43 @@ class TestShiftRow:
             scores = semidual.coupling_scores(pot, x)
             np.testing.assert_array_equal(
                 np.concatenate([s[2] for s in slabs]), scores.argmax(axis=1))
-            np.testing.assert_allclose(np.concatenate([s[5] for s in slabs]),
-                                       scores.max(axis=1), rtol=1e-12)
+            assert len(fs) == 4
+            for f in fs:
+                np.testing.assert_allclose(-f, scores[128:192].max(axis=1),
+                                           rtol=1e-12)
 
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
-    def test_eps0_scans_write_no_target_array(self, kind, monkeypatch):
-        # An eps=0 scan writes only its own potential's lifted support, its
-        # float64 re-checks included: every array of the shared target,
-        # the lifted support among them, keeps its bytes. Row 0 points at
-        # the longest point, which the last point repeats (with its g), so
-        # its tie is re-checked in float64.
+    def test_scans_write_only_shift_rows(self, kind, monkeypatch):
+        # The coupling-space target owns every array derived from the
+        # support, and a scan at either eps writes only its potential's
+        # shift rows there, its float64 re-checks included: the coordinate
+        # rows, the ones row and the float32 coordinate rows keep the
+        # values they were built with, and every other array of the target
+        # keeps its bytes. Row 0 points at the longest point, which the last
+        # point repeats (with its g), so its tie is re-checked in float64.
         gen = Rng(49).generator()
         ys = gen.standard_normal((4096, 2))
         far = np.argmax(np.sum(ys * ys, axis=1))
         ys[-1] = ys[far]
         g = 0.01 * gen.standard_normal(4096)
         g[-1] = g[far]
-        pot = _simple_potential(g, ys, kind=kind)
         x = gen.standard_normal((300, 2))
         x[0] = 100.0 * ys[far]
-        target = pot.target
-        # A scan of another potential builds the target's cached arrays.
-        other = Potential(g=-g, target=target, cost=pot.cost)
-        stochastic_gradient(other, x)
+        target = TargetMeasure.from_points(ys)
+        pots = [Potential(g=g, target=target,
+                          cost=CostConfig(kind=kind, eps_raw=eps))
+                for eps in (0.0, 0.5)]
+        # Scans of other potentials build the target's cached arrays.
+        for pot in pots:
+            stochastic_gradient(Potential(g=-g, target=target, cost=pot.cost), x)
 
         def arrays():
             return {k: v.tobytes() for k, v in vars(target).items()
-                    if isinstance(v, np.ndarray)}
+                    if isinstance(v, np.ndarray)
+                    and k not in ("_lifted", "_single")}
 
         before = arrays()
-        assert "_lifted" in before
+        assert "_sq_norms" in before or kind == NEG_DOT
         rechecked = []
         scores = semidual.coupling_scores
 
@@ -1050,11 +1063,19 @@ class TestShiftRow:
             return scores(pot, x, out, shift)
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
-        semidual_value(pot, x)
-        chi2_estimator(pot, x)
-        assign_batch(pot, x, Rng(50))
+        for pot in pots:
+            semidual_value(pot, x)
+            chi2_estimator(pot, x)
+            assign_batch(pot, x, Rng(50))
+            # A potential holds no array of its own beyond g.
+            assert set(vars(pot)) == {"g", "target", "cost", "provenance",
+                                      "_space"}
         assert sum(rechecked) >= 3
         assert arrays() == before
+        np.testing.assert_array_equal(target._lifted[:-2], ys.T)
+        np.testing.assert_array_equal(target._lifted[-1], 1.0)
+        np.testing.assert_array_equal(target._single[:-1],
+                                      ys.T.astype(np.float32))
 
 
 class TestEps0TieFreeSlabs:
@@ -1089,7 +1110,7 @@ class TestEps0TieFreeSlabs:
 
         scores = semidual.coupling_scores(pot, x)  # float64
         has_ties = []
-        for lo, hi, (idx, tie_rows, _), _ in semidual.argmax_chunks(pot, x):
+        for lo, hi, (idx, tie_rows, _) in semidual.argmax_chunks(pot, x):
             assert hi - lo == self.SLAB
             ref_idx, ref_ties, _ = argmax_with_ties(scores[lo:hi].copy(), b)
             np.testing.assert_array_equal(idx, ref_idx)
@@ -1167,7 +1188,7 @@ class TestFloat32Eps0Scan:
             want_f += np.einsum("ij,ij->i", pot.cost.embed(x), pot.cost.embed(x))
         np.testing.assert_array_equal(f, want_f)
         slabs = list(semidual.argmax_chunks(pot, x))
-        assert [(lo, hi) for lo, hi, _, _ in slabs] == [(0, len(x))]
+        assert [(lo, hi) for lo, hi, _ in slabs] == [(0, len(x))]
         np.testing.assert_array_equal(slabs[0][2][0], idx)
         np.testing.assert_array_equal(slabs[0][2][1], tie_rows)
         return scores, tie_rows
@@ -1306,7 +1327,7 @@ class TestPaddedRowStride:
         idx, ties, weights = [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lo, hi, (part, tie_rows, tie_weights), _ in \
+            for lo, hi, (part, tie_rows, tie_weights) in \
                     semidual.argmax_chunks(pot, x):
                 idx.append(part.copy())
                 ties.append(lo + tie_rows)
