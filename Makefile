@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT := out/toy-2d
 SDFM := PYTHONPATH=src $(PYTHON) -m sdfm
 
-.PHONY: test acceptance demos bench bench-trace bench-smoke check loc toy-2d clean
+.PHONY: test acceptance demos bench bench-trace bench-pairs bench-smoke check loc toy-2d clean
 
 # The ROADMAP's tier-1 command: a collection error in one file does not
 # stop the rest of the suite.
@@ -35,6 +35,16 @@ bench-trace:
 	    $(PYTHON) perfbench/run.py --workload $$w --seed 9001 --seconds 50 \
 	        --trace 1 || exit 1; \
 	done
+
+# Both workloads in PAIRS alternating pairs of untraced runs, one in the
+# parent checkout PARENT and one in this one, compared metric by metric
+# (tools/bench_pairs.py): make bench-pairs PARENT=<dir> [PAIRS=10 SEED=9001]
+PAIRS ?= 10
+SEED ?= 9001
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "error: set PARENT=<parent checkout>" >&2; exit 2; }
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) \
+	    --seed $(SEED) --seconds 50
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py

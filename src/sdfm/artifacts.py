@@ -13,7 +13,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .container import ContainerError, read_container, write_container
+from .container import (
+    ContainerError,
+    _json_object,
+    read_container,
+    write_container,
+)
 from .costs import CostConfig, ProjectionMatrix
 from .flow import FlowModel
 from .semidual import Potential, TargetMeasure
@@ -170,12 +175,19 @@ def save_pairs(path: str, noise: np.ndarray, indices: np.ndarray,
     write_container(path, "pairs", arrays, metadata)
 
 
-def save_sample_dump(prefix: str, samples: np.ndarray,
+def _dump_paths(name: str) -> Tuple[str, str]:
+    """The ``.bin`` and ``.json`` files of the sample dump ``name``: ``X``,
+    ``X.bin`` and ``X.json`` all name ``X.bin`` and ``X.json``."""
+    stem = name[:-4] if name.endswith(".bin") else name.removesuffix(".json")
+    return stem + ".bin", stem + ".json"
+
+
+def save_sample_dump(name: str, samples: np.ndarray,
                      metadata: Optional[dict] = None) -> Tuple[str, str]:
-    """Raw little-endian float64 matrix plus a JSON sidecar."""
+    """Raw little-endian float64 matrix plus a JSON sidecar, at the two
+    files of :func:`_dump_paths` (``name``), which are returned."""
     samples = np.ascontiguousarray(samples, dtype="<f8")
-    bin_path = prefix if prefix.endswith(".bin") else prefix + ".bin"
-    json_path = bin_path[:-4] + ".json"
+    bin_path, json_path = _dump_paths(name)
     with open(bin_path, "wb") as fh:
         fh.write(samples)
     sidecar = {
@@ -190,13 +202,14 @@ def save_sample_dump(prefix: str, samples: np.ndarray,
     return bin_path, json_path
 
 
-def load_sample_dump(path: str) -> np.ndarray:
-    """The matrix of a sample dump, a read-only view of the bytes read (copy
-    before writing); a dump that disagrees with its sidecar is refused."""
-    bin_path = path if path.endswith(".bin") else path + ".bin"
-    json_path = bin_path[:-4] + ".json"
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
+def load_sample_dump(name: str) -> np.ndarray:
+    """The matrix of the sample dump ``name`` (``X``, ``X.bin`` or
+    ``X.json``), a read-only view of the bytes read (copy before writing).
+    A sidecar that is not a JSON object with whole ``rows`` and ``cols``,
+    or a dump that disagrees with it, is refused."""
+    bin_path, json_path = _dump_paths(name)
+    with open(json_path, "rb") as fh:
+        sidecar = _json_object(json_path, fh.read())
     with open(bin_path, "rb") as fh:
         raw = fh.read()
     _require(json_path, "sidecar", sidecar, "rows", "cols")

@@ -232,11 +232,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
+def _run_model(args):
+    """``(x0, x1, velocities)`` of ``--count`` starts drawn from
+    ``Rng(--seed)`` and integrated through ``--model`` by ``--solver`` in
+    ``--steps`` steps: the one model run of ``sample`` and ``eval``."""
     model = artifacts.load_model(args.model)
     x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
     x1, vels = integrate(model.snapshot(), x0, method=args.solver,
                          steps=args.steps)
+    return x0, x1, vels
+
+
+def cmd_sample(args) -> int:
+    x0, x1, vels = _run_model(args)
     # One step has no curvature; JSON null keeps the sidecar strict JSON.
     curv = curvature(x0, x1, vels) if args.steps >= 2 else None
     bin_path, _ = artifacts.save_sample_dump(args.out, x1, {
@@ -282,22 +290,29 @@ def cmd_chisq(args) -> int:
 
 
 def _load_cloud(path: str) -> np.ndarray:
-    """Points of a dataset container, else the sample dump at ``path``.
+    """Points of a dataset container, else of the sample dump ``path``.
 
-    Only a file without the container magic falls back to the dump, so a
-    container that the loader refuses reports why.
+    A path that is one of its dump's two files (``X.bin`` or ``X.json``)
+    is read as that dump. Any other path is a container if it starts with
+    the container magic, so a container that the loader refuses reports
+    why; else it names a dump (``X``).
     """
-    if not path.endswith((".bin", ".json")) and is_container(path):
+    if path not in artifacts._dump_paths(path) and is_container(path):
         return artifacts.load_dataset(path)[0]
     return artifacts.load_sample_dump(path)
 
 
 def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
-    """2-Wasserstein distance between equal-size empirical clouds."""
+    """2-Wasserstein distance between empirical clouds of one shape.
+
+    Clouds of unequal count or dimension raise a
+    :class:`~sdfm.costs.ConfigurationError` that names both shapes.
+    """
     from scipy.spatial.distance import cdist
 
     if a.shape != b.shape:
-        raise ConfigurationError("clouds must have identical shapes")
+        raise ConfigurationError(
+            f"W2 clouds must have one shape, got {a.shape} and {b.shape}")
     # cdist takes differences directly: identical clouds give exact zeros.
     _, total = hungarian(cdist(a, b, "sqeuclidean"))
     return float(np.sqrt(max(total / len(a), 0.0)))
@@ -308,19 +323,10 @@ def cmd_eval(args) -> int:
     if (args.samples is None) != (args.reference is None):
         raise UsageError("W2 needs both --samples and --reference")
     if args.samples is not None:
-        a = _load_cloud(args.samples)
-        b = _load_cloud(args.reference)
-        if a.shape[0] != b.shape[0]:
-            raise UsageError(
-                f"clouds must be equal size, got {a.shape[0]} vs {b.shape[0]}"
-            )
-        report["w2"] = empirical_w2(a, b)
+        report["w2"] = empirical_w2(_load_cloud(args.samples),
+                                    _load_cloud(args.reference))
     if args.model:
-        model = artifacts.load_model(args.model)
-        x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-        x1, vels = integrate(model.snapshot(), x0, method=args.solver,
-                             steps=args.steps)
-        report["curvature"] = curvature(x0, x1, vels)
+        report["curvature"] = curvature(*_run_model(args))
     if not report:
         raise UsageError("nothing to evaluate: pass --samples/--reference "
                          "and/or --model")
@@ -374,7 +380,6 @@ def build_parser() -> _Parser:
     s.add_argument("--lr", type=float, default=SolverConfig.base_lr)
     s.add_argument("--iters", type=int, default=30_000)
     s.add_argument("--batch", type=int, default=256)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--pca", type=int)
     s.add_argument("--cost", choices=["negdot", "sqeuclid"], default="negdot")
     s.add_argument("--chi2-samples", type=int)
@@ -387,7 +392,6 @@ def build_parser() -> _Parser:
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--noise")
     source.add_argument("--sample", type=int)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_assign)
 
@@ -401,7 +405,6 @@ def build_parser() -> _Parser:
     s.add_argument("--steps", type=int, default=2000)
     s.add_argument("--batch", type=int, default=256)
     s.add_argument("--hidden", type=int, nargs="+", default=[128, 128, 128])
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
 
@@ -410,7 +413,6 @@ def build_parser() -> _Parser:
     s.add_argument("--count", type=int, default=1024)
     s.add_argument("--solver", choices=["euler", "rk4"], default="euler")
     s.add_argument("--steps", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sample)
 
@@ -422,7 +424,6 @@ def build_parser() -> _Parser:
     s.add_argument("--count", type=int, default=256)
     s.add_argument("--steps", type=int, default=64)
     s.add_argument("--t-clip", type=float, default=0.99)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_guide)
 
@@ -431,7 +432,6 @@ def build_parser() -> _Parser:
     s.add_argument("--data", required=True)
     s.add_argument("--samples", type=int, default=2**16)
     s.add_argument("--batch", type=int, default=2**12)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_chisq)
 
     s = sub.add_parser("eval", help="W2 between clouds and/or model curvature")
@@ -441,7 +441,6 @@ def build_parser() -> _Parser:
     s.add_argument("--count", type=int, default=1024)
     s.add_argument("--solver", choices=["euler", "rk4"], default="euler")
     s.add_argument("--steps", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_eval)
 
@@ -449,9 +448,10 @@ def build_parser() -> _Parser:
     s.add_argument("--name", required=True, choices=sorted(_DATASETS))
     s.add_argument("--n", type=int, default=4096)
     s.add_argument("--d", type=int, default=2)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_dataset)
+    for s in sub.choices.values():
+        s.add_argument("--seed", type=int, default=0)
     return p
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -119,38 +120,67 @@ def is_container(path: str) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
+def _json_object(path: str, raw: bytes) -> dict:
+    """``raw`` parsed as a UTF-8 JSON object; anything else is refused."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ContainerError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ContainerError(f"{path}: JSON {type(value).__name__}, not an object")
+    return value
+
+
 def read_container(path: str, expect_kind: Optional[str] = None):
     """Read ``(kind, metadata, arrays)``; validates magic, version, hash.
-    The arrays are read-only views: a caller that writes must copy first."""
+    The arrays are read-only views: a caller that writes must copy first.
+
+    Every field is cut by one helper that refuses to read past the end of
+    the file, so the byte count a header or shape implies is checked before
+    it is read. A short file, text that is not UTF-8 and metadata that is
+    not a JSON object all raise :class:`ContainerError`. Each array is its
+    own read, so its data is as aligned as a ``bytes`` object's; views into
+    one read of the whole file would sit at the header's odd offsets, where
+    numpy sums in other blocks and so gives other bits.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise ContainerError(f"{path}: bad magic, not a container file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        left = os.fstat(fh.fileno()).st_size - len(MAGIC)
+
+        def take(n: int) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ContainerError(
+                    f"{path}: truncated, {n} bytes wanted and {left} left")
+            left -= n
+            return fh.read(n)
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        version = u32()
         if version != CONTAINER_VERSION:
             raise ContainerError(
                 f"{path}: unsupported container version {version} "
                 f"(expected {CONTAINER_VERSION})"
             )
-        (kind_len,) = struct.unpack("<I", fh.read(4))
-        kind = fh.read(kind_len).decode("utf-8")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        metadata = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
-        arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (code,) = struct.unpack("<B", fh.read(1))
-            if code not in _CODE_DTYPES:
-                raise ContainerError(f"{path}: unknown dtype code {code}")
-            dtype = _CODE_DTYPES[code]
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack("<" + "Q" * ndim, fh.read(8 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise ContainerError(f"{path}: truncated payload for {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        try:
+            kind = take(u32()).decode("utf-8")
+            metadata = _json_object(path, take(u32()))
+            arrays = {}
+            for _ in range(u32()):
+                name = take(u32()).decode("utf-8")
+                code = take(1)[0]
+                if code not in _CODE_DTYPES:
+                    raise ContainerError(f"{path}: unknown dtype code {code}")
+                dtype = _CODE_DTYPES[code]
+                ndim = u32()
+                shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+                raw = take(math.prod(shape) * dtype.itemsize)
+                arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"{path}: text field is not UTF-8: {exc}") from None
     stored = metadata.get("fingerprint")
     actual = _payload_fingerprint(arrays)
     if stored != actual:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -1148,3 +1149,108 @@ class TestExitCodes:
             assert main(argv) == 4
         assert not caught and not out.exists()
         assert capsys.readouterr().err == "error: non-finite gradient at step 0\n"
+
+
+def _cut(tmp_path, data, where):
+    """``data`` cut inside its version, its metadata length, or the last
+    dimension of its only array (``where``)."""
+    raw = open(data, "rb").read()
+    kind_len = struct.unpack("<I", raw[8:12])[0]
+    payload = artifacts.load_dataset(data)[0].nbytes
+    cut = {"version": 6, "meta-length": 12 + kind_len + 2,
+           "dimension": len(raw) - payload - 3}[where]
+    path = tmp_path / f"cut-{where}.sdfm"
+    path.write_bytes(raw[:cut])
+    return str(path)
+
+
+def _spliced(tmp_path, data, kind=None, meta=None):
+    """``data`` with its kind tag or metadata bytes replaced."""
+    raw = open(data, "rb").read()
+    kind_len = struct.unpack("<I", raw[8:12])[0]
+    at = 12 + kind_len
+    meta_len = struct.unpack("<I", raw[at:at + 4])[0]
+    kind = raw[12:at] if kind is None else kind
+    meta = raw[at + 4:at + 4 + meta_len] if meta is None else meta
+    path = tmp_path / "spliced.sdfm"
+    path.write_bytes(raw[:8] + struct.pack("<I", len(kind)) + kind
+                     + struct.pack("<I", len(meta)) + meta
+                     + raw[at + 4 + meta_len:])
+    return str(path)
+
+
+class TestMalformedFiles:
+    """A short or malformed input file exits 2 with one error line, before
+    any output file is opened."""
+
+    @pytest.mark.parametrize("case", [
+        "cut-version", "cut-meta-length", "cut-dimension",
+        "metadata-json-list", "kind-not-utf8", "metadata-not-json"])
+    def test_solve_refuses_malformed_data(self, tmp_path, blob, capsys, case):
+        if case.startswith("cut-"):
+            data = _cut(tmp_path, blob, case[len("cut-"):])
+        elif case == "metadata-json-list":
+            data = _spliced(tmp_path, blob, meta=b"[]")
+        elif case == "kind-not-utf8":
+            data = _spliced(tmp_path, blob, kind=b"data\xffset")
+        else:
+            data = _spliced(tmp_path, blob, meta=b'{"name": ')
+        out = tmp_path / "pot.sdfm"
+        capsys.readouterr()
+        assert main(["solve", "--data", data, "--eps", "0", "--iters", "10",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert data in err and "Traceback" not in err
+        assert not any(p.name.startswith("pot.sdfm") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sidecar", [b'{"rows": 8, ', b'["rows", "cols"]', b"\xff"])
+    def test_eval_refuses_a_malformed_sidecar(self, tmp_path, capsys, sidecar):
+        samples = _dump(tmp_path, "a", (8, 2))
+        with open(samples[:-4] + ".json", "wb") as fh:
+            fh.write(sidecar)
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["eval", "--samples", samples,
+                     "--reference", _dump(tmp_path, "b", (8, 2)),
+                     "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "JSON" in err and not report.exists()
+
+
+class TestDumpNames:
+    @pytest.mark.parametrize("samples, reference", [("s.json", "s.bin"),
+                                                    ("s.bin", "s.json"),
+                                                    ("s.json", "s")])
+    def test_eval_takes_the_json_name_of_a_dump(self, tmp_path, samples,
+                                                reference):
+        artifacts.save_sample_dump(str(tmp_path / "s"),
+                                   Rng(14).generator().standard_normal((6, 2)))
+        report = str(tmp_path / "r.json")
+        assert main(["eval", "--samples", str(tmp_path / samples),
+                     "--reference", str(tmp_path / reference),
+                     "--out", report]) == 0
+        assert json.loads(open(report).read())["w2"] == 0.0
+
+    def test_sample_out_json_writes_the_bin_and_the_json(self, tmp_path, blob,
+                                                         capsys):
+        model = _quick_model(tmp_path, blob)
+        capsys.readouterr()
+        assert main(["sample", "--model", model, "--count", "8",
+                     "--steps", "2", "--out", str(tmp_path / "x.json")]) == 0
+        assert capsys.readouterr().out.strip().endswith(
+            f"out={tmp_path / 'x.bin'}")
+        assert sorted(p.name for p in tmp_path.glob("x*")) == ["x.bin",
+                                                                "x.json"]
+        assert artifacts.load_sample_dump(str(tmp_path / "x")).shape == (8, 2)
+
+    @pytest.mark.parametrize("shapes", [((8, 2), (9, 2)), ((8, 2), (8, 3))])
+    def test_w2_clouds_of_two_shapes_name_both(self, tmp_path, capsys, shapes):
+        a, b = (_dump(tmp_path, name, shape)
+                for name, shape in zip("ab", shapes))
+        capsys.readouterr()
+        assert main(["eval", "--samples", a, "--reference", b]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert str(shapes[0]) in err and str(shapes[1]) in err

@@ -210,3 +210,77 @@ class TestMetricsWriter:
         with pytest.raises(ValueError, match="monotone"):
             w.log(4, "chi2", 0.9)
         w.log(5, "other", 2.0)  # independent series unaffected
+
+
+def _hand_built(kind=b"dataset", meta=b"{}", tail=b"\x00\x00\x00\x00"):
+    """Container bytes up to the array count, then ``tail``."""
+    return (b"SDFM" + struct.pack("<II", CONTAINER_VERSION, len(kind)) + kind
+            + struct.pack("<I", len(meta)) + meta + tail)
+
+
+class TestMalformedContainers:
+    def test_every_truncation_is_refused(self, tmp_path):
+        # Cut at every offset, inside the header fields and the payload
+        # alike: each read fails closed, never with a struct or numpy error.
+        path = tmp_path / "d.sdfm"
+        artifacts.save_dataset(str(path), np.arange(6.0).reshape(3, 2),
+                               np.full(3, 1 / 3), {"name": "cut"})
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ContainerError):
+                read_container(str(path))
+
+    @pytest.mark.parametrize("raw, reason", [
+        (_hand_built(meta=b"[]"), "not an object"),
+        (_hand_built(meta=b'{"a": '), "malformed JSON"),
+        (_hand_built(meta=b'{"\xff": 1}'), "malformed JSON"),
+        (_hand_built(kind=b"\xffdataset"), "not UTF-8"),
+        (_hand_built(tail=struct.pack("<II", 1, 2) + b"\xff\xfe"), "not UTF-8"),
+    ], ids=["meta-list", "meta-cut", "meta-not-utf8", "kind-not-utf8",
+            "name-not-utf8"])
+    def test_malformed_text_is_refused(self, tmp_path, raw, reason):
+        path = tmp_path / "m.sdfm"
+        path.write_bytes(raw)
+        with pytest.raises(ContainerError, match=reason):
+            read_container(str(path))
+
+    @pytest.mark.parametrize("ndim, dims", [(2, (2**40, 2**40)),
+                                            (2**32 - 1, ())])
+    def test_claimed_sizes_are_checked_before_the_read(self, tmp_path, ndim,
+                                                       dims):
+        # A shape of 2**80 float64 values, or 2**32 - 1 dimensions, in a
+        # file of a few dozen bytes: refused as truncated, with nothing
+        # of the claimed size allocated.
+        tail = (struct.pack("<II", 1, 1) + b"x" + struct.pack("<BI", 8, ndim)
+                + struct.pack(f"<{len(dims)}Q", *dims))
+        path = tmp_path / "big.sdfm"
+        path.write_bytes(_hand_built(tail=tail))
+        assert _traced_peak(self._refused, str(path)) < 2**20
+
+    @staticmethod
+    def _refused(path):
+        with pytest.raises(ContainerError, match="truncated"):
+            read_container(path)
+
+    @pytest.mark.parametrize("sidecar", [b"{", b'["rows", "cols"]', b"\xff"])
+    def test_malformed_sidecar_is_refused(self, tmp_path, sidecar):
+        bin_path, json_path = artifacts.save_sample_dump(
+            str(tmp_path / "s"), np.zeros((8, 2)))
+        with open(json_path, "wb") as fh:
+            fh.write(sidecar)
+        with pytest.raises(ContainerError, match="JSON"):
+            artifacts.load_sample_dump(bin_path)
+
+
+class TestSampleDumpNames:
+    @pytest.mark.parametrize("name", ["s", "s.bin", "s.json"])
+    def test_every_dump_name_reaches_the_same_two_files(self, tmp_path, name):
+        data = np.arange(6.0).reshape(3, 2)
+        stem = str(tmp_path / "s")
+        assert artifacts.save_sample_dump(str(tmp_path / name), data) == (
+            stem + ".bin", stem + ".json")
+        for other in ("s", "s.bin", "s.json"):
+            np.testing.assert_array_equal(
+                artifacts.load_sample_dump(str(tmp_path / other)), data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.bin", "s.json"]
