@@ -43,8 +43,7 @@ PAIRS ?= 10
 SEED ?= 9001
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "error: set PARENT=<parent checkout>" >&2; exit 2; }
-	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) \
-	    --seed $(SEED) --seconds 50
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED)
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke_test.py

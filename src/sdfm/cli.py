@@ -292,12 +292,12 @@ def cmd_chisq(args) -> int:
 def _load_cloud(path: str) -> np.ndarray:
     """Points of a dataset container, else of the sample dump ``path``.
 
-    A path that is one of its dump's two files (``X.bin`` or ``X.json``)
-    is read as that dump. Any other path is a container if it starts with
-    the container magic, so a container that the loader refuses reports
-    why; else it names a dump (``X``).
+    A path ending in ``.bin`` or ``.json`` is one of its dump's two files.
+    Any other path is a container if it starts with the container magic,
+    so a container that the loader refuses reports why; else it names a
+    dump (``X``).
     """
-    if path not in artifacts._dump_paths(path) and is_container(path):
+    if not path.endswith((".bin", ".json")) and is_container(path):
         return artifacts.load_dataset(path)[0]
     return artifacts.load_sample_dump(path)
 

@@ -54,6 +54,10 @@ KINDS = ("dataset", "potential", "model", "pairs")
 
 _DTYPE_CODES = {np.dtype("<f4"): 4, np.dtype("<f8"): 8, np.dtype("<i8"): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+# The arrays numpy can hold: at most this many dimensions, and a product
+# of the nonzero dimensions and the item size that fits a signed index.
+_MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+_MAX_EXTENT = np.iinfo(np.intp).max
 
 
 class ContainerError(ValueError):
@@ -138,7 +142,8 @@ def read_container(path: str, expect_kind: Optional[str] = None):
     Every field is cut by one helper that refuses to read past the end of
     the file, so the byte count a header or shape implies is checked before
     it is read. A short file, text that is not UTF-8 and metadata that is
-    not a JSON object all raise :class:`ContainerError`. Each array is its
+    not a JSON object all raise :class:`ContainerError`, as does a shape
+    that numpy cannot hold, even one of zero size. Each array is its
     own read, so its data is as aligned as a ``bytes`` object's; views into
     one read of the whole file would sit at the header's odd offsets, where
     numpy sums in other blocks and so gives other bits.
@@ -178,6 +183,10 @@ def read_container(path: str, expect_kind: Optional[str] = None):
                 ndim = u32()
                 shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
                 raw = take(math.prod(shape) * dtype.itemsize)
+                extent = math.prod(max(n, 1) for n in shape) * dtype.itemsize
+                if ndim > _MAX_NDIM or extent > _MAX_EXTENT:
+                    raise ContainerError(f"{path}: array {name!r} has a shape "
+                                         f"numpy cannot hold ({ndim} dimensions)")
                 arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
         except UnicodeDecodeError as exc:
             raise ContainerError(f"{path}: text field is not UTF-8: {exc}") from None

@@ -1,10 +1,11 @@
 """Alternating parent/change pairs of benchmark runs, and their comparison.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10]
-        [--seed 9001] [--seconds 50] [--workload desk-2d ...]
+        [--seed 9001]
 
-Each pair runs ``perfbench/run.py --trace 0`` once in the parent checkout
-and once in this one, one after the other; the side that
+For every workload of ``BENCHMARK.json``, each pair runs
+``perfbench/run.py --trace 0`` for the spec's ``run_seconds`` once in the
+parent checkout and once in this one, one after the other; the side that
 runs first alternates from pair to pair, so a drift in the box's speed
 falls on both sides alike. After every run the payload fingerprints of
 ``.perfbench_out/<workload>-seed<seed>-trace0.json`` are kept, and each
@@ -31,11 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, args) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
     """One benchmark run in ``checkout``: its result line and fingerprints."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -45,7 +45,7 @@ def run_once(checkout: Path, workload: str, args) -> dict:
               f"{proc.stderr[-2000:]}", file=sys.stderr)
         return {"correct": False, "metrics": {}, "fingerprints": {}}
     record = checkout / ".perfbench_out" / \
-        f"{workload}-seed{args.seed}-trace0.json"
+        f"{workload}-seed{seed}-trace0.json"
     result["fingerprints"] = json.loads(record.read_text())["fingerprints"]
     for line in lines:
         if line.startswith("FAILED"):
@@ -93,24 +93,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True,
                     help="checkout of the parent commit")
-    ap.add_argument("--workload", action="append",
-                    help="repeatable (default: every workload of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=9001)
-    ap.add_argument("--seconds", type=float, default=50)
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     sides = (args.parent.resolve(), ROOT)
     ok = True
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for i in range(args.pairs):
             pair = [None, None]
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                pair[k] = run_once(sides[k], workload, args)
+                pair[k] = run_once(sides[k], workload, args.seed,
+                                   spec["run_seconds"])
             ok &= all(r["correct"] for r in pair)
             runs.append(tuple(pair))
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
