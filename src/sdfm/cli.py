@@ -13,8 +13,10 @@ byte-identical artifact payloads; only recorded wall times differ.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -43,10 +45,9 @@ from .flow import (
     FlowModel,
     GuidanceConfig,
     TrainConfig,
-    curvature,
     gaussian_starts,
     guided_sample,
-    integrate,
+    run_flow,
     train_flow,
 )
 from .numerics import Rng
@@ -209,44 +210,50 @@ def cmd_train(args) -> int:
         paired[idx] = True
         return idx
 
-    with MetricsWriter(args.out + ".metrics.csv",
-                       args.out + ".metrics.json") as metrics:
-        t0 = time.perf_counter()
-        model = train_flow(model, target, marking_pair, cfg, rng.child(101),
-                           metrics)
-        train_ms = (time.perf_counter() - t0) * 1e3
-        pair_ms = metrics.totals.get("pair_batch_ms", 0.0)
-        artifacts.save_model(args.out, model, {
-            "coupling": args.coupling, "seed": args.seed, "steps": args.steps,
-            "batch": args.batch, "data": args.data,
-            **({"cost": cost.metadata()} if cost is not None else {}),
-        })
-        metrics.finalize({"command": "train", "coupling": args.coupling,
-                          "seed": args.seed, "pair_ms": pair_ms,
-                          "pair_share": pair_ms / train_ms,
-                          "paired_fraction": float(paired.mean()),
-                          **potential})
+    # A failed run leaves no partial metrics: no summary could describe them.
+    logs = (args.out + ".metrics.csv", args.out + ".metrics.json")
+    try:
+        with MetricsWriter(*logs) as metrics:
+            t0 = time.perf_counter()
+            model = train_flow(model, target, marking_pair, cfg,
+                               rng.child(101), metrics)
+            train_ms = (time.perf_counter() - t0) * 1e3
+            pair_ms = metrics.totals.get("pair_batch_ms", 0.0)
+            artifacts.save_model(args.out, model, {
+                "coupling": args.coupling, "seed": args.seed,
+                "steps": args.steps, "batch": args.batch, "data": args.data,
+                **({"cost": cost.metadata()} if cost is not None else {}),
+            })
+            metrics.finalize({"command": "train", "coupling": args.coupling,
+                              "seed": args.seed, "pair_ms": pair_ms,
+                              "pair_share": pair_ms / train_ms,
+                              "paired_fraction": float(paired.mean()),
+                              **potential})
+    except BaseException:
+        for path in logs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     echo = "".join(f"{key}={value} " for key, value in potential.items())
     print(f"train: coupling={args.coupling} steps={args.steps} {echo}"
           f"out={args.out}")
     return EXIT_OK
 
 
-def _run_model(args):
-    """``(x0, x1, velocities)`` of ``--count`` starts drawn from
-    ``Rng(--seed)`` and integrated through ``--model`` by ``--solver`` in
-    ``--steps`` steps: the one model run of ``sample`` and ``eval``."""
+def _run_model(args, keep: bool):
+    """``(endpoints or None, curvature or None)`` of ``--count`` starts
+    drawn from ``Rng(--seed)`` and integrated through ``--model`` by
+    ``--solver`` in ``--steps`` steps, in row blocks
+    (:func:`~sdfm.flow.run_flow`): the one model run of ``sample`` and
+    ``eval``. Only ``sample`` keeps the endpoints."""
     model = artifacts.load_model(args.model)
-    x0 = gaussian_starts(Rng(args.seed), args.count, model.dim)
-    x1, vels = integrate(model.snapshot(), x0, method=args.solver,
-                         steps=args.steps)
-    return x0, x1, vels
+    return run_flow(model, Rng(args.seed), args.count, method=args.solver,
+                    steps=args.steps, keep=keep)
 
 
 def cmd_sample(args) -> int:
-    x0, x1, vels = _run_model(args)
     # One step has no curvature; JSON null keeps the sidecar strict JSON.
-    curv = curvature(x0, x1, vels) if args.steps >= 2 else None
+    x1, curv = _run_model(args, keep=True)
     bin_path, _ = artifacts.save_sample_dump(args.out, x1, {
         "seed": args.seed, "solver": args.solver, "steps": args.steps,
         "model": args.model, "curvature": curv,
@@ -326,7 +333,9 @@ def cmd_eval(args) -> int:
         report["w2"] = empirical_w2(_load_cloud(args.samples),
                                     _load_cloud(args.reference))
     if args.model:
-        report["curvature"] = curvature(*_run_model(args))
+        if args.steps < 2:
+            raise UsageError("a curvature needs --steps >= 2")
+        report["curvature"] = _run_model(args, keep=False)[1]
     if not report:
         raise UsageError("nothing to evaluate: pass --samples/--reference "
                          "and/or --model")

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import struct
 import tempfile
 from dataclasses import dataclass, field
@@ -209,7 +210,9 @@ class MetricsWriter:
     emitted series plot-ready without sorting; ``totals`` sums each
     metric's rows. The CSV stays open between rows: :meth:`flush` puts
     them on disk, :meth:`finalize`, :meth:`close` or leaving a ``with``
-    block also closes it.
+    block also closes it. The summary gains ``rss_hwm_mb``, the process's
+    resident-memory high-water mark at :meth:`finalize` (``ru_maxrss``) in
+    MiB.
     """
 
     csv_path: str
@@ -249,6 +252,8 @@ class MetricsWriter:
 
     def finalize(self, summary: Optional[dict] = None) -> None:
         self.close()
-        payload = {"summary": summary or {}, "n_rows": self._n_rows}
+        hwm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        payload = {"summary": {**(summary or {}), "rss_hwm_mb": hwm},
+                   "n_rows": self._n_rows}
         with open(self.json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)

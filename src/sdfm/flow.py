@@ -35,6 +35,7 @@ __all__ = [
     "train_flow",
     "gaussian_starts",
     "integrate",
+    "run_flow",
     "curvature",
     "score_from_velocity",
     "guided_sample",
@@ -112,15 +113,32 @@ class FlowModel:
     def copy(self) -> "FlowModel":
         return FlowModel(self.dim, self.sizes[1:-1], theta=self.theta)
 
+    @property
+    def block(self) -> int:
+        """Rows per block of :meth:`velocity`: ``SCORE_CHUNK_BYTES // (8
+        max(sizes))``, 2048 at width 64 and 1024 at width 128."""
+        return max(1, semidual.SCORE_CHUNK_BYTES // (8 * max(self.sizes)))
+
     def snapshot(self) -> Callable:
         """The field ``v(t, x)`` of the current ``theta``, with the model's
         ``dim``: :meth:`velocity` on one copy of ``theta`` and one set of
-        bias tiles for all its calls, the same rows bit for bit. A later
-        write to ``theta`` shows in the next snapshot only."""
+        block buffers and bias tiles that all its calls reuse, the same
+        rows bit for bit. A later write to ``theta`` shows in the next
+        snapshot only."""
         params = self._views(self.theta.copy())
-        field = partial(self.velocity, frozen=(params, _bias_tiles(params)))
+        field = partial(self.velocity,
+                        frozen=(params, self._buffers(params, self.block)))
         field.dim = self.dim
         return field
+
+    def _buffers(self, params, rows: int):
+        """:meth:`_forward`'s buffers for blocks of up to ``rows`` rows: the
+        ``(rows, dim + 1)`` input, ``(2, rows · max(sizes))`` flat
+        activations and the bias tiles, or ``None`` below
+        ``BIAS_TILE_ROWS`` rows."""
+        return (np.empty((rows, self.dim + 1), dtype=np.float32),
+                np.empty((2, rows * max(self.sizes)), dtype=np.float32),
+                _bias_tiles(params) if rows >= BIAS_TILE_ROWS else None)
 
     # -- forward / backward -------------------------------------------------
 
@@ -129,9 +147,8 @@ class FlowModel:
 
         ``params`` is a :meth:`_views` pair. Returns ``(out, acts)``: the
         output rows and, for :meth:`backprop`, each layer's input.
-        With :meth:`velocity`'s ``buffers`` (``(block, dim + 1)`` input,
-        ``(2, block · max(sizes))`` flat activations, bias tiles or
-        ``None``), layer ``k`` writes a C-contiguous ``(rows, fan_out)`` view
+        With :meth:`velocity`'s ``buffers`` (:meth:`_buffers`), layer ``k``
+        writes a C-contiguous ``(rows, fan_out)`` view
         of ``buffers[1][k % 2]``, each whole tile of ``BIAS_TILE_ROWS`` rows
         adds its bias tile as one row, and ``acts`` is ``None``: same bits.
         """
@@ -162,30 +179,26 @@ class FlowModel:
 
         ``t`` is a scalar or one time per row. Each call reads ``weights``
         and ``biases`` unless given a :meth:`snapshot`'s ``frozen`` copy and
-        tiles, every layer computes in float32 (:meth:`_forward`), and the
+        buffers, every layer computes in float32 (:meth:`_forward`), and the
         rows are returned as float64 ``(len(x), dim)``.
 
-        Rows are evaluated in blocks of ``semidual.SCORE_CHUNK_BYTES // (8
-        max(sizes))`` rows (2048 at width 64), through one input buffer and
-        two flat activation buffers that every block reuses (and bias tiles
-        built once per call, or per snapshot), and copied into the result:
-        beyond it, a call allocates at most 1.5 MiB plus ``BIAS_TILE_ROWS ·
-        Σ fan_out`` floats (194 KiB at d=2, width 64), whatever ``len(x)``.
-        Blocks start at multiples of the block size, so each row of a whole
-        block has the same bits at any batch size.
+        Rows are evaluated in blocks of :attr:`block` rows, through one
+        input buffer and two flat activation buffers that every block reuses
+        (:meth:`_buffers`, made once per call, or per snapshot), and copied
+        into the result: beyond it, a call without a snapshot allocates at
+        most 1.5 MiB plus ``BIAS_TILE_ROWS · Σ fan_out`` floats (194 KiB at
+        d=2, width 64), whatever ``len(x)``, and a snapshot's call nothing
+        but the result. Blocks start at multiples of the block size, so each
+        row of a whole block has the same bits at any batch size.
         """
-        params, tiles = frozen or ((self.weights, self.biases), None)
+        params, buffers = frozen or ((self.weights, self.biases), None)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
-        block = max(1, semidual.SCORE_CHUNK_BYTES // (8 * max(self.sizes)))
-        rows = min(block, n)
-        if tiles is None and rows >= BIAS_TILE_ROWS:
-            tiles = _bias_tiles(params)
-        buffers = (np.empty((rows, self.dim + 1), dtype=np.float32),
-                   np.empty((2, rows * max(self.sizes)), dtype=np.float32),
-                   tiles)
+        block = self.block
+        if buffers is None:
+            buffers = self._buffers(params, min(block, n))
         out = np.empty((n, self.dim))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
@@ -341,11 +354,16 @@ def train_flow(model: FlowModel, target: TargetMeasure,
 # ---------------------------------------------------------------------------
 # Sampling, curvature, scores, guidance
 
-def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
-    """``count`` N(0, I) rows; row ``i`` is the ``i``-th of ``rng``'s stream."""
+def _start_stream(rng: Rng, count: int) -> np.random.Generator:
+    """The generator whose stream gives the starts of ``count`` rows."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    return rng.generator().standard_normal((count, dim))
+    return rng.generator()
+
+
+def gaussian_starts(rng: Rng, count: int, dim: int) -> np.ndarray:
+    """``count`` N(0, I) rows; row ``i`` is the ``i``-th of ``rng``'s stream."""
+    return _start_stream(rng, count).standard_normal((count, dim))
 
 
 def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
@@ -354,7 +372,11 @@ def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
     ``model`` is any callable ``v(t, X) -> (B, d)``. Euler uses one
     evaluation per step; rk4 uses four. Returns ``(endpoints (B, d),
     velocities (steps, B, d))``, the field at the left grid points; the
-    intermediate states are not kept. Raises ``FloatingPointError`` if an
+    intermediate states are not kept. Every row is integrated on its own,
+    so a row's endpoint has the same bits in any batch that the field
+    gives it the same bits in (:func:`run_flow` relies on this). The
+    velocity history grows with ``B``: a large batch is integrated by
+    :func:`run_flow` in row blocks. Raises ``FloatingPointError`` if an
     endpoint is not finite (a non-finite velocity makes one).
     """
     if steps < 1:
@@ -383,17 +405,48 @@ def integrate(model, x0: np.ndarray, method: str = "euler", steps: int = 8):
     return x, vels
 
 
-def curvature(x0: np.ndarray, x1: np.ndarray, velocities: np.ndarray) -> float:
-    """Chord-deviation energy of a trajectory batch over ``[0, 1]``.
+def run_flow(model: FlowModel, rng: Rng, count: int, method: str = "euler",
+             steps: int = 8, keep: bool = True):
+    """``count`` starts of ``rng`` integrated through ``model``, in row blocks.
 
-    Mean over grid points (and batch) of ``||v(t, x_t) - (x_1 - x_0)||^2``
-    for the velocities that :func:`integrate` returns with the endpoints
-    ``x1`` of starts ``x0``; zero exactly for straight constant-speed paths.
-    Reduces one grid step at a time through one ``(B, d)`` buffer. Raises
-    ``FloatingPointError`` if the result is not finite.
+    The starts are the rows of :func:`gaussian_starts` ``(rng, count,
+    model.dim)``, drawn block by block from the same stream (sequential
+    fills give the same bits as the one draw). Blocks are of
+    ``model.block`` rows, the field's own block, and go through every
+    step of :func:`integrate` on one :meth:`FlowModel.snapshot`, so every
+    endpoint has the bits of one whole-batch :func:`integrate`. Each
+    block's chord deviations are added into the :func:`curvature` sum
+    before the next block starts, so the working memory beyond the
+    ``(count, dim)`` endpoints does not grow with ``count``. The sum is
+    taken in another order than the whole batch's, so the curvature may
+    differ from :func:`curvature`'s in its last digits.
+
+    Returns ``(endpoints, curvature)``: the ``(count, dim)`` endpoints if
+    ``keep``, else ``None``, and the curvature, or ``None`` for one step,
+    which has none. Raises ``FloatingPointError`` if an endpoint or the
+    curvature is not finite.
     """
-    if velocities.shape[0] < 2:
-        raise ConfigurationError("curvature needs at least 2 grid velocities")
+    gen = _start_stream(rng, count)
+    field = model.snapshot()
+    rows = min(model.block, count)
+    starts = np.empty((rows, model.dim))
+    x1 = np.empty((count, model.dim)) if keep else None
+    total = 0.0
+    for lo in range(0, count, rows):
+        x0 = starts[:min(rows, count - lo)]
+        gen.standard_normal(out=x0)
+        end, vels = integrate(field, x0, method=method, steps=steps)
+        if keep:
+            x1[lo:lo + len(x0)] = end
+        if steps >= 2:
+            total += _deviation_sum(x0, end, vels)
+        del end, vels  # the next block is integrated without these
+    return x1, None if steps < 2 else _mean_deviation(total, steps * count)
+
+
+def _deviation_sum(x0: np.ndarray, x1: np.ndarray, velocities) -> float:
+    """Sum of ``||v - (x1 - x0)||^2`` over the grid and the rows, one grid
+    step at a time through one ``(B, d)`` buffer."""
     chord = x1 - x0
     dev = np.empty(velocities.shape[1:])
     total = 0.0
@@ -402,10 +455,32 @@ def curvature(x0: np.ndarray, x1: np.ndarray, velocities: np.ndarray) -> float:
             np.subtract(v, chord, out=dev)
             np.square(dev, out=dev)
             total += float(np.sum(dev))
-    curv = total / velocities[..., 0].size
+    return total
+
+
+def _mean_deviation(total: float, terms: int) -> float:
+    """``total / terms``, refused with ``FloatingPointError`` if not finite."""
+    curv = total / terms
     if not np.isfinite(curv):
         raise FloatingPointError("non-finite curvature")
     return curv
+
+
+def curvature(x0: np.ndarray, x1: np.ndarray, velocities: np.ndarray) -> float:
+    """Chord-deviation energy of a trajectory batch over ``[0, 1]``.
+
+    Mean over grid points (and batch) of ``||v(t, x_t) - (x_1 - x_0)||^2``
+    for the velocities that :func:`integrate` returns with the endpoints
+    ``x1`` of starts ``x0``; zero exactly for straight constant-speed paths.
+    Reduces one grid step at a time through one ``(B, d)`` buffer, beside
+    the ``(steps, B, d)`` velocities it is given; :func:`run_flow` takes the
+    same sum block by block without them. Raises ``FloatingPointError`` if
+    the result is not finite.
+    """
+    if velocities.shape[0] < 2:
+        raise ConfigurationError("curvature needs at least 2 grid velocities")
+    return _mean_deviation(_deviation_sum(x0, x1, velocities),
+                           velocities[..., 0].size)
 
 
 def score_from_velocity(model, x: np.ndarray, t: float) -> np.ndarray:

@@ -4,8 +4,9 @@ The ``cli.py`` docstring promises that each command is a pure function of
 its flags, input files and seed. The BLAS library splits a matrix product
 across its threads, so the same recipe runs in two fresh interpreters,
 one with ``OPENBLAS_NUM_THREADS=1`` and one with ``=2``: eps=0 at d=2
-(``solve``, ``chisq``, ``assign``, ``train --coupling sd``, ``sample``) and
-eps>0 at d=8 (``solve``, ``chisq``, ``assign``). Each interpreter calls
+(``solve``, ``chisq``, ``assign``, ``train --coupling sd``, then ``sample``
+and ``eval --model`` over three row blocks of the field and a partial one)
+and eps>0 at d=8 (``solve``, ``chisq``, ``assign``). Each interpreter calls
 ``sdfm.cli.main`` once per command, and the two must print the same lines
 (less ``assign``'s wall time) and write the same payload fingerprints.
 """
@@ -43,8 +44,11 @@ recipe = [
     (0, ["train", "--data", "d2.sdfm", "--coupling", "sd",
          "--potential", "pot0.sdfm", "--steps", "20", "--batch", "256",
          "--hidden", "32", "32", "--seed", "3", "--out", "sd.sdfm"]),
-    (0, ["sample", "--model", "sd.sdfm", "--count", "512", "--steps", "4",
+    # Width 32: the field's blocks are of 4096 rows.
+    (0, ["sample", "--model", "sd.sdfm", "--count", "12588", "--steps", "4",
          "--seed", "4", "--out", "s"]),
+    (0, ["eval", "--model", "sd.sdfm", "--count", "12588", "--solver", "rk4",
+         "--steps", "4", "--seed", "4", "--out", "report.json"]),
     (0, ["dataset", "--name", "gaussian-blob", "--n", "2048", "--d", "8",
          "--seed", "5", "--out", "d8.sdfm"]),
     (3, ["solve", "--data", "d8.sdfm", "--eps", "0.1", *solve,
@@ -65,7 +69,7 @@ for code, argv in recipe:
     elif path.endswith(".sdfm"):
         fingerprint = read_container(path)[1]["fingerprint"]
     else:
-        with open(path + ".bin", "rb") as fh:
+        with open(path if path.endswith(".json") else path + ".bin", "rb") as fh:
             fingerprint = hashlib.sha256(fh.read()).hexdigest()
     got.append([" ".join(argv[:3]), fingerprint,
                 re.sub(r"time_per_pair=\S+", "", out.getvalue())])
@@ -88,6 +92,6 @@ def test_payloads_equal_at_one_and_two_blas_threads(tmp_path):
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 0, stderr
         got[threads] = json.loads(stdout)
-    assert len(got["1"]) == 10
+    assert len(got["1"]) == 11
     for one, two in zip(got["1"], got["2"]):
         assert one == two

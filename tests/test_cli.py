@@ -451,6 +451,40 @@ class TestTrainSampleEval:
         assert "curvature" in json.loads(open(report).read())
 
 
+class TestMetricsFiles:
+    def test_failed_train_leaves_no_file(self, tmp_path, capsys):
+        # Sinkhorn on a 2-point d=1 blob does not converge (exit 4); the
+        # metrics CSV and JSON opened before training are removed.
+        data = str(tmp_path / "two.sdfm")
+        assert main(["dataset", "--name", "gaussian-blob", "--n", "2",
+                     "--d", "1", "--seed", "0", "--out", data]) == 0
+        assert main(["train", "--data", data, "--coupling",
+                     "minibatch-sinkhorn", "--steps", "2", "--batch", "4",
+                     "--hidden", "4", "--out", str(tmp_path / "m.sdfm")]) == 4
+        assert capsys.readouterr().err.startswith("error: no convergence")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.sdfm"]
+
+    def test_summaries_record_the_memory_high_water_mark(self, tmp_path,
+                                                         blob):
+        # solve's and train's metrics JSON hold ru_maxrss in MiB; no other
+        # artifact does, so their payloads and eval's report keep their bytes.
+        _, pot = _solve(tmp_path, blob, extra=["--iters", "4"])
+        model = _quick_model(tmp_path, blob)
+        for out in (pot, model):
+            with open(out + ".metrics.json") as fh:
+                hwm = json.load(fh)["summary"]["rss_hwm_mb"]
+            assert isinstance(hwm, float) and hwm > 0.0
+            assert "rss_hwm_mb" not in json.dumps(read_container(out)[1])
+        report, dump = str(tmp_path / "r.json"), str(tmp_path / "s")
+        assert main(["sample", "--model", model, "--count", "8",
+                     "--out", dump]) == 0
+        assert main(["eval", "--model", model, "--count", "8",
+                     "--out", report]) == 0
+        for path in (report, dump + ".json"):
+            with open(path) as fh:
+                assert "rss_hwm_mb" not in fh.read()
+
+
 class TestGuideCommand:
     def test_gamma_one_matches_sample(self, tmp_path, blob):
         m1 = str(tmp_path / "m1.sdfm")
@@ -490,13 +524,14 @@ class TestPrefixStableStarts:
                          "--steps", "5", "--batch", "16", "--hidden", "8",
                          "--seed", str(seed), "--out", path]) == 0
         starts = []
-        integrate = cli.integrate
+        integrate = flow.integrate
 
         def recording_integrate(model, x0, **kwargs):
             starts.append(x0)
             return integrate(model, x0, **kwargs)
 
-        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        # The model run of sample and eval integrates through flow.integrate.
+        monkeypatch.setattr(flow, "integrate", recording_integrate)
         rows = []
         for count in (small, large):
             out = str(tmp_path / f"{command}{count}")

@@ -93,9 +93,10 @@ class TestEstimateCostStd:
 
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
     def test_in_place_std_is_np_std_in_one_matrix(self, kind):
-        # The in-place std has the bits of np.std(ddof=1) over the cost
-        # matrix, and the 1024 x 1024 reference batch holds one 8 MiB
-        # matrix at a time (16 MiB with the norm and deviation temporaries).
+        # At these batches the streamed std has the bits of np.std(ddof=1)
+        # over the cost matrix (it need not in general: see the next test),
+        # and the 1024 x 1024 reference batch stays under the 9 MiB that
+        # the one-matrix form took.
         cfg = CostConfig(kind=kind)
         gen = Rng(3).generator()
         for n, m, d in ((2, 1, 1), (37, 300, 5), (700, 400, 3), (1024, 1024, 2)):
@@ -110,6 +111,26 @@ class TestEstimateCostStd:
                 tracemalloc.stop()
             assert got == want
         assert peak <= 9 * 2**20
+
+    @pytest.mark.parametrize("d", [2, 32])
+    @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
+    def test_streamed_std_is_np_std_within_1e12_in_2_5_mib(self, kind, d):
+        # The 1024 x 1024 reference batch, scored in blocks of 128 rows and
+        # reduced in one pass around the first block's mean, never holds
+        # the 8 MiB matrix.
+        cfg = CostConfig(kind=kind)
+        gen = Rng(4).generator()
+        noise = gen.standard_normal((1024, d))
+        data = 0.7 * gen.standard_normal((1024, d)) + 2.0
+        want = float(np.std(cost_matrix(cfg, noise, data), ddof=1))
+        tracemalloc.start()
+        try:
+            got = estimate_cost_std(cfg, noise, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(got - want) <= 1e-12 * want
+        assert peak <= 2.5 * 2**20
 
     def test_eps_rescaling_binds(self):
         cfg = CostConfig(kind=NEG_DOT, eps_raw=0.1)

@@ -19,6 +19,7 @@ from sdfm.flow import (
     gaussian_starts,
     guided_sample,
     integrate,
+    run_flow,
     score_from_velocity,
     train_flow,
 )
@@ -728,6 +729,53 @@ class TestCurvature:
         c1 = curvature(x0, *integrate(field, x0, steps=64))
         c2 = curvature(x0, *integrate(field, x0, steps=128))
         assert abs(c2 - c1) / c1 < 0.05
+
+
+class TestRunFlow:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_blocks_keep_the_whole_batch_bits(self, method):
+        # Three field blocks of 2048 rows and a partial one: the streamed
+        # endpoints are those of one whole-batch integrate bit for bit, and
+        # the curvature, summed block by block, agrees to rounding.
+        model = FlowModel(dim=2, hidden=(64, 64), rng=Rng(64))
+        gen = np.random.default_rng(65)
+        for b in model.biases:
+            b[...] = gen.standard_normal(b.shape)
+        count = 3 * model.block + 517
+        x0 = gaussian_starts(Rng(66), count, 2)
+        want, vels = integrate(model.snapshot(), x0, method=method, steps=4)
+        x1, curv = run_flow(model, Rng(66), count, method=method, steps=4)
+        np.testing.assert_array_equal(x1, want)
+        assert abs(curv - curvature(x0, want, vels)) <= 1e-12 * curv
+        none, again = run_flow(model, Rng(66), count, method=method,
+                               steps=4, keep=False)
+        assert none is None and again == curv
+
+    def test_one_step_has_no_curvature(self):
+        model = FlowModel(dim=2, hidden=(8,), rng=Rng(67))
+        x1, curv = run_flow(model, Rng(68), 5, steps=1)
+        assert curv is None
+        np.testing.assert_array_equal(
+            x1, integrate(model, gaussian_starts(Rng(68), 5, 2), steps=1)[0])
+        with pytest.raises(ConfigurationError):
+            run_flow(model, Rng(68), 0)
+
+    def test_memory_beyond_the_endpoints_does_not_grow_with_count(self):
+        # desk-2d's eval shape (width 64, Euler-4): the velocity history,
+        # states and starts are one field block's, so only the (count, d)
+        # endpoints grow between 8192 and 65536 rows.
+        model = FlowModel(dim=2, hidden=(64,) * 3, rng=Rng(69))
+        beyond = []
+        for count in (8192, 65536):
+            tracemalloc.start()
+            try:
+                run_flow(model, Rng(70), count, steps=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - count * 2 * 8)
+        assert abs(beyond[1] - beyond[0]) <= 0.1 * beyond[0]
+        assert max(beyond) <= 2 * 2**20
 
 
 class TestScore:

@@ -107,10 +107,13 @@ def test_tiny_traced_recipe_counts_every_layer(tmp_path):
     assert stats["flow.velocity"]["rows"] == 1024
 
 
-def test_velocity_counts_one_call_per_batch_at_any_block_size(
+def test_velocity_counts_one_call_per_run_block_at_any_block_size(
         tmp_path, monkeypatch):
-    # Width 8: blocks of 3 rows, so every 64-row call spans 22 blocks.
+    # Width 8: blocks of 3 rows. sample and eval run their 64 rows in 22
+    # blocks of the field's size, one call per block and Euler step; a
+    # call is counted once however many field blocks it spans (guide's 16
+    # x 4 replica rows, one call per step and model), and every row once.
     monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 8 * 3)
     stats = _tiny_recipe_stats(tmp_path)
-    assert stats["flow.velocity"]["calls"] == 16
+    assert stats["flow.velocity"]["calls"] == 2 * 22 * 4 + 2 * 4
     assert stats["flow.velocity"]["rows"] == 1024

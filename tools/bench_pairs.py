@@ -14,8 +14,10 @@ pair's two sets are compared.
 For each end-to-end metric of ``BENCHMARK.json`` the report prints the
 parent's median and interquartile range, the change's median, their ratio
 and the number of pairs the change won on the metric's ``better``
-direction; a tie counts for neither side. The exit status is 1 if any run
-was not ``correct`` (or printed no result), else 0. Fingerprints that
+direction; a tie counts for neither side. It also lists every pair's
+``peak_rss_mb``, since that metric can take one of two values by heap
+placement. The exit status is 1 if any run was not ``correct`` (or
+printed no result), else 0. Fingerprints that
 differ are printed, but do not change the exit status: a change may move
 bits on purpose.
 """
@@ -30,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PEAK = "peak_rss_mb"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
@@ -78,6 +81,12 @@ def report(workload: str, runs, metrics) -> None:
         ratio = mid_c / mid_p if mid_p else float("nan")
         print(f"  {name:20s} {mid_p:11.6g} [{q1:.6g}-{q3:.6g}] -> "
               f"{mid_c:11.6g}  {ratio:6.3f}x  {won}/{len(pairs)}")
+    # Peak RSS can be bimodal by heap placement: show every run's value.
+    peaks = [(p["metrics"][PEAK]["value"], c["metrics"][PEAK]["value"])
+             for p, c in runs if PEAK in p["metrics"] and PEAK in c["metrics"]]
+    if peaks:
+        print(f"  {PEAK} by pair (parent/change): "
+              + " ".join(f"{p:.2f}/{c:.2f}" for p, c in peaks))
     for i, (p, c) in enumerate(runs):
         keys = sorted(set(p["fingerprints"]) | set(c["fingerprints"]))
         moved = [k for k in keys
