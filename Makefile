@@ -57,10 +57,13 @@ check: test bench-smoke demos
 # then the same lines split by tokenize: a docstring line belongs to a string
 # literal that is a statement by itself, a comment line holds only a comment,
 # a blank line only whitespace outside a string, and every other line is code.
+# Each module's code lines follow, one module a line.
 define LOC_SPLIT
-import sys, tokenize
+import os, sys, tokenize
 counts = dict(code=0, docstring=0, comment=0, blank=0)
+module_code = {}
 for path in sys.argv[1:]:
+    code_before = counts["code"]
     with open(path, "rb") as fh:
         tokens = list(tokenize.tokenize(fh.readline))
     kind, depth, start = {}, 0, False
@@ -79,7 +82,10 @@ for path in sys.argv[1:]:
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             counts[kind.get(number, "code" if line.strip() else "blank")] += 1
+    module_code[os.path.basename(path)] = counts["code"] - code_before
 print(" ".join(f"{key}={value}" for key, value in counts.items()))
+for name, code in module_code.items():
+    print(f"  {name} code={code}")
 endef
 export LOC_SPLIT
 

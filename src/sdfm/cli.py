@@ -313,7 +313,9 @@ def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
     """2-Wasserstein distance between empirical clouds of one shape.
 
     Clouds of unequal count or dimension raise a
-    :class:`~sdfm.costs.ConfigurationError` that names both shapes.
+    :class:`~sdfm.costs.ConfigurationError` that names both shapes. The
+    Hungarian matching holds the ``(n, n)`` float64 cost matrix of
+    ``8 n²`` bytes: 2.1 MiB at n = 520, 2 GiB at n = 16384.
     """
     from scipy.spatial.distance import cdist
 

@@ -1,8 +1,7 @@
 """Stochastic maximization of the semidual objective.
 
 AdaGrad (Duchi, Hazan & Singer 2011) with a constant phase and then
-inverse-square-root decay, or averaged SGD at the theorem's decaying rate
-(Genevay et al. 2016), averaged over a trailing window. Convergence
+inverse-square-root decay, averaged over a trailing window. Convergence
 is monitored through the unbiased chi-square estimator on a dedicated
 evaluation stream, never the training stream. Each check is one scan of
 that stream: it gives the stopping statistic, the semidual estimate of
@@ -37,9 +36,6 @@ __all__ = [
     "lr_schedule",
 ]
 
-SGD_DECAY = "sgd-decay"
-ADAGRAD = "adagrad"
-
 _ADAGRAD_FLOOR = 1e-10
 _HALF = 0.5  # the chi-square must halve per check, or AdaGrad's rate does
 
@@ -60,16 +56,13 @@ class SolverConfig:
     inverse-square-root decay for the rest, and averaging over the final
     quarter. ``base_lr`` is AdaGrad's starting rate: the solver halves
     it at every constant-phase check whose chi-square is not below half
-    the previous check's. ``sgd-decay`` (:func:`lr_schedule`) never
-    halves, and its ``base_lr`` is the theorem's ``sqrt(Delta / L)``, so
-    ``optimizer`` and ``base_lr`` fix the schedule. Every
-    ``check_interval`` iterations one streamed scan of ``chi2_total``
-    evaluation rows, in batches of ``chi2_batch``, gives the stopping
-    statistic, the semidual estimate of the divergence guard and the
-    marginal diagnostics.
+    the previous check's. The constant phase holds at least one
+    iteration. Every ``check_interval`` iterations one streamed scan of
+    ``chi2_total`` evaluation rows, in batches of ``chi2_batch``, gives
+    the stopping statistic, the semidual estimate of the divergence guard
+    and the marginal diagnostics.
     """
 
-    optimizer: str = ADAGRAD
     base_lr: float = 1.0
     constant_phase: int = 20_000
     decay_phase: int = 10_000
@@ -81,16 +74,13 @@ class SolverConfig:
     chi2_total: int = 2**16
 
     def __post_init__(self):
-        if self.optimizer not in (SGD_DECAY, ADAGRAD):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not self.tau > 0.0:
             raise ConfigurationError("stopping threshold tau must be > 0")
         if not 0.0 < self.base_lr < np.inf:
             raise ConfigurationError("base learning rate must be finite and > 0")
-        if self.constant_phase < 0 or self.decay_phase < 0:
-            raise ConfigurationError("phase lengths must be >= 0")
-        if self.max_iterations < 1:
-            raise ConfigurationError("need at least one iteration")
+        if self.constant_phase < 1 or self.decay_phase < 0:
+            raise ConfigurationError(
+                "need constant_phase >= 1 and decay_phase >= 0")
         if not (1 <= self.averaging_window <= self.max_iterations):
             raise ConfigurationError(
                 "averaging_window must lie in [1, constant_phase + decay_phase]"
@@ -116,20 +106,15 @@ class SolverConfig:
 
 
 def lr_schedule(cfg: SolverConfig, k: int) -> float:
-    """Learning rate at iteration ``k`` (0-based).
+    """AdaGrad's learning rate at iteration ``k`` (0-based).
 
-    ``sgd-decay`` uses the theorem's ``base_lr / sqrt(max(k, 1))``, where
-    ``base_lr`` stands for sqrt(Delta / L): the optimality gap over the
-    gradient's smoothness constant. AdaGrad returns the base rate during
-    the constant phase, then decays it by sqrt(constant_phase / k); the
-    per-coordinate division by the root of the gradient accumulator
-    happens in the update itself.
+    The base rate during the constant phase, then decayed by
+    sqrt(constant_phase / k); the per-coordinate division by the root of
+    the gradient accumulator happens in the update itself.
     """
     if k < 0:
         raise ValueError("iteration index must be >= 0")
-    if cfg.optimizer == SGD_DECAY:
-        return float(cfg.base_lr / np.sqrt(max(k, 1)))
-    if k < cfg.constant_phase or cfg.constant_phase == 0:
+    if k < cfg.constant_phase:
         return float(cfg.base_lr)
     return float(cfg.base_lr * np.sqrt(cfg.constant_phase / k))
 
@@ -218,8 +203,7 @@ def solve_sdot(
             lr_k = _HALF**halvings * lr_schedule(cfg, min(k, cfg.max_iterations - 1))
             converged = -1.0 < chi2_k <= cfg.tau
             done = converged or k >= cfg.max_iterations
-            if (cfg.optimizer == ADAGRAD and chi2_history and not done
-                    and k < cfg.constant_phase
+            if (chi2_history and not done and k < cfg.constant_phase
                     and not chi2_k < _HALF * chi2_history[-1][1]):
                 halvings += 1
                 lr_k *= _HALF
@@ -249,12 +233,8 @@ def solve_sdot(
         grad = stochastic_gradient(pot_step, noise.sample(train.child(k), cfg.batch))
         _require_finite(grad, "gradient", k)
         lr = _HALF**halvings * lr_schedule(cfg, k)
-        if cfg.optimizer == ADAGRAD:
-            accumulator += grad * grad
-            denom = np.sqrt(np.maximum(accumulator, _ADAGRAD_FLOOR))
-            g += lr * grad / denom
-        else:
-            g += lr * grad
+        accumulator += grad * grad
+        g += lr * grad / np.sqrt(np.maximum(accumulator, _ADAGRAD_FLOOR))
         _require_finite(g, "potential", k)
         end = k + window  # the check whose window starts here
         if k == 0 or end == cfg.max_iterations or (
@@ -269,7 +249,6 @@ def solve_sdot(
         averaging_window=min(window, max(k, 1)),
         stop_reason="tau" if converged else "max_iterations",
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        optimizer=cfg.optimizer,
         base_lr=cfg.base_lr,
         lr_halvings=halvings,
         tau=cfg.tau,

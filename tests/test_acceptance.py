@@ -139,7 +139,7 @@ def test_criterion_3_oracle_dual_equivalence():
         noise = FiniteNoise(atoms, gen.integers(1, 5, m), exact=True)
         target = TargetMeasure.from_points(y, b)
         cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-        cfg = SolverConfig(optimizer="adagrad", base_lr=1.0,
+        cfg = SolverConfig(base_lr=1.0,
                            constant_phase=6000, decay_phase=3000,
                            averaging_window=2000, tau=1e-11,
                            check_interval=1000)
@@ -157,16 +157,15 @@ def test_criterion_3_oracle_dual_equivalence():
 
 
 def test_criterion_4_theorem_decay():
-    """Decaying-schedule chi2 shrinks like a power law and is monotone."""
+    """AdaGrad's chi2 at the default rate shrinks like a power law and is
+    monotone."""
     t0 = time.time()
     target, cost, noise = make_enumerated_instance(
         4000, n_target=8, n_atoms=48, d=2, eps=0.1, uniform=True, exact=False
     )
 
     def run(iters, seed, track=False):
-        # base_lr = sqrt(Delta / L) with Delta = 1 and L = 1 / eps.
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=cost.eps**0.5,
-                           constant_phase=iters, decay_phase=0,
+        cfg = SolverConfig(constant_phase=iters, decay_phase=0,
                            averaging_window=max(1, iters // 4),
                            batch=32 if track else 8,
                            tau=1e-12, check_interval=100 if track else 10**6)

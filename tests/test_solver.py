@@ -23,34 +23,18 @@ from oracles import FiniteNoise, marginal_exact, oracle_discrete_ot, softmax_row
 
 
 class TestLrSchedule:
-    def test_decay_rate(self):
-        # base_lr = sqrt(Delta / L) with Delta = L = 1.
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=1.0,
-                           constant_phase=100, decay_phase=0,
-                           averaging_window=25)
-        assert lr_schedule(cfg, 4) == pytest.approx(0.5)
-        assert lr_schedule(cfg, 0) == pytest.approx(1.0)  # max(k, 1)
-
-    def test_decay_is_nonincreasing(self):
-        # base_lr = sqrt(Delta / L) with Delta = 2, L = 0.5.
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=2.0,
-                           constant_phase=1000, decay_phase=0,
-                           averaging_window=100)
-        rates = [lr_schedule(cfg, k) for k in range(1, 500)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-        # 1/sqrt(k) scaling: quadrupling k halves the rate.
-        assert lr_schedule(cfg, 400) == pytest.approx(lr_schedule(cfg, 100) / 2)
-
     def test_adagrad_base_then_decay(self):
-        cfg = SolverConfig(optimizer="adagrad", base_lr=2.0, constant_phase=100,
+        cfg = SolverConfig(base_lr=2.0, constant_phase=100,
                            decay_phase=300, averaging_window=100)
         assert lr_schedule(cfg, 0) == 2.0
         assert lr_schedule(cfg, 99) == 2.0
         assert lr_schedule(cfg, 400) == pytest.approx(2.0 * np.sqrt(100 / 400))
 
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown optimizer"):
-            SolverConfig(optimizer="sgd-constant")
+    def test_empty_constant_phase_rejected(self):
+        # The decay phase scales base_lr by sqrt(constant_phase / k), so a
+        # zero constant phase leaves it no rate to decay from.
+        with pytest.raises(ConfigurationError, match="constant_phase >= 1"):
+            SolverConfig(constant_phase=0, decay_phase=10, averaging_window=5)
 
 
 class TestSolveSdot:
@@ -83,7 +67,7 @@ class TestSolveSdot:
     def test_oracle_dual_equivalence_quick(self):
         target, cost, noise = make_enumerated_instance(42, n_target=6,
                                                        n_atoms=24, eps=0.5)
-        cfg = SolverConfig(optimizer="adagrad", base_lr=1.0,
+        cfg = SolverConfig(base_lr=1.0,
                            constant_phase=4000, decay_phase=2000,
                            averaging_window=1500, tau=1e-10,
                            check_interval=1000)
@@ -103,32 +87,6 @@ class TestSolveSdot:
         pot = solve_sdot(target, cost, cfg, Rng(3), noise=noise)
         assert abs(np.dot(target.weights, pot.g)) < 1e-12
 
-    def test_uniform_weight_mean_drift(self):
-        # Gradient entries sum to zero, so plain SGD keeps sum(g) fixed.
-        target, cost, src = make_enumerated_instance(44, uniform=True,
-                                                     exact=False)
-        # base_lr = sqrt(Delta / L) with Delta = 1, L = 2.
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=0.5**0.5,
-                           constant_phase=1000, decay_phase=0,
-                           averaging_window=10, batch=16, tau=1e-12,
-                           check_interval=10**6)
-        captured = []
-
-        def grab(k, pot, chi2):
-            captured.append(pot.g.sum())
-
-        solve_sdot(target, cost, cfg, Rng(4), noise=src, checkpoint_cb=grab)
-        # The averaged, gauge-fixed candidate sums to ~0; check via raw repeat:
-        state_g = np.zeros(target.n)
-        gen_rng = Rng(4).child(0)
-        for k in range(1000):
-            x = src.sample(gen_rng.child(k), 16)
-            c = cost_matrix(cost, x, target.points)
-            s = softmax_rows(state_g[None, :] - c, target.weights, cost.eps)
-            grad = target.weights - s.mean(axis=0)
-            state_g += lr_schedule(cfg, k) * grad
-            assert abs(state_g.sum()) < 1e-8
-
     def test_determinism(self):
         target, cost, noise = make_enumerated_instance(45, exact=False)
         cfg = SolverConfig(constant_phase=300, decay_phase=100,
@@ -140,7 +98,7 @@ class TestSolveSdot:
 
     def test_divergence_guard(self):
         target, cost, noise = make_enumerated_instance(46, eps=0.05, exact=False)
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=1e7,
+        cfg = SolverConfig(base_lr=1e7,
                            constant_phase=2000, decay_phase=0,
                            averaging_window=100, batch=4, tau=1e-12,
                            check_interval=100)
@@ -265,8 +223,8 @@ class TestSolveSdot:
 
 
 class TestStepSize:
-    """AdaGrad halves its base rate at every check that fails to halve
-    the chi-square; ``sgd-decay`` keeps the theorem's rate."""
+    """AdaGrad halves its base rate at every constant-phase check that
+    fails to halve the chi-square."""
 
     def test_demo_instance_stops_on_tau(self):
         # The instance and schedule of demos/01_solve_and_inspect.py at
@@ -314,20 +272,6 @@ class TestStepSize:
             if name == "lr" and k >= cfg.constant_phase:
                 assert v == 0.5**pot.provenance["lr_halvings"] \
                     * lr_schedule(cfg, min(k, 399))
-
-    def test_theory_schedule_never_halves(self):
-        target, cost, noise = make_enumerated_instance(54, exact=False)
-        cfg = SolverConfig(optimizer="sgd-decay", base_lr=50**-0.5,
-                           constant_phase=200, decay_phase=0,
-                           averaging_window=50, batch=4, tau=1e-12,
-                           check_interval=20)
-        sink = _Rows()
-        pot = solve_sdot(target, cost, cfg, Rng(14), metrics=sink, noise=noise)
-        assert pot.provenance["lr_halvings"] == 0
-        rates = {k: v for (k, name), v in sink.rows.items() if name == "lr"}
-        assert len(rates) == 11
-        for k, v in rates.items():
-            assert v == lr_schedule(cfg, min(k, 199))
 
 
 class _Rows:
