@@ -26,7 +26,6 @@ import numpy as np
 from . import artifacts
 from .container import ContainerError, MetricsWriter, is_container
 from .costs import (
-    NEG_DOT,
     REFERENCE_BATCH_SIZE,
     SQ_EUCLIDEAN,
     ConfigurationError,
@@ -98,13 +97,8 @@ def _relative_eps(cost: CostConfig, points, rng: Rng) -> CostConfig:
 
 
 def _resolve_cost(args, points, rng: Rng):
-    kind = NEG_DOT if args.cost == "negdot" else SQ_EUCLIDEAN
-    if args.eps == 0.0 and kind != NEG_DOT:
-        raise ConfigurationError(
-            "eps=0 requires the neg-dot cost (distinct-point geometry)"
-        )
     projection = None if args.pca is None else fit_pca(points, args.pca)
-    cfg = CostConfig(kind=kind, eps_raw=float(args.eps), projection=projection)
+    cfg = CostConfig(eps_raw=float(args.eps), projection=projection)
     return _relative_eps(cfg, points, rng) if args.eps > 0.0 else cfg
 
 
@@ -392,7 +386,6 @@ def build_parser() -> _Parser:
     s.add_argument("--iters", type=int, default=30_000)
     s.add_argument("--batch", type=int, default=256)
     s.add_argument("--pca", type=int)
-    s.add_argument("--cost", choices=["negdot", "sqeuclid"], default="negdot")
     s.add_argument("--chi2-samples", type=int)
     s.add_argument("--checkpoint-every", type=int, default=0)
     s.set_defaults(fn=cmd_solve)

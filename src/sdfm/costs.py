@@ -2,7 +2,10 @@
 
 The ground cost ``c(x, y)`` is either the negative dot product or the
 squared Euclidean distance, evaluated in the coupling space: the raw
-rows, or their PCA projection when the cost carries one.
+rows, or their PCA projection when the cost carries one. Semidiscrete
+potentials take the negative dot product only (:mod:`sdfm.semidual`);
+the squared Euclidean cost serves the minibatch couplings and the
+reference std that scales their eps.
 :meth:`CostConfig.embed` is the one place that maps raw rows into that
 space. The entropic regularization is a multiple of the cost scale:
 :attr:`CostConfig.eps` is ``eps_raw`` times the standard deviation of a
@@ -87,9 +90,12 @@ class ProjectionMatrix:
 class CostConfig:
     """Cost kind, projection, and regularization relative to the cost scale.
 
-    ``eps_raw`` is a multiple of ``cost_std``, the reference cost std
-    (see :func:`estimate_cost_std`) that :meth:`with_rescaled_eps` binds.
-    The effective regularization :attr:`eps` is derived from the two.
+    ``kind`` picks the cost of :func:`cost_matrix` and
+    :func:`estimate_cost_std`; a :class:`~sdfm.semidual.Potential` takes
+    the default, :data:`NEG_DOT`, only. ``eps_raw`` is a multiple of
+    ``cost_std``, the reference cost std (see :func:`estimate_cost_std`)
+    that :meth:`with_rescaled_eps` binds. The effective regularization
+    :attr:`eps` is derived from the two.
     """
 
     kind: str = NEG_DOT

@@ -27,14 +27,17 @@ live in the coupling space (the raw rows, or their PCA projection):
 :attr:`Potential.support`, the points of the potential's coupling-space
 measure: its target, or the target embedded once per potential.
 
-Both costs score in one matmul, up to a per-row constant that cancels in
-every responsibility, argmax and draw. Its right operand is the
-coupling-space target's lifted support, one C-contiguous ``(d + 2, N)``
-array of the support's d coordinate rows, a shift row and a ones row (at
-eps=0 its first d + 1 rows, or their float32 copy). The target owns every
-array derived from the support; each score call writes its potential's
-shift row there just before a use that does not yield, so streams of
-potentials may interleave. At eps>0 a certified bound of each row's
+A potential takes the negative dot product cost ``c(x, y) = -<x, y>``
+only. The squared Euclidean coupling of ``g`` at ``eps`` is the neg-dot
+coupling of ``(g - |y|^2) / 2`` at ``eps / 2``, as ``g_j - |x - y_j|^2 =
+2 ((g_j - |y_j|^2) / 2 + <x, y_j>) - |x|^2``, whose ``-|x|^2`` cancels in
+every responsibility, argmax and draw. Scores are one matmul, whose right
+operand is the coupling-space target's lifted support, one C-contiguous
+``(d + 2, N)`` array of the support's d coordinate rows, a shift row and
+a ones row (at eps=0 its first d + 1 rows, or their float32 copy). The
+target owns every array derived from the support; each score call writes
+its potential's shift row there just before a use that does not yield,
+so streams of potentials may interleave. At eps>0 a certified bound of each row's
 exponents ``(g_j - c(x, y_j)) / eps + log b_j``, folded into the matmul,
 leaves a slab only the exp (a loose one, its row maximum).
 :func:`score_chunks` holds the scan's one loop: matmul blocks in one
@@ -58,7 +61,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costs import NEG_DOT, ConfigurationError, CostConfig
+from .costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig
 from .numerics import (
     ARGMAX_TIE_TOL,
     Rng,
@@ -185,16 +188,6 @@ class TargetMeasure:
         return single
 
     @cached_property
-    def _sq_norms(self) -> np.ndarray:
-        # |y_j|^2 from C-ordered 1024-point blocks: einsum over the strided
-        # points view rounds some norms differently.
-        norms = np.empty(self.n)
-        for lo in range(0, self.n, 1024):
-            s = np.ascontiguousarray(self.points[lo:lo + 1024])
-            norms[lo:lo + 1024] = np.einsum("ij,ij->i", s, s)
-        return norms
-
-    @cached_property
     def _coord_range(self) -> np.ndarray:
         """Each coordinate row's largest ``|entry|``, ``inf`` from ``2^127``
         up (:func:`argmax_chunks`)."""
@@ -213,8 +206,9 @@ class Potential:
     """Dual vector ``g`` bound to its target, cost, and solver provenance.
 
     Gauge convention: ``<b, g> = 0`` (the additive constant of the dual
-    is unidentifiable), applied by :func:`gauge_fix`. The scores read
-    only the arrays of its coupling-space target, :attr:`_space`.
+    is unidentifiable), applied by :func:`gauge_fix`. The cost is the
+    negative dot product (the module docstring). The scores read only the
+    arrays of its coupling-space target, :attr:`_space`.
     """
 
     g: np.ndarray
@@ -223,6 +217,9 @@ class Potential:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.cost.kind == SQ_EUCLIDEAN:  # CostConfig's only other kind
+            raise ConfigurationError(
+                f"a potential takes the {NEG_DOT} cost, not {SQ_EUCLIDEAN}")
         self.g = np.asarray(self.g, dtype=np.float64)
         if self.g.shape != (self.target.n,):
             raise ConfigurationError("potential length must match the target size")
@@ -312,54 +309,45 @@ def _f32_range(v):
 
 
 def _lifted_rows(pot: Potential, x: np.ndarray) -> np.ndarray:
-    """The float64 rows ``[a x_i, 1]`` of raw noise rows ``x`` in coupling
-    space (``[a x_i / eps, 1, unset]`` at eps>0)."""
+    """The float64 rows ``[x_i, 1]`` of raw noise rows ``x`` in coupling
+    space (``[x_i / eps, 1, unset]`` at eps>0)."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     d = x.shape[1]
     rows = np.empty((len(x), d + (1 if pot.eps == 0.0 else 2)))
-    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
-    np.multiply(x, a if pot.eps == 0.0 else a / pot.eps, out=rows[:, :d])
+    np.multiply(x, 1.0 if pot.eps == 0.0 else 1.0 / pot.eps, out=rows[:, :d])
     rows[:, d] = 1.0
     return rows
-
-
-def _shift(pot: Potential) -> np.ndarray:
-    """The scores' shift row: ``g``, less ``|y_j|^2`` at the squared
-    Euclidean cost."""
-    return pot.g if pot.cost.kind == NEG_DOT else pot.g - pot._space._sq_norms
 
 
 def coupling_scores(pot: Potential, x: np.ndarray,
                     out: Optional[np.ndarray] = None,
                     shift: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scores ``z_ij = g_j - c(x_i, y_j)`` of raw noise rows ``x`` at eps=0,
-    and at eps>0 the softmax's exponents ``t_ij = z_ij / eps + log b_j``,
-    up to a per-row constant: one matmul of the rows ``[a x_i, 1]`` (in
-    coupling space, the coordinates over ``eps`` at eps>0) by the first d +
-    1 rows of the target's lifted support (the module docstring), whose
-    shift row this call first sets from its own potential: ``g`` (less
-    ``|y_j|^2`` for the squared Euclidean cost), at eps>0 over ``eps``
-    plus ``log b``. As ``g_j - |x - y_j|^2 = 2 <x, y_j> + (g_j - |y_j|^2)
-    - |x|^2``, squared Euclidean scores (``a = 2``) carry ``+|x_i|^2``
-    (over ``eps``); negative dot product ones are exact. Written to ``out`` (shape ``(len(x), N)``)
-    when given, in its dtype. A float32 ``out`` (eps=0) makes it a block of
-    a :func:`score_chunks` stream: ``x`` holds the block's float32 lifted
-    rows, scored against the target's float32 lifted support with the
-    stream's shift row, under its consumer's ``errstate``
-    (:func:`argmax_chunks`). At eps>0 a ``-U_i`` column
-    against the ones row subtracts row i's Cauchy-Schwarz bound ``U_i = |a
-    x_i / eps| max_j |y_j| + max_j s_j`` (``s`` the shift row), also written
-    to ``shift[i]``, where it exceeds the exponent at ``argmax s`` by at most
-    :data:`BOUND_MARGIN`. Other rows keep their exponents and a ``NaN`` shift
+    """Scores ``z_ij = g_j - c(x_i, y_j) = g_j + <x_i, y_j>`` of raw noise
+    rows ``x`` at eps=0, and at eps>0 the softmax's exponents ``t_ij = z_ij
+    / eps + log b_j`` up to a per-row constant: one matmul of the rows
+    ``[x_i, 1]`` (in coupling space, the coordinates over ``eps`` at
+    eps>0) by the first d + 1 rows of the target's lifted support (the
+    module docstring), whose shift row this call first sets from its own
+    potential: ``g``, at eps>0 over ``eps`` plus ``log b``. Written to
+    ``out`` (shape ``(len(x), N)``) when given, in its dtype. A float32
+    ``out`` (eps=0) makes it a block of a :func:`score_chunks` stream:
+    ``x`` holds the block's float32 lifted rows, scored against the
+    target's float32 lifted support with the stream's shift row, under its
+    consumer's ``errstate`` (:func:`argmax_chunks`). At eps>0 a ``-U_i``
+    column against the ones row subtracts row i's Cauchy-Schwarz bound
+    ``U_i = |x_i / eps| max_j |y_j| + max_j s_j`` (``s`` the shift row),
+    also written to ``shift[i]``, where it exceeds the exponent at
+    ``argmax s`` by at most :data:`BOUND_MARGIN`. Other rows keep their
+    exponents and a ``NaN`` shift
     (:func:`~sdfm.numerics.softmax_b_eps_rows` subtracts their maximum).
     """
     lifted = pot._space._lifted
     if pot.eps == 0.0:
         if out is not None and out.dtype == np.float32:
             return np.matmul(x, pot._space._single, out=out)
-        lifted[-2] = _shift(pot)
+        lifted[-2] = pot.g
         return np.matmul(_lifted_rows(pot, x), lifted[:-1], out=out)
-    lifted[-2] = _shift(pot) / pot.eps + pot._space.log_weights
+    lifted[-2] = pot.g / pot.eps + pot._space.log_weights
     rows = _lifted_rows(pot, x)
     top = int(np.argmax(lifted[-2]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,15 +391,14 @@ def score_chunks(pot: Potential, x: np.ndarray):
     buf[:, n:] = -np.inf
     shift = np.empty(x.shape[0] if pot.eps else 0)
     if pot.eps == 0.0:
-        pot._space._single[-1] = _shift(pot)
+        pot._space._single[-1] = pot.g
         rows32 = np.ones((len(buf), pot.support.shape[1] + 1), np.float32)
-        a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
         rows = x[lo:hi]
-        if pot.eps == 0.0:  # [a x_i, 1]: a x_i in float64, stored in float32
+        if pot.eps == 0.0:  # [x_i, 1], stored in float32
             rows = rows32[:hi - lo]
-            np.multiply(pot.cost.embed(x[lo:hi]), a, out=rows[:, :-1])
+            rows[:, :-1] = pot.cost.embed(x[lo:hi])
         coupling_scores(pot, rows, buf[:hi - lo, :n], shift[lo:hi])
         for s in range(lo, hi, slab):
             e = min(s + slab, hi)
@@ -436,11 +423,11 @@ def argmax_chunks(pot: Potential, x: np.ndarray):
     of other potentials may interleave between slabs.
 
     **The rounding bound.** Let ``K = d + 1``, ``u = 2^-24``, ``γ_n = n u /
-    (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |a x_ik| max_j
+    (1 - n u)``, ``L`` the lifted support and ``S_i = sum_k |x_ik| max_j
     |L_kj| + max_j |shift_j|``. Every float32 score of row ``i`` differs
     from its float64 score by at most
 
-        β_i = γ_{K+2} S_i + 2^-124 (sum_k max_j |L_kj| + sum_k |a x_ik| + K + 1).
+        β_i = γ_{K+2} S_i + 2^-124 (sum_k max_j |L_kj| + sum_k |x_ik| + K + 1).
 
     Sketch: casting both factors of a product to float32 scales it by at
     most ``(1 + u)^2``, and a K-term float32 dot product errs by at most
@@ -462,7 +449,6 @@ def argmax_chunks(pot: Potential, x: np.ndarray):
     coord_max = pot._space._coord_range
     k = len(coord_max) + 1
     gamma = (k + 2) * _UNIT32 / (1.0 - (k + 2) * _UNIT32)
-    a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
     idx, gap, slabs = np.empty(len(x), np.intp), np.empty(len(x)), []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, scores, _ in score_chunks(pot, x):
@@ -472,9 +458,9 @@ def argmax_chunks(pot: Potential, x: np.ndarray):
             np.subtract(first, second, out=gap[lo:hi], dtype=np.float64)
             slabs.append((lo, hi))
         scores = None  # frees the block buffer before β_i's temporaries
-        bound = _f32_range(a * np.abs(pot.cost.embed(x))) @ \
+        bound = _f32_range(np.abs(pot.cost.embed(x))) @ \
             (gamma * coord_max + _TINY32)
-        bound += gamma * _f32_range(np.abs(_shift(pot)).max()) + \
+        bound += gamma * _f32_range(np.abs(pot.g).max()) + \
             _TINY32 * (coord_max.sum() + k + 1)
         bound[~(bound < gamma * 2.0**126)] = np.inf
         recheck = np.flatnonzero(~(gap > 2.0 * bound + ARGMAX_TIE_TOL))
@@ -503,9 +489,9 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
     squares ``(r * r) @ (e * e)``. With ``soft_c`` (one entry per row) each
     row's soft-c transform is written there from the same tiles:
     ``f_{g,eps}(x_i) = -eps log sum_j b_j exp(score_ij / eps) = -eps (shift_i
-    + log total_i)`` at eps>0, ``-max_j score_ij`` at eps=0, plus
-    ``|x_i|^2`` for the squared Euclidean cost. The eps=0 maxima are
-    gathered after the stream, in one ``vecdot`` with the chosen columns.
+    + log total_i)`` at eps>0, ``-max_j score_ij`` at eps=0. The eps=0
+    maxima are gathered after the stream, in one ``vecdot`` with the
+    chosen columns.
     """
     col_sum = np.zeros(pot.target.n)
     col_sq = np.zeros(pot.target.n) if squares else None
@@ -516,7 +502,7 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
             chosen.append(argmax[0])
         if soft_c is not None:  # each row's score at its chosen column
             lifted = pot._space._lifted
-            lifted[-2] = _shift(pot)
+            lifted[-2] = pot.g
             cols = lifted[:-1].T[np.concatenate(chosen)]
             np.vecdot(_lifted_rows(pot, x), cols, out=soft_c)
     else:
@@ -533,9 +519,6 @@ def _column_sums(pot: Potential, x: np.ndarray, squares: bool = False,
                 col_sq += (r * r) @ scores
     if soft_c is not None:
         np.negative(soft_c, out=soft_c)
-        if pot.cost.kind != NEG_DOT:
-            x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-            soft_c += np.einsum("ij,ij->i", x, x)
     return col_sum, col_sq
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .costs import NEG_DOT, ConfigurationError, CostConfig
+from .costs import ConfigurationError, CostConfig
 from .numerics import Rng
 from .semidual import (
     GaussianNoise,
@@ -172,8 +172,6 @@ def solve_sdot(
     """
     if noise is None:
         noise = GaussianNoise(target)
-    if cost.eps_raw == 0.0 and cost.kind != NEG_DOT:
-        raise ConfigurationError("eps=0 requires the negative dot-product cost")
     b = target.weights
     n = target.n
     g = np.zeros(n)

@@ -3,8 +3,9 @@
 Finite noise laws with integer multiplicities and the solver's exact
 check over them, exact discrete OT on small dense instances (the
 transport LP at eps=0, tight Sinkhorn at eps>0), the log-domain Sinkhorn
-loop that the library runs in scaling form, the two-pass
-score kernel, Laguerre-cell membership, the exact
+loop that the library runs in scaling form, the neg-dot potential of a
+squared-Euclidean one, the two-pass score kernel, Laguerre-cell
+membership, the exact
 second marginal and primal transport cost, dense responsibility rows (the
 eps=0 one-hot rows among them), the eps>0 score correction with its
 kernel-weighted Monte-Carlo estimate, the closed-form cells, marginal
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from scipy import optimize
 from scipy.special import ndtr, ndtri
 
-from sdfm.costs import NEG_DOT, ConfigurationError, cost_matrix
+from sdfm.costs import NEG_DOT, ConfigurationError, CostConfig
 from sdfm.coupling import SinkhornError, sinkhorn_log
 from sdfm.flow import T_MAX_TRAIN, _Adam, fm_loss_and_grad
 from sdfm.numerics import (
@@ -218,33 +219,44 @@ def sinkhorn_log_reference(costs: np.ndarray, a: np.ndarray, b: np.ndarray,
     )
 
 
+def potential_of(g, target: TargetMeasure, cost: CostConfig) -> Potential:
+    """The potential ``g`` at ``cost``; at the squared Euclidean cost, the
+    neg-dot potential ``h = (g - |y|^2) / 2`` at ``eps / 2`` of the same
+    coupling. As ``g_j - |x - y_j|^2 = 2 (h_j + <x, y_j>) - |x|^2``, its
+    scores at eps=0, and its exponents at ``eps / 2``, are those of ``g``
+    halved, up to the per-row ``-|x|^2`` that cancels in every
+    responsibility, argmax and draw."""
+    if cost.kind == NEG_DOT:
+        return Potential(g=g, target=target, cost=cost)
+    support = np.ascontiguousarray(cost.embed(target.points))
+    h = 0.5 * (np.asarray(g, dtype=np.float64)
+               - np.einsum("ij,ij->i", support, support))
+    return Potential(g=h, target=target, cost=replace(
+        cost, kind=NEG_DOT, eps_raw=0.5 * cost.eps_raw))
+
+
 def scores_two_pass(pot: Potential, x: np.ndarray) -> np.ndarray:
     """Scores ``g_j - c(x_i, y_j)`` of raw rows ``x`` in two passes: the
-    matmul plus ``g`` for the negative dot product, ``g - cost_matrix``
-    for the squared Euclidean cost. The negative dot product reads the
-    support in the fused kernel's C-contiguous ``(d, N)`` layout: BLAS's
-    matrix-vector kernel (1-row blocks) rounds a row-major operand and its
-    transposed view differently."""
+    matmul, then plus ``g``. It reads the support in the fused kernel's
+    C-contiguous ``(d, N)`` layout: BLAS's matrix-vector kernel (1-row
+    blocks) rounds a row-major operand and its transposed view
+    differently."""
     x = pot.cost.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     support = np.ascontiguousarray(pot.cost.embed(pot.target.points))
-    if pot.cost.kind == NEG_DOT:
-        scores = x @ np.ascontiguousarray(support.T)
-        scores += pot.g
-        return scores
-    return pot.g - cost_matrix(pot.cost, x, support)
+    scores = x @ np.ascontiguousarray(support.T)
+    scores += pot.g
+    return scores
 
 
 def laguerre_contains(pot: Potential, j: int, x: np.ndarray) -> bool:
     """Whether raw point ``x`` lies in the cell of atom ``j``.
 
-    Only defined for the unregularized negative dot-product geometry,
-    where cell ``j`` is the half-space intersection
+    Only defined for the unregularized geometry, where cell ``j`` is the
+    half-space intersection
     ``{x : x^T (y_j - y_k) + g_j - g_k >= 0 for all k}``.
     """
-    if pot.eps != 0.0 or pot.cost.kind != NEG_DOT:
-        raise ConfigurationError(
-            "Laguerre cells require eps=0 and the neg-dot cost"
-        )
+    if pot.eps != 0.0:
+        raise ConfigurationError("Laguerre cells require eps=0")
     if not 0 <= j < pot.target.n:
         raise ValueError(f"cell index {j} out of range")
     scores = coupling_scores(pot, np.reshape(x, (1, -1)))[0]
@@ -260,8 +272,8 @@ def envelope_1d(pot: Potential):
     at which it passes from each to the next. Atoms off the envelope have
     empty cells. The points must be distinct.
     """
-    if pot.eps != 0.0 or pot.cost.kind != NEG_DOT or pot.target.dim != 1:
-        raise ConfigurationError("1-d cells require d=1, eps=0, neg-dot")
+    if pot.eps != 0.0 or pot.target.dim != 1:
+        raise ConfigurationError("1-d cells require d=1 and eps=0")
     y = pot.target.points[:, 0].tolist()
     g = pot.g.tolist()
     hull, breaks = [], []
@@ -354,9 +366,9 @@ def softmax_rows(scores: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
 
 
 def float64_scores(pot: Potential, x: np.ndarray) -> np.ndarray:
-    """The fused float64 scores ``g_j - c(x_i, y_j)`` of raw rows ``x``, up
-    to the per-row constant of :func:`~sdfm.semidual.coupling_scores`: its
-    product for the potential's eps=0 twin (at eps>0 it gives exponents)."""
+    """The fused float64 scores ``g_j - c(x_i, y_j)`` of raw rows ``x``:
+    :func:`~sdfm.semidual.coupling_scores` of the potential's eps=0 twin
+    (at eps>0 it gives exponents)."""
     twin = Potential(g=pot.g, target=pot.target,
                      cost=replace(pot.cost, eps_raw=0.0))
     return coupling_scores(twin, x)
@@ -483,8 +495,6 @@ def delta_eps_toy(pot: Potential, x: np.ndarray, t: float, samples: int,
     """
     if pot.eps <= 0.0:
         raise ValueError("delta_eps_toy requires eps > 0")
-    if pot.cost.kind != NEG_DOT:
-        raise ValueError("delta_eps_toy requires the neg-dot cost")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     d = pot.target.dim
     gen = rng.generator()

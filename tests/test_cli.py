@@ -55,13 +55,6 @@ class TestSolveCommand:
         assert int(meta["provenance"]["iterations"]) < 10_000
         assert (tmp_path / "pot.sdfm.metrics.csv").exists()
 
-    def test_eps_zero_sqeuclid_rejected(self, tmp_path, two_atoms, capsys):
-        code = main(["solve", "--data", two_atoms, "--eps", "0",
-                     "--cost", "sqeuclid", "--out", str(tmp_path / "x.sdfm")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "\n" not in err.strip()
-
     def test_rerun_payload_identical(self, tmp_path, two_atoms):
         _, out1 = _solve(tmp_path, two_atoms, "a.sdfm")
         _, out2 = _solve(tmp_path, two_atoms, "b.sdfm")
@@ -589,12 +582,10 @@ class TestChisqCommand:
         assert main(base + ["--samples", "4097"]) == 0
         assert "stderr=n/a samples=4097\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("eps, cost", [("0", "negdot"), ("0.5", "negdot"),
-                                           ("0.5", "sqeuclid")])
-    def test_transport_cost_matches_oracle(self, tmp_path, blob, capsys, eps,
-                                           cost):
+    @pytest.mark.parametrize("eps", ["0", "0.5"], ids=["0-negdot", "0.5-negdot"])
+    def test_transport_cost_matches_oracle(self, tmp_path, blob, capsys, eps):
         pot_path = str(tmp_path / "p.sdfm")
-        assert main(["solve", "--data", blob, "--eps", eps, "--cost", cost,
+        assert main(["solve", "--data", blob, "--eps", eps,
                      "--iters", "50", "--batch", "32", "--chi2-samples", "256",
                      "--tau", "1e-9", "--seed", "2", "--out", pot_path]) in (0, 3)
         capsys.readouterr()
@@ -838,6 +829,10 @@ _USAGE_CASES = {
     "solve-optimizer-flag": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--optimizer", "adagrad",
         "--out", str(tmp / "x.sdfm")],
+    # Nor is the cost: potentials take the neg-dot cost only.
+    "solve-cost-flag": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--cost", "sqeuclid",
+        "--out", str(tmp / "x.sdfm")],
     # Point arrays that are not rows of at least one coordinate.
     "dataset-0-rows": lambda tmp, blob: [
         "solve", "--data", _saved(tmp, "e.sdfm", np.zeros((0, 2))),
@@ -1063,6 +1058,48 @@ _USAGE_CASES = {
                                         sizes=[3, "a", 2]),
         "--out", str(tmp / "s")],
 }
+
+
+def _sq_euclidean_potential(tmp_path, data):
+    """A squared-Euclidean potential of ``data`` in the container layout of
+    ``save_potential``, as ``solve --cost sqeuclid`` once wrote it."""
+    target = cli._load_target(data)
+    path = str(tmp_path / "sq.sdfm")
+    cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=0.5, cost_std=2.0)
+    write_container(path, "potential", {"g": np.zeros(target.n)}, {
+        "target_fingerprint": target.fingerprint,
+        "cost": cost.metadata(),
+        "provenance": {"stop_reason": "tau", "final_chi2": 0.01},
+        "projection_padded": False,
+    })
+    return path
+
+
+class TestSquaredEuclideanPotential:
+    """Potentials take the neg-dot cost only: a stored squared-Euclidean
+    one is refused, never scored as if it were neg-dot."""
+
+    @pytest.mark.parametrize("command", ["chisq", "assign", "train"])
+    def test_refused_with_exit_2(self, tmp_path, blob, capsys, command):
+        pot = _sq_euclidean_potential(tmp_path, blob)
+        out = str(tmp_path / "out.sdfm")
+        argv = {
+            "chisq": ["chisq", "--potential", pot, "--data", blob],
+            "assign": ["assign", "--potential", pot, "--data", blob,
+                       "--sample", "8", "--out", out],
+            "train": ["train", "--data", blob, "--coupling", "sd",
+                      "--potential", pot, "--steps", "2", "--batch", "8",
+                      "--hidden", "4", "--out", out],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "sq-euclidean" in err
+        assert sorted(tmp_path.iterdir()) == before  # no output file
 
 
 class TestExitCodes:

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 import warnings
 
@@ -35,17 +34,21 @@ from oracles import (
     FiniteNoise,
     marginal_exact,
     oracle_discrete_ot,
+    potential_of,
     responsibilities_rows,
     scores_two_pass,
+    soft_c_and_marginal,
     softmax_rows,
     transport_cost,
 )
 
 
 def _simple_potential(g, ys, b=None, eps=0.0, kind=NEG_DOT):
+    """The potential ``g`` over points ``ys``; at the squared Euclidean cost,
+    its neg-dot potential at ``eps / 2`` (:func:`oracles.potential_of`)."""
     target = TargetMeasure.from_points(ys, b)
     cost = CostConfig(kind=kind, eps_raw=eps)
-    return Potential(g=np.asarray(g, dtype=np.float64), target=target, cost=cost)
+    return potential_of(np.asarray(g, dtype=np.float64), target, cost)
 
 
 def soft_c_transform_rows(pot, x):
@@ -89,8 +92,8 @@ class TestTargetMeasure:
     @pytest.mark.parametrize("pca", [None, 3])
     def test_points_view_keeps_pca_and_shift_bits(self, pca):
         # ``points`` is the transposed view of the lifted support's first d
-        # rows. The PCA fitted to it, and the squared-Euclidean shift row,
-        # keep the bits they have on C-ordered points.
+        # rows. The PCA fitted to it, and the support it embeds, keep the
+        # bits they have on C-ordered points; the shift row is set from g.
         gen = Rng(47).generator()
         points = 3.0 * gen.standard_normal((2048, 8)) + 1.0
         target = TargetMeasure.from_points(points)
@@ -99,8 +102,7 @@ class TestTargetMeasure:
         ref, got = fit_pca(points, 3), fit_pca(target.points, 3)
         for key in ("basis", "mean", "explained_variance"):
             np.testing.assert_array_equal(getattr(got, key), getattr(ref, key))
-        cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=0.5,
-                          projection=None if pca is None else ref)
+        cost = CostConfig(eps_raw=0.5, projection=None if pca is None else ref)
         pot = Potential(g=gen.standard_normal(2048), target=target, cost=cost)
         semidual.coupling_scores(pot, points[:4])
         support = cost.embed(points)
@@ -108,9 +110,7 @@ class TestTargetMeasure:
         # At eps>0 the shift row is folded: shift / eps + log b. The ones
         # row under it carries the rows' bound column.
         np.testing.assert_array_equal(
-            pot._space._lifted[-2],
-            (pot.g - np.einsum("ij,ij->i", support, support)) / pot.eps
-            + np.log(target.weights))
+            pot._space._lifted[-2], pot.g / pot.eps + np.log(target.weights))
         np.testing.assert_array_equal(pot._space._lifted[-1], 1.0)
 
 
@@ -144,20 +144,22 @@ class TestSoftCTransform:
         gen = Rng(35).generator()
         ys = gen.standard_normal((30, 3))
         b = gen.random(30) + 0.1
-        pot = _simple_potential(gen.standard_normal(30), ys, b, eps=eps,
-                                kind=kind)
+        g = gen.standard_normal(30)
+        pot = _simple_potential(g, ys, b, eps=eps, kind=kind)
         x = gen.standard_normal((41, 3))
         # 6-row float64 tiles (12-row float32 ones at eps=0) with a ragged
         # last one: f is written tile by tile.
         monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 6 * 30)
-        scores = pot.g - cost_matrix(pot.cost, x, ys)
+        scores = g - cost_matrix(CostConfig(kind=kind), x, ys)
         if eps == 0.0:
             expected = -scores.max(axis=1)
         else:
             expected = -eps * logsumexp(scores / eps, axis=1,
                                         b=pot.target.weights)
-        np.testing.assert_allclose(soft_c_transform_rows(pot, x), expected,
-                                   rtol=1e-12, atol=1e-12)
+        got = soft_c_transform_rows(pot, x)
+        if kind == SQ_EUCLIDEAN:  # g's transform from its neg-dot potential's
+            got = 2.0 * got + np.sum(x * x, axis=1)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestResponsibilities:
@@ -461,28 +463,36 @@ class TestTransportCost:
         self._check_dense_primal(NEG_DOT, eps, monkeypatch)
 
     def test_sq_euclidean_matches_dense_primal(self, monkeypatch):
-        # The scan's soft-c transform adds back the |x|^2 that the fused
-        # squared-Euclidean scores carry.
         self._check_dense_primal(SQ_EUCLIDEAN, 0.3, monkeypatch)
 
     @staticmethod
     def _check_dense_primal(kind, eps, monkeypatch):
         # mean_i sum_j s_ij c_ij + eps mean_i KL(s_i || b), from the dense
-        # responsibilities, against the one-scan readout.
+        # responsibilities of g - c, against the one-scan readout. A
+        # squared-Euclidean g scans as its neg-dot potential h at eps / 2,
+        # whose coupling is the same: as |x - y|^2 = |x|^2 + |y|^2 - 2 <x,
+        # y>, its primal is mean |x|^2 + <m, |y|^2> plus twice h's.
         gen = Rng(18).generator()
         ys = gen.standard_normal((25, 2))
-        pot = _simple_potential(gen.standard_normal(25), ys,
-                                gen.random(25) + 0.1, eps=eps, kind=kind)
+        g = gen.standard_normal(25)
+        pot = _simple_potential(g, ys, gen.random(25) + 0.1, eps=eps,
+                                kind=kind)
         x = gen.standard_normal((37, 2))
         monkeypatch.setattr(semidual, "SCORE_CHUNK_BYTES", 8 * 5 * 25)
-        s = responsibilities_rows(pot, x)
-        per_row = np.sum(s * cost_matrix(pot.cost, x, ys), axis=1)
+        c = cost_matrix(CostConfig(kind=kind), x, ys)
+        s = softmax_rows(g - c, pot.target.weights, eps)
+        per_row = np.sum(s * c, axis=1)
         if eps > 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 kl = np.where(s > 0, s * np.log(s / pot.target.weights), 0.0)
             per_row += eps * kl.sum(axis=1)
-        assert transport_cost(pot, x) == pytest.approx(
-            float(np.mean(per_row)), rel=1e-10, abs=1e-12)
+        got = transport_cost(pot, x)
+        if kind == SQ_EUCLIDEAN:
+            m = soft_c_and_marginal(pot, x)[1]
+            got = (np.mean(np.sum(x * x, axis=1))
+                   + m @ np.sum(ys * ys, axis=1) + 2.0 * got)
+        assert got == pytest.approx(float(np.mean(per_row)), rel=1e-10,
+                                    abs=1e-12)
 
     def test_independent_limit_kl_vanishes(self):
         gen = Rng(17).generator()
@@ -495,6 +505,52 @@ class TestTransportCost:
         plain = float(np.mean(c @ b))
         # Responsibilities approach b, leaving an O(1/eps) KL contribution.
         assert with_kl == pytest.approx(plain, abs=1e-5)
+
+
+class TestSquaredEuclideanCoupling:
+    """The squared-Euclidean coupling of ``g`` at ``eps`` is the neg-dot
+    coupling of ``h = (g - |y|^2) / 2`` at ``eps / 2``
+    (:func:`oracles.potential_of`), so potentials need no cost but the
+    negative dot product: checked against dense oracles built from the
+    squared-Euclidean cost matrix."""
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    @pytest.mark.parametrize("pca", [None, 2])
+    def test_gradient_and_draws_match_dense_oracle(self, eps, pca):
+        gen = Rng(70).generator()
+        points = gen.standard_normal((200, 3))
+        projection = None if pca is None else fit_pca(points, pca)
+        cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=eps, projection=projection)
+        target = TargetMeasure.from_points(points, gen.random(200) + 0.1)
+        g = gen.standard_normal(200)
+        pot = potential_of(g, target, cost)
+        x = gen.standard_normal((300, 3))
+        c = cost_matrix(cost, cost.embed(x), cost.embed(points))
+        dense = softmax_rows(g - c, target.weights, eps)
+        np.testing.assert_allclose(stochastic_gradient(pot, x),
+                                   target.weights - dense.mean(axis=0),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            assign_batch(pot, x, Rng(71)),
+            inverse_cdf(dense, Rng(71).generator().random(len(x))))
+
+    def test_eps0_assignment_is_dense_argmax(self):
+        gen = Rng(72).generator()
+        points = gen.standard_normal((200, 3))
+        g = 0.1 * gen.standard_normal(200)
+        cost = CostConfig(kind=SQ_EUCLIDEAN)
+        target = TargetMeasure.from_points(points)
+        pot = potential_of(g, target, cost)
+        x = gen.standard_normal((500, 3))
+        scores = g - cost_matrix(cost, x, points)
+        top_two = np.sort(scores, axis=1)[:, -2:]
+        assert np.min(top_two[:, 1] - top_two[:, 0]) > 1e-6  # no near-ties
+        want = scores.argmax(axis=1)
+        np.testing.assert_array_equal(assign_batch(pot, x, Rng(73)), want)
+        np.testing.assert_allclose(
+            stochastic_gradient(pot, x),
+            target.weights - np.bincount(want, minlength=200) / len(x),
+            rtol=0, atol=1e-12)
 
 
 class TestGaugeFix:
@@ -518,24 +574,22 @@ def _traced_peak(fn, pot, x):
 
 class TestStreamingMemory:
     def test_peak_does_not_grow_with_batch(self):
-        # Reducers work in place on one reused tile buffer, which both
-        # costs fill: their peak allocation is about one tile plus O(N + B)
-        # vectors, never a multiple of the (B, N) score block.
+        # Reducers work in place on one reused tile buffer, at either eps:
+        # their peak allocation is about one tile plus O(N + B) vectors,
+        # never a multiple of the (B, N) score block.
         gen = Rng(30).generator()
         n = 1024
         tile_bytes = semidual.SCORE_CHUNK_BYTES
         rows = semidual.SCORE_CHUNK_BYTES // (8 * n)  # float64 rows per tile
 
-        for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
+        for eps in (0.0, 0.5):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
-                                    gen.standard_normal((n, 2)), eps=eps,
-                                    kind=kind)
+                                    gen.standard_normal((n, 2)), eps=eps)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (rows, 16 * rows + 3):
                     bound = 1.5 * tile_bytes + 16 * 8 * (n + b_rows)
                     got = _traced_peak(fn, pot, gen.standard_normal((b_rows, 2)))
-                    assert got < bound, (kind, fn.__name__, eps, b_rows, got,
-                                         bound)
+                    assert got < bound, (fn.__name__, eps, b_rows, got, bound)
 
     def test_one_score_call_per_block(self, monkeypatch):
         # At N=4096, d=32 the block rule binds: 128-row matmul blocks cut
@@ -557,10 +611,9 @@ class TestStreamingMemory:
             return scores(pot, x, out, shift)
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
-        for kind, eps in itertools.product((NEG_DOT, SQ_EUCLIDEAN), (0.0, 0.5)):
+        for eps in (0.0, 0.5):
             pot = _simple_potential(gen.standard_normal(n) * 0.1,
-                                    gen.standard_normal((n, d)), eps=eps,
-                                    kind=kind)
+                                    gen.standard_normal((n, d)), eps=eps)
             block_bytes = block * n * (4 if eps == 0.0 else 8)
             for fn in (semidual_value, chi2_estimator):
                 for b_rows in (block, 16 * block + 3):
@@ -568,8 +621,7 @@ class TestStreamingMemory:
                     calls.clear()
                     bound = 1.5 * block_bytes + 16 * 8 * (n + b_rows)
                     got = _traced_peak(fn, pot, x)
-                    assert got < bound, (kind, fn.__name__, eps, b_rows, got,
-                                         bound)
+                    assert got < bound, (fn.__name__, eps, b_rows, got, bound)
                     blocks = [rows for rows, buffered in calls if buffered]
                     rechecks = [rows for rows, buffered in calls if not buffered]
                     assert len(blocks) == -(-b_rows // block), (fn.__name__, calls)
@@ -583,7 +635,9 @@ class TestStreamingMemory:
         # row once in float32, on its N columns alone, and rescore in
         # float64 only the rows the rounding bound leaves open: here every
         # 50th row, whose nearest point is the longest one, which the last
-        # point repeats.
+        # point repeats. The potential is the neg-dot one of a squared-
+        # Euclidean g, whose cells are those of the nearest points: its
+        # other rows' top-two gaps clear the bound.
         gen = Rng(36).generator()
         ys = gen.standard_normal((n, 2))
         far = np.argmax(np.sum(ys * ys, axis=1))
@@ -727,16 +781,13 @@ def _streamed_scores(pot, x):
 def _exponent_error(pot, x, got, shift):
     """Largest error of eps>0 exponents ``got`` of raw rows ``x``, less
     ``shift`` in the matmul, against the two-pass scores' ``scores / eps +
-    log b`` (plus ``|x|^2 / eps`` per row at the squared Euclidean cost),
-    in float64 eps of the magnitude ``(|x|^2 + |y|^2 + |g|) / eps + |log
-    b| + |shift|``. The matmul sums the ``-shift`` term too, so its
+    log b``, in float64 eps of the magnitude ``(|x|^2 + |y|^2 + |g|) / eps
+    + |log b| + |shift|``. The matmul sums the ``-shift`` term too, so its
     rounding scales with it."""
     e = pot.cost.embed(x)
     sq_x = np.sum(e * e, axis=1)[:, None]
     log_b = np.log(pot.target.weights)
     ref = scores_two_pass(pot, x) / pot.eps + log_b
-    if pot.cost.kind == SQ_EUCLIDEAN:
-        ref += sq_x / pot.eps
     scale = (sq_x + np.sum(pot.support**2, axis=1) + np.abs(pot.g)) / pot.eps
     scale += np.abs(log_b) + np.abs(shift)[:, None]
     return np.max(np.abs(got - ref) / scale) / np.finfo(np.float64).eps
@@ -759,7 +810,9 @@ def _float64_blocks(pot, x):
 
 
 class TestFusedKernel:
-    """One matmul of ``[a x, 1]`` against ``[S, shift]`` scores both costs.
+    """One matmul of ``[x, 1]`` against ``[S, shift]`` gives the scores. A
+    ``kind`` of squared Euclidean scores its neg-dot potential at half the
+    eps (:func:`oracles.potential_of`).
 
     Blocks of the float64 scores (``coupling_scores`` at eps=0 without an
     ``out``) are compared with the two-pass kernel on the same block
@@ -776,8 +829,7 @@ class TestFusedKernel:
         cost = CostConfig(kind=kind, eps_raw=eps, projection=projection)
         b = gen.random(n) + 0.1 if weights else None
         target = TargetMeasure.from_points(points, b)
-        pot = Potential(g=gen.standard_normal(n), target=target, cost=cost)
-        return pot, gen
+        return potential_of(gen.standard_normal(n), target, cost), gen
 
     @pytest.mark.parametrize("d, pca", [(1, None), (2, None), (32, None),
                                         (2, 2)])
@@ -800,14 +852,20 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("d", [1, 2, 32])
     def test_sq_euclidean_equal_up_to_row_constant(self, d):
-        # The fused scores carry +|x|^2 per row. Over these shapes the
-        # largest error measured against the two-pass scores was 2.98 eps
+        # Twice the scores of the neg-dot potential of a squared-Euclidean
+        # g are g - |x - y|^2 plus |x|^2 per row. Over these shapes the
+        # largest error measured against the dense scores was 2.27 eps
         # of the score magnitude |x|^2 + |y|^2 + |g|; the bound is 8 eps.
-        pot, gen = self._case(d, kind=SQ_EUCLIDEAN)
+        gen = Rng(40).generator()
+        n = 1024 if d == 32 else 4096
+        points, g = gen.standard_normal((n, d)), gen.standard_normal(n)
+        cost = CostConfig(kind=SQ_EUCLIDEAN)
+        pot = potential_of(g, TargetMeasure.from_points(points), cost)
         x = 3.0 * gen.standard_normal((333, d))
         sq_x = np.sum(x * x, axis=1)[:, None]
-        err = np.abs(_float64_blocks(pot, x) - _two_pass_blocks(pot, x) - sq_x)
-        scale = sq_x + np.sum(pot.target.points**2, axis=1) + np.abs(pot.g)
+        err = np.abs(2.0 * _float64_blocks(pot, x) + cost_matrix(cost, x, points)
+                     - g - sq_x)
+        scale = sq_x + np.sum(points**2, axis=1) + np.abs(g)
         assert np.max(err / scale) <= 8 * np.finfo(np.float64).eps
 
     @pytest.mark.parametrize("kind", [NEG_DOT, SQ_EUCLIDEAN])
@@ -815,14 +873,14 @@ class TestFusedKernel:
                                         (2, 2)])
     def test_eps_positive_slabs_hold_exponents(self, kind, d, pca):
         # At eps>0 the stream's slabs plus their rows' shift hold (g - c) /
-        # eps + log b, plus |x|^2 / eps per row at the squared Euclidean
-        # cost. Over these shapes at eps 0.37, 0.5, 3 and 1e-3, with 1, 5
-        # and 3 blocks + 5 rows, the largest error measured against the
-        # two-pass scores was 1.7 eps (neg-dot) and 4.5 eps (sq-euclidean)
-        # of the magnitude (|x|^2 + |y|^2 + |g|) / eps + |log b| + |shift|;
-        # the bound is 8 eps. Without |shift| the one bound-shifted row at
-        # eps 1e-3, d=1 measured 59 and 85 eps: its shift is 240-310 times
-        # its columns' magnitude there.
+        # eps + log b. Over these shapes at eps 0.37, 0.5, 3 and 1e-3, with
+        # 1, 5 and 3 blocks + 5 rows, the largest error measured against the
+        # two-pass scores was 1.7 eps (neg-dot) and 1.9 eps (the neg-dot
+        # potentials of squared-Euclidean ones) of the magnitude (|x|^2 +
+        # |y|^2 + |g|) / eps + |log b| + |shift|; the bound is 8 eps.
+        # Without |shift| the one bound-shifted row at eps 1e-3, d=1
+        # measured 58 and 64 eps: its shift is 240-310 times its columns'
+        # magnitude there.
         pot, gen = self._case(d, kind, pca, eps=0.37, weights=True)
         block, _ = semidual._tile_rows(pot.target.n, pot.support.shape[1], 8)
         for rows in (1, 3 * block + 5):
@@ -834,18 +892,18 @@ class TestFusedKernel:
         # At eps = 1e-3 of the cost std a row's exponents span thousands:
         # most exp entries underflow, none may overflow or warn. The
         # responsibilities, soft-c and draws match the dense oracle. The
-        # largest errors measured were 4.0e-13 relative on column sums
-        # above 1e-3, 1.6e-13 relative on soft-c (the squared Euclidean
-        # cost; 3.5e-13 and 8.4e-14 before the fold).
+        # largest errors measured were 2.3e-13 relative on column sums
+        # above 1e-3 and 5.6e-16 relative on soft-c (the neg-dot potential
+        # of a squared-Euclidean one).
         gen = Rng(45).generator()
         points = gen.standard_normal((500, 3))
         cost = CostConfig(kind=kind, eps_raw=1e-3)
         cost = cost.with_rescaled_eps(estimate_cost_std(
             cost, gen.standard_normal((256, 3)), points[:256]))
-        pot = Potential(g=gen.standard_normal(500),
-                        target=TargetMeasure.from_points(points,
-                                                         gen.random(500) + 0.1),
-                        cost=cost)
+        pot = potential_of(gen.standard_normal(500),
+                           TargetMeasure.from_points(points,
+                                                     gen.random(500) + 0.1),
+                           cost)
         self._matches_dense_softmax(pot, gen.standard_normal((300, 3)), 46)
 
     @staticmethod
@@ -876,10 +934,10 @@ class TestFusedKernel:
         # subtracts its own maximum. Both branches run in each slab.
         gen = Rng(47).generator()
         points = gen.standard_normal((500, 3))
-        pot = Potential(g=gen.standard_normal(500),
-                        target=TargetMeasure.from_points(points,
-                                                         gen.random(500) + 0.1),
-                        cost=CostConfig(kind=kind, eps_raw=0.2))
+        pot = potential_of(gen.standard_normal(500),
+                           TargetMeasure.from_points(points,
+                                                     gen.random(500) + 0.1),
+                           CostConfig(kind=kind, eps_raw=0.2))
         x = gen.standard_normal((300, 3))
         far = np.arange(300) % 3 == 0
         x[far] *= 100.0
@@ -927,7 +985,7 @@ class TestFusedKernel:
         assert np.all(np.isfinite(first)) and np.all(np.isfinite(other_grad))
         np.testing.assert_array_equal(stochastic_gradient(pot, x), first)
         pot.g += gen.standard_normal(64)
-        fresh = _simple_potential(pot.g.copy(), ys, eps=eps, kind=kind)
+        fresh = _simple_potential(pot.g.copy(), ys, eps=pot.eps)
         np.testing.assert_array_equal(stochastic_gradient(pot, x),
                                       stochastic_gradient(fresh, x))
         np.testing.assert_array_equal(assign_batch(pot, x, Rng(42)),
@@ -956,7 +1014,7 @@ class TestShiftRow:
         target = TargetMeasure.from_points(gen.standard_normal((4096, 2)),
                                            gen.random(4096) + 0.1)
         cost = CostConfig(kind=kind, eps_raw=0.5)
-        pots = [Potential(g=gen.standard_normal(4096), target=target, cost=cost)
+        pots = [potential_of(gen.standard_normal(4096), target, cost)
                 for _ in range(2)]
         x = gen.standard_normal((64, 2))
         assert semidual._tile_rows(4096, 2, 8) == (32, 32)
@@ -1041,8 +1099,7 @@ class TestShiftRow:
         x = gen.standard_normal((300, 2))
         x[0] = 100.0 * ys[far]
         target = TargetMeasure.from_points(ys)
-        pots = [Potential(g=g, target=target,
-                          cost=CostConfig(kind=kind, eps_raw=eps))
+        pots = [potential_of(g, target, CostConfig(kind=kind, eps_raw=eps))
                 for eps in (0.0, 0.5)]
         # Scans of other potentials build the target's cached arrays.
         for pot in pots:
@@ -1054,7 +1111,6 @@ class TestShiftRow:
                     and k not in ("_lifted", "_single")}
 
         before = arrays()
-        assert "_sq_norms" in before or kind == NEG_DOT
         rechecked = []
         scores = semidual.coupling_scores
 
@@ -1142,8 +1198,9 @@ class TestFloat32Eps0Scan:
     """eps=0 scans score in float32 and re-check near-ties in float64: the
     indices, draws, column sums, squares and soft-c equal the float64
     reference (the oracle's float64 scores plus ``argmax_with_ties``) at
-    both costs, with and without a projection, on planted near-ties,
-    duplicate points and values beyond float32's range."""
+    the neg-dot cost and on the neg-dot potentials of squared-Euclidean
+    ones, with and without a projection, on planted near-ties, duplicate
+    points and values beyond float32's range."""
 
     N, D = 300, 3
 
@@ -1152,19 +1209,16 @@ class TestFloat32Eps0Scan:
         projection = None if pca is None else fit_pca(points, pca)
         cost = CostConfig(kind=kind, eps_raw=0.0, projection=projection)
         b = Rng(60).generator().random(len(points)) + 0.1
-        return Potential(g=g, target=TargetMeasure.from_points(points, b),
-                         cost=cost)
+        return potential_of(g, TargetMeasure.from_points(points, b), cost)
 
     @staticmethod
     def _bound(pot, x):
         """β_i of :func:`semidual.argmax_chunks` without its underflow term."""
-        a = 1.0 if pot.cost.kind == NEG_DOT else 2.0
         support = pot.support
-        shift = pot.g - (0.0 if a == 1.0 else np.sum(support**2, axis=1))
         k = support.shape[1] + 1
         gamma = (k + 2) * 2.0**-24 / (1 - (k + 2) * 2.0**-24)
-        s = a * np.abs(pot.cost.embed(x)) @ np.abs(support).max(axis=0)
-        return gamma * (s + np.abs(shift).max())
+        s = np.abs(pot.cost.embed(x)) @ np.abs(support).max(axis=0)
+        return gamma * (s + np.abs(pot.g).max())
 
     @staticmethod
     def _check_against_float64(pot, x):
@@ -1183,10 +1237,7 @@ class TestFloat32Eps0Scan:
         np.testing.assert_array_equal(col_sum, want_sum)
         np.testing.assert_array_equal(col_sq, want_sq)
         np.testing.assert_array_equal(assign_batch(pot, x, Rng(61)), want_idx)
-        want_f = -scores.max(axis=1)
-        if pot.cost.kind != NEG_DOT:
-            want_f += np.einsum("ij,ij->i", pot.cost.embed(x), pot.cost.embed(x))
-        np.testing.assert_array_equal(f, want_f)
+        np.testing.assert_array_equal(f, -scores.max(axis=1))
         slabs = list(semidual.argmax_chunks(pot, x))
         assert [(lo, hi) for lo, hi, _ in slabs] == [(0, len(x))]
         np.testing.assert_array_equal(slabs[0][2][0], idx)
@@ -1198,10 +1249,10 @@ class TestFloat32Eps0Scan:
     def test_planted_near_ties(self, kind, pca):
         gen = Rng(62).generator()
         points = gen.standard_normal((self.N, self.D))
-        pot = self._potential(kind, pca, points, np.zeros(self.N))
+        pot = self._potential(kind, pca, points,
+                              0.1 * gen.standard_normal(self.N))
         # Every point gets a cell: at the neg-dot cost, as the nearest
         # point does at the squared Euclidean one.
-        pot.g[:] = 0.1 * gen.standard_normal(self.N)
         if kind == NEG_DOT:
             pot.g -= 0.5 * np.sum(pot.support**2, axis=1)
         pot.g[0] = -100.0  # the largest |shift|, which planting leaves alone

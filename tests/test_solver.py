@@ -57,12 +57,14 @@ class TestSolveSdot:
         pot = solve_sdot(target, cost, cfg, Rng(1))
         assert np.max(np.abs(pot.g)) <= 1e-2 * np.max(np.abs(pot.g)) + 1e-3 + 0.02
 
-    def test_eps_zero_requires_negdot(self):
+    def test_requires_negdot(self):
+        # Potentials take the neg-dot cost only, at every eps.
         target = TargetMeasure.from_points([[1.0], [-1.0]])
-        cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=0.0)
         cfg = SolverConfig(constant_phase=10, decay_phase=0, averaging_window=5)
-        with pytest.raises(ConfigurationError):
-            solve_sdot(target, cost, cfg, Rng(0))
+        for eps in (0.0, 0.5):
+            cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=eps)
+            with pytest.raises(ConfigurationError, match="neg-dot"):
+                solve_sdot(target, cost, cfg, Rng(0))
 
     def test_oracle_dual_equivalence_quick(self):
         target, cost, noise = make_enumerated_instance(42, n_target=6,
