@@ -94,12 +94,9 @@ loc:
 	@$(PYTHON) -c "$$LOC_SPLIT" src/sdfm/*.py
 
 # End-to-end desk recipe: dataset -> potential -> two flow models that
-# differ only in the coupling -> samples -> metrics. The solve sets its own
-# step size and stops on tau (exit 0) at iteration 18000, after about 37 s
-# on a two-core box (36.5 and 36.7 s at solver seed 0, 36.3 and 38.8 s at
-# seed 1, and 32.7 and 33.0 s at seed 2, which stops at iteration 16000;
-# one fresh process each). The same box took 41-46 s before the eps=0
-# score stream's padded stride.
+# differ only in the coupling -> samples -> metrics. The solve starts
+# AdaGrad at 1.0, halves the rate four times and stops on tau (exit 0) at
+# iteration 18000.
 toy-2d:
 	mkdir -p $(OUT)
 	$(SDFM) dataset --name eight-gaussians --n 4096 --seed 0 --out $(OUT)/data.sdfm

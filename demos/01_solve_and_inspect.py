@@ -35,13 +35,10 @@ target = TargetMeasure.from_points(np.vstack([right, left]))
 
 cost = CostConfig(kind="neg-dot", eps_raw=0.0)
 cfg = SolverConfig(
-    constant_phase=4000,
-    decay_phase=2000,
-    averaging_window=1500,
+    max_iterations=6000,
     batch=256,
     tau=0.02,
     check_interval=500,
-    chi2_batch=2**12,
     chi2_total=2**14,
 )
 pot = solve_sdot(target, cost, cfg, rng.child(1))

@@ -38,9 +38,8 @@ noise = gen.standard_normal((n_noise, 2))
 pot = solve_sdot(
     target,
     CostConfig(kind="neg-dot", eps_raw=0.0),
-    SolverConfig(base_lr=1.0, constant_phase=6000, decay_phase=3000,
-                 averaging_window=2000, batch=256, tau=0.05,
-                 check_interval=1000, chi2_batch=2**12, chi2_total=2**14),
+    SolverConfig(max_iterations=9000, batch=256, tau=0.05,
+                 check_interval=1000, chi2_total=2**14),
     rng.child(1),
 )
 

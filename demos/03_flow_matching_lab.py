@@ -39,9 +39,8 @@ target = TargetMeasure.from_points(data)
 pot = solve_sdot(
     target,
     CostConfig(kind="neg-dot", eps_raw=0.0),
-    SolverConfig(base_lr=1.0, constant_phase=8000, decay_phase=4000,
-                 averaging_window=3000, batch=512, tau=0.05,
-                 check_interval=1000, chi2_batch=2**12, chi2_total=2**14),
+    SolverConfig(max_iterations=12_000, batch=512, tau=0.05,
+                 check_interval=1000, chi2_total=2**14),
     rng.child(1),
 )
 print("potential chi-square:", f"{pot.provenance['final_chi2']:.4f}")

@@ -16,6 +16,7 @@ import numpy as np
 from .container import (
     ContainerError,
     _json_object,
+    atomic_open,
     read_container,
     write_container,
 )
@@ -185,10 +186,11 @@ def _dump_paths(name: str) -> Tuple[str, str]:
 def save_sample_dump(name: str, samples: np.ndarray,
                      metadata: Optional[dict] = None) -> Tuple[str, str]:
     """Raw little-endian float64 matrix plus a JSON sidecar, at the two
-    files of :func:`_dump_paths` (``name``), which are returned."""
+    files of :func:`_dump_paths` (``name``), which are returned. Each
+    file is written whole or not at all (:func:`atomic_open`)."""
     samples = np.ascontiguousarray(samples, dtype="<f8")
     bin_path, json_path = _dump_paths(name)
-    with open(bin_path, "wb") as fh:
+    with atomic_open(bin_path) as fh:
         fh.write(samples)
     sidecar = {
         "rows": int(samples.shape[0]),
@@ -197,7 +199,7 @@ def save_sample_dump(name: str, samples: np.ndarray,
         "order": "row-major",
     }
     sidecar.update(metadata or {})
-    with open(json_path, "w") as fh:
+    with atomic_open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True, default=str)
     return bin_path, json_path
 

@@ -19,12 +19,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import artifacts
-from .container import ContainerError, MetricsWriter, is_container
+from .container import ContainerError, MetricsWriter, atomic_open, is_container
 from .costs import (
     REFERENCE_BATCH_SIZE,
     SQ_EUCLIDEAN,
@@ -51,7 +50,7 @@ from .flow import (
 )
 from .numerics import Rng
 from .semidual import TargetMeasure, chi2_batches
-from .solver import SolverConfig, SolverDivergence, solve_sdot
+from .solver import CHI2_BATCH, SolverConfig, SolverDivergence, solve_sdot
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,13 +109,11 @@ def cmd_solve(args) -> int:
     target = _load_target(args.data)
     cost = _resolve_cost(args, target.points, rng)
 
-    cfg = replace(SolverConfig(tau=args.tau).scaled(args.iters),
-                  base_lr=args.lr, batch=args.batch)
+    cfg = SolverConfig(base_lr=args.lr, max_iterations=args.iters,
+                       batch=args.batch, tau=args.tau,
+                       chi2_total=args.chi2_samples)
     if args.checkpoint_every < 0:
         raise UsageError("--checkpoint-every must be >= 0")
-    if args.chi2_samples is not None:
-        cfg = replace(cfg, chi2_total=args.chi2_samples,
-                      chi2_batch=min(args.chi2_samples, 2**12))
 
     checkpoint_paths = []
 
@@ -336,7 +333,7 @@ def cmd_eval(args) -> int:
         raise UsageError("nothing to evaluate: pass --samples/--reference "
                          "and/or --model")
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     print("eval: " + " ".join(f"{k}={v:.9f}" for k, v in report.items()))
     return EXIT_OK
@@ -380,13 +377,13 @@ def build_parser() -> _Parser:
     s = sub.add_parser("solve", help="fit the semidiscrete dual potential")
     s.add_argument("--data", required=True)
     s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--tau", type=float, default=0.05)
+    s.add_argument("--tau", type=float, default=SolverConfig.tau)
     s.add_argument("--out", required=True)
     s.add_argument("--lr", type=float, default=SolverConfig.base_lr)
-    s.add_argument("--iters", type=int, default=30_000)
-    s.add_argument("--batch", type=int, default=256)
+    s.add_argument("--iters", type=int, default=SolverConfig.max_iterations)
+    s.add_argument("--batch", type=int, default=SolverConfig.batch)
     s.add_argument("--pca", type=int)
-    s.add_argument("--chi2-samples", type=int)
+    s.add_argument("--chi2-samples", type=int, default=SolverConfig.chi2_total)
     s.add_argument("--checkpoint-every", type=int, default=0)
     s.set_defaults(fn=cmd_solve)
 
@@ -406,8 +403,8 @@ def build_parser() -> _Parser:
                             "minibatch-hungarian"])
     s.add_argument("--potential")
     s.add_argument("--ot-eps", type=float, default=0.1)
-    s.add_argument("--steps", type=int, default=2000)
-    s.add_argument("--batch", type=int, default=256)
+    s.add_argument("--steps", type=int, default=TrainConfig.steps)
+    s.add_argument("--batch", type=int, default=TrainConfig.batch)
     s.add_argument("--hidden", type=int, nargs="+", default=[128, 128, 128])
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
@@ -424,18 +421,18 @@ def build_parser() -> _Parser:
     s.add_argument("--model1", required=True)
     s.add_argument("--model2", required=True)
     s.add_argument("--gamma", type=float, default=2.0)
-    s.add_argument("--replicas", type=int, default=16)
+    s.add_argument("--replicas", type=int, default=GuidanceConfig.replicas)
     s.add_argument("--count", type=int, default=256)
-    s.add_argument("--steps", type=int, default=64)
-    s.add_argument("--t-clip", type=float, default=0.99)
+    s.add_argument("--steps", type=int, default=GuidanceConfig.steps)
+    s.add_argument("--t-clip", type=float, default=GuidanceConfig.t_clip)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_guide)
 
     s = sub.add_parser("chisq", help="chi-square statistic of a stored potential")
     s.add_argument("--potential", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--samples", type=int, default=2**16)
-    s.add_argument("--batch", type=int, default=2**12)
+    s.add_argument("--samples", type=int, default=SolverConfig.chi2_total)
+    s.add_argument("--batch", type=int, default=CHI2_BATCH)
     s.set_defaults(fn=cmd_chisq)
 
     s = sub.add_parser("eval", help="W2 between clouds and/or model curvature")

@@ -26,6 +26,7 @@ monotone per metric name) plus a JSON summary echoing the config.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,7 +34,6 @@ import math
 import os
 import resource
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -41,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "ContainerError",
+    "atomic_open",
     "write_container",
     "read_container",
     "is_container",
@@ -80,9 +81,27 @@ def _payload_fingerprint(arrays: Dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb"):
+    """A new file in ``path``'s directory, opened in ``mode`` (``"w"`` or
+    ``"wb"``) and moved onto ``path`` by ``os.replace`` when the block
+    ends. If the block raises, the file is removed, so ``path`` is never
+    left half written. The file gets the permissions ``open`` gives a new
+    file (0o666 less the umask)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".sdfm-tmp-{os.urandom(8).hex()}")
+    try:
+        with open(tmp, mode.replace("w", "x")) as fh:  # a new file only
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
                     metadata: Optional[dict] = None) -> None:
-    """Atomically write a container (temp file + rename) of stored buffers."""
+    """Write a container of stored buffers (:func:`atomic_open`)."""
     if kind not in KINDS:
         raise ContainerError(f"unknown container kind {kind!r}")
     stored = {name: _stored(arrays[name]) for name in sorted(arrays)}
@@ -91,30 +110,23 @@ def write_container(path: str, kind: str, arrays: Dict[str, np.ndarray],
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     kind_bytes = kind.encode("utf-8")
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sdfm-tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", CONTAINER_VERSION))
-            fh.write(struct.pack("<I", len(kind_bytes)))
-            fh.write(kind_bytes)
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-            fh.write(struct.pack("<I", len(stored)))
-            for name, a in stored.items():
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name_b)))
-                fh.write(name_b)
-                fh.write(struct.pack("<B", _DTYPE_CODES[a.dtype]))
-                fh.write(struct.pack("<I", a.ndim))
-                for dim in a.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(a)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_open(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", CONTAINER_VERSION))
+        fh.write(struct.pack("<I", len(kind_bytes)))
+        fh.write(kind_bytes)
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        fh.write(struct.pack("<I", len(stored)))
+        for name, a in stored.items():
+            name_b = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_b)))
+            fh.write(name_b)
+            fh.write(struct.pack("<B", _DTYPE_CODES[a.dtype]))
+            fh.write(struct.pack("<I", a.ndim))
+            for dim in a.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(a)
 
 
 def is_container(path: str) -> bool:
@@ -210,7 +222,8 @@ class MetricsWriter:
     emitted series plot-ready without sorting; ``totals`` sums each
     metric's rows. The CSV stays open between rows: :meth:`flush` puts
     them on disk, :meth:`finalize`, :meth:`close` or leaving a ``with``
-    block also closes it. The summary gains ``rss_hwm_mb``, the process's
+    block also closes it. The summary JSON is written whole or not at
+    all (:func:`atomic_open`). The summary gains ``rss_hwm_mb``, the process's
     resident-memory high-water mark at :meth:`finalize` (``ru_maxrss``) in
     MiB.
     """
@@ -255,5 +268,5 @@ class MetricsWriter:
         hwm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         payload = {"summary": {**(summary or {}), "rss_hwm_mb": hwm},
                    "n_rows": self._n_rows}
-        with open(self.json_path, "w") as fh:
+        with atomic_open(self.json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)

@@ -12,7 +12,7 @@ base rate at a constant-phase check that fails to halve the chi-square.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,12 +30,14 @@ from .semidual import (
 )
 
 __all__ = [
+    "CHI2_BATCH",
     "SolverConfig",
     "SolverDivergence",
     "solve_sdot",
     "lr_schedule",
 ]
 
+CHI2_BATCH = 2**12  # rows per batch of a check's chi-square scan
 _ADAGRAD_FLOOR = 1e-10
 _HALF = 0.5  # the chi-square must halve per check, or AdaGrad's rate does
 
@@ -50,27 +52,25 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Optimization schedule and stopping rule.
+    """Optimization budget, schedule and stopping rule.
 
-    Defaults: AdaGrad, a constant phase of two thirds of the budget,
-    inverse-square-root decay for the rest, and averaging over the final
-    quarter. ``base_lr`` is AdaGrad's starting rate: the solver halves
-    it at every constant-phase check whose chi-square is not below half
-    the previous check's. The constant phase holds at least one
-    iteration. Every ``check_interval`` iterations one streamed scan of
-    ``chi2_total`` evaluation rows, in batches of ``chi2_batch``, gives
-    the stopping statistic, the semidual estimate of the divergence guard
-    and the marginal diagnostics.
+    One budget, ``max_iterations``, sets the schedule: AdaGrad holds its
+    rate for a constant phase of two thirds of the budget (at least one
+    iteration), decays it by the inverse square root for the rest, and
+    averages the final quarter (at least one iterate). ``base_lr`` is
+    AdaGrad's starting rate: the solver halves it at every constant-phase
+    check whose chi-square is not below half the previous check's. Every
+    ``check_interval`` iterations one streamed scan of ``chi2_total``
+    evaluation rows, in batches of at most ``CHI2_BATCH``, gives the
+    stopping statistic, the semidual estimate of the divergence guard and
+    the marginal diagnostics.
     """
 
     base_lr: float = 1.0
-    constant_phase: int = 20_000
-    decay_phase: int = 10_000
-    averaging_window: int = 7_500
+    max_iterations: int = 30_000
     batch: int = 256
     tau: float = 0.05
     check_interval: int = 2_000
-    chi2_batch: int = 2**12
     chi2_total: int = 2**16
 
     def __post_init__(self):
@@ -78,31 +78,28 @@ class SolverConfig:
             raise ConfigurationError("stopping threshold tau must be > 0")
         if not 0.0 < self.base_lr < np.inf:
             raise ConfigurationError("base learning rate must be finite and > 0")
-        if self.constant_phase < 1 or self.decay_phase < 0:
-            raise ConfigurationError(
-                "need constant_phase >= 1 and decay_phase >= 0")
-        if not (1 <= self.averaging_window <= self.max_iterations):
-            raise ConfigurationError(
-                "averaging_window must lie in [1, constant_phase + decay_phase]"
-            )
+        if self.max_iterations < 1:
+            raise ConfigurationError("need at least one iteration")
         if self.batch < 1 or self.check_interval < 1:
             raise ConfigurationError("batch and check_interval must be >= 1")
-        if self.chi2_batch < 2 or self.chi2_total < self.chi2_batch:
-            raise ConfigurationError("need chi2_total >= chi2_batch >= 2")
+        if self.chi2_total < 2:
+            raise ConfigurationError("need chi2_total >= 2")
 
     @property
-    def max_iterations(self) -> int:
-        return self.constant_phase + self.decay_phase
+    def constant_phase(self) -> int:
+        return max(1, (2 * self.max_iterations) // 3)
 
-    def scaled(self, iterations: int) -> "SolverConfig":
-        """Same recipe rescaled to a total budget of ``iterations``."""
-        if iterations < 1:
-            raise ConfigurationError("need at least one iteration")
-        const = max(1, (2 * iterations) // 3)
-        decay = max(0, iterations - const)
-        window = max(1, iterations // 4)
-        return replace(self, constant_phase=const, decay_phase=decay,
-                       averaging_window=window)
+    @property
+    def decay_phase(self) -> int:
+        return self.max_iterations - self.constant_phase
+
+    @property
+    def averaging_window(self) -> int:
+        return max(1, self.max_iterations // 4)
+
+    @property
+    def chi2_batch(self) -> int:
+        return min(self.chi2_total, CHI2_BATCH)
 
 
 def lr_schedule(cfg: SolverConfig, k: int) -> float:

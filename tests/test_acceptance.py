@@ -139,10 +139,7 @@ def test_criterion_3_oracle_dual_equivalence():
         noise = FiniteNoise(atoms, gen.integers(1, 5, m), exact=True)
         target = TargetMeasure.from_points(y, b)
         cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-        cfg = SolverConfig(base_lr=1.0,
-                           constant_phase=6000, decay_phase=3000,
-                           averaging_window=2000, tau=1e-11,
-                           check_interval=1000)
+        cfg = SolverConfig(max_iterations=9000, tau=1e-11, check_interval=1000)
         pot = solve_sdot(target, cost, cfg, Rng(3100 + inst), noise=noise)
         costs = cost_matrix(cost, atoms, y)
         _, _, g_star, _ = oracle_discrete_ot(costs, noise.weights, b, eps)
@@ -165,9 +162,7 @@ def test_criterion_4_theorem_decay():
     )
 
     def run(iters, seed, track=False):
-        cfg = SolverConfig(constant_phase=iters, decay_phase=0,
-                           averaging_window=max(1, iters // 4),
-                           batch=32 if track else 8,
+        cfg = SolverConfig(max_iterations=iters, batch=32 if track else 8,
                            tau=1e-12, check_interval=100 if track else 10**6)
         series = []
 
@@ -212,8 +207,7 @@ def test_criterion_5_cost_bound():
         _, _, _, c_star = oracle_discrete_ot(costs, noise.weights,
                                              target.weights, eps)
         # Probe both random potentials and a lightly trained one.
-        cfg = SolverConfig(constant_phase=300, decay_phase=0, base_lr=0.5,
-                           averaging_window=75, tau=1e-12,
+        cfg = SolverConfig(max_iterations=300, base_lr=0.5, tau=1e-12,
                            check_interval=10**6)
         pots = [
             Potential(g=gen.standard_normal(target.n) * 0.5, target=target,

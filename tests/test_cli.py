@@ -825,6 +825,23 @@ _USAGE_CASES = {
         "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
         "--model2", _quick_model(tmp, blob, "b.sdfm"), "--count", "-1",
         "--out", str(tmp / "g")],
+    "guide-t-clip-1": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--t-clip", "1",
+        "--count", "4", "--out", str(tmp / "g")],
+    "guide-steps-0": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--steps", "0",
+        "--count", "4", "--out", str(tmp / "g")],
+    "guide-dimension-mismatch": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, _saved(tmp, "d3.sdfm", np.eye(3)),
+                                 "b.sdfm"),
+        "--count", "4", "--out", str(tmp / "g")],
+    "eval-nothing": lambda tmp, blob: ["eval"],
+    "dataset-eight-gaussians-3-d": lambda tmp, blob: [
+        "dataset", "--name", "eight-gaussians", "--d", "3",
+        "--out", str(tmp / "d.sdfm")],
     # The solver's step rule is not a CLI option.
     "solve-optimizer-flag": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--optimizer", "adagrad",
@@ -895,6 +912,9 @@ _USAGE_CASES = {
     "solve-chi2-samples-0": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--iters", "10",
         "--batch", "16", "--chi2-samples", "0", "--out", str(tmp / "x.sdfm")],
+    "solve-chi2-samples-1": lambda tmp, blob: [
+        "solve", "--data", blob, "--eps", "0", "--iters", "10",
+        "--batch", "16", "--chi2-samples", "1", "--out", str(tmp / "x.sdfm")],
     "solve-iters-0": lambda tmp, blob: [
         "solve", "--data", blob, "--eps", "0", "--iters", "0",
         "--batch", "16", "--chi2-samples", "256", "--out", str(tmp / "x.sdfm")],

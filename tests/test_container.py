@@ -1,3 +1,5 @@
+import json
+import os
 import struct
 import tracemalloc
 
@@ -212,6 +214,53 @@ class TestMetricsWriter:
         w.log(5, "other", 2.0)  # independent series unaffected
 
 
+def _torn_json_dump(obj, fh, **kwargs):
+    """``json.dump`` that writes part of its text and then fails."""
+    fh.write('{"rows": ')
+    raise RuntimeError("disk full")
+
+
+class TestAtomicWrites:
+    """A write that raises partway leaves neither its file nor a temp file;
+    the files written before it stay whole. The metrics CSV streams in
+    place, as a diagnostic of a run that fails."""
+
+    @pytest.mark.parametrize("writer, kept", [
+        ("sample-dump", {"s.bin"}),
+        ("metrics-summary", {"m.csv"}),
+        ("eval-report", set()),
+    ], ids=["sample-dump", "metrics-summary", "eval-report"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, writer,
+                                         kept):
+        ref = artifacts.save_sample_dump(str(tmp_path / "a"), np.zeros((4, 2)))[0]
+        before = set(os.listdir(tmp_path))
+        write = {
+            "sample-dump": lambda: artifacts.save_sample_dump(
+                str(tmp_path / "s"), np.ones((3, 2))),
+            "metrics-summary": lambda: MetricsWriter(
+                str(tmp_path / "m.csv"), str(tmp_path / "m.json")).finalize({}),
+            "eval-report": lambda: cli.main([
+                "eval", "--samples", ref, "--reference", ref,
+                "--out", str(tmp_path / "r.json")]),
+        }[writer]
+        monkeypatch.setattr(json, "dump", _torn_json_dump)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write()
+        assert set(os.listdir(tmp_path)) - before == kept
+        if writer == "sample-dump":
+            assert (tmp_path / "s.bin").read_bytes() == np.ones(6).tobytes()
+
+    def test_files_get_the_mode_open_gives(self, tmp_path):
+        mask = os.umask(0o022)
+        try:
+            write_container(str(tmp_path / "c.sdfm"), "dataset", {})
+            artifacts.save_sample_dump(str(tmp_path / "s"), np.ones((3, 2)))
+        finally:
+            os.umask(mask)
+        for name in ("c.sdfm", "s.bin", "s.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
+
 def _hand_built(kind=b"dataset", meta=b"{}", tail=b"\x00\x00\x00\x00"):
     """Container bytes up to the array count, then ``tail``."""
     return (b"SDFM" + struct.pack("<II", CONTAINER_VERSION, len(kind)) + kind
@@ -250,9 +299,11 @@ class TestMalformedContainers:
         (_one_array((1,) * 65, b"\x00" * 8), "numpy cannot hold"),
         (_one_array((0, 2**63)), "numpy cannot hold"),
         (_one_array((0, 2**62, 4)), "numpy cannot hold"),
+        (_hand_built(tail=struct.pack("<II", 1, 1) + b"x"
+                     + struct.pack("<BI", 2, 0)), "unknown dtype code 2"),
     ], ids=["meta-list", "meta-cut", "meta-not-utf8", "kind-not-utf8",
             "name-not-utf8", "shape-65-dims", "shape-zero-size-dim-2**63",
-            "shape-zero-size-extent-2**65"])
+            "shape-zero-size-extent-2**65", "dtype-code-2"])
     def test_malformed_fields_are_refused(self, tmp_path, raw, reason):
         path = tmp_path / "m.sdfm"
         path.write_bytes(raw)

@@ -203,3 +203,19 @@ class TestCostMatrixProjection:
         # Projected rows are (2) and (3): neg-dot -6.
         out = cost_matrix(cfg, cfg.embed(x), cfg.embed(y))
         assert out[0, 0] == pytest.approx(-6.0)
+
+
+_BASIS = np.eye(2)[:1]  # one orthonormal row in d=2
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: ProjectionMatrix(basis=_BASIS, mean=np.zeros(3)), "matching mean"),
+    (lambda: ProjectionMatrix(basis=_BASIS, mean=np.zeros(2)).apply(np.ones((4, 3))),
+     "expects dimension 2, got 3"),
+    (lambda: fit_pca(np.zeros(5), 1), r"data must be \(N, d\)"),
+    (lambda: CostConfig(kind="cosine"), "unknown cost kind 'cosine'"),
+], ids=["projection-mean-mismatch", "projection-apply-dimension",
+        "fit-pca-1-d", "cost-kind-unknown"])
+def test_refusals(build, match):
+    with pytest.raises(ConfigurationError, match=match):
+        build()

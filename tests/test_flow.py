@@ -915,3 +915,14 @@ class TestGuidance:
         cfg = GuidanceConfig(gamma=2.0, replicas=8, steps=64)
         _, (weights,) = guided_sample(flow1, flow2, cfg, Rng(26), 1)
         assert np.max(np.abs(weights - weights[0])) < 1e-9
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: integrate(GaussianFlow1D(1.0), np.zeros((2, 1)), method="midpoint"),
+     "unknown solver 'midpoint'"),
+    (lambda: curvature(np.zeros((2, 1)), np.ones((2, 1)), np.ones((1, 2, 1))),
+     "at least 2 grid velocities"),
+], ids=["integrate-method-unknown", "curvature-one-velocity"])
+def test_refusals(call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call()

@@ -10,6 +10,7 @@ from sdfm.numerics import (
     argmax_with_ties,
     eps0_column_stats,
     inverse_cdf,
+    rng_batches,
     softmax_b_eps_rows,
     top_two,
 )
@@ -311,3 +312,8 @@ class TestInverseCdf:
         for u in (0.0, 1.0 - 2.0**-53):
             got = inverse_cdf(tie_weights, np.full(64, u))
             assert np.all((got == 7) | (got == 8))
+
+
+def test_rng_batches_refuses_uneven_rows():
+    with pytest.raises(ValueError, match="7 rows do not split into 2 batches"):
+        rng_batches([Rng(0), Rng(1)], 7)

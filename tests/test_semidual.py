@@ -11,6 +11,7 @@ from sdfm import semidual
 from sdfm.costs import (
     NEG_DOT,
     SQ_EUCLIDEAN,
+    ConfigurationError,
     CostConfig,
     cost_matrix,
     estimate_cost_std,
@@ -1389,3 +1390,15 @@ class TestPaddedRowStride:
         np.testing.assert_array_equal(np.concatenate(ties), want_ties)
         np.testing.assert_array_equal(np.vstack(weights), want_weights)
         assert len(want_ties) >= 30
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: TargetMeasure(np.eye(3), np.full(2, 0.5)), "one entry per point"),
+    # from_points normalizes the weights; the constructor takes them as given.
+    (lambda: TargetMeasure(np.eye(3), np.full(3, 0.3)), "sum to 1"),
+    (lambda: Potential(g=np.zeros(2), target=TargetMeasure.from_points(np.eye(3)),
+                       cost=CostConfig()), "length must match"),
+], ids=["target-weights-length", "target-weights-sum", "potential-length"])
+def test_refusals(build, match):
+    with pytest.raises(ConfigurationError, match=match):
+        build()

@@ -12,6 +12,7 @@ from sdfm.semidual import (
     semidual_value,
 )
 from sdfm.solver import (
+    CHI2_BATCH,
     SolverConfig,
     SolverDivergence,
     lr_schedule,
@@ -24,25 +25,44 @@ from oracles import FiniteNoise, marginal_exact, oracle_discrete_ot, softmax_row
 
 class TestLrSchedule:
     def test_adagrad_base_then_decay(self):
-        cfg = SolverConfig(base_lr=2.0, constant_phase=100,
-                           decay_phase=300, averaging_window=100)
+        cfg = SolverConfig(base_lr=2.0, max_iterations=150)
+        assert (cfg.constant_phase, cfg.decay_phase) == (100, 50)
         assert lr_schedule(cfg, 0) == 2.0
         assert lr_schedule(cfg, 99) == 2.0
-        assert lr_schedule(cfg, 400) == pytest.approx(2.0 * np.sqrt(100 / 400))
+        assert lr_schedule(cfg, 149) == pytest.approx(2.0 * np.sqrt(100 / 149))
 
-    def test_empty_constant_phase_rejected(self):
-        # The decay phase scales base_lr by sqrt(constant_phase / k), so a
-        # zero constant phase leaves it no rate to decay from.
-        with pytest.raises(ConfigurationError, match="constant_phase >= 1"):
-            SolverConfig(constant_phase=0, decay_phase=10, averaging_window=5)
+
+class TestBudget:
+    """One budget, ``max_iterations``, derives the phases, the window and
+    the check's batch."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 20, 80, 30_000, 40_000])
+    def test_schedule_derives_from_budget(self, budget):
+        # Two thirds constant (at least one iteration), the rest decay, and
+        # a window of the last quarter (at least one iterate).
+        cfg = SolverConfig(max_iterations=budget)
+        const = max(1, (2 * budget) // 3)
+        assert cfg.constant_phase == const
+        assert cfg.decay_phase == max(0, budget - const)
+        assert cfg.averaging_window == max(1, budget // 4)
+
+    @pytest.mark.parametrize("total", [2, 1000, 4096, 4097, 2**16])
+    def test_chi2_batch_is_capped_total(self, total):
+        # Any total of at least 2 rows is accepted, below one batch too.
+        assert SolverConfig(chi2_total=total).chi2_batch == min(total, 4096)
+
+    def test_default_budget_keeps_the_default_schedule(self):
+        cfg = SolverConfig()
+        assert (cfg.max_iterations, cfg.constant_phase, cfg.decay_phase,
+                cfg.averaging_window, cfg.chi2_batch) == (
+                    30_000, 20_000, 10_000, 7_500, 4096)
 
 
 class TestSolveSdot:
     def test_single_atom_immediate(self):
         target = TargetMeasure.from_points([[0.3, -0.7]])
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
-        cfg = SolverConfig(constant_phase=100, decay_phase=0,
-                           averaging_window=10, chi2_total=64, chi2_batch=32)
+        cfg = SolverConfig(max_iterations=100, chi2_total=64)
         pot = solve_sdot(target, cost, cfg, Rng(0))
         np.testing.assert_array_equal(pot.g, [0.0])
         assert pot.provenance["iterations"] == 0
@@ -51,16 +71,15 @@ class TestSolveSdot:
     def test_symmetric_two_atoms(self):
         target = TargetMeasure.from_points([[1.0, 0.0], [-1.0, 0.0]])
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
-        cfg = SolverConfig(constant_phase=2000, decay_phase=1000,
-                           averaging_window=750, batch=64, tau=1e-4,
-                           chi2_total=2**13, chi2_batch=2**10)
+        cfg = SolverConfig(max_iterations=3000, batch=64, tau=1e-4,
+                           chi2_total=2**13)
         pot = solve_sdot(target, cost, cfg, Rng(1))
         assert np.max(np.abs(pot.g)) <= 1e-2 * np.max(np.abs(pot.g)) + 1e-3 + 0.02
 
     def test_requires_negdot(self):
         # Potentials take the neg-dot cost only, at every eps.
         target = TargetMeasure.from_points([[1.0], [-1.0]])
-        cfg = SolverConfig(constant_phase=10, decay_phase=0, averaging_window=5)
+        cfg = SolverConfig(max_iterations=10)
         for eps in (0.0, 0.5):
             cost = CostConfig(kind=SQ_EUCLIDEAN, eps_raw=eps)
             with pytest.raises(ConfigurationError, match="neg-dot"):
@@ -69,10 +88,7 @@ class TestSolveSdot:
     def test_oracle_dual_equivalence_quick(self):
         target, cost, noise = make_enumerated_instance(42, n_target=6,
                                                        n_atoms=24, eps=0.5)
-        cfg = SolverConfig(base_lr=1.0,
-                           constant_phase=4000, decay_phase=2000,
-                           averaging_window=1500, tau=1e-10,
-                           check_interval=1000)
+        cfg = SolverConfig(max_iterations=6000, tau=1e-10, check_interval=1000)
         pot = solve_sdot(target, cost, cfg, Rng(2), noise=noise)
         costs = cost_matrix(cost, noise.atoms, target.points)
         _, _, g_star, _ = oracle_discrete_ot(costs, noise.weights, target.weights,
@@ -84,15 +100,13 @@ class TestSolveSdot:
 
     def test_gauge_of_returned_potential(self):
         target, cost, noise = make_enumerated_instance(43)
-        cfg = SolverConfig(constant_phase=500, decay_phase=0,
-                           averaging_window=100, tau=1e-12, check_interval=250)
+        cfg = SolverConfig(max_iterations=500, tau=1e-12, check_interval=250)
         pot = solve_sdot(target, cost, cfg, Rng(3), noise=noise)
         assert abs(np.dot(target.weights, pot.g)) < 1e-12
 
     def test_determinism(self):
         target, cost, noise = make_enumerated_instance(45, exact=False)
-        cfg = SolverConfig(constant_phase=300, decay_phase=100,
-                           averaging_window=100, batch=8, tau=1e-12,
+        cfg = SolverConfig(max_iterations=400, batch=8, tau=1e-12,
                            check_interval=100)
         a = solve_sdot(target, cost, cfg, Rng(5), noise=noise)
         b = solve_sdot(target, cost, cfg, Rng(5), noise=noise)
@@ -100,10 +114,8 @@ class TestSolveSdot:
 
     def test_divergence_guard(self):
         target, cost, noise = make_enumerated_instance(46, eps=0.05, exact=False)
-        cfg = SolverConfig(base_lr=1e7,
-                           constant_phase=2000, decay_phase=0,
-                           averaging_window=100, batch=4, tau=1e-12,
-                           check_interval=100)
+        cfg = SolverConfig(base_lr=1e7, max_iterations=2000, batch=4,
+                           tau=1e-12, check_interval=100)
         with pytest.raises(SolverDivergence) as err:
             solve_sdot(target, cost, cfg, Rng(6), noise=noise)
         assert "semidual estimate collapsed" in str(err.value)
@@ -112,9 +124,8 @@ class TestSolveSdot:
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_non_finite_state_fails_closed(self, eps):
         target, cost, _ = make_enumerated_instance(49, eps=eps)
-        cfg = SolverConfig(base_lr=1e308, constant_phase=50, decay_phase=0,
-                           averaging_window=10, batch=16, tau=1e-12,
-                           check_interval=10, chi2_batch=64, chi2_total=128)
+        cfg = SolverConfig(base_lr=1e308, max_iterations=50, batch=16,
+                           tau=1e-12, check_interval=10, chi2_total=128)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergence) as err:
                 solve_sdot(target, cost, cfg, Rng(9))
@@ -129,9 +140,8 @@ class TestSolveSdot:
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
         rows = gen.standard_normal((8, 2))
         rows[3] = 1e308
-        cfg = SolverConfig(base_lr=0.5, constant_phase=6, decay_phase=0,
-                           averaging_window=2, batch=8, tau=1e-12,
-                           check_interval=3, chi2_batch=8, chi2_total=8)
+        cfg = SolverConfig(base_lr=0.5, max_iterations=6, batch=8, tau=1e-12,
+                           check_interval=3, chi2_total=8)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergence, match="non-finite"):
                 solve_sdot(target, cost, cfg, Rng(1), noise=FiniteNoise(rows))
@@ -140,8 +150,7 @@ class TestSolveSdot:
         from sdfm.container import MetricsWriter
 
         target, cost, noise = make_enumerated_instance(47)
-        cfg = SolverConfig(constant_phase=200, decay_phase=0,
-                           averaging_window=50, tau=1e-12, check_interval=100)
+        cfg = SolverConfig(max_iterations=200, tau=1e-12, check_interval=100)
         metrics = MetricsWriter(str(tmp_path / "m.csv"), str(tmp_path / "m.json"))
         solve_sdot(target, cost, cfg, Rng(7), noise=noise, metrics=metrics)
         metrics.finalize({})
@@ -151,33 +160,36 @@ class TestSolveSdot:
         assert {"chi2", "semidual", "lr"} <= names
 
     def test_averaging_window_is_exact_mean(self):
-        # No check within the budget: sums from 0 and from the last start.
-        self._assert_window_is_exact_mean(window=37, interval=10**6,
+        # No check within the budget of 150: sums from 0 and from the last
+        # start, 37 iterates before the budget.
+        self._assert_window_is_exact_mean(budget=150, interval=10**6,
                                           iterations=150, halvings=0)
 
     def test_averaging_window_is_exact_mean_over_blocks_and_halvings(self):
-        # Window starts on checks (every 10 iterates); AdaGrad halves its rate.
-        self._assert_window_is_exact_mean(window=40, interval=10,
+        # Window starts on checks (every 10 iterates); AdaGrad halves its
+        # rate. Stops on tau at 90, inside the constant phase of 106.
+        self._assert_window_is_exact_mean(budget=160, interval=10,
                                           iterations=90, halvings=1)
-        # Stops on tau at 50, before the budget of 70, after one halving.
-        # Its window starts at 25 (5 mod 10) and spans three running sums,
-        # from 25, 35 and 45; the last opens because its window would end
-        # at the budget.
-        self._assert_window_is_exact_mean(window=25, interval=10,
-                                          iterations=50, halvings=1, budget=70,
+        # Stops on tau at 40, before the budget of 45, after one halving.
+        # Its window of 11 starts at 29 (9 mod 10) and spans two running
+        # sums, from 29 and 34; the last opens because its window would
+        # end at the budget.
+        self._assert_window_is_exact_mean(budget=45, interval=10,
+                                          iterations=40, halvings=1,
                                           base_lr=2.5)
 
     @staticmethod
-    def _assert_window_is_exact_mean(window, interval, iterations, halvings,
-                                     budget=150, base_lr=1.5):
+    def _assert_window_is_exact_mean(budget, interval, iterations, halvings,
+                                     base_lr=1.5):
         target, cost, noise = make_enumerated_instance(48)
-        cfg = SolverConfig(base_lr=base_lr, constant_phase=budget, decay_phase=0,
-                           averaging_window=window, batch=4, tau=1e-12,
-                           check_interval=interval)
+        cfg = SolverConfig(base_lr=base_lr, max_iterations=budget, batch=4,
+                           tau=1e-12, check_interval=interval)
+        window = cfg.averaging_window
         iterates = []
 
         pot = solve_sdot(target, cost, cfg, Rng(8), noise=noise)
         assert pot.provenance["iterations"] == iterations
+        assert pot.provenance["averaging_window"] == window == budget // 4
         # Checks of the constant phase that fail to halve the chi-square.
         history = pot.provenance["chi2_history"]
         halved_at = [k for (_, before), (k, chi2) in zip(history, history[1:])
@@ -200,20 +212,22 @@ class TestSolveSdot:
         expected = gauge_fix(np.mean(iterates[-window:], axis=0), target.weights)
         np.testing.assert_allclose(pot.g, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("budget, window", [(2000, 2000), (2001, 1000)])
-    def test_averaging_state_is_window_sums(self, budget, window):
+    @pytest.mark.parametrize("budget", [4000, 4001])
+    def test_averaging_state_is_window_sums(self, budget):
         import tracemalloc
 
-        # A 2000-iterate window over N=2048 is 32 MB as full iterates;
+        # A 1000-iterate window over N=2048 is 16 MB as full iterates;
         # checks every 1000 iterations need a few running sums (16 kB
-        # each), also for a budget that no check interval divides.
+        # each), also for a budget that no check interval divides. At
+        # eps=0 the 8 noise atoms leave most cells empty, so the solve
+        # runs to the budget.
         gen = Rng(53).generator()
         target = TargetMeasure.from_points(gen.standard_normal((2048, 2)))
-        cost = CostConfig(kind=NEG_DOT, eps_raw=0.5)
+        cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
         noise = FiniteNoise(gen.standard_normal((8, 2)), exact=True)
-        cfg = SolverConfig(constant_phase=budget, decay_phase=0,
-                           averaging_window=window, tau=1e-12,
+        cfg = SolverConfig(max_iterations=budget, tau=1e-12,
                            check_interval=1000)
+        assert cfg.averaging_window == 1000
         tracemalloc.start()
         try:
             pot = solve_sdot(target, cost, cfg, Rng(13), noise=noise)
@@ -237,8 +251,7 @@ class TestStepSize:
         left = gen.standard_normal((64, 2)) * 0.25 + np.array([-2.0, 0.0])
         target = TargetMeasure.from_points(np.vstack([right, left]))
         cost = CostConfig(kind=NEG_DOT, eps_raw=0.0)
-        cfg = SolverConfig(constant_phase=4000, decay_phase=2000,
-                           averaging_window=1500, batch=256, tau=0.02,
+        cfg = SolverConfig(max_iterations=6000, batch=256, tau=0.02,
                            check_interval=500, chi2_total=2**14)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, rng.child(1), metrics=sink)
@@ -258,10 +271,10 @@ class TestStepSize:
 
     def test_decay_phase_never_halves(self):
         # tau is out of reach, so every check after the first can fail;
-        # only the nine after the first in the constant phase may halve.
+        # only the nine after the first in the constant phase (100 of the
+        # 150 iterations) may halve.
         target, cost, noise = make_enumerated_instance(55, exact=False)
-        cfg = SolverConfig(constant_phase=100, decay_phase=300,
-                           averaging_window=50, batch=4, tau=1e-12,
+        cfg = SolverConfig(max_iterations=150, batch=4, tau=1e-12,
                            check_interval=10)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, Rng(15), metrics=sink, noise=noise)
@@ -269,11 +282,11 @@ class TestStepSize:
         assert 1 <= pot.provenance["lr_halvings"] <= 9
         rates = [v for (k, name), v in sorted(sink.rows.items())
                  if name == "lr"]
-        assert min(rates) >= 0.5**9 * lr_schedule(cfg, 399)
+        assert min(rates) >= 0.5**9 * lr_schedule(cfg, 149)
         for (k, name), v in sink.rows.items():
             if name == "lr" and k >= cfg.constant_phase:
                 assert v == 0.5**pot.provenance["lr_halvings"] \
-                    * lr_schedule(cfg, min(k, 399))
+                    * lr_schedule(cfg, min(k, 149))
 
 
 class _Rows:
@@ -296,8 +309,7 @@ class TestOneScanPerCheck:
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_exact_noise_logs_exact_semidual(self, eps):
         target, cost, noise = make_enumerated_instance(50, eps=eps)
-        cfg = SolverConfig(base_lr=0.5, constant_phase=30, decay_phase=0,
-                           averaging_window=5, batch=8, tau=1e-12,
+        cfg = SolverConfig(base_lr=0.5, max_iterations=30, batch=8, tau=1e-12,
                            check_interval=10)
         sink = _Rows()
         pot = solve_sdot(target, cost, cfg, Rng(10), noise=noise, metrics=sink)
@@ -314,10 +326,10 @@ class TestOneScanPerCheck:
         gen = Rng(51).generator()
         target = TargetMeasure.from_points(gen.standard_normal((12, 2)))
         cost = CostConfig(kind=NEG_DOT, eps_raw=eps)
-        # 200 rows in batches of 64 end on a ragged batch of 8.
-        cfg = SolverConfig(base_lr=0.5, constant_phase=20, decay_phase=0,
-                           averaging_window=5, batch=16, tau=1e-12,
-                           check_interval=20, chi2_batch=64, chi2_total=200)
+        # 8200 rows in batches of 4096 end on a ragged batch of 8.
+        total = 2 * CHI2_BATCH + 8
+        cfg = SolverConfig(base_lr=0.5, max_iterations=20, batch=16, tau=1e-12,
+                           check_interval=20, chi2_total=total)
         sink = _Rows()
         rng = Rng(11)
         pot = solve_sdot(target, cost, cfg, rng, metrics=sink)
@@ -327,8 +339,10 @@ class TestOneScanPerCheck:
             # The evaluation stream is rng.child(1); check k draws batch i
             # from its child(k).child(i).
             stream = rng.child(1).child(k)
-            x = np.vstack([noise.sample(stream.child(i), min(64, 200 - lo))
-                           for i, lo in enumerate(range(0, 200, 64))])
+            x = np.vstack([noise.sample(stream.child(i),
+                                        min(CHI2_BATCH, total - lo))
+                           for i, lo in enumerate(range(0, total, CHI2_BATCH))])
+            assert len(x) == total
             assert sink.rows[(k, "semidual")] == \
                 pytest.approx(semidual_value(p, x), abs=1e-12)
 
@@ -352,9 +366,8 @@ class TestOneScanPerCheck:
 
         monkeypatch.setattr(semidual, "coupling_scores", counting_scores)
         monkeypatch.setattr(solver, "_chi2_check", counting_check)
-        cfg = SolverConfig(base_lr=0.5, constant_phase=6, decay_phase=0,
-                           averaging_window=2, batch=16, tau=1e-12,
-                           check_interval=3, chi2_batch=64, chi2_total=256)
+        cfg = SolverConfig(base_lr=0.5, max_iterations=6, batch=16, tau=1e-12,
+                           check_interval=3, chi2_total=256)
         solve_sdot(target, cost, cfg, Rng(12))
         assert per_check == [256, 256, 256]  # checks at k = 0, 3, 6
         assert sum(scored) == 3 * 256 + 6 * 16
