@@ -52,7 +52,7 @@ for k, value in pot.provenance["chi2_history"]:
     print(f"  step {k:>6d}   {value:.5f}")
 
 # The fitted marginal should match the target weights (uniform here).
-m = chi2_batches(pot, rng.child(2), 2**16, 2**13).marginal
+m = chi2_batches(pot, rng.child(2), 2**16).marginal
 print("\nmarginal check:")
 print("  TV(m, b)       =", f"{0.5 * np.abs(m - target.weights).sum():.5f}")
 print("  chi2(m, b)     =", f"{chi2_exact(m, target.weights):.5f}")

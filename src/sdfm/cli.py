@@ -42,6 +42,7 @@ from .coupling import (
 from .flow import (
     FlowModel,
     GuidanceConfig,
+    T_CLIP,
     TrainConfig,
     gaussian_starts,
     guided_sample,
@@ -50,7 +51,7 @@ from .flow import (
 )
 from .numerics import Rng
 from .semidual import TargetMeasure, chi2_batches
-from .solver import CHI2_BATCH, SolverConfig, SolverDivergence, solve_sdot
+from .solver import SolverConfig, SolverDivergence, solve_sdot
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -261,12 +262,12 @@ def cmd_guide(args) -> int:
     if model1.dim != model2.dim:
         raise UsageError("guidance models must share the data dimension")
     cfg = GuidanceConfig(gamma=args.gamma, replicas=args.replicas,
-                         steps=args.steps, t_clip=args.t_clip)
+                         steps=args.steps)
     out, _ = guided_sample(model1.snapshot(), model2.snapshot(), cfg,
                            Rng(args.seed), args.count)
     bin_path, _ = artifacts.save_sample_dump(args.out, out, {
         "seed": args.seed, "gamma": args.gamma, "replicas": args.replicas,
-        "steps": args.steps, "t_clip": args.t_clip,
+        "steps": args.steps, "t_clip": T_CLIP,
     })
     print(f"guide: count={args.count} gamma={args.gamma} r={args.replicas} "
           f"out={bin_path}")
@@ -275,7 +276,7 @@ def cmd_guide(args) -> int:
 
 def cmd_chisq(args) -> int:
     pot = artifacts.load_potential(args.potential, _load_target(args.data))
-    scan = chi2_batches(pot, Rng(args.seed), args.samples, args.batch)
+    scan = chi2_batches(pot, Rng(args.seed), args.samples)
     vals = scan.values
     est = float(np.mean(vals))
     # The standard error is the spread of the batch estimates: one batch has none.
@@ -405,7 +406,7 @@ def build_parser() -> _Parser:
     s.add_argument("--ot-eps", type=float, default=0.1)
     s.add_argument("--steps", type=int, default=TrainConfig.steps)
     s.add_argument("--batch", type=int, default=TrainConfig.batch)
-    s.add_argument("--hidden", type=int, nargs="+", default=[128, 128, 128])
+    s.add_argument("--hidden", type=int, nargs="+", default=(128, 128, 128))
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
 
@@ -420,11 +421,10 @@ def build_parser() -> _Parser:
     s = sub.add_parser("guide", help="geometric-mixture guidance resampling")
     s.add_argument("--model1", required=True)
     s.add_argument("--model2", required=True)
-    s.add_argument("--gamma", type=float, default=2.0)
+    s.add_argument("--gamma", type=float, default=GuidanceConfig.gamma)
     s.add_argument("--replicas", type=int, default=GuidanceConfig.replicas)
     s.add_argument("--count", type=int, default=256)
     s.add_argument("--steps", type=int, default=GuidanceConfig.steps)
-    s.add_argument("--t-clip", type=float, default=GuidanceConfig.t_clip)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_guide)
 
@@ -432,7 +432,6 @@ def build_parser() -> _Parser:
     s.add_argument("--potential", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--samples", type=int, default=SolverConfig.chi2_total)
-    s.add_argument("--batch", type=int, default=CHI2_BATCH)
     s.set_defaults(fn=cmd_chisq)
 
     s = sub.add_parser("eval", help="W2 between clouds and/or model curvature")
@@ -456,10 +455,13 @@ def build_parser() -> _Parser:
     return p
 
 
+# Parsing keeps no state between calls, so every call shares one parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except (UsageError, ContainerError, ConfigurationError,
             FileNotFoundError) as exc:

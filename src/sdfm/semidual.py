@@ -278,6 +278,8 @@ class GaussianNoise:
 # the batch size.
 SCORE_CHUNK_BYTES = 2**20
 
+CHI2_BATCH = 2**12  # rows per batch of a chi-square scan (chi2_batches)
+
 BOUND_MARGIN = 300.0  # an eps>0 row bound's slack: e^-300 squared is normal
 
 _UNIT32 = 2.0**-24  # float32's unit roundoff
@@ -580,25 +582,25 @@ class Chi2Scan(NamedTuple):
     marginal: np.ndarray  # their mean responsibilities: an estimate of m(g)
 
 
-def chi2_batches(pot: Potential, rng: Rng, total: int, batch: int,
-                 noise=None) -> Chi2Scan:
+def chi2_batches(pot: Potential, rng: Rng, total: int, noise=None) -> Chi2Scan:
     """:func:`chi2_estimator` of each noise batch over ``total`` draws.
 
-    Batch ``k`` draws from ``rng.child(k)`` (``noise`` defaults to
-    Gaussian). Batches hold ``batch`` rows and the last one the rest; a
-    rest of one row joins the batch before it, so every row is used.
+    The one chi-square rule, of the solver's checks and of ``sdfm chisq``
+    alike. Batch ``k`` draws from ``rng.child(k)`` (``noise`` defaults to
+    Gaussian). Batches hold ``CHI2_BATCH`` rows and the last one the rest;
+    a rest of one row joins the batch before it, so every row is used.
     From the same tiles, ``soft_c_mean + <b, g>`` estimates ``F_eps(g)``,
     and ``marginal`` estimates ``m(g)`` to about ``sqrt(m_j (1 - m_j) /
     total)`` per entry.
     """
-    if total < 2 or batch < 2:
-        raise ConfigurationError("need total >= 2 and batch >= 2 rows")
+    if total < 2:
+        raise ConfigurationError("need total >= 2 rows")
     if noise is None:
         noise = GaussianNoise(pot.target)
     values, f_sum = [], 0.0
     mass = np.zeros(pot.target.n)
-    for k, lo in enumerate(range(0, total - 1, batch)):
-        hi = total if total - lo <= batch + 1 else lo + batch
+    for k, lo in enumerate(range(0, total - 1, CHI2_BATCH)):
+        hi = total if total - lo <= CHI2_BATCH + 1 else lo + CHI2_BATCH
         x = noise.sample(rng.child(k), hi - lo)
         f = np.empty(len(x))
         values.append(chi2_estimator(pot, x, f, mass))

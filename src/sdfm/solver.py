@@ -30,14 +30,12 @@ from .semidual import (
 )
 
 __all__ = [
-    "CHI2_BATCH",
     "SolverConfig",
     "SolverDivergence",
     "solve_sdot",
     "lr_schedule",
 ]
 
-CHI2_BATCH = 2**12  # rows per batch of a check's chi-square scan
 _ADAGRAD_FLOOR = 1e-10
 _HALF = 0.5  # the chi-square must halve per check, or AdaGrad's rate does
 
@@ -61,9 +59,10 @@ class SolverConfig:
     AdaGrad's starting rate: the solver halves it at every constant-phase
     check whose chi-square is not below half the previous check's. Every
     ``check_interval`` iterations one streamed scan of ``chi2_total``
-    evaluation rows, in batches of at most ``CHI2_BATCH``, gives the
-    stopping statistic, the semidual estimate of the divergence guard and
-    the marginal diagnostics.
+    evaluation rows gives the stopping statistic, the semidual estimate of
+    the divergence guard and the marginal diagnostics. The scan's batches
+    are :func:`~sdfm.semidual.chi2_batches`'s, at most
+    ``semidual.CHI2_BATCH`` rows each, and no field sets them.
     """
 
     base_lr: float = 1.0
@@ -97,10 +96,6 @@ class SolverConfig:
     def averaging_window(self) -> int:
         return max(1, self.max_iterations // 4)
 
-    @property
-    def chi2_batch(self) -> int:
-        return min(self.chi2_total, CHI2_BATCH)
-
 
 def lr_schedule(cfg: SolverConfig, k: int) -> float:
     """AdaGrad's learning rate at iteration ``k`` (0-based).
@@ -121,10 +116,9 @@ def _chi2_check(pot: Potential, rng: Rng, cfg: SolverConfig, noise):
 
     The stopping statistic, the estimate of ``F_eps(g)`` from the soft-c
     transform of the same rows, and the second-marginal estimate, over
-    ``chi2_total`` streamed rows in batches of ``chi2_batch``
-    (:func:`~sdfm.semidual.chi2_batches`).
+    ``chi2_total`` streamed rows (:func:`~sdfm.semidual.chi2_batches`).
     """
-    scan = chi2_batches(pot, rng, cfg.chi2_total, cfg.chi2_batch, noise)
+    scan = chi2_batches(pot, rng, cfg.chi2_total, noise)
     value = scan.soft_c_mean + float(np.dot(pot.target.weights, pot.g))
     return float(np.mean(scan.values)), value, scan.marginal
 

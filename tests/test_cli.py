@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdfm import artifacts, cli, flow, semidual
+from sdfm import artifacts, cli, flow, semidual, solver
 from sdfm.cli import main
 from sdfm.container import read_container, write_container
 from sdfm.costs import (
@@ -501,6 +502,9 @@ class TestGuideCommand:
             artifacts.load_sample_dump(plain + ".bin"),
             atol=1e-12,
         )
+        # The clip is a constant, still recorded in the sidecar.
+        with open(guided + ".json") as fh:
+            assert json.load(fh)["t_clip"] == flow.T_CLIP == 0.99
 
 
 class TestPrefixStableStarts:
@@ -565,15 +569,14 @@ class TestChisqCommand:
         _, pot = _solve(tmp_path, two_atoms)
         capsys.readouterr()
         assert main(["chisq", "--potential", pot, "--data", two_atoms,
-                     "--samples", "4096", "--batch", "1024",
-                     "--seed", "4"]) == 0
+                     "--samples", "4096", "--seed", "4"]) == 0
         out = capsys.readouterr().out
         assert "estimate=" in out
 
     def test_single_batch_and_one_row_tail(self, tmp_path, two_atoms, capsys):
         _, pot = _solve(tmp_path, two_atoms)
         base = ["chisq", "--potential", pot, "--data", two_atoms,
-                "--batch", "4096", "--seed", "4"]
+                "--seed", "4"]
         capsys.readouterr()
         assert main(base + ["--samples", "4096"]) == 0
         out = capsys.readouterr().out
@@ -583,14 +586,16 @@ class TestChisqCommand:
         assert "stderr=n/a samples=4097\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("eps", ["0", "0.5"], ids=["0-negdot", "0.5-negdot"])
-    def test_transport_cost_matches_oracle(self, tmp_path, blob, capsys, eps):
+    def test_transport_cost_matches_oracle(self, tmp_path, blob, capsys, eps,
+                                           monkeypatch):
         pot_path = str(tmp_path / "p.sdfm")
         assert main(["solve", "--data", blob, "--eps", eps,
                      "--iters", "50", "--batch", "32", "--chi2-samples", "256",
                      "--tau", "1e-9", "--seed", "2", "--out", pot_path]) in (0, 3)
         capsys.readouterr()
+        monkeypatch.setattr(semidual, "CHI2_BATCH", 256)
         assert main(["chisq", "--potential", pot_path, "--data", blob,
-                     "--samples", "1000", "--batch", "256", "--seed", "4"]) == 0
+                     "--samples", "1000", "--seed", "4"]) == 0
         out = capsys.readouterr().out
         assert re.search(r"estimate=\S+ transport_cost=\S+ stderr=", out)
         printed = float(re.search(r"transport_cost=(\S+)", out).group(1))
@@ -602,6 +607,30 @@ class TestChisqCommand:
         assert printed == pytest.approx(transport_cost(pot, x), abs=1e-6)
 
 
+class TestChisqIsTheSolversCheck:
+    """``chisq`` prints the solver's own check: one chi-square rule."""
+
+    @pytest.fixture(params=["0", "0.5"])
+    def stored(self, request, tmp_path, blob):
+        path = str(tmp_path / "p.sdfm")
+        assert main(["solve", "--data", blob, "--eps", request.param,
+                     "--iters", "50", "--batch", "32", "--chi2-samples", "256",
+                     "--tau", "1e-9", "--seed", "2", "--out", path]) in (0, 3)
+        return path, artifacts.load_potential(path, cli._load_target(blob))
+
+    @pytest.mark.parametrize("samples", [2, 4096, 4097, 8194, 12288])
+    def test_estimate_is_the_solvers_check(self, stored, blob, capsys,
+                                           samples):
+        path, pot = stored
+        capsys.readouterr()
+        assert main(["chisq", "--potential", path, "--data", blob,
+                     "--samples", str(samples), "--seed", "6"]) == 0
+        printed = re.search(r"estimate=(\S+)", capsys.readouterr().out).group(1)
+        check = solver._chi2_check(pot, Rng(6),
+                                   solver.SolverConfig(chi2_total=samples), None)
+        assert printed == f"{check[0]:.6f}"
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -609,6 +638,50 @@ class TestUsageErrors:
     def test_dataset_unknown_name(self, tmp_path):
         assert main(["dataset", "--name", "nope",
                      "--out", str(tmp_path / "x.sdfm")]) == 2
+
+
+# Every subcommand's flags: adding or removing one is an edit here.
+_OPTIONS = {
+    "solve": {"--data", "--eps", "--tau", "--out", "--lr", "--iters",
+              "--batch", "--pca", "--chi2-samples", "--checkpoint-every",
+              "--seed"},
+    "assign": {"--potential", "--data", "--noise", "--sample", "--out",
+               "--seed"},
+    "train": {"--data", "--coupling", "--potential", "--ot-eps", "--steps",
+              "--batch", "--hidden", "--out", "--seed"},
+    "sample": {"--model", "--count", "--solver", "--steps", "--out", "--seed"},
+    "guide": {"--model1", "--model2", "--gamma", "--replicas", "--count",
+              "--steps", "--out", "--seed"},
+    "chisq": {"--potential", "--data", "--samples", "--seed"},
+    "eval": {"--samples", "--reference", "--model", "--count", "--solver",
+             "--steps", "--out", "--seed"},
+    "dataset": {"--name", "--n", "--d", "--out", "--seed"},
+}
+
+
+class TestParser:
+    def test_option_surface(self):
+        sub, = (action for action in cli._PARSER._actions
+                if isinstance(action, argparse._SubParsersAction))
+        got = {name: {option for action in parser._actions
+                      for option in action.option_strings} - {"-h", "--help"}
+               for name, parser in sub.choices.items()}
+        assert got == _OPTIONS
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for seed in ("1", "2"):
+            assert main(["dataset", "--name", "gaussian-blob", "--n", "8",
+                         "--seed", seed,
+                         "--out", str(tmp_path / f"{seed}.sdfm")]) == 0
+        assert built == []
 
 
 class TestPcaEndToEnd:
@@ -632,7 +705,7 @@ class TestPcaEndToEnd:
         assert main(["assign", "--potential", pot, "--data", data,
                      "--sample", "200", "--seed", "2", "--out", pairs]) == 0
         assert main(["chisq", "--potential", pot, "--data", data,
-                     "--samples", "2048", "--batch", "512"]) == 0
+                     "--samples", "2048"]) == 0
         points = artifacts.load_dataset(data)[0]
         arrays = read_container(pairs, expect_kind="pairs")[2]
         assert arrays["points"].shape == (200, 6)
@@ -758,18 +831,17 @@ def _dump_sidecar(tmp_path, edit):
 
 # Each case builds its inputs and returns the argv of one command.
 _USAGE_CASES = {
-    "chisq-batch-0": lambda tmp, blob: [
-        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
-        "--batch", "0"],
-    "chisq-batch-negative": lambda tmp, blob: [
-        "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
-        "--batch", "-5"],
     "chisq-samples-1": lambda tmp, blob: [
         "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
         "--samples", "1"],
-    "chisq-batch-1": lambda tmp, blob: [
+    # The chi-square batch and the guidance clip are constants, not options.
+    "chisq-batch-flag": lambda tmp, blob: [
         "chisq", "--potential", _quick_potential(tmp, blob), "--data", blob,
-        "--batch", "1"],
+        "--batch", "4096"],
+    "guide-t-clip-flag": lambda tmp, blob: [
+        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
+        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--t-clip", "0.99",
+        "--count", "4", "--out", str(tmp / "g")],
     "train-batch-0": lambda tmp, blob: [
         "train", "--data", blob, "--coupling", "independent", "--steps", "2",
         "--batch", "0", "--hidden", "4", "--out", str(tmp / "m.sdfm")],
@@ -825,10 +897,6 @@ _USAGE_CASES = {
         "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
         "--model2", _quick_model(tmp, blob, "b.sdfm"), "--count", "-1",
         "--out", str(tmp / "g")],
-    "guide-t-clip-1": lambda tmp, blob: [
-        "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
-        "--model2", _quick_model(tmp, blob, "b.sdfm"), "--t-clip", "1",
-        "--count", "4", "--out", str(tmp / "g")],
     "guide-steps-0": lambda tmp, blob: [
         "guide", "--model1", _quick_model(tmp, blob, "a.sdfm"),
         "--model2", _quick_model(tmp, blob, "b.sdfm"), "--steps", "0",

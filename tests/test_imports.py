@@ -35,7 +35,7 @@ recipe = [
          "--iters", "20", "--batch", "32", "--chi2-samples", "256",
          "--out", "eps.sdfm"]),
     (0, ["chisq", "--potential", "pot.sdfm", "--data", "data.sdfm",
-         "--samples", "256", "--batch", "32"]),
+         "--samples", "256"]),
     (0, ["assign", "--potential", "pot.sdfm", "--data", "data.sdfm",
          "--sample", "16", "--out", "pairs.sdfm"]),
     (0, [*train, "--coupling", "sd", "--potential", "pot.sdfm",

@@ -8,6 +8,7 @@ and the cell of every row are closed form (``oracles.envelope_1d``).
 import numpy as np
 import pytest
 
+from sdfm import semidual
 from sdfm.costs import NEG_DOT, CostConfig
 from sdfm.coupling import assign_batch
 from sdfm.numerics import ARGMAX_TIE_TOL, Rng
@@ -47,7 +48,8 @@ def test_oracle_cells_are_the_argmax_and_g_star_is_optimal():
 
 @pytest.mark.parametrize("total, batch, seed", [(32768, 2048, 3),
                                                 (32769, 2048, 4)])
-def test_chi2_stream_matches_exact_chi2_at_n_16384(total, batch, seed):
+def test_chi2_stream_matches_exact_chi2_at_n_16384(total, batch, seed,
+                                                   monkeypatch):
     # A smooth perturbation of g*: chi-square 0.53, and 1860 of the 16384
     # cells are empty.
     target = _target(16384, 1)
@@ -55,7 +57,8 @@ def test_chi2_stream_matches_exact_chi2_at_n_16384(total, batch, seed):
     pot = Potential(g=g, target=target, cost=EPS0)
     exact = chi2_exact(marginal_1d(pot), target.weights)
     assert 0.4 < exact < 0.7
-    scan = chi2_batches(pot, Rng(seed), total, batch)
+    monkeypatch.setattr(semidual, "CHI2_BATCH", batch)
+    scan = chi2_batches(pot, Rng(seed), total)
     # 32769 rows: the 1-row tail joins the 16th batch.
     assert len(scan.values) == 16
     # 16 batch estimates: their standard error here is about 0.03.

@@ -292,19 +292,21 @@ class TestStochasticGradient:
 
 
 class TestMarginal:
-    def test_symmetric_two_point(self):
+    def test_symmetric_two_point(self, monkeypatch):
+        monkeypatch.setattr(semidual, "CHI2_BATCH", 5000)
         pot = _simple_potential([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
-        m = semidual.chi2_batches(pot, Rng(9), 20000, 5000).marginal
+        m = semidual.chi2_batches(pot, Rng(9), 20000).marginal
         std_error = np.sqrt(np.max(m * (1.0 - m)) / 20000)
         assert m.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(m - 0.5)) < 4 * std_error + 0.02
 
-    def test_independent_limit(self):
+    def test_independent_limit(self, monkeypatch):
+        monkeypatch.setattr(semidual, "CHI2_BATCH", 2500)
         gen = Rng(10).generator()
         ys = gen.standard_normal((4, 2))
         b = np.array([0.4, 0.3, 0.2, 0.1])
         pot = _simple_potential(np.zeros(4), ys, b, eps=1e6)
-        m = semidual.chi2_batches(pot, Rng(11), 10000, 2500).marginal
+        m = semidual.chi2_batches(pot, Rng(11), 10000).marginal
         assert np.max(np.abs(m - b)) < 1e-3
 
     def test_enumeration_exact(self):
@@ -387,7 +389,8 @@ class TestChi2:
                                       1.0 + semidual._column_sums(pot, x)[0])
         # A streamed scan: batches of 25, 25, 25 and 26, as the 1-row tail
         # joins the batch before it.
-        scan = semidual.chi2_batches(pot, Rng(34), 101, 25)
+        monkeypatch.setattr(semidual, "CHI2_BATCH", 25)
+        scan = semidual.chi2_batches(pot, Rng(34), 101)
         batches = [GaussianNoise(pot.target).sample(Rng(34).child(i), size)
                    for i, size in enumerate((25, 25, 25, 26))]
         assert scan.values == [chi2_estimator(pot, xb) for xb in batches]
@@ -663,10 +666,11 @@ class TestStreamingMemory:
             return got
 
         monkeypatch.setattr(semidual, "coupling_scores", counted)
+        monkeypatch.setattr(semidual, "CHI2_BATCH", 1000)  # 1000, 1000, 500
         x = Planted.sample(Rng(37), 1000)
         for run, rows in ((lambda: assign_batch(pot, x, Rng(38)), 1000),
                           (lambda: stochastic_gradient(pot, x), 1000),
-                          (lambda: semidual.chi2_batches(pot, Rng(39), 2500, 1000,
+                          (lambda: semidual.chi2_batches(pot, Rng(39), 2500,
                                                          Planted), 2500)):
             entries.update({np.float32: 0, np.float64: 0})
             run()

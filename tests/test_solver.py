@@ -5,6 +5,7 @@ from sdfm.costs import NEG_DOT, SQ_EUCLIDEAN, ConfigurationError, CostConfig, co
 from sdfm.numerics import Rng
 from sdfm import semidual, solver
 from sdfm.semidual import (
+    CHI2_BATCH,
     GaussianNoise,
     Potential,
     TargetMeasure,
@@ -12,7 +13,6 @@ from sdfm.semidual import (
     semidual_value,
 )
 from sdfm.solver import (
-    CHI2_BATCH,
     SolverConfig,
     SolverDivergence,
     lr_schedule,
@@ -33,8 +33,8 @@ class TestLrSchedule:
 
 
 class TestBudget:
-    """One budget, ``max_iterations``, derives the phases, the window and
-    the check's batch."""
+    """One budget, ``max_iterations``, derives the phases and the window;
+    the check's batches are the chi-square scan's."""
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 20, 80, 30_000, 40_000])
     def test_schedule_derives_from_budget(self, budget):
@@ -48,14 +48,29 @@ class TestBudget:
 
     @pytest.mark.parametrize("total", [2, 1000, 4096, 4097, 2**16])
     def test_chi2_batch_is_capped_total(self, total):
-        # Any total of at least 2 rows is accepted, below one batch too.
-        assert SolverConfig(chi2_total=total).chi2_batch == min(total, 4096)
+        # Any total of at least 2 rows is accepted, below one batch too. A
+        # check draws batches of min(total, CHI2_BATCH) rows, and a 1-row
+        # tail joins the batch before it.
+        drawn = []
+
+        class Recording(GaussianNoise):
+            def sample(self, rng, n):
+                drawn.append(n)
+                return super().sample(rng, n)
+
+        target = TargetMeasure.from_points([[0.3, -0.7], [1.0, 0.5]])
+        pot = Potential(g=np.zeros(2), target=target,
+                        cost=CostConfig(kind=NEG_DOT, eps_raw=0.0))
+        solver._chi2_check(pot, Rng(3), SolverConfig(chi2_total=total),
+                           Recording(target))
+        assert drawn == {2: [2], 1000: [1000], 4096: [4096], 4097: [4097],
+                         2**16: [4096] * 16}[total]
 
     def test_default_budget_keeps_the_default_schedule(self):
         cfg = SolverConfig()
         assert (cfg.max_iterations, cfg.constant_phase, cfg.decay_phase,
-                cfg.averaging_window, cfg.chi2_batch) == (
-                    30_000, 20_000, 10_000, 7_500, 4096)
+                cfg.averaging_window, cfg.chi2_total, CHI2_BATCH) == (
+                    30_000, 20_000, 10_000, 7_500, 2**16, 4096)
 
 
 class TestSolveSdot:
@@ -377,7 +392,7 @@ class TestOneScanPerCheck:
         noise = FiniteNoise(gen.standard_normal((9, 2)), gen.integers(1, 5, 9),
                             exact=True)
         rows = len(noise.rows)
-        assert rows not in (cfg.batch, cfg.chi2_batch, cfg.chi2_total)
+        assert rows not in (cfg.batch, CHI2_BATCH, cfg.chi2_total)
         scored.clear()
         per_check.clear()
         solve_sdot(target, cost, cfg, Rng(12), noise=noise)
